@@ -8,16 +8,15 @@ braid words with d = -A^2 - A^-2.
 
 All arithmetic is exact (integer Laurent polynomials); all values are
 immutable and safe to share across threads.  The two hot kernels
-(basis enumeration and pairing composition) run compiled when the Cython
-extension is available and fall back to a pure-Python twin otherwise;
-``tlkit.kernel_backend()`` reports which one is active.
+(basis enumeration and pairing composition) are plain Python in
+``tlkit._backend``; the package has no dependencies outside the standard
+library.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from ._backend import backend_name as kernel_backend
 from .braids import (
     BraidWord,
     KauffmanParams,
@@ -26,13 +25,7 @@ from .braids import (
     kauffman_loop_value,
     verify_artin,
 )
-from .composition import (
-    StackGraph,
-    compose,
-    compose_scaled,
-    connectivity_matrixpower,
-    loop_count_unionfind,
-)
+from .composition import compose, compose_scaled
 from .diagrams import (
     ConnectabilityMatrix,
     PlanarDiagram,
@@ -46,14 +39,7 @@ from .diagrams import (
 )
 from .drawing import emit_figure
 from .elements import TLElement, multiply
-from .enumeration import (
-    DiagramBasis,
-    PartialDiagram,
-    catalan,
-    enumerate_diagrams,
-    extend,
-    identity_diagram,
-)
+from .enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
 from .matrices import PolyMatrix
 from .representation import (
@@ -70,6 +56,12 @@ from .representation import (
     verify_tl_relations_diagrams,
 )
 
+
+def kernel_backend() -> str:
+    """Name of the kernel implementation; there is one, in pure Python."""
+    return "python"
+
+
 __all__ = [
     "BraidWord",
     "ConnectabilityMatrix",
@@ -79,12 +71,10 @@ __all__ = [
     "IdealPartition",
     "KauffmanParams",
     "LaurentPoly",
-    "PartialDiagram",
     "PlanarDiagram",
     "PolyMatrix",
     "RelationReport",
     "ScaledDiagram",
-    "StackGraph",
     "TLElement",
     "braid_image",
     "braid_image_matrix",
@@ -93,10 +83,8 @@ __all__ = [
     "compose",
     "compose_scaled",
     "connectability",
-    "connectivity_matrixpower",
     "emit_figure",
     "enumerate_diagrams",
-    "extend",
     "generator_matrix",
     "generators",
     "ideal_partition",
@@ -105,7 +93,6 @@ __all__ = [
     "kauffman_loop_value",
     "kernel_backend",
     "left_multiply",
-    "loop_count_unionfind",
     "multiply",
     "parse",
     "representation_basis",

@@ -145,24 +145,6 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     return acc
 
 
-def element_matrix(element: TLElement) -> PolyMatrix:
-    """Matrix of left multiplication by an element over the
-    identity-included canonical basis; used to cross-check the two braid
-    image routes against each other."""
-    basis = enumerate_diagrams(element.dimension)
-    index = {d: i for i, d in enumerate(basis)}
-    size = len(basis)
-    zero = LaurentPoly.zero("A")
-    grid = [[zero] * size for _ in range(size)]
-    for i, d in enumerate(basis):
-        column = multiply_kauffman(
-            element, TLElement.from_diagram(d, LaurentPoly.one("A"))
-        )
-        for image, c in column.terms:
-            grid[index[image]][i] = c
-    return PolyMatrix.from_rows("A", grid)
-
-
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:
     """Check the braid relations in both images.
 

@@ -2,7 +2,7 @@
 
 Subcommands: enumerate, compose, repr, verify, bracket, draw.  Output is
 deterministic for a fixed invocation, so every command is golden-file
-testable.  Exit codes: 0 success, 1 validation failure, 2 usage error
+testable.  Exit codes: 0 success, 1 validation or I/O failure, 2 usage error
 (argparse), 3 relation-verification failure.
 
 The enumeration ceiling defaults to dimension 12 and can be overridden
@@ -15,11 +15,11 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import __version__
-from ._backend import backend_name
+from . import __version__, kernel_backend
 from .braids import BraidWord, braid_image, braid_image_matrix, verify_artin
 from .composition import compose_scaled
 from .diagrams import ScaledDiagram, parse, serialize
@@ -125,11 +125,23 @@ def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> 
         ):
             return text
     text = _basis_lines(dimension, max_dimension)
-    data_path.write_text(text, encoding="utf-8")
-    hash_path.write_text(
-        hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n", encoding="utf-8"
-    )
+    _write_replacing(data_path, text)
+    _write_replacing(hash_path, hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n")
     return text
+
+
+def _write_replacing(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory and rename it
+    over ``path``, so a killed run leaves the old file or none, never a
+    partial one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _run_enumerate(config: RunConfig) -> tuple[int, str]:
@@ -278,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"tlkit {__version__} ({backend_name()} kernels)",
+        version=f"tlkit {__version__} ({kernel_backend()} kernels)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -352,13 +364,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
+        if config.output is not None and not config.output.parent.is_dir():
+            raise ValueError(f"output directory {config.output.parent} does not exist")
         code, text = run(config)
-    except ValueError as exc:
+        if config.output is not None:
+            config.output.write_text(text, encoding="utf-8")
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if config.output is not None:
-        config.output.write_text(text, encoding="utf-8")
-    else:
+    if config.output is None:
         sys.stdout.write(text)
     return code
 

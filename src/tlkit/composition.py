@@ -11,165 +11,16 @@ two middle nodes, which creates a two-edge cycle).
 Every connected component of the stack is either a path between two
 boundary nodes (a strand of the product diagram) or a cycle confined to
 the middle (a closed loop, contributing one power of the loop parameter
-d).  Loop counting by union-find over the stack is the normative
-algorithm; reachability through boolean matrix powers is kept as an
-independent cross-check of the connectivity.
+d).  The kernel walks each strand from one boundary end to the other and
+counts the middle cycles no strand visited; the test suite checks it
+against a union-find over the stack and against boolean matrix-power
+reachability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import _backend
 from .diagrams import PlanarDiagram, ScaledDiagram
-
-
-@dataclass(frozen=True)
-class StackGraph:
-    """The 3N-node gluing of two diagrams of dimension N.
-
-    ``edges`` is an edge multiset (sorted pairs, 1-based stack labels);
-    parallel middle edges are kept separate because a doubled middle edge
-    is a closed loop.
-    """
-
-    dimension: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        n = self.dimension
-        degree = [0] * (3 * n + 1)
-        for a, b in self.edges:
-            if not (1 <= a <= 3 * n and 1 <= b <= 3 * n):
-                raise ValueError(f"edge ({a},{b}) out of range")
-            degree[a] += 1
-            degree[b] += 1
-        for node in range(1, 3 * n + 1):
-            want = 2 if n < node <= 2 * n else 1
-            if degree[node] != want:
-                raise ValueError(
-                    f"stack node {node} has degree {degree[node]}, expected {want}"
-                )
-
-    @classmethod
-    def from_diagrams(cls, d1: PlanarDiagram, d2: PlanarDiagram) -> StackGraph:
-        """Glue d2 on top of d1.  The bottom factor keeps its labels (its
-        top row becomes the middle); the top factor shifts up by N."""
-        if d1.dimension != d2.dimension:
-            raise ValueError(
-                f"cannot stack dimensions {d1.dimension} and {d2.dimension}"
-            )
-        n = d1.dimension
-        edges = [(a, b) for a, b in d1.pairs()]
-        edges += [(a + n, b + n) for a, b in d2.pairs()]
-        return cls(n, tuple(sorted(edges)))
-
-    def is_boundary(self, node: int) -> bool:
-        n = self.dimension
-        return node <= n or node > 2 * n
-
-    def boundary_label(self, node: int) -> int:
-        """Map a stack boundary node to the 1..2N label of the product."""
-        n = self.dimension
-        return node if node <= n else node - n
-
-
-def _components(g: StackGraph) -> list[list[int]]:
-    n = g.dimension
-    parent = list(range(3 * n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    members: dict[int, list[int]] = {}
-    for x in range(1, 3 * n + 1):
-        members.setdefault(find(x), []).append(x)
-    return list(members.values())
-
-
-def loop_count_unionfind(g: StackGraph) -> int:
-    """Number of connected components containing only middle nodes."""
-    return sum(
-        1
-        for comp in _components(g)
-        if not any(g.is_boundary(x) for x in comp)
-    )
-
-
-def boundary_pairing_unionfind(g: StackGraph) -> tuple[int, ...]:
-    """Partner tuple of the product diagram read off the components."""
-    n = g.dimension
-    pairing = [0] * (2 * n)
-    for comp in _components(g):
-        boundary = [x for x in comp if g.is_boundary(x)]
-        if not boundary:
-            continue
-        if len(boundary) != 2:
-            raise ValueError(f"component {comp} has {len(boundary)} boundary ends")
-        u, v = (g.boundary_label(x) for x in boundary)
-        pairing[u - 1] = v
-        pairing[v - 1] = u
-    return tuple(pairing)
-
-
-def _adjacency_with_unit_diagonal(g: StackGraph) -> np.ndarray:
-    n = g.dimension
-    m = np.eye(3 * n, dtype=np.int64)
-    for a, b in g.edges:
-        m[a - 1, b - 1] = 1
-        m[b - 1, a - 1] = 1
-    return m
-
-
-def connectivity_matrixpower(g: StackGraph) -> np.ndarray:
-    """Boolean reachability between all stack nodes (0-based array), by
-    squaring the unit-diagonal adjacency matrix to a fixpoint."""
-    reach = _adjacency_with_unit_diagonal(g) > 0
-    while True:
-        nxt = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
-        if np.array_equal(nxt, reach):
-            return reach
-        reach = nxt
-
-
-def reachability_power(g: StackGraph, exponent: int) -> np.ndarray:
-    """Reachability by paths of length <= exponent (0-based array); the
-    fixed-power variant the full closure is checked against."""
-    m = _adjacency_with_unit_diagonal(g)
-    acc = np.eye(3 * g.dimension, dtype=np.int64)
-    base = m
-    k = exponent
-    while k:
-        if k & 1:
-            acc = np.minimum(acc @ base, 1)
-        base = np.minimum(base @ base, 1)
-        k >>= 1
-    return acc > 0
-
-
-def boundary_pairing_matrixpower(g: StackGraph) -> tuple[int, ...]:
-    """Partner tuple of the product read off matrix-power reachability."""
-    n = g.dimension
-    reach = connectivity_matrixpower(g)
-    pairing = [0] * (2 * n)
-    boundary = [x for x in range(1, 3 * n + 1) if g.is_boundary(x)]
-    for u in boundary:
-        mates = [
-            v for v in boundary if v != u and reach[u - 1, v - 1]
-        ]
-        if len(mates) != 1:
-            raise ValueError(f"boundary node {u} reaches {len(mates)} others")
-        pairing[g.boundary_label(u) - 1] = g.boundary_label(mates[0])
-    return tuple(pairing)
 
 
 def compose(d1: PlanarDiagram, d2: PlanarDiagram) -> ScaledDiagram:

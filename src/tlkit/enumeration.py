@@ -6,10 +6,9 @@ ascending order, so the search tree is deterministic and the leaves come
 out in canonical (lexicographic) order.  The basis size is the Catalan
 number C_N.
 
-Three routes produce the same sorted basis and are compared in the test
-suite: the kernel search (compiled or pure, selected at import), the
-breadth-first worklist over ``extend`` and the depth-first recursion over
-``extend``.
+The search itself is the kernel in ``tlkit._backend``; the test suite
+checks it against a brute-force oracle and against breadth-first and
+depth-first enumerators over partial diagrams.
 
 All values are immutable; ``enumerate_diagrams`` is cached and safe to
 share across threads.
@@ -19,11 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from . import _backend
-from .diagrams import PlanarDiagram, node_position
+from .diagrams import PlanarDiagram
 
 #: Hard ceiling on the dimension accepted by enumerate_diagrams unless the
 #: caller raises it explicitly (C_12 = 208012 diagrams is still cheap, but
@@ -34,122 +32,6 @@ DEFAULT_MAX_DIMENSION = 12
 def catalan(n: int) -> int:
     """C_n = binom(2n, n) / (n + 1)."""
     return math.comb(2 * n, n) // (n + 1)
-
-
-@dataclass(frozen=True)
-class PartialDiagram:
-    """A partially built diagram: some nodes matched, the rest free.
-
-    ``pairing[i-1]`` is the partner of node i, or 0 while unmatched.  The
-    frontier is the smallest unmatched node.  Instances are immutable;
-    ``with_edge`` copies.
-    """
-
-    dimension: int
-    pairing: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be at least 1")
-        if len(self.pairing) != 2 * self.dimension:
-            raise ValueError("pairing length must be 2N")
-        for i, j in enumerate(self.pairing, start=1):
-            if j and (j == i or self.pairing[j - 1] != i):
-                raise ValueError(f"partial pairing is not an involution at node {i}")
-        if not self._placed_edges_noncrossing():
-            raise ValueError("placed edges cross")
-
-    def _placed_edges_noncrossing(self) -> bool:
-        chords = []
-        for a, b in self.placed_edges():
-            p, q = node_position(a, self.dimension), node_position(b, self.dimension)
-            chords.append((min(p, q), max(p, q)))
-        for idx, (a, b) in enumerate(chords):
-            for c, d in chords[idx + 1 :]:
-                if a < c < b < d or c < a < d < b:
-                    return False
-        return True
-
-    @classmethod
-    def empty(cls, dimension: int) -> PartialDiagram:
-        return cls(dimension, (0,) * (2 * dimension))
-
-    @property
-    def frontier(self) -> int | None:
-        """Smallest unmatched node, or None when complete."""
-        for i, j in enumerate(self.pairing, start=1):
-            if not j:
-                return i
-        return None
-
-    def is_complete(self) -> bool:
-        return self.frontier is None
-
-    def placed_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j) for i, j in enumerate(self.pairing, start=1) if j and i < j
-        )
-
-    def matched_map(self) -> dict[int, int]:
-        return {i: j for i, j in enumerate(self.pairing, start=1) if j}
-
-    def with_edge(self, a: int, b: int) -> PartialDiagram:
-        if self.pairing[a - 1] or self.pairing[b - 1]:
-            raise ValueError(f"node {a} or {b} is already matched")
-        grid = list(self.pairing)
-        grid[a - 1] = b
-        grid[b - 1] = a
-        return PartialDiagram(self.dimension, tuple(grid))
-
-    def to_diagram(self) -> PlanarDiagram:
-        if not self.is_complete():
-            raise ValueError("partial diagram is not complete")
-        return PlanarDiagram(self.dimension, self.pairing)
-
-
-def legal_partners(p: PartialDiagram) -> tuple[int, ...]:
-    """Partners of the frontier node which keep the diagram completable.
-
-    A partner j qualifies when the new strand crosses nothing already
-    placed and leaves an even number of unmatched nodes strictly inside
-    it; for partials reached by frontier-order placement this is exactly
-    the set of partners occurring in some noncrossing completion.
-    """
-    f = p.frontier
-    if f is None:
-        return ()
-    n = p.dimension
-    size = 2 * n
-    pos = [node_position(i, n) for i in range(0, size + 1)]  # pos[0] unused
-    chords = [
-        (min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in p.placed_edges()
-    ]
-    unmatched_at = [False] * (size + 2)
-    for i in range(1, size + 1):
-        if not p.pairing[i - 1]:
-            unmatched_at[pos[i]] = True
-
-    result = []
-    pf = pos[f]
-    for j in range(f + 1, size + 1):
-        if p.pairing[j - 1]:
-            continue
-        lo, hi = min(pf, pos[j]), max(pf, pos[j])
-        if any(a < lo < b < hi or lo < a < hi < b for a, b in chords):
-            continue
-        inside = sum(1 for q in range(lo + 1, hi) if unmatched_at[q])
-        if inside % 2 == 0:
-            result.append(j)
-    return tuple(result)
-
-
-def extend(p: PartialDiagram) -> list[PartialDiagram]:
-    """One child per legal partner of the frontier, ascending partner
-    order.  Complete partials return the empty list."""
-    f = p.frontier
-    if f is None:
-        return []
-    return [p.with_edge(f, j) for j in legal_partners(p)]
 
 
 @dataclass(frozen=True)
@@ -200,7 +82,7 @@ def identity_diagram(dimension: int) -> PlanarDiagram:
 @functools.cache
 def _basis(dimension: int) -> DiagramBasis:
     pairings = _backend.enumerate_pairings(dimension)
-    diagrams = tuple(PlanarDiagram(dimension, p) for p in sorted(pairings))
+    diagrams = tuple(PlanarDiagram(dimension, p) for p in pairings)
     return DiagramBasis(dimension, diagrams)
 
 
@@ -232,33 +114,3 @@ def count_diagrams(dimension: int, *, max_dimension: int | None = None) -> int:
             f"dimension {dimension} exceeds the resource ceiling {ceiling}"
         )
     return _backend.count_pairings(dimension)
-
-
-def enumerate_breadth_first(dimension: int) -> list[PlanarDiagram]:
-    """Worklist enumeration over extend(), one generation of edges at a
-    time; returns the sorted basis.  Reference path for tests."""
-    generation: deque[PartialDiagram] = deque([PartialDiagram.empty(dimension)])
-    complete: list[PlanarDiagram] = []
-    while generation:
-        p = generation.popleft()
-        if p.is_complete():
-            complete.append(p.to_diagram())
-            continue
-        generation.extend(extend(p))
-    return sorted(complete)
-
-
-def enumerate_depth_first(dimension: int) -> list[PlanarDiagram]:
-    """Recursive enumeration over extend(); returns the sorted basis.
-    Reference path for tests."""
-    out: list[PlanarDiagram] = []
-
-    def rec(p: PartialDiagram) -> None:
-        if p.is_complete():
-            out.append(p.to_diagram())
-            return
-        for child in extend(p):
-            rec(child)
-
-    rec(PartialDiagram.empty(dimension))
-    return sorted(out)

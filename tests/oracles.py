@@ -1,18 +1,36 @@
-"""Independent brute-force oracles the library is checked against.
+"""Independent oracles the library is checked against.
 
-Everything here is deliberately naive: full enumeration of involutions,
-filtering by the direct noncrossing predicate, and a geometric
-straight-segment intersection test on a circle embedding of the box
-boundary.  None of it shares code with the search or composition paths
-under test.
+Everything here is deliberately naive.  These share no code with the
+kernel search or the strand-walk composition under test:
+
+* full enumeration of involutions filtered by the direct noncrossing
+  predicate, and a geometric straight-segment intersection test on a
+  circle embedding of the box boundary;
+* the stack of two diagrams as an explicit graph, resolved by union-find
+  and by boolean matrix-power reachability;
+* partial diagrams with an independent legal-partner rule, and
+  breadth-first and depth-first enumerators built on it.
+
+``element_matrix`` builds the matrix of left multiplication by an element
+column by column through element products, to cross-check the element
+and matrix routes of the braid image against each other.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from tlkit.diagrams import is_noncrossing, node_position
+import numpy as np
+
+from tlkit.braids import multiply_kauffman
+from tlkit.diagrams import PlanarDiagram, is_noncrossing, node_position
+from tlkit.elements import TLElement
+from tlkit.enumeration import enumerate_diagrams
+from tlkit.laurent import LaurentPoly
+from tlkit.matrices import PolyMatrix
 
 
 def all_involutions(dimension: int) -> Iterator[tuple[int, ...]]:
@@ -85,3 +103,313 @@ def geometric_noncrossing(pairing: tuple[int, ...], dimension: int) -> bool:
             if o1 * o2 < 0 and o3 * o4 < 0:
                 return False
     return True
+
+
+@dataclass(frozen=True)
+class StackGraph:
+    """The 3N-node gluing of two diagrams of dimension N.
+
+    ``edges`` is an edge multiset (sorted pairs, 1-based stack labels);
+    parallel middle edges are kept separate because a doubled middle edge
+    is a closed loop.
+    """
+
+    dimension: int
+    edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        n = self.dimension
+        degree = [0] * (3 * n + 1)
+        for a, b in self.edges:
+            if not (1 <= a <= 3 * n and 1 <= b <= 3 * n):
+                raise ValueError(f"edge ({a},{b}) out of range")
+            degree[a] += 1
+            degree[b] += 1
+        for node in range(1, 3 * n + 1):
+            want = 2 if n < node <= 2 * n else 1
+            if degree[node] != want:
+                raise ValueError(
+                    f"stack node {node} has degree {degree[node]}, expected {want}"
+                )
+
+    @classmethod
+    def from_diagrams(cls, d1: PlanarDiagram, d2: PlanarDiagram) -> StackGraph:
+        """Glue d2 on top of d1.  The bottom factor keeps its labels (its
+        top row becomes the middle); the top factor shifts up by N."""
+        if d1.dimension != d2.dimension:
+            raise ValueError(
+                f"cannot stack dimensions {d1.dimension} and {d2.dimension}"
+            )
+        n = d1.dimension
+        edges = [(a, b) for a, b in d1.pairs()]
+        edges += [(a + n, b + n) for a, b in d2.pairs()]
+        return cls(n, tuple(sorted(edges)))
+
+    def is_boundary(self, node: int) -> bool:
+        n = self.dimension
+        return node <= n or node > 2 * n
+
+    def boundary_label(self, node: int) -> int:
+        """Map a stack boundary node to the 1..2N label of the product."""
+        n = self.dimension
+        return node if node <= n else node - n
+
+
+def _components(g: StackGraph) -> list[list[int]]:
+    n = g.dimension
+    parent = list(range(3 * n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in g.edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+    members: dict[int, list[int]] = {}
+    for x in range(1, 3 * n + 1):
+        members.setdefault(find(x), []).append(x)
+    return list(members.values())
+
+
+def loop_count_unionfind(g: StackGraph) -> int:
+    """Number of connected components containing only middle nodes."""
+    return sum(
+        1
+        for comp in _components(g)
+        if not any(g.is_boundary(x) for x in comp)
+    )
+
+
+def boundary_pairing_unionfind(g: StackGraph) -> tuple[int, ...]:
+    """Partner tuple of the product diagram read off the components."""
+    n = g.dimension
+    pairing = [0] * (2 * n)
+    for comp in _components(g):
+        boundary = [x for x in comp if g.is_boundary(x)]
+        if not boundary:
+            continue
+        if len(boundary) != 2:
+            raise ValueError(f"component {comp} has {len(boundary)} boundary ends")
+        u, v = (g.boundary_label(x) for x in boundary)
+        pairing[u - 1] = v
+        pairing[v - 1] = u
+    return tuple(pairing)
+
+
+def _adjacency_with_unit_diagonal(g: StackGraph) -> np.ndarray:
+    n = g.dimension
+    m = np.eye(3 * n, dtype=np.int64)
+    for a, b in g.edges:
+        m[a - 1, b - 1] = 1
+        m[b - 1, a - 1] = 1
+    return m
+
+
+def connectivity_matrixpower(g: StackGraph) -> np.ndarray:
+    """Boolean reachability between all stack nodes (0-based array), by
+    squaring the unit-diagonal adjacency matrix to a fixpoint."""
+    reach = _adjacency_with_unit_diagonal(g) > 0
+    while True:
+        nxt = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(nxt, reach):
+            return reach
+        reach = nxt
+
+
+def reachability_power(g: StackGraph, exponent: int) -> np.ndarray:
+    """Reachability by paths of length <= exponent (0-based array); the
+    fixed-power variant the full closure is checked against."""
+    m = _adjacency_with_unit_diagonal(g)
+    acc = np.eye(3 * g.dimension, dtype=np.int64)
+    base = m
+    k = exponent
+    while k:
+        if k & 1:
+            acc = np.minimum(acc @ base, 1)
+        base = np.minimum(base @ base, 1)
+        k >>= 1
+    return acc > 0
+
+
+def boundary_pairing_matrixpower(g: StackGraph) -> tuple[int, ...]:
+    """Partner tuple of the product read off matrix-power reachability."""
+    n = g.dimension
+    reach = connectivity_matrixpower(g)
+    pairing = [0] * (2 * n)
+    boundary = [x for x in range(1, 3 * n + 1) if g.is_boundary(x)]
+    for u in boundary:
+        mates = [
+            v for v in boundary if v != u and reach[u - 1, v - 1]
+        ]
+        if len(mates) != 1:
+            raise ValueError(f"boundary node {u} reaches {len(mates)} others")
+        pairing[g.boundary_label(u) - 1] = g.boundary_label(mates[0])
+    return tuple(pairing)
+
+
+@dataclass(frozen=True)
+class PartialDiagram:
+    """A partially built diagram: some nodes matched, the rest free.
+
+    ``pairing[i-1]`` is the partner of node i, or 0 while unmatched.  The
+    frontier is the smallest unmatched node.  Instances are immutable;
+    ``with_edge`` copies.
+    """
+
+    dimension: int
+    pairing: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise ValueError("dimension must be at least 1")
+        if len(self.pairing) != 2 * self.dimension:
+            raise ValueError("pairing length must be 2N")
+        for i, j in enumerate(self.pairing, start=1):
+            if j and (j == i or self.pairing[j - 1] != i):
+                raise ValueError(f"partial pairing is not an involution at node {i}")
+        if not self._placed_edges_noncrossing():
+            raise ValueError("placed edges cross")
+
+    def _placed_edges_noncrossing(self) -> bool:
+        chords = []
+        for a, b in self.placed_edges():
+            p, q = node_position(a, self.dimension), node_position(b, self.dimension)
+            chords.append((min(p, q), max(p, q)))
+        for idx, (a, b) in enumerate(chords):
+            for c, d in chords[idx + 1 :]:
+                if a < c < b < d or c < a < d < b:
+                    return False
+        return True
+
+    @classmethod
+    def empty(cls, dimension: int) -> PartialDiagram:
+        return cls(dimension, (0,) * (2 * dimension))
+
+    @property
+    def frontier(self) -> int | None:
+        """Smallest unmatched node, or None when complete."""
+        for i, j in enumerate(self.pairing, start=1):
+            if not j:
+                return i
+        return None
+
+    def is_complete(self) -> bool:
+        return self.frontier is None
+
+    def placed_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (i, j) for i, j in enumerate(self.pairing, start=1) if j and i < j
+        )
+
+    def matched_map(self) -> dict[int, int]:
+        return {i: j for i, j in enumerate(self.pairing, start=1) if j}
+
+    def with_edge(self, a: int, b: int) -> PartialDiagram:
+        if self.pairing[a - 1] or self.pairing[b - 1]:
+            raise ValueError(f"node {a} or {b} is already matched")
+        grid = list(self.pairing)
+        grid[a - 1] = b
+        grid[b - 1] = a
+        return PartialDiagram(self.dimension, tuple(grid))
+
+    def to_diagram(self) -> PlanarDiagram:
+        if not self.is_complete():
+            raise ValueError("partial diagram is not complete")
+        return PlanarDiagram(self.dimension, self.pairing)
+
+
+def legal_partners(p: PartialDiagram) -> tuple[int, ...]:
+    """Partners of the frontier node which keep the diagram completable.
+
+    A partner j qualifies when the new strand crosses nothing already
+    placed and leaves an even number of unmatched nodes strictly inside
+    it; for partials reached by frontier-order placement this is exactly
+    the set of partners occurring in some noncrossing completion.
+    """
+    f = p.frontier
+    if f is None:
+        return ()
+    n = p.dimension
+    size = 2 * n
+    pos = [node_position(i, n) for i in range(0, size + 1)]  # pos[0] unused
+    chords = [
+        (min(pos[a], pos[b]), max(pos[a], pos[b])) for a, b in p.placed_edges()
+    ]
+    unmatched_at = [False] * (size + 2)
+    for i in range(1, size + 1):
+        if not p.pairing[i - 1]:
+            unmatched_at[pos[i]] = True
+
+    result = []
+    pf = pos[f]
+    for j in range(f + 1, size + 1):
+        if p.pairing[j - 1]:
+            continue
+        lo, hi = min(pf, pos[j]), max(pf, pos[j])
+        if any(a < lo < b < hi or lo < a < hi < b for a, b in chords):
+            continue
+        inside = sum(1 for q in range(lo + 1, hi) if unmatched_at[q])
+        if inside % 2 == 0:
+            result.append(j)
+    return tuple(result)
+
+
+def extend(p: PartialDiagram) -> list[PartialDiagram]:
+    """One child per legal partner of the frontier, ascending partner
+    order.  Complete partials return the empty list."""
+    f = p.frontier
+    if f is None:
+        return []
+    return [p.with_edge(f, j) for j in legal_partners(p)]
+
+
+def enumerate_breadth_first(dimension: int) -> list[PlanarDiagram]:
+    """Worklist enumeration over extend(), one generation of edges at a
+    time; returns the sorted basis.  Reference path for tests."""
+    generation: deque[PartialDiagram] = deque([PartialDiagram.empty(dimension)])
+    complete: list[PlanarDiagram] = []
+    while generation:
+        p = generation.popleft()
+        if p.is_complete():
+            complete.append(p.to_diagram())
+            continue
+        generation.extend(extend(p))
+    return sorted(complete)
+
+
+def enumerate_depth_first(dimension: int) -> list[PlanarDiagram]:
+    """Recursive enumeration over extend(); returns the sorted basis.
+    Reference path for tests."""
+    out: list[PlanarDiagram] = []
+
+    def rec(p: PartialDiagram) -> None:
+        if p.is_complete():
+            out.append(p.to_diagram())
+            return
+        for child in extend(p):
+            rec(child)
+
+    rec(PartialDiagram.empty(dimension))
+    return sorted(out)
+
+
+def element_matrix(element: TLElement) -> PolyMatrix:
+    """Matrix of left multiplication by an element over the
+    identity-included canonical basis; used to cross-check the two braid
+    image routes against each other."""
+    basis = enumerate_diagrams(element.dimension)
+    index = {d: i for i, d in enumerate(basis)}
+    size = len(basis)
+    zero = LaurentPoly.zero("A")
+    grid = [[zero] * size for _ in range(size)]
+    for i, d in enumerate(basis):
+        column = multiply_kauffman(
+            element, TLElement.from_diagram(d, LaurentPoly.one("A"))
+        )
+        for image, c in column.terms:
+            grid[index[image]][i] = c
+    return PolyMatrix.from_rows("A", grid)

@@ -21,15 +21,7 @@ from tlkit.braids import (
     braid_image_matrix,
     multiply_kauffman,
 )
-from tlkit.composition import (
-    StackGraph,
-    boundary_pairing_matrixpower,
-    compose,
-    compose_scaled,
-    connectivity_matrixpower,
-    loop_count_unionfind,
-    reachability_power,
-)
+from tlkit.composition import compose, compose_scaled
 from tlkit.diagrams import PlanarDiagram, ScaledDiagram, connectability
 from tlkit.elements import TLElement
 from tlkit.enumeration import catalan, enumerate_diagrams, identity_diagram
@@ -45,7 +37,14 @@ from tlkit.representation import (
     verify_tl_relations_diagrams,
 )
 
-from oracles import brute_force_basis
+from oracles import (
+    StackGraph,
+    boundary_pairing_matrixpower,
+    brute_force_basis,
+    connectivity_matrixpower,
+    loop_count_unionfind,
+    reachability_power,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -7,7 +7,6 @@ from tlkit.braids import (
     KauffmanParams,
     braid_image,
     braid_image_matrix,
-    element_matrix,
     kauffman_loop_value,
     multiply_kauffman,
     verify_artin,
@@ -16,6 +15,8 @@ from tlkit.elements import TLElement
 from tlkit.enumeration import catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
+
+from oracles import element_matrix
 
 
 def identity_element(n):

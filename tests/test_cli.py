@@ -1,9 +1,13 @@
 import io
 import contextlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tlkit
 from tlkit import cli
 from tlkit.diagrams import parse
 from tlkit.representation import RelationReport
@@ -87,12 +91,62 @@ class TestEnumerate:
         _, second = run_cli(["enumerate", "--dim", "4", "--cache", str(cache)])
         assert first == second == data.read_text(encoding="utf-8")
 
+    def test_missing_output_directory_rejected_before_computing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run", lambda config: calls.append(config))
+        target = tmp_path / "missing" / "basis.tl"
+        code = cli.main(["enumerate", "--dim", "3", "--output", str(target)])
+        assert code == cli.EXIT_VALIDATION
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unwritable_output_reported(self, tmp_path, capsys):
+        code = cli.main(["enumerate", "--dim", "3", "--output", str(tmp_path)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unusable_cache_reported(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli.main(["enumerate", "--dim", "3", "--cache", str(blocker / "cache")])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_cache_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        cache = tmp_path / "cache"
+        code = cli.main(["enumerate", "--dim", "4", "--cache", str(cache)])
+        assert code == cli.EXIT_VALIDATION
+        assert list(cache.iterdir()) == []
+
     def test_cache_corruption_regenerates(self, tmp_path):
         cache = tmp_path / "cache"
         _, first = run_cli(["enumerate", "--dim", "4", "--cache", str(cache)])
         (cache / "basis_v1_dim4.tl").write_text("TL 4 m=0 (1,2)(3,4)(5,6)(7,8)\n")
         _, repaired = run_cli(["enumerate", "--dim", "4", "--cache", str(cache)])
         assert repaired == first
+
+
+class TestStartup:
+    def test_version_names_the_kernels(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "tlkit 0.1.0 (python kernels)\n"
+
+    def test_import_leaves_numpy_unloaded(self):
+        src = str(Path(tlkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        probe = "import sys, tlkit; print('numpy' in sys.modules, tlkit.kernel_backend())"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "False python\n"
 
 
 class TestCompose:

@@ -4,19 +4,20 @@ import random
 import numpy as np
 import pytest
 
-from tlkit.composition import (
+from tlkit import _backend
+from tlkit.composition import compose, compose_scaled
+from tlkit.diagrams import ScaledDiagram, parse
+from tlkit.enumeration import enumerate_diagrams, identity_diagram
+from tlkit.representation import generator_diagram
+
+from oracles import (
     StackGraph,
     boundary_pairing_matrixpower,
     boundary_pairing_unionfind,
-    compose,
-    compose_scaled,
     connectivity_matrixpower,
     loop_count_unionfind,
     reachability_power,
 )
-from tlkit.diagrams import ScaledDiagram, parse
-from tlkit.enumeration import enumerate_diagrams, identity_diagram
-from tlkit.representation import generator_diagram
 
 
 def test_generator_square_gains_one_loop():
@@ -149,6 +150,21 @@ class TestStackGraph:
         u = generator_diagram(2, 1)
         g = StackGraph.from_diagrams(u, u)
         assert loop_count_unionfind(g) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_strand_walk_matches_unionfind(n):
+    # Every pair up to N = 4, 500 seeded random pairs above.
+    diagrams = list(enumerate_diagrams(n))
+    if n <= 4:
+        pairs = list(itertools.product(diagrams, repeat=2))
+    else:
+        rng = random.Random(100 + n)
+        pairs = [(rng.choice(diagrams), rng.choice(diagrams)) for _ in range(500)]
+    for a, b in pairs:
+        g = StackGraph.from_diagrams(a, b)
+        expected = (boundary_pairing_unionfind(g), loop_count_unionfind(g))
+        assert _backend.compose_pairings(a.pairing, b.pairing, n) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -13,7 +13,14 @@ from tlkit.diagrams import (
 )
 from tlkit.enumeration import enumerate_diagrams
 
-from oracles import all_involutions, brute_force_basis, completions, geometric_noncrossing
+from oracles import (
+    PartialDiagram,
+    all_involutions,
+    brute_force_basis,
+    completions,
+    extend,
+    geometric_noncrossing,
+)
 
 
 class TestConnectability:
@@ -201,8 +208,6 @@ class TestRestrictConnectability:
     def test_agrees_with_completions_on_reachable_partials(self, n):
         # Walk the enumeration tree; at every bottom frontier the restricted
         # row must list exactly the partners occurring in some completion.
-        from tlkit.enumeration import PartialDiagram, extend
-
         gamma = connectability(n)
         stack = [PartialDiagram.empty(n)]
         checked = 0

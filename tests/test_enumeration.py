@@ -1,20 +1,24 @@
 import pytest
 
+from tlkit import _backend
 from tlkit.diagrams import PlanarDiagram
 from tlkit.enumeration import (
     DiagramBasis,
-    PartialDiagram,
     catalan,
     count_diagrams,
-    enumerate_breadth_first,
-    enumerate_depth_first,
     enumerate_diagrams,
-    extend,
     identity_diagram,
-    legal_partners,
 )
 
-from oracles import brute_force_basis, completions
+from oracles import (
+    PartialDiagram,
+    brute_force_basis,
+    completions,
+    enumerate_breadth_first,
+    enumerate_depth_first,
+    extend,
+    legal_partners,
+)
 
 CATALAN = [1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -57,6 +61,13 @@ def test_ceiling_enforced():
         count_diagrams(5, max_dimension=4)
     with pytest.raises(ValueError):
         enumerate_diagrams(0)
+
+
+def test_kernel_rejects_bad_dimension():
+    with pytest.raises(ValueError):
+        _backend.enumerate_pairings(0)
+    with pytest.raises(ValueError):
+        _backend.count_pairings(0)
 
 
 def test_identity_diagram():

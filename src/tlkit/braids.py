@@ -17,7 +17,11 @@ that d, and the relation suite re-derives this mechanically.
 Products follow operator order (the right factor acts first), matching
 the matrix representation: the image of a word is the ordered product of
 its letter images, and the matrix image is the same product over the
-matrices of left multiplication on the identity-included basis.
+matrices of left multiplication on the identity-included basis.  The
+matrix image is kept as sparse columns while the letters are applied:
+U_i sends column c to row t_c with loop exponent m_c, so right
+multiplication by a letter a.1 + b.U_i replaces column c by
+a.col_c + b.d^{m_c}.col_{t_c}, with d = -A^2 - A^-2.
 """
 
 from __future__ import annotations
@@ -119,30 +123,44 @@ def braid_image(word: BraidWord) -> TLElement:
 
 
 @functools.cache
-def _bracket_generator_matrix(strands: int, index: int) -> PolyMatrix:
-    basis = enumerate_diagrams(strands)
-    gm = generator_matrix(index, basis, include_identity=True)
-    loop = kauffman_loop_value()
-    return gm.matrix.map_entries(lambda p: p.substitute(loop), variable="A")
-
-
-def _letter_matrix(strands: int, letter: int) -> PolyMatrix:
-    a = LaurentPoly.monomial("A", 1)
-    a_inv = LaurentPoly.monomial("A", -1)
-    u = _bracket_generator_matrix(strands, abs(letter))
-    size = u.size
-    straight, crossed = (a, a_inv) if letter > 0 else (a_inv, a)
-    return PolyMatrix.identity(size, "A").scaled(straight) + u.scaled(crossed)
+def _bracket_action(strands: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(targets, exponents) of U_index on the identity-included basis."""
+    gm = generator_matrix(index, enumerate_diagrams(strands), include_identity=True)
+    return gm.targets, gm.exponents
 
 
 def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     """The bracket image as a matrix over the identity-included canonical
     basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A))."""
-    basis = enumerate_diagrams(word.strands)
-    acc = PolyMatrix.identity(len(basis), "A")
+    size = len(enumerate_diagrams(word.strands))
+    one = LaurentPoly.one("A")
+    columns: list[dict[int, LaurentPoly]] = [{i: one} for i in range(size)]
+    loop = kauffman_loop_value()
     for letter in word.letters:
-        acc = acc * _letter_matrix(word.strands, letter)
-    return acc
+        targets, exponents = _bracket_action(word.strands, abs(letter))
+        # the letter is a.1 + b.U with a = A^shift and b = A^-shift
+        shift = 1 if letter > 0 else -1
+        b = LaurentPoly.monomial("A", -shift)
+        factors = [b * loop**m for m in range(max(exponents) + 1)]
+        updated = []
+        for own, target, m in zip(columns, targets, exponents):
+            column = {row: p.shifted(shift) for row, p in own.items()}
+            for row, p in columns[target].items():
+                q = p * factors[m]
+                if row in column:
+                    q = column[row] + q
+                    if q.is_zero():
+                        del column[row]
+                        continue
+                column[row] = q
+            updated.append(column)
+        columns = updated
+    zero = LaurentPoly.zero("A")
+    grid = [[zero] * size for _ in range(size)]
+    for i, column in enumerate(columns):
+        for row, p in column.items():
+            grid[row][i] = p
+    return PolyMatrix.from_rows("A", grid)
 
 
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:

@@ -30,7 +30,9 @@ from .enumeration import (
     count_diagrams,
     enumerate_diagrams,
 )
+from .laurent import LaurentPoly
 from .representation import (
+    GeneratorMatrix,
     generator_matrices,
     generator_matrix,
     verify_tl_relations,
@@ -177,14 +179,18 @@ def _run_compose(config: RunConfig) -> tuple[int, str]:
     return EXIT_OK, serialize(compose_scaled(lhs, rhs)) + "\n"
 
 
-def _matrix_csv(rows, eval_d: int | None) -> list[str]:
-    out = []
-    for row in rows:
-        if eval_d is None:
-            out.append(",".join(str(entry) for entry in row))
-        else:
-            out.append(",".join(str(entry.substitute_int(eval_d)) for entry in row))
-    return out
+def _generator_csv(gm: GeneratorMatrix, eval_d: int | None) -> list[str]:
+    """CSV rows of a generator map: d^m (or eval_d^m) in row targets[i] of
+    column i, 0 elsewhere."""
+    texts: dict[int, str] = {}
+    rows = [["0"] * gm.size for _ in range(gm.size)]
+    for i, (j, m) in enumerate(zip(gm.targets, gm.exponents)):
+        if m not in texts:
+            texts[m] = str(
+                LaurentPoly.monomial("d", m) if eval_d is None else eval_d**m
+            )
+        rows[j][i] = texts[m]
+    return [",".join(row) for row in rows]
 
 
 def _run_repr(config: RunConfig) -> tuple[int, str]:
@@ -201,10 +207,10 @@ def _run_repr(config: RunConfig) -> tuple[int, str]:
     for gm in selected:
         lines.append(
             f"# generator U_{gm.generator_index}, dimension {config.dimension}, "
-            f"basis size {gm.matrix.size}, identity "
+            f"basis size {gm.size}, identity "
             f"{'included' if gm.include_identity else 'excluded'}"
         )
-        lines.extend(_matrix_csv(gm.matrix.rows, config.eval_d))
+        lines.extend(_generator_csv(gm, config.eval_d))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
@@ -241,7 +247,8 @@ def _run_bracket(config: RunConfig) -> tuple[int, str]:
             f"# bracket image of {word.to_text() or '(empty word)'} on "
             f"{config.strands} strands, {matrix.size}x{matrix.size}, entries in A"
         )
-        return EXIT_OK, "\n".join([header] + _matrix_csv(matrix.rows, None)) + "\n"
+        rows = [",".join(str(entry) for entry in row) for row in matrix.rows]
+        return EXIT_OK, "\n".join([header] + rows) + "\n"
     element = braid_image(word)
     lines = [
         f"# bracket image of {word.to_text() or '(empty word)'} on "

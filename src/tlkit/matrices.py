@@ -1,6 +1,11 @@
-"""Small square matrices over LaurentPoly, just enough for the relation
-checks and bracket images.  Multiplication skips zero entries, which makes
-products of the column-monomial generator matrices cheap."""
+"""Small square matrices over LaurentPoly.
+
+``PolyMatrix`` is the dense view of results: ``GeneratorMatrix.matrix``,
+the bracket image returned by ``braid_image_matrix`` and the rows printed
+as CSV.  The library computes neither relation checks nor bracket images
+with it; those work on column-monomial maps and sparse columns (see
+``representation`` and ``braids``).  Its arithmetic is kept for the dense
+oracles the tests check the library against."""
 
 from __future__ import annotations
 

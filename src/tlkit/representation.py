@@ -12,12 +12,21 @@ Basis order for matrices: with the identity excluded, the ideal blocks
 are sorted by their canonically smallest member and each block is sorted
 canonically inside ("ideal-refined order"); generator matrices are then
 block diagonal.  With the identity included, the plain canonical order of
-the full basis is used.  Entry (j, i) of the matrix of U_k is d^m exactly
-when U_k . D_i = d^m . D_j, so every column holds a single monomial.
+the full basis is used.
+
+Storage: U_k . D_i = d^m . D_j for every basis diagram, so every column
+of the matrix of U_k holds a single monomial with coefficient 1.  A
+``GeneratorMatrix`` therefore stores the action as a map, two tuples
+indexed by column: ``targets[i] = j`` and ``exponents[i] = m``.  Entry
+(j, i) of the matrix is d^m; ``matrix`` is the dense ``PolyMatrix`` view,
+built on first use.  Products of generators are compositions of maps,
+(U.V) sends column i to row tU[tV[i]] with exponent eV[i] + eU[tV[i]],
+so the relation check compares tuples and multiplies no matrices.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -131,107 +140,203 @@ def representation_basis(
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Matrix of left multiplication by one generator over the ordered
-    diagram basis; entries are Laurent polynomials in d."""
+    """Left multiplication by one generator over the ordered diagram basis,
+    as a column-monomial map: column i holds d^exponents[i] in row
+    targets[i] and zeros elsewhere."""
 
     generator_index: int
     include_identity: bool
     basis_order: tuple[PlanarDiagram, ...]
-    matrix: PolyMatrix
+    targets: tuple[int, ...]
+    exponents: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        size = len(self.basis_order)
+        if len(self.targets) != size or len(self.exponents) != size:
+            raise ValueError(
+                f"targets ({len(self.targets)}), exponents ({len(self.exponents)}) "
+                f"and basis order ({size}) must have one entry per column"
+            )
+        if size and not (0 <= min(self.targets) and max(self.targets) < size):
+            raise ValueError(f"every target must lie in 0..{size - 1}")
+        if size and min(self.exponents) < 0:
+            raise ValueError("loop exponents must be non-negative")
+
+    @property
+    def size(self) -> int:
+        return len(self.basis_order)
+
+    @functools.cached_property
+    def matrix(self) -> PolyMatrix:
+        """The dense matrix over LaurentPoly(d)."""
+        zero = LaurentPoly.zero("d")
+        grid = [[zero] * self.size for _ in range(self.size)]
+        for i, (j, m) in enumerate(zip(self.targets, self.exponents)):
+            grid[j][i] = LaurentPoly.monomial("d", m)
+        return PolyMatrix.from_rows("d", grid)
 
 
-def generator_matrix(
-    k: int, basis: DiagramBasis, include_identity: bool = False
+def _generator_map(
+    gen: Generator,
+    order: tuple[PlanarDiagram, ...],
+    index: dict[PlanarDiagram, int],
+    include_identity: bool,
 ) -> GeneratorMatrix:
-    """Build the matrix of U_k: column i holds d^m in the row of the
-    product diagram, where U_k . D_i = d^m . D_j."""
-    n = basis.dimension
-    gen = Generator(k, generator_diagram(n, k))
-    order = representation_basis(basis, include_identity)
-    index = {d: i for i, d in enumerate(order)}
-    size = len(order)
-    zero = LaurentPoly.zero("d")
-    grid = [[zero] * size for _ in range(size)]
-    for i, d in enumerate(order):
+    targets: list[int] = []
+    exponents: list[int] = []
+    for d in order:
         scaled = left_multiply(gen, d)
         j = index.get(scaled.diagram)
         if j is None:
             raise ValueError(
                 "product left the chosen basis; identity excluded but reached"
             )
-        grid[j][i] = LaurentPoly.monomial("d", scaled.loop_exponent)
+        targets.append(j)
+        exponents.append(scaled.loop_exponent)
     return GeneratorMatrix(
-        k, include_identity, order, PolyMatrix.from_rows("d", grid)
+        gen.index, include_identity, order, tuple(targets), tuple(exponents)
     )
+
+
+def generator_matrix(
+    k: int, basis: DiagramBasis, include_identity: bool = False
+) -> GeneratorMatrix:
+    """The map of U_k: column i goes to row j with exponent m, where
+    U_k . D_i = d^m . D_j."""
+    gen = Generator(k, generator_diagram(basis.dimension, k))
+    order = representation_basis(basis, include_identity)
+    index = {d: i for i, d in enumerate(order)}
+    return _generator_map(gen, order, index, include_identity)
 
 
 def generator_matrices(
     basis: DiagramBasis, include_identity: bool = False
 ) -> list[GeneratorMatrix]:
+    """The maps of U_1 .. U_{N-1} over one basis order, computed once."""
+    order = representation_basis(basis, include_identity)
+    index = {d: i for i, d in enumerate(order)}
+    n = basis.dimension
     return [
-        generator_matrix(k, basis, include_identity)
-        for k in range(1, basis.dimension)
+        _generator_map(
+            Generator(k, generator_diagram(n, k)), order, index, include_identity
+        )
+        for k in range(1, n)
     ]
 
 
 @dataclass(frozen=True)
 class RelationReport:
-    """Named pass/fail results of a family of relation checks."""
+    """Named pass/fail results of a family of relation checks.
+
+    ``witnesses`` pairs the name of a failed relation with a description
+    of where it fails; ``lines`` prints it under the FAIL line."""
 
     title: str
     entries: tuple[tuple[str, bool], ...]
+    witnesses: tuple[tuple[str, str], ...] = ()
 
     @property
     def passed(self) -> bool:
         return all(ok for _, ok in self.entries)
 
     def lines(self) -> list[str]:
+        witnesses = dict(self.witnesses)
         out = [self.title]
         for name, ok in self.entries:
             out.append(f"{name}: {'PASS' if ok else 'FAIL'}")
+            if not ok and name in witnesses:
+                out.append(f"  {witnesses[name]}")
         out.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return out
 
 
+Map = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _compose_maps(u: Map, v: Map) -> Map:
+    """The map of the product U.V (V acts first)."""
+    tu, eu = u
+    tv, ev = v
+    return (
+        tuple(tu[j] for j in tv),
+        tuple(m + eu[j] for j, m in zip(tv, ev)),
+    )
+
+
+def _witness(actual: Map, expected: Map) -> str:
+    """The first column where two maps differ, with both of its entries."""
+    (ta, ea), (te, ee) = actual, expected
+    i = next(c for c in range(len(ta)) if ta[c] != te[c] or ea[c] != ee[c])
+
+    def entry(row: int, m: int) -> str:
+        return f"{LaurentPoly.monomial('d', m)} in row {row}"
+
+    return (
+        f"first differing column {i}: expected {entry(te[i], ee[i])}, "
+        f"got {entry(ta[i], ea[i])}"
+    )
+
+
 def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
-    """Check the defining relations on the generator matrices by exact
-    polynomial arithmetic:
+    """Check the defining relations on the generator maps:
 
         U_i^2           = d U_i
         U_i U_{i+1} U_i = U_i
         U_i U_{i-1} U_i = U_i
         U_i U_j         = U_j U_i   for |i - j| >= 2
+
+    Both sides of each relation are composed as maps and compared as
+    tuples, which is exact: every column holds one monomial with
+    coefficient 1.  A failed relation gets a witness naming the first
+    basis column (0-based) where the sides differ.
     """
     if not matrices:
         raise ValueError("no matrices given")
-    sizes = {m.matrix.size for m in matrices}
+    sizes = {m.size for m in matrices}
     orders = {m.basis_order for m in matrices}
     if len(sizes) != 1 or len(orders) != 1:
         raise ValueError("matrices must share one basis and ordering")
-    by_index = {m.generator_index: m.matrix for m in matrices}
-    d = LaurentPoly.monomial("d", 1)
+    maps = {m.generator_index: (m.targets, m.exponents) for m in matrices}
     entries: list[tuple[str, bool]] = []
-    indices = sorted(by_index)
+    witnesses: list[tuple[str, str]] = []
+
+    def check(name: str, actual: Map, expected: Map) -> None:
+        ok = actual == expected
+        entries.append((name, ok))
+        if not ok:
+            witnesses.append((name, _witness(actual, expected)))
+
+    indices = sorted(maps)
     for i in indices:
-        u = by_index[i]
-        entries.append((f"U_{i}^2 = d*U_{i}", u * u == u.scaled(d)))
-    for i in indices:
-        if i + 1 in by_index:
-            u, v = by_index[i], by_index[i + 1]
-            entries.append((f"U_{i}*U_{i + 1}*U_{i} = U_{i}", u * v * u == u))
-    for i in indices:
-        if i - 1 in by_index:
-            u, v = by_index[i], by_index[i - 1]
-            entries.append((f"U_{i}*U_{i - 1}*U_{i} = U_{i}", u * v * u == u))
+        u = maps[i]
+        check(
+            f"U_{i}^2 = d*U_{i}",
+            _compose_maps(u, u),
+            (u[0], tuple(m + 1 for m in u[1])),
+        )
+    for step in (1, -1):
+        for i in indices:
+            if i + step in maps:
+                u, v = maps[i], maps[i + step]
+                check(
+                    f"U_{i}*U_{i + step}*U_{i} = U_{i}",
+                    _compose_maps(u, _compose_maps(v, u)),
+                    u,
+                )
     for i in indices:
         for j in indices:
             if j - i >= 2:
-                u, v = by_index[i], by_index[j]
-                entries.append((f"U_{i}*U_{j} = U_{j}*U_{i}", u * v == v * u))
+                u, v = maps[i], maps[j]
+                check(
+                    f"U_{i}*U_{j} = U_{j}*U_{i}",
+                    _compose_maps(u, v),
+                    _compose_maps(v, u),
+                )
     size = next(iter(sizes))
     return RelationReport(
         f"Temperley-Lieb relations, matrix level ({size}x{size})",
         tuple(entries),
+        tuple(witnesses),
     )
 
 

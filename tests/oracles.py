@@ -14,6 +14,11 @@ kernel search or the strand-walk composition under test:
 ``element_matrix`` builds the matrix of left multiplication by an element
 column by column through element products, to cross-check the element
 and matrix routes of the braid image against each other.
+
+``dense_braid_image_matrix`` and ``dense_tl_relations`` are the dense
+``PolyMatrix`` routes the library replaced by column-monomial maps: the
+bracket image as a product of ``a.I + b.U`` letter matrices, and the TL
+relations checked by matrix products over ``gm.matrix``.
 """
 
 from __future__ import annotations
@@ -21,16 +26,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from tlkit.braids import multiply_kauffman
+from tlkit.braids import BraidWord, kauffman_loop_value, multiply_kauffman
 from tlkit.diagrams import PlanarDiagram, is_noncrossing, node_position
 from tlkit.elements import TLElement
 from tlkit.enumeration import enumerate_diagrams
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
+from tlkit.representation import GeneratorMatrix, RelationReport, generator_matrix
 
 
 def all_involutions(dimension: int) -> Iterator[tuple[int, ...]]:
@@ -413,3 +419,55 @@ def element_matrix(element: TLElement) -> PolyMatrix:
         for image, c in column.terms:
             grid[index[image]][i] = c
     return PolyMatrix.from_rows("A", grid)
+
+
+def _dense_letter_matrix(strands: int, letter: int) -> PolyMatrix:
+    """a.I + b.U_|letter| over the identity-included basis, U with its
+    entries taken at d = -A^2 - A^-2."""
+    basis = enumerate_diagrams(strands)
+    gm = generator_matrix(abs(letter), basis, include_identity=True)
+    loop = kauffman_loop_value()
+    u = gm.matrix.map_entries(lambda p: p.substitute(loop), variable="A")
+    a = LaurentPoly.monomial("A", 1)
+    a_inv = LaurentPoly.monomial("A", -1)
+    straight, crossed = (a, a_inv) if letter > 0 else (a_inv, a)
+    return PolyMatrix.identity(u.size, "A").scaled(straight) + u.scaled(crossed)
+
+
+def dense_braid_image_matrix(word: BraidWord) -> PolyMatrix:
+    """The bracket image matrix as the ordered product of dense letter
+    matrices."""
+    acc = PolyMatrix.identity(len(enumerate_diagrams(word.strands)), "A")
+    for letter in word.letters:
+        acc = acc * _dense_letter_matrix(word.strands, letter)
+    return acc
+
+
+def dense_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
+    """The TL relations checked by dense products of ``gm.matrix``; the
+    entries match ``verify_tl_relations`` (no witnesses)."""
+    by_index = {m.generator_index: m.matrix for m in matrices}
+    d = LaurentPoly.monomial("d", 1)
+    entries: list[tuple[str, bool]] = []
+    indices = sorted(by_index)
+    for i in indices:
+        u = by_index[i]
+        entries.append((f"U_{i}^2 = d*U_{i}", u * u == u.scaled(d)))
+    for i in indices:
+        if i + 1 in by_index:
+            u, v = by_index[i], by_index[i + 1]
+            entries.append((f"U_{i}*U_{i + 1}*U_{i} = U_{i}", u * v * u == u))
+    for i in indices:
+        if i - 1 in by_index:
+            u, v = by_index[i], by_index[i - 1]
+            entries.append((f"U_{i}*U_{i - 1}*U_{i} = U_{i}", u * v * u == u))
+    for i in indices:
+        for j in indices:
+            if j - i >= 2:
+                u, v = by_index[i], by_index[j]
+                entries.append((f"U_{i}*U_{j} = U_{j}*U_{i}", u * v == v * u))
+    size = next(iter(by_index.values())).size
+    return RelationReport(
+        f"Temperley-Lieb relations, matrix level ({size}x{size})",
+        tuple(entries),
+    )

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlkit.braids import (
     BraidWord,
@@ -16,7 +18,7 @@ from tlkit.enumeration import catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
 
-from oracles import element_matrix
+from oracles import dense_braid_image_matrix, element_matrix
 
 
 def identity_element(n):
@@ -137,6 +139,19 @@ def test_matrix_route_matches_element_route(n):
     for _ in range(6):
         w = BraidWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 4))))
         assert element_matrix(braid_image(w)) == braid_image_matrix(w)
+
+
+@st.composite
+def braid_words(draw, max_strands=5, max_len=6):
+    n = draw(st.integers(2, max_strands))
+    letters = st.sampled_from([s * i for i in range(1, n) for s in (1, -1)])
+    return BraidWord(n, tuple(draw(st.lists(letters, max_size=max_len))))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(braid_words())
+def test_matrix_image_matches_dense_product(word):
+    assert braid_image_matrix(word) == dense_braid_image_matrix(word)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

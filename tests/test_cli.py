@@ -10,7 +10,7 @@ import pytest
 import tlkit
 from tlkit import cli
 from tlkit.diagrams import parse
-from tlkit.representation import RelationReport
+from tlkit.representation import GeneratorMatrix, RelationReport, generator_matrices
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -239,6 +239,24 @@ class TestVerify:
         code, out = run_cli(["verify", "--dim", "2"])
         assert code == cli.EXIT_VERIFICATION
         assert "forced check: FAIL" in out
+
+    def test_failure_prints_witness(self, monkeypatch):
+        def corrupted(basis, include_identity=False):
+            mats = generator_matrices(basis, include_identity)
+            u = mats[0]
+            # column 0 maps to row 1 without a loop; send it to itself
+            targets = (0,) + u.targets[1:]
+            mats[0] = GeneratorMatrix(1, False, u.basis_order, targets, u.exponents)
+            return mats
+
+        monkeypatch.setattr(cli, "generator_matrices", corrupted)
+        code, out = run_cli(["verify", "--dim", "3"])
+        assert code == cli.EXIT_VERIFICATION
+        lines = out.splitlines()
+        at = lines.index("U_1^2 = d*U_1: FAIL")
+        assert lines[at + 1] == (
+            "  first differing column 0: expected d in row 0, got 1 in row 0"
+        )
 
 
 class TestBracket:

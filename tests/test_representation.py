@@ -1,6 +1,9 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlkit.composition import compose
 from tlkit.enumeration import enumerate_diagrams, identity_diagram
@@ -8,6 +11,7 @@ from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix, matrix_product
 from tlkit.representation import (
     Generator,
+    GeneratorMatrix,
     generator_diagram,
     generator_matrices,
     generator_matrix,
@@ -18,6 +22,8 @@ from tlkit.representation import (
     verify_tl_relations,
     verify_tl_relations_diagrams,
 )
+
+from oracles import dense_tl_relations
 
 D = LaurentPoly.monomial("d", 1)
 ONE = LaurentPoly.one("d")
@@ -164,6 +170,59 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError):
             generator_matrix(4, enumerate_diagrams(4))
 
+    def test_map_fields_agree_with_dense_view(self):
+        gm = generator_matrix(2, enumerate_diagrams(4))
+        assert len(gm.targets) == len(gm.exponents) == gm.size == 13
+        for i, (j, m) in enumerate(zip(gm.targets, gm.exponents)):
+            assert gm.matrix.entry(j, i) == LaurentPoly.monomial("d", m)
+            assert type(j) is int and type(m) is int
+        assert gm.matrix is gm.matrix
+
+    def test_generator_matrices_match_single_builds(self):
+        basis = enumerate_diagrams(5)
+        for include_identity in (False, True):
+            for gm in generator_matrices(basis, include_identity):
+                assert gm == generator_matrix(
+                    gm.generator_index, basis, include_identity
+                )
+
+
+class TestGeneratorMatrixValidation:
+    @pytest.fixture
+    def gm(self):
+        return generator_matrix(1, enumerate_diagrams(3))
+
+    def rebuilt(self, gm, targets=None, exponents=None, basis_order=None):
+        return GeneratorMatrix(
+            gm.generator_index,
+            gm.include_identity,
+            gm.basis_order if basis_order is None else basis_order,
+            gm.targets if targets is None else targets,
+            gm.exponents if exponents is None else exponents,
+        )
+
+    def test_accepts_library_map(self, gm):
+        assert self.rebuilt(gm) == gm
+
+    def test_rejects_length_mismatch(self, gm):
+        with pytest.raises(ValueError, match="one entry per column"):
+            self.rebuilt(gm, targets=gm.targets[:-1])
+        with pytest.raises(ValueError, match="one entry per column"):
+            self.rebuilt(gm, exponents=gm.exponents + (0,))
+        with pytest.raises(ValueError, match="one entry per column"):
+            self.rebuilt(gm, basis_order=gm.basis_order[:-1])
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_rejects_target_out_of_range(self, gm, bad):
+        targets = (bad,) + gm.targets[1:]
+        with pytest.raises(ValueError, match="target"):
+            self.rebuilt(gm, targets=targets)
+
+    def test_rejects_negative_exponent(self, gm):
+        exponents = gm.exponents[:-1] + (-1,)
+        with pytest.raises(ValueError, match="non-negative"):
+            self.rebuilt(gm, exponents=exponents)
+
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_representation_property_on_short_words(n):
@@ -241,3 +300,70 @@ class TestVerifyRelations:
         lines = report.lines()
         assert lines[0].startswith("Temperley-Lieb relations")
         assert lines[-1] == "overall: PASS"
+
+    def test_witness_names_corrupted_column(self):
+        mats = generator_matrices(enumerate_diagrams(4))
+        u = mats[0]
+        # A column outside the image of U_1 (U_1.D_c != d.D_c): no other
+        # column maps to it, so sending it to itself changes column c of
+        # U_1^2 and of d*U_1 only: (c, 2m) against (c, m + 1), m = 0 here.
+        c = next(
+            i for i in range(5, u.size) if u.targets[i] != i and u.exponents[i] == 0
+        )
+        targets = u.targets[:c] + (c,) + u.targets[c + 1 :]
+        broken = GeneratorMatrix(1, False, u.basis_order, targets, u.exponents)
+        report = verify_tl_relations([broken] + mats[1:])
+        assert not report.passed
+        witnesses = dict(report.witnesses)
+        assert set(witnesses) == {name for name, ok in report.entries if not ok}
+        assert witnesses["U_1^2 = d*U_1"] == (
+            f"first differing column {c}: expected d in row {c}, got 1 in row {c}"
+        )
+        lines = report.lines()
+        at = lines.index("U_1^2 = d*U_1: FAIL")
+        assert lines[at + 1] == "  " + witnesses["U_1^2 = d*U_1"]
+        assert lines[-1] == "overall: FAIL"
+
+    def test_passing_report_has_no_witnesses(self):
+        report = verify_tl_relations(generator_matrices(enumerate_diagrams(4)))
+        assert report.witnesses == ()
+        assert all(not line.startswith("  ") for line in report.lines())
+
+
+@functools.cache
+def _generator_set(n, include_identity):
+    return tuple(generator_matrices(enumerate_diagrams(n), include_identity))
+
+
+@st.composite
+def generator_sets(draw):
+    """The generator maps of dimension 2..5, with or without the identity,
+    and in half the draws one column of one generator re-targeted and
+    re-weighted."""
+    mats = list(_generator_set(draw(st.integers(2, 5)), draw(st.booleans())))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(mats) - 1))
+        gm = mats[k]
+        c = draw(st.integers(0, gm.size - 1))
+        targets = list(gm.targets)
+        exponents = list(gm.exponents)
+        targets[c] = draw(st.integers(0, gm.size - 1))
+        exponents[c] = draw(st.integers(0, 2))
+        mats[k] = GeneratorMatrix(
+            gm.generator_index,
+            gm.include_identity,
+            gm.basis_order,
+            tuple(targets),
+            tuple(exponents),
+        )
+    return mats
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(generator_sets())
+def test_map_relations_match_dense_oracle(mats):
+    report = verify_tl_relations(mats)
+    assert report.entries == dense_tl_relations(mats).entries
+    assert {name for name, _ in report.witnesses} == {
+        name for name, ok in report.entries if not ok
+    }

@@ -2,7 +2,12 @@
 
 Everything here works on plain partner tuples (1-based, ``pairing[i-1]``
 is the partner of node i).  ``compose_pairings`` trusts its input:
-callers pass the pairings of validated ``PlanarDiagram`` values.
+callers pass the pairings of validated ``PlanarDiagram`` values.  The
+callers trust the output in turn: basis pairings and composition
+products become diagrams through ``PlanarDiagram._trusted``, without a
+second involution and planarity check, so a kernel change must keep
+every emitted tuple a noncrossing perfect matching (the test suite
+re-validates them).
 
 The enumerator performs a depth-first search extending the
 smallest-index unmatched node, generating exactly the legal partners at

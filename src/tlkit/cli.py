@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__, kernel_backend
 from .braids import BraidWord, braid_image, braid_image_matrix, verify_artin
-from .composition import compose_scaled
+from .composition import compose, compose_scaled
 from .diagrams import ScaledDiagram, parse, serialize
 from .drawing import emit_figure
 from .enumeration import (
@@ -96,7 +96,13 @@ def _read_diagram_arg(value: str, dimension: int) -> ScaledDiagram:
     """FILE_OR_INLINE: a path to a one-line diagram file, or the line itself."""
     text = value
     candidate = Path(value)
-    if candidate.is_file():
+    try:
+        is_file = candidate.is_file()
+    except OSError:
+        # Text the file system refuses as a name (too long, say) is no
+        # file name; parse it inline.
+        is_file = False
+    if is_file:
         text = candidate.read_text(encoding="utf-8").strip()
     scaled = parse(text)
     if scaled.dimension != dimension:
@@ -168,7 +174,7 @@ def _run_compose(config: RunConfig) -> tuple[int, str]:
         for i, lhs in enumerate(basis, start=1):
             cells = []
             for rhs in basis:
-                product = compose_scaled(ScaledDiagram(lhs, 0), ScaledDiagram(rhs, 0))
+                product = compose(lhs, rhs)
                 cells.append(f"{index[product.diagram]}:{product.loop_exponent}")
             rows.append(f"{i}," + ",".join(cells))
         return EXIT_OK, "\n".join(rows) + "\n"

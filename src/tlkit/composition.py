@@ -31,7 +31,7 @@ def compose(d1: PlanarDiagram, d2: PlanarDiagram) -> ScaledDiagram:
             f"cannot compose dimensions {d1.dimension} and {d2.dimension}"
         )
     pairing, loops = _backend.compose_pairings(d1.pairing, d2.pairing, d1.dimension)
-    return ScaledDiagram(PlanarDiagram(d1.dimension, pairing), loops)
+    return ScaledDiagram(PlanarDiagram._trusted(d1.dimension, pairing), loops)
 
 
 def compose_scaled(s1: ScaledDiagram, s2: ScaledDiagram) -> ScaledDiagram:

@@ -99,8 +99,12 @@ class PlanarDiagram:
 
     ``pairing[i-1]`` is the partner of node i.  The partner array is the
     canonical in-memory form; the symmetric 0/1 connection matrix is a
-    derived view (``connection_matrix``).  Instances are immutable and
-    validated on construction.
+    derived view (``connection_matrix``).  Instances are immutable.
+
+    The public constructor validates: it rejects non-involutions and
+    crossing pairings.  ``_trusted`` skips that check and is only for
+    pairings the library made itself (kernel output, composition
+    products, ``parse`` after its own check).
     """
 
     dimension: int
@@ -112,6 +116,15 @@ class PlanarDiagram:
         _check_involution(self.pairing, self.dimension)
         if not _noncrossing_stack(self.pairing, self.dimension):
             raise ValueError("pairing has crossing strands")
+
+    @classmethod
+    def _trusted(cls, dimension: int, pairing: tuple[int, ...]) -> PlanarDiagram:
+        """Build without validation; ``pairing`` must be a noncrossing
+        perfect matching tuple that the library computed itself."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "dimension", dimension)
+        object.__setattr__(diagram, "pairing", pairing)
+        return diagram
 
     def partner(self, node: int) -> int:
         return self.pairing[node - 1]
@@ -299,8 +312,9 @@ _PAIR_RE = re.compile(r"\((\d+),(\d+)\)")
 
 def serialize(scaled: ScaledDiagram) -> str:
     """One-line text form; parse() inverts it exactly."""
-    pairs = "".join(f"({a},{b})" for a, b in scaled.diagram.pairs())
-    return f"TL {scaled.dimension} m={scaled.loop_exponent} {pairs}"
+    diagram = scaled.diagram
+    pairs = "".join([f"({a},{b})" for a, b in enumerate(diagram.pairing, 1) if a < b])
+    return f"TL {diagram.dimension} m={scaled.loop_exponent} {pairs}"
 
 
 def parse(line: str) -> ScaledDiagram:
@@ -313,8 +327,15 @@ def parse(line: str) -> ScaledDiagram:
     loop_exponent = int(match.group(2))
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
+    # The pair count is bounded by the text and the declared dimension is
+    # not, so compare them before allocating by the dimension.
+    pairs = _PAIR_RE.findall(match.group(3))
+    if len(pairs) != dimension:
+        raise ValueError(
+            f"dimension {dimension} needs {dimension} pairs, got {len(pairs)}"
+        )
     pairing = [0] * (2 * dimension)
-    for a_text, b_text in _PAIR_RE.findall(match.group(3)):
+    for a_text, b_text in pairs:
         a, b = int(a_text), int(b_text)
         if not (1 <= a <= 2 * dimension and 1 <= b <= 2 * dimension):
             raise ValueError(f"pair ({a},{b}) out of range for dimension {dimension}")
@@ -324,9 +345,8 @@ def parse(line: str) -> ScaledDiagram:
             raise ValueError(f"node {a} or {b} listed twice")
         pairing[a - 1] = b
         pairing[b - 1] = a
-    if 0 in pairing:
-        missing = pairing.index(0) + 1
-        raise ValueError(f"node {missing} has no partner")
+    # N distinct pairs on 2N nodes cover every node, so the pairing is an
+    # involution here and only planarity is left to check.
     if not is_noncrossing(pairing, dimension):
         raise ValueError("pairing has crossing strands")
-    return ScaledDiagram(PlanarDiagram(dimension, tuple(pairing)), loop_exponent)
+    return ScaledDiagram(PlanarDiagram._trusted(dimension, tuple(pairing)), loop_exponent)

@@ -74,7 +74,7 @@ def identity_diagram(dimension: int) -> PlanarDiagram:
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     n = dimension
-    return PlanarDiagram(
+    return PlanarDiagram._trusted(
         n, tuple(list(range(n + 1, 2 * n + 1)) + list(range(1, n + 1)))
     )
 
@@ -82,7 +82,8 @@ def identity_diagram(dimension: int) -> PlanarDiagram:
 @functools.cache
 def _basis(dimension: int) -> DiagramBasis:
     pairings = _backend.enumerate_pairings(dimension)
-    diagrams = tuple(PlanarDiagram(dimension, p) for p in pairings)
+    trusted = PlanarDiagram._trusted
+    diagrams = tuple([trusted(dimension, p) for p in pairings])
     return DiagramBasis(dimension, diagrams)
 
 

@@ -55,7 +55,7 @@ def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
     pairing[k] = k
     pairing[n + k - 1] = n + k + 1
     pairing[n + k] = n + k
-    return PlanarDiagram(n, tuple(pairing))
+    return PlanarDiagram._trusted(n, tuple(pairing))
 
 
 def generators(dimension: int) -> list[Generator]:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from tlkit.braids import (
@@ -148,7 +148,6 @@ def braid_words(draw, max_strands=5, max_len=6):
     return BraidWord(n, tuple(draw(st.lists(letters, max_size=max_len))))
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(braid_words())
 def test_matrix_image_matches_dense_product(word):
     assert braid_image_matrix(word) == dense_braid_image_matrix(word)

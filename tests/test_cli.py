@@ -10,7 +10,13 @@ import pytest
 import tlkit
 from tlkit import cli
 from tlkit.diagrams import parse
-from tlkit.representation import GeneratorMatrix, RelationReport, generator_matrices
+from tlkit.enumeration import identity_diagram
+from tlkit.representation import (
+    GeneratorMatrix,
+    RelationReport,
+    generator_diagram,
+    generator_matrices,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -185,6 +191,22 @@ class TestCompose:
             ["compose", "--dim", "2", "--lhs", str(f), "--rhs", "TL 2 m=0 (1,2)(3,4)"]
         )
         assert (code, out) == (0, "TL 2 m=0 (1,2)(3,4)\n")
+
+    def test_long_inline_lines_match_file_route(self, tmp_path, monkeypatch):
+        # A dim-40 line is longer than a file name may be; probing it as a
+        # path must not stop it from being parsed inline.
+        monkeypatch.setenv("TLKIT_MAX_DIM", "40")
+        lhs = str(identity_diagram(40))
+        rhs = str(generator_diagram(40, 7))
+        assert len(lhs) > 255
+        lhs_file, rhs_file = tmp_path / "lhs.tl", tmp_path / "rhs.tl"
+        lhs_file.write_text(lhs + "\n")
+        rhs_file.write_text(rhs + "\n")
+        inline = run_cli(["compose", "--dim", "40", "--lhs", lhs, "--rhs", rhs])
+        via_files = run_cli(
+            ["compose", "--dim", "40", "--lhs", str(lhs_file), "--rhs", str(rhs_file)]
+        )
+        assert inline == via_files == (0, rhs + "\n")
 
     def test_table_dim2(self):
         code, out = run_cli(["compose", "--dim", "2", "--table"])

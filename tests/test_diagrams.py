@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from tlkit.diagrams import (
@@ -181,6 +183,18 @@ class TestSerialization:
     def test_parse_rejects(self, line):
         with pytest.raises(ValueError):
             parse(line)
+
+    def test_parse_memory_bounded_by_text(self):
+        # A short line declaring a huge dimension is rejected by its pair
+        # count before anything is sized by the dimension.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                parse("TL 5000000 m=0 (1,2)")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRestrictConnectability:

@@ -1,0 +1,117 @@
+"""Property tests over random noncrossing diagrams.
+
+Kernel output, composition products, ``parse`` results and the identity
+and generator diagrams are built without re-validation, so these tests
+re-check what those paths produce through the validating public
+constructor.
+"""
+
+from contextlib import suppress
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from tlkit import _backend
+from tlkit.composition import compose
+from tlkit.diagrams import (
+    PlanarDiagram,
+    ScaledDiagram,
+    is_noncrossing,
+    node_position,
+    parse,
+    serialize,
+)
+from tlkit.enumeration import identity_diagram
+from tlkit.representation import generator_diagram
+
+
+@st.composite
+def diagrams_of(draw, n):
+    """A random Dyck word of length 2N read along the boundary circle:
+    each opening step is a node that waits on the stack, each closing
+    step pairs its node with the node on top of the stack."""
+    pairing = [0] * (2 * n)
+    stack: list[int] = []
+    opened = 0
+    for p in range(1, 2 * n + 1):
+        node = node_position(p, n)  # the circle map is its own inverse
+        if opened < n and (not stack or draw(st.booleans())):
+            stack.append(node)
+            opened += 1
+        else:
+            other = stack.pop()
+            pairing[node - 1] = other
+            pairing[other - 1] = node
+    return PlanarDiagram(n, tuple(pairing))
+
+
+dimensions = st.integers(1, 12)
+diagrams = dimensions.flatmap(diagrams_of)
+diagram_pairs = dimensions.flatmap(lambda n: st.tuples(diagrams_of(n), diagrams_of(n)))
+
+
+@given(diagram_pairs)
+def test_compose_product_passes_public_constructor(pair):
+    a, b = pair
+    product = compose(a, b)
+    n = product.dimension
+    assert PlanarDiagram(n, product.diagram.pairing) == product.diagram
+    assert is_noncrossing(product.diagram.pairing, n)
+
+
+@given(diagram_pairs)
+def test_compose_through_count_bounded_by_factors(pair):
+    a, b = pair
+    product = compose(a, b).diagram
+    assert product.through_count() <= min(a.through_count(), b.through_count())
+
+
+@given(diagrams, st.integers(0, 10**6))
+def test_parse_inverts_serialize(diagram, loops):
+    scaled = ScaledDiagram(diagram, loops)
+    assert parse(serialize(scaled)) == scaled
+
+
+def test_kernel_pairings_pass_public_constructor():
+    for n in range(1, 9):
+        for pairing in _backend.enumerate_pairings(n):
+            PlanarDiagram(n, pairing)
+
+
+def test_identity_and_generators_pass_public_constructor():
+    for n in range(1, 13):
+        ident = identity_diagram(n)
+        assert PlanarDiagram(n, ident.pairing) == ident
+        for k in range(1, n):
+            u = generator_diagram(n, k)
+            assert PlanarDiagram(n, u.pairing) == u
+
+
+@given(st.text())
+def test_parse_arbitrary_text_raises_only_value_error(line):
+    with suppress(ValueError):
+        parse(line)
+
+
+@st.composite
+def mutated_lines(draw):
+    """A valid diagram line with a few characters replaced, inserted or
+    deleted, drawn from the alphabet of the format."""
+    chars = list(serialize(ScaledDiagram(draw(diagrams), draw(st.integers(0, 3)))))
+    alphabet = st.sampled_from("0123456789(),TLm= ")
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(chars)))
+        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if action == "insert" or i == len(chars):
+            chars.insert(i, draw(alphabet))
+        elif action == "replace":
+            chars[i] = draw(alphabet)
+        else:
+            del chars[i]
+    return "".join(chars)
+
+
+@given(mutated_lines())
+def test_parse_mutated_lines_raises_only_value_error(line):
+    with suppress(ValueError):
+        parse(line)

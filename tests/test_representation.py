@@ -2,7 +2,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from tlkit.composition import compose
@@ -359,7 +359,6 @@ def generator_sets(draw):
     return mats
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(generator_sets())
 def test_map_relations_match_dense_oracle(mats):
     report = verify_tl_relations(mats)

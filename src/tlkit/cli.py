@@ -16,7 +16,6 @@ import hashlib
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, kernel_backend
@@ -47,31 +46,6 @@ EXIT_VERIFICATION = 3
 _CACHE_VERSION = "v1"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and validated invocation of one subcommand."""
-
-    subcommand: str
-    dimension: int = 0
-    max_dimension: int = DEFAULT_MAX_DIMENSION
-    count_only: bool = False
-    output: Path | None = None
-    cache_dir: Path | None = None
-    table: bool = False
-    lhs: str | None = None
-    rhs: str | None = None
-    include_identity: bool = False
-    eval_d: int | None = None
-    generator: str = "all"
-    relations: str = "tl"
-    strands: int = 0
-    word: str = ""
-    matrix: bool = False
-    fmt: str = "text"
-    draw_basis: bool = False
-    diagram: str | None = None
-
-
 def _ceiling_from_env() -> int:
     raw = os.environ.get("TLKIT_MAX_DIM")
     if raw is None:
@@ -82,13 +56,13 @@ def _ceiling_from_env() -> int:
         raise ValueError(f"TLKIT_MAX_DIM must be an integer, got {raw!r}") from exc
 
 
-def _check_dimension(config: RunConfig) -> None:
-    if config.dimension < 1:
+def _check_dimension(args: argparse.Namespace) -> None:
+    if args.dim < 1:
         raise ValueError("dimension must be at least 1")
-    if config.dimension > config.max_dimension:
+    if args.dim > args.max_dim:
         raise ValueError(
-            f"dimension {config.dimension} exceeds the ceiling "
-            f"{config.max_dimension} (override with TLKIT_MAX_DIM)"
+            f"dimension {args.dim} exceeds the ceiling "
+            f"{args.max_dim} (override with TLKIT_MAX_DIM)"
         )
 
 
@@ -152,22 +126,20 @@ def _write_replacing(path: Path, text: str) -> None:
         raise
 
 
-def _run_enumerate(config: RunConfig) -> tuple[int, str]:
-    _check_dimension(config)
-    if config.count_only:
-        return EXIT_OK, f"{count_diagrams(config.dimension, max_dimension=config.max_dimension)}\n"
-    if config.cache_dir is not None:
-        return EXIT_OK, _cached_basis_lines(
-            config.dimension, config.max_dimension, config.cache_dir
-        )
-    return EXIT_OK, _basis_lines(config.dimension, config.max_dimension)
+def _run_enumerate(args: argparse.Namespace) -> tuple[int, str]:
+    _check_dimension(args)
+    if args.count_only:
+        return EXIT_OK, f"{count_diagrams(args.dim, max_dimension=args.max_dim)}\n"
+    if args.cache is not None:
+        return EXIT_OK, _cached_basis_lines(args.dim, args.max_dim, args.cache)
+    return EXIT_OK, _basis_lines(args.dim, args.max_dim)
 
 
-def _run_compose(config: RunConfig) -> tuple[int, str]:
-    _check_dimension(config)
-    if config.table:
-        basis = enumerate_diagrams(config.dimension, max_dimension=config.max_dimension)
-        index = {d: i + 1 for i, d in enumerate(basis)}
+def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
+    _check_dimension(args)
+    if args.table:
+        basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
+        index_of = basis.index_of
         size = len(basis)
         header = "lhs/rhs," + ",".join(str(j) for j in range(1, size + 1))
         rows = [header]
@@ -175,13 +147,13 @@ def _run_compose(config: RunConfig) -> tuple[int, str]:
             cells = []
             for rhs in basis:
                 product = compose(lhs, rhs)
-                cells.append(f"{index[product.diagram]}:{product.loop_exponent}")
+                cells.append(f"{index_of(product.diagram) + 1}:{product.loop_exponent}")
             rows.append(f"{i}," + ",".join(cells))
         return EXIT_OK, "\n".join(rows) + "\n"
-    if config.lhs is None or config.rhs is None:
+    if args.lhs is None or args.rhs is None:
         raise ValueError("compose needs --table or both --lhs and --rhs")
-    lhs = _read_diagram_arg(config.lhs, config.dimension)
-    rhs = _read_diagram_arg(config.rhs, config.dimension)
+    lhs = _read_diagram_arg(args.lhs, args.dim)
+    rhs = _read_diagram_arg(args.rhs, args.dim)
     return EXIT_OK, serialize(compose_scaled(lhs, rhs)) + "\n"
 
 
@@ -199,38 +171,38 @@ def _generator_csv(gm: GeneratorMatrix, eval_d: int | None) -> list[str]:
     return [",".join(row) for row in rows]
 
 
-def _run_repr(config: RunConfig) -> tuple[int, str]:
-    _check_dimension(config)
-    if config.dimension < 2:
+def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
+    _check_dimension(args)
+    if args.dim < 2:
         raise ValueError("representations need dimension >= 2")
-    basis = enumerate_diagrams(config.dimension, max_dimension=config.max_dimension)
-    if config.generator == "all":
-        selected = generator_matrices(basis, config.include_identity)
+    basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
+    if args.gen == "all":
+        selected = generator_matrices(basis, args.include_identity)
     else:
-        k = int(config.generator)
-        selected = [generator_matrix(k, basis, config.include_identity)]
+        k = int(args.gen)
+        selected = [generator_matrix(k, basis, args.include_identity)]
     lines: list[str] = []
     for gm in selected:
         lines.append(
-            f"# generator U_{gm.generator_index}, dimension {config.dimension}, "
+            f"# generator U_{gm.generator_index}, dimension {args.dim}, "
             f"basis size {gm.size}, identity "
             f"{'included' if gm.include_identity else 'excluded'}"
         )
-        lines.extend(_generator_csv(gm, config.eval_d))
+        lines.extend(_generator_csv(gm, args.eval_d))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _run_verify(config: RunConfig) -> tuple[int, str]:
-    _check_dimension(config)
-    if config.dimension < 2:
+def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
+    _check_dimension(args)
+    if args.dim < 2:
         raise ValueError("relation verification needs dimension >= 2")
-    basis = enumerate_diagrams(config.dimension, max_dimension=config.max_dimension)
+    basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
     reports = []
-    if config.relations in ("tl", "all"):
+    if args.relations in ("tl", "all"):
         reports.append(verify_tl_relations(generator_matrices(basis)))
-        reports.append(verify_tl_relations_diagrams(config.dimension))
-    if config.relations in ("artin", "all"):
-        reports.append(verify_artin(config.dimension))
+        reports.append(verify_tl_relations_diagrams(args.dim))
+    if args.relations in ("artin", "all"):
+        reports.append(verify_artin(args.dim))
     lines: list[str] = []
     for report in reports:
         lines.extend(report.lines())
@@ -239,41 +211,41 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
     return (EXIT_OK if ok else EXIT_VERIFICATION), "\n".join(lines)
 
 
-def _run_bracket(config: RunConfig) -> tuple[int, str]:
-    if config.strands < 1:
+def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
+    if args.strands < 1:
         raise ValueError("strand count must be at least 1")
-    if config.strands > config.max_dimension:
+    if args.strands > args.max_dim:
         raise ValueError(
-            f"strand count {config.strands} exceeds the ceiling {config.max_dimension}"
+            f"strand count {args.strands} exceeds the ceiling {args.max_dim}"
         )
-    word = BraidWord.from_text(config.strands, config.word)
-    if config.matrix:
+    word = BraidWord.from_text(args.strands, args.word)
+    if args.matrix:
         matrix = braid_image_matrix(word)
         header = (
             f"# bracket image of {word.to_text() or '(empty word)'} on "
-            f"{config.strands} strands, {matrix.size}x{matrix.size}, entries in A"
+            f"{args.strands} strands, {matrix.size}x{matrix.size}, entries in A"
         )
         rows = [",".join(str(entry) for entry in row) for row in matrix.rows]
         return EXIT_OK, "\n".join([header] + rows) + "\n"
     element = braid_image(word)
     lines = [
         f"# bracket image of {word.to_text() or '(empty word)'} on "
-        f"{config.strands} strands, d = -A^2-A^-2"
+        f"{args.strands} strands, d = -A^2-A^-2"
     ]
     for diagram, coeff in element.terms:
         lines.append(f"{coeff}\t{serialize(ScaledDiagram(diagram, 0))}")
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
-def _run_draw(config: RunConfig) -> tuple[int, str]:
-    _check_dimension(config)
-    if config.draw_basis:
-        basis = enumerate_diagrams(config.dimension, max_dimension=config.max_dimension)
-        return EXIT_OK, emit_figure(tuple(basis), config.fmt)
-    if config.diagram is None:
+def _run_draw(args: argparse.Namespace) -> tuple[int, str]:
+    _check_dimension(args)
+    if args.basis:
+        basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
+        return EXIT_OK, emit_figure(tuple(basis), args.fmt)
+    if args.diagram is None:
         raise ValueError("draw needs --basis or --diagram")
-    scaled = _read_diagram_arg(config.diagram, config.dimension)
-    return EXIT_OK, emit_figure(scaled, config.fmt)
+    scaled = _read_diagram_arg(args.diagram, args.dim)
+    return EXIT_OK, emit_figure(scaled, args.fmt)
 
 
 _RUNNERS = {
@@ -286,12 +258,13 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Dispatch a validated config; returns (exit code, output text)."""
-    runner = _RUNNERS.get(config.subcommand)
+def run(args: argparse.Namespace) -> tuple[int, str]:
+    """Dispatch parsed arguments, with ``max_dim`` set to the dimension
+    ceiling; returns (exit code, output text)."""
+    runner = _RUNNERS.get(args.subcommand)
     if runner is None:
-        raise ValueError(f"unknown subcommand {config.subcommand!r}")
-    return runner(config)
+        raise ValueError(f"unknown subcommand {args.subcommand!r}")
+    return runner(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,44 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        dimension=getattr(args, "dim", 0),
-        max_dimension=_ceiling_from_env(),
-        count_only=getattr(args, "count_only", False),
-        output=getattr(args, "output", None),
-        cache_dir=getattr(args, "cache", None),
-        table=getattr(args, "table", False),
-        lhs=getattr(args, "lhs", None),
-        rhs=getattr(args, "rhs", None),
-        include_identity=getattr(args, "include_identity", False),
-        eval_d=getattr(args, "eval_d", None),
-        generator=getattr(args, "gen", "all"),
-        relations=getattr(args, "relations", "tl"),
-        strands=getattr(args, "strands", 0),
-        word=getattr(args, "word", ""),
-        matrix=getattr(args, "matrix", False),
-        fmt=getattr(args, "fmt", "text"),
-        draw_basis=getattr(args, "basis", False),
-        diagram=getattr(args, "diagram", None),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        if config.output is not None and not config.output.parent.is_dir():
-            raise ValueError(f"output directory {config.output.parent} does not exist")
-        code, text = run(config)
-        if config.output is not None:
-            config.output.write_text(text, encoding="utf-8")
+        args.max_dim = _ceiling_from_env()
+        if args.output is not None and not args.output.parent.is_dir():
+            raise ValueError(f"output directory {args.output.parent} does not exist")
+        code, text = run(args)
+        if args.output is not None:
+            args.output.write_text(text, encoding="utf-8")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    if config.output is None:
+    if args.output is None:
         sys.stdout.write(text)
     return code
 

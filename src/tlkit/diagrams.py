@@ -28,6 +28,7 @@ first, e.g. ``TL 4 m=2 (1,2)(3,8)(4,7)(5,6)``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -57,28 +58,11 @@ def is_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
     """Whether a fixed-point-free involution on the 2N boundary nodes is
     drawable without crossings.
 
-    This is the direct pairwise interleaving test in circular position
-    space.  It is deliberately the dumbest correct implementation, since
-    it serves as the independent check for the enumeration machinery.
-    Non-involutions are rejected with ValueError.
+    One pass around the circle with a stack: a chord closes when its other
+    end is on top of the stack, and the pairing is noncrossing exactly when
+    every chord closes.  Non-involutions are rejected with ValueError.
     """
     _check_involution(pairing, dimension)
-    chords = []
-    for i in range(1, 2 * dimension + 1):
-        j = pairing[i - 1]
-        if i < j:
-            p, q = node_position(i, dimension), node_position(j, dimension)
-            chords.append((min(p, q), max(p, q)))
-    for idx, (a, b) in enumerate(chords):
-        for c, d in chords[idx + 1 :]:
-            if a < c < b < d or c < a < d < b:
-                return False
-    return True
-
-
-def _noncrossing_stack(pairing: Sequence[int], dimension: int) -> bool:
-    """Single-pass stack check, equivalent to is_noncrossing for
-    involutions; used where many diagrams are validated."""
     size = 2 * dimension
     node_at = [0] * (size + 1)
     for i in range(1, size + 1):
@@ -101,8 +85,9 @@ class PlanarDiagram:
     canonical in-memory form; the symmetric 0/1 connection matrix is a
     derived view (``connection_matrix``).  Instances are immutable.
 
-    The public constructor validates: it rejects non-involutions and
-    crossing pairings.  ``_trusted`` skips that check and is only for
+    The public constructor validates: it stores the partners as a tuple
+    of ints and rejects non-integers, non-involutions and crossing
+    pairings.  ``_trusted`` skips that check and is only for
     pairings the library made itself (kernel output, composition
     products, ``parse`` after its own check).
     """
@@ -111,11 +96,19 @@ class PlanarDiagram:
     pairing: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.dimension < 1:
+        try:
+            dimension = operator.index(self.dimension)
+            pairing = tuple(operator.index(j) for j in self.pairing)
+        except TypeError:
+            raise ValueError(
+                "dimension and partners must be integers, given as a sequence"
+            ) from None
+        if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        _check_involution(self.pairing, self.dimension)
-        if not _noncrossing_stack(self.pairing, self.dimension):
+        if not is_noncrossing(pairing, dimension):
             raise ValueError("pairing has crossing strands")
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "pairing", pairing)
 
     @classmethod
     def _trusted(cls, dimension: int, pairing: tuple[int, ...]) -> PlanarDiagram:
@@ -164,9 +157,6 @@ class PlanarDiagram:
             row[self.pairing[i - 1] - 1] = 1
             rows.append(tuple(row))
         return tuple(rows)
-
-    def _key(self) -> tuple[int, ...]:
-        return self.pairing
 
     def __lt__(self, other: PlanarDiagram) -> bool:
         return canonical_compare(self, other) < 0

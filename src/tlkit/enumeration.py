@@ -36,20 +36,31 @@ def catalan(n: int) -> int:
 
 @dataclass(frozen=True)
 class DiagramBasis:
-    """The full canonical basis for one dimension: Catalan(N) diagrams in
-    canonical order plus an index for O(1) position lookup."""
+    """The full basis for one dimension: Catalan(N) distinct diagrams,
+    canonical order unless a caller chose another, plus an index for O(1)
+    position lookup.  The index is keyed by the partner tuple, which alone
+    identifies a diagram of the basis's dimension."""
 
     dimension: int
     diagrams: tuple[PlanarDiagram, ...]
 
     def __post_init__(self) -> None:
-        if len(self.diagrams) != catalan(self.dimension):
+        diagrams = tuple(self.diagrams)
+        object.__setattr__(self, "diagrams", diagrams)
+        if len(diagrams) != catalan(self.dimension):
             raise ValueError(
                 f"basis must hold Catalan({self.dimension}) diagrams, "
-                f"got {len(self.diagrams)}"
+                f"got {len(diagrams)}"
             )
-        index = {d: i for i, d in enumerate(self.diagrams)}
-        if len(index) != len(self.diagrams):
+        if not all(
+            isinstance(d, PlanarDiagram) and d.dimension == self.dimension
+            for d in diagrams
+        ):
+            raise ValueError(
+                f"every basis entry must be a diagram of dimension {self.dimension}"
+            )
+        index = {d.pairing: i for i, d in enumerate(diagrams)}
+        if len(index) != len(diagrams):
             raise ValueError("basis contains duplicates")
         object.__setattr__(self, "_index", index)
 
@@ -62,11 +73,12 @@ class DiagramBasis:
     def __getitem__(self, i: int) -> PlanarDiagram:
         return self.diagrams[i]
 
-    def __contains__(self, d: PlanarDiagram) -> bool:
-        return d in self._index  # type: ignore[attr-defined]
+    def __contains__(self, d: object) -> bool:
+        return isinstance(d, PlanarDiagram) and d.pairing in self._index  # type: ignore[attr-defined]
 
     def index_of(self, d: PlanarDiagram) -> int:
-        return self._index[d]  # type: ignore[attr-defined]
+        """Position of ``d``; KeyError when the basis does not hold it."""
+        return self._index[d.pairing]  # type: ignore[attr-defined]
 
 
 def identity_diagram(dimension: int) -> PlanarDiagram:

@@ -13,7 +13,7 @@ bare digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,3 @@ class LaurentPoly:
         text = "".join(pieces)
         return text[1:] if text.startswith("+") else text
 
-
-def poly_sum(terms: Iterable[LaurentPoly], variable: str) -> LaurentPoly:
-    acc = LaurentPoly.zero(variable)
-    for t in terms:
-        acc = acc + t
-    return acc

@@ -46,11 +46,6 @@ class PolyMatrix:
         return cls(variable, tuple(tuple(r) for r in rows))
 
     @classmethod
-    def zero(cls, size: int, variable: str) -> PolyMatrix:
-        z = LaurentPoly.zero(variable)
-        return cls(variable, tuple(tuple(z for _ in range(size)) for _ in range(size)))
-
-    @classmethod
     def identity(cls, size: int, variable: str) -> PolyMatrix:
         z = LaurentPoly.zero(variable)
         one = LaurentPoly.one(variable)

@@ -4,9 +4,10 @@ representation of left multiplication.
 Sidedness: the product U.D stacks the generator ON TOP of the diagram
 (``compose(D, U)``), the operator order in which the right factor acts
 first.  Under this convention the bottom-to-bottom pairs of D survive
-into U.D, so grouping diagrams by their bottom pairing pattern and
-closing the groups under the generator action partitions the
-identity-free basis into left ideals (8 + 5 diagrams for dimension 4).
+into U.D.  The ideal blocks are the components of the generator action:
+D and U_k.D share a block for every basis diagram D and generator U_k,
+which partitions the identity-free basis into left ideals (8 + 5
+diagrams for dimension 4).
 
 Basis order for matrices: with the identity excluded, the ideal blocks
 are sorted by their canonically smallest member and each block is sorted
@@ -22,13 +23,19 @@ indexed by column: ``targets[i] = j`` and ``exponents[i] = m``.  Entry
 built on first use.  Products of generators are compositions of maps,
 (U.V) sends column i to row tU[tV[i]] with exponent eV[i] + eU[tV[i]],
 so the relation check compares tuples and multiplies no matrices.
+
+One composition pass computes the action: each basis diagram is composed
+with each generator once, giving (targets, exponents) over positions in
+the basis (``DiagramBasis.index_of``).  The ideal blocks, the
+representation order and every ``GeneratorMatrix`` of a call are read
+from that pass.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .composition import compose
 from .diagrams import PlanarDiagram, ScaledDiagram
@@ -91,40 +98,70 @@ class IdealPartition:
         raise KeyError(diagram)
 
 
-def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> IdealPartition:
-    """Group diagrams by bottom pairing pattern, then merge groups until
-    each is closed under the generator action.
+Map = tuple[tuple[int, ...], tuple[int, ...]]
 
-    The identity has no bottom pairs and multiplies into every ideal, so
-    including it collapses the partition to a single block; excluded (the
-    default), dimension 4 splits 8 + 5.
+
+def _action(basis: DiagramBasis, k: int) -> Map:
+    """U_k on every basis position, in basis order: U_k . D_i =
+    d^exponents[i] . D_targets[i]."""
+    gen = generator_diagram(basis.dimension, k)
+    index_of = basis.index_of
+    targets: list[int] = []
+    exponents: list[int] = []
+    for d in basis:
+        product = compose(d, gen)
+        targets.append(index_of(product.diagram))
+        exponents.append(product.loop_exponent)
+    return tuple(targets), tuple(exponents)
+
+
+def _ideal_blocks(
+    basis: DiagramBasis, actions: Iterable[Map], include_identity: bool
+) -> list[list[int]]:
+    """Basis positions grouped into the components of the generator
+    action, each block and the list of blocks in canonical order.  The
+    identity and its edges are left out unless it is included."""
+    skip = -1 if include_identity else basis.index_of(identity_diagram(basis.dimension))
+    parent = list(range(len(basis)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for targets, _ in actions:
+        for i, j in enumerate(targets):
+            if i != skip:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    grouped: dict[int, list[int]] = {}
+    for i in range(len(basis)):
+        if i != skip:
+            grouped.setdefault(find(i), []).append(i)
+
+    def key(i: int) -> tuple[int, ...]:
+        return basis[i].pairing
+
+    blocks = [sorted(block, key=key) for block in grouped.values()]
+    return sorted(blocks, key=lambda block: key(block[0]))
+
+
+def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> IdealPartition:
+    """The components of the generator action on the basis: D and U_k.D
+    share a block for every diagram D and generator U_k.
+
+    The identity reaches every ideal (U_k.1 = U_k), so including it
+    collapses the partition to a single block; excluded (the default),
+    dimension 4 splits 8 + 5.
     """
     n = basis.dimension
-    ident = identity_diagram(n)
-    members = [d for d in basis if include_identity or d != ident]
-    gens = generators(n) if n >= 2 else []
-
-    parent = {d.bottom_pairs(): d.bottom_pairs() for d in members}
-
-    def find(k):
-        while parent[k] != k:
-            k = parent[k]
-        return k
-
-    for d in members:
-        for g in gens:
-            image = left_multiply(g, d).diagram
-            ra, rb = find(d.bottom_pairs()), find(image.bottom_pairs())
-            if ra != rb:
-                parent[rb] = ra
-
-    grouped: dict[frozenset, list[PlanarDiagram]] = {}
-    for d in members:
-        grouped.setdefault(find(d.bottom_pairs()), []).append(d)
-    blocks = tuple(
-        tuple(sorted(block)) for block in grouped.values()
+    actions = [_action(basis, k) for k in range(1, n)]
+    blocks = _ideal_blocks(basis, actions, include_identity)
+    return IdealPartition(
+        n, tuple(tuple(basis[i] for i in block) for block in blocks)
     )
-    return IdealPartition(n, tuple(sorted(blocks, key=lambda b: b[0].pairing)))
 
 
 def representation_basis(
@@ -176,26 +213,37 @@ class GeneratorMatrix:
         return PolyMatrix.from_rows("d", grid)
 
 
-def _generator_map(
-    gen: Generator,
-    order: tuple[PlanarDiagram, ...],
-    index: dict[PlanarDiagram, int],
-    include_identity: bool,
-) -> GeneratorMatrix:
-    targets: list[int] = []
-    exponents: list[int] = []
-    for d in order:
-        scaled = left_multiply(gen, d)
-        j = index.get(scaled.diagram)
-        if j is None:
-            raise ValueError(
-                "product left the chosen basis; identity excluded but reached"
+def _generator_maps(
+    basis: DiagramBasis, indices: Sequence[int], include_identity: bool
+) -> list[GeneratorMatrix]:
+    """The maps of U_k for k in ``indices``, renumbered into the
+    representation order.  Each (generator, diagram) pair is composed
+    once: the ideal-refined order comes from the same action."""
+    n = basis.dimension
+    if include_identity:
+        actions = {k: _action(basis, k) for k in indices}
+        order: Sequence[int] = range(len(basis))
+    else:
+        actions = {k: _action(basis, k) for k in range(1, n)}
+        blocks = _ideal_blocks(basis, actions.values(), False)
+        order = [i for block in blocks for i in block]
+    position = [0] * len(basis)
+    for new, old in enumerate(order):
+        position[old] = new
+    basis_order = tuple(basis[i] for i in order)
+    out = []
+    for k in indices:
+        targets, exponents = actions[k]
+        out.append(
+            GeneratorMatrix(
+                k,
+                include_identity,
+                basis_order,
+                tuple(position[targets[i]] for i in order),
+                tuple(exponents[i] for i in order),
             )
-        targets.append(j)
-        exponents.append(scaled.loop_exponent)
-    return GeneratorMatrix(
-        gen.index, include_identity, order, tuple(targets), tuple(exponents)
-    )
+        )
+    return out
 
 
 def generator_matrix(
@@ -203,25 +251,15 @@ def generator_matrix(
 ) -> GeneratorMatrix:
     """The map of U_k: column i goes to row j with exponent m, where
     U_k . D_i = d^m . D_j."""
-    gen = Generator(k, generator_diagram(basis.dimension, k))
-    order = representation_basis(basis, include_identity)
-    index = {d: i for i, d in enumerate(order)}
-    return _generator_map(gen, order, index, include_identity)
+    generator_diagram(basis.dimension, k)  # rejects an index out of range
+    return _generator_maps(basis, (k,), include_identity)[0]
 
 
 def generator_matrices(
     basis: DiagramBasis, include_identity: bool = False
 ) -> list[GeneratorMatrix]:
     """The maps of U_1 .. U_{N-1} over one basis order, computed once."""
-    order = representation_basis(basis, include_identity)
-    index = {d: i for i, d in enumerate(order)}
-    n = basis.dimension
-    return [
-        _generator_map(
-            Generator(k, generator_diagram(n, k)), order, index, include_identity
-        )
-        for k in range(1, n)
-    ]
+    return _generator_maps(basis, range(1, basis.dimension), include_identity)
 
 
 @dataclass(frozen=True)
@@ -248,9 +286,6 @@ class RelationReport:
                 out.append(f"  {witnesses[name]}")
         out.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return out
-
-
-Map = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _compose_maps(u: Map, v: Map) -> Map:

@@ -3,8 +3,8 @@
 Everything here is deliberately naive.  These share no code with the
 kernel search or the strand-walk composition under test:
 
-* full enumeration of involutions filtered by the direct noncrossing
-  predicate, and a geometric straight-segment intersection test on a
+* full enumeration of involutions filtered by the direct pairwise
+  noncrossing predicate, and a geometric straight-segment intersection test on a
   circle embedding of the box boundary;
 * the stack of two diagrams as an explicit graph, resolved by union-find
   and by boolean matrix-power reachability;
@@ -14,6 +14,10 @@ kernel search or the strand-walk composition under test:
 ``element_matrix`` builds the matrix of left multiplication by an element
 column by column through element products, to cross-check the element
 and matrix routes of the braid image against each other.
+
+``bottom_pattern_partition`` is the ideal partition computed the way the
+library first did it: group diagrams by bottom pairing pattern and merge
+groups along the generator action until they are closed.
 
 ``dense_braid_image_matrix`` and ``dense_tl_relations`` are the dense
 ``PolyMatrix`` routes the library replaced by column-monomial maps: the
@@ -31,12 +35,18 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from tlkit.braids import BraidWord, kauffman_loop_value, multiply_kauffman
-from tlkit.diagrams import PlanarDiagram, is_noncrossing, node_position
+from tlkit.composition import compose
+from tlkit.diagrams import PlanarDiagram, node_position
 from tlkit.elements import TLElement
-from tlkit.enumeration import enumerate_diagrams
+from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
-from tlkit.representation import GeneratorMatrix, RelationReport, generator_matrix
+from tlkit.representation import (
+    GeneratorMatrix,
+    RelationReport,
+    generator_matrix,
+    generators,
+)
 
 
 def all_involutions(dimension: int) -> Iterator[tuple[int, ...]]:
@@ -60,10 +70,31 @@ def all_involutions(dimension: int) -> Iterator[tuple[int, ...]]:
     yield from rec(list(range(1, 2 * n + 1)))
 
 
+def pairwise_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
+    """Whether a fixed-point-free involution on the 2N boundary nodes is
+    drawable without crossings.
+
+    This is the direct pairwise interleaving test in circular position
+    space.  It is deliberately the dumbest correct implementation, since
+    it serves as the independent check for the enumeration machinery.
+    """
+    chords = []
+    for i in range(1, 2 * dimension + 1):
+        j = pairing[i - 1]
+        if i < j:
+            p, q = node_position(i, dimension), node_position(j, dimension)
+            chords.append((min(p, q), max(p, q)))
+    for idx, (a, b) in enumerate(chords):
+        for c, d in chords[idx + 1 :]:
+            if a < c < b < d or c < a < d < b:
+                return False
+    return True
+
+
 def brute_force_basis(dimension: int) -> list[tuple[int, ...]]:
-    """All involutions passing is_noncrossing, sorted."""
+    """All involutions passing pairwise_noncrossing, sorted."""
     return sorted(
-        p for p in all_involutions(dimension) if is_noncrossing(p, dimension)
+        p for p in all_involutions(dimension) if pairwise_noncrossing(p, dimension)
     )
 
 
@@ -471,3 +502,34 @@ def dense_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
         f"Temperley-Lieb relations, matrix level ({size}x{size})",
         tuple(entries),
     )
+
+
+def bottom_pattern_partition(
+    basis: DiagramBasis, include_identity: bool = False
+) -> tuple[tuple[PlanarDiagram, ...], ...]:
+    """Ideal blocks by bottom-pattern closure: diagrams with one bottom
+    pairing pattern start in one group, and the groups of D and U_k.D are
+    merged for every generator.  Blocks are sorted inside and by their
+    smallest member, as ``ideal_partition`` sorts them."""
+    n = basis.dimension
+    ident = identity_diagram(n)
+    members = [d for d in basis if include_identity or d != ident]
+    gens = generators(n) if n >= 2 else []
+    parent = {d.bottom_pairs(): d.bottom_pairs() for d in members}
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for d in members:
+        for g in gens:
+            image = compose(d, g.diagram).diagram
+            ra, rb = find(d.bottom_pairs()), find(image.bottom_pairs())
+            if ra != rb:
+                parent[rb] = ra
+    grouped: dict[frozenset, list[PlanarDiagram]] = {}
+    for d in members:
+        grouped.setdefault(find(d.bottom_pairs()), []).append(d)
+    blocks = [tuple(sorted(block)) for block in grouped.values()]
+    return tuple(sorted(blocks, key=lambda b: b[0].pairing))

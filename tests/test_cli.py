@@ -38,6 +38,17 @@ class TestGolden:
             (["enumerate", "--dim", "4"], "enumerate_dim4.txt"),
             (["repr", "--dim", "4", "--gen", "all"], "repr_dim4_all.csv"),
             (["verify", "--dim", "4"], "verify_dim4.txt"),
+            (["repr", "--dim", "3"], "repr_dim3_all.csv"),
+            (
+                ["repr", "--dim", "5", "--include-identity", "--eval-d", "2"],
+                "repr_dim5_identity_d2.csv",
+            ),
+            (["compose", "--dim", "4", "--table"], "compose_dim4_table.csv"),
+            (
+                ["bracket", "--strands", "4", "--word=1,-2,3,-1", "--matrix"],
+                "bracket_4_matrix.csv",
+            ),
+            (["verify", "--dim", "5", "--relations", "all"], "verify_dim5_all.txt"),
         ],
     )
     def test_matches_golden_and_byte_stable(self, args, golden):

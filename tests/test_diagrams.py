@@ -11,7 +11,6 @@ from tlkit.diagrams import (
     parse,
     restrict_connectability,
     serialize,
-    _noncrossing_stack,
 )
 from tlkit.enumeration import enumerate_diagrams
 
@@ -22,6 +21,7 @@ from oracles import (
     completions,
     extend,
     geometric_noncrossing,
+    pairwise_noncrossing,
 )
 
 
@@ -88,7 +88,7 @@ class TestNoncrossing:
         for p in all_involutions(n):
             expected = geometric_noncrossing(p, n)
             assert is_noncrossing(p, n) == expected
-            assert _noncrossing_stack(p, n) == expected
+            assert pairwise_noncrossing(p, n) == expected
 
 
 class TestPlanarDiagram:
@@ -99,6 +99,20 @@ class TestPlanarDiagram:
             PlanarDiagram(2, (1, 2, 4, 3))
         with pytest.raises(ValueError):
             PlanarDiagram(2, (2, 1, 4))
+
+    def test_stores_a_list_pairing_as_tuple(self):
+        d = PlanarDiagram(2, [2, 1, 4, 3])
+        assert d.pairing == (2, 1, 4, 3)
+        assert hash(d) == hash(PlanarDiagram(2, (2, 1, 4, 3)))
+        assert d in enumerate_diagrams(2)
+
+    @pytest.mark.parametrize(
+        "dimension,pairing",
+        [(2, (2.0, 1, 4, 3)), (2, (2, 1, "4", 3)), (2.0, (2, 1, 4, 3)), (2, 2143)],
+    )
+    def test_rejects_non_integers(self, dimension, pairing):
+        with pytest.raises(ValueError, match="integers"):
+            PlanarDiagram(dimension, pairing)
 
     def test_pairs_and_views(self):
         d = PlanarDiagram(2, (2, 1, 4, 3))

@@ -42,6 +42,19 @@ def test_basis_is_sorted_and_indexed():
         assert d in basis
 
 
+def test_basis_rejects_diagram_of_other_dimension():
+    with pytest.raises(ValueError, match="dimension 2"):
+        DiagramBasis(2, (identity_diagram(2), identity_diagram(3)))
+
+
+def test_basis_lookup_needs_same_dimension():
+    basis = enumerate_diagrams(2)
+    assert identity_diagram(3) not in basis
+    assert "TL 2" not in basis
+    with pytest.raises(KeyError):
+        basis.index_of(identity_diagram(3))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_matches_brute_force(n):
     assert [d.pairing for d in enumerate_diagrams(n)] == brute_force_basis(n)

@@ -1,12 +1,14 @@
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tlkit import _backend
 from tlkit.composition import compose
-from tlkit.enumeration import enumerate_diagrams, identity_diagram
+from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix, matrix_product
 from tlkit.representation import (
@@ -23,7 +25,7 @@ from tlkit.representation import (
     verify_tl_relations_diagrams,
 )
 
-from oracles import dense_tl_relations
+from oracles import bottom_pattern_partition, dense_tl_relations
 
 D = LaurentPoly.monomial("d", 1)
 ONE = LaurentPoly.one("d")
@@ -88,6 +90,53 @@ class TestIdealPartition:
         covered = [d for block in part.blocks for d in block]
         assert len(covered) == len(basis) - 1
         assert identity_diagram(n) not in set(covered)
+
+
+def _shuffled(basis, seed):
+    diagrams = list(basis)
+    random.Random(seed).shuffle(diagrams)
+    return DiagramBasis(basis.dimension, tuple(diagrams))
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+@pytest.mark.parametrize("include_identity", [False, True])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_partition_matches_bottom_pattern_oracle(n, include_identity, shuffled):
+    basis = enumerate_diagrams(n)
+    if shuffled:
+        basis = _shuffled(basis, seed=n)
+    expected = bottom_pattern_partition(basis, include_identity)
+    assert ideal_partition(basis, include_identity).blocks == expected
+    order = (
+        tuple(basis)
+        if include_identity
+        else tuple(d for block in expected for d in block)
+    )
+    assert representation_basis(basis, include_identity) == order
+    index = {d: i for i, d in enumerate(order)}
+    for g, gm in zip(generators(n), generator_matrices(basis, include_identity)):
+        assert gm.basis_order == order
+        for i, d in enumerate(order):
+            product = left_multiply(g, d)
+            assert (gm.targets[i], gm.exponents[i]) == (
+                index[product.diagram],
+                product.loop_exponent,
+            )
+
+
+def test_generator_matrices_compose_each_pair_once(monkeypatch):
+    basis = enumerate_diagrams(6)
+    calls = 0
+    kernel = _backend.compose_pairings
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(_backend, "compose_pairings", counted)
+    generator_matrices(basis)
+    assert calls <= 5 * len(basis)
 
 
 class TestGeneratorMatrix:

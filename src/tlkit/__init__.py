@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 
 from .braids import (
     BraidWord,
-    KauffmanParams,
     braid_image,
     braid_image_matrix,
     kauffman_loop_value,
@@ -69,7 +68,6 @@ __all__ = [
     "Generator",
     "GeneratorMatrix",
     "IdealPartition",
-    "KauffmanParams",
     "LaurentPoly",
     "PlanarDiagram",
     "PolyMatrix",

@@ -17,18 +17,23 @@ that d, and the relation suite re-derives this mechanically.
 Products follow operator order (the right factor acts first), matching
 the matrix representation: the image of a word is the ordered product of
 its letter images, and the matrix image is the same product over the
-matrices of left multiplication on the identity-included basis.  The
-matrix image is kept as sparse columns while the letters are applied:
-U_i sends column c to row t_c with loop exponent m_c, so right
-multiplication by a letter a.1 + b.U_i replaces column c by
-a.col_c + b.d^{m_c}.col_{t_c}, with d = -A^2 - A^-2.
+matrices of left multiplication on the identity-included basis.
+
+The matrix image is computed, compared and printed as sparse columns: one
+dict per basis column, from row index to a nonzero LaurentPoly(A).  U_i
+sends column c to row t_c with loop exponent m_c, so right multiplication
+by a letter a.1 + b.U_i replaces column c by a.col_c + b.d^{m_c}.col_{t_c},
+with d = -A^2 - A^-2; an entry that cancels to zero is dropped, so equal
+images have equal columns.  ``braid_image_matrix`` is the dense matrix
+view of those columns.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .elements import TLElement, multiply
 from .enumeration import enumerate_diagrams, identity_diagram
@@ -43,18 +48,6 @@ def kauffman_loop_value() -> LaurentPoly:
 
 
 @dataclass(frozen=True)
-class KauffmanParams:
-    """The formal bracket variable and the loop value derived from it."""
-
-    variable: str = "A"
-    loop_value: LaurentPoly = field(default_factory=kauffman_loop_value)
-
-    def __post_init__(self) -> None:
-        if self.loop_value.variable != self.variable:
-            raise ValueError("loop value must be a polynomial in the bracket variable")
-
-
-@dataclass(frozen=True)
 class BraidWord:
     """Signed generator letters on a fixed number of strands; the empty
     word is the braid identity.  Powers are expanded to unit letters."""
@@ -63,13 +56,20 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.strands < 1:
+        try:
+            strands = operator.index(self.strands)
+            letters = tuple(operator.index(x) for x in self.letters)
+        except TypeError:
+            raise ValueError(
+                "strand count and letters must be integers, given as a sequence"
+            ) from None
+        if strands < 1:
             raise ValueError("strand count must be at least 1")
-        for letter in self.letters:
-            if letter == 0 or not 1 <= abs(letter) <= self.strands - 1:
-                raise ValueError(
-                    f"letter {letter} out of range for {self.strands} strands"
-                )
+        for letter in letters:
+            if letter == 0 or not 1 <= abs(letter) <= strands - 1:
+                raise ValueError(f"letter {letter} out of range for {strands} strands")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
 
     @classmethod
     def identity(cls, strands: int) -> BraidWord:
@@ -77,10 +77,15 @@ class BraidWord:
 
     @classmethod
     def from_text(cls, strands: int, text: str) -> BraidWord:
-        text = text.strip()
-        if not text:
+        if not text.strip():
             return cls.identity(strands)
-        return cls(strands, tuple(int(tok) for tok in text.split(",")))
+        try:
+            letters = tuple(int(tok) for tok in text.split(","))
+        except ValueError:
+            raise ValueError(
+                f"braid word {text!r} must be comma-separated signed integers"
+            ) from None
+        return cls(strands, letters)
 
     def to_text(self) -> str:
         return ",".join(str(letter) for letter in self.letters)
@@ -129,12 +134,12 @@ def _bracket_action(strands: int, index: int) -> tuple[tuple[int, ...], tuple[in
     return gm.targets, gm.exponents
 
 
-def braid_image_matrix(word: BraidWord) -> PolyMatrix:
-    """The bracket image as a matrix over the identity-included canonical
-    basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A))."""
-    size = len(enumerate_diagrams(word.strands))
+def _image_columns(word: BraidWord) -> list[dict[int, LaurentPoly]]:
+    """The bracket image over the identity-included canonical basis as
+    sparse columns: ``columns[i][j]`` is the nonzero entry in row j of
+    column i."""
     one = LaurentPoly.one("A")
-    columns: list[dict[int, LaurentPoly]] = [{i: one} for i in range(size)]
+    columns = [{i: one} for i in range(len(enumerate_diagrams(word.strands)))]
     loop = kauffman_loop_value()
     for letter in word.letters:
         targets, exponents = _bracket_action(word.strands, abs(letter))
@@ -155,12 +160,13 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
                 column[row] = q
             updated.append(column)
         columns = updated
-    zero = LaurentPoly.zero("A")
-    grid = [[zero] * size for _ in range(size)]
-    for i, column in enumerate(columns):
-        for row, p in column.items():
-            grid[row][i] = p
-    return PolyMatrix.from_rows("A", grid)
+    return columns
+
+
+def braid_image_matrix(word: BraidWord) -> PolyMatrix:
+    """The bracket image as a matrix over the identity-included canonical
+    basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A))."""
+    return PolyMatrix.from_columns("A", _image_columns(word))
 
 
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:
@@ -182,9 +188,9 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
         return BraidWord(n, letters)
 
     def both_equal(w1: BraidWord, w2: BraidWord) -> bool:
-        return braid_image(w1) == braid_image(w2) and braid_image_matrix(
-            w1
-        ) == braid_image_matrix(w2)
+        return braid_image(w1) == braid_image(w2) and (
+            _image_columns(w1) == _image_columns(w2)
+        )
 
     for j in range(1, n - 1):
         entries.append(
@@ -201,15 +207,12 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
                     both_equal(word(j, k), word(k, j)),
                 )
             )
-    identity_element = braid_image(BraidWord.identity(n))
-    identity_matrix = PolyMatrix.identity(len(enumerate_diagrams(n)), "A")
+    identity = BraidWord.identity(n)
     for j in range(1, n):
-        w = word(j, -j)
-        ok = (
-            braid_image(w) == identity_element
-            and braid_image_matrix(w) == identity_matrix
+        entries.append(
+            (f"sigma_{j}*sigma_{j}^-1 = 1", both_equal(word(j, -j), identity))
         )
-        entries.append((f"sigma_{j}*sigma_{j}^-1 = 1", ok))
+    identity_element = braid_image(identity)
     rng = random.Random(seed)
     for length in range(2, max_len + 1):
         letters = tuple(

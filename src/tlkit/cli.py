@@ -17,9 +17,10 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from . import __version__, kernel_backend
-from .braids import BraidWord, braid_image, braid_image_matrix, verify_artin
+from .braids import BraidWord, _image_columns, braid_image, verify_artin
 from .composition import compose, compose_scaled
 from .diagrams import ScaledDiagram, parse, serialize
 from .drawing import emit_figure
@@ -31,7 +32,6 @@ from .enumeration import (
 )
 from .laurent import LaurentPoly
 from .representation import (
-    GeneratorMatrix,
     generator_matrices,
     generator_matrix,
     verify_tl_relations,
@@ -157,17 +157,13 @@ def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, serialize(compose_scaled(lhs, rhs)) + "\n"
 
 
-def _generator_csv(gm: GeneratorMatrix, eval_d: int | None) -> list[str]:
-    """CSV rows of a generator map: d^m (or eval_d^m) in row targets[i] of
-    column i, 0 elsewhere."""
-    texts: dict[int, str] = {}
-    rows = [["0"] * gm.size for _ in range(gm.size)]
-    for i, (j, m) in enumerate(zip(gm.targets, gm.exponents)):
-        if m not in texts:
-            texts[m] = str(
-                LaurentPoly.monomial("d", m) if eval_d is None else eval_d**m
-            )
-        rows[j][i] = texts[m]
+def _csv_rows(columns: Sequence[Mapping[int, str]]) -> list[str]:
+    """Rows of a square CSV with the text ``columns[i][j]`` in row j of
+    column i and 0 in every unlisted cell."""
+    rows = [["0"] * len(columns) for _ in columns]
+    for i, column in enumerate(columns):
+        for j, text in column.items():
+            rows[j][i] = text
     return [",".join(row) for row in rows]
 
 
@@ -181,6 +177,7 @@ def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
     else:
         k = int(args.gen)
         selected = [generator_matrix(k, basis, args.include_identity)]
+    d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d
     lines: list[str] = []
     for gm in selected:
         lines.append(
@@ -188,7 +185,10 @@ def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
             f"basis size {gm.size}, identity "
             f"{'included' if gm.include_identity else 'excluded'}"
         )
-        lines.extend(_generator_csv(gm, args.eval_d))
+        # column i holds d^m, or eval_d^m, in row targets[i]
+        texts = {m: str(d**m) for m in set(gm.exponents)}
+        columns = [{j: texts[m]} for j, m in zip(gm.targets, gm.exponents)]
+        lines.extend(_csv_rows(columns))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
@@ -220,13 +220,15 @@ def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
         )
     word = BraidWord.from_text(args.strands, args.word)
     if args.matrix:
-        matrix = braid_image_matrix(word)
+        columns = [
+            {row: str(p) for row, p in column.items()}
+            for column in _image_columns(word)
+        ]
         header = (
             f"# bracket image of {word.to_text() or '(empty word)'} on "
-            f"{args.strands} strands, {matrix.size}x{matrix.size}, entries in A"
+            f"{args.strands} strands, {len(columns)}x{len(columns)}, entries in A"
         )
-        rows = [",".join(str(entry) for entry in row) for row in matrix.rows]
-        return EXIT_OK, "\n".join([header] + rows) + "\n"
+        return EXIT_OK, "\n".join([header] + _csv_rows(columns)) + "\n"
     element = braid_image(word)
     lines = [
         f"# bracket image of {word.to_text() or '(empty word)'} on "

@@ -1,16 +1,17 @@
 """Small square matrices over LaurentPoly.
 
-``PolyMatrix`` is the dense view of results: ``GeneratorMatrix.matrix``,
-the bracket image returned by ``braid_image_matrix`` and the rows printed
-as CSV.  The library computes neither relation checks nor bracket images
-with it; those work on column-monomial maps and sparse columns (see
-``representation`` and ``braids``).  Its arithmetic is kept for the dense
-oracles the tests check the library against."""
+``PolyMatrix`` is the dense view of results: ``GeneratorMatrix.matrix``
+and the bracket image returned by ``braid_image_matrix``.  The library
+computes, compares and prints generator actions and bracket images as
+column-monomial maps and sparse columns (see ``representation`` and
+``braids``); ``from_columns`` is the one place a dense matrix is built
+from them.  The arithmetic is kept for the dense oracles the tests check
+the library against, and ``__mul__`` for the benchmark tracer."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly
 
@@ -46,15 +47,22 @@ class PolyMatrix:
         return cls(variable, tuple(tuple(r) for r in rows))
 
     @classmethod
+    def from_columns(
+        cls, variable: str, columns: Sequence[Mapping[int, LaurentPoly]]
+    ) -> PolyMatrix:
+        """The square matrix with ``columns[i][j]`` in row j of column i
+        and zero in every unlisted cell."""
+        zero = LaurentPoly.zero(variable)
+        grid = [[zero] * len(columns) for _ in columns]
+        for i, column in enumerate(columns):
+            for j, entry in column.items():
+                grid[j][i] = entry
+        return cls.from_rows(variable, grid)
+
+    @classmethod
     def identity(cls, size: int, variable: str) -> PolyMatrix:
-        z = LaurentPoly.zero(variable)
         one = LaurentPoly.one(variable)
-        return cls(
-            variable,
-            tuple(
-                tuple(one if i == j else z for j in range(size)) for i in range(size)
-            ),
-        )
+        return cls.from_columns(variable, [{i: one} for i in range(size)])
 
     def __add__(self, other: PolyMatrix) -> PolyMatrix:
         self._check(other)
@@ -68,21 +76,18 @@ class PolyMatrix:
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         self._check(other)
-        size = self.size
-        zero = LaurentPoly.zero(self.variable)
-        grid: list[list[LaurentPoly]] = [[zero] * size for _ in range(size)]
-        for i in range(size):
-            row = self.rows[i]
-            for k in range(size):
-                a = row[k]
-                if a.is_zero():
+        columns = []
+        for j in range(other.size):
+            column: dict[int, LaurentPoly] = {}
+            for k, b in enumerate(other.column(j)):
+                if b.is_zero():
                     continue
-                other_row = other.rows[k]
-                for j in range(size):
-                    b = other_row[j]
-                    if not b.is_zero():
-                        grid[i][j] = grid[i][j] + a * b
-        return PolyMatrix(self.variable, tuple(tuple(r) for r in grid))
+                for i, row in enumerate(self.rows):
+                    a = row[k]
+                    if not a.is_zero():
+                        column[i] = column[i] + a * b if i in column else a * b
+            columns.append(column)
+        return PolyMatrix.from_columns(self.variable, columns)
 
     def scaled(self, factor: LaurentPoly) -> PolyMatrix:
         if factor.variable != self.variable:
@@ -104,18 +109,6 @@ class PolyMatrix:
             raise ValueError("matrix variable mismatch")
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
-
-    def __pow__(self, k: int) -> PolyMatrix:
-        if k < 0:
-            raise ValueError("negative matrix powers are not defined")
-        acc = PolyMatrix.identity(self.size, self.variable)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
 
     def column(self, j: int) -> tuple[LaurentPoly, ...]:
         return tuple(row[j] for row in self.rows)

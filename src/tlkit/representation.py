@@ -206,11 +206,13 @@ class GeneratorMatrix:
     @functools.cached_property
     def matrix(self) -> PolyMatrix:
         """The dense matrix over LaurentPoly(d)."""
-        zero = LaurentPoly.zero("d")
-        grid = [[zero] * self.size for _ in range(self.size)]
-        for i, (j, m) in enumerate(zip(self.targets, self.exponents)):
-            grid[j][i] = LaurentPoly.monomial("d", m)
-        return PolyMatrix.from_rows("d", grid)
+        return PolyMatrix.from_columns(
+            "d",
+            [
+                {j: LaurentPoly.monomial("d", m)}
+                for j, m in zip(self.targets, self.exponents)
+            ],
+        )
 
 
 def _generator_maps(

@@ -1,12 +1,14 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tlkit import braids
 from tlkit.braids import (
     BraidWord,
-    KauffmanParams,
+    _image_columns,
     braid_image,
     braid_image_matrix,
     kauffman_loop_value,
@@ -50,13 +52,37 @@ class TestBraidWord:
         with pytest.raises(ValueError):
             BraidWord(3, (1,)) * BraidWord(4, (1,))
 
+    def test_stores_a_tuple_of_ints(self):
+        w = BraidWord(3, [1, -2])
+        assert w.letters == (1, -2) and type(w.letters) is tuple
+        assert hash(w) == hash(BraidWord(3, (1, -2)))
+        assert BraidWord(3, (True,)).letters == (1,)
+        assert type(BraidWord(3, (True,)).letters[0]) is int
+
+    @pytest.mark.parametrize(
+        "strands,letters", [(3, (1.0,)), ("3", (1,)), (3.0, ()), (3, ("1",)), (3, 1)]
+    )
+    def test_rejects_non_integers(self, strands, letters):
+        with pytest.raises(ValueError, match="must be integers"):
+            BraidWord(strands, letters)
+
+    @pytest.mark.parametrize("text", ["1,,2", "1,x", "1.5", ","])
+    def test_from_text_quotes_a_bad_word(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            BraidWord.from_text(3, text)
+
+
+@given(st.integers(1, 6), st.text())
+def test_from_text_raises_only_value_error(strands, text):
+    try:
+        word = BraidWord.from_text(strands, text)
+    except ValueError:
+        return
+    assert all(1 <= abs(x) < strands for x in word.letters)
+
 
 def test_kauffman_loop_value():
     assert str(kauffman_loop_value()) == "-A^2-A^-2"
-    params = KauffmanParams()
-    assert params.loop_value == kauffman_loop_value()
-    with pytest.raises(ValueError):
-        KauffmanParams(variable="d")
 
 
 def test_empty_word_maps_to_identity():
@@ -142,8 +168,8 @@ def test_matrix_route_matches_element_route(n):
 
 
 @st.composite
-def braid_words(draw, max_strands=5, max_len=6):
-    n = draw(st.integers(2, max_strands))
+def braid_words(draw, min_strands=2, max_strands=5, max_len=6):
+    n = draw(st.integers(min_strands, max_strands))
     letters = st.sampled_from([s * i for i in range(1, n) for s in (1, -1)])
     return BraidWord(n, tuple(draw(st.lists(letters, max_size=max_len))))
 
@@ -151,12 +177,60 @@ def braid_words(draw, max_strands=5, max_len=6):
 @given(braid_words())
 def test_matrix_image_matches_dense_product(word):
     assert braid_image_matrix(word) == dense_braid_image_matrix(word)
+    # verify_artin compares columns, so equal images need equal columns:
+    # an entry that cancels to zero must not be stored.
+    for column in _image_columns(word):
+        assert not any(p.is_zero() for p in column.values())
+
+
+def assert_same_images(w1, w2):
+    assert braid_image(w1) == braid_image(w2)
+    assert _image_columns(w1) == _image_columns(w2)
+
+
+def spliced(word, at, letters):
+    return BraidWord(word.strands, word.letters[:at] + letters + word.letters[at:])
+
+
+@given(braid_words(min_strands=3, max_len=3), st.data())
+def test_braided_relation_anywhere_in_a_word(word, data):
+    at = data.draw(st.integers(0, len(word.letters)))
+    j = data.draw(st.integers(1, word.strands - 2))
+    s = data.draw(st.sampled_from([1, -1]))
+    a, b = s * j, s * (j + 1)
+    assert_same_images(spliced(word, at, (a, b, a)), spliced(word, at, (b, a, b)))
+
+
+@given(braid_words(min_strands=4, max_len=4), st.data())
+def test_far_commutation_anywhere_in_a_word(word, data):
+    at = data.draw(st.integers(0, len(word.letters)))
+    j = data.draw(st.integers(1, word.strands - 3))
+    k = data.draw(st.integers(j + 2, word.strands - 1))
+    a = data.draw(st.sampled_from([j, -j]))
+    b = data.draw(st.sampled_from([k, -k]))
+    assert_same_images(spliced(word, at, (a, b)), spliced(word, at, (b, a)))
+
+
+@given(braid_words(max_len=3))
+def test_word_times_inverse_is_identity(word):
+    assert_same_images(word * word.inverse(), BraidWord.identity(word.strands))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_verify_artin_passes(n):
     report = verify_artin(n, max_len=5)
     assert report.passed, report.lines()
+
+
+def test_verify_artin_reports_a_wrong_action(monkeypatch):
+    original = braids._bracket_action
+
+    def skewed(strands, index):
+        targets, exponents = original(strands, index)
+        return targets, (exponents[0] + 1,) + exponents[1:]
+
+    monkeypatch.setattr(braids, "_bracket_action", skewed)
+    assert not verify_artin(4).passed
 
 
 def test_verify_artin_rejects_single_strand():

@@ -49,6 +49,12 @@ class TestGolden:
                 "bracket_4_matrix.csv",
             ),
             (["verify", "--dim", "5", "--relations", "all"], "verify_dim5_all.txt"),
+            (["bracket", "--strands", "1", "--matrix"], "bracket_1_matrix.csv"),
+            (
+                ["bracket", "--strands", "5", "--word=-1,2,-3,4,-2", "--matrix"],
+                "bracket_5_matrix.csv",
+            ),
+            (["verify", "--dim", "6", "--relations", "artin"], "verify_dim6_artin.txt"),
         ],
     )
     def test_matches_golden_and_byte_stable(self, args, golden):
@@ -313,6 +319,13 @@ class TestBracket:
 
     def test_bad_letter(self):
         assert cli.main(["bracket", "--strands", "2", "--word", "5"]) == cli.EXIT_VALIDATION
+
+    def test_empty_letter_is_named(self, capsys):
+        code = cli.main(["bracket", "--strands", "3", "--word", "1,,2"])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: braid word '1,,2' must be comma-separated signed integers\n"
+        )
 
 
 class TestDraw:

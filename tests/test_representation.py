@@ -227,6 +227,12 @@ class TestGeneratorMatrix:
             assert type(j) is int and type(m) is int
         assert gm.matrix is gm.matrix
 
+    def test_dense_matrices_are_built_from_columns(self):
+        a, z = LaurentPoly.monomial("A", 2), LaurentPoly.zero("A")
+        m = PolyMatrix.from_columns("A", [{1: a}, {}, {0: a, 2: -a}])
+        assert m.rows == ((z, z, a), (a, z, z), (z, z, -a))
+        assert PolyMatrix.from_columns("A", []).size == 0
+
     def test_generator_matrices_match_single_builds(self):
         basis = enumerate_diagrams(5)
         for include_identity in (False, True):

@@ -11,49 +11,18 @@ immutable and safe to share across threads.  The two hot kernels
 (basis enumeration and pairing composition) are plain Python in
 ``tlkit._backend``; the package has no dependencies outside the standard
 library.
+
+The names in ``__all__`` are loaded lazily (PEP 562): ``import tlkit``
+imports none of the submodules, and the first use of a name such as
+``tlkit.braid_image`` imports its home module.  ``dir(tlkit)`` and
+``from tlkit import *`` see every exported name as before.
 """
 
 from __future__ import annotations
 
-__version__ = "0.1.0"
+import importlib
 
-from .braids import (
-    BraidWord,
-    braid_image,
-    braid_image_matrix,
-    kauffman_loop_value,
-    verify_artin,
-)
-from .composition import compose, compose_scaled
-from .diagrams import (
-    ConnectabilityMatrix,
-    PlanarDiagram,
-    ScaledDiagram,
-    canonical_compare,
-    connectability,
-    is_noncrossing,
-    parse,
-    restrict_connectability,
-    serialize,
-)
-from .drawing import emit_figure
-from .elements import TLElement, multiply
-from .enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
-from .laurent import LaurentPoly
-from .matrices import PolyMatrix
-from .representation import (
-    Generator,
-    GeneratorMatrix,
-    IdealPartition,
-    RelationReport,
-    generator_matrix,
-    generators,
-    ideal_partition,
-    left_multiply,
-    representation_basis,
-    verify_tl_relations,
-    verify_tl_relations_diagrams,
-)
+__version__ = "0.1.0"
 
 
 def kernel_backend() -> str:
@@ -61,42 +30,58 @@ def kernel_backend() -> str:
     return "python"
 
 
-__all__ = [
-    "BraidWord",
-    "ConnectabilityMatrix",
-    "DiagramBasis",
-    "Generator",
-    "GeneratorMatrix",
-    "IdealPartition",
-    "LaurentPoly",
-    "PlanarDiagram",
-    "PolyMatrix",
-    "RelationReport",
-    "ScaledDiagram",
-    "TLElement",
-    "braid_image",
-    "braid_image_matrix",
-    "canonical_compare",
-    "catalan",
-    "compose",
-    "compose_scaled",
-    "connectability",
-    "emit_figure",
-    "enumerate_diagrams",
-    "generator_matrix",
-    "generators",
-    "ideal_partition",
-    "identity_diagram",
-    "is_noncrossing",
-    "kauffman_loop_value",
-    "kernel_backend",
-    "left_multiply",
-    "multiply",
-    "parse",
-    "representation_basis",
-    "restrict_connectability",
-    "serialize",
-    "verify_artin",
-    "verify_tl_relations",
-    "verify_tl_relations_diagrams",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "BraidWord": "braids",
+    "braid_image": "braids",
+    "braid_image_matrix": "braids",
+    "kauffman_loop_value": "braids",
+    "verify_artin": "braids",
+    "compose": "composition",
+    "compose_scaled": "composition",
+    "ConnectabilityMatrix": "diagrams",
+    "PlanarDiagram": "diagrams",
+    "ScaledDiagram": "diagrams",
+    "canonical_compare": "diagrams",
+    "connectability": "diagrams",
+    "is_noncrossing": "diagrams",
+    "parse": "diagrams",
+    "restrict_connectability": "diagrams",
+    "serialize": "diagrams",
+    "emit_figure": "drawing",
+    "TLElement": "elements",
+    "multiply": "elements",
+    "DiagramBasis": "enumeration",
+    "catalan": "enumeration",
+    "enumerate_diagrams": "enumeration",
+    "identity_diagram": "enumeration",
+    "LaurentPoly": "laurent",
+    "PolyMatrix": "matrices",
+    "Generator": "representation",
+    "GeneratorMatrix": "representation",
+    "IdealPartition": "representation",
+    "RelationReport": "representation",
+    "generator_matrix": "representation",
+    "generators": "representation",
+    "ideal_partition": "representation",
+    "left_multiply": "representation",
+    "representation_basis": "representation",
+    "verify_tl_relations": "representation",
+    "verify_tl_relations_diagrams": "representation",
+}
+
+__all__ = sorted([*_EXPORTS, "kernel_backend"])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+

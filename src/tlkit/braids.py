@@ -151,7 +151,8 @@ def _image_columns(word: BraidWord) -> list[dict[int, LaurentPoly]]:
         for own, target, m in zip(columns, targets, exponents):
             column = {row: p.shifted(shift) for row, p in own.items()}
             for row, p in columns[target].items():
-                q = p * factors[m]
+                # factors[0] is the monomial A^-shift: a shift, no product
+                q = p.shifted(-shift) if m == 0 else p * factors[m]
                 if row in column:
                     q = column[row] + q
                     if q.is_zero():

@@ -12,31 +12,21 @@ with the TLKIT_MAX_DIM environment variable.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
-import tempfile
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__, kernel_backend
-from .braids import BraidWord, _image_columns, braid_image, verify_artin
-from .composition import compose, compose_scaled
-from .diagrams import ScaledDiagram, parse, serialize
-from .drawing import emit_figure
-from .enumeration import (
-    DEFAULT_MAX_DIMENSION,
-    catalan,
-    count_diagrams,
-    enumerate_diagrams,
-)
-from .laurent import LaurentPoly
-from .representation import (
-    generator_matrices,
-    generator_matrix,
-    verify_tl_relations,
-    verify_tl_relations_diagrams,
-)
+from .enumeration import DEFAULT_MAX_DIMENSION
+
+if TYPE_CHECKING:
+    from .diagrams import ScaledDiagram
+
+# Each runner imports what it uses when it runs, so a process loads only
+# the modules of its own subcommand.  A function-level import also reads
+# the module attribute at call time, where a tracer such as
+# perfbench/launcher.py may have wrapped it.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -68,6 +58,8 @@ def _check_dimension(args: argparse.Namespace) -> None:
 
 def _read_diagram_arg(value: str, dimension: int) -> ScaledDiagram:
     """FILE_OR_INLINE: a path to a one-line diagram file, or the line itself."""
+    from .diagrams import parse
+
     text = value
     candidate = Path(value)
     try:
@@ -87,13 +79,20 @@ def _read_diagram_arg(value: str, dimension: int) -> ScaledDiagram:
 
 
 def _basis_lines(dimension: int, max_dimension: int) -> str:
+    from .diagrams import serialize_pairings
+    from .enumeration import enumerate_diagrams
+
     basis = enumerate_diagrams(dimension, max_dimension=max_dimension)
-    return "".join(serialize(ScaledDiagram(d, 0)) + "\n" for d in basis)
+    return serialize_pairings(dimension, [d.pairing for d in basis])
 
 
 def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> str:
     """Basis file cache keyed by dimension and format version; hits are
     validated by the Catalan count and a content hash."""
+    import hashlib
+
+    from .enumeration import catalan
+
     cache_dir.mkdir(parents=True, exist_ok=True)
     stem = cache_dir / f"basis_{_CACHE_VERSION}_dim{dimension}"
     data_path = stem.with_suffix(".tl")
@@ -115,11 +114,17 @@ def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> 
 def _write_replacing(path: Path, text: str) -> None:
     """Write through a temporary file in the same directory and rename it
     over ``path``, so a killed run leaves the old file or none, never a
-    partial one."""
+    partial one.  The file gets the permissions a plain write would create
+    it with, not the owner-only ones of a temporary file."""
+    import tempfile
+
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -129,6 +134,8 @@ def _write_replacing(path: Path, text: str) -> None:
 def _run_enumerate(args: argparse.Namespace) -> tuple[int, str]:
     _check_dimension(args)
     if args.count_only:
+        from .enumeration import count_diagrams
+
         return EXIT_OK, f"{count_diagrams(args.dim, max_dimension=args.max_dim)}\n"
     if args.cache is not None:
         return EXIT_OK, _cached_basis_lines(args.dim, args.max_dim, args.cache)
@@ -138,20 +145,34 @@ def _run_enumerate(args: argparse.Namespace) -> tuple[int, str]:
 def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
     _check_dimension(args)
     if args.table:
-        basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
-        index_of = basis.index_of
-        size = len(basis)
-        header = "lhs/rhs," + ",".join(str(j) for j in range(1, size + 1))
-        rows = [header]
-        for i, lhs in enumerate(basis, start=1):
+        from . import _backend
+        from .diagrams import PlanarDiagram
+        from .enumeration import enumerate_diagrams
+
+        n = args.dim
+        basis = enumerate_diagrams(n, max_dimension=args.max_dim)
+        pairings = [d.pairing for d in basis]
+        compose_pairings = _backend.compose_pairings
+        # one "row:loops" label per distinct (product pairing, loops) result
+        labels: dict[tuple[tuple[int, ...], int], str] = {}
+        rows = ["lhs/rhs," + ",".join(str(j) for j in range(1, len(pairings) + 1))]
+        for i, lhs in enumerate(pairings, start=1):
             cells = []
-            for rhs in basis:
-                product = compose(lhs, rhs)
-                cells.append(f"{index_of(product.diagram) + 1}:{product.loop_exponent}")
+            for rhs in pairings:
+                product = compose_pairings(lhs, rhs, n)
+                label = labels.get(product)
+                if label is None:
+                    pairing, loops = product
+                    row = basis.index_of(PlanarDiagram._trusted(n, pairing)) + 1
+                    label = labels[product] = f"{row}:{loops}"
+                cells.append(label)
             rows.append(f"{i}," + ",".join(cells))
         return EXIT_OK, "\n".join(rows) + "\n"
     if args.lhs is None or args.rhs is None:
         raise ValueError("compose needs --table or both --lhs and --rhs")
+    from .composition import compose_scaled
+    from .diagrams import serialize
+
     lhs = _read_diagram_arg(args.lhs, args.dim)
     rhs = _read_diagram_arg(args.rhs, args.dim)
     return EXIT_OK, serialize(compose_scaled(lhs, rhs)) + "\n"
@@ -171,6 +192,10 @@ def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
     _check_dimension(args)
     if args.dim < 2:
         raise ValueError("representations need dimension >= 2")
+    from .enumeration import enumerate_diagrams
+    from .laurent import LaurentPoly
+    from .representation import generator_matrices, generator_matrix
+
     basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
     if args.gen == "all":
         selected = generator_matrices(basis, args.include_identity)
@@ -196,12 +221,21 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
     _check_dimension(args)
     if args.dim < 2:
         raise ValueError("relation verification needs dimension >= 2")
+    from .enumeration import enumerate_diagrams
+    from .representation import (
+        generator_matrices,
+        verify_tl_relations,
+        verify_tl_relations_diagrams,
+    )
+
     basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
     reports = []
     if args.relations in ("tl", "all"):
         reports.append(verify_tl_relations(generator_matrices(basis)))
         reports.append(verify_tl_relations_diagrams(args.dim))
     if args.relations in ("artin", "all"):
+        from .braids import verify_artin
+
         reports.append(verify_artin(args.dim))
     lines: list[str] = []
     for report in reports:
@@ -218,6 +252,9 @@ def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError(
             f"strand count {args.strands} exceeds the ceiling {args.max_dim}"
         )
+    from .braids import BraidWord, _image_columns, braid_image
+    from .diagrams import ScaledDiagram, serialize
+
     word = BraidWord.from_text(args.strands, args.word)
     if args.matrix:
         columns = [
@@ -241,6 +278,9 @@ def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
 
 def _run_draw(args: argparse.Namespace) -> tuple[int, str]:
     _check_dimension(args)
+    from .drawing import emit_figure
+    from .enumeration import enumerate_diagrams
+
     if args.basis:
         basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
         return EXIT_OK, emit_figure(tuple(basis), args.fmt)
@@ -332,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"output directory {args.output.parent} does not exist")
         code, text = run(args)
         if args.output is not None:
-            args.output.write_text(text, encoding="utf-8")
+            _write_replacing(args.output, text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

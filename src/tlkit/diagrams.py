@@ -28,6 +28,7 @@ first, e.g. ``TL 4 m=2 (1,2)(3,8)(4,7)(5,6)``.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -194,8 +195,15 @@ class ScaledDiagram:
     loop_exponent: int = 0
 
     def __post_init__(self) -> None:
-        if self.loop_exponent < 0:
+        if not isinstance(self.diagram, PlanarDiagram):
+            raise ValueError("a scaled diagram needs a PlanarDiagram")
+        try:
+            loop_exponent = operator.index(self.loop_exponent)
+        except TypeError:
+            raise ValueError("loop exponent must be an integer") from None
+        if loop_exponent < 0:
             raise ValueError("loop exponent must be nonnegative")
+        object.__setattr__(self, "loop_exponent", loop_exponent)
 
     @property
     def dimension(self) -> int:
@@ -300,11 +308,44 @@ _LINE_RE = re.compile(r"^TL\s+(\d+)\s+m=(\d+)\s*((?:\(\d+,\d+\))+)$")
 _PAIR_RE = re.compile(r"\((\d+),(\d+)\)")
 
 
+class _PairTexts(dict):
+    """Partner b -> the text ``(a,b)`` of node a's pair when a < b, and
+    "" when a is the larger end; filled as partners are first seen."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: int) -> None:
+        self.node = node
+
+    def __missing__(self, partner: int) -> str:
+        a = self.node
+        text = self[partner] = f"({a},{partner})" if a < partner else ""
+        return text
+
+
+@functools.cache
+def _pair_texts(dimension: int) -> tuple[_PairTexts, ...]:
+    """The pair texts of every node of one dimension, so that a partner
+    tuple ``p`` reads as ``"".join(map(getitem, table, p))``."""
+    return tuple(_PairTexts(a) for a in range(1, 2 * dimension + 1))
+
+
 def serialize(scaled: ScaledDiagram) -> str:
     """One-line text form; parse() inverts it exactly."""
     diagram = scaled.diagram
-    pairs = "".join([f"({a},{b})" for a, b in enumerate(diagram.pairing, 1) if a < b])
-    return f"TL {diagram.dimension} m={scaled.loop_exponent} {pairs}"
+    dimension = diagram.dimension
+    pairs = "".join(map(operator.getitem, _pair_texts(dimension), diagram.pairing))
+    return f"TL {dimension} m={scaled.loop_exponent} {pairs}"
+
+
+def serialize_pairings(dimension: int, pairings: Sequence[tuple[int, ...]]) -> str:
+    """The lines ``serialize`` gives for the loop-free diagrams with these
+    partner tuples, each ending in a newline, built without a diagram
+    object per line."""
+    table = _pair_texts(dimension)
+    prefix = f"TL {dimension} m=0 "
+    join, getitem = "".join, operator.getitem
+    return "".join([prefix + join(map(getitem, table, p)) + "\n" for p in pairings])
 
 
 def parse(line: str) -> ScaledDiagram:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import _backend
@@ -99,6 +100,21 @@ def _basis(dimension: int) -> DiagramBasis:
     return DiagramBasis(dimension, diagrams)
 
 
+def _checked_dimension(dimension: int, max_dimension: int | None) -> int:
+    try:
+        dimension = operator.index(dimension)
+    except TypeError:
+        raise ValueError(f"dimension must be an integer, got {dimension!r}") from None
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
+    ceiling = DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension
+    if dimension > ceiling:
+        raise ValueError(
+            f"dimension {dimension} exceeds the resource ceiling {ceiling}"
+        )
+    return dimension
+
+
 def enumerate_diagrams(
     dimension: int, *, max_dimension: int | None = None
 ) -> DiagramBasis:
@@ -107,23 +123,9 @@ def enumerate_diagrams(
     Raises for dimensions above the resource ceiling (DEFAULT_MAX_DIMENSION
     unless overridden).
     """
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    ceiling = DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension
-    if dimension > ceiling:
-        raise ValueError(
-            f"dimension {dimension} exceeds the resource ceiling {ceiling}"
-        )
-    return _basis(dimension)
+    return _basis(_checked_dimension(dimension, max_dimension))
 
 
 def count_diagrams(dimension: int, *, max_dimension: int | None = None) -> int:
     """Leaf count of the enumeration search (not the closed formula)."""
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    ceiling = DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension
-    if dimension > ceiling:
-        raise ValueError(
-            f"dimension {dimension} exceeds the resource ceiling {ceiling}"
-        )
-    return _backend.count_pairings(dimension)
+    return _backend.count_pairings(_checked_dimension(dimension, max_dimension))

@@ -24,13 +24,20 @@ class PolyMatrix:
     rows: tuple[tuple[LaurentPoly, ...], ...]
 
     def __post_init__(self) -> None:
-        size = len(self.rows)
-        for row in self.rows:
+        try:
+            rows = tuple(tuple(row) for row in self.rows)
+        except TypeError:
+            raise ValueError("rows must be a sequence of sequences") from None
+        size = len(rows)
+        for row in rows:
             if len(row) != size:
                 raise ValueError("matrix must be square")
             for entry in row:
+                if not isinstance(entry, LaurentPoly):
+                    raise ValueError(f"entry {entry!r} is not a LaurentPoly")
                 if entry.variable != self.variable:
                     raise ValueError("all entries must share the matrix variable")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def size(self) -> int:
@@ -44,7 +51,7 @@ class PolyMatrix:
     def from_rows(
         cls, variable: str, rows: Sequence[Sequence[LaurentPoly]]
     ) -> PolyMatrix:
-        return cls(variable, tuple(tuple(r) for r in rows))
+        return cls(variable, rows)
 
     @classmethod
     def from_columns(

@@ -34,6 +34,7 @@ from that pass.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -188,16 +189,28 @@ class GeneratorMatrix:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        size = len(self.basis_order)
-        if len(self.targets) != size or len(self.exponents) != size:
+        try:
+            basis_order = tuple(self.basis_order)
+            targets = tuple(map(operator.index, self.targets))
+            exponents = tuple(map(operator.index, self.exponents))
+        except TypeError:
             raise ValueError(
-                f"targets ({len(self.targets)}), exponents ({len(self.exponents)}) "
+                "basis order must be a sequence, and targets and exponents "
+                "sequences of integers"
+            ) from None
+        size = len(basis_order)
+        if len(targets) != size or len(exponents) != size:
+            raise ValueError(
+                f"targets ({len(targets)}), exponents ({len(exponents)}) "
                 f"and basis order ({size}) must have one entry per column"
             )
-        if size and not (0 <= min(self.targets) and max(self.targets) < size):
+        if size and not (0 <= min(targets) and max(targets) < size):
             raise ValueError(f"every target must lie in 0..{size - 1}")
-        if size and min(self.exponents) < 0:
+        if size and min(exponents) < 0:
             raise ValueError("loop exponents must be non-negative")
+        object.__setattr__(self, "basis_order", basis_order)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def size(self) -> int:

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import tlkit
-from tlkit import cli
+from tlkit import cli, representation
+from tlkit.composition import compose
 from tlkit.diagrams import parse
-from tlkit.enumeration import identity_diagram
+from tlkit.enumeration import enumerate_diagrams, identity_diagram
 from tlkit.representation import (
     GeneratorMatrix,
     RelationReport,
@@ -137,6 +138,34 @@ class TestEnumerate:
         assert code == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("failure", ["encode", "rename"])
+    def test_failed_output_write_keeps_old_file(self, tmp_path, monkeypatch, failure):
+        target = tmp_path / "basis.tl"
+        target.write_text("old\n", encoding="utf-8")
+        text = "TL 1 m=0 (1,2)\n" * 1000
+        if failure == "encode":
+            # a lone surrogate has no UTF-8 form, so the write fails part way
+            text += "\ud800"
+        else:
+            def fail(src, dst):
+                raise OSError("disk full")
+
+            monkeypatch.setattr(os, "replace", fail)
+        monkeypatch.setattr(cli, "run", lambda args: (cli.EXIT_OK, text))
+        code = cli.main(["enumerate", "--dim", "1", "--output", str(target)])
+        assert code == cli.EXIT_VALIDATION
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["basis.tl"]
+
+    def test_output_file_gets_default_permissions(self, tmp_path):
+        target = tmp_path / "basis.tl"
+        umask = os.umask(0o022)
+        try:
+            assert cli.main(["enumerate", "--dim", "2", "--output", str(target)]) == 0
+        finally:
+            os.umask(umask)
+        assert target.stat().st_mode & 0o777 == 0o644
+
     def test_failed_cache_write_leaves_no_entry(self, tmp_path, monkeypatch):
         def fail(src, dst):
             raise OSError("disk full")
@@ -170,6 +199,52 @@ class TestStartup:
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
         assert result.stdout == "False python\n"
+
+    @staticmethod
+    def fresh_python(probe, *args):
+        """Run ``probe`` in a new interpreter that imports this tlkit."""
+        src = str(Path(tlkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run(
+            [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
+        )
+
+    @pytest.mark.parametrize(
+        "args", [["enumerate", "--dim", "3"], ["compose", "--dim", "3", "--table"]]
+    )
+    def test_subcommand_loads_only_its_modules(self, args):
+        probe = (
+            "import sys\n"
+            "from tlkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(*(m for m in sys.modules if m.startswith('tlkit')), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        result = self.fresh_python(probe, *args)
+        loaded = set(result.stderr.split())
+        assert loaded >= {"tlkit.cli", "tlkit.enumeration"}
+        unused = {"representation", "braids", "laurent", "matrices", "drawing"}
+        assert not loaded & {f"tlkit.{name}" for name in unused}
+        assert result.stdout == run_cli(args)[1]
+
+    def test_lazy_exports(self):
+        probe = (
+            "import sys, tlkit\n"
+            "print([m for m in sys.modules if m.startswith('tlkit.')])\n"
+            "print(set(tlkit.__all__) <= set(dir(tlkit)))\n"
+        )
+        result = self.fresh_python(probe)
+        assert result.stdout == "[]\nTrue\n"
+        namespace: dict = {}
+        exec("from tlkit import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(tlkit.__all__)
+        for name in tlkit.__all__:
+            value = getattr(tlkit, name)
+            assert namespace[name] is value
+            assert getattr(sys.modules[value.__module__], name) is value
+        assert set(tlkit.__all__) <= set(dir(tlkit))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            tlkit.no_such_name
 
 
 class TestCompose:
@@ -230,6 +305,20 @@ class TestCompose:
         assert code == 0
         assert out == "lhs/rhs,1,2\n1,1:1,1:0\n2,1:0,2:0\n"
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_table_cells_match_compose(self, n):
+        basis = enumerate_diagrams(n)
+        code, out = run_cli(["compose", "--dim", str(n), "--table"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()]
+        assert rows[0] == ["lhs/rhs"] + [str(j) for j in range(1, len(basis) + 1)]
+        assert len(rows) == len(basis) + 1
+        for i, lhs in enumerate(basis, start=1):
+            products = [compose(lhs, rhs) for rhs in basis]
+            assert rows[i] == [str(i)] + [
+                f"{basis.index_of(p.diagram) + 1}:{p.loop_exponent}" for p in products
+            ]
+
     def test_dimension_mismatch(self):
         assert (
             cli.main(
@@ -274,7 +363,7 @@ class TestVerify:
 
     def test_failure_exit_code(self, monkeypatch):
         broken = RelationReport("forced", (("forced check", False),))
-        monkeypatch.setattr(cli, "verify_tl_relations", lambda m: broken)
+        monkeypatch.setattr(representation, "verify_tl_relations", lambda m: broken)
         code, out = run_cli(["verify", "--dim", "2"])
         assert code == cli.EXIT_VERIFICATION
         assert "forced check: FAIL" in out
@@ -288,7 +377,7 @@ class TestVerify:
             mats[0] = GeneratorMatrix(1, False, u.basis_order, targets, u.exponents)
             return mats
 
-        monkeypatch.setattr(cli, "generator_matrices", corrupted)
+        monkeypatch.setattr(representation, "generator_matrices", corrupted)
         code, out = run_cli(["verify", "--dim", "3"])
         assert code == cli.EXIT_VERIFICATION
         lines = out.splitlines()

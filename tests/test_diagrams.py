@@ -11,6 +11,7 @@ from tlkit.diagrams import (
     parse,
     restrict_connectability,
     serialize,
+    serialize_pairings,
 )
 from tlkit.enumeration import enumerate_diagrams
 
@@ -135,6 +136,22 @@ class TestPlanarDiagram:
                 assert m[i][j] == int(d.partner(i + 1) == j + 1)
 
 
+class TestScaledDiagram:
+    @pytest.mark.parametrize(
+        "diagram,loop_exponent",
+        [
+            (PlanarDiagram(1, (2, 1)), 1.5),
+            (PlanarDiagram(1, (2, 1)), "1"),
+            (PlanarDiagram(1, (2, 1)), -1),
+            ("x", 1),
+            ((2, 1), 0),
+        ],
+    )
+    def test_rejects_bad_values(self, diagram, loop_exponent):
+        with pytest.raises(ValueError):
+            ScaledDiagram(diagram, loop_exponent)
+
+
 class TestCanonicalOrder:
     def test_identity_after_cup(self):
         cup = PlanarDiagram(2, (2, 1, 4, 3))
@@ -181,6 +198,16 @@ class TestSerialization:
         for d in enumerate_diagrams(4):
             scaled = ScaledDiagram(d, 3)
             assert parse(serialize(scaled)) == scaled
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_bulk_lines_match_serialize(self, n):
+        basis = enumerate_diagrams(n)
+        lines = serialize_pairings(n, [d.pairing for d in basis]).splitlines(keepends=True)
+        assert len(lines) == len(basis)
+        for line, d in zip(lines, basis):
+            pairs = "".join(f"({a},{b})" for a, b in d.pairs())
+            assert line == f"TL {n} m=0 {pairs}\n"
+            assert line == serialize(ScaledDiagram(d, 0)) + "\n"
 
     @pytest.mark.parametrize(
         "line",

@@ -76,6 +76,14 @@ def test_ceiling_enforced():
         enumerate_diagrams(0)
 
 
+@pytest.mark.parametrize("dimension", [2.0, 1.5, "3", None])
+def test_rejects_non_integer_dimension(dimension):
+    with pytest.raises(ValueError, match="integer"):
+        enumerate_diagrams(dimension)
+    with pytest.raises(ValueError, match="integer"):
+        count_diagrams(dimension)
+
+
 def test_kernel_rejects_bad_dimension():
     with pytest.raises(ValueError):
         _backend.enumerate_pairings(0)

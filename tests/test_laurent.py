@@ -3,6 +3,7 @@ import random
 import pytest
 
 from tlkit.laurent import LaurentPoly
+from tlkit.matrices import PolyMatrix
 
 
 def d(mapping):
@@ -13,6 +14,30 @@ def test_normalization_drops_zeros():
     assert d({2: 0, 1: 3}).coeffs == ((1, 3),)
     assert d({}) == LaurentPoly.zero("d")
     assert d({0: 1}).is_one()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1,),),
+        (("d",),),
+        ((LaurentPoly.one("A"),),),
+        ((LaurentPoly.one("d"), LaurentPoly.one("d")),),
+        5,
+        (5,),
+    ],
+)
+def test_poly_matrix_rejects_bad_rows(rows):
+    with pytest.raises(ValueError):
+        PolyMatrix("d", rows)
+
+
+def test_poly_matrix_stores_rows_as_tuples():
+    one, zero = LaurentPoly.one("d"), LaurentPoly.zero("d")
+    m = PolyMatrix("d", [[one, zero], [zero, one]])
+    assert m.rows == ((one, zero), (zero, one))
+    assert m == PolyMatrix.identity(2, "d")
+    assert hash(m) == hash(PolyMatrix.identity(2, "d"))
 
 
 def test_invalid_storage_rejected():

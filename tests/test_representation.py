@@ -273,6 +273,18 @@ class TestGeneratorMatrixValidation:
         with pytest.raises(ValueError, match="target"):
             self.rebuilt(gm, targets=targets)
 
+    @pytest.mark.parametrize("field", ["basis_order", "targets", "exponents"])
+    def test_stores_lists_as_tuples(self, gm, field):
+        rebuilt = self.rebuilt(gm, **{field: list(getattr(gm, field))})
+        assert rebuilt == gm
+        assert hash(rebuilt) == hash(gm)
+
+    @pytest.mark.parametrize("field", ["targets", "exponents"])
+    def test_rejects_non_integers(self, gm, field):
+        values = (0.0,) + getattr(gm, field)[1:]
+        with pytest.raises(ValueError, match="integers"):
+            self.rebuilt(gm, **{field: values})
+
     def test_rejects_negative_exponent(self, gm):
         exponents = gm.exponents[:-1] + (-1,)
         with pytest.raises(ValueError, match="non-negative"):

@@ -14,10 +14,11 @@ convention.  The loop value is forced: expanding sigma_i sigma_i^-1 gives
 1 + (A^2 + A^-2 + d) U_i, which collapses to the identity exactly for
 that d, and the relation suite re-derives this mechanically.
 
-Products follow operator order (the right factor acts first), matching
-the matrix representation: the image of a word is the ordered product of
-its letter images, and the matrix image is the same product over the
-matrices of left multiplication on the identity-included basis.
+Products follow operator order (the right factor acts first): the image
+of a word is the ordered product of its letter images.  The element image
+applies them to the identity, last letter first, each U_i by its local
+rule (``representation._apply_generator``); the matrix image is the same
+product of left-multiplication matrices on the identity-included basis.
 
 The matrix image is computed, compared and printed as sparse columns: one
 dict per basis column, from row index to a nonzero LaurentPoly(A).  U_i
@@ -35,11 +36,12 @@ import operator
 import random
 from dataclasses import dataclass
 
-from .elements import TLElement, multiply
-from .enumeration import enumerate_diagrams, identity_diagram
+from .diagrams import PlanarDiagram
+from .elements import TLElement
+from .enumeration import _integer, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
 from .matrices import PolyMatrix
-from .representation import RelationReport, generator_diagram, generator_matrix
+from .representation import RelationReport, _action, _apply_generator
 
 
 def kauffman_loop_value() -> LaurentPoly:
@@ -99,39 +101,31 @@ class BraidWord:
         return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
 
 
-@functools.cache
-def _letter_image(strands: int, letter: int) -> TLElement:
-    a = LaurentPoly.monomial("A", 1)
-    a_inv = LaurentPoly.monomial("A", -1)
-    ident = identity_diagram(strands)
-    cup = generator_diagram(strands, abs(letter))
-    straight, crossed = (a, a_inv) if letter > 0 else (a_inv, a)
-    return TLElement.from_terms(
-        strands, "A", [(ident, straight), (cup, crossed)]
-    )
-
-
-def multiply_kauffman(a: TLElement, b: TLElement) -> TLElement:
-    """TLElement product with loops worth -A^2 - A^-2."""
-    return multiply(a, b, kauffman_loop_value())
-
-
 def braid_image(word: BraidWord) -> TLElement:
     """The bracket image of the word, expanded and collected over the
     diagram basis with LaurentPoly(A) coefficients."""
-    acc = TLElement.from_diagram(
-        identity_diagram(word.strands), LaurentPoly.one("A")
+    n = word.strands
+    terms = {identity_diagram(n).pairing: LaurentPoly.one("A")}
+    for letter in reversed(word.letters):
+        # the letter is a.1 + b.U with a = A^shift and b = A^-shift
+        shift = 1 if letter > 0 else -1
+        with_loop = LaurentPoly.monomial("A", -shift) * kauffman_loop_value()
+        updated = {pairing: c.shifted(shift) for pairing, c in terms.items()}
+        for pairing, c in terms.items():
+            image, loops = _apply_generator(pairing, abs(letter), n)
+            q = c * with_loop if loops else c.shifted(-shift)
+            updated[image] = updated[image] + q if image in updated else q
+        terms = {p: c for p, c in updated.items() if not c.is_zero()}
+    trusted = PlanarDiagram._trusted
+    return TLElement(
+        n, "A", tuple((trusted(n, p), c) for p, c in sorted(terms.items()))
     )
-    for letter in word.letters:
-        acc = multiply_kauffman(acc, _letter_image(word.strands, letter))
-    return acc
 
 
 @functools.cache
 def _bracket_action(strands: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(targets, exponents) of U_index on the identity-included basis."""
-    gm = generator_matrix(index, enumerate_diagrams(strands), include_identity=True)
-    return gm.targets, gm.exponents
+    return _action(enumerate_diagrams(strands), index)
 
 
 def _image_columns(word: BraidWord) -> list[dict[int, LaurentPoly]]:
@@ -180,6 +174,8 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
     sigma_i sigma_i^-1 = 1 and seeded random words w of length up to
     max_len with w . w^-1 = 1.
     """
+    strands = _integer(strands, "strand count")
+    max_len = _integer(max_len, "max_len")
     if strands < 2:
         raise ValueError("braid relations need at least 2 strands")
     n = strands

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import __version__, kernel_backend
-from .enumeration import DEFAULT_MAX_DIMENSION
 
 if TYPE_CHECKING:
     from .diagrams import ScaledDiagram
@@ -37,6 +36,8 @@ _CACHE_VERSION = "v1"
 
 
 def _ceiling_from_env() -> int:
+    from .enumeration import DEFAULT_MAX_DIMENSION
+
     raw = os.environ.get("TLKIT_MAX_DIM")
     if raw is None:
         return DEFAULT_MAX_DIMENSION

@@ -48,7 +48,7 @@ class TLElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[PlanarDiagram, LaurentPoly] = {}
         for diagram, coeff in items:
-            acc[diagram] = acc.get(diagram, LaurentPoly.zero(variable)) + coeff
+            acc[diagram] = acc[diagram] + coeff if diagram in acc else coeff
         kept = tuple(
             sorted(
                 ((d, c) for d, c in acc.items() if not c.is_zero()),
@@ -85,10 +85,9 @@ class TLElement:
 
     def __add__(self, other: TLElement) -> TLElement:
         self._require_compatible(other)
-        acc = {d: c for d, c in self.terms}
-        for d, c in other.terms:
-            acc[d] = acc.get(d, LaurentPoly.zero(self.variable)) + c
-        return TLElement.from_terms(self.dimension, self.variable, acc)
+        return TLElement.from_terms(
+            self.dimension, self.variable, self.terms + other.terms
+        )
 
     def __neg__(self) -> TLElement:
         return TLElement(
@@ -120,11 +119,10 @@ def multiply(a: TLElement, b: TLElement, loop_value: LaurentPoly) -> TLElement:
     a._require_compatible(b)
     if loop_value.variable != a.variable:
         raise ValueError("loop value must use the coefficient variable")
-    acc: dict[PlanarDiagram, LaurentPoly] = {}
+    terms = []
     for da, ca in a.terms:
         for db, cb in b.terms:
             stacked = compose(db, da)
             coeff = ca * cb * loop_value**stacked.loop_exponent
-            d = stacked.diagram
-            acc[d] = acc.get(d, LaurentPoly.zero(a.variable)) + coeff
-    return TLElement.from_terms(a.dimension, a.variable, acc)
+            terms.append((stacked.diagram, coeff))
+    return TLElement.from_terms(a.dimension, a.variable, terms)

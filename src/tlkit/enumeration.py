@@ -82,8 +82,18 @@ class DiagramBasis:
         return self._index[d.pairing]  # type: ignore[attr-defined]
 
 
+def _integer(value: int, name: str) -> int:
+    """``value`` as an int, with ValueError (not TypeError) for a
+    non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def identity_diagram(dimension: int) -> PlanarDiagram:
     """N parallel strands: node i paired with i+N."""
+    dimension = _integer(dimension, "dimension")
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     n = dimension
@@ -101,10 +111,7 @@ def _basis(dimension: int) -> DiagramBasis:
 
 
 def _checked_dimension(dimension: int, max_dimension: int | None) -> int:
-    try:
-        dimension = operator.index(dimension)
-    except TypeError:
-        raise ValueError(f"dimension must be an integer, got {dimension!r}") from None
+    dimension = _integer(dimension, "dimension")
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     ceiling = DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension

@@ -24,11 +24,11 @@ built on first use.  Products of generators are compositions of maps,
 (U.V) sends column i to row tU[tV[i]] with exponent eV[i] + eU[tV[i]],
 so the relation check compares tuples and multiplies no matrices.
 
-One composition pass computes the action: each basis diagram is composed
-with each generator once, giving (targets, exponents) over positions in
-the basis (``DiagramBasis.index_of``).  The ideal blocks, the
-representation order and every ``GeneratorMatrix`` of a call are read
-from that pass.
+The action is each generator's local rule (``_apply_generator``, the
+link-state action of arXiv:1204.4505): U_k.D changes only D's top nodes
+a = N+k and b = N+k+1, into d.D if D pairs them and otherwise into the
+diagram pairing (a, b) and (D(a), D(b)).  One pass applies each generator
+to each basis diagram; the blocks, order and maps of a call come from it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 from .composition import compose
 from .diagrams import PlanarDiagram, ScaledDiagram
-from .enumeration import DiagramBasis, identity_diagram
+from .enumeration import DiagramBasis, _integer, identity_diagram
 from .laurent import LaurentPoly
 from .matrices import PolyMatrix
 
@@ -55,7 +55,8 @@ class Generator:
 
 
 def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
-    n = dimension
+    n = _integer(dimension, "dimension")
+    k = _integer(k, "generator index")
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} out of range 1..{n - 1}")
     pairing = list(range(n + 1, 2 * n + 1)) + list(range(1, n + 1))
@@ -68,6 +69,7 @@ def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
 
 def generators(dimension: int) -> list[Generator]:
     """The N-1 generators U_1 .. U_{N-1}."""
+    dimension = _integer(dimension, "dimension")
     if dimension < 2:
         raise ValueError("generators exist only for dimension >= 2")
     return [
@@ -77,7 +79,7 @@ def generators(dimension: int) -> list[Generator]:
 
 
 def left_multiply(generator: Generator, diagram: PlanarDiagram) -> ScaledDiagram:
-    """U_k . D with the generator stacked on top."""
+    """U_k . D by ``compose``, the reference for ``_apply_generator``."""
     return compose(diagram, generator.diagram)
 
 
@@ -102,18 +104,26 @@ class IdealPartition:
 Map = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+def _apply_generator(
+    pairing: tuple[int, ...], k: int, dimension: int
+) -> tuple[tuple[int, ...], int]:
+    """U_k . D as (partner tuple, loops), by the module docstring's rule."""
+    a, b = dimension + k, dimension + k + 1
+    p, q = pairing[a - 1], pairing[b - 1]
+    if p == b:
+        return pairing, 1
+    out = list(pairing)
+    out[a - 1], out[b - 1], out[p - 1], out[q - 1] = b, a, q, p
+    return tuple(out), 0
+
+
 def _action(basis: DiagramBasis, k: int) -> Map:
     """U_k on every basis position, in basis order: U_k . D_i =
     d^exponents[i] . D_targets[i]."""
-    gen = generator_diagram(basis.dimension, k)
-    index_of = basis.index_of
-    targets: list[int] = []
-    exponents: list[int] = []
-    for d in basis:
-        product = compose(d, gen)
-        targets.append(index_of(product.diagram))
-        exponents.append(product.loop_exponent)
-    return tuple(targets), tuple(exponents)
+    index = basis._index  # type: ignore[attr-defined]
+    images = (_apply_generator(d.pairing, k, basis.dimension) for d in basis)
+    targets, exponents = zip(*[(index[p], m) for p, m in images])
+    return targets, exponents
 
 
 def _ideal_blocks(
@@ -232,7 +242,7 @@ def _generator_maps(
     basis: DiagramBasis, indices: Sequence[int], include_identity: bool
 ) -> list[GeneratorMatrix]:
     """The maps of U_k for k in ``indices``, renumbered into the
-    representation order.  Each (generator, diagram) pair is composed
+    representation order.  Each generator is applied to each diagram
     once: the ideal-refined order comes from the same action."""
     n = basis.dimension
     if include_identity:
@@ -266,6 +276,7 @@ def generator_matrix(
 ) -> GeneratorMatrix:
     """The map of U_k: column i goes to row j with exponent m, where
     U_k . D_i = d^m . D_j."""
+    k = _integer(k, "generator index")
     generator_diagram(basis.dimension, k)  # rejects an index out of range
     return _generator_maps(basis, (k,), include_identity)[0]
 

@@ -34,10 +34,10 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from tlkit.braids import BraidWord, kauffman_loop_value, multiply_kauffman
+from tlkit.braids import BraidWord, kauffman_loop_value
 from tlkit.composition import compose
 from tlkit.diagrams import PlanarDiagram, node_position
-from tlkit.elements import TLElement
+from tlkit.elements import TLElement, multiply
 from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
@@ -444,8 +444,10 @@ def element_matrix(element: TLElement) -> PolyMatrix:
     zero = LaurentPoly.zero("A")
     grid = [[zero] * size for _ in range(size)]
     for i, d in enumerate(basis):
-        column = multiply_kauffman(
-            element, TLElement.from_diagram(d, LaurentPoly.one("A"))
+        column = multiply(
+            element,
+            TLElement.from_diagram(d, LaurentPoly.one("A")),
+            kauffman_loop_value(),
         )
         for image, c in column.terms:
             grid[index[image]][i] = c

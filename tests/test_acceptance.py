@@ -19,11 +19,11 @@ from tlkit.braids import (
     BraidWord,
     braid_image,
     braid_image_matrix,
-    multiply_kauffman,
+    kauffman_loop_value,
 )
 from tlkit.composition import compose, compose_scaled
 from tlkit.diagrams import PlanarDiagram, ScaledDiagram, connectability
-from tlkit.elements import TLElement
+from tlkit.elements import TLElement, multiply
 from tlkit.enumeration import catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
@@ -249,8 +249,8 @@ def test_kauffman_consistency():
             split = rng.randint(0, length)
             w1 = BraidWord(strands, w.letters[:split])
             w2 = BraidWord(strands, w.letters[split:])
-            ok = ok and braid_image(w) == multiply_kauffman(
-                braid_image(w1), braid_image(w2)
+            ok = ok and braid_image(w) == multiply(
+                braid_image(w1), braid_image(w2), kauffman_loop_value()
             )
     _report("kauffman-consistency (14-dim image n=4; elements n<=4, len<=6)", ok)
 

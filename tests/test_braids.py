@@ -12,10 +12,9 @@ from tlkit.braids import (
     braid_image,
     braid_image_matrix,
     kauffman_loop_value,
-    multiply_kauffman,
     verify_artin,
 )
-from tlkit.elements import TLElement
+from tlkit.elements import TLElement, multiply
 from tlkit.enumeration import catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
@@ -130,8 +129,8 @@ def test_homomorphism_on_random_words(n):
     for _ in range(12):
         w1 = BraidWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))))
         w2 = BraidWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))))
-        assert braid_image(w1 * w2) == multiply_kauffman(
-            braid_image(w1), braid_image(w2)
+        assert braid_image(w1 * w2) == multiply(
+            braid_image(w1), braid_image(w2), kauffman_loop_value()
         )
 
 

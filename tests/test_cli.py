@@ -56,6 +56,10 @@ class TestGolden:
                 "bracket_5_matrix.csv",
             ),
             (["verify", "--dim", "6", "--relations", "artin"], "verify_dim6_artin.txt"),
+            (
+                ["bracket", "--strands", "5", "--word=-1,2,-3,4,-2"],
+                "bracket_5_element.txt",
+            ),
         ],
     )
     def test_matches_golden_and_byte_stable(self, args, golden):
@@ -226,6 +230,21 @@ class TestStartup:
         unused = {"representation", "braids", "laurent", "matrices", "drawing"}
         assert not loaded & {f"tlkit.{name}" for name in unused}
         assert result.stdout == run_cli(args)[1]
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_version_and_help_load_no_diagram_module(self, flag):
+        probe = (
+            "import sys\n"
+            "from tlkit.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(*(m for m in sys.modules if m.startswith('tlkit')), file=sys.stderr)\n"
+        )
+        loaded = set(self.fresh_python(probe, flag).stderr.split())
+        assert "tlkit.cli" in loaded
+        assert not loaded & {"tlkit.enumeration", "tlkit.diagrams"}
 
     def test_lazy_exports(self):
         probe = (

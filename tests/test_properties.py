@@ -1,9 +1,9 @@
 """Property tests over random noncrossing diagrams.
 
-Kernel output, composition products, ``parse`` results and the identity
-and generator diagrams are built without re-validation, so these tests
-re-check what those paths produce through the validating public
-constructor.
+Kernel output, composition products, generator-rule images, ``parse``
+results and the identity and generator diagrams are built without
+re-validation, so these tests re-check what those paths produce through
+the validating public constructor.
 """
 
 from contextlib import suppress
@@ -22,7 +22,7 @@ from tlkit.diagrams import (
     serialize,
 )
 from tlkit.enumeration import identity_diagram
-from tlkit.representation import generator_diagram
+from tlkit.representation import _apply_generator, generator_diagram
 
 
 @st.composite
@@ -64,6 +64,16 @@ def test_compose_through_count_bounded_by_factors(pair):
     a, b = pair
     product = compose(a, b).diagram
     assert product.through_count() <= min(a.through_count(), b.through_count())
+
+
+@given(st.integers(2, 12).flatmap(diagrams_of))
+def test_generator_rule_matches_composition(diagram):
+    n = diagram.dimension
+    for k in range(1, n):
+        pairing, loops = _apply_generator(diagram.pairing, k, n)
+        product = compose(diagram, generator_diagram(n, k))
+        assert (pairing, loops) == (product.diagram.pairing, product.loop_exponent)
+        assert PlanarDiagram(n, pairing).pairing == pairing
 
 
 @given(diagrams, st.integers(0, 10**6))

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tlkit import _backend
+from tlkit.braids import verify_artin
 from tlkit.composition import compose
 from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
@@ -124,7 +125,7 @@ def test_partition_matches_bottom_pattern_oracle(n, include_identity, shuffled):
             )
 
 
-def test_generator_matrices_compose_each_pair_once(monkeypatch):
+def test_generator_matrices_make_no_compositions(monkeypatch):
     basis = enumerate_diagrams(6)
     calls = 0
     kernel = _backend.compose_pairings
@@ -136,7 +137,33 @@ def test_generator_matrices_compose_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(_backend, "compose_pairings", counted)
     generator_matrices(basis)
-    assert calls <= 5 * len(basis)
+    assert calls == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: generator_diagram(4, 1.5),
+        lambda: generator_matrix(1.5, enumerate_diagrams(4)),
+        lambda: generators(2.5),
+        lambda: identity_diagram(2.5),
+        lambda: verify_tl_relations_diagrams(2.5),
+        lambda: verify_artin(2.5),
+        lambda: verify_artin(3, max_len=2.5),
+    ],
+    ids=[
+        "generator_diagram",
+        "generator_matrix",
+        "generators",
+        "identity_diagram",
+        "verify_tl_relations_diagrams",
+        "verify_artin",
+        "verify_artin_max_len",
+    ],
+)
+def test_entry_points_reject_non_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 class TestGeneratorMatrix:

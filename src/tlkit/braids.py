@@ -17,8 +17,9 @@ that d, and the relation suite re-derives this mechanically.
 Products follow operator order (the right factor acts first): the image
 of a word is the ordered product of its letter images.  The element image
 applies them to the identity, last letter first, each U_i by its local
-rule (``representation._apply_generator``); the matrix image is the same
-product of left-multiplication matrices on the identity-included basis.
+rule (``composition._apply_generator``); the matrix image is the same
+product of left-multiplication matrices on the identity-included basis,
+each read from the generator map ``composition._action``.
 
 The matrix image is computed, compared and printed as sparse columns: one
 dict per basis column, from row index to a nonzero LaurentPoly(A).  U_i
@@ -36,12 +37,13 @@ import operator
 import random
 from dataclasses import dataclass
 
+from .composition import _action, _apply_generator
 from .diagrams import PlanarDiagram
 from .elements import TLElement
 from .enumeration import _integer, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
 from .matrices import PolyMatrix
-from .representation import RelationReport, _action, _apply_generator
+from .representation import RelationReport
 
 
 def kauffman_loop_value() -> LaurentPoly:

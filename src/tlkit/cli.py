@@ -146,29 +146,21 @@ def _run_enumerate(args: argparse.Namespace) -> tuple[int, str]:
 def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
     _check_dimension(args)
     if args.table:
-        from . import _backend
-        from .diagrams import PlanarDiagram
+        from .composition import _table_rows
         from .enumeration import enumerate_diagrams
 
-        n = args.dim
-        basis = enumerate_diagrams(n, max_dimension=args.max_dim)
-        pairings = [d.pairing for d in basis]
-        compose_pairings = _backend.compose_pairings
-        # one "row:loops" label per distinct (product pairing, loops) result
-        labels: dict[tuple[tuple[int, ...], int], str] = {}
-        rows = ["lhs/rhs," + ",".join(str(j) for j in range(1, len(pairings) + 1))]
-        for i, lhs in enumerate(pairings, start=1):
-            cells = []
-            for rhs in pairings:
-                product = compose_pairings(lhs, rhs, n)
-                label = labels.get(product)
-                if label is None:
-                    pairing, loops = product
-                    row = basis.index_of(PlanarDiagram._trusted(n, pairing)) + 1
-                    label = labels[product] = f"{row}:{loops}"
-                cells.append(label)
-            rows.append(f"{i}," + ",".join(cells))
-        return EXIT_OK, "\n".join(rows) + "\n"
+        basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
+        size = len(basis)
+        # labels[m][r] is "row:loops" for d^m . D_r; stacking N-strand
+        # diagrams closes at most N // 2 loops, one per two middle nodes
+        labels = [
+            [f"{r}:{m}" for r in range(1, size + 1)] for m in range(args.dim // 2 + 1)
+        ]
+        lines = ["lhs/rhs," + ",".join(str(j) for j in range(1, size + 1))]
+        for i, (rows, loops) in enumerate(_table_rows(basis), start=1):
+            cells = [labels[m][r] for r, m in zip(rows, loops)]
+            lines.append(f"{i}," + ",".join(cells))
+        return EXIT_OK, "\n".join(lines) + "\n"
     if args.lhs is None or args.rhs is None:
         raise ValueError("compose needs --table or both --lhs and --rhs")
     from .composition import compose_scaled

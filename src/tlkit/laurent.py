@@ -12,8 +12,11 @@ bare digits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping
+
+from .enumeration import _integer
 
 
 @dataclass(frozen=True)
@@ -23,6 +26,11 @@ class LaurentPoly:
     ``coeffs`` holds (exponent, coefficient) pairs sorted by ascending
     exponent with all zero coefficients dropped, so equality of values is
     exactly equality of the dataclass fields.
+
+    The public constructor validates: it stores the pairs as a tuple of
+    int pairs and rejects non-integers, unsorted or repeated exponents and
+    zero coefficients.  ``_trusted`` skips that check and is only for
+    arithmetic results, whose terms come from validated operands.
     """
 
     variable: str
@@ -31,15 +39,43 @@ class LaurentPoly:
     def __post_init__(self) -> None:
         if self.variable not in ("d", "A"):
             raise ValueError(f"unsupported variable {self.variable!r}")
-        exps = [e for e, _ in self.coeffs]
+        try:
+            coeffs = tuple(
+                (operator.index(e), operator.index(c)) for e, c in self.coeffs
+            )
+        except (TypeError, ValueError):
+            raise ValueError(
+                "coefficients must be (exponent, coefficient) pairs of integers"
+            ) from None
+        exps = [e for e, _ in coeffs]
         if exps != sorted(exps) or len(set(exps)) != len(exps):
             raise ValueError("coefficients must be sorted by distinct exponent")
-        if any(c == 0 for _, c in self.coeffs):
+        if any(c == 0 for _, c in coeffs):
             raise ValueError("zero coefficients must not be stored")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _trusted(cls, variable: str, coeffs: tuple[tuple[int, int], ...]) -> LaurentPoly:
+        """Build without validation; ``coeffs`` must already be in the
+        stored form, computed by the library from validated values."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variable", variable)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
+    @classmethod
+    def _collected(cls, variable: str, acc: dict[int, int]) -> LaurentPoly:
+        """The trusted polynomial of integer exponent-to-coefficient sums."""
+        return cls._trusted(variable, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     @classmethod
     def from_dict(cls, variable: str, mapping: Mapping[int, int]) -> LaurentPoly:
-        items = tuple(sorted((e, c) for e, c in mapping.items() if c != 0))
+        try:
+            items = tuple(sorted((e, c) for e, c in mapping.items() if c != 0))
+        except (AttributeError, TypeError):
+            raise ValueError(
+                "coefficients must map integer exponents to integers"
+            ) from None
         return cls(variable, items)
 
     @classmethod
@@ -64,52 +100,58 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self.coeffs == ((0, 1),)
 
-    def _require_same_variable(self, other: LaurentPoly) -> None:
-        if self.variable != other.variable:
-            raise ValueError(
-                f"mixed variables {self.variable!r} and {other.variable!r}"
-            )
+    def _operand(self, other: LaurentPoly | int) -> LaurentPoly:
+        """``other`` as a polynomial in this variable: an integer becomes
+        a constant, anything else but a polynomial in the same variable is
+        rejected."""
+        if isinstance(other, LaurentPoly):
+            if self.variable != other.variable:
+                raise ValueError(
+                    f"mixed variables {self.variable!r} and {other.variable!r}"
+                )
+            return other
+        value = _integer(other, "operand")
+        return LaurentPoly._trusted(self.variable, ((0, value),) if value else ())
 
     def __add__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly.constant(self.variable, other)
-        self._require_same_variable(other)
+        other = self._operand(other)
         acc = dict(self.coeffs)
         for e, c in other.coeffs:
             acc[e] = acc.get(e, 0) + c
-        return LaurentPoly.from_dict(self.variable, acc)
+        return LaurentPoly._collected(self.variable, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.variable, tuple((e, -c) for e, c in self.coeffs))
+        return LaurentPoly._trusted(
+            self.variable, tuple((e, -c) for e, c in self.coeffs)
+        )
 
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly.constant(self.variable, other)
-        return self + (-other)
+        return self + (-self._operand(other))
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly.zero(self.variable)
-            return LaurentPoly(
-                self.variable, tuple((e, c * other) for e, c in self.coeffs)
+        if not isinstance(other, LaurentPoly):
+            value = _integer(other, "factor")
+            return LaurentPoly._trusted(
+                self.variable,
+                tuple((e, c * value) for e, c in self.coeffs) if value else (),
             )
-        self._require_same_variable(other)
+        other = self._operand(other)
         acc: dict[int, int] = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(self.variable, acc)
+        return LaurentPoly._collected(self.variable, acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> LaurentPoly:
+        k = _integer(k, "power")
         if k < 0:
             raise ValueError("negative powers of a polynomial are not defined")
-        result = LaurentPoly.one(self.variable)
+        result = LaurentPoly._trusted(self.variable, ((0, 1),))
         base = self
         while k:
             if k & 1:
@@ -120,8 +162,9 @@ class LaurentPoly:
 
     def shifted(self, exponent_offset: int) -> LaurentPoly:
         """Multiply by v^offset, i.e. shift every exponent."""
-        return LaurentPoly(
-            self.variable, tuple((e + exponent_offset, c) for e, c in self.coeffs)
+        offset = _integer(exponent_offset, "exponent offset")
+        return LaurentPoly._trusted(
+            self.variable, tuple((e + offset, c) for e, c in self.coeffs)
         )
 
     def substitute(self, value: LaurentPoly) -> LaurentPoly:

@@ -24,11 +24,14 @@ built on first use.  Products of generators are compositions of maps,
 (U.V) sends column i to row tU[tV[i]] with exponent eV[i] + eU[tV[i]],
 so the relation check compares tuples and multiplies no matrices.
 
-The action is each generator's local rule (``_apply_generator``, the
-link-state action of arXiv:1204.4505): U_k.D changes only D's top nodes
+The action is each generator's local rule, the link-state action of
+arXiv:1204.4505, which lives in ``composition`` (``_apply_generator``
+and the basis map ``_action``): U_k.D changes only D's top nodes
 a = N+k and b = N+k+1, into d.D if D pairs them and otherwise into the
 diagram pairing (a, b) and (D(a), D(b)).  One pass applies each generator
 to each basis diagram; the blocks, order and maps of a call come from it.
+The same maps build the composition table by associativity (see
+``composition``).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .composition import compose
+from .composition import Map, _action, compose
 from .diagrams import PlanarDiagram, ScaledDiagram
 from .enumeration import DiagramBasis, _integer, identity_diagram
 from .laurent import LaurentPoly
@@ -99,31 +102,6 @@ class IdealPartition:
             if diagram in block:
                 return i
         raise KeyError(diagram)
-
-
-Map = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def _apply_generator(
-    pairing: tuple[int, ...], k: int, dimension: int
-) -> tuple[tuple[int, ...], int]:
-    """U_k . D as (partner tuple, loops), by the module docstring's rule."""
-    a, b = dimension + k, dimension + k + 1
-    p, q = pairing[a - 1], pairing[b - 1]
-    if p == b:
-        return pairing, 1
-    out = list(pairing)
-    out[a - 1], out[b - 1], out[p - 1], out[q - 1] = b, a, q, p
-    return tuple(out), 0
-
-
-def _action(basis: DiagramBasis, k: int) -> Map:
-    """U_k on every basis position, in basis order: U_k . D_i =
-    d^exponents[i] . D_targets[i]."""
-    index = basis._index  # type: ignore[attr-defined]
-    images = (_apply_generator(d.pairing, k, basis.dimension) for d in basis)
-    targets, exponents = zip(*[(index[p], m) for p, m in images])
-    return targets, exponents
 
 
 def _ideal_blocks(
@@ -353,9 +331,10 @@ def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
     """
     if not matrices:
         raise ValueError("no matrices given")
-    sizes = {m.size for m in matrices}
-    orders = {m.basis_order for m in matrices}
-    if len(sizes) != 1 or len(orders) != 1:
+    # Maps built together share one basis_order object; compare the
+    # tuples, once each, only for maps that do not.
+    order = matrices[0].basis_order
+    if any(m.basis_order is not order and m.basis_order != order for m in matrices):
         raise ValueError("matrices must share one basis and ordering")
     maps = {m.generator_index: (m.targets, m.exponents) for m in matrices}
     entries: list[tuple[str, bool]] = []
@@ -393,7 +372,7 @@ def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
                     _compose_maps(u, v),
                     _compose_maps(v, u),
                 )
-    size = next(iter(sizes))
+    size = len(order)
     return RelationReport(
         f"Temperley-Lieb relations, matrix level ({size}x{size})",
         tuple(entries),

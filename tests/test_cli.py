@@ -60,6 +60,7 @@ class TestGolden:
                 ["bracket", "--strands", "5", "--word=-1,2,-3,4,-2"],
                 "bracket_5_element.txt",
             ),
+            (["compose", "--dim", "5", "--table"], "compose_dim5_table.csv"),
         ],
     )
     def test_matches_golden_and_byte_stable(self, args, golden):
@@ -324,7 +325,7 @@ class TestCompose:
         assert code == 0
         assert out == "lhs/rhs,1,2\n1,1:1,1:0\n2,1:0,2:0\n"
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_table_cells_match_compose(self, n):
         basis = enumerate_diagrams(n)
         code, out = run_cli(["compose", "--dim", str(n), "--table"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tlkit import _backend
-from tlkit.composition import compose, compose_scaled
+from tlkit.composition import _action, _spanning_tree, compose, compose_scaled
 from tlkit.diagrams import ScaledDiagram, parse
 from tlkit.enumeration import enumerate_diagrams, identity_diagram
 from tlkit.representation import generator_diagram
@@ -97,6 +97,21 @@ def test_associativity_randomized(n):
         right = compose(a, bc.diagram)
         assert left.diagram == right.diagram
         assert ab.loop_exponent + left.loop_exponent == bc.loop_exponent + right.loop_exponent
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_spanning_tree_reaches_every_diagram_by_loop_free_steps(n):
+    basis = enumerate_diagrams(n)
+    actions = {k: _action(basis, k) for k in range(1, n)}
+    root, steps = _spanning_tree(basis, actions)
+    assert basis[root] == identity_diagram(n)
+    reached = {root}
+    for position, parent, k in steps:
+        assert parent in reached and position not in reached
+        reached.add(position)
+        step = compose(basis[parent], generator_diagram(n, k))
+        assert step == ScaledDiagram(basis[position], 0)
+    assert len(reached) == len(basis)
 
 
 def test_loop_exponent_additivity():

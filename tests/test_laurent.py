@@ -50,6 +50,57 @@ def test_invalid_storage_rejected():
 
 
 @pytest.mark.parametrize(
+    "coeffs",
+    [
+        ((0, 1.5),),
+        ((0.5, 1),),
+        ((0, [1]),),
+        ((0, "1"),),
+        ((0, 1, 2),),
+        5,
+    ],
+)
+def test_non_integer_storage_rejected(coeffs):
+    with pytest.raises(ValueError):
+        LaurentPoly("d", coeffs)
+
+
+def test_constructor_stores_int_pairs_as_tuples():
+    p = LaurentPoly("d", [[0, 1], [2, 3]])
+    assert p.coeffs == ((0, 1), (2, 3))
+    assert hash(p) == hash(d({0: 1, 2: 3}))
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda p: p * 2.5,
+        lambda p: 2.5 * p,
+        lambda p: p**1.5,
+        lambda p: p + 0.5,
+        lambda p: p - "1",
+        lambda p: p.shifted(0.5),
+        lambda p: LaurentPoly.from_dict("d", {0: 1.5}),
+        lambda p: LaurentPoly.monomial("d", 0.5),
+    ],
+)
+def test_non_integer_operands_rejected(operation):
+    with pytest.raises(ValueError):
+        operation(d({1: 1, 0: 2}))
+
+
+def test_arithmetic_results_pass_public_constructor():
+    # Results are built without validation, so re-check their stored form.
+    rng = random.Random(1)
+    for _ in range(200):
+        a = d({rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(3)})
+        b = d({rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(3)})
+        k = rng.randint(-2, 2)
+        for r in (a + b, a - b, a * b, -a, a * k, a + k, a**2, a.shifted(k)):
+            assert LaurentPoly(r.variable, r.coeffs) == r
+
+
+@pytest.mark.parametrize(
     "mapping,text",
     [
         ({}, "0"),

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tlkit import _backend
-from tlkit.composition import compose
+from tlkit.composition import _apply_generator, compose, compose_scaled
 from tlkit.diagrams import (
     PlanarDiagram,
     ScaledDiagram,
@@ -22,7 +22,7 @@ from tlkit.diagrams import (
     serialize,
 )
 from tlkit.enumeration import identity_diagram
-from tlkit.representation import _apply_generator, generator_diagram
+from tlkit.representation import generator_diagram
 
 
 @st.composite
@@ -48,6 +48,34 @@ def diagrams_of(draw, n):
 dimensions = st.integers(1, 12)
 diagrams = dimensions.flatmap(diagrams_of)
 diagram_pairs = dimensions.flatmap(lambda n: st.tuples(diagrams_of(n), diagrams_of(n)))
+
+
+scaled_triples = dimensions.flatmap(
+    lambda n: st.tuples(
+        *(st.builds(ScaledDiagram, diagrams_of(n), st.integers(0, 5)) for _ in range(3))
+    )
+)
+
+
+@given(scaled_triples)
+def test_compose_scaled_is_associative(triple):
+    a, b, c = triple
+    left = compose_scaled(compose_scaled(a, b), c)
+    right = compose_scaled(a, compose_scaled(b, c))
+    assert left.diagram == right.diagram
+    # the given exponents plus the loops closed by the two stackings of
+    # either bracketing
+    ab = compose(a.diagram, b.diagram)
+    closed = ab.loop_exponent + compose(ab.diagram, c.diagram).loop_exponent
+    given_loops = a.loop_exponent + b.loop_exponent + c.loop_exponent
+    assert left.loop_exponent == right.loop_exponent == given_loops + closed
+
+
+@given(dimensions.flatmap(lambda n: st.builds(ScaledDiagram, diagrams_of(n), st.integers(0, 5))))
+def test_identity_is_a_two_sided_unit(scaled):
+    unit = ScaledDiagram(identity_diagram(scaled.dimension), 0)
+    assert compose_scaled(unit, scaled) == scaled
+    assert compose_scaled(scaled, unit) == scaled
 
 
 @given(diagram_pairs)

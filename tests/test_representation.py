@@ -389,6 +389,31 @@ class TestVerifyRelations:
         with pytest.raises(ValueError):
             verify_tl_relations([])
 
+    def test_requires_one_basis_order(self):
+        mats = generator_matrices(enumerate_diagrams(4))
+        u = mats[1]
+        # the same diagrams in the reverse order, with the map renumbered
+        last = u.size - 1
+        reordered = GeneratorMatrix(
+            u.generator_index,
+            u.include_identity,
+            u.basis_order[::-1],
+            tuple(last - u.targets[i] for i in reversed(range(u.size))),
+            u.exponents[::-1],
+        )
+        with pytest.raises(ValueError, match="share one basis and ordering"):
+            verify_tl_relations([mats[0], reordered] + mats[2:])
+        # an equal order held in a separate tuple is the same basis
+        copied = GeneratorMatrix(
+            u.generator_index,
+            u.include_identity,
+            tuple(list(u.basis_order)),
+            u.targets,
+            u.exponents,
+        )
+        assert copied.basis_order is not u.basis_order
+        assert verify_tl_relations([mats[0], copied] + mats[2:]).passed
+
     def test_report_lines_shape(self):
         report = verify_tl_relations_diagrams(3)
         lines = report.lines()

@@ -80,11 +80,14 @@ def _read_diagram_arg(value: str, dimension: int) -> ScaledDiagram:
 
 
 def _basis_lines(dimension: int, max_dimension: int) -> str:
-    from .diagrams import serialize_pairings
-    from .enumeration import enumerate_diagrams
+    """The basis as diagram lines, built by the search walk itself: no
+    diagram, basis or partner tuple is made."""
+    from ._backend import pairing_lines
+    from .diagrams import _line_prefix, _pair_texts
+    from .enumeration import _checked_dimension
 
-    basis = enumerate_diagrams(dimension, max_dimension=max_dimension)
-    return serialize_pairings(dimension, [d.pairing for d in basis])
+    dimension = _checked_dimension(dimension, max_dimension)
+    return pairing_lines(dimension, _line_prefix(dimension, 0), _pair_texts(dimension))
 
 
 def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> str:

@@ -330,22 +330,17 @@ def _pair_texts(dimension: int) -> tuple[_PairTexts, ...]:
     return tuple(_PairTexts(a) for a in range(1, 2 * dimension + 1))
 
 
+def _line_prefix(dimension: int, loop_exponent: int) -> str:
+    """The text of a diagram line before its pairs."""
+    return f"TL {dimension} m={loop_exponent} "
+
+
 def serialize(scaled: ScaledDiagram) -> str:
     """One-line text form; parse() inverts it exactly."""
     diagram = scaled.diagram
     dimension = diagram.dimension
     pairs = "".join(map(operator.getitem, _pair_texts(dimension), diagram.pairing))
-    return f"TL {dimension} m={scaled.loop_exponent} {pairs}"
-
-
-def serialize_pairings(dimension: int, pairings: Sequence[tuple[int, ...]]) -> str:
-    """The lines ``serialize`` gives for the loop-free diagrams with these
-    partner tuples, each ending in a newline, built without a diagram
-    object per line."""
-    table = _pair_texts(dimension)
-    prefix = f"TL {dimension} m=0 "
-    join, getitem = "".join, operator.getitem
-    return "".join([prefix + join(map(getitem, table, p)) + "\n" for p in pairings])
+    return _line_prefix(dimension, scaled.loop_exponent) + pairs
 
 
 def parse(line: str) -> ScaledDiagram:

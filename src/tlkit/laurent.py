@@ -130,6 +130,9 @@ class LaurentPoly:
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
         return self + (-self._operand(other))
 
+    def __rsub__(self, other: int) -> LaurentPoly:
+        return -self + other
+
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if not isinstance(other, LaurentPoly):
             value = _integer(other, "factor")
@@ -173,6 +176,11 @@ class LaurentPoly:
         Only defined when no negative exponents are present (an arbitrary
         polynomial is not invertible in the Laurent ring).
         """
+        if not isinstance(value, LaurentPoly):
+            raise ValueError(
+                f"substitute needs a LaurentPoly, got {value!r} "
+                "(substitute_int evaluates at an integer)"
+            )
         if any(e < 0 for e, _ in self.coeffs):
             raise ValueError("cannot substitute into a negative exponent")
         result = LaurentPoly.zero(value.variable)
@@ -182,6 +190,7 @@ class LaurentPoly:
 
     def substitute_int(self, value: int) -> int:
         """Evaluate at an integer; rejects negative exponents."""
+        value = _integer(value, "value")
         if any(e < 0 for e, _ in self.coeffs):
             raise ValueError("cannot evaluate a negative exponent at an integer")
         return sum(c * value**e for e, c in self.coeffs)

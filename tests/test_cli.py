@@ -105,6 +105,26 @@ class TestEnumerate:
             cli.main(["enumerate"])
         assert exc.value.code == cli.EXIT_USAGE
 
+    def test_basis_text_builds_no_diagrams(self, monkeypatch):
+        # The text comes from the search walk alone: no basis, diagram or
+        # partner tuple is made on the way.
+        from tlkit import _backend, enumeration
+        from tlkit.diagrams import PlanarDiagram
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a diagram object")
+
+        monkeypatch.setattr(enumeration, "_basis", refuse)
+        monkeypatch.setattr(_backend, "enumerate_pairings", refuse)
+        monkeypatch.setattr(PlanarDiagram, "_trusted", refuse)
+        monkeypatch.setattr(PlanarDiagram, "__init__", refuse)
+        text = cli._basis_lines(4, 12)
+        assert text == (GOLDEN / "enumerate_dim4.txt").read_text(encoding="utf-8")
+
+    def test_basis_text_keeps_the_ceiling(self):
+        with pytest.raises(ValueError, match="ceiling"):
+            cli._basis_lines(5, 4)
+
     def test_output_file(self, tmp_path):
         target = tmp_path / "basis.tl"
         code, out = run_cli(["enumerate", "--dim", "3", "--output", str(target)])

@@ -11,9 +11,9 @@ from tlkit.diagrams import (
     parse,
     restrict_connectability,
     serialize,
-    serialize_pairings,
 )
-from tlkit.enumeration import enumerate_diagrams
+from tlkit.cli import _basis_lines
+from tlkit.enumeration import catalan, enumerate_diagrams
 
 from oracles import (
     PartialDiagram,
@@ -199,11 +199,15 @@ class TestSerialization:
             scaled = ScaledDiagram(d, 3)
             assert parse(serialize(scaled)) == scaled
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_bulk_lines_match_serialize(self, n):
+        # The basis text comes from the search walk, not from diagrams;
+        # line k must still serialize the k-th basis diagram.
+        text = _basis_lines(n, n)
+        assert text.endswith("\n")
+        lines = text.splitlines(keepends=True)
         basis = enumerate_diagrams(n)
-        lines = serialize_pairings(n, [d.pairing for d in basis]).splitlines(keepends=True)
-        assert len(lines) == len(basis)
+        assert len(lines) == catalan(n) == len(basis)
         for line, d in zip(lines, basis):
             pairs = "".join(f"({a},{b})" for a, b in d.pairs())
             assert line == f"TL {n} m=0 {pairs}\n"

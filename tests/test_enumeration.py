@@ -89,6 +89,18 @@ def test_kernel_rejects_bad_dimension():
         _backend.enumerate_pairings(0)
     with pytest.raises(ValueError):
         _backend.count_pairings(0)
+    with pytest.raises(ValueError):
+        _backend.pairing_lines(0, "", ())
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_memoized_count_matches_the_walk(n):
+    assert _backend.count_pairings(n) == len(_backend.enumerate_pairings(n))
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_memoized_count_is_catalan(n):
+    assert _backend.count_pairings(n) == catalan(n)
 
 
 def test_identity_diagram():

@@ -79,6 +79,7 @@ def test_constructor_stores_int_pairs_as_tuples():
         lambda p: p**1.5,
         lambda p: p + 0.5,
         lambda p: p - "1",
+        lambda p: 0.5 - p,
         lambda p: p.shifted(0.5),
         lambda p: LaurentPoly.from_dict("d", {0: 1.5}),
         lambda p: LaurentPoly.monomial("d", 0.5),
@@ -96,7 +97,7 @@ def test_arithmetic_results_pass_public_constructor():
         a = d({rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(3)})
         b = d({rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(3)})
         k = rng.randint(-2, 2)
-        for r in (a + b, a - b, a * b, -a, a * k, a + k, a**2, a.shifted(k)):
+        for r in (a + b, a - b, a * b, -a, a * k, a + k, k - a, a**2, a.shifted(k)):
             assert LaurentPoly(r.variable, r.coeffs) == r
 
 
@@ -153,6 +154,8 @@ def test_substitute():
     assert LaurentPoly.one("d").substitute(loop) == LaurentPoly.one("A")
     with pytest.raises(ValueError):
         d({-1: 1}).substitute(loop)
+    with pytest.raises(ValueError, match="substitute_int"):
+        LaurentPoly.monomial("d", 2).substitute(2)
 
 
 def test_substitute_int():
@@ -160,6 +163,15 @@ def test_substitute_int():
     assert p.substitute_int(3) == 4
     with pytest.raises(ValueError):
         d({-1: 1}).substitute_int(2)
+    with pytest.raises(ValueError, match="integer"):
+        p.substitute_int(2.5)
+
+
+def test_integer_minus_polynomial():
+    p = d({2: 1, 0: 1})
+    assert 5 - p == d({2: -1, 0: 4})
+    assert 5 - p == -(p - 5)
+    assert 1 - d({0: 1}) == LaurentPoly.zero("d")
 
 
 def test_ring_axioms_randomized():

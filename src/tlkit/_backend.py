@@ -45,7 +45,7 @@ suite as independent oracles.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def enumerate_pairings(dimension: int) -> list[tuple[int, ...]]:
@@ -70,9 +70,7 @@ def enumerate_pairings(dimension: int) -> list[tuple[int, ...]]:
     return out
 
 
-def pairing_lines(
-    dimension: int, prefix: str, texts: Sequence[Mapping[int, str]]
-) -> str:
+def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -> str:
     """The leaves of the search as text, one line per leaf in the same order.
 
     A line is ``prefix``, then ``texts[f-1][j]`` for each pair (f, j) in

@@ -19,7 +19,7 @@ of a word is the ordered product of its letter images.  The element image
 applies them to the identity, last letter first, each U_i by its local
 rule (``composition._apply_generator``); the matrix image is the same
 product of left-multiplication matrices on the identity-included basis,
-each read from the generator map ``composition._action``.
+each read from the map ``composition._action`` keeps on the caller's basis.
 
 The matrix image is computed, compared and printed as sparse columns: one
 dict per basis column, from row index to a nonzero LaurentPoly(A).  U_i
@@ -32,7 +32,6 @@ view of those columns.
 
 from __future__ import annotations
 
-import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from .composition import _action, _apply_generator
 from .diagrams import PlanarDiagram
 from .elements import TLElement
-from .enumeration import _integer, enumerate_diagrams, identity_diagram
+from .enumeration import DiagramBasis, _integer, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
 from .matrices import PolyMatrix
 from .representation import RelationReport
@@ -124,21 +123,15 @@ def braid_image(word: BraidWord) -> TLElement:
     )
 
 
-@functools.cache
-def _bracket_action(strands: int, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(targets, exponents) of U_index on the identity-included basis."""
-    return _action(enumerate_diagrams(strands), index)
-
-
-def _image_columns(word: BraidWord) -> list[dict[int, LaurentPoly]]:
-    """The bracket image over the identity-included canonical basis as
-    sparse columns: ``columns[i][j]`` is the nonzero entry in row j of
-    column i."""
+def _image_columns(word: BraidWord, basis: DiagramBasis) -> list[dict[int, LaurentPoly]]:
+    """The bracket image over ``basis``, the identity-included basis of
+    the word's strand count, as sparse columns: ``columns[i][j]`` is the
+    nonzero entry in row j of column i."""
     one = LaurentPoly.one("A")
-    columns = [{i: one} for i in range(len(enumerate_diagrams(word.strands)))]
+    columns = [{i: one} for i in range(len(basis))]
     loop = kauffman_loop_value()
     for letter in word.letters:
-        targets, exponents = _bracket_action(word.strands, abs(letter))
+        targets, exponents = _action(basis, abs(letter))
         # the letter is a.1 + b.U with a = A^shift and b = A^-shift
         shift = 1 if letter > 0 else -1
         b = LaurentPoly.monomial("A", -shift)
@@ -163,7 +156,8 @@ def _image_columns(word: BraidWord) -> list[dict[int, LaurentPoly]]:
 def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     """The bracket image as a matrix over the identity-included canonical
     basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A))."""
-    return PolyMatrix.from_columns("A", _image_columns(word))
+    basis = enumerate_diagrams(word.strands)
+    return PolyMatrix.from_columns("A", _image_columns(word, basis))
 
 
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:
@@ -177,10 +171,22 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
     max_len with w . w^-1 = 1.
     """
     strands = _integer(strands, "strand count")
-    max_len = _integer(max_len, "max_len")
     if strands < 2:
         raise ValueError("braid relations need at least 2 strands")
-    n = strands
+    return _verify_artin(enumerate_diagrams(strands), max_len, seed)
+
+
+def _verify_artin(basis: DiagramBasis, max_len: int = 6, seed: int = 0) -> RelationReport:
+    """``verify_artin`` over a basis the caller built, of dimension at
+    least 2; the CLI builds it under its own ceiling."""
+    max_len = _integer(max_len, "max_len")
+    try:
+        rng = random.Random(seed)
+    except TypeError:
+        raise ValueError(
+            f"seed must be an integer, float, str, bytes or None, got {seed!r}"
+        ) from None
+    n = basis.dimension
     entries: list[tuple[str, bool]] = []
 
     def word(*letters: int) -> BraidWord:
@@ -188,7 +194,7 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
 
     def both_equal(w1: BraidWord, w2: BraidWord) -> bool:
         return braid_image(w1) == braid_image(w2) and (
-            _image_columns(w1) == _image_columns(w2)
+            _image_columns(w1, basis) == _image_columns(w2, basis)
         )
 
     for j in range(1, n - 1):
@@ -212,7 +218,6 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
             (f"sigma_{j}*sigma_{j}^-1 = 1", both_equal(word(j, -j), identity))
         )
     identity_element = braid_image(identity)
-    rng = random.Random(seed)
     for length in range(2, max_len + 1):
         letters = tuple(
             rng.choice([s * i for i in range(1, n) for s in (1, -1)])

@@ -230,9 +230,9 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
         reports.append(verify_tl_relations(generator_matrices(basis)))
         reports.append(verify_tl_relations_diagrams(args.dim))
     if args.relations in ("artin", "all"):
-        from .braids import verify_artin
+        from .braids import _verify_artin
 
-        reports.append(verify_artin(args.dim))
+        reports.append(_verify_artin(basis))
     lines: list[str] = []
     for report in reports:
         lines.extend(report.lines())
@@ -250,12 +250,14 @@ def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
         )
     from .braids import BraidWord, _image_columns, braid_image
     from .diagrams import ScaledDiagram, serialize
+    from .enumeration import enumerate_diagrams
 
     word = BraidWord.from_text(args.strands, args.word)
     if args.matrix:
+        basis = enumerate_diagrams(args.strands, max_dimension=args.max_dim)
         columns = [
             {row: str(p) for row, p in column.items()}
-            for column in _image_columns(word)
+            for column in _image_columns(word, basis)
         ]
         header = (
             f"# bracket image of {word.to_text() or '(empty word)'} on "

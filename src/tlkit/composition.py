@@ -20,8 +20,9 @@ Generators act by their local rule (``_apply_generator``, the link-state
 action of arXiv:1204.4505): ``compose(D, U_k)`` changes only D's top
 nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise into
 the diagram pairing (a, b) and (D(a), D(b)).  ``_action`` applies U_k to
-a whole basis as a map of positions with loop exponents; the generator
-matrices, the ideal blocks and the bracket images are read from it.
+a whole basis as a map of positions with loop exponents and keeps it on
+the basis: the one builder of generator maps, which the generator
+matrices, the ideal blocks, the bracket images and the table read.
 
 The composition table is built from the same maps by associativity.
 Every basis diagram E other than the identity is ``compose(E', U_k)``
@@ -75,20 +76,22 @@ def _apply_generator(
 
 def _action(basis: DiagramBasis, k: int) -> Map:
     """U_k on every basis position, in basis order: U_k . D_i =
-    d^exponents[i] . D_targets[i]."""
-    index = basis._index  # type: ignore[attr-defined]
-    images = (_apply_generator(d.pairing, k, basis.dimension) for d in basis)
-    targets, exponents = zip(*[(index[p], m) for p, m in images])
-    return targets, exponents
+    d^exponents[i] . D_targets[i].  Built on first use and kept on the
+    basis; two threads that both build it store equal maps."""
+    actions = basis._actions  # type: ignore[attr-defined]
+    if k not in actions:
+        index = basis._index  # type: ignore[attr-defined]
+        images = (_apply_generator(d.pairing, k, basis.dimension) for d in basis)
+        actions[k] = tuple(zip(*[(index[p], m) for p, m in images]))
+    return actions[k]
 
 
-def _spanning_tree(
-    basis: DiagramBasis, actions: dict[int, Map]
-) -> tuple[int, list[tuple[int, int, int]]]:
+def _spanning_tree(basis: DiagramBasis) -> tuple[int, list[tuple[int, int, int]]]:
     """The identity's position and steps (position, parent, k) with
     D_position = compose(D_parent, U_k) and no loop closed, found breadth
     first from the identity: every parent comes before its children, and
     every other basis diagram is reached exactly once."""
+    maps = [(k, *_action(basis, k)) for k in range(1, basis.dimension)]
     root = basis.index_of(identity_diagram(basis.dimension))
     seen = [False] * len(basis)
     seen[root] = True
@@ -97,7 +100,7 @@ def _spanning_tree(
     while frontier:
         reached = []
         for parent in frontier:
-            for k, (targets, exponents) in actions.items():
+            for k, targets, exponents in maps:
                 position = targets[parent]
                 if not exponents[parent] and not seen[position]:
                     seen[position] = True
@@ -113,10 +116,8 @@ def _table_rows(basis: DiagramBasis) -> Iterator[tuple[list[int], list[int]]]:
     """Row i of the composition table for every basis position i, in
     order: ``rows[j]`` and ``loops[j]`` give compose(D_i, D_j) =
     d^loops[j] . D_rows[j]."""
-    n = basis.dimension
-    actions = {k: _action(basis, k) for k in range(1, n)}
-    root, tree = _spanning_tree(basis, actions)
-    steps = [(position, parent, *actions[k]) for position, parent, k in tree]
+    root, tree = _spanning_tree(basis)
+    steps = [(position, parent, *_action(basis, k)) for position, parent, k in tree]
     size = len(basis)
     for i in range(size):
         rows = [0] * size

@@ -308,26 +308,16 @@ _LINE_RE = re.compile(r"^TL\s+(\d+)\s+m=(\d+)\s*((?:\(\d+,\d+\))+)$")
 _PAIR_RE = re.compile(r"\((\d+),(\d+)\)")
 
 
-class _PairTexts(dict):
-    """Partner b -> the text ``(a,b)`` of node a's pair when a < b, and
-    "" when a is the larger end; filled as partners are first seen."""
-
-    __slots__ = ("node",)
-
-    def __init__(self, node: int) -> None:
-        self.node = node
-
-    def __missing__(self, partner: int) -> str:
-        a = self.node
-        text = self[partner] = f"({a},{partner})" if a < partner else ""
-        return text
-
-
 @functools.cache
-def _pair_texts(dimension: int) -> tuple[_PairTexts, ...]:
-    """The pair texts of every node of one dimension, so that a partner
-    tuple ``p`` reads as ``"".join(map(getitem, table, p))``."""
-    return tuple(_PairTexts(a) for a in range(1, 2 * dimension + 1))
+def _pair_texts(dimension: int) -> tuple[list[str], ...]:
+    """The pair texts of every node of one dimension: ``table[a-1][b]`` is
+    ``(a,b)`` when a < b and "" when a is the larger end, so that a
+    partner tuple ``p`` reads as ``"".join(map(getitem, table, p))``."""
+    size = 2 * dimension
+    return tuple(
+        [f"({a},{b})" if a < b else "" for b in range(size + 1)]
+        for a in range(1, size + 1)
+    )
 
 
 def _line_prefix(dimension: int, loop_exponent: int) -> str:

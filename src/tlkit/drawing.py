@@ -121,8 +121,8 @@ def emit_figure(
         chunks = ["\n".join(_tikz_one(s)) for s in scaled]
         return "\n\n".join(chunks) + "\n"
 
-    n = scaled[0].dimension
-    width = 40 * (n + 1)
+    # the widest diagram sets the width, so none is clipped
+    width = 40 * (max(s.dimension for s in scaled) + 1)
     height = 120 * len(scaled)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">'

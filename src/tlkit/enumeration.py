@@ -11,7 +11,8 @@ checks it against a brute-force oracle and against breadth-first and
 depth-first enumerators over partial diagrams.
 
 All values are immutable; ``enumerate_diagrams`` is cached and safe to
-share across threads.
+share across threads.  A ``DiagramBasis`` also keeps the generator maps
+``composition._action`` fills in on first use; the fill is idempotent.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ DEFAULT_MAX_DIMENSION = 12
 
 def catalan(n: int) -> int:
     """C_n = binom(2n, n) / (n + 1)."""
+    n = _integer(n, "n")
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -40,7 +42,8 @@ class DiagramBasis:
     """The full basis for one dimension: Catalan(N) distinct diagrams,
     canonical order unless a caller chose another, plus an index for O(1)
     position lookup.  The index is keyed by the partner tuple, which alone
-    identifies a diagram of the basis's dimension."""
+    identifies a diagram of the basis's dimension.  ``_actions`` holds
+    the map of U_k by k, kept by ``composition._action``."""
 
     dimension: int
     diagrams: tuple[PlanarDiagram, ...]
@@ -64,6 +67,7 @@ class DiagramBasis:
         if len(index) != len(diagrams):
             raise ValueError("basis contains duplicates")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_actions", {})
 
     def __len__(self) -> int:
         return len(self.diagrams)

@@ -28,10 +28,10 @@ The action is each generator's local rule, the link-state action of
 arXiv:1204.4505, which lives in ``composition`` (``_apply_generator``
 and the basis map ``_action``): U_k.D changes only D's top nodes
 a = N+k and b = N+k+1, into d.D if D pairs them and otherwise into the
-diagram pairing (a, b) and (D(a), D(b)).  One pass applies each generator
-to each basis diagram; the blocks, order and maps of a call come from it.
-The same maps build the composition table by associativity (see
-``composition``).
+diagram pairing (a, b) and (D(a), D(b)).  ``_action`` keeps the map of
+each generator on the basis; the ideal blocks, the order (``_order``) and
+every generator matrix read it, as do the composition table (see
+``composition``) and the bracket matrix image.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .composition import Map, _action, compose
 from .diagrams import PlanarDiagram, ScaledDiagram
@@ -104,9 +104,7 @@ class IdealPartition:
         raise KeyError(diagram)
 
 
-def _ideal_blocks(
-    basis: DiagramBasis, actions: Iterable[Map], include_identity: bool
-) -> list[list[int]]:
+def _ideal_blocks(basis: DiagramBasis, include_identity: bool) -> list[list[int]]:
     """Basis positions grouped into the components of the generator
     action, each block and the list of blocks in canonical order.  The
     identity and its edges are left out unless it is included."""
@@ -119,7 +117,8 @@ def _ideal_blocks(
             i = parent[i]
         return i
 
-    for targets, _ in actions:
+    for k in range(1, basis.dimension):
+        targets, _ = _action(basis, k)
         for i, j in enumerate(targets):
             if i != skip:
                 ri, rj = find(i), find(j)
@@ -145,12 +144,18 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
     collapses the partition to a single block; excluded (the default),
     dimension 4 splits 8 + 5.
     """
-    n = basis.dimension
-    actions = [_action(basis, k) for k in range(1, n)]
-    blocks = _ideal_blocks(basis, actions, include_identity)
+    blocks = _ideal_blocks(basis, include_identity)
     return IdealPartition(
-        n, tuple(tuple(basis[i] for i in block) for block in blocks)
+        basis.dimension, tuple(tuple(basis[i] for i in block) for block in blocks)
     )
+
+
+def _order(basis: DiagramBasis, include_identity: bool) -> Sequence[int]:
+    """Basis positions in the representation order (see module
+    docstring)."""
+    if include_identity:
+        return range(len(basis))
+    return [i for block in _ideal_blocks(basis, False) for i in block]
 
 
 def representation_basis(
@@ -158,10 +163,7 @@ def representation_basis(
 ) -> tuple[PlanarDiagram, ...]:
     """The documented basis order for generator matrices (see module
     docstring)."""
-    if include_identity:
-        return tuple(basis)
-    partition = ideal_partition(basis, include_identity=False)
-    return tuple(d for block in partition.blocks for d in block)
+    return tuple(basis[i] for i in _order(basis, include_identity))
 
 
 @dataclass(frozen=True)
@@ -220,23 +222,15 @@ def _generator_maps(
     basis: DiagramBasis, indices: Sequence[int], include_identity: bool
 ) -> list[GeneratorMatrix]:
     """The maps of U_k for k in ``indices``, renumbered into the
-    representation order.  Each generator is applied to each diagram
-    once: the ideal-refined order comes from the same action."""
-    n = basis.dimension
-    if include_identity:
-        actions = {k: _action(basis, k) for k in indices}
-        order: Sequence[int] = range(len(basis))
-    else:
-        actions = {k: _action(basis, k) for k in range(1, n)}
-        blocks = _ideal_blocks(basis, actions.values(), False)
-        order = [i for block in blocks for i in block]
+    representation order."""
+    order = _order(basis, include_identity)
     position = [0] * len(basis)
     for new, old in enumerate(order):
         position[old] = new
     basis_order = tuple(basis[i] for i in order)
     out = []
     for k in indices:
-        targets, exponents = actions[k]
+        targets, exponents = _action(basis, k)
         out.append(
             GeneratorMatrix(
                 k,

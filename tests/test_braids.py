@@ -178,13 +178,14 @@ def test_matrix_image_matches_dense_product(word):
     assert braid_image_matrix(word) == dense_braid_image_matrix(word)
     # verify_artin compares columns, so equal images need equal columns:
     # an entry that cancels to zero must not be stored.
-    for column in _image_columns(word):
+    for column in _image_columns(word, enumerate_diagrams(word.strands)):
         assert not any(p.is_zero() for p in column.values())
 
 
 def assert_same_images(w1, w2):
     assert braid_image(w1) == braid_image(w2)
-    assert _image_columns(w1) == _image_columns(w2)
+    basis = enumerate_diagrams(w1.strands)
+    assert _image_columns(w1, basis) == _image_columns(w2, basis)
 
 
 def spliced(word, at, letters):
@@ -222,13 +223,13 @@ def test_verify_artin_passes(n):
 
 
 def test_verify_artin_reports_a_wrong_action(monkeypatch):
-    original = braids._bracket_action
+    original = braids._action
 
-    def skewed(strands, index):
-        targets, exponents = original(strands, index)
+    def skewed(basis, index):
+        targets, exponents = original(basis, index)
         return targets, (exponents[0] + 1,) + exponents[1:]
 
-    monkeypatch.setattr(braids, "_bracket_action", skewed)
+    monkeypatch.setattr(braids, "_action", skewed)
     assert not verify_artin(4).passed
 
 

@@ -401,6 +401,17 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_artin_keeps_a_raised_ceiling(self, monkeypatch):
+        from tlkit import enumeration
+
+        monkeypatch.setattr(enumeration, "DEFAULT_MAX_DIMENSION", 3)
+        monkeypatch.setenv("TLKIT_MAX_DIM", "4")
+        code, out = run_cli(["verify", "--dim", "4", "--relations", "artin"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "Artin relations in the bracket image, 4 strands"
+        assert lines[-1] == "overall: PASS"
+
     def test_failure_exit_code(self, monkeypatch):
         broken = RelationReport("forced", (("forced check", False),))
         monkeypatch.setattr(representation, "verify_tl_relations", lambda m: broken)
@@ -445,6 +456,15 @@ class TestBracket:
         code, out = run_cli(["bracket", "--strands", "2", "--word", "1,-1", "--matrix"])
         assert code == 0
         assert out.splitlines()[1:] == ["1,0", "0,1"]
+
+    def test_matrix_form_keeps_a_raised_ceiling(self, monkeypatch):
+        from tlkit import enumeration
+
+        monkeypatch.setattr(enumeration, "DEFAULT_MAX_DIMENSION", 3)
+        monkeypatch.setenv("TLKIT_MAX_DIM", "4")
+        code, out = run_cli(["bracket", "--strands", "4", "--word=1,-2,3,-1", "--matrix"])
+        assert code == 0
+        assert out == (GOLDEN / "bracket_4_matrix.csv").read_text(encoding="utf-8")
 
     def test_bad_letter(self):
         assert cli.main(["bracket", "--strands", "2", "--word", "5"]) == cli.EXIT_VALIDATION

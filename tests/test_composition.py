@@ -1,14 +1,17 @@
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from tlkit import _backend
-from tlkit.composition import _action, _spanning_tree, compose, compose_scaled
+from tlkit import _backend, composition
+from tlkit.braids import BraidWord, _image_columns
+from tlkit.composition import _action, _spanning_tree, _table_rows, compose, compose_scaled
 from tlkit.diagrams import ScaledDiagram, parse
-from tlkit.enumeration import enumerate_diagrams, identity_diagram
-from tlkit.representation import generator_diagram
+from tlkit.enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
+from tlkit.representation import generator_diagram, generator_matrices, ideal_partition
 
 from oracles import (
     StackGraph,
@@ -102,8 +105,7 @@ def test_associativity_randomized(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_spanning_tree_reaches_every_diagram_by_loop_free_steps(n):
     basis = enumerate_diagrams(n)
-    actions = {k: _action(basis, k) for k in range(1, n)}
-    root, steps = _spanning_tree(basis, actions)
+    root, steps = _spanning_tree(basis)
     assert basis[root] == identity_diagram(n)
     reached = {root}
     for position, parent, k in steps:
@@ -112,6 +114,46 @@ def test_spanning_tree_reaches_every_diagram_by_loop_free_steps(n):
         step = compose(basis[parent], generator_diagram(n, k))
         assert step == ScaledDiagram(basis[position], 0)
     assert len(reached) == len(basis)
+
+
+def test_each_generator_map_is_built_once_per_basis(monkeypatch):
+    # The table, the ideal blocks, both generator-matrix orders and the
+    # bracket matrix image all read the maps _action keeps on the basis.
+    n = 5
+    calls = 0
+    rule = composition._apply_generator
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rule(*args)
+
+    monkeypatch.setattr(composition, "_apply_generator", counted)
+    basis = DiagramBasis(n, tuple(enumerate_diagrams(n)))
+    list(_table_rows(basis))
+    ideal_partition(basis)
+    generator_matrices(basis, include_identity=False)
+    generator_matrices(basis, include_identity=True)
+    _image_columns(BraidWord(n, (1, -2, 3, -4)), basis)
+    assert calls == (n - 1) * catalan(n)
+
+
+def test_threads_sharing_a_basis_read_the_same_maps():
+    n = 6
+    expected = [_action(enumerate_diagrams(n), k) for k in range(1, n)]
+    basis = DiagramBasis(n, tuple(enumerate_diagrams(n)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [
+                pool.submit(lambda: [_action(basis, k) for k in range(1, n)]) for _ in range(8)
+            ]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == expected for result in results)
+    assert [_action(basis, k) for k in range(1, n)] == expected
 
 
 def test_loop_exponent_additivity():

@@ -42,6 +42,14 @@ def test_basis_emits_one_group_per_diagram():
     assert svg.count("</g>") == 14
 
 
+def test_svg_width_fits_the_widest_diagram():
+    # the 3-strand frame spans x = 10..150, so the figure needs width 160
+    header = '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 160 240">'
+    for pair in ([2, 3], [3, 2]):
+        svg = emit_figure([identity_diagram(n) for n in pair], "svg")
+        assert svg.splitlines()[0] == header
+
+
 def test_loop_annotation():
     scaled = ScaledDiagram(identity_diagram(2), 2)
     tikz = emit_figure(scaled, "tikz")

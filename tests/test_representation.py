@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tlkit import _backend
 from tlkit.braids import verify_artin
 from tlkit.composition import compose
-from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
+from tlkit.enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix, matrix_product
 from tlkit.representation import (
@@ -150,6 +150,8 @@ def test_generator_matrices_make_no_compositions(monkeypatch):
         lambda: verify_tl_relations_diagrams(2.5),
         lambda: verify_artin(2.5),
         lambda: verify_artin(3, max_len=2.5),
+        lambda: verify_artin(3, seed=[1]),
+        lambda: catalan(2.5),
     ],
     ids=[
         "generator_diagram",
@@ -159,6 +161,8 @@ def test_generator_matrices_make_no_compositions(monkeypatch):
         "verify_tl_relations_diagrams",
         "verify_artin",
         "verify_artin_max_len",
+        "verify_artin_seed",
+        "catalan",
     ],
 )
 def test_entry_points_reject_non_integers(call):

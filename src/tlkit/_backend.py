@@ -9,22 +9,22 @@ second involution and planarity check, so a kernel change must keep
 every emitted tuple a noncrossing perfect matching (the test suite
 re-validates them).
 
-The enumerator performs a depth-first search extending the
-smallest-index unmatched node, generating exactly the legal partners at
-each step:
+The basis search is a depth-first walk that joins the lowest unmatched
+node, the frontier, to each of its legal partners in ascending order.
+``_partners`` holds that rule: the frontier pairs with every second node
+up to the first matched node above it, and a bottom frontier with no
+matched bottom node above it also pairs with every second top node above
+the highest matched one.  Each placement leaves an even number of free
+nodes on both sides of the new strand, so every branch completes and the
+leaves are exactly the noncrossing perfect matchings, in ascending
+lexicographic order of the partner array.
 
-* bottom frontier f: unmatched bottom nodes at odd offsets until the
-  first matched bottom node walls the region off; if no wall, also every
-  second top node above the highest already-used top landing point;
-* top frontier f: top nodes at odd offsets until the first matched one.
+The rule reads nothing but which nodes are matched, so the search state
+is one int, ``matched``, with bit i set for each matched node i and bit 0
+always set.  Three walks recurse on it:
 
-Each placement leaves an even number of free nodes on both sides of the
-new strand, so every branch completes and the leaves are exactly the
-noncrossing perfect matchings, emitted in ascending lexicographic order
-of the partner array.  ``_candidates`` is that branching rule, and three
-walks share it:
-
-* ``enumerate_pairings`` emits each leaf as a partner tuple;
+* ``enumerate_pairings`` emits each leaf as a partner tuple; it is the
+  only walk that keeps a partner array;
 * ``pairing_lines`` emits each leaf as one line of text.  The search
   places pair (f, j) with f < j and f ascending, which is the pair order
   of the diagram line format, so the text of a leaf is the pair texts of
@@ -34,9 +34,7 @@ walks share it:
 * ``count_pairings`` counts the leaves below a node once per search
   state.
 
-The branching reads only which nodes are matched and ``y_max``, the
-highest top node a placed strand lands on; those two values are the
-search state.  Dimension 12 has 208,012 leaves but only 4,434 states.
+Dimension 12 has 208,012 leaves but only 4,096 states.
 
 Composition walks the strands of the stacked picture directly; the
 union-find and matrix-power readings of the same stack live in the test
@@ -45,28 +43,33 @@ suite as independent oracles.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 
 def enumerate_pairings(dimension: int) -> list[tuple[int, ...]]:
     """All noncrossing perfect matchings on 2N nodes as partner tuples,
     in ascending lexicographic order."""
-    n, size, partner = _start(dimension)
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
+    n = dimension
+    branches = functools.cache(lambda matched: _partners(matched, n))
+    # Each node is written when the path reaches it, so at a leaf every
+    # entry holds the current path's partner and no write is undone.
+    partner = [0] * (2 * n + 1)
     out: list[tuple[int, ...]] = []
 
-    def rec(f: int, y_max: int) -> None:
-        while f <= size and partner[f]:
-            f += 1
-        if f > size:
+    def rec(matched: int) -> None:
+        f, partners = branches(matched)
+        if partners is None:
             out.append(tuple(partner[1:]))
             return
-        for j in _candidates(partner, n, f, y_max):
+        for j in partners:
             partner[f] = j
             partner[j] = f
-            rec(f + 1, j if j > n else y_max)
-            partner[f] = partner[j] = 0
+            rec(matched | 1 << f | 1 << j)
 
-    rec(1, 0)
+    rec(1)
     return out
 
 
@@ -80,113 +83,78 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
     as in ``count_pairings``, so a leaf costs one concatenation and no
     partner tuple is built.
     """
-    n, size, partner = _start(dimension)
-    half = n // 2
-    memo: dict[tuple[int, int], list[str]] = {}
+    if dimension < 1:
+        raise ValueError("dimension must be at least 1")
+    n = dimension
     lines: list[str] = []
 
-    def finishes(f: int, y_max: int, matched: int) -> list[str]:
-        while f <= size and partner[f]:
-            f += 1
-        if f > size:
+    @functools.cache
+    def finishes(matched: int) -> list[str]:
+        f, partners = _partners(matched, n)
+        if partners is None:
             return ["\n"]
-        key = (matched, y_max)
-        out = memo.get(key)
-        if out is None:
-            out = []
-            row = texts[f - 1]
-            for j in _candidates(partner, n, f, y_max):
-                partner[f] = j
-                partner[j] = f
-                pair = row[j]
-                rest = finishes(f + 1, j if j > n else y_max, matched | 1 << f | 1 << j)
-                out += [pair + s for s in rest]
-                partner[f] = partner[j] = 0
-            memo[key] = out
+        row = texts[f - 1]
+        out: list[str] = []
+        for j in partners:
+            pair = row[j]
+            out += [pair + s for s in finishes(matched | 1 << f | 1 << j)]
         return out
 
-    def walk(f: int, y_max: int, matched: int, text: str, placed: int) -> None:
-        if placed == half:
-            lines.extend([text + s for s in finishes(f, y_max, matched)])
+    def walk(matched: int, text: str, placed: int) -> None:
+        if placed == n // 2:
+            lines.extend([text + s for s in finishes(matched)])
             return
-        while partner[f]:
-            f += 1
+        f, partners = _partners(matched, n)
         row = texts[f - 1]
-        for j in _candidates(partner, n, f, y_max):
-            partner[f] = j
-            partner[j] = f
-            y = j if j > n else y_max
-            walk(f + 1, y, matched | 1 << f | 1 << j, text + row[j], placed + 1)
-            partner[f] = partner[j] = 0
+        for j in partners:
+            walk(matched | 1 << f | 1 << j, text + row[j], placed + 1)
 
-    walk(1, 0, 0, prefix, 0)
+    walk(1, prefix, 0)
     return "".join(lines)
 
 
 def count_pairings(dimension: int) -> int:
-    """Number of leaves of the same search, without materializing them.
-
-    The branching reads only which nodes are matched and ``y_max``, so
-    the leaf count below a node is memoized by that state.
-    """
-    n, size, partner = _start(dimension)
-    memo: dict[tuple[int, int], int] = {}
-
-    def rec(f: int, y_max: int, matched: int) -> int:
-        while f <= size and partner[f]:
-            f += 1
-        if f > size:
-            return 1
-        key = (matched, y_max)
-        total = memo.get(key)
-        if total is None:
-            total = 0
-            for j in _candidates(partner, n, f, y_max):
-                partner[f] = j
-                partner[j] = f
-                total += rec(f + 1, j if j > n else y_max, matched | 1 << f | 1 << j)
-                partner[f] = partner[j] = 0
-            memo[key] = total
-        return total
-
-    return rec(1, 0, 0)
-
-
-def _start(dimension: int) -> tuple[int, int, list[int]]:
-    """N, 2N and an empty 1-based partner array for a search."""
+    """Number of leaves of the same search, without materializing them;
+    the count below a node is memoized by the search state."""
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
-    return dimension, 2 * dimension, [0] * (2 * dimension + 1)
+    n = dimension
+
+    @functools.cache
+    def count(matched: int) -> int:
+        f, partners = _partners(matched, n)
+        if partners is None:
+            return 1
+        total = 0
+        for j in partners:
+            total += count(matched | 1 << f | 1 << j)
+        return total
+
+    return count(1)
 
 
-def _candidates(partner: list[int], n: int, f: int, y_max: int) -> list[int]:
-    """The legal partners of frontier node f, ascending: the branching
-    rule every walk above shares.  ``y_max`` is the highest top node any
-    strand placed so far lands on (0 for none)."""
+def _partners(matched: int, n: int) -> tuple[int, Sequence[int] | None]:
+    """The branching rule: the frontier f of the search state ``matched``
+    and its legal partners, ascending (None once every node is matched).
+
+    Bit i of ``matched`` is set when node i is matched; bit 0 is always
+    set, so f is the lowest clear bit.  f pairs with every second node up
+    to the first matched node above it, its wall.  A bottom f whose wall
+    is not on the bottom row may also land on every second top node above
+    the highest matched one, with the parity that leaves an even number of
+    free nodes on each side of the strand.
+    """
     size = 2 * n
-    candidates: list[int] = []
-    if f <= n:
-        j = f + 1
-        while j <= n and not partner[j]:
-            if (j - f) % 2 == 1:
-                candidates.append(j)
-            j += 1
-        walled = j <= n
-        if not walled:
-            j = max(y_max + 1, n + 1)
-            if (f + j + n) % 2 == 1:
-                j += 1
-            while j <= size:
-                candidates.append(j)
-                j += 2
-    else:
-        j = f + 1
-        while j <= size and not partner[j]:
-            candidates.append(j)
-            if j + 1 > size or partner[j + 1]:
-                break
-            j += 2
-    return candidates
+    f = (matched ^ (matched + 1)).bit_length() - 1
+    if f > size:
+        return f, None
+    above = matched >> f
+    wall = f + (above & -above).bit_length() - 1 if above else size + 1
+    if f > n or wall <= n:
+        return f, range(f + 1, wall, 2)
+    start = max(matched.bit_length(), n + 1)
+    start += (f + start + n) % 2
+    return f, (*range(f + 1, n + 1, 2), *range(start, size + 1, 2))
 
 
 def compose_pairings(

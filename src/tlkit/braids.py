@@ -132,16 +132,15 @@ def _image_columns(word: BraidWord, basis: DiagramBasis) -> list[dict[int, Laure
     loop = kauffman_loop_value()
     for letter in word.letters:
         targets, exponents = _action(basis, abs(letter))
-        # the letter is a.1 + b.U with a = A^shift and b = A^-shift
+        # the letter is a.1 + b.U with a = A^shift and b = A^-shift; U
+        # closes at most one loop, so b.d^m is a shift or one product
         shift = 1 if letter > 0 else -1
-        b = LaurentPoly.monomial("A", -shift)
-        factors = [b * loop**m for m in range(max(exponents) + 1)]
+        with_loop = LaurentPoly.monomial("A", -shift) * loop
         updated = []
         for own, target, m in zip(columns, targets, exponents):
             column = {row: p.shifted(shift) for row, p in own.items()}
             for row, p in columns[target].items():
-                # factors[0] is the monomial A^-shift: a shift, no product
-                q = p.shifted(-shift) if m == 0 else p * factors[m]
+                q = p * with_loop if m else p.shifted(-shift)
                 if row in column:
                     q = column[row] + q
                     if q.is_zero():

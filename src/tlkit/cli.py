@@ -102,13 +102,17 @@ def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> 
     data_path = stem.with_suffix(".tl")
     hash_path = stem.with_suffix(".sha256")
     if data_path.is_file() and hash_path.is_file():
-        text = data_path.read_text(encoding="utf-8")
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        count = sum(1 for line in text.splitlines() if line.strip())
-        if digest == hash_path.read_text(encoding="utf-8").strip() and count == catalan(
-            dimension
-        ):
-            return text
+        try:
+            text = data_path.read_text(encoding="utf-8")
+            recorded = hash_path.read_text(encoding="utf-8").strip()
+        except UnicodeDecodeError:
+            # This cache writes only UTF-8: the file is damaged, a miss.
+            pass
+        else:
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            count = sum(1 for line in text.splitlines() if line.strip())
+            if digest == recorded and count == catalan(dimension):
+                return text
     text = _basis_lines(dimension, max_dimension)
     _write_replacing(data_path, text)
     _write_replacing(hash_path, hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n")
@@ -196,7 +200,12 @@ def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
     if args.gen == "all":
         selected = generator_matrices(basis, args.include_identity)
     else:
-        k = int(args.gen)
+        try:
+            k = int(args.gen)
+        except ValueError:
+            raise ValueError(
+                f"generator index must be an integer or 'all', got {args.gen!r}"
+            ) from None
         selected = [generator_matrix(k, basis, args.include_identity)]
     d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d
     lines: list[str] = []

@@ -336,6 +336,8 @@ def serialize(scaled: ScaledDiagram) -> str:
 def parse(line: str) -> ScaledDiagram:
     """Parse a diagram line, rejecting malformed text, non-involutions and
     crossing pairings."""
+    if not isinstance(line, str):
+        raise ValueError(f"diagram line must be text, got {line!r}")
     match = _LINE_RE.match(line.strip())
     if not match:
         raise ValueError(f"malformed diagram line: {line!r}")

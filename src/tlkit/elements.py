@@ -27,14 +27,16 @@ class TLElement:
     terms: tuple[tuple[PlanarDiagram, LaurentPoly], ...]
 
     def __post_init__(self) -> None:
-        for diagram, coeff in self.terms:
+        terms = _checked_terms(self.terms)
+        object.__setattr__(self, "terms", terms)
+        for diagram, coeff in terms:
             if diagram.dimension != self.dimension:
                 raise ValueError("all terms must share the element's dimension")
             if coeff.variable != self.variable:
                 raise ValueError("all coefficients must share the element's variable")
             if coeff.is_zero():
                 raise ValueError("zero terms must not be stored")
-        keys = [d.pairing for d, _ in self.terms]
+        keys = [d.pairing for d, _ in terms]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("terms must be sorted by diagram and duplicate-free")
 
@@ -47,7 +49,7 @@ class TLElement:
     ) -> TLElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[PlanarDiagram, LaurentPoly] = {}
-        for diagram, coeff in items:
+        for diagram, coeff in _checked_terms(items):
             acc[diagram] = acc[diagram] + coeff if diagram in acc else coeff
         kept = tuple(
             sorted(
@@ -107,6 +109,23 @@ class TLElement:
             self.variable,
             [(d, c * factor) for d, c in self.terms],
         )
+
+
+def _checked_terms(
+    terms: Iterable[tuple[PlanarDiagram, LaurentPoly]],
+) -> tuple[tuple[PlanarDiagram, LaurentPoly], ...]:
+    """``terms`` as a tuple, with ValueError unless every term is a
+    (PlanarDiagram, LaurentPoly) pair."""
+    try:
+        pairs = tuple((diagram, coeff) for diagram, coeff in terms)
+    except (TypeError, ValueError):
+        raise ValueError("terms must be (diagram, coefficient) pairs") from None
+    for diagram, coeff in pairs:
+        if not isinstance(diagram, PlanarDiagram) or not isinstance(coeff, LaurentPoly):
+            raise ValueError(
+                f"term ({diagram!r}, {coeff!r}) is not a (PlanarDiagram, LaurentPoly) pair"
+            )
+    return pairs
 
 
 def multiply(a: TLElement, b: TLElement, loop_value: LaurentPoly) -> TLElement:

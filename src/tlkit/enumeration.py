@@ -49,7 +49,10 @@ class DiagramBasis:
     diagrams: tuple[PlanarDiagram, ...]
 
     def __post_init__(self) -> None:
-        diagrams = tuple(self.diagrams)
+        try:
+            diagrams = tuple(self.diagrams)
+        except TypeError:
+            raise ValueError("diagrams must be a sequence of diagrams") from None
         object.__setattr__(self, "diagrams", diagrams)
         if len(diagrams) != catalan(self.dimension):
             raise ValueError(

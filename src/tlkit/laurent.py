@@ -19,6 +19,10 @@ from typing import Mapping
 from .enumeration import _integer
 
 
+#: The variables a polynomial may be written in.
+_VARIABLES = ("d", "A")
+
+
 @dataclass(frozen=True)
 class LaurentPoly:
     """A Laurent polynomial c_k * v^k + ... with integer coefficients.
@@ -37,7 +41,7 @@ class LaurentPoly:
     coeffs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.variable not in ("d", "A"):
+        if self.variable not in _VARIABLES:
             raise ValueError(f"unsupported variable {self.variable!r}")
         try:
             coeffs = tuple(

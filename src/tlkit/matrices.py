@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .laurent import LaurentPoly
+from .laurent import _VARIABLES, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,8 @@ class PolyMatrix:
     rows: tuple[tuple[LaurentPoly, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.variable not in _VARIABLES:
+            raise ValueError(f"unsupported variable {self.variable!r}")
         try:
             rows = tuple(tuple(row) for row in self.rows)
         except TypeError:

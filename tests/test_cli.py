@@ -1,6 +1,7 @@
 import io
 import contextlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ import tlkit
 from tlkit import cli, representation
 from tlkit.composition import compose
 from tlkit.diagrams import parse
-from tlkit.enumeration import enumerate_diagrams, identity_diagram
+from tlkit.elements import TLElement
+from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
+from tlkit.matrices import PolyMatrix
 from tlkit.representation import (
     GeneratorMatrix,
     RelationReport,
@@ -203,10 +206,18 @@ class TestEnumerate:
 
     def test_cache_corruption_regenerates(self, tmp_path):
         cache = tmp_path / "cache"
-        _, first = run_cli(["enumerate", "--dim", "4", "--cache", str(cache)])
-        (cache / "basis_v1_dim4.tl").write_text("TL 4 m=0 (1,2)(3,4)(5,6)(7,8)\n")
-        _, repaired = run_cli(["enumerate", "--dim", "4", "--cache", str(cache)])
-        assert repaired == first
+        args = ["enumerate", "--dim", "4", "--cache", str(cache)]
+        _, first = run_cli(args)
+        intact = {p.name: p.read_bytes() for p in cache.iterdir()}
+        damage = [
+            ("basis_v1_dim4.tl", b"TL 4 m=0 (1,2)(3,4)(5,6)(7,8)\n"),
+            ("basis_v1_dim4.tl", b"\xff\xfe garbage"),
+            ("basis_v1_dim4.sha256", b"\xff\xfe garbage"),
+        ]
+        for name, data in damage:
+            (cache / name).write_bytes(data)
+            assert run_cli(args) == (0, first), name
+            assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact, name
 
 
 class TestStartup:
@@ -492,3 +503,31 @@ class TestDraw:
 
     def test_needs_target(self):
         assert cli.main(["draw", "--dim", "2"]) == cli.EXIT_VALIDATION
+
+
+def run_parsed(argv):
+    """``cli.run`` on parsed arguments, so its ValueError reaches the test."""
+    args = cli.build_parser().parse_args(argv)
+    args.max_dim = 12
+    return cli.run(args)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda d: TLElement(2, "d", ((d, 5),)), "is not a (PlanarDiagram, LaurentPoly) pair"),
+        (lambda d: TLElement(2, "d", 5), "terms must be (diagram, coefficient) pairs"),
+        (lambda d: TLElement.from_terms(2, "d", [(d, 5)]), "is not a (PlanarDiagram, LaurentPoly) pair"),
+        (lambda d: DiagramBasis(2, 5), "diagrams must be a sequence of diagrams"),
+        (lambda d: parse(5), "diagram line must be text, got 5"),
+        (lambda d: PolyMatrix("x", ()), "unsupported variable 'x'"),
+        (
+            lambda d: run_parsed(["repr", "--dim", "3", "--gen", "abc"]),
+            "generator index must be an integer or 'all', got 'abc'",
+        ),
+    ],
+    ids=["term", "terms", "from-terms", "basis", "parse", "matrix", "repr-gen"],
+)
+def test_malformed_values_raise_value_error(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(identity_diagram(2))

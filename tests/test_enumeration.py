@@ -1,7 +1,7 @@
 import pytest
 
 from tlkit import _backend
-from tlkit.diagrams import PlanarDiagram
+from tlkit.diagrams import PlanarDiagram, connectability, restrict_connectability
 from tlkit.enumeration import (
     DiagramBasis,
     catalan,
@@ -91,6 +91,46 @@ def test_kernel_rejects_bad_dimension():
         _backend.count_pairings(0)
     with pytest.raises(ValueError):
         _backend.pairing_lines(0, "", ())
+
+
+def test_partners_match_the_restricted_connectability():
+    # Walk the search tree by the rule itself; at each bottom frontier the
+    # rule must give the partners the connectability matrix allows once
+    # the placed edges restrict it.
+    checked = 0
+    for n in range(1, 8):
+        gamma = connectability(n)
+        stack = [(1, {})]
+        while stack:
+            matched, partial = stack.pop()
+            f, partners = _backend._partners(matched, n)
+            if partners is None:
+                continue
+            if f <= n:
+                expected = restrict_connectability(partial, f, gamma).partners(f)
+                assert tuple(partners) == expected, (n, partial)
+                checked += 1
+            for j in partners:
+                stack.append((matched | 1 << f | 1 << j, {**partial, f: j, j: f}))
+    assert checked == 398
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_every_reachable_state_has_a_partner(n):
+    # "Every branch completes": no state short of the leaf is a dead end.
+    seen = set()
+    stack = [1]
+    while stack:
+        matched = stack.pop()
+        if matched in seen:
+            continue
+        seen.add(matched)
+        f, partners = _backend._partners(matched, n)
+        if partners is None:
+            assert matched == (1 << 2 * n + 1) - 1
+            continue
+        assert partners, (n, bin(matched))
+        stack.extend(matched | 1 << f | 1 << j for j in partners)
 
 
 @pytest.mark.parametrize("n", range(1, 12))

@@ -64,6 +64,24 @@ class TestGolden:
                 "bracket_5_element.txt",
             ),
             (["compose", "--dim", "5", "--table"], "compose_dim5_table.csv"),
+            # every strand kind: 5 vertical, 4 cups, 4 caps, 2 slanted
+            (["draw", "--dim", "3", "--basis"], "draw_dim3_basis.tex"),
+            (
+                ["draw", "--dim", "3", "--basis", "--format", "svg"],
+                "draw_dim3_basis.svg",
+            ),
+            # one strand of each kind and the loop mark
+            (
+                ["draw", "--dim", "4", "--diagram", "TL 4 m=2 (1,7)(2,3)(4,8)(5,6)"],
+                "draw_dim4_m2.tex",
+            ),
+            (
+                [
+                    "draw", "--dim", "4", "--diagram",
+                    "TL 4 m=2 (1,7)(2,3)(4,8)(5,6)", "--format", "svg",
+                ],
+                "draw_dim4_m2.svg",
+            ),
         ],
     )
     def test_matches_golden_and_byte_stable(self, args, golden):

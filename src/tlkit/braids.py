@@ -37,9 +37,9 @@ import random
 from dataclasses import dataclass
 
 from .composition import _action, _apply_generator
-from .diagrams import PlanarDiagram
+from .diagrams import PlanarDiagram, _integer
 from .elements import TLElement
-from .enumeration import DiagramBasis, _integer, enumerate_diagrams, identity_diagram
+from .enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
 from .matrices import PolyMatrix
 from .representation import RelationReport

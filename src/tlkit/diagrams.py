@@ -41,18 +41,30 @@ def node_position(node: int, dimension: int) -> int:
     return node if node <= dimension else 3 * dimension + 1 - node
 
 
+def _integer(value: int, name: str) -> int:
+    """``value`` as an int, with ValueError (not TypeError) for a
+    non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_involution(pairing: Sequence[int], dimension: int) -> None:
     size = 2 * dimension
-    if len(pairing) != size:
-        raise ValueError(f"pairing must list {size} partners, got {len(pairing)}")
-    for i in range(1, size + 1):
-        j = pairing[i - 1]
-        if not 1 <= j <= size:
-            raise ValueError(f"partner {j} of node {i} out of range 1..{size}")
-        if j == i:
-            raise ValueError(f"node {i} is paired with itself")
-        if pairing[j - 1] != i:
-            raise ValueError(f"pairing is not an involution at nodes {i}, {j}")
+    try:
+        if len(pairing) != size:
+            raise ValueError(f"pairing must list {size} partners, got {len(pairing)}")
+        for i in range(1, size + 1):
+            j = pairing[i - 1]
+            if not 1 <= j <= size:
+                raise ValueError(f"partner {j} of node {i} out of range 1..{size}")
+            if j == i:
+                raise ValueError(f"node {i} is paired with itself")
+            if pairing[j - 1] != i:
+                raise ValueError(f"pairing is not an involution at nodes {i}, {j}")
+    except TypeError:
+        raise ValueError("partners must be integers, given as a sequence") from None
 
 
 def is_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
@@ -63,6 +75,7 @@ def is_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
     end is on top of the stack, and the pairing is noncrossing exactly when
     every chord closes.  Non-involutions are rejected with ValueError.
     """
+    dimension = _integer(dimension, "dimension")
     _check_involution(pairing, dimension)
     size = 2 * dimension
     node_at = [0] * (size + 1)
@@ -78,6 +91,7 @@ def is_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
     return not stack
 
 
+@functools.total_ordering
 @dataclass(frozen=True, order=False)
 class PlanarDiagram:
     """A loop-free planar diagram, stored as its partner array.
@@ -162,15 +176,6 @@ class PlanarDiagram:
     def __lt__(self, other: PlanarDiagram) -> bool:
         return canonical_compare(self, other) < 0
 
-    def __le__(self, other: PlanarDiagram) -> bool:
-        return canonical_compare(self, other) <= 0
-
-    def __gt__(self, other: PlanarDiagram) -> bool:
-        return canonical_compare(self, other) > 0
-
-    def __ge__(self, other: PlanarDiagram) -> bool:
-        return canonical_compare(self, other) >= 0
-
     def __str__(self) -> str:
         return serialize(ScaledDiagram(self, 0))
 
@@ -247,9 +252,9 @@ def connectability(dimension: int) -> ConnectabilityMatrix:
     parity that leaves an even number of nodes inside the would-be strand,
     which depends on whether the dimension is even or odd.
     """
-    if dimension < 1:
+    n = _integer(dimension, "dimension")
+    if n < 1:
         raise ValueError("dimension must be at least 1")
-    n = dimension
     size = 2 * n
     rows = []
     for i in range(1, size + 1):

@@ -5,100 +5,102 @@ cups and caps are cubic curves, vertical strands are straight segments,
 and a nonzero loop exponent is drawn as a circle annotated with d^m.
 Pixel fidelity is a non-goal; the emitted text is meant to be asserted
 on and pasted into documents.
+
+``_figure`` sorts each pair of nodes once into one of four strand kinds:
+a bottom cup, a top cap, a vertical strand (bottom node i to top node i)
+or a slanted through strand, a curve like the cups and caps.  The text
+of each format lives in its ``_Format`` table, ``_TIKZ`` or ``_SVG``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .diagrams import PlanarDiagram, ScaledDiagram
-
-_FORMATS = ("tikz", "svg")
 
 
 def _as_scaled(item: PlanarDiagram | ScaledDiagram) -> ScaledDiagram:
     if isinstance(item, PlanarDiagram):
         return ScaledDiagram(item, 0)
+    if not isinstance(item, ScaledDiagram):
+        raise ValueError(f"cannot draw {item!r}: not a PlanarDiagram or ScaledDiagram")
     return item
 
 
-def _fmt(x: float) -> str:
-    return f"{x:g}"
+class _Format(NamedTuple):
+    step: float  # x distance between neighbouring nodes
+    coord: Callable[[float], str]
+    box: Callable[[float, int], str]  # (figure width, figure index)
+    cup: Callable[[str, str], str]  # each strand kind: (x texts of its ends)
+    cap: Callable[[str, str], str]
+    vertical: Callable[[str, str], str]
+    slanted: Callable[[str, str], str]
+    loop: Callable[[float, int], str]  # (figure width, loop exponent)
+    end: str
+    page: Callable[[list[str], float], str]  # (figure texts, widest width)
 
 
-def _tikz_one(scaled: ScaledDiagram) -> list[str]:
+_TIKZ = _Format(
+    step=0.5,
+    coord=lambda x: f"{x:g}",
+    box=lambda w, i: f"\\begin{{tikzpicture}}\n\\draw (0,0) rectangle ({w:g},1);",
+    cup=lambda a, b: f"\\draw ({a},0) .. controls +(0,0.3) and +(0,0.3) .. ({b},0);",
+    cap=lambda a, b: f"\\draw ({a},1) .. controls +(0,-0.3) and +(0,-0.3) .. ({b},1);",
+    vertical=lambda a, b: f"\\draw ({a},0) -- ({a},1);",
+    slanted=lambda a, b: f"\\draw ({a},0) .. controls +(0,0.3) and +(0,-0.3) .. ({b},1);",
+    loop=lambda w, m: (
+        f"\\draw ({w - 0.25:g},0.5) circle (0.12);\n"
+        f"\\node[anchor=south] at ({w - 0.25:g},0.62) {{$d^{{{m}}}$}};"
+    ),
+    end="\\end{tikzpicture}",
+    page=lambda figures, w: "\n\n".join(figures) + "\n",
+)
+
+# SVG coordinates are ints written with str, never in exponent form.
+_SVG = _Format(
+    step=40,
+    coord=str,
+    box=lambda w, i: (
+        f'<g transform="translate(0,{120 * i})">\n'
+        f'<rect x="10" y="20" width="{w - 20}" height="80" fill="none" stroke="black"/>'
+    ),
+    cup=lambda a, b: f'<path d="M {a} 100 C {a} 70 {b} 70 {b} 100" fill="none" stroke="black"/>',
+    cap=lambda a, b: f'<path d="M {a} 20 C {a} 50 {b} 50 {b} 20" fill="none" stroke="black"/>',
+    vertical=lambda a, b: f'<line x1="{a}" y1="100" x2="{a}" y2="20" stroke="black"/>',
+    slanted=lambda a, b: f'<path d="M {a} 100 C {a} 60 {b} 60 {b} 20" fill="none" stroke="black"/>',
+    loop=lambda w, m: (
+        f'<circle cx="{w - 24}" cy="60" r="8" fill="none" stroke="black"/>\n'
+        f'<text x="{w - 24}" y="44" text-anchor="middle" font-size="12">d^{m}</text>'
+    ),
+    end="</g>",
+    # the widest diagram sets the width, so none is clipped
+    page=lambda figures, w: (
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="0 0 {w} {120 * len(figures)}">\n' + "\n".join(figures) + "\n</svg>\n"
+    ),
+)
+
+_FORMATS = {"tikz": _TIKZ, "svg": _SVG}
+
+
+def _figure(fmt: _Format, scaled: ScaledDiagram, index: int) -> str:
     n = scaled.dimension
-    x = lambda node: 0.5 * (node if node <= n else node - n)
-    width = 0.5 * (n + 1)
-    lines = ["\\begin{tikzpicture}"]
-    lines.append(f"\\draw (0,0) rectangle ({_fmt(width)},1);")
+    x = [fmt.coord(fmt.step * k) for k in range(n + 1)]
+    width = fmt.step * (n + 1)
+    lines = [fmt.box(width, index)]
     for a, b in scaled.diagram.pairs():
-        xa, xb = _fmt(x(a)), _fmt(x(b))
         if b <= n:
-            lines.append(
-                f"\\draw ({xa},0) .. controls +(0,0.3) and +(0,0.3) .. ({xb},0);"
-            )
+            lines.append(fmt.cup(x[a], x[b]))
         elif a > n:
-            lines.append(
-                f"\\draw ({xa},1) .. controls +(0,-0.3) and +(0,-0.3) .. ({xb},1);"
-            )
+            lines.append(fmt.cap(x[a - n], x[b - n]))
         elif b == a + n:
-            lines.append(f"\\draw ({xa},0) -- ({xa},1);")
+            lines.append(fmt.vertical(x[a], x[b - n]))
         else:
-            lines.append(
-                f"\\draw ({xa},0) .. controls +(0,0.3) and +(0,-0.3) .. ({xb},1);"
-            )
+            lines.append(fmt.slanted(x[a], x[b - n]))
     if scaled.loop_exponent > 0:
-        lines.append(f"\\draw ({_fmt(width - 0.25)},0.5) circle (0.12);")
-        lines.append(
-            f"\\node[anchor=south] at ({_fmt(width - 0.25)},0.62) "
-            f"{{$d^{{{scaled.loop_exponent}}}$}};"
-        )
-    lines.append("\\end{tikzpicture}")
-    return lines
-
-
-def _svg_one(scaled: ScaledDiagram, offset_y: int) -> list[str]:
-    n = scaled.dimension
-    x = lambda node: 40 * (node if node <= n else node - n)
-    width = 40 * (n + 1)
-    top, bottom = 20, 100
-    mid_up, mid_down = 70, 50
-    lines = [f'<g transform="translate(0,{offset_y})">']
-    lines.append(
-        f'<rect x="10" y="{top}" width="{width - 20}" height="{bottom - top}" '
-        'fill="none" stroke="black"/>'
-    )
-    for a, b in scaled.diagram.pairs():
-        xa, xb = x(a), x(b)
-        if b <= n:
-            lines.append(
-                f'<path d="M {xa} {bottom} C {xa} {mid_up} {xb} {mid_up} '
-                f'{xb} {bottom}" fill="none" stroke="black"/>'
-            )
-        elif a > n:
-            lines.append(
-                f'<path d="M {xa} {top} C {xa} {mid_down} {xb} {mid_down} '
-                f'{xb} {top}" fill="none" stroke="black"/>'
-            )
-        elif b == a + n:
-            lines.append(
-                f'<line x1="{xa}" y1="{bottom}" x2="{xa}" y2="{top}" stroke="black"/>'
-            )
-        else:
-            lines.append(
-                f'<path d="M {xa} {bottom} C {xa} 60 {xb} 60 {xb} {top}" '
-                'fill="none" stroke="black"/>'
-            )
-    if scaled.loop_exponent > 0:
-        cx = width - 24
-        lines.append(f'<circle cx="{cx}" cy="60" r="8" fill="none" stroke="black"/>')
-        lines.append(
-            f'<text x="{cx}" y="44" text-anchor="middle" font-size="12">'
-            f"d^{scaled.loop_exponent}</text>"
-        )
-    lines.append("</g>")
-    return lines
+        lines.append(fmt.loop(width, scaled.loop_exponent))
+    lines.append(fmt.end)
+    return "\n".join(lines)
 
 
 def emit_figure(
@@ -106,28 +108,19 @@ def emit_figure(
     fmt: str,
 ) -> str:
     """Render one diagram or a sequence of diagrams as TikZ or SVG text."""
-    if fmt not in _FORMATS:
-        raise ValueError(f"unsupported format {fmt!r}, expected one of {_FORMATS}")
-    items: Iterable[PlanarDiagram | ScaledDiagram]
+    if not isinstance(fmt, str) or fmt not in _FORMATS:
+        raise ValueError(
+            f"unsupported format {fmt!r}, expected one of {tuple(_FORMATS)}"
+        )
     if isinstance(target, (PlanarDiagram, ScaledDiagram)):
-        items = [target]
-    else:
-        items = target
+        target = [target]
+    try:
+        items = iter(target)
+    except TypeError:
+        raise ValueError(f"cannot draw {target!r}: not a diagram or sequence") from None
     scaled = [_as_scaled(item) for item in items]
     if not scaled:
         raise ValueError("nothing to draw")
-
-    if fmt == "tikz":
-        chunks = ["\n".join(_tikz_one(s)) for s in scaled]
-        return "\n\n".join(chunks) + "\n"
-
-    # the widest diagram sets the width, so none is clipped
-    width = 40 * (max(s.dimension for s in scaled) + 1)
-    height = 120 * len(scaled)
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">'
-    ]
-    for i, s in enumerate(scaled):
-        out.extend(_svg_one(s, 120 * i))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    table = _FORMATS[fmt]
+    figures = [_figure(table, s, i) for i, s in enumerate(scaled)]
+    return table.page(figures, table.step * (max(s.dimension for s in scaled) + 1))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .composition import compose
-from .diagrams import PlanarDiagram
-from .laurent import LaurentPoly
+from .diagrams import PlanarDiagram, _integer
+from .laurent import _VARIABLES, LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,13 @@ class TLElement:
     terms: tuple[tuple[PlanarDiagram, LaurentPoly], ...]
 
     def __post_init__(self) -> None:
+        dimension = _integer(self.dimension, "dimension")
+        if dimension < 1:
+            raise ValueError("dimension must be at least 1")
+        if self.variable not in _VARIABLES:
+            raise ValueError(f"unsupported variable {self.variable!r}")
         terms = _checked_terms(self.terms)
+        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "terms", terms)
         for diagram, coeff in terms:
             if diagram.dimension != self.dimension:

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import _backend
-from .diagrams import PlanarDiagram
+from .diagrams import PlanarDiagram, _integer
 
 #: Hard ceiling on the dimension accepted by enumerate_diagrams unless the
 #: caller raises it explicitly (C_12 = 208012 diagrams is still cheap, but
@@ -87,15 +86,6 @@ class DiagramBasis:
     def index_of(self, d: PlanarDiagram) -> int:
         """Position of ``d``; KeyError when the basis does not hold it."""
         return self._index[d.pairing]  # type: ignore[attr-defined]
-
-
-def _integer(value: int, name: str) -> int:
-    """``value`` as an int, with ValueError (not TypeError) for a
-    non-integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def identity_diagram(dimension: int) -> PlanarDiagram:

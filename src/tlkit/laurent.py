@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-from .enumeration import _integer
+from .diagrams import _integer
 
 
 #: The variables a polynomial may be written in.

@@ -60,11 +60,14 @@ class PolyMatrix:
         cls, variable: str, columns: Sequence[Mapping[int, LaurentPoly]]
     ) -> PolyMatrix:
         """The square matrix with ``columns[i][j]`` in row j of column i
-        and zero in every unlisted cell."""
+        and zero in every unlisted cell; ValueError unless 0 <= j < size."""
         zero = LaurentPoly.zero(variable)
-        grid = [[zero] * len(columns) for _ in columns]
+        size = len(columns)
+        grid = [[zero] * size for _ in columns]
         for i, column in enumerate(columns):
             for j, entry in column.items():
+                if not 0 <= j < size:
+                    raise ValueError(f"column {i} has row {j!r} outside 0..{size - 1}")
                 grid[j][i] = entry
         return cls.from_rows(variable, grid)
 

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .composition import Map, _action, compose
-from .diagrams import PlanarDiagram, ScaledDiagram
-from .enumeration import DiagramBasis, _integer, identity_diagram
+from .diagrams import PlanarDiagram, ScaledDiagram, _integer
+from .enumeration import DiagramBasis, identity_diagram
 from .laurent import LaurentPoly
 from .matrices import PolyMatrix
 

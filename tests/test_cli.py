@@ -11,9 +11,11 @@ import pytest
 import tlkit
 from tlkit import cli, representation
 from tlkit.composition import compose
-from tlkit.diagrams import parse
+from tlkit.diagrams import connectability, is_noncrossing, parse
+from tlkit.drawing import emit_figure
 from tlkit.elements import TLElement
 from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
+from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
 from tlkit.representation import (
     GeneratorMatrix,
@@ -539,12 +541,40 @@ def run_parsed(argv):
         (lambda d: DiagramBasis(2, 5), "diagrams must be a sequence of diagrams"),
         (lambda d: parse(5), "diagram line must be text, got 5"),
         (lambda d: PolyMatrix("x", ()), "unsupported variable 'x'"),
+        (lambda d: TLElement(2, "x", ()), "unsupported variable 'x'"),
+        (lambda d: TLElement("a", "d", ()), "dimension must be an integer, got 'a'"),
+        (lambda d: TLElement.zero(-3, "d"), "dimension must be at least 1"),
+        (
+            lambda d: PolyMatrix.from_columns("A", [{-1: LaurentPoly.one("A")}]),
+            "column 0 has row -1 outside 0..0",
+        ),
+        (
+            lambda d: PolyMatrix.from_columns("A", [{5: LaurentPoly.one("A")}]),
+            "column 0 has row 5 outside 0..0",
+        ),
+        (lambda d: emit_figure(5, "svg"), "cannot draw 5: not a diagram or sequence"),
+        (
+            lambda d: emit_figure(["x"], "svg"),
+            "cannot draw 'x': not a PlanarDiagram or ScaledDiagram",
+        ),
+        (lambda d: connectability("a"), "dimension must be an integer, got 'a'"),
+        (
+            lambda d: is_noncrossing([2.0, 1.0], 1),
+            "partners must be integers, given as a sequence",
+        ),
         (
             lambda d: run_parsed(["repr", "--dim", "3", "--gen", "abc"]),
             "generator index must be an integer or 'all', got 'abc'",
         ),
     ],
-    ids=["term", "terms", "from-terms", "basis", "parse", "matrix", "repr-gen"],
+    ids=[
+        "term", "terms", "from-terms", "basis", "parse", "matrix",
+        "element-variable", "element-dimension", "zero-dimension",
+        "columns-negative-row", "columns-row-past-end",
+        "draw-non-sequence", "draw-non-diagram",
+        "connectability-dimension", "noncrossing-partners",
+        "repr-gen",
+    ],
 )
 def test_malformed_values_raise_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):

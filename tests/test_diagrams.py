@@ -1,3 +1,4 @@
+import operator
 import tracemalloc
 
 import pytest
@@ -164,8 +165,12 @@ class TestCanonicalOrder:
         assert canonical_compare(d, PlanarDiagram(2, (2, 1, 4, 3))) == 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            canonical_compare(PlanarDiagram(1, (2, 1)), PlanarDiagram(2, (2, 1, 4, 3)))
+        small, large = PlanarDiagram(1, (2, 1)), PlanarDiagram(2, (2, 1, 4, 3))
+        ops = [canonical_compare, operator.lt, operator.le, operator.gt, operator.ge]
+        for op in ops:
+            for a, b in ((small, large), (large, small)):
+                with pytest.raises(ValueError, match="cannot compare diagrams"):
+                    op(a, b)
 
     def test_sorting_basis_is_stable_and_duplicate_free(self):
         basis = list(enumerate_diagrams(4))
@@ -179,6 +184,7 @@ class TestCanonicalOrder:
             for b in basis:
                 ca, cb = canonical_compare(a, b), canonical_compare(b, a)
                 assert ca == -cb
+                assert (a < b, a <= b, a > b, a >= b) == (ca < 0, ca <= 0, ca > 0, ca >= 0)
                 for c in basis:
                     if ca < 0 and canonical_compare(b, c) < 0:
                         assert canonical_compare(a, c) < 0

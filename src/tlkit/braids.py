@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
+from typing import Sequence
 
 from .composition import _action, _apply_generator
-from .diagrams import PlanarDiagram, _integer
+from .diagrams import PlanarDiagram, _integer, _Value
 from .elements import TLElement
 from .enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
@@ -50,18 +50,18 @@ def kauffman_loop_value() -> LaurentPoly:
     return LaurentPoly.from_dict("A", {2: -1, -2: -1})
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Value):
     """Signed generator letters on a fixed number of strands; the empty
     word is the braid identity.  Powers are expanded to unit letters."""
 
+    __slots__ = _fields = ("strands", "letters")
     strands: int
     letters: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, strands: int, letters: Sequence[int]) -> None:
         try:
-            strands = operator.index(self.strands)
-            letters = tuple(operator.index(x) for x in self.letters)
+            strands = operator.index(strands)
+            letters = tuple(operator.index(x) for x in letters)
         except TypeError:
             raise ValueError(
                 "strand count and letters must be integers, given as a sequence"

@@ -46,6 +46,8 @@ Map = tuple[tuple[int, ...], tuple[int, ...]]
 def compose(d1: PlanarDiagram, d2: PlanarDiagram) -> ScaledDiagram:
     """The product diagram with d2 stacked on top of d1, as d^m times a
     loop-free diagram."""
+    if not (isinstance(d1, PlanarDiagram) and isinstance(d2, PlanarDiagram)):
+        raise ValueError(f"compose needs two PlanarDiagrams, got {d1!r} and {d2!r}")
     if d1.dimension != d2.dimension:
         raise ValueError(
             f"cannot compose dimensions {d1.dimension} and {d2.dimension}"
@@ -78,9 +80,9 @@ def _action(basis: DiagramBasis, k: int) -> Map:
     """U_k on every basis position, in basis order: U_k . D_i =
     d^exponents[i] . D_targets[i].  Built on first use and kept on the
     basis; two threads that both build it store equal maps."""
-    actions = basis._actions  # type: ignore[attr-defined]
+    actions = basis._actions
     if k not in actions:
-        index = basis._index  # type: ignore[attr-defined]
+        index = basis._index
         images = (_apply_generator(d.pairing, k, basis.dimension) for d in basis)
         actions[k] = tuple(zip(*[(index[p], m) for p, m in images]))
     return actions[k]

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 
@@ -48,6 +47,49 @@ def _integer(value: int, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+class _Value:
+    """Base of the library's immutable value types.
+
+    A subclass names its compared fields in ``_fields``, declares them (and
+    any private state) in ``__slots__``, and stores them in its own
+    ``__init__`` through ``object.__setattr__``.  Two values are equal
+    when they have the same class and equal fields, and hash as the tuple
+    of their fields; ``repr`` reads ``Name(field=value, ...)``.  Setting or
+    deleting an attribute raises AttributeError.  ``copy`` and ``pickle``
+    rebuild a value by calling its class on the field values.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # A C-level getter of the field tuple keeps __eq__ and __hash__ fast.
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._key(self)
 
 
 def _check_involution(pairing: Sequence[int], dimension: int) -> None:
@@ -92,8 +134,7 @@ def is_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
 
 
 @functools.total_ordering
-@dataclass(frozen=True, order=False)
-class PlanarDiagram:
+class PlanarDiagram(_Value):
     """A loop-free planar diagram, stored as its partner array.
 
     ``pairing[i-1]`` is the partner of node i.  The partner array is the
@@ -107,13 +148,14 @@ class PlanarDiagram:
     products, ``parse`` after its own check).
     """
 
+    __slots__ = _fields = ("dimension", "pairing")
     dimension: int
     pairing: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, dimension: int, pairing: Sequence[int]) -> None:
         try:
-            dimension = operator.index(self.dimension)
-            pairing = tuple(operator.index(j) for j in self.pairing)
+            dimension = operator.index(dimension)
+            pairing = tuple(operator.index(j) for j in pairing)
         except TypeError:
             raise ValueError(
                 "dimension and partners must be integers, given as a sequence"
@@ -173,7 +215,9 @@ class PlanarDiagram:
             rows.append(tuple(row))
         return tuple(rows)
 
-    def __lt__(self, other: PlanarDiagram) -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, PlanarDiagram):
+            return NotImplemented
         return canonical_compare(self, other) < 0
 
     def __str__(self) -> str:
@@ -192,22 +236,23 @@ def canonical_compare(a: PlanarDiagram, b: PlanarDiagram) -> int:
     return -1 if a.pairing < b.pairing else 1
 
 
-@dataclass(frozen=True)
-class ScaledDiagram:
+class ScaledDiagram(_Value):
     """d^loop_exponent times a loop-free diagram."""
 
+    __slots__ = _fields = ("diagram", "loop_exponent")
     diagram: PlanarDiagram
-    loop_exponent: int = 0
+    loop_exponent: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.diagram, PlanarDiagram):
+    def __init__(self, diagram: PlanarDiagram, loop_exponent: int = 0) -> None:
+        if not isinstance(diagram, PlanarDiagram):
             raise ValueError("a scaled diagram needs a PlanarDiagram")
         try:
-            loop_exponent = operator.index(self.loop_exponent)
+            loop_exponent = operator.index(loop_exponent)
         except TypeError:
             raise ValueError("loop exponent must be an integer") from None
         if loop_exponent < 0:
             raise ValueError("loop exponent must be nonnegative")
+        object.__setattr__(self, "diagram", diagram)
         object.__setattr__(self, "loop_exponent", loop_exponent)
 
     @property
@@ -215,18 +260,23 @@ class ScaledDiagram:
         return self.diagram.dimension
 
     def with_extra_loops(self, count: int) -> ScaledDiagram:
+        count = _integer(count, "loop count")
         return ScaledDiagram(self.diagram, self.loop_exponent + count)
 
     def __str__(self) -> str:
         return serialize(self)
 
 
-@dataclass(frozen=True)
-class ConnectabilityMatrix:
+class ConnectabilityMatrix(_Value):
     """Symmetric 0/1 matrix saying which node pairs can still be joined."""
 
+    __slots__ = _fields = ("dimension", "entries")
     dimension: int
     entries: tuple[tuple[int, ...], ...]
+
+    def __init__(self, dimension: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "entries", entries)
 
     def value(self, i: int, j: int) -> int:
         return self.entries[i - 1][j - 1]
@@ -332,6 +382,8 @@ def _line_prefix(dimension: int, loop_exponent: int) -> str:
 
 def serialize(scaled: ScaledDiagram) -> str:
     """One-line text form; parse() inverts it exactly."""
+    if not isinstance(scaled, ScaledDiagram):
+        raise ValueError(f"serialize needs a ScaledDiagram, got {scaled!r}")
     diagram = scaled.diagram
     dimension = diagram.dimension
     pairs = "".join(map(operator.getitem, _pair_texts(dimension), diagram.pairing))

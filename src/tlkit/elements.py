@@ -9,42 +9,47 @@ loop polynomial (the symbol d itself, or its bracket value in A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .composition import compose
-from .diagrams import PlanarDiagram, _integer
+from .diagrams import PlanarDiagram, _integer, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
 
-@dataclass(frozen=True)
-class TLElement:
+class TLElement(_Value):
     """Sum of coeff * diagram terms, zero coefficients dropped, terms kept
     in canonical diagram order."""
 
+    __slots__ = _fields = ("dimension", "variable", "terms")
     dimension: int
     variable: str
     terms: tuple[tuple[PlanarDiagram, LaurentPoly], ...]
 
-    def __post_init__(self) -> None:
-        dimension = _integer(self.dimension, "dimension")
+    def __init__(
+        self,
+        dimension: int,
+        variable: str,
+        terms: Iterable[tuple[PlanarDiagram, LaurentPoly]],
+    ) -> None:
+        dimension = _integer(dimension, "dimension")
         if dimension < 1:
             raise ValueError("dimension must be at least 1")
-        if self.variable not in _VARIABLES:
-            raise ValueError(f"unsupported variable {self.variable!r}")
-        terms = _checked_terms(self.terms)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "terms", terms)
+        if variable not in _VARIABLES:
+            raise ValueError(f"unsupported variable {variable!r}")
+        terms = _checked_terms(terms)
         for diagram, coeff in terms:
-            if diagram.dimension != self.dimension:
+            if diagram.dimension != dimension:
                 raise ValueError("all terms must share the element's dimension")
-            if coeff.variable != self.variable:
+            if coeff.variable != variable:
                 raise ValueError("all coefficients must share the element's variable")
             if coeff.is_zero():
                 raise ValueError("zero terms must not be stored")
         keys = [d.pairing for d, _ in terms]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("terms must be sorted by diagram and duplicate-free")
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "variable", variable)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_terms(
@@ -86,6 +91,8 @@ class TLElement:
         return not self.terms
 
     def _require_compatible(self, other: TLElement) -> None:
+        if not isinstance(other, TLElement):
+            raise ValueError(f"expected a TLElement, got {other!r}")
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
         if self.variable != other.variable:
@@ -141,7 +148,11 @@ def multiply(a: TLElement, b: TLElement, loop_value: LaurentPoly) -> TLElement:
     With loop_value the monomial d this is multiplication in TL_N(d); the
     bracket image uses d's value -A^2 - A^-2 instead.
     """
+    if not isinstance(a, TLElement):
+        raise ValueError(f"expected a TLElement, got {a!r}")
     a._require_compatible(b)
+    if not isinstance(loop_value, LaurentPoly):
+        raise ValueError(f"loop value must be a LaurentPoly, got {loop_value!r}")
     if loop_value.variable != a.variable:
         raise ValueError("loop value must use the coefficient variable")
     terms = []

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 from . import _backend
-from .diagrams import PlanarDiagram, _integer
+from .diagrams import PlanarDiagram, _integer, _Value
 
 #: Hard ceiling on the dimension accepted by enumerate_diagrams unless the
 #: caller raises it explicitly (C_12 = 208012 diagrams is still cheap, but
@@ -36,38 +35,42 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
-class DiagramBasis:
+class DiagramBasis(_Value):
     """The full basis for one dimension: Catalan(N) distinct diagrams,
     canonical order unless a caller chose another, plus an index for O(1)
     position lookup.  The index is keyed by the partner tuple, which alone
     identifies a diagram of the basis's dimension.  ``_actions`` holds
     the map of U_k by k, kept by ``composition._action``."""
 
+    _fields = ("dimension", "diagrams")
+    __slots__ = (*_fields, "_index", "_actions")
     dimension: int
     diagrams: tuple[PlanarDiagram, ...]
+    _index: dict[tuple[int, ...], int]
+    _actions: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
-    def __post_init__(self) -> None:
+    def __init__(self, dimension: int, diagrams: tuple[PlanarDiagram, ...]) -> None:
         try:
-            diagrams = tuple(self.diagrams)
+            diagrams = tuple(diagrams)
         except TypeError:
             raise ValueError("diagrams must be a sequence of diagrams") from None
-        object.__setattr__(self, "diagrams", diagrams)
-        if len(diagrams) != catalan(self.dimension):
+        if len(diagrams) != catalan(dimension):
             raise ValueError(
-                f"basis must hold Catalan({self.dimension}) diagrams, "
+                f"basis must hold Catalan({dimension}) diagrams, "
                 f"got {len(diagrams)}"
             )
         if not all(
-            isinstance(d, PlanarDiagram) and d.dimension == self.dimension
+            isinstance(d, PlanarDiagram) and d.dimension == dimension
             for d in diagrams
         ):
             raise ValueError(
-                f"every basis entry must be a diagram of dimension {self.dimension}"
+                f"every basis entry must be a diagram of dimension {dimension}"
             )
         index = {d.pairing: i for i, d in enumerate(diagrams)}
         if len(index) != len(diagrams):
             raise ValueError("basis contains duplicates")
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "diagrams", diagrams)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_actions", {})
 
@@ -81,11 +84,13 @@ class DiagramBasis:
         return self.diagrams[i]
 
     def __contains__(self, d: object) -> bool:
-        return isinstance(d, PlanarDiagram) and d.pairing in self._index  # type: ignore[attr-defined]
+        return isinstance(d, PlanarDiagram) and d.pairing in self._index
 
     def index_of(self, d: PlanarDiagram) -> int:
         """Position of ``d``; KeyError when the basis does not hold it."""
-        return self._index[d.pairing]  # type: ignore[attr-defined]
+        if not isinstance(d, PlanarDiagram):
+            raise ValueError(f"index_of needs a PlanarDiagram, got {d!r}")
+        return self._index[d.pairing]
 
 
 def identity_diagram(dimension: int) -> PlanarDiagram:

@@ -13,23 +13,21 @@ bare digits.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Mapping
 
-from .diagrams import _integer
+from .diagrams import _integer, _Value
 
 
 #: The variables a polynomial may be written in.
 _VARIABLES = ("d", "A")
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(_Value):
     """A Laurent polynomial c_k * v^k + ... with integer coefficients.
 
     ``coeffs`` holds (exponent, coefficient) pairs sorted by ascending
     exponent with all zero coefficients dropped, so equality of values is
-    exactly equality of the dataclass fields.
+    exactly equality of the fields.
 
     The public constructor validates: it stores the pairs as a tuple of
     int pairs and rejects non-integers, unsorted or repeated exponents and
@@ -37,16 +35,15 @@ class LaurentPoly:
     arithmetic results, whose terms come from validated operands.
     """
 
+    __slots__ = _fields = ("variable", "coeffs")
     variable: str
     coeffs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.variable not in _VARIABLES:
-            raise ValueError(f"unsupported variable {self.variable!r}")
+    def __init__(self, variable: str, coeffs: tuple[tuple[int, int], ...]) -> None:
+        if variable not in _VARIABLES:
+            raise ValueError(f"unsupported variable {variable!r}")
         try:
-            coeffs = tuple(
-                (operator.index(e), operator.index(c)) for e, c in self.coeffs
-            )
+            coeffs = tuple((operator.index(e), operator.index(c)) for e, c in coeffs)
         except (TypeError, ValueError):
             raise ValueError(
                 "coefficients must be (exponent, coefficient) pairs of integers"
@@ -56,6 +53,7 @@ class LaurentPoly:
             raise ValueError("coefficients must be sorted by distinct exponent")
         if any(c == 0 for _, c in coeffs):
             raise ValueError("zero coefficients must not be stored")
+        object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod

@@ -38,23 +38,30 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .composition import Map, _action, compose
-from .diagrams import PlanarDiagram, ScaledDiagram, _integer
+from .diagrams import PlanarDiagram, ScaledDiagram, _integer, _Value
 from .enumeration import DiagramBasis, identity_diagram
-from .laurent import LaurentPoly
-from .matrices import PolyMatrix
+
+if TYPE_CHECKING:
+    from .matrices import PolyMatrix
+
+# ``laurent`` and ``matrices`` are imported where they are used, so that
+# checking the relations on maps (``verify --relations tl``) loads neither.
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Value):
     """U_k: a cup joining bottom nodes k, k+1, the matching top cap, and
     straight strands elsewhere."""
 
+    __slots__ = _fields = ("index", "diagram")
     index: int
     diagram: PlanarDiagram
+
+    def __init__(self, index: int, diagram: PlanarDiagram) -> None:
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "diagram", diagram)
 
 
 def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
@@ -86,13 +93,19 @@ def left_multiply(generator: Generator, diagram: PlanarDiagram) -> ScaledDiagram
     return compose(diagram, generator.diagram)
 
 
-@dataclass(frozen=True)
-class IdealPartition:
+class IdealPartition(_Value):
     """Disjoint blocks of basis diagrams, each closed under left
     multiplication by every generator."""
 
+    __slots__ = _fields = ("dimension", "blocks")
     dimension: int
     blocks: tuple[tuple[PlanarDiagram, ...], ...]
+
+    def __init__(
+        self, dimension: int, blocks: tuple[tuple[PlanarDiagram, ...], ...]
+    ) -> None:
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "blocks", blocks)
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
@@ -166,23 +179,38 @@ def representation_basis(
     return tuple(basis[i] for i in _order(basis, include_identity))
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
+class GeneratorMatrix(_Value):
     """Left multiplication by one generator over the ordered diagram basis,
     as a column-monomial map: column i holds d^exponents[i] in row
     targets[i] and zeros elsewhere."""
 
+    _fields = (
+        "generator_index",
+        "include_identity",
+        "basis_order",
+        "targets",
+        "exponents",
+    )
+    # ``matrix`` is cached in the instance ``__dict__``.
+    __slots__ = (*_fields, "__dict__")
     generator_index: int
     include_identity: bool
     basis_order: tuple[PlanarDiagram, ...]
     targets: tuple[int, ...]
     exponents: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        generator_index: int,
+        include_identity: bool,
+        basis_order: Sequence[PlanarDiagram],
+        targets: Sequence[int],
+        exponents: Sequence[int],
+    ) -> None:
         try:
-            basis_order = tuple(self.basis_order)
-            targets = tuple(map(operator.index, self.targets))
-            exponents = tuple(map(operator.index, self.exponents))
+            basis_order = tuple(basis_order)
+            targets = tuple(map(operator.index, targets))
+            exponents = tuple(map(operator.index, exponents))
         except TypeError:
             raise ValueError(
                 "basis order must be a sequence, and targets and exponents "
@@ -198,6 +226,8 @@ class GeneratorMatrix:
             raise ValueError(f"every target must lie in 0..{size - 1}")
         if size and min(exponents) < 0:
             raise ValueError("loop exponents must be non-negative")
+        object.__setattr__(self, "generator_index", generator_index)
+        object.__setattr__(self, "include_identity", include_identity)
         object.__setattr__(self, "basis_order", basis_order)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "exponents", exponents)
@@ -209,6 +239,9 @@ class GeneratorMatrix:
     @functools.cached_property
     def matrix(self) -> PolyMatrix:
         """The dense matrix over LaurentPoly(d)."""
+        from .laurent import LaurentPoly
+        from .matrices import PolyMatrix
+
         return PolyMatrix.from_columns(
             "d",
             [
@@ -260,16 +293,26 @@ def generator_matrices(
     return _generator_maps(basis, range(1, basis.dimension), include_identity)
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(_Value):
     """Named pass/fail results of a family of relation checks.
 
     ``witnesses`` pairs the name of a failed relation with a description
     of where it fails; ``lines`` prints it under the FAIL line."""
 
+    __slots__ = _fields = ("title", "entries", "witnesses")
     title: str
     entries: tuple[tuple[str, bool], ...]
-    witnesses: tuple[tuple[str, str], ...] = ()
+    witnesses: tuple[tuple[str, str], ...]
+
+    def __init__(
+        self,
+        title: str,
+        entries: tuple[tuple[str, bool], ...],
+        witnesses: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "witnesses", witnesses)
 
     @property
     def passed(self) -> bool:
@@ -298,6 +341,8 @@ def _compose_maps(u: Map, v: Map) -> Map:
 
 def _witness(actual: Map, expected: Map) -> str:
     """The first column where two maps differ, with both of its entries."""
+    from .laurent import LaurentPoly
+
     (ta, ea), (te, ee) = actual, expected
     i = next(c for c in range(len(ta)) if ta[c] != te[c] or ea[c] != ee[c])
 

@@ -22,7 +22,9 @@ groups along the generator action until they are closed.
 ``dense_braid_image_matrix`` and ``dense_tl_relations`` are the dense
 ``PolyMatrix`` routes the library replaced by column-monomial maps: the
 bracket image as a product of ``a.I + b.U`` letter matrices, and the TL
-relations checked by matrix products over ``gm.matrix``.
+relations checked by matrix products over ``gm.matrix``.  The matrix
+arithmetic they need beyond ``PolyMatrix.__mul__`` (sum, scaling, entry
+map, product of a sequence) is defined here.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -454,17 +456,53 @@ def element_matrix(element: TLElement) -> PolyMatrix:
     return PolyMatrix.from_rows("A", grid)
 
 
+def matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    a._check(b)
+    return PolyMatrix(
+        a.variable,
+        tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)),
+    )
+
+
+def matrix_scaled(m: PolyMatrix, factor: LaurentPoly) -> PolyMatrix:
+    if factor.variable != m.variable:
+        raise ValueError("scale factor must share the matrix variable")
+    return PolyMatrix(
+        m.variable, tuple(tuple(entry * factor for entry in row) for row in m.rows)
+    )
+
+
+def map_entries(
+    m: PolyMatrix, f: Callable[[LaurentPoly], LaurentPoly], variable: str | None = None
+) -> PolyMatrix:
+    """Apply f to every entry; pass ``variable`` when f changes it."""
+    mapped = tuple(tuple(f(entry) for entry in row) for row in m.rows)
+    return PolyMatrix(variable or m.variable, mapped)
+
+
+def matrix_product(matrices: Iterable[PolyMatrix]) -> PolyMatrix:
+    result: PolyMatrix | None = None
+    for m in matrices:
+        result = m if result is None else result * m
+    if result is None:
+        raise ValueError("empty matrix product")
+    return result
+
+
 def _dense_letter_matrix(strands: int, letter: int) -> PolyMatrix:
     """a.I + b.U_|letter| over the identity-included basis, U with its
     entries taken at d = -A^2 - A^-2."""
     basis = enumerate_diagrams(strands)
     gm = generator_matrix(abs(letter), basis, include_identity=True)
     loop = kauffman_loop_value()
-    u = gm.matrix.map_entries(lambda p: p.substitute(loop), variable="A")
+    u = map_entries(gm.matrix, lambda p: p.substitute(loop), variable="A")
     a = LaurentPoly.monomial("A", 1)
     a_inv = LaurentPoly.monomial("A", -1)
     straight, crossed = (a, a_inv) if letter > 0 else (a_inv, a)
-    return PolyMatrix.identity(u.size, "A").scaled(straight) + u.scaled(crossed)
+    return matrix_sum(
+        matrix_scaled(PolyMatrix.identity(u.size, "A"), straight),
+        matrix_scaled(u, crossed),
+    )
 
 
 def dense_braid_image_matrix(word: BraidWord) -> PolyMatrix:
@@ -485,7 +523,7 @@ def dense_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
     indices = sorted(by_index)
     for i in indices:
         u = by_index[i]
-        entries.append((f"U_{i}^2 = d*U_{i}", u * u == u.scaled(d)))
+        entries.append((f"U_{i}^2 = d*U_{i}", u * u == matrix_scaled(u, d)))
     for i in indices:
         if i + 1 in by_index:
             u, v = by_index[i], by_index[i + 1]

@@ -11,9 +11,9 @@ import pytest
 import tlkit
 from tlkit import cli, representation
 from tlkit.composition import compose
-from tlkit.diagrams import connectability, is_noncrossing, parse
+from tlkit.diagrams import ScaledDiagram, connectability, is_noncrossing, parse, serialize
 from tlkit.drawing import emit_figure
-from tlkit.elements import TLElement
+from tlkit.elements import TLElement, multiply
 from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
@@ -266,21 +266,33 @@ class TestStartup:
         )
 
     @pytest.mark.parametrize(
-        "args", [["enumerate", "--dim", "3"], ["compose", "--dim", "3", "--table"]]
+        "args,unused",
+        [
+            (["enumerate", "--dim", "3"], {"representation", "braids", "laurent", "matrices"}),
+            (["compose", "--dim", "3", "--table"], {"representation", "braids", "laurent", "matrices"}),
+            (["verify", "--dim", "4", "--relations", "tl"], {"braids", "laurent", "matrices"}),
+        ],
+        ids=["enumerate", "compose-table", "verify-tl"],
     )
-    def test_subcommand_loads_only_its_modules(self, args):
+    def test_subcommand_loads_only_its_modules(self, args, unused):
+        # ``dataclasses`` counts as loaded only if it was not already
+        # imported at interpreter start (a host's ``site`` may import it).
         probe = (
             "import sys\n"
+            "preloaded = 'dataclasses' in sys.modules\n"
             "from tlkit.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print(*(m for m in sys.modules if m.startswith('tlkit')), file=sys.stderr)\n"
+            "loaded = [m for m in sys.modules if m.startswith('tlkit')]\n"
+            "if 'dataclasses' in sys.modules and not preloaded:\n"
+            "    loaded.append('dataclasses')\n"
+            "print(*loaded, file=sys.stderr)\n"
             "sys.exit(code)\n"
         )
         result = self.fresh_python(probe, *args)
         loaded = set(result.stderr.split())
         assert loaded >= {"tlkit.cli", "tlkit.enumeration"}
-        unused = {"representation", "braids", "laurent", "matrices", "drawing"}
-        assert not loaded & {f"tlkit.{name}" for name in unused}
+        assert not loaded & {f"tlkit.{name}" for name in unused | {"drawing"}}
+        assert "dataclasses" not in loaded
         assert result.stdout == run_cli(args)[1]
 
     @pytest.mark.parametrize("flag", ["--version", "--help"])
@@ -552,6 +564,18 @@ def run_parsed(argv):
             lambda d: PolyMatrix.from_columns("A", [{5: LaurentPoly.one("A")}]),
             "column 0 has row 5 outside 0..0",
         ),
+        (
+            lambda d: PolyMatrix.from_columns("A", [{"a": LaurentPoly.one("A")}]),
+            "column 0 has row 'a' outside 0..0",
+        ),
+        (
+            lambda d: PolyMatrix.from_columns("A", [[5]]),
+            "column 0 must map rows to entries, got [5]",
+        ),
+        (
+            lambda d: ScaledDiagram(d, 1).with_extra_loops("a"),
+            "loop count must be an integer, got 'a'",
+        ),
         (lambda d: emit_figure(5, "svg"), "cannot draw 5: not a diagram or sequence"),
         (
             lambda d: emit_figure(["x"], "svg"),
@@ -571,6 +595,7 @@ def run_parsed(argv):
         "term", "terms", "from-terms", "basis", "parse", "matrix",
         "element-variable", "element-dimension", "zero-dimension",
         "columns-negative-row", "columns-row-past-end",
+        "columns-text-row", "columns-non-mapping", "extra-loops-text",
         "draw-non-sequence", "draw-non-diagram",
         "connectability-dimension", "noncrossing-partners",
         "repr-gen",
@@ -579,3 +604,30 @@ def run_parsed(argv):
 def test_malformed_values_raise_value_error(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call(identity_diagram(2))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda d, e, loop: compose(d, 5), "compose needs two PlanarDiagrams"),
+        (lambda d, e, loop: compose(5, d), "compose needs two PlanarDiagrams"),
+        (lambda d, e, loop: multiply(e, 5, loop), "expected a TLElement, got 5"),
+        (lambda d, e, loop: multiply(5, e, loop), "expected a TLElement, got 5"),
+        (lambda d, e, loop: multiply(e, e, 5), "loop value must be a LaurentPoly, got 5"),
+        (lambda d, e, loop: serialize(5), "serialize needs a ScaledDiagram, got 5"),
+        (lambda d, e, loop: serialize(d), "serialize needs a ScaledDiagram, got PlanarDiagram("),
+        (
+            lambda d, e, loop: enumerate_diagrams(2).index_of(5),
+            "index_of needs a PlanarDiagram, got 5",
+        ),
+    ],
+    ids=[
+        "compose-right", "compose-left", "multiply-right", "multiply-left",
+        "multiply-loop", "serialize", "serialize-unscaled", "index-of",
+    ],
+)
+def test_non_diagram_arguments_raise_value_error(call, message):
+    d = identity_diagram(2)
+    element = TLElement.from_diagram(d)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(d, element, LaurentPoly.monomial("d", 1))

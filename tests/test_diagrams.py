@@ -172,6 +172,13 @@ class TestCanonicalOrder:
                 with pytest.raises(ValueError, match="cannot compare diagrams"):
                     op(a, b)
 
+    def test_non_diagram_is_not_ordered(self):
+        d = PlanarDiagram(2, (2, 1, 4, 3))
+        assert d.__lt__(5) is NotImplemented and d.__eq__(5) is NotImplemented
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(d, 5)
+
     def test_sorting_basis_is_stable_and_duplicate_free(self):
         basis = list(enumerate_diagrams(4))
         resorted = sorted(basis)

@@ -11,7 +11,7 @@ from tlkit.braids import verify_artin
 from tlkit.composition import compose
 from tlkit.enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
-from tlkit.matrices import PolyMatrix, matrix_product
+from tlkit.matrices import PolyMatrix
 from tlkit.representation import (
     Generator,
     GeneratorMatrix,
@@ -26,7 +26,7 @@ from tlkit.representation import (
     verify_tl_relations_diagrams,
 )
 
-from oracles import bottom_pattern_partition, dense_tl_relations
+from oracles import bottom_pattern_partition, dense_tl_relations, matrix_product
 
 D = LaurentPoly.monomial("d", 1)
 ONE = LaurentPoly.one("d")

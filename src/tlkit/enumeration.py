@@ -87,7 +87,8 @@ class DiagramBasis(_Value):
         return isinstance(d, PlanarDiagram) and d.pairing in self._index
 
     def index_of(self, d: PlanarDiagram) -> int:
-        """Position of ``d``; KeyError when the basis does not hold it."""
+        """Position of ``d``; ValueError for a non-diagram and KeyError
+        when the basis does not hold it."""
         if not isinstance(d, PlanarDiagram):
             raise ValueError(f"index_of needs a PlanarDiagram, got {d!r}")
         return self._index[d.pairing]

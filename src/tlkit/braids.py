@@ -37,7 +37,7 @@ import random
 from typing import Sequence
 
 from .composition import _action, _apply_generator
-from .diagrams import PlanarDiagram, _integer, _Value
+from .diagrams import PlanarDiagram, _dimension, _integer, _Value
 from .elements import TLElement
 from .enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
@@ -66,8 +66,7 @@ class BraidWord(_Value):
             raise ValueError(
                 "strand count and letters must be integers, given as a sequence"
             ) from None
-        if strands < 1:
-            raise ValueError("strand count must be at least 1")
+        strands = _dimension(strands, "strand count")
         for letter in letters:
             if letter == 0 or not 1 <= abs(letter) <= strands - 1:
                 raise ValueError(f"letter {letter} out of range for {strands} strands")
@@ -169,9 +168,7 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
     sigma_i sigma_i^-1 = 1 and seeded random words w of length up to
     max_len with w . w^-1 = 1.
     """
-    strands = _integer(strands, "strand count")
-    if strands < 2:
-        raise ValueError("braid relations need at least 2 strands")
+    strands = _dimension(strands, "strand count", least=2)
     return _verify_artin(enumerate_diagrams(strands), max_len, seed)
 
 

@@ -34,6 +34,9 @@ EXIT_VERIFICATION = 3
 
 _CACHE_VERSION = "v1"
 
+# Where a size error says the ceiling is raised.
+_OVERRIDE = "TLKIT_MAX_DIM"
+
 
 def _ceiling_from_env() -> int:
     from .enumeration import DEFAULT_MAX_DIMENSION
@@ -45,16 +48,6 @@ def _ceiling_from_env() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"TLKIT_MAX_DIM must be an integer, got {raw!r}") from exc
-
-
-def _check_dimension(args: argparse.Namespace) -> None:
-    if args.dim < 1:
-        raise ValueError("dimension must be at least 1")
-    if args.dim > args.max_dim:
-        raise ValueError(
-            f"dimension {args.dim} exceeds the ceiling "
-            f"{args.max_dim} (override with TLKIT_MAX_DIM)"
-        )
 
 
 def _read_diagram_arg(value: str, dimension: int) -> ScaledDiagram:
@@ -140,7 +133,9 @@ def _write_replacing(path: Path, text: str) -> None:
 
 
 def _run_enumerate(args: argparse.Namespace) -> tuple[int, str]:
-    _check_dimension(args)
+    from .enumeration import _checked_dimension
+
+    _checked_dimension(args.dim, args.max_dim, override=_OVERRIDE)
     if args.count_only:
         from .enumeration import count_diagrams
 
@@ -151,7 +146,9 @@ def _run_enumerate(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
-    _check_dimension(args)
+    from .enumeration import _checked_dimension
+
+    _checked_dimension(args.dim, args.max_dim, override=_OVERRIDE)
     if args.table:
         from .composition import _table_rows
         from .enumeration import enumerate_diagrams
@@ -189,13 +186,11 @@ def _csv_rows(columns: Sequence[Mapping[int, str]]) -> list[str]:
 
 
 def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
-    _check_dimension(args)
-    if args.dim < 2:
-        raise ValueError("representations need dimension >= 2")
-    from .enumeration import enumerate_diagrams
+    from .enumeration import _checked_dimension, enumerate_diagrams
     from .laurent import LaurentPoly
     from .representation import generator_matrices, generator_matrix
 
+    _checked_dimension(args.dim, args.max_dim, least=2, override=_OVERRIDE)
     basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
     if args.gen == "all":
         selected = generator_matrices(basis, args.include_identity)
@@ -223,16 +218,14 @@ def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
-    _check_dimension(args)
-    if args.dim < 2:
-        raise ValueError("relation verification needs dimension >= 2")
-    from .enumeration import enumerate_diagrams
+    from .enumeration import _checked_dimension, enumerate_diagrams
     from .representation import (
         generator_matrices,
         verify_tl_relations,
         verify_tl_relations_diagrams,
     )
 
+    _checked_dimension(args.dim, args.max_dim, least=2, override=_OVERRIDE)
     basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
     reports = []
     if args.relations in ("tl", "all"):
@@ -251,15 +244,11 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
-    if args.strands < 1:
-        raise ValueError("strand count must be at least 1")
-    if args.strands > args.max_dim:
-        raise ValueError(
-            f"strand count {args.strands} exceeds the ceiling {args.max_dim}"
-        )
     from .braids import BraidWord, _image_columns, braid_image
     from .diagrams import ScaledDiagram, serialize
-    from .enumeration import enumerate_diagrams
+    from .enumeration import _checked_dimension, enumerate_diagrams
+
+    _checked_dimension(args.strands, args.max_dim, "strand count", override=_OVERRIDE)
 
     word = BraidWord.from_text(args.strands, args.word)
     if args.matrix:
@@ -284,9 +273,10 @@ def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_draw(args: argparse.Namespace) -> tuple[int, str]:
-    _check_dimension(args)
     from .drawing import emit_figure
-    from .enumeration import enumerate_diagrams
+    from .enumeration import _checked_dimension, enumerate_diagrams
+
+    _checked_dimension(args.dim, args.max_dim, override=_OVERRIDE)
 
     if args.basis:
         basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)

@@ -49,6 +49,16 @@ def _integer(value: int, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _dimension(value: int, name: str = "dimension", least: int = 1) -> int:
+    """``value`` as an int of at least ``least``: the size rule for every
+    dimension and strand count (``enumeration._checked_dimension`` adds
+    the ceiling)."""
+    value = _integer(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
 class _Value:
     """Base of the library's immutable value types.
 
@@ -160,8 +170,7 @@ class PlanarDiagram(_Value):
             raise ValueError(
                 "dimension and partners must be integers, given as a sequence"
             ) from None
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
+        dimension = _dimension(dimension)
         if not is_noncrossing(pairing, dimension):
             raise ValueError("pairing has crossing strands")
         object.__setattr__(self, "dimension", dimension)
@@ -302,9 +311,7 @@ def connectability(dimension: int) -> ConnectabilityMatrix:
     parity that leaves an even number of nodes inside the would-be strand,
     which depends on whether the dimension is even or odd.
     """
-    n = _integer(dimension, "dimension")
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    n = _dimension(dimension)
     size = 2 * n
     rows = []
     for i in range(1, size + 1):
@@ -398,10 +405,8 @@ def parse(line: str) -> ScaledDiagram:
     match = _LINE_RE.match(line.strip())
     if not match:
         raise ValueError(f"malformed diagram line: {line!r}")
-    dimension = int(match.group(1))
+    dimension = _dimension(int(match.group(1)))
     loop_exponent = int(match.group(2))
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
     # The pair count is bounded by the text and the declared dimension is
     # not, so compare them before allocating by the dimension.
     pairs = _PAIR_RE.findall(match.group(3))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .composition import compose
-from .diagrams import PlanarDiagram, _integer, _Value
+from .diagrams import PlanarDiagram, _dimension, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
 
@@ -31,9 +31,7 @@ class TLElement(_Value):
         variable: str,
         terms: Iterable[tuple[PlanarDiagram, LaurentPoly]],
     ) -> None:
-        dimension = _integer(dimension, "dimension")
-        if dimension < 1:
-            raise ValueError("dimension must be at least 1")
+        dimension = _dimension(dimension)
         if variable not in _VARIABLES:
             raise ValueError(f"unsupported variable {variable!r}")
         terms = _checked_terms(terms)

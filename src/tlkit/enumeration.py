@@ -21,7 +21,7 @@ import functools
 import math
 
 from . import _backend
-from .diagrams import PlanarDiagram, _integer, _Value
+from .diagrams import PlanarDiagram, _dimension, _integer, _Value
 
 #: Hard ceiling on the dimension accepted by enumerate_diagrams unless the
 #: caller raises it explicitly (C_12 = 208012 diagrams is still cheap, but
@@ -96,10 +96,7 @@ class DiagramBasis(_Value):
 
 def identity_diagram(dimension: int) -> PlanarDiagram:
     """N parallel strands: node i paired with i+N."""
-    dimension = _integer(dimension, "dimension")
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    n = dimension
+    n = _dimension(dimension)
     return PlanarDiagram._trusted(
         n, tuple(list(range(n + 1, 2 * n + 1)) + list(range(1, n + 1)))
     )
@@ -113,14 +110,21 @@ def _basis(dimension: int) -> DiagramBasis:
     return DiagramBasis(dimension, diagrams)
 
 
-def _checked_dimension(dimension: int, max_dimension: int | None) -> int:
-    dimension = _integer(dimension, "dimension")
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
+def _checked_dimension(
+    dimension: int,
+    max_dimension: int | None,
+    name: str = "dimension",
+    least: int = 1,
+    override: str = "max_dimension",
+) -> int:
+    """``_dimension`` under the ceiling ``max_dimension``, by default
+    DEFAULT_MAX_DIMENSION; ``override`` names where a caller raises it."""
+    dimension = _dimension(dimension, name, least)
     ceiling = DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension
     if dimension > ceiling:
         raise ValueError(
-            f"dimension {dimension} exceeds the resource ceiling {ceiling}"
+            f"{name} {dimension} exceeds the resource ceiling {ceiling} "
+            f"(override with {override})"
         )
     return dimension
 

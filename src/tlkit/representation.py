@@ -41,7 +41,7 @@ import operator
 from typing import TYPE_CHECKING, Sequence
 
 from .composition import Map, _action, compose
-from .diagrams import PlanarDiagram, ScaledDiagram, _integer, _Value
+from .diagrams import PlanarDiagram, ScaledDiagram, _dimension, _integer, _Value
 from .enumeration import DiagramBasis, identity_diagram
 
 if TYPE_CHECKING:
@@ -79,9 +79,7 @@ def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
 
 def generators(dimension: int) -> list[Generator]:
     """The N-1 generators U_1 .. U_{N-1}."""
-    dimension = _integer(dimension, "dimension")
-    if dimension < 2:
-        raise ValueError("generators exist only for dimension >= 2")
+    dimension = _dimension(dimension, least=2)
     return [
         Generator(k, generator_diagram(dimension, k))
         for k in range(1, dimension)

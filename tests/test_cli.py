@@ -10,6 +10,7 @@ import pytest
 
 import tlkit
 from tlkit import cli, representation
+from tlkit.braids import BraidWord, verify_artin
 from tlkit.composition import compose
 from tlkit.diagrams import ScaledDiagram, connectability, is_noncrossing, parse, serialize
 from tlkit.drawing import emit_figure
@@ -537,6 +538,55 @@ class TestDraw:
 
     def test_needs_target(self):
         assert cli.main(["draw", "--dim", "2"]) == cli.EXIT_VALIDATION
+
+
+# Each subcommand with its size option and the least size it takes.
+SIZED = [
+    (["enumerate"], "--dim", "dimension", 1),
+    (["compose", "--table"], "--dim", "dimension", 1),
+    (["repr"], "--dim", "dimension", 2),
+    (["verify"], "--dim", "dimension", 2),
+    (["bracket"], "--strands", "strand count", 1),
+    (["draw", "--basis"], "--dim", "dimension", 1),
+]
+
+
+@pytest.mark.parametrize("args,option,name,least", SIZED, ids=[s[0][0] for s in SIZED])
+def test_sizes_outside_the_rule_exit_one(args, option, name, least, monkeypatch, capsys):
+    assert cli.main([*args, option, str(least - 1)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: {name} must be at least {least}\n")
+    monkeypatch.setenv("TLKIT_MAX_DIM", "3")
+    assert cli.main([*args, option, "4"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == (
+        "",
+        f"error: {name} 4 exceeds the resource ceiling 3 (override with TLKIT_MAX_DIM)\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: enumerate_diagrams(0), "dimension must be at least 1"),
+        (lambda: identity_diagram(-2), "dimension must be at least 1"),
+        (lambda: parse("TL 0 m=0 (1,2)"), "dimension must be at least 1"),
+        (lambda: connectability(0), "dimension must be at least 1"),
+        (lambda: TLElement(0, "d", ()), "dimension must be at least 1"),
+        (lambda: representation.generators(1), "dimension must be at least 2"),
+        (lambda: BraidWord(0, ()), "strand count must be at least 1"),
+        (lambda: verify_artin(1), "strand count must be at least 2"),
+        (
+            lambda: enumerate_diagrams(5, max_dimension=4),
+            "dimension 5 exceeds the resource ceiling 4 (override with max_dimension)",
+        ),
+    ],
+    ids=[
+        "enumerate", "identity", "parse", "connectability", "element",
+        "generators", "braid-word", "verify-artin", "ceiling",
+    ],
+)
+def test_library_sizes_follow_one_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def run_parsed(argv):

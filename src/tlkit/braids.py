@@ -34,15 +34,20 @@ from __future__ import annotations
 
 import operator
 import random
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .composition import _action, _apply_generator
 from .diagrams import PlanarDiagram, _dimension, _integer, _Value
 from .elements import TLElement
 from .enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
-from .matrices import PolyMatrix
-from .representation import RelationReport
+
+if TYPE_CHECKING:
+    from .matrices import PolyMatrix
+    from .representation import RelationReport
+
+# ``matrices`` and ``representation`` are imported where they are used, so
+# that ``bracket`` loads neither.
 
 
 def kauffman_loop_value() -> LaurentPoly:
@@ -154,6 +159,8 @@ def _image_columns(word: BraidWord, basis: DiagramBasis) -> list[dict[int, Laure
 def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     """The bracket image as a matrix over the identity-included canonical
     basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A))."""
+    from .matrices import PolyMatrix
+
     basis = enumerate_diagrams(word.strands)
     return PolyMatrix.from_columns("A", _image_columns(word, basis))
 
@@ -175,6 +182,8 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
 def _verify_artin(basis: DiagramBasis, max_len: int = 6, seed: int = 0) -> RelationReport:
     """``verify_artin`` over a basis the caller built, of dimension at
     least 2; the CLI builds it under its own ceiling."""
+    from .representation import RelationReport
+
     max_len = _integer(max_len, "max_len")
     try:
         rng = random.Random(seed)

@@ -236,6 +236,9 @@ class PlanarDiagram(_Value):
 def canonical_compare(a: PlanarDiagram, b: PlanarDiagram) -> int:
     """Total order on diagrams of one dimension: lexicographic on the
     partner array read from node 1 to 2N.  Returns -1, 0 or 1."""
+    for diagram in (a, b):
+        if not isinstance(diagram, PlanarDiagram):
+            raise ValueError(f"canonical_compare needs PlanarDiagrams, got {diagram!r}")
     if a.dimension != b.dimension:
         raise ValueError(
             f"cannot compare diagrams of dimensions {a.dimension} and {b.dimension}"
@@ -277,13 +280,22 @@ class ScaledDiagram(_Value):
 
 
 class ConnectabilityMatrix(_Value):
-    """Symmetric 0/1 matrix saying which node pairs can still be joined."""
+    """Symmetric 0/1 matrix saying which node pairs can still be joined.
+    The constructor checks the shape: 2N rows of 2N integers."""
 
     __slots__ = _fields = ("dimension", "entries")
     dimension: int
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, dimension: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        dimension = _dimension(dimension)
+        size = 2 * dimension
+        try:
+            entries = tuple(tuple(map(operator.index, row)) for row in entries)
+        except TypeError:
+            entries = ()
+        if len(entries) != size or any(len(row) != size for row in entries):
+            raise ValueError(f"entries must be {size} rows of {size} integers")
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "entries", entries)
 

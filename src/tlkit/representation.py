@@ -60,6 +60,9 @@ class Generator(_Value):
     diagram: PlanarDiagram
 
     def __init__(self, index: int, diagram: PlanarDiagram) -> None:
+        index = _integer(index, "generator index")
+        if not isinstance(diagram, PlanarDiagram):
+            raise ValueError(f"a generator needs a PlanarDiagram, got {diagram!r}")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "diagram", diagram)
 
@@ -102,6 +105,19 @@ class IdealPartition(_Value):
     def __init__(
         self, dimension: int, blocks: tuple[tuple[PlanarDiagram, ...], ...]
     ) -> None:
+        dimension = _dimension(dimension)
+        try:
+            blocks = tuple(tuple(block) for block in blocks)
+        except TypeError:
+            raise ValueError("blocks must be a sequence of sequences of diagrams") from None
+        if not all(
+            isinstance(d, PlanarDiagram) and d.dimension == dimension
+            for block in blocks
+            for d in block
+        ):
+            raise ValueError(
+                f"every block entry must be a diagram of dimension {dimension}"
+            )
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "blocks", blocks)
 
@@ -291,6 +307,20 @@ def generator_matrices(
     return _generator_maps(basis, range(1, basis.dimension), include_identity)
 
 
+def _named_pairs(pairs: Sequence[tuple[str, object]], what: str, kind: type) -> tuple:
+    """``pairs`` as a tuple of (name, value) pairs, each name text and
+    each value a ``kind``."""
+    try:
+        pairs = tuple((name, value) for name, value in pairs)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or not all(
+        isinstance(name, str) and isinstance(value, kind) for name, value in pairs
+    ):
+        raise ValueError(f"{what} must be (text, {kind.__name__}) pairs")
+    return pairs
+
+
 class RelationReport(_Value):
     """Named pass/fail results of a family of relation checks.
 
@@ -308,6 +338,10 @@ class RelationReport(_Value):
         entries: tuple[tuple[str, bool], ...],
         witnesses: tuple[tuple[str, str], ...] = (),
     ) -> None:
+        if not isinstance(title, str):
+            raise ValueError(f"title must be text, got {title!r}")
+        entries = _named_pairs(entries, "entries", bool)
+        witnesses = _named_pairs(witnesses, "witnesses", str)
         object.__setattr__(self, "title", title)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "witnesses", witnesses)

@@ -12,14 +12,24 @@ import tlkit
 from tlkit import cli, representation
 from tlkit.braids import BraidWord, verify_artin
 from tlkit.composition import compose
-from tlkit.diagrams import ScaledDiagram, connectability, is_noncrossing, parse, serialize
+from tlkit.diagrams import (
+    ConnectabilityMatrix,
+    ScaledDiagram,
+    canonical_compare,
+    connectability,
+    is_noncrossing,
+    parse,
+    serialize,
+)
 from tlkit.drawing import emit_figure
 from tlkit.elements import TLElement, multiply
 from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
 from tlkit.representation import (
+    Generator,
     GeneratorMatrix,
+    IdealPartition,
     RelationReport,
     generator_diagram,
     generator_matrices,
@@ -164,6 +174,20 @@ class TestEnumerate:
         _, second = run_cli(["enumerate", "--dim", "4", "--cache", str(cache)])
         assert first == second == data.read_text(encoding="utf-8")
 
+    def test_warm_cache_keeps_the_ceiling(self, tmp_path, monkeypatch, capsys):
+        # A hit never builds the text, so only the up-front check guards it.
+        cache = tmp_path / "cache"
+        args = ["enumerate", "--dim", "5", "--cache", str(cache)]
+        code, warm = run_cli(args)
+        assert code == 0 and (cache / "basis_v1_dim5.tl").read_text(encoding="utf-8") == warm
+        capsys.readouterr()
+        monkeypatch.setenv("TLKIT_MAX_DIM", "4")
+        assert cli.main(args) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "",
+            "error: dimension 5 exceeds the resource ceiling 4 (override with TLKIT_MAX_DIM)\n",
+        )
+
     def test_missing_output_directory_rejected_before_computing(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -296,6 +320,22 @@ class TestStartup:
             unused.add("representation")
         assert not loaded & {f"tlkit.{name}" for name in unused}
         assert "dataclasses" not in loaded
+        assert result.stdout == run_cli(args)[1]
+
+    @pytest.mark.parametrize("matrix", [[], ["--matrix"]], ids=["element", "matrix"])
+    def test_bracket_loads_neither_representation_nor_matrices(self, matrix):
+        args = ["bracket", "--strands", "4", "--word=1,-2,3,-1", *matrix]
+        probe = (
+            "import sys\n"
+            "from tlkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(*(m for m in sys.modules if m.startswith('tlkit')), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        result = self.fresh_python(probe, *args)
+        loaded = set(result.stderr.split())
+        assert "tlkit.braids" in loaded
+        assert not loaded & {"tlkit.representation", "tlkit.matrices"}
         assert result.stdout == run_cli(args)[1]
 
     @pytest.mark.parametrize("flag", ["--version", "--help"])
@@ -642,6 +682,10 @@ def run_parsed(argv):
             lambda d: run_parsed(["repr", "--dim", "3", "--gen", "abc"]),
             "generator index must be an integer or 'all', got 'abc'",
         ),
+        (lambda d: Generator("a", 5), "generator index must be an integer, got 'a'"),
+        (lambda d: ConnectabilityMatrix(1, 5), "entries must be 2 rows of 2 integers"),
+        (lambda d: IdealPartition(2, 5), "blocks must be a sequence of sequences of diagrams"),
+        (lambda d: RelationReport("t", 5), "entries must be (text, bool) pairs"),
     ],
     ids=[
         "term", "terms", "from-terms", "basis", "parse", "matrix",
@@ -650,7 +694,8 @@ def run_parsed(argv):
         "columns-text-row", "columns-non-mapping", "extra-loops-text",
         "draw-non-sequence", "draw-non-diagram",
         "connectability-dimension", "noncrossing-partners",
-        "repr-gen",
+        "repr-gen", "generator", "connectability-matrix", "ideal-partition",
+        "relation-report",
     ],
 )
 def test_malformed_values_raise_value_error(call, message):
@@ -672,10 +717,19 @@ def test_malformed_values_raise_value_error(call, message):
             lambda d, e, loop: enumerate_diagrams(2).index_of(5),
             "index_of needs a PlanarDiagram, got 5",
         ),
+        (
+            lambda d, e, loop: canonical_compare(d, 5),
+            "canonical_compare needs PlanarDiagrams, got 5",
+        ),
+        (
+            lambda d, e, loop: canonical_compare(5, d),
+            "canonical_compare needs PlanarDiagrams, got 5",
+        ),
     ],
     ids=[
         "compose-right", "compose-left", "multiply-right", "multiply-left",
         "multiply-loop", "serialize", "serialize-unscaled", "index-of",
+        "compare-right", "compare-left",
     ],
 )
 def test_non_diagram_arguments_raise_value_error(call, message):

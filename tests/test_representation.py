@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -9,12 +10,15 @@ from hypothesis import strategies as st
 from tlkit import _backend
 from tlkit.braids import verify_artin
 from tlkit.composition import compose
+from tlkit.diagrams import ConnectabilityMatrix, connectability
 from tlkit.enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
 from tlkit.representation import (
     Generator,
     GeneratorMatrix,
+    IdealPartition,
+    RelationReport,
     generator_diagram,
     generator_matrices,
     generator_matrix,
@@ -168,6 +172,49 @@ def test_generator_matrices_make_no_compositions(monkeypatch):
 def test_entry_points_reject_non_integers(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+CUP2 = generator_diagram(2, 1)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Generator(1, "U"), "a generator needs a PlanarDiagram, got 'U'"),
+        (lambda: ConnectabilityMatrix(0, ()), "dimension must be at least 1"),
+        (lambda: ConnectabilityMatrix(1, ((0, 1), (1,))), "2 rows of 2 integers"),
+        (lambda: ConnectabilityMatrix(1, ((0, 1), (1, 0.0))), "2 rows of 2 integers"),
+        (lambda: IdealPartition(0, ()), "dimension must be at least 1"),
+        (lambda: IdealPartition(3, ((CUP2,),)), "a diagram of dimension 3"),
+        (lambda: IdealPartition(2, ((5,),)), "a diagram of dimension 2"),
+        (lambda: RelationReport(5, ()), "title must be text, got 5"),
+        (lambda: RelationReport("t", (("x", 1),)), "entries must be (text, bool) pairs"),
+        (lambda: RelationReport("t", ("x",)), "entries must be (text, bool) pairs"),
+        (
+            lambda: RelationReport("t", (), (("x", None),)),
+            "witnesses must be (text, str) pairs",
+        ),
+    ],
+    ids=[
+        "generator-diagram", "connectability-dimension", "connectability-ragged",
+        "connectability-float", "partition-dimension", "partition-other-dimension",
+        "partition-non-diagram", "report-title", "report-entry-value",
+        "report-entry-shape", "report-witness",
+    ],
+)
+def test_constructors_check_their_shape(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_constructors_keep_the_library_values():
+    gamma = connectability(3)
+    assert ConnectabilityMatrix(3, [list(row) for row in gamma.entries]) == gamma
+    basis = enumerate_diagrams(4)
+    partition = ideal_partition(basis)
+    assert IdealPartition(4, [list(b) for b in partition.blocks]) == partition
+    report = verify_tl_relations_diagrams(4)
+    assert RelationReport(report.title, list(report.entries)) == report
 
 
 class TestGeneratorMatrix:

@@ -127,7 +127,7 @@ def is_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
     end is on top of the stack, and the pairing is noncrossing exactly when
     every chord closes.  Non-involutions are rejected with ValueError.
     """
-    dimension = _integer(dimension, "dimension")
+    dimension = _dimension(dimension)
     _check_involution(pairing, dimension)
     size = 2 * dimension
     node_at = [0] * (size + 1)

@@ -50,6 +50,7 @@ class DiagramBasis(_Value):
     _actions: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def __init__(self, dimension: int, diagrams: tuple[PlanarDiagram, ...]) -> None:
+        dimension = _dimension(dimension)
         try:
             diagrams = tuple(diagrams)
         except TypeError:

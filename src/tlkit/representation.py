@@ -68,7 +68,7 @@ class Generator(_Value):
 
 
 def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
-    n = _integer(dimension, "dimension")
+    n = _dimension(dimension)
     k = _integer(k, "generator index")
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} out of range 1..{n - 1}")

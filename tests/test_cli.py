@@ -603,32 +603,6 @@ def test_sizes_outside_the_rule_exit_one(args, option, name, least, monkeypatch,
     )
 
 
-@pytest.mark.parametrize(
-    "call,message",
-    [
-        (lambda: enumerate_diagrams(0), "dimension must be at least 1"),
-        (lambda: identity_diagram(-2), "dimension must be at least 1"),
-        (lambda: parse("TL 0 m=0 (1,2)"), "dimension must be at least 1"),
-        (lambda: connectability(0), "dimension must be at least 1"),
-        (lambda: TLElement(0, "d", ()), "dimension must be at least 1"),
-        (lambda: representation.generators(1), "dimension must be at least 2"),
-        (lambda: BraidWord(0, ()), "strand count must be at least 1"),
-        (lambda: verify_artin(1), "strand count must be at least 2"),
-        (
-            lambda: enumerate_diagrams(5, max_dimension=4),
-            "dimension 5 exceeds the resource ceiling 4 (override with max_dimension)",
-        ),
-    ],
-    ids=[
-        "enumerate", "identity", "parse", "connectability", "element",
-        "generators", "braid-word", "verify-artin", "ceiling",
-    ],
-)
-def test_library_sizes_follow_one_rule(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()
-
-
 def run_parsed(argv):
     """``cli.run`` on parsed arguments, so its ValueError reaches the test."""
     args = cli.build_parser().parse_args(argv)
@@ -686,6 +660,20 @@ def run_parsed(argv):
         (lambda d: ConnectabilityMatrix(1, 5), "entries must be 2 rows of 2 integers"),
         (lambda d: IdealPartition(2, 5), "blocks must be a sequence of sequences of diagrams"),
         (lambda d: RelationReport("t", 5), "entries must be (text, bool) pairs"),
+        (lambda d: enumerate_diagrams(0), "dimension must be at least 1"),
+        (lambda d: identity_diagram(-2), "dimension must be at least 1"),
+        (lambda d: parse("TL 0 m=0 (1,2)"), "dimension must be at least 1"),
+        (lambda d: connectability(0), "dimension must be at least 1"),
+        (lambda d: is_noncrossing([], 0), "dimension must be at least 1"),
+        (lambda d: DiagramBasis(0, ()), "dimension must be at least 1"),
+        (lambda d: generator_diagram(0, 1), "dimension must be at least 1"),
+        (lambda d: representation.generators(1), "dimension must be at least 2"),
+        (lambda d: BraidWord(0, ()), "strand count must be at least 1"),
+        (lambda d: verify_artin(1), "strand count must be at least 2"),
+        (
+            lambda d: enumerate_diagrams(5, max_dimension=4),
+            "dimension 5 exceeds the resource ceiling 4 (override with max_dimension)",
+        ),
     ],
     ids=[
         "term", "terms", "from-terms", "basis", "parse", "matrix",
@@ -695,7 +683,10 @@ def run_parsed(argv):
         "draw-non-sequence", "draw-non-diagram",
         "connectability-dimension", "noncrossing-partners",
         "repr-gen", "generator", "connectability-matrix", "ideal-partition",
-        "relation-report",
+        "relation-report", "enumerate-size", "identity-size", "parse-size",
+        "connectability-size", "noncrossing-size", "basis-size",
+        "generator-diagram-size", "generators-size", "braid-word-size",
+        "verify-artin-size", "ceiling",
     ],
 )
 def test_malformed_values_raise_value_error(call, message):

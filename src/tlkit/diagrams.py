@@ -170,7 +170,6 @@ class PlanarDiagram(_Value):
             raise ValueError(
                 "dimension and partners must be integers, given as a sequence"
             ) from None
-        dimension = _dimension(dimension)
         if not is_noncrossing(pairing, dimension):
             raise ValueError("pairing has crossing strands")
         object.__setattr__(self, "dimension", dimension)

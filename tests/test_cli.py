@@ -14,6 +14,7 @@ from tlkit.braids import BraidWord, verify_artin
 from tlkit.composition import compose
 from tlkit.diagrams import (
     ConnectabilityMatrix,
+    PlanarDiagram,
     ScaledDiagram,
     canonical_compare,
     connectability,
@@ -665,6 +666,7 @@ def run_parsed(argv):
         (lambda d: parse("TL 0 m=0 (1,2)"), "dimension must be at least 1"),
         (lambda d: connectability(0), "dimension must be at least 1"),
         (lambda d: is_noncrossing([], 0), "dimension must be at least 1"),
+        (lambda d: PlanarDiagram(0, ()), "dimension must be at least 1"),
         (lambda d: DiagramBasis(0, ()), "dimension must be at least 1"),
         (lambda d: generator_diagram(0, 1), "dimension must be at least 1"),
         (lambda d: representation.generators(1), "dimension must be at least 2"),
@@ -684,7 +686,7 @@ def run_parsed(argv):
         "connectability-dimension", "noncrossing-partners",
         "repr-gen", "generator", "connectability-matrix", "ideal-partition",
         "relation-report", "enumerate-size", "identity-size", "parse-size",
-        "connectability-size", "noncrossing-size", "basis-size",
+        "connectability-size", "noncrossing-size", "diagram-size", "basis-size",
         "generator-diagram-size", "generators-size", "braid-word-size",
         "verify-artin-size", "ceiling",
     ],

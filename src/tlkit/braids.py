@@ -32,12 +32,12 @@ view of those columns.
 
 from __future__ import annotations
 
-import operator
 import random
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 from .composition import _action, _apply_generator
-from .diagrams import PlanarDiagram, _dimension, _integer, _Value
+from .diagrams import PlanarDiagram, _dimension, _integer, _integers, _Value
 from .elements import TLElement
 from .enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
@@ -64,14 +64,11 @@ class BraidWord(_Value):
     letters: tuple[int, ...]
 
     def __init__(self, strands: int, letters: Sequence[int]) -> None:
-        try:
-            strands = operator.index(strands)
-            letters = tuple(operator.index(x) for x in letters)
-        except TypeError:
-            raise ValueError(
-                "strand count and letters must be integers, given as a sequence"
-            ) from None
-        strands = _dimension(strands, "strand count")
+        values = _integers(
+            chain((strands,), letters),
+            "strand count and letters must be integers, given as a sequence",
+        )
+        strands, letters = _dimension(values[0], "strand count"), values[1:]
         for letter in letters:
             if letter == 0 or not 1 <= abs(letter) <= strands - 1:
                 raise ValueError(f"letter {letter} out of range for {strands} strands")

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from . import _backend
-from .diagrams import PlanarDiagram, ScaledDiagram
+from .diagrams import PlanarDiagram, ScaledDiagram, _require
 from .enumeration import DiagramBasis, identity_diagram
 
 Map = tuple[tuple[int, ...], tuple[int, ...]]
@@ -46,8 +46,8 @@ Map = tuple[tuple[int, ...], tuple[int, ...]]
 def compose(d1: PlanarDiagram, d2: PlanarDiagram) -> ScaledDiagram:
     """The product diagram with d2 stacked on top of d1, as d^m times a
     loop-free diagram."""
-    if not (isinstance(d1, PlanarDiagram) and isinstance(d2, PlanarDiagram)):
-        raise ValueError(f"compose needs two PlanarDiagrams, got {d1!r} and {d2!r}")
+    _require(d1, PlanarDiagram, "compose needs two PlanarDiagrams")
+    _require(d2, PlanarDiagram, "compose needs two PlanarDiagrams")
     if d1.dimension != d2.dimension:
         raise ValueError(
             f"cannot compose dimensions {d1.dimension} and {d2.dimension}"

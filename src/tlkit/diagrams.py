@@ -31,7 +31,9 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from typing import Mapping, Sequence
+from collections.abc import Iterable, Mapping
+from itertools import chain
+from typing import Sequence
 
 
 def node_position(node: int, dimension: int) -> int:
@@ -57,6 +59,63 @@ def _dimension(value: int, name: str = "dimension", least: int = 1) -> int:
     if value < least:
         raise ValueError(f"{name} must be at least {least}")
     return value
+
+
+# The type and shape rule of every public entry point: a value of the
+# wrong kind is a ValueError, never an AttributeError or TypeError from
+# deeper down.  Each helper builds its message only on failure.
+
+
+def _require(value: object, kind: type | tuple[type, ...], message: str):
+    """``value`` if it is a ``kind``; otherwise ValueError, "``message``,
+    got ``value``"."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"{message}, got {value!r}")
+
+
+def _integers(values: Iterable[int], message: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ValueError ``message`` unless it is
+    a sequence of integers."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(message) from None
+
+
+def _pairs(pairs: Iterable[tuple], first: type, second: type, message: str) -> tuple:
+    """``pairs`` as a tuple of (a, b) pairs, each a a ``first`` and each b
+    a ``second``; ValueError ``message`` otherwise, naming the first pair
+    that is not."""
+    try:
+        pairs = tuple((a, b) for a, b in pairs)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    for a, b in pairs:
+        if not (isinstance(a, first) and isinstance(b, second)):
+            raise ValueError(
+                f"{message}: ({a!r}, {b!r}) is not a "
+                f"({first.__name__}, {second.__name__}) pair"
+            )
+    return pairs
+
+
+def _sequence(
+    values: Iterable, kind: type, field: str, expected: object, message: str
+) -> tuple:
+    """``values`` as a tuple of ``kind`` values whose ``field`` equals
+    ``expected`` (diagrams of one dimension, polynomials in one variable),
+    checked in one pass; ValueError ``message`` otherwise, naming the
+    first value that is not."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{message}, got {values!r}") from None
+    key = operator.attrgetter(field)
+    for value in values:
+        if not (isinstance(value, kind) and key(value) == expected):
+            raise ValueError(f"{message}, got {value!r}")
+    return values
 
 
 class _Value:
@@ -102,21 +161,18 @@ class _Value:
         return type(self), self._key(self)
 
 
-def _check_involution(pairing: Sequence[int], dimension: int) -> None:
+def _check_involution(pairing: tuple[int, ...], dimension: int) -> None:
     size = 2 * dimension
-    try:
-        if len(pairing) != size:
-            raise ValueError(f"pairing must list {size} partners, got {len(pairing)}")
-        for i in range(1, size + 1):
-            j = pairing[i - 1]
-            if not 1 <= j <= size:
-                raise ValueError(f"partner {j} of node {i} out of range 1..{size}")
-            if j == i:
-                raise ValueError(f"node {i} is paired with itself")
-            if pairing[j - 1] != i:
-                raise ValueError(f"pairing is not an involution at nodes {i}, {j}")
-    except TypeError:
-        raise ValueError("partners must be integers, given as a sequence") from None
+    if len(pairing) != size:
+        raise ValueError(f"pairing must list {size} partners, got {len(pairing)}")
+    for i in range(1, size + 1):
+        j = pairing[i - 1]
+        if not 1 <= j <= size:
+            raise ValueError(f"partner {j} of node {i} out of range 1..{size}")
+        if j == i:
+            raise ValueError(f"node {i} is paired with itself")
+        if pairing[j - 1] != i:
+            raise ValueError(f"pairing is not an involution at nodes {i}, {j}")
 
 
 def is_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
@@ -128,6 +184,7 @@ def is_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
     every chord closes.  Non-involutions are rejected with ValueError.
     """
     dimension = _dimension(dimension)
+    pairing = _integers(pairing, "partners must be integers, given as a sequence")
     _check_involution(pairing, dimension)
     size = 2 * dimension
     node_at = [0] * (size + 1)
@@ -163,13 +220,11 @@ class PlanarDiagram(_Value):
     pairing: tuple[int, ...]
 
     def __init__(self, dimension: int, pairing: Sequence[int]) -> None:
-        try:
-            dimension = operator.index(dimension)
-            pairing = tuple(operator.index(j) for j in pairing)
-        except TypeError:
-            raise ValueError(
-                "dimension and partners must be integers, given as a sequence"
-            ) from None
+        values = _integers(
+            chain((dimension,), pairing),
+            "dimension and partners must be integers, given as a sequence",
+        )
+        dimension, pairing = values[0], values[1:]
         if not is_noncrossing(pairing, dimension):
             raise ValueError("pairing has crossing strands")
         object.__setattr__(self, "dimension", dimension)
@@ -236,8 +291,7 @@ def canonical_compare(a: PlanarDiagram, b: PlanarDiagram) -> int:
     """Total order on diagrams of one dimension: lexicographic on the
     partner array read from node 1 to 2N.  Returns -1, 0 or 1."""
     for diagram in (a, b):
-        if not isinstance(diagram, PlanarDiagram):
-            raise ValueError(f"canonical_compare needs PlanarDiagrams, got {diagram!r}")
+        _require(diagram, PlanarDiagram, "canonical_compare needs PlanarDiagrams")
     if a.dimension != b.dimension:
         raise ValueError(
             f"cannot compare diagrams of dimensions {a.dimension} and {b.dimension}"
@@ -255,12 +309,8 @@ class ScaledDiagram(_Value):
     loop_exponent: int
 
     def __init__(self, diagram: PlanarDiagram, loop_exponent: int = 0) -> None:
-        if not isinstance(diagram, PlanarDiagram):
-            raise ValueError("a scaled diagram needs a PlanarDiagram")
-        try:
-            loop_exponent = operator.index(loop_exponent)
-        except TypeError:
-            raise ValueError("loop exponent must be an integer") from None
+        _require(diagram, PlanarDiagram, "a scaled diagram needs a PlanarDiagram")
+        loop_exponent = _integer(loop_exponent, "loop exponent")
         if loop_exponent < 0:
             raise ValueError("loop exponent must be nonnegative")
         object.__setattr__(self, "diagram", diagram)
@@ -289,12 +339,12 @@ class ConnectabilityMatrix(_Value):
     def __init__(self, dimension: int, entries: tuple[tuple[int, ...], ...]) -> None:
         dimension = _dimension(dimension)
         size = 2 * dimension
-        try:
-            entries = tuple(tuple(map(operator.index, row)) for row in entries)
-        except TypeError:
-            entries = ()
+        message = f"entries must be {size} rows of {size} integers"
+        entries = tuple(
+            _integers(row, message) for row in _require(entries, Iterable, message)
+        )
         if len(entries) != size or any(len(row) != size for row in entries):
-            raise ValueError(f"entries must be {size} rows of {size} integers")
+            raise ValueError(message)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "entries", entries)
 
@@ -400,9 +450,7 @@ def _line_prefix(dimension: int, loop_exponent: int) -> str:
 
 def serialize(scaled: ScaledDiagram) -> str:
     """One-line text form; parse() inverts it exactly."""
-    if not isinstance(scaled, ScaledDiagram):
-        raise ValueError(f"serialize needs a ScaledDiagram, got {scaled!r}")
-    diagram = scaled.diagram
+    diagram = _require(scaled, ScaledDiagram, "serialize needs a ScaledDiagram").diagram
     dimension = diagram.dimension
     pairs = "".join(map(operator.getitem, _pair_texts(dimension), diagram.pairing))
     return _line_prefix(dimension, scaled.loop_exponent) + pairs
@@ -411,9 +459,7 @@ def serialize(scaled: ScaledDiagram) -> str:
 def parse(line: str) -> ScaledDiagram:
     """Parse a diagram line, rejecting malformed text, non-involutions and
     crossing pairings."""
-    if not isinstance(line, str):
-        raise ValueError(f"diagram line must be text, got {line!r}")
-    match = _LINE_RE.match(line.strip())
+    match = _LINE_RE.match(_require(line, str, "diagram line must be text").strip())
     if not match:
         raise ValueError(f"malformed diagram line: {line!r}")
     dimension = _dimension(int(match.group(1)))

@@ -22,9 +22,10 @@ from .diagrams import PlanarDiagram, ScaledDiagram
 def _as_scaled(item: PlanarDiagram | ScaledDiagram) -> ScaledDiagram:
     if isinstance(item, PlanarDiagram):
         return ScaledDiagram(item, 0)
-    if not isinstance(item, ScaledDiagram):
-        raise ValueError(f"cannot draw {item!r}: not a PlanarDiagram or ScaledDiagram")
-    return item
+    if isinstance(item, ScaledDiagram):
+        return item
+    # The message names the item first, so it is built here, on failure only.
+    raise ValueError(f"cannot draw {item!r}: not a PlanarDiagram or ScaledDiagram")
 
 
 class _Format(NamedTuple):

@@ -12,8 +12,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .composition import compose
-from .diagrams import PlanarDiagram, _dimension, _Value
+from .diagrams import PlanarDiagram, _dimension, _pairs, _require, _Value
 from .laurent import _VARIABLES, LaurentPoly
+
+
+_TERMS = "terms must be (diagram, coefficient) pairs"
 
 
 class TLElement(_Value):
@@ -34,7 +37,7 @@ class TLElement(_Value):
         dimension = _dimension(dimension)
         if variable not in _VARIABLES:
             raise ValueError(f"unsupported variable {variable!r}")
-        terms = _checked_terms(terms)
+        terms = _pairs(terms, PlanarDiagram, LaurentPoly, _TERMS)
         for diagram, coeff in terms:
             if diagram.dimension != dimension:
                 raise ValueError("all terms must share the element's dimension")
@@ -58,7 +61,7 @@ class TLElement(_Value):
     ) -> TLElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[PlanarDiagram, LaurentPoly] = {}
-        for diagram, coeff in _checked_terms(items):
+        for diagram, coeff in _pairs(items, PlanarDiagram, LaurentPoly, _TERMS):
             acc[diagram] = acc[diagram] + coeff if diagram in acc else coeff
         kept = tuple(
             sorted(
@@ -89,8 +92,7 @@ class TLElement(_Value):
         return not self.terms
 
     def _require_compatible(self, other: TLElement) -> None:
-        if not isinstance(other, TLElement):
-            raise ValueError(f"expected a TLElement, got {other!r}")
+        _require(other, TLElement, "expected a TLElement")
         if self.dimension != other.dimension:
             raise ValueError("dimension mismatch")
         if self.variable != other.variable:
@@ -122,23 +124,6 @@ class TLElement(_Value):
         )
 
 
-def _checked_terms(
-    terms: Iterable[tuple[PlanarDiagram, LaurentPoly]],
-) -> tuple[tuple[PlanarDiagram, LaurentPoly], ...]:
-    """``terms`` as a tuple, with ValueError unless every term is a
-    (PlanarDiagram, LaurentPoly) pair."""
-    try:
-        pairs = tuple((diagram, coeff) for diagram, coeff in terms)
-    except (TypeError, ValueError):
-        raise ValueError("terms must be (diagram, coefficient) pairs") from None
-    for diagram, coeff in pairs:
-        if not isinstance(diagram, PlanarDiagram) or not isinstance(coeff, LaurentPoly):
-            raise ValueError(
-                f"term ({diagram!r}, {coeff!r}) is not a (PlanarDiagram, LaurentPoly) pair"
-            )
-    return pairs
-
-
 def multiply(a: TLElement, b: TLElement, loop_value: LaurentPoly) -> TLElement:
     """The algebra product a.b, right factor acting first (stacked at the
     bottom), each closed loop becoming one ``loop_value`` factor.
@@ -146,11 +131,8 @@ def multiply(a: TLElement, b: TLElement, loop_value: LaurentPoly) -> TLElement:
     With loop_value the monomial d this is multiplication in TL_N(d); the
     bracket image uses d's value -A^2 - A^-2 instead.
     """
-    if not isinstance(a, TLElement):
-        raise ValueError(f"expected a TLElement, got {a!r}")
-    a._require_compatible(b)
-    if not isinstance(loop_value, LaurentPoly):
-        raise ValueError(f"loop value must be a LaurentPoly, got {loop_value!r}")
+    _require(a, TLElement, "expected a TLElement")._require_compatible(b)
+    loop_value = _require(loop_value, LaurentPoly, "loop value must be a LaurentPoly")
     if loop_value.variable != a.variable:
         raise ValueError("loop value must use the coefficient variable")
     terms = []

@@ -21,7 +21,7 @@ import functools
 import math
 
 from . import _backend
-from .diagrams import PlanarDiagram, _dimension, _integer, _Value
+from .diagrams import PlanarDiagram, _dimension, _integer, _require, _sequence, _Value
 
 #: Hard ceiling on the dimension accepted by enumerate_diagrams unless the
 #: caller raises it explicitly (C_12 = 208012 diagrams is still cheap, but
@@ -51,21 +51,12 @@ class DiagramBasis(_Value):
 
     def __init__(self, dimension: int, diagrams: tuple[PlanarDiagram, ...]) -> None:
         dimension = _dimension(dimension)
-        try:
-            diagrams = tuple(diagrams)
-        except TypeError:
-            raise ValueError("diagrams must be a sequence of diagrams") from None
+        message = f"diagrams must be a sequence of diagrams of dimension {dimension}"
+        diagrams = _sequence(diagrams, PlanarDiagram, "dimension", dimension, message)
         if len(diagrams) != catalan(dimension):
             raise ValueError(
                 f"basis must hold Catalan({dimension}) diagrams, "
                 f"got {len(diagrams)}"
-            )
-        if not all(
-            isinstance(d, PlanarDiagram) and d.dimension == dimension
-            for d in diagrams
-        ):
-            raise ValueError(
-                f"every basis entry must be a diagram of dimension {dimension}"
             )
         index = {d.pairing: i for i, d in enumerate(diagrams)}
         if len(index) != len(diagrams):
@@ -90,8 +81,7 @@ class DiagramBasis(_Value):
     def index_of(self, d: PlanarDiagram) -> int:
         """Position of ``d``; ValueError for a non-diagram and KeyError
         when the basis does not hold it."""
-        if not isinstance(d, PlanarDiagram):
-            raise ValueError(f"index_of needs a PlanarDiagram, got {d!r}")
+        d = _require(d, PlanarDiagram, "index_of needs a PlanarDiagram")
         return self._index[d.pairing]
 
 

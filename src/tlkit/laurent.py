@@ -12,10 +12,9 @@ bare digits.
 
 from __future__ import annotations
 
-import operator
-from typing import Mapping
+from collections.abc import Mapping
 
-from .diagrams import _integer, _Value
+from .diagrams import _integer, _pairs, _require, _Value
 
 
 #: The variables a polynomial may be written in.
@@ -42,12 +41,8 @@ class LaurentPoly(_Value):
     def __init__(self, variable: str, coeffs: tuple[tuple[int, int], ...]) -> None:
         if variable not in _VARIABLES:
             raise ValueError(f"unsupported variable {variable!r}")
-        try:
-            coeffs = tuple((operator.index(e), operator.index(c)) for e, c in coeffs)
-        except (TypeError, ValueError):
-            raise ValueError(
-                "coefficients must be (exponent, coefficient) pairs of integers"
-            ) from None
+        message = "coefficients must be (exponent, coefficient) pairs of integers"
+        coeffs = _pairs(coeffs, int, int, message)
         exps = [e for e, _ in coeffs]
         if exps != sorted(exps) or len(set(exps)) != len(exps):
             raise ValueError("coefficients must be sorted by distinct exponent")
@@ -72,13 +67,9 @@ class LaurentPoly(_Value):
 
     @classmethod
     def from_dict(cls, variable: str, mapping: Mapping[int, int]) -> LaurentPoly:
-        try:
-            items = tuple(sorted((e, c) for e, c in mapping.items() if c != 0))
-        except (AttributeError, TypeError):
-            raise ValueError(
-                "coefficients must map integer exponents to integers"
-            ) from None
-        return cls(variable, items)
+        message = "coefficients must map integer exponents to integers"
+        items = _pairs(_require(mapping, Mapping, message).items(), int, int, message)
+        return cls(variable, tuple(sorted(item for item in items if item[1])))
 
     @classmethod
     def zero(cls, variable: str) -> LaurentPoly:
@@ -136,19 +127,19 @@ class LaurentPoly(_Value):
         return -self + other
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            value = _integer(other, "factor")
-            return LaurentPoly._trusted(
-                self.variable,
-                tuple((e, c * value) for e, c in self.coeffs) if value else (),
-            )
-        other = self._operand(other)
-        acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly._collected(self.variable, acc)
+        if isinstance(other, LaurentPoly):
+            other = self._operand(other)
+            acc: dict[int, int] = {}
+            for e1, c1 in self.coeffs:
+                for e2, c2 in other.coeffs:
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + c1 * c2
+            return LaurentPoly._collected(self.variable, acc)
+        value = _integer(other, "factor")
+        return LaurentPoly._trusted(
+            self.variable,
+            tuple((e, c * value) for e, c in self.coeffs) if value else (),
+        )
 
     __rmul__ = __mul__
 
@@ -178,11 +169,8 @@ class LaurentPoly(_Value):
         Only defined when no negative exponents are present (an arbitrary
         polynomial is not invertible in the Laurent ring).
         """
-        if not isinstance(value, LaurentPoly):
-            raise ValueError(
-                f"substitute needs a LaurentPoly, got {value!r} "
-                "(substitute_int evaluates at an integer)"
-            )
+        message = "substitute needs a LaurentPoly (substitute_int takes an integer)"
+        _require(value, LaurentPoly, message)
         if any(e < 0 for e, _ in self.coeffs):
             raise ValueError("cannot substitute into a negative exponent")
         result = LaurentPoly.zero(value.variable)

@@ -10,9 +10,10 @@ library against, and for the benchmark tracer."""
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Iterable, Mapping
+from typing import Sequence
 
-from .diagrams import _Value
+from .diagrams import _require, _sequence, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
 
@@ -26,19 +27,13 @@ class PolyMatrix(_Value):
     def __init__(self, variable: str, rows: Sequence[Sequence[LaurentPoly]]) -> None:
         if variable not in _VARIABLES:
             raise ValueError(f"unsupported variable {variable!r}")
-        try:
-            rows = tuple(tuple(row) for row in rows)
-        except TypeError:
-            raise ValueError("rows must be a sequence of sequences") from None
-        size = len(rows)
-        for row in rows:
-            if len(row) != size:
-                raise ValueError("matrix must be square")
-            for entry in row:
-                if not isinstance(entry, LaurentPoly):
-                    raise ValueError(f"entry {entry!r} is not a LaurentPoly")
-                if entry.variable != variable:
-                    raise ValueError("all entries must share the matrix variable")
+        message = f"rows must be sequences of LaurentPoly in {variable}"
+        rows = tuple(
+            _sequence(row, LaurentPoly, "variable", variable, message)
+            for row in _require(rows, Iterable, message)
+        )
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "rows", rows)
 
@@ -67,13 +62,8 @@ class PolyMatrix(_Value):
         size = len(columns)
         grid = [[zero] * size for _ in columns]
         for i, column in enumerate(columns):
-            try:
-                items = column.items()
-            except AttributeError:
-                raise ValueError(
-                    f"column {i} must map rows to entries, got {column!r}"
-                ) from None
-            for j, entry in items:
+            message = f"column {i} must map rows to entries"
+            for j, entry in _require(column, Mapping, message).items():
                 if not (isinstance(j, int) and 0 <= j < size):
                     raise ValueError(f"column {i} has row {j!r} outside 0..{size - 1}")
                 grid[j][i] = entry

@@ -37,11 +37,12 @@ every generator matrix read it, as do the composition table (see
 from __future__ import annotations
 
 import functools
-import operator
+from collections.abc import Iterable
 from typing import TYPE_CHECKING, Sequence
 
 from .composition import Map, _action, compose
-from .diagrams import PlanarDiagram, ScaledDiagram, _dimension, _integer, _Value
+from .diagrams import PlanarDiagram, ScaledDiagram, _dimension, _integer, _integers
+from .diagrams import _pairs, _require, _sequence, _Value
 from .enumeration import DiagramBasis, identity_diagram
 
 if TYPE_CHECKING:
@@ -61,8 +62,7 @@ class Generator(_Value):
 
     def __init__(self, index: int, diagram: PlanarDiagram) -> None:
         index = _integer(index, "generator index")
-        if not isinstance(diagram, PlanarDiagram):
-            raise ValueError(f"a generator needs a PlanarDiagram, got {diagram!r}")
+        _require(diagram, PlanarDiagram, "a generator needs a PlanarDiagram")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "diagram", diagram)
 
@@ -106,18 +106,14 @@ class IdealPartition(_Value):
         self, dimension: int, blocks: tuple[tuple[PlanarDiagram, ...], ...]
     ) -> None:
         dimension = _dimension(dimension)
-        try:
-            blocks = tuple(tuple(block) for block in blocks)
-        except TypeError:
-            raise ValueError("blocks must be a sequence of sequences of diagrams") from None
-        if not all(
-            isinstance(d, PlanarDiagram) and d.dimension == dimension
-            for block in blocks
-            for d in block
-        ):
-            raise ValueError(
-                f"every block entry must be a diagram of dimension {dimension}"
-            )
+        message = (
+            "blocks must be a sequence of sequences of diagrams, "
+            f"each a diagram of dimension {dimension}"
+        )
+        blocks = tuple(
+            _sequence(block, PlanarDiagram, "dimension", dimension, message)
+            for block in _require(blocks, Iterable, message)
+        )
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "blocks", blocks)
 
@@ -221,15 +217,10 @@ class GeneratorMatrix(_Value):
         targets: Sequence[int],
         exponents: Sequence[int],
     ) -> None:
-        try:
-            basis_order = tuple(basis_order)
-            targets = tuple(map(operator.index, targets))
-            exponents = tuple(map(operator.index, exponents))
-        except TypeError:
-            raise ValueError(
-                "basis order must be a sequence, and targets and exponents "
-                "sequences of integers"
-            ) from None
+        basis_order = tuple(_require(basis_order, Iterable, "basis order must be a sequence"))
+        message = "targets and exponents must be sequences of integers"
+        targets = _integers(targets, message)
+        exponents = _integers(exponents, message)
         size = len(basis_order)
         if len(targets) != size or len(exponents) != size:
             raise ValueError(
@@ -307,20 +298,6 @@ def generator_matrices(
     return _generator_maps(basis, range(1, basis.dimension), include_identity)
 
 
-def _named_pairs(pairs: Sequence[tuple[str, object]], what: str, kind: type) -> tuple:
-    """``pairs`` as a tuple of (name, value) pairs, each name text and
-    each value a ``kind``."""
-    try:
-        pairs = tuple((name, value) for name, value in pairs)
-    except (TypeError, ValueError):
-        pairs = None
-    if pairs is None or not all(
-        isinstance(name, str) and isinstance(value, kind) for name, value in pairs
-    ):
-        raise ValueError(f"{what} must be (text, {kind.__name__}) pairs")
-    return pairs
-
-
 class RelationReport(_Value):
     """Named pass/fail results of a family of relation checks.
 
@@ -338,10 +315,9 @@ class RelationReport(_Value):
         entries: tuple[tuple[str, bool], ...],
         witnesses: tuple[tuple[str, str], ...] = (),
     ) -> None:
-        if not isinstance(title, str):
-            raise ValueError(f"title must be text, got {title!r}")
-        entries = _named_pairs(entries, "entries", bool)
-        witnesses = _named_pairs(witnesses, "witnesses", str)
+        _require(title, str, "title must be text")
+        entries = _pairs(entries, str, bool, "entries must be (text, bool) pairs")
+        witnesses = _pairs(witnesses, str, str, "witnesses must be (text, str) pairs")
         object.__setattr__(self, "title", title)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "witnesses", witnesses)

@@ -37,7 +37,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 from .composition import _action, _apply_generator
-from .diagrams import PlanarDiagram, _dimension, _integer, _integers, _Value
+from .diagrams import PlanarDiagram, _dimension, _integer, _integers, _require, _Value
 from .elements import TLElement
 from .enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly
@@ -81,7 +81,7 @@ class BraidWord(_Value):
 
     @classmethod
     def from_text(cls, strands: int, text: str) -> BraidWord:
-        if not text.strip():
+        if not _require(text, str, "braid word must be text").strip():
             return cls.identity(strands)
         try:
             letters = tuple(int(tok) for tok in text.split(","))
@@ -95,9 +95,11 @@ class BraidWord(_Value):
         return ",".join(str(letter) for letter in self.letters)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
-        if self.strands != other.strands:
-            raise ValueError("strand count mismatch")
-        return BraidWord(self.strands, self.letters + other.letters)
+        if isinstance(other, BraidWord):
+            if self.strands != other.strands:
+                raise ValueError("strand count mismatch")
+            return BraidWord(self.strands, self.letters + other.letters)
+        return NotImplemented
 
     def inverse(self) -> BraidWord:
         return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
@@ -106,7 +108,7 @@ class BraidWord(_Value):
 def braid_image(word: BraidWord) -> TLElement:
     """The bracket image of the word, expanded and collected over the
     diagram basis with LaurentPoly(A) coefficients."""
-    n = word.strands
+    n = _require(word, BraidWord, "braid_image needs a BraidWord").strands
     terms = {identity_diagram(n).pairing: LaurentPoly.one("A")}
     for letter in reversed(word.letters):
         # the letter is a.1 + b.U with a = A^shift and b = A^-shift
@@ -158,6 +160,7 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A))."""
     from .matrices import PolyMatrix
 
+    word = _require(word, BraidWord, "braid_image_matrix needs a BraidWord")
     basis = enumerate_diagrams(word.strands)
     return PolyMatrix.from_columns("A", _image_columns(word, basis))
 

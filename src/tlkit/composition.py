@@ -59,6 +59,8 @@ def compose(d1: PlanarDiagram, d2: PlanarDiagram) -> ScaledDiagram:
 def compose_scaled(s1: ScaledDiagram, s2: ScaledDiagram) -> ScaledDiagram:
     """Compose carrying loop exponents: exponents add on top of the loops
     produced by the stacking itself."""
+    _require(s1, ScaledDiagram, "compose_scaled needs two ScaledDiagrams")
+    _require(s2, ScaledDiagram, "compose_scaled needs two ScaledDiagrams")
     product = compose(s1.diagram, s2.diagram)
     return product.with_extra_loops(s1.loop_exponent + s2.loop_exponent)
 

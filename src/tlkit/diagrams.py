@@ -61,6 +61,14 @@ def _dimension(value: int, name: str = "dimension", least: int = 1) -> int:
     return value
 
 
+def _node(value: int, dimension: int) -> int:
+    """``value`` as a node number of a diagram of ``dimension``, 1..2N."""
+    value = _integer(value, "node")
+    if not 1 <= value <= 2 * dimension:
+        raise ValueError(f"node {value} out of range 1..{2 * dimension}")
+    return value
+
+
 # The type and shape rule of every public entry point: a value of the
 # wrong kind is a ValueError, never an AttributeError or TypeError from
 # deeper down.  Each helper builds its message only on failure.
@@ -240,7 +248,7 @@ class PlanarDiagram(_Value):
         return diagram
 
     def partner(self, node: int) -> int:
-        return self.pairing[node - 1]
+        return self.pairing[_node(node, self.dimension) - 1]
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """All pairs (a, b) with a < b, sorted by the smaller endpoint."""
@@ -349,17 +357,21 @@ class ConnectabilityMatrix(_Value):
         object.__setattr__(self, "entries", entries)
 
     def value(self, i: int, j: int) -> int:
-        return self.entries[i - 1][j - 1]
+        n = self.dimension
+        return self.entries[_node(i, n) - 1][_node(j, n) - 1]
 
     def partners(self, i: int) -> tuple[int, ...]:
         """Nodes j with value(i, j) == 1, ascending."""
-        row = self.entries[i - 1]
+        row = self.entries[_node(i, self.dimension) - 1]
         return tuple(j for j in range(1, 2 * self.dimension + 1) if row[j - 1])
 
     def zeroed(self, i: int, columns: Sequence[int]) -> ConnectabilityMatrix:
         """Copy with the given (i, j) and (j, i) entries set to 0."""
+        n = self.dimension
+        i = _node(i, n)
         grid = [list(row) for row in self.entries]
-        for j in columns:
+        for j in _require(columns, Iterable, "columns must be a sequence of nodes"):
+            j = _node(j, n)
             grid[i - 1][j - 1] = 0
             grid[j - 1][i - 1] = 0
         return ConnectabilityMatrix(self.dimension, tuple(tuple(r) for r in grid))
@@ -405,7 +417,13 @@ def restrict_connectability(
     * if a bottom-to-bottom edge encloses i, node i is confined strictly
       inside the tightest such edge.
     """
+    message = "restrict_connectability needs a map of nodes to partners"
+    partial = dict(_pairs(_require(partial, Mapping, message).items(), int, int, message))
+    gamma = _require(
+        gamma, ConnectabilityMatrix, "restrict_connectability needs a ConnectabilityMatrix"
+    )
     n = gamma.dimension
+    i = _node(i, n)
     if i in partial:
         raise ValueError(f"node {i} is already matched")
     if i > n:

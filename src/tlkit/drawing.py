@@ -24,7 +24,9 @@ def _as_scaled(item: PlanarDiagram | ScaledDiagram) -> ScaledDiagram:
         return ScaledDiagram(item, 0)
     if isinstance(item, ScaledDiagram):
         return item
-    # The message names the item first, so it is built here, on failure only.
+    # Not through diagrams._require: this message names the item
+    # mid-sentence, which _require could say only by formatting it on
+    # every call.
     raise ValueError(f"cannot draw {item!r}: not a PlanarDiagram or ScaledDiagram")
 
 

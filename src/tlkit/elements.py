@@ -79,7 +79,9 @@ class TLElement(_Value):
     def from_diagram(
         cls, diagram: PlanarDiagram, coeff: LaurentPoly | None = None, variable: str = "d"
     ) -> TLElement:
+        diagram = _require(diagram, PlanarDiagram, "from_diagram needs a PlanarDiagram")
         coeff = LaurentPoly.one(variable) if coeff is None else coeff
+        coeff = _require(coeff, LaurentPoly, "the coefficient must be a LaurentPoly")
         return cls.from_terms(diagram.dimension, coeff.variable, [(diagram, coeff)])
 
     def coefficient(self, diagram: PlanarDiagram) -> LaurentPoly:
@@ -110,11 +112,12 @@ class TLElement(_Value):
         )
 
     def __sub__(self, other: TLElement) -> TLElement:
-        return self + (-other)
+        return self + (-_require(other, TLElement, "expected a TLElement"))
 
     def scaled(self, factor: LaurentPoly | int) -> TLElement:
         if isinstance(factor, int):
             factor = LaurentPoly.constant(self.variable, factor)
+        factor = _require(factor, LaurentPoly, "factor must be a LaurentPoly or an integer")
         if factor.variable != self.variable:
             raise ValueError("coefficient variable mismatch")
         return TLElement.from_terms(

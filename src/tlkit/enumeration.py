@@ -111,7 +111,9 @@ def _checked_dimension(
     """``_dimension`` under the ceiling ``max_dimension``, by default
     DEFAULT_MAX_DIMENSION; ``override`` names where a caller raises it."""
     dimension = _dimension(dimension, name, least)
-    ceiling = DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension
+    ceiling = _integer(
+        DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension, "max_dimension"
+    )
     if dimension > ceiling:
         raise ValueError(
             f"{name} {dimension} exceeds the resource ceiling {ceiling} "

@@ -85,7 +85,7 @@ class LaurentPoly(_Value):
 
     @classmethod
     def monomial(cls, variable: str, exponent: int, coefficient: int = 1) -> LaurentPoly:
-        return cls.from_dict(variable, {exponent: coefficient})
+        return cls.from_dict(variable, {_integer(exponent, "exponent"): coefficient})
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -10,8 +10,7 @@ library against, and for the benchmark tracer."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from typing import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .diagrams import _require, _sequence, _Value
 from .laurent import _VARIABLES, LaurentPoly
@@ -59,11 +58,12 @@ class PolyMatrix(_Value):
         and zero in every unlisted cell; ValueError unless each column maps
         integers 0 <= j < size to entries."""
         zero = LaurentPoly.zero(variable)
-        size = len(columns)
+        size = len(_require(columns, Sequence, "columns must be a sequence of maps"))
         grid = [[zero] * size for _ in columns]
         for i, column in enumerate(columns):
             message = f"column {i} must map rows to entries"
             for j, entry in _require(column, Mapping, message).items():
+                # one range test per cell, which also rejects a non-integer
                 if not (isinstance(j, int) and 0 <= j < size):
                     raise ValueError(f"column {i} has row {j!r} outside 0..{size - 1}")
                 grid[j][i] = entry
@@ -90,7 +90,7 @@ class PolyMatrix(_Value):
         return PolyMatrix.from_columns(self.variable, columns)
 
     def _check(self, other: PolyMatrix) -> None:
-        if self.variable != other.variable:
+        if self.variable != _require(other, PolyMatrix, "expected a PolyMatrix").variable:
             raise ValueError("matrix variable mismatch")
         if self.size != other.size:
             raise ValueError("matrix size mismatch")

@@ -91,6 +91,7 @@ def generators(dimension: int) -> list[Generator]:
 
 def left_multiply(generator: Generator, diagram: PlanarDiagram) -> ScaledDiagram:
     """U_k . D by ``compose``, the reference for ``_apply_generator``."""
+    generator = _require(generator, Generator, "left_multiply needs a Generator")
     return compose(diagram, generator.diagram)
 
 
@@ -167,6 +168,7 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
     collapses the partition to a single block; excluded (the default),
     dimension 4 splits 8 + 5.
     """
+    basis = _require(basis, DiagramBasis, "ideal_partition needs a DiagramBasis")
     blocks = _ideal_blocks(basis, include_identity)
     return IdealPartition(
         basis.dimension, tuple(tuple(basis[i] for i in block) for block in blocks)
@@ -186,6 +188,7 @@ def representation_basis(
 ) -> tuple[PlanarDiagram, ...]:
     """The documented basis order for generator matrices (see module
     docstring)."""
+    basis = _require(basis, DiagramBasis, "representation_basis needs a DiagramBasis")
     return tuple(basis[i] for i in _order(basis, include_identity))
 
 
@@ -217,6 +220,8 @@ class GeneratorMatrix(_Value):
         targets: Sequence[int],
         exponents: Sequence[int],
     ) -> None:
+        generator_index = _integer(generator_index, "generator index")
+        _require(include_identity, bool, "include_identity must be a bool")
         basis_order = tuple(_require(basis_order, Iterable, "basis order must be a sequence"))
         message = "targets and exponents must be sequences of integers"
         targets = _integers(targets, message)
@@ -287,6 +292,7 @@ def generator_matrix(
     """The map of U_k: column i goes to row j with exponent m, where
     U_k . D_i = d^m . D_j."""
     k = _integer(k, "generator index")
+    basis = _require(basis, DiagramBasis, "generator_matrix needs a DiagramBasis")
     generator_diagram(basis.dimension, k)  # rejects an index out of range
     return _generator_maps(basis, (k,), include_identity)[0]
 
@@ -295,6 +301,7 @@ def generator_matrices(
     basis: DiagramBasis, include_identity: bool = False
 ) -> list[GeneratorMatrix]:
     """The maps of U_1 .. U_{N-1} over one basis order, computed once."""
+    basis = _require(basis, DiagramBasis, "generator_matrices needs a DiagramBasis")
     return _generator_maps(basis, range(1, basis.dimension), include_identity)
 
 
@@ -376,6 +383,10 @@ def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
     coefficient 1.  A failed relation gets a witness naming the first
     basis column (0-based) where the sides differ.
     """
+    message = "verify_tl_relations needs a sequence of GeneratorMatrix"
+    matrices = [
+        _require(m, GeneratorMatrix, message) for m in _require(matrices, Iterable, message)
+    ]
     if not matrices:
         raise ValueError("no matrices given")
     # Maps built together share one basis_order object; compare the

@@ -51,6 +51,14 @@ class TestBraidWord:
         with pytest.raises(ValueError):
             BraidWord(3, (1,)) * BraidWord(4, (1,))
 
+    def test_product_with_a_non_word_is_not_implemented(self):
+        w = BraidWord(3, (1,))
+        assert w.__mul__(5) is NotImplemented
+        with pytest.raises(TypeError):
+            w * 5
+        with pytest.raises(TypeError):
+            5 * w
+
     def test_stores_a_tuple_of_ints(self):
         w = BraidWord(3, [1, -2])
         assert w.letters == (1, -2) and type(w.letters) is tuple

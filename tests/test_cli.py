@@ -20,6 +20,7 @@ from tlkit.diagrams import (
     connectability,
     is_noncrossing,
     parse,
+    restrict_connectability,
     serialize,
 )
 from tlkit.drawing import emit_figure
@@ -676,6 +677,51 @@ def run_parsed(argv):
             lambda d: enumerate_diagrams(5, max_dimension=4),
             "dimension 5 exceeds the resource ceiling 4 (override with max_dimension)",
         ),
+        (lambda d: d.partner(0), "node 0 out of range 1..4"),
+        (lambda d: d.partner(5), "node 5 out of range 1..4"),
+        (lambda d: d.partner("a"), "node must be an integer, got 'a'"),
+        (lambda d: connectability(3).partners(0), "node 0 out of range 1..6"),
+        (lambda d: connectability(3).value(0, 0), "node 0 out of range 1..6"),
+        (lambda d: connectability(3).value(1, 7), "node 7 out of range 1..6"),
+        (lambda d: connectability(2).zeroed(1, [0]), "node 0 out of range 1..4"),
+        (
+            lambda d: restrict_connectability({}, 0, connectability(2)),
+            "node 0 out of range 1..4",
+        ),
+        (
+            lambda d: restrict_connectability({"a": 2}, 1, connectability(2)),
+            "restrict_connectability needs a map of nodes to partners",
+        ),
+        (
+            lambda d: GeneratorMatrix("x", None, (), (), ()),
+            "generator index must be an integer, got 'x'",
+        ),
+        (
+            lambda d: GeneratorMatrix(1, None, (), (), ()),
+            "include_identity must be a bool, got None",
+        ),
+        (
+            lambda d: enumerate_diagrams(5, max_dimension="a"),
+            "max_dimension must be an integer, got 'a'",
+        ),
+        (lambda d: BraidWord.from_text(3, None), "braid word must be text, got None"),
+        (
+            lambda d: TLElement.from_diagram(None),
+            "from_diagram needs a PlanarDiagram, got None",
+        ),
+        (
+            lambda d: TLElement.from_diagram(d, 5),
+            "the coefficient must be a LaurentPoly, got 5",
+        ),
+        (
+            lambda d: TLElement.from_diagram(d).scaled(None),
+            "factor must be a LaurentPoly or an integer, got None",
+        ),
+        (lambda d: LaurentPoly.monomial("d", [5]), "exponent must be an integer, got [5]"),
+        (
+            lambda d: PolyMatrix.from_columns("A", 5),
+            "columns must be a sequence of maps, got 5",
+        ),
     ],
     ids=[
         "term", "terms", "from-terms", "basis", "parse", "matrix",
@@ -689,6 +735,11 @@ def run_parsed(argv):
         "connectability-size", "noncrossing-size", "diagram-size", "basis-size",
         "generator-diagram-size", "generators-size", "braid-word-size",
         "verify-artin-size", "ceiling",
+        "partner-zero", "partner-past-end", "partner-text", "partners-zero",
+        "value-zero", "value-past-end", "zeroed-zero", "restrict-zero",
+        "restrict-text-node", "generator-matrix-index", "generator-matrix-identity",
+        "ceiling-text", "braid-text", "from-diagram", "from-diagram-coefficient",
+        "scaled-factor", "monomial-exponent", "columns-non-sequence",
     ],
 )
 def test_malformed_values_raise_value_error(call, message):
@@ -718,11 +769,18 @@ def test_malformed_values_raise_value_error(call, message):
             lambda d, e, loop: canonical_compare(5, d),
             "canonical_compare needs PlanarDiagrams, got 5",
         ),
+        (lambda d, e, loop: e - None, "expected a TLElement, got None"),
+        (lambda d, e, loop: e + None, "expected a TLElement, got None"),
+        (
+            lambda d, e, loop: PolyMatrix.identity(2, "d") * 5,
+            "expected a PolyMatrix, got 5",
+        ),
     ],
     ids=[
         "compose-right", "compose-left", "multiply-right", "multiply-left",
         "multiply-loop", "serialize", "serialize-unscaled", "index-of",
-        "compare-right", "compare-left",
+        "compare-right", "compare-left", "element-minus", "element-plus",
+        "matrix-product",
     ],
 )
 def test_non_diagram_arguments_raise_value_error(call, message):

@@ -24,19 +24,6 @@ VALUES = (None, 5, -1, 1.5, "a", (), [5], object())
 #: No name needs one today.
 ALLOWED: dict[str, tuple[type[BaseException], str]] = {}
 
-#: Names that do not hold the contract yet.
-FAILING = {
-    "braid_image",
-    "braid_image_matrix",
-    "compose_scaled",
-    "generator_matrix",
-    "ideal_partition",
-    "left_multiply",
-    "representation_basis",
-    "restrict_connectability",
-    "verify_tl_relations",
-}
-
 _POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
 
 
@@ -51,16 +38,10 @@ def required_arity(fn) -> int:
 
 def test_every_export_is_swept():
     assert all(callable(getattr(tlkit, name)) for name in tlkit.__all__)
-    assert FAILING <= set(tlkit.__all__) and set(ALLOWED) <= set(tlkit.__all__)
+    assert set(ALLOWED) <= set(tlkit.__all__)
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=pytest.mark.xfail(strict=True)) if name in FAILING else name
-        for name in tlkit.__all__
-    ],
-)
+@pytest.mark.parametrize("name", tlkit.__all__)
 def test_returns_or_raises_value_error(name):
     fn = getattr(tlkit, name)
     allowed, _reason = ALLOWED.get(name, (ValueError, ""))

@@ -169,6 +169,7 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
     dimension 4 splits 8 + 5.
     """
     basis = _require(basis, DiagramBasis, "ideal_partition needs a DiagramBasis")
+    _require(include_identity, bool, "include_identity must be a bool")
     blocks = _ideal_blocks(basis, include_identity)
     return IdealPartition(
         basis.dimension, tuple(tuple(basis[i] for i in block) for block in blocks)
@@ -178,7 +179,7 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
 def _order(basis: DiagramBasis, include_identity: bool) -> Sequence[int]:
     """Basis positions in the representation order (see module
     docstring)."""
-    if include_identity:
+    if _require(include_identity, bool, "include_identity must be a bool"):
         return range(len(basis))
     return [i for block in _ideal_blocks(basis, False) for i in block]
 

@@ -701,6 +701,14 @@ def run_parsed(argv):
             "include_identity must be a bool, got None",
         ),
         (
+            lambda d: representation.ideal_partition(enumerate_diagrams(3), "no"),
+            "include_identity must be a bool, got 'no'",
+        ),
+        (
+            lambda d: representation.representation_basis(enumerate_diagrams(3), 1),
+            "include_identity must be a bool, got 1",
+        ),
+        (
             lambda d: enumerate_diagrams(5, max_dimension="a"),
             "max_dimension must be an integer, got 'a'",
         ),
@@ -738,6 +746,7 @@ def run_parsed(argv):
         "partner-zero", "partner-past-end", "partner-text", "partners-zero",
         "value-zero", "value-past-end", "zeroed-zero", "restrict-zero",
         "restrict-text-node", "generator-matrix-index", "generator-matrix-identity",
+        "partition-identity-flag", "basis-identity-flag",
         "ceiling-text", "braid-text", "from-diagram", "from-diagram-coefficient",
         "scaled-factor", "monomial-exponent", "columns-non-sequence",
     ],

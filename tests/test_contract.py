@@ -36,7 +36,7 @@ def required_arity(fn) -> int:
     )
 
 
-def test_every_export_is_swept():
+def test_every_export_is_callable():
     assert all(callable(getattr(tlkit, name)) for name in tlkit.__all__)
     assert set(ALLOWED) <= set(tlkit.__all__)
 

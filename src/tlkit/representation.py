@@ -37,10 +37,10 @@ every generator matrix read it, as do the composition table (see
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
-from .composition import Map, _action, compose
+from .composition import Map, _action, compose, compose_scaled
 from .diagrams import PlanarDiagram, ScaledDiagram, _dimension, _integer, _integers
 from .diagrams import _pairs, _require, _sequence, _Value
 from .enumeration import DiagramBasis, identity_diagram
@@ -50,6 +50,8 @@ if TYPE_CHECKING:
 
 # ``laurent`` and ``matrices`` are imported where they are used, so that
 # checking the relations on maps (``verify --relations tl``) loads neither.
+
+T = TypeVar("T")
 
 
 class Generator(_Value):
@@ -371,13 +373,41 @@ def _witness(actual: Map, expected: Map) -> str:
     )
 
 
-def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
-    """Check the defining relations on the generator maps:
+def _tl_relations(
+    gens: Mapping[int, T],
+    braided: Iterable[tuple[int, int]],
+    mul: Callable[[T, T], T],
+    times_d: Callable[[T], T],
+) -> Iterator[tuple[str, T, T]]:
+    """The defining relations of TL_N(d) on the generator values ``gens``
+    (index -> value), one at a time as (name, left, right):
 
-        U_i^2           = d U_i
-        U_i U_{i+1} U_i = U_i
-        U_i U_{i-1} U_i = U_i
-        U_i U_j         = U_j U_i   for |i - j| >= 2
+        U_i^2       = d U_i     for each i
+        U_i U_j U_i = U_i       for each (i, j) in ``braided`` with U_j given
+        U_i U_j     = U_j U_i   for |i - j| >= 2
+
+    ``mul(u, v)`` is the product U.V (V acts first) and ``times_d(u)`` is
+    d.U.  ``braided`` lists the pairs with |i - j| = 1 in the order the
+    caller prints them.  Each side is built when its relation is reached.
+    """
+    indices = sorted(gens)
+    for i in indices:
+        u = gens[i]
+        yield f"U_{i}^2 = d*U_{i}", mul(u, u), times_d(u)
+    for i, j in braided:
+        if j in gens:
+            u = gens[i]
+            yield f"U_{i}*U_{j}*U_{i} = U_{i}", mul(u, mul(gens[j], u)), u
+    for i in indices:
+        for j in indices:
+            if j - i >= 2:
+                u, v = gens[i], gens[j]
+                yield f"U_{i}*U_{j} = U_{j}*U_{i}", mul(u, v), mul(v, u)
+
+
+def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
+    """Check the relations of ``_tl_relations`` on the generator maps,
+    U_i U_{i+1} U_i before U_i U_{i-1} U_i.
 
     Both sides of each relation are composed as maps and compared as
     tuples, which is exact: every column holds one monomial with
@@ -396,41 +426,18 @@ def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
     if any(m.basis_order is not order and m.basis_order != order for m in matrices):
         raise ValueError("matrices must share one basis and ordering")
     maps = {m.generator_index: (m.targets, m.exponents) for m in matrices}
+    braided = [(i, i + step) for step in (1, -1) for i in sorted(maps)]
+    relations = _tl_relations(
+        maps, braided, _compose_maps, lambda u: (u[0], tuple(m + 1 for m in u[1]))
+    )
     entries: list[tuple[str, bool]] = []
     witnesses: list[tuple[str, str]] = []
-
-    def check(name: str, actual: Map, expected: Map) -> None:
-        ok = actual == expected
+    for name, left, right in relations:
+        ok = left == right
         entries.append((name, ok))
         if not ok:
-            witnesses.append((name, _witness(actual, expected)))
-
-    indices = sorted(maps)
-    for i in indices:
-        u = maps[i]
-        check(
-            f"U_{i}^2 = d*U_{i}",
-            _compose_maps(u, u),
-            (u[0], tuple(m + 1 for m in u[1])),
-        )
-    for step in (1, -1):
-        for i in indices:
-            if i + step in maps:
-                u, v = maps[i], maps[i + step]
-                check(
-                    f"U_{i}*U_{i + step}*U_{i} = U_{i}",
-                    _compose_maps(u, _compose_maps(v, u)),
-                    u,
-                )
-    for i in indices:
-        for j in indices:
-            if j - i >= 2:
-                u, v = maps[i], maps[j]
-                check(
-                    f"U_{i}*U_{j} = U_{j}*U_{i}",
-                    _compose_maps(u, v),
-                    _compose_maps(v, u),
-                )
+            witnesses.append((name, _witness(left, right)))
+        del left, right  # free these maps before the next relation is built
     size = len(order)
     return RelationReport(
         f"Temperley-Lieb relations, matrix level ({size}x{size})",
@@ -440,36 +447,15 @@ def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
 
 
 def verify_tl_relations_diagrams(dimension: int) -> RelationReport:
-    """The same relations checked directly on diagrams via composition,
-    independently of any matrix."""
-    gens = {g.index: g.diagram for g in generators(dimension)}
-    entries: list[tuple[str, bool]] = []
-    indices = sorted(gens)
-    for i in indices:
-        u = gens[i]
-        product = compose(u, u)
-        entries.append(
-            (
-                f"U_{i}^2 = d*U_{i}",
-                product.diagram == u and product.loop_exponent == 1,
-            )
-        )
-    for i in indices:
-        for j in (i + 1, i - 1):
-            if j in gens:
-                inner = compose(gens[i], gens[j])
-                outer = compose(inner.diagram, gens[i])
-                ok = (
-                    outer.diagram == gens[i]
-                    and inner.loop_exponent + outer.loop_exponent == 0
-                )
-                entries.append((f"U_{i}*U_{j}*U_{i} = U_{i}", ok))
-    for i in indices:
-        for j in indices:
-            if j - i >= 2:
-                left = compose(gens[j], gens[i])
-                right = compose(gens[i], gens[j])
-                entries.append((f"U_{i}*U_{j} = U_{j}*U_{i}", left == right))
+    """The relations of ``_tl_relations`` checked directly on diagrams via
+    composition, independently of any matrix; U_i U_{i+1} U_i and
+    U_i U_{i-1} U_i are checked for each i in turn."""
+    gens = {g.index: ScaledDiagram(g.diagram) for g in generators(dimension)}
+    braided = [(i, j) for i in sorted(gens) for j in (i + 1, i - 1)]
+    relations = _tl_relations(
+        gens, braided, lambda u, v: compose_scaled(v, u), lambda u: u.with_extra_loops(1)
+    )
     return RelationReport(
-        "Temperley-Lieb relations, diagram level", tuple(entries)
+        "Temperley-Lieb relations, diagram level",
+        tuple((name, left == right) for name, left, right in relations),
     )

@@ -61,6 +61,7 @@ _EXPORTS = {
     "GeneratorMatrix": "representation",
     "IdealPartition": "representation",
     "RelationReport": "representation",
+    "generator_matrices": "representation",
     "generator_matrix": "representation",
     "generators": "representation",
     "ideal_partition": "representation",

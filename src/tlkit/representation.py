@@ -24,6 +24,13 @@ built on first use.  Products of generators are compositions of maps,
 (U.V) sends column i to row tU[tV[i]] with exponent eV[i] + eU[tV[i]],
 so the relation check compares tuples and multiplies no matrices.
 
+The defining relations are listed once, in ``_tl_relations``, over any
+generator values with a product and a scaling by d.  The map check
+(``verify_tl_relations``) passes the generator maps and ``_compose_maps``;
+the diagram check (``verify_tl_relations_diagrams``) passes the generator
+diagrams and ``compose_scaled``.  Each passes the U_i U_j U_i pairs in the
+order it prints them.
+
 The action is each generator's local rule, the link-state action of
 arXiv:1204.4505, which lives in ``composition`` (``_apply_generator``
 and the basis map ``_action``): U_k.D changes only D's top nodes
@@ -74,7 +81,7 @@ def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
     k = _integer(k, "generator index")
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} out of range 1..{n - 1}")
-    pairing = list(range(n + 1, 2 * n + 1)) + list(range(1, n + 1))
+    pairing = list(identity_diagram(n).pairing)
     pairing[k - 1] = k + 1
     pairing[k] = k
     pairing[n + k - 1] = n + k + 1
@@ -312,7 +319,8 @@ class RelationReport(_Value):
     """Named pass/fail results of a family of relation checks.
 
     ``witnesses`` pairs the name of a failed relation with a description
-    of where it fails; ``lines`` prints it under the FAIL line."""
+    of where it fails; ``lines`` prints it under the FAIL line.  A witness
+    for a name that is not a failed entry is rejected."""
 
     __slots__ = _fields = ("title", "entries", "witnesses")
     title: str
@@ -328,6 +336,10 @@ class RelationReport(_Value):
         _require(title, str, "title must be text")
         entries = _pairs(entries, str, bool, "entries must be (text, bool) pairs")
         witnesses = _pairs(witnesses, str, str, "witnesses must be (text, str) pairs")
+        failed = {name for name, ok in entries if not ok}
+        for name, _ in witnesses:
+            if name not in failed:
+                raise ValueError(f"witness {name!r} names no failed entry")
         object.__setattr__(self, "title", title)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "witnesses", witnesses)
@@ -425,7 +437,11 @@ def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
     order = matrices[0].basis_order
     if any(m.basis_order is not order and m.basis_order != order for m in matrices):
         raise ValueError("matrices must share one basis and ordering")
-    maps = {m.generator_index: (m.targets, m.exponents) for m in matrices}
+    maps: dict[int, Map] = {}
+    for m in matrices:
+        if m.generator_index in maps:
+            raise ValueError(f"generator index {m.generator_index} is repeated")
+        maps[m.generator_index] = (m.targets, m.exponents)
     braided = [(i, i + step) for step in (1, -1) for i in sorted(maps)]
     relations = _tl_relations(
         maps, braided, _compose_maps, lambda u: (u[0], tuple(m + 1 for m in u[1]))

@@ -375,6 +375,14 @@ class TestStartup:
             tlkit.no_such_name
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    namespace: dict = {}
+    exec(block.group(1), namespace)
+    assert namespace["report"].passed
+
+
 class TestCompose:
     def test_inline(self):
         code, out = run_cli(
@@ -612,6 +620,13 @@ def run_parsed(argv):
     return cli.run(args)
 
 
+def with_repeated_u1():
+    """The dimension-4 generator maps behind a second, different U_1."""
+    mats = generator_matrices(enumerate_diagrams(4))
+    broken = GeneratorMatrix(1, False, mats[0].basis_order, (0,) * 13, mats[0].exponents)
+    return [broken] + mats
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
@@ -730,6 +745,14 @@ def run_parsed(argv):
             lambda d: PolyMatrix.from_columns("A", 5),
             "columns must be a sequence of maps, got 5",
         ),
+        (
+            lambda d: representation.verify_tl_relations(with_repeated_u1()),
+            "generator index 1 is repeated",
+        ),
+        (
+            lambda d: RelationReport("t", (("a", True),), (("a", "x"), ("b", "y"))),
+            "witness 'a' names no failed entry",
+        ),
     ],
     ids=[
         "term", "terms", "from-terms", "basis", "parse", "matrix",
@@ -749,6 +772,7 @@ def run_parsed(argv):
         "partition-identity-flag", "basis-identity-flag",
         "ceiling-text", "braid-text", "from-diagram", "from-diagram-coefficient",
         "scaled-factor", "monomial-exponent", "columns-non-sequence",
+        "relations-repeated-index", "report-stray-witness",
     ],
 )
 def test_malformed_values_raise_value_error(call, message):

@@ -507,10 +507,14 @@ def _generator_set(n, include_identity):
 
 @st.composite
 def generator_sets(draw):
-    """The generator maps of dimension 2..5, with or without the identity,
-    and in half the draws one column of one generator re-targeted and
-    re-weighted."""
+    """The generator maps of dimension 2..5, with or without the identity;
+    in half the draws only a non-empty subset of them, and in half the
+    draws one column of one generator re-targeted and re-weighted."""
     mats = list(_generator_set(draw(st.integers(2, 5)), draw(st.booleans())))
+    if draw(st.booleans()):
+        size = len(mats)
+        keep = draw(st.lists(st.booleans(), min_size=size, max_size=size).filter(any))
+        mats = [gm for gm, kept in zip(mats, keep) if kept]
     if draw(st.booleans()):
         k = draw(st.integers(0, len(mats) - 1))
         gm = mats[k]

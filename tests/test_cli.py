@@ -621,7 +621,7 @@ def run_parsed(argv):
 
 
 def with_repeated_u1():
-    """The dimension-4 generator maps behind a second, different U_1."""
+    """A second, different U_1 followed by the dimension-4 generator maps."""
     mats = generator_matrices(enumerate_diagrams(4))
     broken = GeneratorMatrix(1, False, mats[0].basis_order, (0,) * 13, mats[0].exponents)
     return [broken] + mats

@@ -1,5 +1,6 @@
-import io
 import contextlib
+import hashlib
+import io
 import os
 import re
 import subprocess
@@ -265,6 +266,98 @@ class TestEnumerate:
             (cache / name).write_bytes(data)
             assert run_cli(args) == (0, first), name
             assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact, name
+
+
+def _dim4_lines():
+    return (GOLDEN / "enumerate_dim4.txt").read_text(encoding="utf-8").splitlines(True)
+
+
+def _edited(edit):
+    """The dimension-4 basis text with ``edit`` applied to its lines."""
+    lines = _dim4_lines()
+    edit(lines)
+    return "".join(lines)
+
+
+def _set(index, value):
+    def edit(lines):
+        lines[index] = value
+
+    return edit
+
+
+def _merge_first_two(separator):
+    # The two lines stay two lines to a text reader.
+    def edit(lines):
+        lines[0:2] = [lines[0][:-1] + separator + lines[1]]
+
+    return edit
+
+
+#: (file text, the text its digest is of, the text a hit serves; None when
+#: the entry must be rebuilt).  A hit reads the file as text does: "\r\n"
+#: and "\r" become "\n" before the digest, and a line that is empty or
+#: whitespace only is not counted.
+_DIM4 = "".join(_dim4_lines())
+CACHE_ENTRIES = {
+    "intact": (_DIM4, _DIM4, _DIM4),
+    "crlf": (_DIM4.replace("\n", "\r\n"), _DIM4, _DIM4),
+    "lone-cr": (_DIM4.replace("\n", "\r"), _DIM4, _DIM4),
+    "trailing-blank": (_DIM4 + "\n\n", None, _DIM4 + "\n\n"),
+    "trailing-whitespace": (_DIM4 + "   \n\t\n \x0c \n", None, _DIM4 + "   \n\t\n \x0c \n"),
+    "leading-space": (" " + _DIM4, None, " " + _DIM4),
+    "leading-empty": ("\n" + _DIM4, None, "\n" + _DIM4),
+    "leading-blank": ("  \n" + _DIM4, None, "  \n" + _DIM4),
+    "no-final-newline": (_DIM4[:-1], None, _DIM4[:-1]),
+    "non-ascii": (_edited(_set(-1, "TL 4 ünïcode\n")), None, _edited(_set(-1, "TL 4 ünïcode\n"))),
+    "vt-separator": (_edited(_merge_first_two("\x0b")), None, _edited(_merge_first_two("\x0b"))),
+    "fs-separator": (_edited(_merge_first_two("\x1c")), None, _edited(_merge_first_two("\x1c"))),
+    "nel-separator": (_edited(_merge_first_two("\x85")), None, _edited(_merge_first_two("\x85"))),
+    "missing-line": (_edited(_set(-1, "")), None, None),
+    "extra-line": (_DIM4 + "TL 4 m=0 (1,2)\n", None, None),
+    "blank-for-a-line": (_edited(_set(-1, "   \n")), None, None),
+    "tab-for-a-line": (_edited(_set(-1, "\t\n")), None, None),
+    "us-for-a-line": (_edited(_set(-1, "\x1f \n")), None, None),
+    "separator-splits-a-line": (_edited(_set(-1, "TL 4\x1em=0\n")), None, None),
+    "stale-digest": (_DIM4, _DIM4 + "\n", None),
+    "empty": ("", None, None),
+}
+
+
+@pytest.mark.parametrize("name", CACHE_ENTRIES)
+def test_cache_hit_decisions(name, tmp_path):
+    """Which cache files are served and which are rebuilt.  A digest of
+    None is the digest of the file's own text."""
+    data, hashed, served = CACHE_ENTRIES[name]
+    cache = tmp_path / "cache"
+    args = ["enumerate", "--dim", "4", "--cache", str(cache)]
+    run_cli(args)
+    intact = {p.name: p.read_bytes() for p in cache.iterdir()}
+    digest = hashlib.sha256((data if hashed is None else hashed).encode("utf-8"))
+    entry = {
+        "basis_v1_dim4.tl": data.encode("utf-8"),
+        "basis_v1_dim4.sha256": (digest.hexdigest() + "\n").encode("utf-8"),
+    }
+    for file, raw in entry.items():
+        (cache / file).write_bytes(raw)
+    if served is None:
+        assert run_cli(args) == (0, _DIM4)
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
+    else:
+        assert run_cli(args) == (0, served)
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == entry
+
+
+@pytest.mark.parametrize("raw", [b"\xff\xfe garbage\n", _DIM4.encode("utf-8") + b"\xc3\n"])
+def test_cache_file_not_utf8_is_rebuilt(raw, tmp_path):
+    cache = tmp_path / "cache"
+    args = ["enumerate", "--dim", "4", "--cache", str(cache)]
+    run_cli(args)
+    intact = {p.name: p.read_bytes() for p in cache.iterdir()}
+    (cache / "basis_v1_dim4.tl").write_bytes(raw)
+    (cache / "basis_v1_dim4.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
+    assert run_cli(args) == (0, _DIM4)
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
 
 
 class TestStartup:

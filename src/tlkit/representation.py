@@ -205,7 +205,12 @@ def representation_basis(
 class GeneratorMatrix(_Value):
     """Left multiplication by one generator over the ordered diagram basis,
     as a column-monomial map: column i holds d^exponents[i] in row
-    targets[i] and zeros elsewhere."""
+    targets[i] and zeros elsewhere.
+
+    The basis order holds diagrams of one dimension N, the generator
+    index lies in 1..N-1, and ``include_identity`` says whether the
+    identity is in the order.  ``_trusted`` skips these checks and is only
+    for maps the library computed itself (``_generator_maps``)."""
 
     _fields = (
         "generator_index",
@@ -233,6 +238,20 @@ class GeneratorMatrix(_Value):
         generator_index = _integer(generator_index, "generator index")
         _require(include_identity, bool, "include_identity must be a bool")
         basis_order = tuple(_require(basis_order, Iterable, "basis order must be a sequence"))
+        if not basis_order:
+            raise ValueError("basis order must hold at least one diagram")
+        first = _require(basis_order[0], PlanarDiagram, "basis order must hold PlanarDiagrams")
+        n = first.dimension
+        message = f"basis order must hold diagrams of dimension {n}"
+        _sequence(basis_order, PlanarDiagram, "dimension", n, message)
+        if not 1 <= generator_index <= n - 1:
+            raise ValueError(f"generator index {generator_index} out of range 1..{n - 1}")
+        identity = identity_diagram(n).pairing
+        if any(d.pairing == identity for d in basis_order) != include_identity:
+            held = "lacks" if include_identity else "holds"
+            raise ValueError(
+                f"include_identity is {include_identity} but the basis order {held} the identity"
+            )
         message = "targets and exponents must be sequences of integers"
         targets = _integers(targets, message)
         exponents = _integers(exponents, message)
@@ -242,15 +261,29 @@ class GeneratorMatrix(_Value):
                 f"targets ({len(targets)}), exponents ({len(exponents)}) "
                 f"and basis order ({size}) must have one entry per column"
             )
-        if size and not (0 <= min(targets) and max(targets) < size):
+        if not (0 <= min(targets) and max(targets) < size):
             raise ValueError(f"every target must lie in 0..{size - 1}")
-        if size and min(exponents) < 0:
+        if min(exponents) < 0:
             raise ValueError("loop exponents must be non-negative")
-        object.__setattr__(self, "generator_index", generator_index)
-        object.__setattr__(self, "include_identity", include_identity)
-        object.__setattr__(self, "basis_order", basis_order)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "exponents", exponents)
+        self._set(generator_index, include_identity, basis_order, targets, exponents)
+
+    @classmethod
+    def _trusted(
+        cls,
+        generator_index: int,
+        include_identity: bool,
+        basis_order: tuple[PlanarDiagram, ...],
+        targets: tuple[int, ...],
+        exponents: tuple[int, ...],
+    ) -> GeneratorMatrix:
+        """Build without validation, from a map the library computed."""
+        gm = object.__new__(cls)
+        gm._set(generator_index, include_identity, basis_order, targets, exponents)
+        return gm
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -285,7 +318,7 @@ def _generator_maps(
     for k in indices:
         targets, exponents = _action(basis, k)
         out.append(
-            GeneratorMatrix(
+            GeneratorMatrix._trusted(
                 k,
                 include_identity,
                 basis_order,

@@ -713,6 +713,14 @@ def run_parsed(argv):
     return cli.run(args)
 
 
+def rebuilt_u1(**changes):
+    """The dimension-4 map of U_1 rebuilt through the public constructor,
+    with ``changes`` to its fields."""
+    u = generator_matrices(enumerate_diagrams(4))[0]
+    fields = {name: getattr(u, name) for name in GeneratorMatrix._fields}
+    return GeneratorMatrix(**{**fields, **changes})
+
+
 def with_repeated_u1():
     """A second, different U_1 followed by the dimension-4 generator maps."""
     mats = generator_matrices(enumerate_diagrams(4))
@@ -808,6 +816,28 @@ def with_repeated_u1():
             lambda d: GeneratorMatrix(1, None, (), (), ()),
             "include_identity must be a bool, got None",
         ),
+        (lambda d: rebuilt_u1(generator_index=-1), "generator index -1 out of range 1..3"),
+        (lambda d: rebuilt_u1(generator_index=4), "generator index 4 out of range 1..3"),
+        (
+            lambda d: rebuilt_u1(include_identity=True),
+            "include_identity is True but the basis order lacks the identity",
+        ),
+        (
+            lambda d: GeneratorMatrix(1, False, (d, identity_diagram(2)), (0, 1), (0, 0)),
+            "include_identity is False but the basis order holds the identity",
+        ),
+        (
+            lambda d: GeneratorMatrix(1, False, ("x", "y"), (0, 1), (0, 0)),
+            "basis order must hold PlanarDiagrams, got 'x'",
+        ),
+        (
+            lambda d: GeneratorMatrix(1, True, (d, identity_diagram(3)), (0, 1), (0, 0)),
+            "basis order must hold diagrams of dimension 2, got PlanarDiagram(dimension=3",
+        ),
+        (
+            lambda d: GeneratorMatrix(1, False, (), (), ()),
+            "basis order must hold at least one diagram",
+        ),
         (
             lambda d: representation.ideal_partition(enumerate_diagrams(3), "no"),
             "include_identity must be a bool, got 'no'",
@@ -862,6 +892,10 @@ def with_repeated_u1():
         "partner-zero", "partner-past-end", "partner-text", "partners-zero",
         "value-zero", "value-past-end", "zeroed-zero", "restrict-zero",
         "restrict-text-node", "generator-matrix-index", "generator-matrix-identity",
+        "generator-matrix-negative-index", "generator-matrix-index-past-end",
+        "generator-matrix-missing-identity", "generator-matrix-stray-identity",
+        "generator-matrix-non-diagrams", "generator-matrix-mixed-dimensions",
+        "generator-matrix-empty-basis",
         "partition-identity-flag", "basis-identity-flag",
         "ceiling-text", "braid-text", "from-diagram", "from-diagram-coefficient",
         "scaled-factor", "monomial-exponent", "columns-non-sequence",

@@ -80,13 +80,14 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
     the order the search places it, then a newline.  The walk carries the
     text of the pairs placed so far down the first N // 2 levels.  Below
     that, the text of every way to finish is memoized by the search state,
-    as in ``count_pairings``, so a leaf costs one concatenation and no
-    partner tuple is built.
+    as in ``count_pairings``.  The lines below a node of level N // 2 are
+    one join of its finishes, so no string per line and no partner tuple
+    is built.
     """
     if dimension < 1:
         raise ValueError("dimension must be at least 1")
     n = dimension
-    lines: list[str] = []
+    chunks: list[str] = []
 
     @functools.cache
     def finishes(matched: int) -> list[str]:
@@ -102,7 +103,10 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
 
     def walk(matched: int, text: str, placed: int) -> None:
         if placed == n // 2:
-            lines.extend([text + s for s in finishes(matched)])
+            # ``text`` leads every line below this node, so the node's
+            # lines are text + text.join(finishes), joined in C.
+            chunks.append(text)
+            chunks.append(text.join(finishes(matched)))
             return
         f, partners = _partners(matched, n)
         row = texts[f - 1]
@@ -110,7 +114,12 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
             walk(matched | 1 << f | 1 << j, text + row[j], placed + 1)
 
     walk(1, prefix, 0)
-    return "".join(lines)
+    # The two walks refer to themselves, so they and what they hold live
+    # until a garbage collection: free the memo and the pieces now.
+    finishes.cache_clear()
+    text = "".join(chunks)
+    chunks.clear()
+    return text
 
 
 def count_pairings(dimension: int) -> int:

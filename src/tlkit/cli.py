@@ -15,11 +15,13 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from . import __version__, kernel_backend
 
 if TYPE_CHECKING:
+    from mmap import mmap
+
     from .diagrams import ScaledDiagram
 
 # Each runner imports what it uses when it runs, so a process loads only
@@ -33,6 +35,15 @@ EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
 
 _CACHE_VERSION = "v1"
+
+# Output, cache files and digests take the text this many characters at a
+# time, so no encoded copy of the whole text is made.
+_SLICE = 1 << 16
+
+# The characters besides "\n" that ``str.splitlines`` or ``str.strip``
+# treat as a line break or a blank.  A cache text free of them is counted
+# by its "\n"s.
+_LINE_CHARS = "\t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 # Where a size error says the ceiling is raised.
 _OVERRIDE = "TLKIT_MAX_DIM"
@@ -86,7 +97,7 @@ def _basis_lines(dimension: int, max_dimension: int) -> str:
 def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> str:
     """Basis file cache keyed by dimension and format version; hits are
     validated by the Catalan count and a content hash."""
-    import hashlib
+    import mmap
 
     from .enumeration import catalan
 
@@ -96,20 +107,100 @@ def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> 
     hash_path = stem.with_suffix(".sha256")
     if data_path.is_file() and hash_path.is_file():
         try:
-            text = data_path.read_text(encoding="utf-8")
             recorded = hash_path.read_text(encoding="utf-8").strip()
         except UnicodeDecodeError:
             # This cache writes only UTF-8: the file is damaged, a miss.
             pass
         else:
-            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-            count = sum(1 for line in text.splitlines() if line.strip())
-            if digest == recorded and count == catalan(dimension):
+            with open(data_path, "rb") as fh:
+                try:
+                    # The file's pages are read in place, not copied.
+                    data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                except (ValueError, OSError):
+                    data = fh.read()  # an empty file cannot be mapped
+            text = _cache_hit(data, recorded, catalan(dimension))
+            del data  # unmapped before a miss replaces the file
+            if text is not None:
                 return text
     text = _basis_lines(dimension, max_dimension)
     _write_replacing(data_path, text)
-    _write_replacing(hash_path, hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n")
+    _write_replacing(hash_path, _sha256(text) + "\n")
     return text
+
+
+def _cache_hit(data: bytes | mmap, recorded: str, count: int) -> str | None:
+    """The text of a cache file whose bytes are ``data``, if its SHA-256
+    is ``recorded`` and it has ``count`` lines that are not blank; else
+    None.
+
+    The decision is that of a text read: "\r\n" and "\r" become "\n"
+    before the digest, and lines are counted by ``_nonblank_lines``.  The
+    bytes are decoded once.
+    """
+    import hashlib
+    import threading
+
+    # hashlib lets go of the GIL, so the bytes are hashed beside the
+    # decode and the count.
+    digest: list[str] = []
+    hasher = threading.Thread(target=lambda: digest.append(hashlib.sha256(data).hexdigest()))
+    hasher.start()
+    try:
+        text = str(data, "utf-8")
+    except UnicodeDecodeError:
+        # This cache writes only UTF-8: the file is damaged, a miss.
+        text = None
+    else:
+        crlf = "\r" in text
+        if crlf:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = _nonblank_lines(text)
+    hasher.join()
+    if text is None or lines != count:
+        return None
+    # The bytes are the text's UTF-8 unless a "\r" was replaced.
+    if (_sha256(text) if crlf else digest[0]) != recorded:
+        return None
+    return text
+
+
+def _nonblank_lines(text: str) -> int:
+    """The lines of ``text``, as ``str.splitlines`` breaks them, that
+    ``str.strip`` does not empty.
+
+    An ASCII text that ends in "\n" and holds none of ``_LINE_CHARS``, no
+    empty line and no line that starts with a space has one such line per
+    "\n".  That is the only kind of text the cache writes, and it is
+    counted with one pass per check instead of a string per line.
+    """
+    import re
+
+    plain = (
+        text.isascii()
+        and text.endswith("\n")
+        and not text.startswith(("\n", " "))
+        and not any(char in text for char in _LINE_CHARS)
+        # one pass for an empty line or one that starts with a space
+        and re.search("\n[\n ]", text) is None
+    )
+    if plain:
+        return text.count("\n")
+    return sum(1 for line in text.splitlines() if line.strip())
+
+
+def _slices(text: str) -> Iterator[str]:
+    """``text`` in pieces of at most ``_SLICE`` characters."""
+    return (text[i : i + _SLICE] for i in range(0, len(text), _SLICE))
+
+
+def _sha256(text: str) -> str:
+    """The hex SHA-256 of ``text`` in UTF-8, encoded a slice at a time."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for piece in _slices(text):
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _write_replacing(path: Path, text: str) -> None:
@@ -124,7 +215,8 @@ def _write_replacing(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for piece in _slices(text):
+                fh.write(piece)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
@@ -374,7 +466,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.output is None:
-        sys.stdout.write(text)
+        for piece in _slices(text):
+            sys.stdout.write(piece)
     return code
 
 

@@ -1,13 +1,17 @@
 import contextlib
+import gc
 import hashlib
 import io
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tlkit
 from tlkit import cli, representation
@@ -218,9 +222,11 @@ class TestEnumerate:
     def test_failed_output_write_keeps_old_file(self, tmp_path, monkeypatch, failure):
         target = tmp_path / "basis.tl"
         target.write_text("old\n", encoding="utf-8")
-        text = "TL 1 m=0 (1,2)\n" * 1000
+        # longer than two write slices
+        text = "TL 1 m=0 (1,2)\n" * (2 * cli._SLICE // 15 + 1)
         if failure == "encode":
-            # a lone surrogate has no UTF-8 form, so the write fails part way
+            # a lone surrogate has no UTF-8 form, so the write fails part
+            # way, after whole slices have reached the temporary file
             text += "\ud800"
         else:
             def fail(src, dst):
@@ -358,6 +364,108 @@ def test_cache_file_not_utf8_is_rebuilt(raw, tmp_path):
     (cache / "basis_v1_dim4.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
     assert run_cli(args) == (0, _DIM4)
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
+
+
+def _text_read(raw):
+    """A cache file's bytes read as text, as the reference decision does:
+    "\r\n" and "\r" become "\n"; None when the bytes are not UTF-8."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    except UnicodeDecodeError:
+        return None
+
+
+#: Line content, every byte that breaks or blanks a line to a text reader,
+#: and bytes that are not UTF-8 on their own.
+_PIECES = [
+    b"TL 4 m=0 (1,2)", b"x", b" ", b"\n", b"\r", b"\r\n", b"\t", b"\x0b",
+    b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f", "\u00e9".encode(),
+    "\x85".encode(), "\u2028".encode(), b"\xff", b"\xc3",
+]
+
+
+@st.composite
+def cache_files(draw):
+    """A few lines, some blank, with up to two of ``_PIECES`` spliced in
+    anywhere: files near the ones this cache writes."""
+    lines = draw(st.lists(st.sampled_from([b"TL 4\n", b"x\n", b"\n", b" \n"]), max_size=6))
+    raw = bytearray(b"".join(lines))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(raw)))
+        raw[at:at] = draw(st.sampled_from(_PIECES))
+    return bytes(raw)
+
+
+@settings(max_examples=400)
+@given(cache_files(), st.booleans(), st.integers(-1, 1))
+def test_cache_hit_decides_as_a_text_read(raw, digest_of_bytes, offset):
+    text = _text_read(raw)
+    lines = 0 if text is None else sum(1 for line in text.splitlines() if line.strip())
+    hashed = raw if digest_of_bytes or text is None else text.encode("utf-8")
+    recorded = hashlib.sha256(hashed).hexdigest()
+    hit = text is not None and text.encode("utf-8") == hashed and offset == 0
+    assert cli._cache_hit(raw, recorded, lines + offset) == (text if hit else None)
+
+
+class TestBasisTextSlices:
+    """The basis text is held once and leaves in slices of ``_SLICE``
+    characters: no route keeps a list of lines or an encoded copy."""
+
+    def test_every_route_spans_several_slices(self, tmp_path, monkeypatch):
+        text = cli._basis_lines(10, 12)
+        assert len(text) > 4 * cli._SLICE
+        assert run_cli(["enumerate", "--dim", "10"]) == (0, text)
+        target = tmp_path / "basis.tl"
+        assert run_cli(["enumerate", "--dim", "10", "--output", str(target)]) == (0, "")
+        assert target.read_bytes() == text.encode("utf-8")
+        cache = tmp_path / "cache"
+        args = ["enumerate", "--dim", "10", "--cache", str(cache)]
+        assert run_cli(args) == (0, text)
+        assert (cache / "basis_v1_dim10.tl").read_bytes() == text.encode("utf-8")
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest() + "\n"
+        assert (cache / "basis_v1_dim10.sha256").read_text(encoding="utf-8") == digest
+
+        def refuse(*args):
+            raise AssertionError("a warm cache rebuilt the text")
+
+        monkeypatch.setattr(cli, "_basis_lines", refuse)
+        assert run_cli(args) == (0, text)
+
+    @staticmethod
+    def peak_per_character(call, length):
+        """The allocation peak of ``call()`` over ``length``."""
+        call()  # imports and compiled patterns are not part of the peak
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return (tracemalloc.get_traced_memory()[1] - base) / length
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("route", ["build", "stdout", "output", "miss", "hit"])
+    def test_allocation_peak(self, route, tmp_path):
+        # One copy of the text, one more while it is joined, and the walk's
+        # pieces; a hit holds only its decoded text (the file is mapped).
+        # Keeping a str per line (about 3.1 here) or an encoded copy (about
+        # 4.1 on a miss, 2.8 on a hit) fails.
+        length = len(cli._basis_lines(10, 12))
+        fresh = iter(range(2))
+
+        def main(*options):
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                with contextlib.redirect_stdout(sink):
+                    assert cli.main(["enumerate", "--dim", "10", *options]) == 0
+
+        calls = {
+            "build": lambda: cli._basis_lines(10, 12),
+            "stdout": main,
+            "output": lambda: main("--output", str(tmp_path / "basis.tl")),
+            "miss": lambda: cli._cached_basis_lines(10, 12, tmp_path / f"miss{next(fresh)}"),
+            "hit": lambda: cli._cached_basis_lines(10, 12, tmp_path / "warm"),
+        }
+        assert self.peak_per_character(calls[route], length) < 2.5
 
 
 class TestStartup:

@@ -70,6 +70,11 @@ def enumerate_pairings(dimension: int) -> list[tuple[int, ...]]:
             rec(matched | 1 << f | 1 << j)
 
     rec(1)
+    # ``rec`` refers to itself, so it and what it holds, ``out`` among
+    # them, would live until a garbage collection: free the memo and break
+    # the cycle now.
+    branches.cache_clear()
+    del rec
     return out
 
 
@@ -139,7 +144,11 @@ def count_pairings(dimension: int) -> int:
             total += count(matched | 1 << f | 1 << j)
         return total
 
-    return count(1)
+    total = count(1)
+    # ``count`` refers to itself, so its memo would live until a garbage
+    # collection: free it now.
+    count.cache_clear()
+    return total
 
 
 def _partners(matched: int, n: int) -> tuple[int, Sequence[int] | None]:

@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from . import __version__, kernel_backend
 
@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from mmap import mmap
 
     from .diagrams import ScaledDiagram
+    from .representation import GeneratorMatrix
 
 # Each runner imports what it uses when it runs, so a process loads only
 # the modules of its own subcommand.  A function-level import also reads
@@ -267,14 +268,31 @@ def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, serialize(compose_scaled(lhs, rhs)) + "\n"
 
 
-def _csv_rows(columns: Sequence[Mapping[int, str]]) -> list[str]:
-    """Rows of a square CSV with the text ``columns[i][j]`` in row j of
-    column i and 0 in every unlisted cell."""
-    rows = [["0"] * len(columns) for _ in columns]
-    for i, column in enumerate(columns):
-        for j, text in column.items():
-            rows[j][i] = text
-    return [",".join(row) for row in rows]
+def _sparse_csv(size: int, blocks: Iterable[tuple[str, Iterable[Mapping[int, str]]]]) -> str:
+    """Square CSV blocks of ``size`` columns, each after its header line:
+    a row has the text ``row[i]`` in column i, listed in ascending i, and
+    0 in every other cell.  The text is one join of the headers, the
+    listed texts, separators and shared zero runs, so no cell list and no
+    row string is made."""
+    runs: dict[int, str] = {}  # "0," * k, made once per run length k
+    ends: dict[int, str] = {}  # the k zeros that end a row
+    last = size - 1
+    out: list[str] = []
+    for header, rows in blocks:
+        out.append(header + "\n")
+        for row in rows:
+            at = 0
+            for i, text in row.items():
+                if i > at:
+                    k = i - at
+                    out.append(runs.get(k) or runs.setdefault(k, "0," * k))
+                out.append(text)
+                out.append("," if i < last else "\n")
+                at = i + 1
+            if at < size:
+                k = size - at
+                out.append(ends.get(k) or ends.setdefault(k, "0," * (k - 1) + "0\n"))
+    return "".join(out)
 
 
 def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
@@ -295,18 +313,21 @@ def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
             ) from None
         selected = [generator_matrix(k, basis, args.include_identity)]
     d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d
-    lines: list[str] = []
-    for gm in selected:
-        lines.append(
+
+    def block(gm: GeneratorMatrix) -> tuple[str, list[dict[int, str]]]:
+        header = (
             f"# generator U_{gm.generator_index}, dimension {args.dim}, "
             f"basis size {gm.size}, identity "
             f"{'included' if gm.include_identity else 'excluded'}"
         )
         # column i holds d^m, or eval_d^m, in row targets[i]
         texts = {m: str(d**m) for m in set(gm.exponents)}
-        columns = [{j: texts[m]} for j, m in zip(gm.targets, gm.exponents)]
-        lines.extend(_csv_rows(columns))
-    return EXIT_OK, "\n".join(lines) + "\n"
+        rows: list[dict[int, str]] = [{} for _ in range(gm.size)]
+        for i, (j, m) in enumerate(zip(gm.targets, gm.exponents)):
+            rows[j][i] = texts[m]
+        return header, rows
+
+    return EXIT_OK, _sparse_csv(selected[0].size, map(block, selected))
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
@@ -336,7 +357,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
-    from .braids import BraidWord, _image_columns, braid_image
+    from .braids import BraidWord, _image_rows, braid_image
     from .diagrams import ScaledDiagram, serialize
     from .enumeration import _checked_dimension, enumerate_diagrams
 
@@ -345,15 +366,11 @@ def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
     word = BraidWord.from_text(args.strands, args.word)
     if args.matrix:
         basis = enumerate_diagrams(args.strands, max_dimension=args.max_dim)
-        columns = [
-            {row: str(p) for row, p in column.items()}
-            for column in _image_columns(word, basis)
-        ]
         header = (
             f"# bracket image of {word.to_text() or '(empty word)'} on "
-            f"{args.strands} strands, {len(columns)}x{len(columns)}, entries in A"
+            f"{args.strands} strands, {len(basis)}x{len(basis)}, entries in A"
         )
-        return EXIT_OK, "\n".join([header] + _csv_rows(columns)) + "\n"
+        return EXIT_OK, _sparse_csv(len(basis), [(header, _image_rows(word, basis))])
     element = braid_image(word)
     lines = [
         f"# bracket image of {word.to_text() or '(empty word)'} on "
@@ -466,8 +483,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.output is None:
-        for piece in _slices(text):
-            sys.stdout.write(piece)
+        try:
+            for piece in _slices(text):
+                sys.stdout.write(piece)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader has gone (``| head``).  What is still buffered goes
+            # to the null device, so the flush at exit cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_VALIDATION
     return code
 
 

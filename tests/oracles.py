@@ -15,6 +15,10 @@ kernel search or the strand-walk composition under test:
 column by column through element products, to cross-check the element
 and matrix routes of the braid image against each other.
 
+``reference_image_columns`` is the bracket matrix image built the way the
+library first built it, over ``LaurentPoly`` entries: the packed columns
+of ``tlkit.braids`` are checked against it.
+
 ``bottom_pattern_partition`` is the ideal partition computed the way the
 library first did it: group diagrams by bottom pairing pattern and merge
 groups along the generator action until they are closed.
@@ -37,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from tlkit.braids import BraidWord, kauffman_loop_value
-from tlkit.composition import compose
+from tlkit.composition import _action, compose
 from tlkit.diagrams import PlanarDiagram, node_position
 from tlkit.elements import TLElement, multiply
 from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
@@ -512,6 +516,36 @@ def dense_braid_image_matrix(word: BraidWord) -> PolyMatrix:
     for letter in word.letters:
         acc = acc * _dense_letter_matrix(word.strands, letter)
     return acc
+
+
+def reference_image_columns(
+    word: BraidWord, basis: DiagramBasis
+) -> list[dict[int, LaurentPoly]]:
+    """The bracket image over the identity-included ``basis`` as sparse
+    columns of ``LaurentPoly`` entries, one letter at a time: column c
+    becomes a.col_c + b.d^{m_c}.col_{t_c}, and an entry that cancels is
+    dropped."""
+    one = LaurentPoly.one("A")
+    columns = [{i: one} for i in range(len(basis))]
+    loop = kauffman_loop_value()
+    for letter in word.letters:
+        targets, exponents = _action(basis, abs(letter))
+        shift = 1 if letter > 0 else -1
+        with_loop = LaurentPoly.monomial("A", -shift) * loop
+        updated = []
+        for own, target, m in zip(columns, targets, exponents):
+            column = {row: p.shifted(shift) for row, p in own.items()}
+            for row, p in columns[target].items():
+                q = p * with_loop if m else p.shifted(-shift)
+                if row in column:
+                    q = column[row] + q
+                    if q.is_zero():
+                        del column[row]
+                        continue
+                column[row] = q
+            updated.append(column)
+        columns = updated
+    return columns
 
 
 def dense_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:

@@ -9,6 +9,12 @@ from tlkit import braids
 from tlkit.braids import (
     BraidWord,
     _image_columns,
+    _image_rows,
+    _matrix_difference,
+    _packed_columns,
+    _unpack,
+    _verify_artin,
+    _width,
     braid_image,
     braid_image_matrix,
     kauffman_loop_value,
@@ -19,7 +25,7 @@ from tlkit.enumeration import catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
 
-from oracles import dense_braid_image_matrix, element_matrix
+from oracles import dense_braid_image_matrix, element_matrix, reference_image_columns
 
 
 def identity_element(n):
@@ -190,6 +196,47 @@ def test_matrix_image_matches_dense_product(word):
         assert not any(p.is_zero() for p in column.values())
 
 
+@given(braid_words(max_strands=7, max_len=10))
+def test_packed_columns_match_the_reference(word):
+    basis = enumerate_diagrams(word.strands)
+    reference = reference_image_columns(word, basis)
+    assert _image_columns(word, basis) == reference
+    rows = _image_rows(word, basis)
+    assert sum(map(len, rows)) == sum(map(len, reference))
+    for i, column in enumerate(reference):
+        for j, p in column.items():
+            assert rows[j][i] == str(p)
+
+
+def test_packing_at_the_edge_of_its_width():
+    # The largest coefficient of any 8-letter word on 3 strands (an
+    # exhaustive search), packed at the narrowest width that holds it
+    # below 2^(width - 1), at one bit less, and at the library's width.
+    word = BraidWord(3, (1, 1, -2, 1, -2, 1, -2, 1))
+    basis = enumerate_diagrams(3)
+    reference = reference_image_columns(word, basis)
+    top = max(abs(c) for column in reference for p in column.values() for _, c in p.coeffs)
+    assert top == 9
+    offset = 3 * len(word.letters)
+
+    def decoded(width):
+        columns = _packed_columns(word, basis, width, offset)
+        return [{j: _unpack(p, width, offset) for j, p in c.items()} for c in columns]
+
+    edge = top.bit_length() + 1
+    assert top < 2 ** (edge - 1) and decoded(edge) == reference
+    assert decoded(edge - 1) != reference
+    assert decoded(_width(len(word.letters))) == reference
+    # The bound the width rests on: a coefficient is at most 3^L.
+    assert all(3**length < 2 ** (_width(length) - 1) for length in range(200))
+    # Digits at the extremes of the balanced range decode exactly.
+    width = _width(4)
+    extreme = 2 ** (width - 1) - 1
+    coeffs = ((-12, -extreme), (-11, extreme), (0, 1), (5, -1), (12, extreme))
+    packed = sum(c << width * (e + 12) for e, c in coeffs)
+    assert _unpack(packed, width, 12) == LaurentPoly("A", coeffs)
+
+
 def assert_same_images(w1, w2):
     assert braid_image(w1) == braid_image(w2)
     basis = enumerate_diagrams(w1.strands)
@@ -228,6 +275,60 @@ def test_word_times_inverse_is_identity(word):
 def test_verify_artin_passes(n):
     report = verify_artin(n, max_len=5)
     assert report.passed, report.lines()
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_matrix_images_compare_across_lengths(n):
+    basis = enumerate_diagrams(n)
+    identity = BraidWord.identity(n)
+    report = _verify_artin(basis)
+    assert report.passed and report.witnesses == ()
+    for j in range(1, n):
+        assert _matrix_difference(BraidWord(n, (j, -j)), identity, basis) is None
+        assert _matrix_difference(identity, BraidWord(n, (-j, j)), basis) is None
+    w = BraidWord(n, (1, -2, 1, 1, -(n - 1)))
+    assert _matrix_difference(w * w.inverse(), identity, basis) is None
+    assert _matrix_difference(BraidWord(n, (1,)), identity, basis) is not None
+
+
+def test_verify_artin_names_a_perturbed_packed_entry(monkeypatch):
+    original = braids._packed_columns
+
+    def perturbed(word, basis, width, offset):
+        columns = original(word, basis, width, offset)
+        if word.letters == (2, -2):
+            # one more A^0 in row 0 of column 0
+            columns[0][0] += 1 << width * offset
+        return columns
+
+    monkeypatch.setattr(braids, "_packed_columns", perturbed)
+    report = verify_artin(4)
+    failed = [name for name, ok in report.entries if not ok]
+    assert failed == ["sigma_2*sigma_2^-1 = 1"]
+    assert dict(report.witnesses) == {
+        "sigma_2*sigma_2^-1 = 1": "first differing column 0, row 0: expected 1, got 2"
+    }
+    lines = report.lines()
+    at = lines.index("sigma_2*sigma_2^-1 = 1: FAIL")
+    assert lines[at + 1] == "  first differing column 0, row 0: expected 1, got 2"
+
+
+def test_verify_artin_names_a_differing_element_term(monkeypatch):
+    original = braids.braid_image
+
+    def skewed(word):
+        image = original(word)
+        if word.letters == (1, -1):
+            diagram, coeff = image.terms[0]
+            return TLElement(word.strands, "A", ((diagram, coeff + 1),) + image.terms[1:])
+        return image
+
+    monkeypatch.setattr(braids, "braid_image", skewed)
+    report = verify_artin(3)
+    assert [name for name, ok in report.entries if not ok] == ["sigma_1*sigma_1^-1 = 1"]
+    assert dict(report.witnesses)["sigma_1*sigma_1^-1 = 1"] == (
+        "first differing term TL 3 m=0 (1,4)(2,5)(3,6): expected 1, got 2"
+    )
 
 
 def test_verify_artin_reports_a_wrong_action(monkeypatch):

@@ -102,6 +102,13 @@ class TestGolden:
                 ],
                 "draw_dim4_m2.svg",
             ),
+            # rows with several entries, zero runs of many lengths and
+            # rows that end in zeros
+            (["repr", "--dim", "6", "--gen", "3"], "repr_dim6_gen3.csv"),
+            (
+                ["bracket", "--strands", "6", "--word=1,-2,3,-4,5,-3,2,-1", "--matrix"],
+                "bracket_6_matrix.csv",
+            ),
         ],
     )
     def test_matches_golden_and_byte_stable(self, args, golden):
@@ -574,6 +581,57 @@ class TestStartup:
         assert set(tlkit.__all__) <= set(dir(tlkit))
         with pytest.raises(AttributeError, match="no_such_name"):
             tlkit.no_such_name
+
+
+@pytest.mark.parametrize(
+    "args,first",
+    [
+        (["enumerate", "--dim", "10"], b"TL 10 m=0 (1,2)(3,4)(5,6)(7,8)(9,10)"),
+        (["repr", "--dim", "7"], b"# generator U_1, dimension 7, basis size 428"),
+    ],
+)
+def test_a_reader_that_leaves_early_gets_no_traceback(args, first):
+    # ``tlkit ... | head -1``: the output is far larger than a pipe holds,
+    # so the writer is still writing when the reader closes its end.
+    src = str(Path(tlkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tlkit.cli", *args],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert line.startswith(first)
+    assert (proc.wait(), err) == (cli.EXIT_VALIDATION, b"")
+
+
+def _dense_csv(size, blocks):
+    lines = []
+    for header, rows in blocks:
+        lines.append(header)
+        for row in rows:
+            lines.append(",".join(row.get(i, "0") for i in range(size)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def sparse_blocks(draw):
+    size = draw(st.integers(1, 12))
+    texts = st.sampled_from(["d", "1", "-A^2+A^-2", "7"])
+    # the writer takes each row's columns in ascending order
+    row = st.dictionaries(st.integers(0, size - 1), texts).map(lambda r: dict(sorted(r.items())))
+    blocks = st.lists(st.tuples(st.just("# block"), st.lists(row, max_size=size)), min_size=1, max_size=3)
+    return size, draw(blocks)
+
+
+@given(sparse_blocks())
+def test_sparse_csv_equals_the_dense_rows(case):
+    size, blocks = case
+    assert cli._sparse_csv(size, blocks) == _dense_csv(size, blocks)
 
 
 def test_readme_library_example_runs():

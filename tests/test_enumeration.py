@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 from tlkit import _backend
@@ -141,6 +144,40 @@ def test_memoized_count_matches_the_walk(n):
 @pytest.mark.parametrize("n", range(1, 16))
 def test_memoized_count_is_catalan(n):
     assert _backend.count_pairings(n) == catalan(n)
+
+
+def _pair_texts(n):
+    return [[f"({f},{j})" for j in range(2 * n + 1)] for f in range(1, 2 * n + 1)]
+
+
+@pytest.mark.parametrize(
+    "walk,bound",
+    [
+        # 289 KB of memo was held here while the memo outlived the call
+        (lambda: _backend.count_pairings(12), 16 << 10),
+        # 13.6 MB (the leaves) was held here; what is left is the
+        # interpreter's free lists of small tuples
+        (lambda: len(_backend.enumerate_pairings(11)), 1 << 20),
+        (lambda: len(_backend.pairing_lines(11, "TL ", _pair_texts(11))), 1 << 20),
+    ],
+    ids=["count_pairings", "enumerate_pairings", "pairing_lines"],
+)
+def test_walks_hold_nothing_after_they_return(walk, bound):
+    # The walks recurse through closures that refer to themselves, so what
+    # they hold is freed at return only if the walk frees it: a garbage
+    # collection, switched off here, would hide the leak.
+    walk()
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        walk()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < bound
 
 
 def test_identity_diagram():

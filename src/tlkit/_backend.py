@@ -39,20 +39,109 @@ Dimension 12 has 208,012 leaves but only 4,096 states.
 Composition walks the strands of the stacked picture directly; the
 union-find and matrix-power readings of the same stack live in the test
 suite as independent oracles.
+
+The module imports nothing from the package, so it also holds what
+``tlkit enumerate`` needs besides the walks: the size rule
+(``_integer``, ``_dimension``, ``_checked_dimension`` and
+``DEFAULT_MAX_DIMENSION``), ``catalan``, and the two pieces of the
+diagram line format (``_pair_texts``, ``_line_prefix``).  Every route of
+that subcommand loads this module and ``tlkit.cli`` alone.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
+import sys
 from typing import Sequence
+
+#: Hard ceiling on the dimension accepted by enumerate_diagrams and the CLI
+#: unless the caller raises it explicitly (C_12 = 208012 diagrams is still
+#: cheap, but growth beyond that is exponential).
+DEFAULT_MAX_DIMENSION = 12
+
+
+def _integer(value: int, name: str) -> int:
+    """``value`` as an int, with ValueError (not TypeError) for a
+    non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _dimension(value: int, name: str = "dimension", least: int = 1) -> int:
+    """``value`` as an int of at least ``least``: the size rule for every
+    dimension and strand count (``_checked_dimension`` adds the ceiling)."""
+    value = _integer(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return value
+
+
+def _checked_dimension(
+    dimension: int,
+    max_dimension: int | None,
+    name: str = "dimension",
+    least: int = 1,
+    override: str = "max_dimension",
+) -> int:
+    """``_dimension`` under the ceiling ``max_dimension``, by default
+    DEFAULT_MAX_DIMENSION; ``override`` names where a caller raises it."""
+    dimension = _dimension(dimension, name, least)
+    ceiling = _integer(
+        DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension, "max_dimension"
+    )
+    if dimension > ceiling:
+        raise ValueError(
+            f"{name} {dimension} exceeds the resource ceiling {ceiling} "
+            f"(override with {override})"
+        )
+    return dimension
+
+
+def _walk_dimension(dimension: int, name: str = "dimension") -> int:
+    """``_dimension`` for the three walks, which recurse once per placed
+    pair.  A level of a memoized walk takes two of the interpreter's
+    nested calls (the cache wrapper and the function), and half the limit
+    is left to the callers, so a dimension above a quarter of the
+    recursion limit is refused before the walk starts.  No such walk
+    could finish anyway: dimension N has about 2^N search states."""
+    dimension = _dimension(dimension, name)
+    deepest = sys.getrecursionlimit() // 4
+    if dimension > deepest:
+        raise ValueError(f"{name} {dimension} exceeds the search depth limit {deepest}")
+    return dimension
+
+
+def catalan(n: int) -> int:
+    """C_n = binom(2n, n) / (n + 1)."""
+    n = _integer(n, "n")
+    return math.comb(2 * n, n) // (n + 1)
+
+
+@functools.cache
+def _pair_texts(dimension: int) -> tuple[list[str], ...]:
+    """The pair texts of every node of one dimension: ``table[a-1][b]`` is
+    ``(a,b)`` when a < b and "" when a is the larger end, so that a
+    partner tuple ``p`` reads as ``"".join(map(getitem, table, p))``."""
+    size = 2 * dimension
+    return tuple(
+        [f"({a},{b})" if a < b else "" for b in range(size + 1)]
+        for a in range(1, size + 1)
+    )
+
+
+def _line_prefix(dimension: int, loop_exponent: int) -> str:
+    """The text of a diagram line before its pairs."""
+    return f"TL {dimension} m={loop_exponent} "
 
 
 def enumerate_pairings(dimension: int) -> list[tuple[int, ...]]:
     """All noncrossing perfect matchings on 2N nodes as partner tuples,
     in ascending lexicographic order."""
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    n = dimension
+    n = _walk_dimension(dimension)
     branches = functools.cache(lambda matched: _partners(matched, n))
     # Each node is written when the path reaches it, so at a leaf every
     # entry holds the current path's partner and no write is undone.
@@ -89,9 +178,7 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
     one join of its finishes, so no string per line and no partner tuple
     is built.
     """
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    n = dimension
+    n = _walk_dimension(dimension)
     chunks: list[str] = []
 
     @functools.cache
@@ -130,9 +217,7 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
 def count_pairings(dimension: int) -> int:
     """Number of leaves of the same search, without materializing them;
     the count below a node is memoized by the search state."""
-    if dimension < 1:
-        raise ValueError("dimension must be at least 1")
-    n = dimension
+    n = _walk_dimension(dimension)
 
     @functools.cache
     def count(matched: int) -> int:

@@ -51,17 +51,9 @@ import random
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence, TypeVar
 
+from ._backend import _dimension, _integer
 from .composition import _action, _apply_generator
-from .diagrams import (
-    PlanarDiagram,
-    ScaledDiagram,
-    _dimension,
-    _integer,
-    _integers,
-    _require,
-    _Value,
-    serialize,
-)
+from .diagrams import PlanarDiagram, ScaledDiagram, _integers, _require, _Value, serialize
 from .elements import TLElement
 from .enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from .laurent import LaurentPoly

@@ -51,7 +51,7 @@ _OVERRIDE = "TLKIT_MAX_DIM"
 
 
 def _ceiling_from_env() -> int:
-    from .enumeration import DEFAULT_MAX_DIMENSION
+    from ._backend import DEFAULT_MAX_DIMENSION
 
     raw = os.environ.get("TLKIT_MAX_DIM")
     if raw is None:
@@ -87,11 +87,12 @@ def _read_diagram_arg(value: str, dimension: int) -> ScaledDiagram:
 def _basis_lines(dimension: int, max_dimension: int) -> str:
     """The basis as diagram lines, built by the search walk itself: no
     diagram, basis or partner tuple is made."""
+    from ._backend import _checked_dimension, _line_prefix, _pair_texts, _walk_dimension
     from ._backend import pairing_lines
-    from .diagrams import _line_prefix, _pair_texts
-    from .enumeration import _checked_dimension
 
-    dimension = _checked_dimension(dimension, max_dimension)
+    # A walk too deep to run is refused before the pair texts, which grow
+    # with the square of the dimension, are built.
+    dimension = _walk_dimension(_checked_dimension(dimension, max_dimension))
     return pairing_lines(dimension, _line_prefix(dimension, 0), _pair_texts(dimension))
 
 
@@ -100,7 +101,7 @@ def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> 
     validated by the Catalan count and a content hash."""
     import mmap
 
-    from .enumeration import catalan
+    from ._backend import catalan
 
     cache_dir.mkdir(parents=True, exist_ok=True)
     stem = cache_dir / f"basis_{_CACHE_VERSION}_dim{dimension}"
@@ -226,20 +227,20 @@ def _write_replacing(path: Path, text: str) -> None:
 
 
 def _run_enumerate(args: argparse.Namespace) -> tuple[int, str]:
-    from .enumeration import _checked_dimension
+    # Every route runs on the kernel module alone: no diagram is made.
+    from ._backend import _checked_dimension, _walk_dimension, count_pairings
 
-    _checked_dimension(args.dim, args.max_dim, override=_OVERRIDE)
+    # Both limits are checked before a cache directory is made.
+    dimension = _walk_dimension(_checked_dimension(args.dim, args.max_dim, override=_OVERRIDE))
     if args.count_only:
-        from .enumeration import count_diagrams
-
-        return EXIT_OK, f"{count_diagrams(args.dim, max_dimension=args.max_dim)}\n"
+        return EXIT_OK, f"{count_pairings(dimension)}\n"
     if args.cache is not None:
-        return EXIT_OK, _cached_basis_lines(args.dim, args.max_dim, args.cache)
-    return EXIT_OK, _basis_lines(args.dim, args.max_dim)
+        return EXIT_OK, _cached_basis_lines(dimension, args.max_dim, args.cache)
+    return EXIT_OK, _basis_lines(dimension, args.max_dim)
 
 
 def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
-    from .enumeration import _checked_dimension
+    from ._backend import _checked_dimension
 
     _checked_dimension(args.dim, args.max_dim, override=_OVERRIDE)
     if args.table:
@@ -253,11 +254,12 @@ def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
         labels = [
             [f"{r}:{m}" for r in range(1, size + 1)] for m in range(args.dim // 2 + 1)
         ]
-        lines = ["lhs/rhs," + ",".join(str(j) for j in range(1, size + 1))]
+        # Each row ends in its own newline, so the table is joined once.
+        lines = [f"lhs/rhs,{','.join(str(j) for j in range(1, size + 1))}\n"]
         for i, (rows, loops) in enumerate(_table_rows(basis), start=1):
             cells = [labels[m][r] for r, m in zip(rows, loops)]
-            lines.append(f"{i}," + ",".join(cells))
-        return EXIT_OK, "\n".join(lines) + "\n"
+            lines.append(f"{i},{','.join(cells)}\n")
+        return EXIT_OK, "".join(lines)
     if args.lhs is None or args.rhs is None:
         raise ValueError("compose needs --table or both --lhs and --rhs")
     from .composition import compose_scaled
@@ -296,7 +298,8 @@ def _sparse_csv(size: int, blocks: Iterable[tuple[str, Iterable[Mapping[int, str
 
 
 def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
-    from .enumeration import _checked_dimension, enumerate_diagrams
+    from ._backend import _checked_dimension
+    from .enumeration import enumerate_diagrams
     from .laurent import LaurentPoly
     from .representation import generator_matrices, generator_matrix
 
@@ -331,7 +334,8 @@ def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
-    from .enumeration import _checked_dimension, enumerate_diagrams
+    from ._backend import _checked_dimension
+    from .enumeration import enumerate_diagrams
     from .representation import (
         generator_matrices,
         verify_tl_relations,
@@ -357,14 +361,17 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
+    from ._backend import _checked_dimension, _walk_dimension
     from .braids import BraidWord, _image_rows, braid_image
     from .diagrams import ScaledDiagram, serialize
-    from .enumeration import _checked_dimension, enumerate_diagrams
+    from .enumeration import enumerate_diagrams
 
     _checked_dimension(args.strands, args.max_dim, "strand count", override=_OVERRIDE)
 
     word = BraidWord.from_text(args.strands, args.word)
     if args.matrix:
+        # The matrix is over the basis, which the walk lists.
+        _walk_dimension(args.strands, "strand count")
         basis = enumerate_diagrams(args.strands, max_dimension=args.max_dim)
         header = (
             f"# bracket image of {word.to_text() or '(empty word)'} on "
@@ -382,8 +389,9 @@ def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_draw(args: argparse.Namespace) -> tuple[int, str]:
+    from ._backend import _checked_dimension
     from .drawing import emit_figure
-    from .enumeration import _checked_dimension, enumerate_diagrams
+    from .enumeration import enumerate_diagrams
 
     _checked_dimension(args.dim, args.max_dim, override=_OVERRIDE)
 

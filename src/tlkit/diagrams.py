@@ -35,30 +35,13 @@ from collections.abc import Iterable, Mapping
 from itertools import chain
 from typing import Sequence
 
+from ._backend import _dimension, _integer, _line_prefix, _pair_texts
+
 
 def node_position(node: int, dimension: int) -> int:
     """Circular position of a node: bottom row left to right, then top row
     right to left."""
     return node if node <= dimension else 3 * dimension + 1 - node
-
-
-def _integer(value: int, name: str) -> int:
-    """``value`` as an int, with ValueError (not TypeError) for a
-    non-integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _dimension(value: int, name: str = "dimension", least: int = 1) -> int:
-    """``value`` as an int of at least ``least``: the size rule for every
-    dimension and strand count (``enumeration._checked_dimension`` adds
-    the ceiling)."""
-    value = _integer(value, name)
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}")
-    return value
 
 
 def _node(value: int, dimension: int) -> int:
@@ -445,25 +428,14 @@ def restrict_connectability(
     return gamma.zeroed(i, sorted(blocked))
 
 
-_LINE_RE = re.compile(r"^TL\s+(\d+)\s+m=(\d+)\s*((?:\(\d+,\d+\))+)$")
-_PAIR_RE = re.compile(r"\((\d+),(\d+)\)")
-
-
 @functools.cache
-def _pair_texts(dimension: int) -> tuple[list[str], ...]:
-    """The pair texts of every node of one dimension: ``table[a-1][b]`` is
-    ``(a,b)`` when a < b and "" when a is the larger end, so that a
-    partner tuple ``p`` reads as ``"".join(map(getitem, table, p))``."""
-    size = 2 * dimension
-    return tuple(
-        [f"({a},{b})" if a < b else "" for b in range(size + 1)]
-        for a in range(1, size + 1)
+def _line_patterns() -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """The patterns of a whole diagram line and of one pair, compiled by
+    the first ``parse`` of a process, not by every import."""
+    return (
+        re.compile(r"^TL\s+(\d+)\s+m=(\d+)\s*((?:\(\d+,\d+\))+)$"),
+        re.compile(r"\((\d+),(\d+)\)"),
     )
-
-
-def _line_prefix(dimension: int, loop_exponent: int) -> str:
-    """The text of a diagram line before its pairs."""
-    return f"TL {dimension} m={loop_exponent} "
 
 
 def serialize(scaled: ScaledDiagram) -> str:
@@ -477,14 +449,15 @@ def serialize(scaled: ScaledDiagram) -> str:
 def parse(line: str) -> ScaledDiagram:
     """Parse a diagram line, rejecting malformed text, non-involutions and
     crossing pairings."""
-    match = _LINE_RE.match(_require(line, str, "diagram line must be text").strip())
+    line_re, pair_re = _line_patterns()
+    match = line_re.match(_require(line, str, "diagram line must be text").strip())
     if not match:
         raise ValueError(f"malformed diagram line: {line!r}")
     dimension = _dimension(int(match.group(1)))
     loop_exponent = int(match.group(2))
     # The pair count is bounded by the text and the declared dimension is
     # not, so compare them before allocating by the dimension.
-    pairs = _PAIR_RE.findall(match.group(3))
+    pairs = pair_re.findall(match.group(3))
     if len(pairs) != dimension:
         raise ValueError(
             f"dimension {dimension} needs {dimension} pairs, got {len(pairs)}"

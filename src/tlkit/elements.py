@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ._backend import _dimension
 from .composition import compose
-from .diagrams import PlanarDiagram, _dimension, _pairs, _require, _Value
+from .diagrams import PlanarDiagram, _pairs, _require, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
 

@@ -18,21 +18,10 @@ share across threads.  A ``DiagramBasis`` also keeps the generator maps
 from __future__ import annotations
 
 import functools
-import math
 
 from . import _backend
-from .diagrams import PlanarDiagram, _dimension, _integer, _require, _sequence, _Value
-
-#: Hard ceiling on the dimension accepted by enumerate_diagrams unless the
-#: caller raises it explicitly (C_12 = 208012 diagrams is still cheap, but
-#: growth beyond that is exponential).
-DEFAULT_MAX_DIMENSION = 12
-
-
-def catalan(n: int) -> int:
-    """C_n = binom(2n, n) / (n + 1)."""
-    n = _integer(n, "n")
-    return math.comb(2 * n, n) // (n + 1)
+from ._backend import _checked_dimension, _dimension, catalan
+from .diagrams import PlanarDiagram, _require, _sequence, _Value
 
 
 class DiagramBasis(_Value):
@@ -101,34 +90,13 @@ def _basis(dimension: int) -> DiagramBasis:
     return DiagramBasis(dimension, diagrams)
 
 
-def _checked_dimension(
-    dimension: int,
-    max_dimension: int | None,
-    name: str = "dimension",
-    least: int = 1,
-    override: str = "max_dimension",
-) -> int:
-    """``_dimension`` under the ceiling ``max_dimension``, by default
-    DEFAULT_MAX_DIMENSION; ``override`` names where a caller raises it."""
-    dimension = _dimension(dimension, name, least)
-    ceiling = _integer(
-        DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension, "max_dimension"
-    )
-    if dimension > ceiling:
-        raise ValueError(
-            f"{name} {dimension} exceeds the resource ceiling {ceiling} "
-            f"(override with {override})"
-        )
-    return dimension
-
-
 def enumerate_diagrams(
     dimension: int, *, max_dimension: int | None = None
 ) -> DiagramBasis:
     """The complete canonical basis; cached per dimension.
 
-    Raises for dimensions above the resource ceiling (DEFAULT_MAX_DIMENSION
-    unless overridden).
+    Raises for dimensions above the resource ceiling
+    (``_backend.DEFAULT_MAX_DIMENSION`` unless overridden).
     """
     return _basis(_checked_dimension(dimension, max_dimension))
 

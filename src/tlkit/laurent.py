@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from .diagrams import _integer, _pairs, _require, _Value
+from ._backend import _integer
+from .diagrams import _pairs, _require, _Value
 
 
 #: The variables a polynomial may be written in.

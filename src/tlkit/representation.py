@@ -47,9 +47,9 @@ import functools
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import TYPE_CHECKING, Sequence, TypeVar
 
+from ._backend import _dimension, _integer
 from .composition import Map, _action, compose, compose_scaled
-from .diagrams import PlanarDiagram, ScaledDiagram, _dimension, _integer, _integers
-from .diagrams import _pairs, _require, _sequence, _Value
+from .diagrams import PlanarDiagram, ScaledDiagram, _integers, _pairs, _require, _sequence, _Value
 from .enumeration import DiagramBasis, identity_diagram
 
 if TYPE_CHECKING:

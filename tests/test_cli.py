@@ -506,9 +506,16 @@ class TestStartup:
             ["enumerate", "--dim", "3"],
             ["compose", "--dim", "3", "--table"],
             ["verify", "--dim", "4", "--relations", "tl"],
+            ["enumerate", "--dim", "12", "--count-only"],
+            ["enumerate", "--dim", "3", "--output", "{tmp}/basis.tl"],
+            ["enumerate", "--dim", "3", "--cache", "{tmp}/cold"],
+            ["enumerate", "--dim", "3", "--cache", "{tmp}/warm"],
         ],
     )
-    def test_subcommand_loads_only_its_modules(self, args):
+    def test_subcommand_loads_only_its_modules(self, args, tmp_path):
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        if args[-1].endswith("warm"):
+            run_cli(args)  # fills the cache, so the probe reads a hit
         # ``dataclasses`` counts as loaded only if it was not already
         # imported at interpreter start (a host's ``site`` may import it).
         probe = (
@@ -524,8 +531,13 @@ class TestStartup:
         )
         result = self.fresh_python(probe, *args)
         loaded = set(result.stderr.split())
-        assert loaded >= {"tlkit.cli", "tlkit.enumeration"}
         unused = {"braids", "laurent", "matrices", "drawing"}
+        if args[0] == "enumerate":
+            # Every enumerate route runs on the kernel module alone.
+            assert loaded >= {"tlkit.cli", "tlkit._backend"}
+            unused |= {"diagrams", "enumeration"}
+        else:
+            assert loaded >= {"tlkit.cli", "tlkit.enumeration"}
         if args[0] != "verify":
             unused.add("representation")
         assert not loaded & {f"tlkit.{name}" for name in unused}
@@ -757,9 +769,9 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_artin_keeps_a_raised_ceiling(self, monkeypatch):
-        from tlkit import enumeration
+        from tlkit import _backend
 
-        monkeypatch.setattr(enumeration, "DEFAULT_MAX_DIMENSION", 3)
+        monkeypatch.setattr(_backend, "DEFAULT_MAX_DIMENSION", 3)
         monkeypatch.setenv("TLKIT_MAX_DIM", "4")
         code, out = run_cli(["verify", "--dim", "4", "--relations", "artin"])
         assert code == 0
@@ -813,9 +825,9 @@ class TestBracket:
         assert out.splitlines()[1:] == ["1,0", "0,1"]
 
     def test_matrix_form_keeps_a_raised_ceiling(self, monkeypatch):
-        from tlkit import enumeration
+        from tlkit import _backend
 
-        monkeypatch.setattr(enumeration, "DEFAULT_MAX_DIMENSION", 3)
+        monkeypatch.setattr(_backend, "DEFAULT_MAX_DIMENSION", 3)
         monkeypatch.setenv("TLKIT_MAX_DIM", "4")
         code, out = run_cli(["bracket", "--strands", "4", "--word=1,-2,3,-1", "--matrix"])
         assert code == 0
@@ -870,6 +882,30 @@ def test_sizes_outside_the_rule_exit_one(args, option, name, least, monkeypatch,
         "",
         f"error: {name} 4 exceeds the resource ceiling 3 (override with TLKIT_MAX_DIM)\n",
     )
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        (["enumerate", "--dim", "1500"], "dimension"),
+        (["enumerate", "--dim", "1500", "--count-only"], "dimension"),
+        (["enumerate", "--dim", "1500", "--cache", "{tmp}/cache"], "dimension"),
+        (["compose", "--dim", "1500", "--table"], "dimension"),
+        (["bracket", "--strands", "1500", "--word=1", "--matrix"], "strand count"),
+    ],
+    ids=["enumerate", "count-only", "cache", "compose-table", "bracket-matrix"],
+)
+def test_walks_too_deep_to_run_exit_one(args, name, tmp_path, monkeypatch, capsys):
+    # Above the ceiling a user may raise, the walks' recursion depth is the
+    # limit: refused with one line before the walk starts, no traceback.
+    monkeypatch.setenv("TLKIT_MAX_DIM", "3000")
+    assert cli.main([arg.format(tmp=tmp_path) for arg in args]) == cli.EXIT_VALIDATION
+    deepest = sys.getrecursionlimit() // 4
+    assert capsys.readouterr() == (
+        "",
+        f"error: {name} 1500 exceeds the search depth limit {deepest}\n",
+    )
+    assert not (tmp_path / "cache").exists()
 
 
 def run_parsed(argv):

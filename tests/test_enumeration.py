@@ -1,5 +1,7 @@
 import gc
+import sys
 import tracemalloc
+from collections import defaultdict
 
 import pytest
 
@@ -87,13 +89,48 @@ def test_rejects_non_integer_dimension(dimension):
         count_diagrams(dimension)
 
 
+# The three walks, each called with a dimension alone.  The pair texts of
+# ``pairing_lines`` read "" for any pair, so it runs at any dimension.
+KERNELS = {
+    "enumerate_pairings": _backend.enumerate_pairings,
+    "count_pairings": _backend.count_pairings,
+    "pairing_lines": lambda dimension: _backend.pairing_lines(
+        dimension, "", defaultdict(lambda: defaultdict(str))
+    ),
+}
+
+
 def test_kernel_rejects_bad_dimension():
-    with pytest.raises(ValueError):
-        _backend.enumerate_pairings(0)
-    with pytest.raises(ValueError):
-        _backend.count_pairings(0)
-    with pytest.raises(ValueError):
-        _backend.pairing_lines(0, "", ())
+    # The kernels hold the one size rule, with its messages.
+    cases = [
+        (0, "dimension must be at least 1"),
+        (-2, "dimension must be at least 1"),
+        (2.0, "dimension must be an integer, got 2.0"),
+        ("3", "dimension must be an integer, got '3'"),
+    ]
+    for kernel in KERNELS.values():
+        for dimension, message in cases:
+            with pytest.raises(ValueError) as exc:
+                kernel(dimension)
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
+def test_walks_refuse_a_depth_the_interpreter_cannot_reach(kernel, monkeypatch):
+    deepest = sys.getrecursionlimit() // 4
+    with pytest.raises(ValueError) as exc:
+        kernel(deepest + 1)
+    assert str(exc.value) == f"dimension {deepest + 1} exceeds the search depth limit {deepest}"
+    # At the limit the walk runs: cut to the first branch of every search
+    # state, it reaches its one leaf without a RecursionError.
+    partners = _backend._partners
+
+    def first(matched, n):
+        f, options = partners(matched, n)
+        return f, None if options is None else options[:1]
+
+    monkeypatch.setattr(_backend, "_partners", first)
+    assert kernel(deepest)
 
 
 def test_partners_match_the_restricted_connectability():

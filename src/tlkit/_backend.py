@@ -40,12 +40,25 @@ Composition walks the strands of the stacked picture directly; the
 union-find and matrix-power readings of the same stack live in the test
 suite as independent oracles.
 
+A generator acts by its local rule, the link-state action of
+arXiv:1204.4505 (``_apply_generator``).  ``generator_map`` applies U_k
+to a whole basis as a map of positions with loop exponents, the one
+builder of generator maps (``composition._action`` calls it once per
+basis and k and keeps the result on the basis).  The composition table
+is built from those maps by associativity, on positions alone: every
+basis pairing E other than the identity is U_k stacked on a parent E'
+one step closer to the identity, with no loop closed
+(``spanning_tree``).  Then D.E = (D.E').U_k, so if D.E' = d^m.D_r, the
+cell D.E is d^(m + e_k[r]).D_(t_k[r]), one step of the map of U_k
+(``table_rows``).
+
 The module imports nothing from the package, so it also holds what
-``tlkit enumerate`` needs besides the walks: the size rule
-(``_integer``, ``_dimension``, ``_checked_dimension`` and
-``DEFAULT_MAX_DIMENSION``), ``catalan``, and the two pieces of the
-diagram line format (``_pair_texts``, ``_line_prefix``).  Every route of
-that subcommand loads this module and ``tlkit.cli`` alone.
+``tlkit enumerate`` and ``tlkit compose --table`` need besides the
+walks: the size rule (``_integer``, ``_dimension``,
+``_checked_dimension`` and ``DEFAULT_MAX_DIMENSION``), ``catalan``, and
+the two pieces of the diagram line format (``_pair_texts``,
+``_line_prefix``).  Every route of those two commands loads this module
+and ``tlkit.cli`` alone.
 """
 
 from __future__ import annotations
@@ -54,12 +67,16 @@ import functools
 import math
 import operator
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 #: Hard ceiling on the dimension accepted by enumerate_diagrams and the CLI
 #: unless the caller raises it explicitly (C_12 = 208012 diagrams is still
 #: cheap, but growth beyond that is exponential).
 DEFAULT_MAX_DIMENSION = 12
+
+#: A generator's action on a basis: U_k . D_i = d^exponents[i] . D_targets[i]
+#: for (targets, exponents).
+Map = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _integer(value: int, name: str) -> int:
@@ -306,3 +323,80 @@ def compose_pairings(
             visited[m] = True
             m = bottom[m + n - 1] - n
     return tuple(pairing), loops
+
+
+def identity_pairing(dimension: int) -> tuple[int, ...]:
+    """N parallel strands: node i paired with i+N."""
+    return (*range(dimension + 1, 2 * dimension + 1), *range(1, dimension + 1))
+
+
+def _apply_generator(
+    pairing: tuple[int, ...], k: int, dimension: int
+) -> tuple[tuple[int, ...], int]:
+    """U_k . D as (partner tuple, loops).  Stacking U_k on top of D
+    changes only D's top nodes a = N+k and b = N+k+1: into d.D if D pairs
+    them, otherwise into the pairing (a, b) and (D(a), D(b))."""
+    a, b = dimension + k, dimension + k + 1
+    p, q = pairing[a - 1], pairing[b - 1]
+    if p == b:
+        return pairing, 1
+    out = list(pairing)
+    out[a - 1], out[b - 1], out[p - 1], out[q - 1] = b, a, q, p
+    return tuple(out), 0
+
+
+def generator_map(
+    pairings: Iterable[tuple[int, ...]],
+    index: Mapping[tuple[int, ...], int],
+    k: int,
+    dimension: int,
+) -> Map:
+    """U_k on every pairing of a basis, in order: (targets, exponents) with
+    U_k . P_i = d^exponents[i] . P_targets[i], where ``index`` gives the
+    position of each basis pairing."""
+    images = (_apply_generator(p, k, dimension) for p in pairings)
+    return tuple(zip(*[(index[p], m) for p, m in images]))
+
+
+def spanning_tree(maps: Sequence[Map], root: int) -> list[tuple[int, int, int]]:
+    """Steps (position, parent, k) with position = maps[k-1] targets[parent]
+    and no loop closed, found breadth first from ``root``, the identity's
+    position: every parent comes before its children, and every other
+    position is reached exactly once."""
+    # With no generator (dimension 1) the basis is the identity alone.
+    size = len(maps[0][0]) if maps else 1
+    numbered = list(enumerate(maps, start=1))
+    seen = [False] * size
+    seen[root] = True
+    frontier = [root]
+    steps = []
+    while frontier:
+        reached = []
+        for parent in frontier:
+            for k, (targets, exponents) in numbered:
+                position = targets[parent]
+                if not exponents[parent] and not seen[position]:
+                    seen[position] = True
+                    steps.append((position, parent, k))
+                    reached.append(position)
+        frontier = reached
+    if len(steps) != size - 1:
+        raise ValueError("the generators do not reach every basis diagram")
+    return steps
+
+
+def table_rows(maps: Sequence[Map], root: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Row i of the composition table for every position i, in order, from
+    the maps of U_1..U_{N-1} and the identity's position ``root``:
+    ``rows[j]`` and ``loops[j]`` give D_i . D_j = d^loops[j] . D_rows[j]."""
+    steps = [(position, parent, *maps[k - 1]) for position, parent, k in spanning_tree(maps, root)]
+    size = len(steps) + 1
+    for i in range(size):
+        rows = [0] * size
+        loops = [0] * size
+        rows[root] = i
+        for position, parent, targets, exponents in steps:
+            r = rows[parent]
+            rows[position] = targets[r]
+            loops[position] = loops[parent] + exponents[r]
+        yield rows, loops

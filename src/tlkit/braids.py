@@ -17,7 +17,7 @@ that d, and the relation suite re-derives this mechanically.
 Products follow operator order (the right factor acts first): the image
 of a word is the ordered product of its letter images.  The element image
 applies them to the identity, last letter first, each U_i by its local
-rule (``composition._apply_generator``); the matrix image is the same
+rule (``_backend._apply_generator``); the matrix image is the same
 product of left-multiplication matrices on the identity-included basis,
 each read from the map ``composition._action`` keeps on the caller's basis.
 
@@ -51,8 +51,8 @@ import random
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence, TypeVar
 
-from ._backend import _dimension, _integer
-from .composition import _action, _apply_generator
+from ._backend import _apply_generator, _dimension, _integer
+from .composition import _action
 from .diagrams import PlanarDiagram, ScaledDiagram, _integers, _require, _Value, serialize
 from .elements import TLElement
 from .enumeration import DiagramBasis, enumerate_diagrams, identity_diagram

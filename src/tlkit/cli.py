@@ -3,7 +3,7 @@
 Subcommands: enumerate, compose, repr, verify, bracket, draw.  Output is
 deterministic for a fixed invocation, so every command is golden-file
 testable.  Exit codes: 0 success, 1 validation or I/O failure, 2 usage error
-(argparse), 3 relation-verification failure.
+(argparse), 3 relation-verification failure, 130 interrupted (Ctrl-C).
 
 The enumeration ceiling defaults to dimension 12 and can be overridden
 with the TLKIT_MAX_DIM environment variable.
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
+EXIT_INTERRUPTED = 130
 
 _CACHE_VERSION = "v1"
 
@@ -206,20 +207,41 @@ def _sha256(text: str) -> str:
 
 
 def _write_replacing(path: Path, text: str) -> None:
-    """Write through a temporary file in the same directory and rename it
-    over ``path``, so a killed run leaves the old file or none, never a
-    partial one.  The file gets the permissions a plain write would create
-    it with, not the owner-only ones of a temporary file."""
-    import tempfile
+    """Write ``text`` to ``path``, through the link if ``path`` is a
+    symlink.
 
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    A regular file or a missing path is written through a temporary file
+    in the same directory, renamed over it, so a killed run leaves the
+    old file or none, never a partial one; the file gets the permissions
+    a plain write would create it with.  Any other existing file (a FIFO,
+    a device) is written in place, since a rename would replace it
+    instead of feeding it.
+    """
+    import stat
+
+    path = Path(os.path.realpath(path))
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        in_place = False
+    if in_place:
+        with open(path, "w", encoding="utf-8") as fh:
+            for piece in _slices(text):
+                fh.write(piece)
+        return
+    attempt = 0
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{attempt}.tmp")
+        try:
+            # Mode 0o666 under the process umask, as a plain write.
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            attempt += 1
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             for piece in _slices(text):
                 fh.write(piece)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -244,19 +266,23 @@ def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
 
     _checked_dimension(args.dim, args.max_dim, override=_OVERRIDE)
     if args.table:
-        from .composition import _table_rows
-        from .enumeration import enumerate_diagrams
+        # The table runs on the kernel module alone: positions and partner
+        # tuples, no diagram or basis object.
+        from ._backend import enumerate_pairings, generator_map, identity_pairing, table_rows
 
-        basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
-        size = len(basis)
+        n = args.dim
+        pairings = enumerate_pairings(n)
+        index = {p: i for i, p in enumerate(pairings)}
+        maps = [generator_map(pairings, index, k, n) for k in range(1, n)]
+        size = len(pairings)
         # labels[m][r] is "row:loops" for d^m . D_r; stacking N-strand
         # diagrams closes at most N // 2 loops, one per two middle nodes
         labels = [
-            [f"{r}:{m}" for r in range(1, size + 1)] for m in range(args.dim // 2 + 1)
+            [f"{r}:{m}" for r in range(1, size + 1)] for m in range(n // 2 + 1)
         ]
         # Each row ends in its own newline, so the table is joined once.
         lines = [f"lhs/rhs,{','.join(str(j) for j in range(1, size + 1))}\n"]
-        for i, (rows, loops) in enumerate(_table_rows(basis), start=1):
+        for i, (rows, loops) in enumerate(table_rows(maps, index[identity_pairing(n)]), start=1):
             cells = [labels[m][r] for r, m in zip(rows, loops)]
             lines.append(f"{i},{','.join(cells)}\n")
         return EXIT_OK, "".join(lines)
@@ -478,8 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        return _main(build_parser().parse_args(argv))
+    except KeyboardInterrupt:
+        # Ctrl-C: the shell's exit status for SIGINT, and no traceback.
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+
+
+def _main(args: argparse.Namespace) -> int:
     try:
         args.max_dim = _ceiling_from_env()
         if args.output is not None and not args.output.parent.is_dir():

@@ -16,31 +16,24 @@ counts the middle cycles no strand visited; the test suite checks it
 against a union-find over the stack and against boolean matrix-power
 reachability.
 
-Generators act by their local rule (``_apply_generator``, the link-state
-action of arXiv:1204.4505): ``compose(D, U_k)`` changes only D's top
-nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise into
-the diagram pairing (a, b) and (D(a), D(b)).  ``_action`` applies U_k to
-a whole basis as a map of positions with loop exponents and keeps it on
-the basis: the one builder of generator maps, which the generator
-matrices, the ideal blocks, the bracket images and the table read.
-
-The composition table is built from the same maps by associativity.
-Every basis diagram E other than the identity is ``compose(E', U_k)``
-for a parent E' one step closer to the identity, with no loop closed
-(``_spanning_tree``).  Then compose(D, E) = compose(compose(D, E'), U_k),
-so if D.E' = d^m.D_r, the cell D.E is d^(m + e_k[r]).D_(t_k[r]), one
-step of the map of U_k (``_table_rows``).
+A generator acts on a basis by its local rule, the link-state action
+of arXiv:1204.4505; the rule, the map builder and the composition table
+are kernels on partner tuples and positions in ``tlkit._backend``.
+``_action`` keeps the map of U_k on a ``DiagramBasis``, built once by
+``_backend.generator_map``: the generator matrices, the ideal blocks and
+the bracket images read it there.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING
 
 from . import _backend
+from ._backend import Map
 from .diagrams import PlanarDiagram, ScaledDiagram, _require
-from .enumeration import DiagramBasis, identity_diagram
 
-Map = tuple[tuple[int, ...], tuple[int, ...]]
+if TYPE_CHECKING:
+    from .enumeration import DiagramBasis
 
 
 def compose(d1: PlanarDiagram, d2: PlanarDiagram) -> ScaledDiagram:
@@ -65,70 +58,12 @@ def compose_scaled(s1: ScaledDiagram, s2: ScaledDiagram) -> ScaledDiagram:
     return product.with_extra_loops(s1.loop_exponent + s2.loop_exponent)
 
 
-def _apply_generator(
-    pairing: tuple[int, ...], k: int, dimension: int
-) -> tuple[tuple[int, ...], int]:
-    """U_k . D as (partner tuple, loops), by the module docstring's rule."""
-    a, b = dimension + k, dimension + k + 1
-    p, q = pairing[a - 1], pairing[b - 1]
-    if p == b:
-        return pairing, 1
-    out = list(pairing)
-    out[a - 1], out[b - 1], out[p - 1], out[q - 1] = b, a, q, p
-    return tuple(out), 0
-
-
 def _action(basis: DiagramBasis, k: int) -> Map:
     """U_k on every basis position, in basis order: U_k . D_i =
     d^exponents[i] . D_targets[i].  Built on first use and kept on the
     basis; two threads that both build it store equal maps."""
     actions = basis._actions
     if k not in actions:
-        index = basis._index
-        images = (_apply_generator(d.pairing, k, basis.dimension) for d in basis)
-        actions[k] = tuple(zip(*[(index[p], m) for p, m in images]))
+        pairings = (d.pairing for d in basis)
+        actions[k] = _backend.generator_map(pairings, basis._index, k, basis.dimension)
     return actions[k]
-
-
-def _spanning_tree(basis: DiagramBasis) -> tuple[int, list[tuple[int, int, int]]]:
-    """The identity's position and steps (position, parent, k) with
-    D_position = compose(D_parent, U_k) and no loop closed, found breadth
-    first from the identity: every parent comes before its children, and
-    every other basis diagram is reached exactly once."""
-    maps = [(k, *_action(basis, k)) for k in range(1, basis.dimension)]
-    root = basis.index_of(identity_diagram(basis.dimension))
-    seen = [False] * len(basis)
-    seen[root] = True
-    frontier = [root]
-    steps = []
-    while frontier:
-        reached = []
-        for parent in frontier:
-            for k, targets, exponents in maps:
-                position = targets[parent]
-                if not exponents[parent] and not seen[position]:
-                    seen[position] = True
-                    steps.append((position, parent, k))
-                    reached.append(position)
-        frontier = reached
-    if len(steps) != len(basis) - 1:
-        raise ValueError("the generators do not reach every basis diagram")
-    return root, steps
-
-
-def _table_rows(basis: DiagramBasis) -> Iterator[tuple[list[int], list[int]]]:
-    """Row i of the composition table for every basis position i, in
-    order: ``rows[j]`` and ``loops[j]`` give compose(D_i, D_j) =
-    d^loops[j] . D_rows[j]."""
-    root, tree = _spanning_tree(basis)
-    steps = [(position, parent, *_action(basis, k)) for position, parent, k in tree]
-    size = len(basis)
-    for i in range(size):
-        rows = [0] * size
-        loops = [0] * size
-        rows[root] = i
-        for position, parent, targets, exponents in steps:
-            r = rows[parent]
-            rows[position] = targets[r]
-            loops[position] = loops[parent] + exponents[r]
-        yield rows, loops

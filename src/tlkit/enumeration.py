@@ -12,7 +12,8 @@ depth-first enumerators over partial diagrams.
 
 All values are immutable; ``enumerate_diagrams`` is cached and safe to
 share across threads.  A ``DiagramBasis`` also keeps the generator maps
-``composition._action`` fills in on first use; the fill is idempotent.
+that ``composition._action`` builds with ``_backend.generator_map`` on
+first use; the fill is idempotent.
 """
 
 from __future__ import annotations
@@ -77,9 +78,7 @@ class DiagramBasis(_Value):
 def identity_diagram(dimension: int) -> PlanarDiagram:
     """N parallel strands: node i paired with i+N."""
     n = _dimension(dimension)
-    return PlanarDiagram._trusted(
-        n, tuple(list(range(n + 1, 2 * n + 1)) + list(range(1, n + 1)))
-    )
+    return PlanarDiagram._trusted(n, _backend.identity_pairing(n))
 
 
 @functools.cache

@@ -32,13 +32,12 @@ diagrams and ``compose_scaled``.  Each passes the U_i U_j U_i pairs in the
 order it prints them.
 
 The action is each generator's local rule, the link-state action of
-arXiv:1204.4505, which lives in ``composition`` (``_apply_generator``
-and the basis map ``_action``): U_k.D changes only D's top nodes
-a = N+k and b = N+k+1, into d.D if D pairs them and otherwise into the
-diagram pairing (a, b) and (D(a), D(b)).  ``_action`` keeps the map of
-each generator on the basis; the ideal blocks, the order (``_order``) and
-every generator matrix read it, as do the composition table (see
-``composition``) and the bracket matrix image.
+arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
+top nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise
+into the diagram pairing (a, b) and (D(a), D(b)).  ``composition._action``
+keeps the map of each generator on the basis, built by
+``_backend.generator_map``; the ideal blocks, the order (``_order``) and
+every generator matrix read it, as does the bracket matrix image.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ import hashlib
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -254,6 +256,45 @@ class TestEnumerate:
         finally:
             os.umask(umask)
         assert target.stat().st_mode & 0o777 == 0o644
+
+    def test_output_through_a_symlink_replaces_its_target(self, tmp_path):
+        target = tmp_path / "basis.tl"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.tl"
+        link.symlink_to(target)
+        assert cli.main(["enumerate", "--dim", "2", "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == run_cli(["enumerate", "--dim", "2"])[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["basis.tl", "link.tl"]
+
+    def test_output_to_a_fifo_feeds_its_reader(self, tmp_path):
+        fifo = tmp_path / "basis.fifo"
+        os.mkfifo(fifo)
+        received = []
+        # Opening a FIFO for reading blocks until the CLI opens it to write;
+        # dimension 9 writes more than a pipe holds.
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code = cli.main(["enumerate", "--dim", "9", "--output", str(fifo)])
+        finally:
+            if reader.is_alive() and stat.S_ISFIFO(fifo.lstat().st_mode):
+                # Unblock a reader that no writer opened.
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received == [run_cli(["enumerate", "--dim", "9"])[1].encode()]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["basis.fifo"]
+
+    def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._RUNNERS, "enumerate", interrupted)
+        assert cli.main(["enumerate", "--dim", "3"]) == cli.EXIT_INTERRUPTED == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
 
     def test_failed_cache_write_leaves_no_entry(self, tmp_path, monkeypatch):
         def fail(src, dst):
@@ -510,6 +551,7 @@ class TestStartup:
             ["enumerate", "--dim", "3", "--output", "{tmp}/basis.tl"],
             ["enumerate", "--dim", "3", "--cache", "{tmp}/cold"],
             ["enumerate", "--dim", "3", "--cache", "{tmp}/warm"],
+            ["compose", "--dim", "2", "--lhs", "TL 2 m=0 (1,2)(3,4)", "--rhs", "TL 2 m=1 (1,3)(2,4)"],
         ],
     )
     def test_subcommand_loads_only_its_modules(self, args, tmp_path):
@@ -532,10 +574,14 @@ class TestStartup:
         result = self.fresh_python(probe, *args)
         loaded = set(result.stderr.split())
         unused = {"braids", "laurent", "matrices", "drawing"}
-        if args[0] == "enumerate":
-            # Every enumerate route runs on the kernel module alone.
-            assert loaded >= {"tlkit.cli", "tlkit._backend"}
-            unused |= {"diagrams", "enumeration"}
+        if args[0] == "enumerate" or "--table" in args:
+            # Every enumerate route and the composition table run on the
+            # kernel module alone.
+            assert loaded == {"tlkit", "tlkit.cli", "tlkit._backend"}
+        elif args[0] == "compose":
+            # Two operands are composed without a basis.
+            assert loaded >= {"tlkit.cli", "tlkit.diagrams", "tlkit.composition"}
+            unused.add("enumeration")
         else:
             assert loaded >= {"tlkit.cli", "tlkit.enumeration"}
         if args[0] != "verify":

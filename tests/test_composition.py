@@ -6,9 +6,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from tlkit import _backend, composition
+from tlkit import _backend
 from tlkit.braids import BraidWord, _image_columns
-from tlkit.composition import _action, _spanning_tree, _table_rows, compose, compose_scaled
+from tlkit.composition import _action, compose, compose_scaled
 from tlkit.diagrams import ScaledDiagram, parse
 from tlkit.enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
 from tlkit.representation import generator_diagram, generator_matrices, ideal_partition
@@ -102,11 +102,15 @@ def test_associativity_randomized(n):
         assert ab.loop_exponent + left.loop_exponent == bc.loop_exponent + right.loop_exponent
 
 
+def _maps(basis):
+    return [_action(basis, k) for k in range(1, basis.dimension)]
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_spanning_tree_reaches_every_diagram_by_loop_free_steps(n):
     basis = enumerate_diagrams(n)
-    root, steps = _spanning_tree(basis)
-    assert basis[root] == identity_diagram(n)
+    root = basis.index_of(identity_diagram(n))
+    steps = _backend.spanning_tree(_maps(basis), root)
     reached = {root}
     for position, parent, k in steps:
         assert parent in reached and position not in reached
@@ -116,21 +120,41 @@ def test_spanning_tree_reaches_every_diagram_by_loop_free_steps(n):
     assert len(reached) == len(basis)
 
 
+def test_spanning_tree_refuses_maps_that_miss_a_diagram():
+    # U_1 alone on dimension 3 reaches two of the five basis diagrams.
+    basis = enumerate_diagrams(3)
+    maps = _maps(basis)[:1]
+    with pytest.raises(ValueError, match="do not reach every basis diagram"):
+        _backend.spanning_tree(maps, basis.index_of(identity_diagram(3)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generator_map_over_the_kernel_walk_equals_action(n):
+    # compose --table builds its maps from the walk's tuples alone; they
+    # are the maps _action keeps on the basis.
+    pairings = _backend.enumerate_pairings(n)
+    index = {p: i for i, p in enumerate(pairings)}
+    for k in range(1, n):
+        assert _backend.generator_map(pairings, index, k, n) == _action(enumerate_diagrams(n), k)
+    assert index[_backend.identity_pairing(n)] == enumerate_diagrams(n).index_of(identity_diagram(n))
+
+
 def test_each_generator_map_is_built_once_per_basis(monkeypatch):
-    # The table, the ideal blocks, both generator-matrix orders and the
-    # bracket matrix image all read the maps _action keeps on the basis.
+    # The ideal blocks, both generator-matrix orders and the bracket matrix
+    # image read the maps _action keeps on the basis; so does the table
+    # when it is given them.
     n = 5
     calls = 0
-    rule = composition._apply_generator
+    rule = _backend._apply_generator
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return rule(*args)
 
-    monkeypatch.setattr(composition, "_apply_generator", counted)
+    monkeypatch.setattr(_backend, "_apply_generator", counted)
     basis = DiagramBasis(n, tuple(enumerate_diagrams(n)))
-    list(_table_rows(basis))
+    list(_backend.table_rows(_maps(basis), basis.index_of(identity_diagram(n))))
     ideal_partition(basis)
     generator_matrices(basis, include_identity=False)
     generator_matrices(basis, include_identity=True)

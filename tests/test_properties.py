@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tlkit import _backend
-from tlkit.composition import _apply_generator, compose, compose_scaled
+from tlkit._backend import _apply_generator
+from tlkit.composition import compose, compose_scaled
 from tlkit.diagrams import (
     PlanarDiagram,
     ScaledDiagram,

@@ -12,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tlkit import _backend
-from tlkit._backend import _apply_generator
 from tlkit.composition import compose, compose_scaled
 from tlkit.diagrams import (
     PlanarDiagram,
@@ -99,7 +98,7 @@ def test_compose_through_count_bounded_by_factors(pair):
 def test_generator_rule_matches_composition(diagram):
     n = diagram.dimension
     for k in range(1, n):
-        pairing, loops = _apply_generator(diagram.pairing, k, n)
+        pairing, loops = _backend._apply_generator(diagram.pairing, k, n)
         product = compose(diagram, generator_diagram(n, k))
         assert (pairing, loops) == (product.diagram.pairing, product.loop_exponent)
         assert PlanarDiagram(n, pairing).pairing == pairing

@@ -56,9 +56,11 @@ The module imports nothing from the package, so it also holds what
 ``tlkit enumerate`` and ``tlkit compose --table`` need besides the
 walks: the size rule (``_integer``, ``_dimension``,
 ``_checked_dimension`` and ``DEFAULT_MAX_DIMENSION``), ``catalan``, and
-the two pieces of the diagram line format (``_pair_texts``,
-``_line_prefix``).  Every route of those two commands loads this module
-and ``tlkit.cli`` alone.
+the diagram line format (``_pair_texts``, ``_line_prefix`` and
+``diagram_line``, the one formatter of a whole line, which
+``diagrams.serialize`` and the ``bracket`` element route both call).
+Every route of those two commands loads this module and ``tlkit.cli``
+alone; ``verify --relations tl`` adds ``tlkit._relations``.
 """
 
 from __future__ import annotations
@@ -153,6 +155,12 @@ def _pair_texts(dimension: int) -> tuple[list[str], ...]:
 def _line_prefix(dimension: int, loop_exponent: int) -> str:
     """The text of a diagram line before its pairs."""
     return f"TL {dimension} m={loop_exponent} "
+
+
+def diagram_line(dimension: int, pairing: Sequence[int], loop_exponent: int) -> str:
+    """The diagram line of d^loop_exponent times the diagram ``pairing``."""
+    pairs = "".join(map(operator.getitem, _pair_texts(dimension), pairing))
+    return _line_prefix(dimension, loop_exponent) + pairs
 
 
 def enumerate_pairings(dimension: int) -> list[tuple[int, ...]]:

@@ -1,0 +1,259 @@
+"""The Temperley-Lieb relation kernels, on partner tuples and positions.
+
+The defining relations are listed once, in ``tl_relations``, over any
+generator values with a product and a scaling by d.  Two checks pass
+their own values:
+
+* ``map_report`` checks the generator maps: U_k . D_i = d^m . D_j is
+  column i of a map sending it to row j with exponent m, and the product
+  of two maps is their composition (``compose_maps``), so both sides of
+  a relation are compared as tuples and no matrix is multiplied.  A
+  failed relation names the first basis column where its sides differ
+  (``map_witness``).
+* ``diagram_report`` checks the generator diagrams (``generator_pairing``)
+  as (partner tuple, loop count) pairs, multiplied by
+  ``_backend.compose_pairings`` with the loop counts carried.  A failed
+  relation names both of its sides as diagram lines.
+
+``ideal_blocks`` groups basis positions into the components of the
+generator action, and ``renumbered`` moves maps into the order those
+blocks give (the representation order of ``tlkit.representation``).
+
+The module imports nothing from the package but ``_backend``, so
+``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
+alone: it lists the basis with ``_backend.enumerate_pairings``, builds
+the maps with ``_backend.generator_map``, and prints both reports with
+``report_lines``.  ``representation`` wraps the same kernels for its
+``GeneratorMatrix`` and ``RelationReport`` values.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+from . import _backend
+from ._backend import Map, diagram_line, identity_pairing
+
+T = TypeVar("T")
+
+#: A relation check: its title, (name, passed) for each relation in order,
+#: and (name, witness) for each failed one.
+Report = tuple[str, tuple[tuple[str, bool], ...], tuple[tuple[str, str], ...]]
+
+#: d^m times a diagram, as (partner tuple, m).
+Scaled = tuple[tuple[int, ...], int]
+
+
+def generator_pairing(dimension: int, k: int) -> tuple[int, ...]:
+    """The partner tuple of U_k, 1 <= k <= N-1: a cup joining bottom nodes
+    k, k+1, the matching cap on top and straight strands elsewhere."""
+    n = dimension
+    pairing = list(identity_pairing(n))
+    pairing[k - 1] = k + 1
+    pairing[k] = k
+    pairing[n + k - 1] = n + k + 1
+    pairing[n + k] = n + k
+    return tuple(pairing)
+
+
+def ideal_blocks(maps: Iterable[Map], keys: Sequence, skip: int) -> list[list[int]]:
+    """The positions 0..len(keys)-1 grouped into the components of the
+    action of ``maps``: i and targets[i] share a block for every map.
+    Each block is sorted by ``keys[i]`` and the blocks by their first
+    member's key.  Position ``skip`` and its edges are left out (-1 skips
+    none)."""
+    parent = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for targets, _ in maps:
+        for i, j in enumerate(targets):
+            if i != skip:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    grouped: dict[int, list[int]] = {}
+    for i in range(len(keys)):
+        if i != skip:
+            grouped.setdefault(find(i), []).append(i)
+    blocks = [sorted(block, key=keys.__getitem__) for block in grouped.values()]
+    return sorted(blocks, key=lambda block: keys[block[0]])
+
+
+def renumbered(maps: Iterable[Map], order: Sequence[int], size: int) -> list[Map]:
+    """Maps on ``size`` positions, restricted to the positions in
+    ``order`` and renumbered by their place in it: column i of a result
+    is column order[i] of its map.  Every target of a listed position
+    must be listed."""
+    position = [0] * size
+    for new, old in enumerate(order):
+        position[old] = new
+    return [
+        (tuple(position[targets[i]] for i in order), tuple(exponents[i] for i in order))
+        for targets, exponents in maps
+    ]
+
+
+def tl_relations(
+    gens: Mapping[int, T],
+    braided: Iterable[tuple[int, int]],
+    mul: Callable[[T, T], T],
+    times_d: Callable[[T], T],
+) -> Iterator[tuple[str, T, T]]:
+    """The defining relations of TL_N(d) on the generator values ``gens``
+    (index -> value), one at a time as (name, left, right):
+
+        U_i^2       = d U_i     for each i
+        U_i U_j U_i = U_i       for each (i, j) in ``braided`` with U_j given
+        U_i U_j     = U_j U_i   for |i - j| >= 2
+
+    ``mul(u, v)`` is the product U.V (V acts first) and ``times_d(u)`` is
+    d.U.  ``braided`` lists the pairs with |i - j| = 1 in the order the
+    caller prints them.  Each side is built when its relation is reached.
+    """
+    indices = sorted(gens)
+    for i in indices:
+        u = gens[i]
+        yield f"U_{i}^2 = d*U_{i}", mul(u, u), times_d(u)
+    for i, j in braided:
+        if j in gens:
+            u = gens[i]
+            yield f"U_{i}*U_{j}*U_{i} = U_{i}", mul(u, mul(gens[j], u)), u
+    for i in indices:
+        for j in indices:
+            if j - i >= 2:
+                u, v = gens[i], gens[j]
+                yield f"U_{i}*U_{j} = U_{j}*U_{i}", mul(u, v), mul(v, u)
+
+
+def compose_maps(u: Map, v: Map) -> Map:
+    """The map of the product U.V (V acts first)."""
+    tu, eu = u
+    tv, ev = v
+    return (
+        tuple(tu[j] for j in tv),
+        tuple(m + eu[j] for j, m in zip(tv, ev)),
+    )
+
+
+def map_witness(actual: Map, expected: Map) -> str:
+    """The first column where two maps differ, with both of its entries."""
+    from .laurent import LaurentPoly
+
+    (ta, ea), (te, ee) = actual, expected
+    i = next(c for c in range(len(ta)) if ta[c] != te[c] or ea[c] != ee[c])
+
+    def entry(row: int, m: int) -> str:
+        return f"{LaurentPoly.monomial('d', m)} in row {row}"
+
+    return (
+        f"first differing column {i}: expected {entry(te[i], ee[i])}, "
+        f"got {entry(ta[i], ea[i])}"
+    )
+
+
+def _checked(
+    relations: Iterable[tuple[str, T, T]], witness: Callable[[T, T], str]
+) -> tuple[tuple[tuple[str, bool], ...], tuple[tuple[str, str], ...]]:
+    """The entries and witnesses of a report: each relation passes when
+    its sides are equal, and a failed one is named by
+    ``witness(left, right)``."""
+    entries: list[tuple[str, bool]] = []
+    witnesses: list[tuple[str, str]] = []
+    for name, left, right in relations:
+        ok = left == right
+        entries.append((name, ok))
+        if not ok:
+            witnesses.append((name, witness(left, right)))
+        del left, right  # free these sides before the next relation is built
+    return tuple(entries), tuple(witnesses)
+
+
+def map_report(maps: Mapping[int, Map], size: int) -> Report:
+    """The relations of ``tl_relations`` on the generator maps (index ->
+    map on ``size`` columns), U_i U_{i+1} U_i before U_i U_{i-1} U_i.
+
+    Both sides of each relation are composed as maps and compared as
+    tuples, which is exact: every column holds one monomial with
+    coefficient 1.  A failed relation gets a witness naming the first
+    basis column (0-based) where the sides differ.
+    """
+    braided = [(i, i + step) for step in (1, -1) for i in sorted(maps)]
+    relations = tl_relations(
+        maps, braided, compose_maps, lambda u: (u[0], tuple(m + 1 for m in u[1]))
+    )
+    title = f"Temperley-Lieb relations, matrix level ({size}x{size})"
+    return title, *_checked(relations, map_witness)
+
+
+def diagram_report(dimension: int) -> Report:
+    """The relations of ``tl_relations`` on the generator diagrams of
+    ``dimension`` (at least 2), multiplied by stacking with their closed
+    loops counted, independently of any map; U_i U_{i+1} U_i and
+    U_i U_{i-1} U_i are checked for each i in turn.  A failed relation
+    gets a witness naming both of its sides as diagram lines."""
+    n = dimension
+    gens = {k: (generator_pairing(n, k), 0) for k in range(1, n)}
+    braided = [(i, j) for i in sorted(gens) for j in (i + 1, i - 1)]
+
+    def mul(u: Scaled, v: Scaled) -> Scaled:
+        # U.V stacks U on top of V; the loops of both factors carry over.
+        pairing, loops = _backend.compose_pairings(v[0], u[0], n)
+        return pairing, loops + u[1] + v[1]
+
+    def witness(actual: Scaled, expected: Scaled) -> str:
+        return f"expected {diagram_line(n, *expected)}, got {diagram_line(n, *actual)}"
+
+    relations = tl_relations(gens, braided, mul, lambda u: (u[0], u[1] + 1))
+    return "Temperley-Lieb relations, diagram level", *_checked(relations, witness)
+
+
+def report_lines(
+    title: str,
+    entries: Iterable[tuple[str, bool]],
+    witnesses: Iterable[tuple[str, str]],
+) -> list[str]:
+    """A report as text: the title, PASS or FAIL per relation with its
+    witness indented under a FAIL, and the overall result."""
+    found = dict(witnesses)
+    passed = True
+    out = [title]
+    for name, ok in entries:
+        passed = passed and ok
+        out.append(f"{name}: {'PASS' if ok else 'FAIL'}")
+        if not ok and name in found:
+            out.append(f"  {found[name]}")
+    out.append(f"overall: {'PASS' if passed else 'FAIL'}")
+    return out
+
+
+def verify_tl(dimension: int) -> tuple[bool, list[str]]:
+    """The text of ``tlkit verify --relations tl`` for a checked dimension
+    of at least 2, and whether every relation passed: the map report over
+    the identity-free basis in the representation order, then the diagram
+    report, each followed by an empty line.
+
+    The basis is the kernel walk's partner tuples, and each ideal block
+    is sorted by partner tuple, which is the canonical order, so the text
+    is that of ``representation.verify_tl_relations`` on
+    ``generator_matrices`` and of ``verify_tl_relations_diagrams``.
+    """
+    n = dimension
+    pairings = _backend.enumerate_pairings(n)
+    index = {p: i for i, p in enumerate(pairings)}
+    maps = [_backend.generator_map(pairings, index, k, n) for k in range(1, n)]
+    skip = index[identity_pairing(n)]
+    del index
+    order = [i for block in ideal_blocks(maps, pairings, skip) for i in block]
+    maps = renumbered(maps, order, len(pairings))
+    del pairings  # the checks read positions only
+    reports = [map_report(dict(enumerate(maps, start=1)), len(order)), diagram_report(n)]
+    lines: list[str] = []
+    for report in reports:
+        lines += report_lines(*report)
+        lines.append("")
+    return all(ok for _, entries, _ in reports for _, ok in entries), lines

@@ -1,0 +1,113 @@
+"""The base of the library's value types and the type and shape rule.
+
+``_Value`` gives the immutable value classes their equality, hash,
+``repr`` and pickling.  ``_require``, ``_integers``, ``_pairs`` and
+``_sequence`` check the arguments of every public entry point: a value
+of the wrong kind is a ValueError, never an AttributeError or TypeError
+from deeper down.  Each helper builds its message only on failure.  The
+size rule (``_integer``, ``_dimension``) is in ``_backend``.
+
+The module imports nothing from the package, so the modules of the
+bracket element route (``laurent`` and ``braids``) build their values
+without loading the diagram types.
+"""
+
+from __future__ import annotations
+
+import operator
+from collections.abc import Iterable
+
+
+def _require(value: object, kind: type | tuple[type, ...], message: str):
+    """``value`` if it is a ``kind``; otherwise ValueError, "``message``,
+    got ``value``"."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"{message}, got {value!r}")
+
+
+def _integers(values: Iterable[int], message: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; ValueError ``message`` unless it is
+    a sequence of integers."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(message) from None
+
+
+def _pairs(pairs: Iterable[tuple], first: type, second: type, message: str) -> tuple:
+    """``pairs`` as a tuple of (a, b) pairs, each a a ``first`` and each b
+    a ``second``; ValueError ``message`` otherwise, naming the first pair
+    that is not."""
+    try:
+        pairs = tuple((a, b) for a, b in pairs)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    for a, b in pairs:
+        if not (isinstance(a, first) and isinstance(b, second)):
+            raise ValueError(
+                f"{message}: ({a!r}, {b!r}) is not a "
+                f"({first.__name__}, {second.__name__}) pair"
+            )
+    return pairs
+
+
+def _sequence(
+    values: Iterable, kind: type, field: str, expected: object, message: str
+) -> tuple:
+    """``values`` as a tuple of ``kind`` values whose ``field`` equals
+    ``expected`` (diagrams of one dimension, polynomials in one variable),
+    checked in one pass; ValueError ``message`` otherwise, naming the
+    first value that is not."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{message}, got {values!r}") from None
+    key = operator.attrgetter(field)
+    for value in values:
+        if not (isinstance(value, kind) and key(value) == expected):
+            raise ValueError(f"{message}, got {value!r}")
+    return values
+
+
+class _Value:
+    """Base of the library's immutable value types.
+
+    A subclass names its compared fields in ``_fields``, declares them (and
+    any private state) in ``__slots__``, and stores them in its own
+    ``__init__`` through ``object.__setattr__``.  Two values are equal
+    when they have the same class and equal fields, and hash as the tuple
+    of their fields; ``repr`` reads ``Name(field=value, ...)``.  Setting or
+    deleting an attribute raises AttributeError.  ``copy`` and ``pickle``
+    rebuild a value by calling its class on the field values.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # A C-level getter of the field tuple keeps __eq__ and __hash__ fast.
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._key(self)

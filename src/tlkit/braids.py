@@ -17,9 +17,16 @@ that d, and the relation suite re-derives this mechanically.
 Products follow operator order (the right factor acts first): the image
 of a word is the ordered product of its letter images.  The element image
 applies them to the identity, last letter first, each U_i by its local
-rule (``_backend._apply_generator``); the matrix image is the same
-product of left-multiplication matrices on the identity-included basis,
-each read from the map ``composition._action`` keeps on the caller's basis.
+rule (``_backend._apply_generator``), on partner tuples: ``_image_terms``
+is the sorted list of (pairing, coefficient) terms, which ``braid_image``
+wraps in a ``TLElement`` and ``tlkit bracket`` prints through
+``_backend.diagram_line``.  So the element route loads ``_backend``,
+``_values``, ``laurent`` and this module alone; ``composition``,
+``diagrams``, ``elements`` and ``enumeration`` are imported where they
+are used, as are ``matrices`` and ``representation``.  The matrix image
+is the same product of left-multiplication matrices on the
+identity-included basis, each read from the map ``composition._action``
+keeps on the caller's basis.
 
 The matrix image is built, compared and printed as sparse columns: one
 dict per basis column, from row index to a nonzero entry.  U_i sends
@@ -51,19 +58,15 @@ import random
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence, TypeVar
 
-from ._backend import _apply_generator, _dimension, _integer
-from .composition import _action
-from .diagrams import PlanarDiagram, ScaledDiagram, _integers, _require, _Value, serialize
-from .elements import TLElement
-from .enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
+from ._backend import _apply_generator, _dimension, _integer, diagram_line, identity_pairing
+from ._values import _integers, _require, _Value
 from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
+    from .elements import TLElement
+    from .enumeration import DiagramBasis
     from .matrices import PolyMatrix
     from .representation import RelationReport
-
-# ``matrices`` and ``representation`` are imported where they are used, so
-# that ``bracket`` loads neither.
 
 K = TypeVar("K")
 
@@ -126,8 +129,19 @@ class BraidWord(_Value):
 def braid_image(word: BraidWord) -> TLElement:
     """The bracket image of the word, expanded and collected over the
     diagram basis with LaurentPoly(A) coefficients."""
+    from .diagrams import PlanarDiagram
+    from .elements import TLElement
+
     n = _require(word, BraidWord, "braid_image needs a BraidWord").strands
-    terms = {identity_diagram(n).pairing: LaurentPoly.one("A")}
+    trusted = PlanarDiagram._trusted
+    return TLElement(n, "A", tuple((trusted(n, p), c) for p, c in _image_terms(word)))
+
+
+def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
+    """The bracket image of a word as its nonzero terms (partner tuple,
+    coefficient), sorted by partner tuple: the canonical diagram order."""
+    n = word.strands
+    terms = {identity_pairing(n): LaurentPoly.one("A")}
     for letter in reversed(word.letters):
         # the letter is a.1 + b.U with a = A^shift and b = A^-shift
         shift = 1 if letter > 0 else -1
@@ -138,10 +152,7 @@ def braid_image(word: BraidWord) -> TLElement:
             q = c * with_loop if loops else c.shifted(-shift)
             updated[image] = updated[image] + q if image in updated else q
         terms = {p: c for p, c in updated.items() if not c.is_zero()}
-    trusted = PlanarDiagram._trusted
-    return TLElement(
-        n, "A", tuple((trusted(n, p), c) for p, c in sorted(terms.items()))
-    )
+    return sorted(terms.items())
 
 
 def _width(length: int) -> int:
@@ -158,6 +169,8 @@ def _packed_columns(
     the word's strand count, lifted by A^offset (``offset`` at least three
     times the word length) and evaluated at A = 2^width: ``columns[i][j]``
     is the nonzero packed entry in row j of column i."""
+    from .composition import _action
+
     start = 1 << width * (offset - 3 * len(word.letters))
     columns = [{i: start} for i in range(len(basis))]
     for letter in word.letters:
@@ -244,6 +257,7 @@ def _image_rows(word: BraidWord, basis: DiagramBasis) -> list[dict[int, str]]:
 def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     """The bracket image as a matrix over the identity-included canonical
     basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A))."""
+    from .enumeration import enumerate_diagrams
     from .matrices import PolyMatrix
 
     word = _require(word, BraidWord, "braid_image_matrix needs a BraidWord")
@@ -261,6 +275,8 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
     sigma_i sigma_i^-1 = 1 and seeded random words w of length up to
     max_len with w . w^-1 = 1.
     """
+    from .enumeration import enumerate_diagrams
+
     strands = _dimension(strands, "strand count", least=2)
     return _verify_artin(enumerate_diagrams(strands), max_len, seed)
 
@@ -336,7 +352,7 @@ def _element_difference(actual: TLElement, expected: TLElement) -> str | None:
     diagram = _first_difference(left, right)
     zero = LaurentPoly.zero("A")
     return (
-        f"first differing term {serialize(ScaledDiagram(diagram, 0))}: "
+        f"first differing term {diagram_line(diagram.dimension, diagram.pairing, 0)}: "
         f"expected {right.get(diagram, zero)}, got {left.get(diagram, zero)}"
     )
 

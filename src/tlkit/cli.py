@@ -361,41 +361,34 @@ def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
 
 def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
     from ._backend import _checked_dimension
-    from .enumeration import enumerate_diagrams
-    from .representation import (
-        generator_matrices,
-        verify_tl_relations,
-        verify_tl_relations_diagrams,
-    )
 
     _checked_dimension(args.dim, args.max_dim, least=2, override=_OVERRIDE)
-    basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
-    reports = []
+    ok, lines = True, []
     if args.relations in ("tl", "all"):
-        reports.append(verify_tl_relations(generator_matrices(basis)))
-        reports.append(verify_tl_relations_diagrams(args.dim))
+        # The TL relations run on partner tuples and positions alone.
+        from ._relations import verify_tl
+
+        ok, lines = verify_tl(args.dim)
     if args.relations in ("artin", "all"):
         from .braids import _verify_artin
+        from .enumeration import enumerate_diagrams
 
-        reports.append(_verify_artin(basis))
-    lines: list[str] = []
-    for report in reports:
-        lines.extend(report.lines())
-        lines.append("")
-    ok = all(report.passed for report in reports)
+        report = _verify_artin(enumerate_diagrams(args.dim, max_dimension=args.max_dim))
+        ok = report.passed and ok
+        lines += [*report.lines(), ""]
     return (EXIT_OK if ok else EXIT_VERIFICATION), "\n".join(lines)
 
 
 def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
-    from ._backend import _checked_dimension, _walk_dimension
-    from .braids import BraidWord, _image_rows, braid_image
-    from .diagrams import ScaledDiagram, serialize
-    from .enumeration import enumerate_diagrams
+    from ._backend import _checked_dimension, _walk_dimension, diagram_line
+    from .braids import BraidWord, _image_rows, _image_terms
 
     _checked_dimension(args.strands, args.max_dim, "strand count", override=_OVERRIDE)
 
     word = BraidWord.from_text(args.strands, args.word)
     if args.matrix:
+        from .enumeration import enumerate_diagrams
+
         # The matrix is over the basis, which the walk lists.
         _walk_dimension(args.strands, "strand count")
         basis = enumerate_diagrams(args.strands, max_dimension=args.max_dim)
@@ -404,13 +397,13 @@ def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
             f"{args.strands} strands, {len(basis)}x{len(basis)}, entries in A"
         )
         return EXIT_OK, _sparse_csv(len(basis), [(header, _image_rows(word, basis))])
-    element = braid_image(word)
+    # The element form runs on partner tuples: no diagram module is loaded.
     lines = [
         f"# bracket image of {word.to_text() or '(empty word)'} on "
         f"{args.strands} strands, d = -A^2-A^-2"
     ]
-    for diagram, coeff in element.terms:
-        lines.append(f"{coeff}\t{serialize(ScaledDiagram(diagram, 0))}")
+    for pairing, coeff in _image_terms(word):
+        lines.append(f"{coeff}\t{diagram_line(args.strands, pairing, 0)}")
     return EXIT_OK, "\n".join(lines) + "\n"
 
 

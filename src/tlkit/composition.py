@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING
 
 from . import _backend
 from ._backend import Map
-from .diagrams import PlanarDiagram, ScaledDiagram, _require
+from ._values import _require
+from .diagrams import PlanarDiagram, ScaledDiagram
 
 if TYPE_CHECKING:
     from .enumeration import DiagramBasis

@@ -23,19 +23,26 @@ enumeration cache):
     TL <N> m=<m> (<a1>,<b1>)(<a2>,<b2>)...
 
 with pairs sorted by smaller endpoint and the smaller endpoint written
-first, e.g. ``TL 4 m=2 (1,2)(3,8)(4,7)(5,6)``.
+first, e.g. ``TL 4 m=2 (1,2)(3,8)(4,7)(5,6)``.  ``serialize`` writes it
+through ``_backend.diagram_line``, which the CLI also calls on partner
+tuples.
+
+The value base ``_Value`` and the type checks the classes here use
+(``_require``, ``_integers``, ``_pairs``) live in ``tlkit._values``, so
+that the modules that need no diagram (``laurent``, ``braids``) do not
+load this one.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import re
 from collections.abc import Iterable, Mapping
 from itertools import chain
 from typing import Sequence
 
-from ._backend import _dimension, _integer, _line_prefix, _pair_texts
+from ._backend import _dimension, _integer, diagram_line
+from ._values import _integers, _pairs, _require, _Value
 
 
 def node_position(node: int, dimension: int) -> int:
@@ -50,106 +57,6 @@ def _node(value: int, dimension: int) -> int:
     if not 1 <= value <= 2 * dimension:
         raise ValueError(f"node {value} out of range 1..{2 * dimension}")
     return value
-
-
-# The type and shape rule of every public entry point: a value of the
-# wrong kind is a ValueError, never an AttributeError or TypeError from
-# deeper down.  Each helper builds its message only on failure.
-
-
-def _require(value: object, kind: type | tuple[type, ...], message: str):
-    """``value`` if it is a ``kind``; otherwise ValueError, "``message``,
-    got ``value``"."""
-    if isinstance(value, kind):
-        return value
-    raise ValueError(f"{message}, got {value!r}")
-
-
-def _integers(values: Iterable[int], message: str) -> tuple[int, ...]:
-    """``values`` as a tuple of ints; ValueError ``message`` unless it is
-    a sequence of integers."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        raise ValueError(message) from None
-
-
-def _pairs(pairs: Iterable[tuple], first: type, second: type, message: str) -> tuple:
-    """``pairs`` as a tuple of (a, b) pairs, each a a ``first`` and each b
-    a ``second``; ValueError ``message`` otherwise, naming the first pair
-    that is not."""
-    try:
-        pairs = tuple((a, b) for a, b in pairs)
-    except (TypeError, ValueError):
-        raise ValueError(message) from None
-    for a, b in pairs:
-        if not (isinstance(a, first) and isinstance(b, second)):
-            raise ValueError(
-                f"{message}: ({a!r}, {b!r}) is not a "
-                f"({first.__name__}, {second.__name__}) pair"
-            )
-    return pairs
-
-
-def _sequence(
-    values: Iterable, kind: type, field: str, expected: object, message: str
-) -> tuple:
-    """``values`` as a tuple of ``kind`` values whose ``field`` equals
-    ``expected`` (diagrams of one dimension, polynomials in one variable),
-    checked in one pass; ValueError ``message`` otherwise, naming the
-    first value that is not."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        raise ValueError(f"{message}, got {values!r}") from None
-    key = operator.attrgetter(field)
-    for value in values:
-        if not (isinstance(value, kind) and key(value) == expected):
-            raise ValueError(f"{message}, got {value!r}")
-    return values
-
-
-class _Value:
-    """Base of the library's immutable value types.
-
-    A subclass names its compared fields in ``_fields``, declares them (and
-    any private state) in ``__slots__``, and stores them in its own
-    ``__init__`` through ``object.__setattr__``.  Two values are equal
-    when they have the same class and equal fields, and hash as the tuple
-    of their fields; ``repr`` reads ``Name(field=value, ...)``.  Setting or
-    deleting an attribute raises AttributeError.  ``copy`` and ``pickle``
-    rebuild a value by calling its class on the field values.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...]
-
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        # A C-level getter of the field tuple keeps __eq__ and __hash__ fast.
-        cls._key = operator.attrgetter(*cls._fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        key = self._key
-        return key(self) == key(other)
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple[type, tuple]:
-        return type(self), self._key(self)
 
 
 def _check_involution(pairing: tuple[int, ...], dimension: int) -> None:
@@ -441,9 +348,7 @@ def _line_patterns() -> tuple[re.Pattern[str], re.Pattern[str]]:
 def serialize(scaled: ScaledDiagram) -> str:
     """One-line text form; parse() inverts it exactly."""
     diagram = _require(scaled, ScaledDiagram, "serialize needs a ScaledDiagram").diagram
-    dimension = diagram.dimension
-    pairs = "".join(map(operator.getitem, _pair_texts(dimension), diagram.pairing))
-    return _line_prefix(dimension, scaled.loop_exponent) + pairs
+    return diagram_line(diagram.dimension, diagram.pairing, scaled.loop_exponent)
 
 
 def parse(line: str) -> ScaledDiagram:

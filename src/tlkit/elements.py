@@ -12,8 +12,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ._backend import _dimension
+from ._values import _pairs, _require, _Value
 from .composition import compose
-from .diagrams import PlanarDiagram, _pairs, _require, _Value
+from .diagrams import PlanarDiagram
 from .laurent import _VARIABLES, LaurentPoly
 
 

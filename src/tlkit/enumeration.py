@@ -22,7 +22,8 @@ import functools
 
 from . import _backend
 from ._backend import _checked_dimension, _dimension, catalan
-from .diagrams import PlanarDiagram, _require, _sequence, _Value
+from ._values import _require, _sequence, _Value
+from .diagrams import PlanarDiagram
 
 
 class DiagramBasis(_Value):

@@ -8,6 +8,10 @@ anywhere.
 The text form used by the CLI writes terms in descending exponent order,
 e.g. ``d^2-2*d+1``, ``A+A^-1``, with the constants ``1`` and ``0`` as the
 bare digits.
+
+The module imports only ``_backend`` and ``_values`` from the package,
+so the element form of ``tlkit bracket`` computes with it without
+loading the diagram types.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ._backend import _integer
-from .diagrams import _pairs, _require, _Value
+from ._values import _pairs, _require, _Value
 
 
 #: The variables a polynomial may be written in.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .diagrams import _require, _sequence, _Value
+from ._values import _require, _sequence, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
 

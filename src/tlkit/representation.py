@@ -24,12 +24,17 @@ built on first use.  Products of generators are compositions of maps,
 (U.V) sends column i to row tU[tV[i]] with exponent eV[i] + eU[tV[i]],
 so the relation check compares tuples and multiplies no matrices.
 
-The defining relations are listed once, in ``_tl_relations``, over any
-generator values with a product and a scaling by d.  The map check
-(``verify_tl_relations``) passes the generator maps and ``_compose_maps``;
-the diagram check (``verify_tl_relations_diagrams``) passes the generator
-diagrams and ``compose_scaled``.  Each passes the U_i U_j U_i pairs in the
-order it prints them.
+The relation checks, the ideal blocks, the renumbering into the
+representation order and the generator's partner tuple are kernels on
+partner tuples and positions in ``tlkit._relations``, which ``tlkit
+verify --relations tl`` runs without this module.  The functions here
+check their arguments and wrap the kernels' results in the library's
+values: ``verify_tl_relations`` runs ``map_report`` on the maps of its
+``GeneratorMatrix`` values, ``verify_tl_relations_diagrams`` runs
+``diagram_report``, ``RelationReport.lines`` prints through
+``report_lines``, ``_ideal_blocks`` calls ``ideal_blocks``,
+``_generator_maps`` calls ``renumbered`` and ``generator_diagram`` wraps
+``generator_pairing``.
 
 The action is each generator's local rule, the link-state action of
 arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
@@ -43,21 +48,28 @@ every generator matrix read it, as does the bracket matrix image.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable, Iterable, Iterator, Mapping
-from typing import TYPE_CHECKING, Sequence, TypeVar
+from collections.abc import Iterable
+from typing import TYPE_CHECKING, Sequence
 
-from ._backend import _dimension, _integer
-from .composition import Map, _action, compose, compose_scaled
-from .diagrams import PlanarDiagram, ScaledDiagram, _integers, _pairs, _require, _sequence, _Value
+from ._backend import Map, _dimension, _integer
+from ._relations import (
+    diagram_report,
+    generator_pairing,
+    ideal_blocks,
+    map_report,
+    renumbered,
+    report_lines,
+)
+from ._values import _integers, _pairs, _require, _sequence, _Value
+from .composition import _action, compose
+from .diagrams import PlanarDiagram, ScaledDiagram
 from .enumeration import DiagramBasis, identity_diagram
 
 if TYPE_CHECKING:
     from .matrices import PolyMatrix
 
 # ``laurent`` and ``matrices`` are imported where they are used, so that
-# checking the relations on maps (``verify --relations tl``) loads neither.
-
-T = TypeVar("T")
+# the library's relation checks load neither.
 
 
 class Generator(_Value):
@@ -80,12 +92,7 @@ def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
     k = _integer(k, "generator index")
     if not 1 <= k <= n - 1:
         raise ValueError(f"generator index {k} out of range 1..{n - 1}")
-    pairing = list(identity_diagram(n).pairing)
-    pairing[k - 1] = k + 1
-    pairing[k] = k
-    pairing[n + k - 1] = n + k + 1
-    pairing[n + k] = n + k
-    return PlanarDiagram._trusted(n, tuple(pairing))
+    return PlanarDiagram._trusted(n, generator_pairing(n, k))
 
 
 def generators(dimension: int) -> list[Generator]:
@@ -141,31 +148,8 @@ def _ideal_blocks(basis: DiagramBasis, include_identity: bool) -> list[list[int]
     action, each block and the list of blocks in canonical order.  The
     identity and its edges are left out unless it is included."""
     skip = -1 if include_identity else basis.index_of(identity_diagram(basis.dimension))
-    parent = list(range(len(basis)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for k in range(1, basis.dimension):
-        targets, _ = _action(basis, k)
-        for i, j in enumerate(targets):
-            if i != skip:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    grouped: dict[int, list[int]] = {}
-    for i in range(len(basis)):
-        if i != skip:
-            grouped.setdefault(find(i), []).append(i)
-
-    def key(i: int) -> tuple[int, ...]:
-        return basis[i].pairing
-
-    blocks = [sorted(block, key=key) for block in grouped.values()]
-    return sorted(blocks, key=lambda block: key(block[0]))
+    maps = [_action(basis, k) for k in range(1, basis.dimension)]
+    return ideal_blocks(maps, [d.pairing for d in basis], skip)
 
 
 def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> IdealPartition:
@@ -309,23 +293,12 @@ def _generator_maps(
     """The maps of U_k for k in ``indices``, renumbered into the
     representation order."""
     order = _order(basis, include_identity)
-    position = [0] * len(basis)
-    for new, old in enumerate(order):
-        position[old] = new
     basis_order = tuple(basis[i] for i in order)
-    out = []
-    for k in indices:
-        targets, exponents = _action(basis, k)
-        out.append(
-            GeneratorMatrix._trusted(
-                k,
-                include_identity,
-                basis_order,
-                tuple(position[targets[i]] for i in order),
-                tuple(exponents[i] for i in order),
-            )
-        )
-    return out
+    maps = renumbered([_action(basis, k) for k in indices], order, len(basis))
+    return [
+        GeneratorMatrix._trusted(k, include_identity, basis_order, targets, exponents)
+        for k, (targets, exponents) in zip(indices, maps)
+    ]
 
 
 def generator_matrix(
@@ -381,77 +354,13 @@ class RelationReport(_Value):
         return all(ok for _, ok in self.entries)
 
     def lines(self) -> list[str]:
-        witnesses = dict(self.witnesses)
-        out = [self.title]
-        for name, ok in self.entries:
-            out.append(f"{name}: {'PASS' if ok else 'FAIL'}")
-            if not ok and name in witnesses:
-                out.append(f"  {witnesses[name]}")
-        out.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return out
-
-
-def _compose_maps(u: Map, v: Map) -> Map:
-    """The map of the product U.V (V acts first)."""
-    tu, eu = u
-    tv, ev = v
-    return (
-        tuple(tu[j] for j in tv),
-        tuple(m + eu[j] for j, m in zip(tv, ev)),
-    )
-
-
-def _witness(actual: Map, expected: Map) -> str:
-    """The first column where two maps differ, with both of its entries."""
-    from .laurent import LaurentPoly
-
-    (ta, ea), (te, ee) = actual, expected
-    i = next(c for c in range(len(ta)) if ta[c] != te[c] or ea[c] != ee[c])
-
-    def entry(row: int, m: int) -> str:
-        return f"{LaurentPoly.monomial('d', m)} in row {row}"
-
-    return (
-        f"first differing column {i}: expected {entry(te[i], ee[i])}, "
-        f"got {entry(ta[i], ea[i])}"
-    )
-
-
-def _tl_relations(
-    gens: Mapping[int, T],
-    braided: Iterable[tuple[int, int]],
-    mul: Callable[[T, T], T],
-    times_d: Callable[[T], T],
-) -> Iterator[tuple[str, T, T]]:
-    """The defining relations of TL_N(d) on the generator values ``gens``
-    (index -> value), one at a time as (name, left, right):
-
-        U_i^2       = d U_i     for each i
-        U_i U_j U_i = U_i       for each (i, j) in ``braided`` with U_j given
-        U_i U_j     = U_j U_i   for |i - j| >= 2
-
-    ``mul(u, v)`` is the product U.V (V acts first) and ``times_d(u)`` is
-    d.U.  ``braided`` lists the pairs with |i - j| = 1 in the order the
-    caller prints them.  Each side is built when its relation is reached.
-    """
-    indices = sorted(gens)
-    for i in indices:
-        u = gens[i]
-        yield f"U_{i}^2 = d*U_{i}", mul(u, u), times_d(u)
-    for i, j in braided:
-        if j in gens:
-            u = gens[i]
-            yield f"U_{i}*U_{j}*U_{i} = U_{i}", mul(u, mul(gens[j], u)), u
-    for i in indices:
-        for j in indices:
-            if j - i >= 2:
-                u, v = gens[i], gens[j]
-                yield f"U_{i}*U_{j} = U_{j}*U_{i}", mul(u, v), mul(v, u)
+        return report_lines(self.title, self.entries, self.witnesses)
 
 
 def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
-    """Check the relations of ``_tl_relations`` on the generator maps,
-    U_i U_{i+1} U_i before U_i U_{i-1} U_i.
+    """Check the relations of ``_relations.tl_relations`` on the generator
+    maps (``_relations.map_report``), U_i U_{i+1} U_i before
+    U_i U_{i-1} U_i.
 
     Both sides of each relation are composed as maps and compared as
     tuples, which is exact: every column holds one monomial with
@@ -474,36 +383,13 @@ def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
         if m.generator_index in maps:
             raise ValueError(f"generator index {m.generator_index} is repeated")
         maps[m.generator_index] = (m.targets, m.exponents)
-    braided = [(i, i + step) for step in (1, -1) for i in sorted(maps)]
-    relations = _tl_relations(
-        maps, braided, _compose_maps, lambda u: (u[0], tuple(m + 1 for m in u[1]))
-    )
-    entries: list[tuple[str, bool]] = []
-    witnesses: list[tuple[str, str]] = []
-    for name, left, right in relations:
-        ok = left == right
-        entries.append((name, ok))
-        if not ok:
-            witnesses.append((name, _witness(left, right)))
-        del left, right  # free these maps before the next relation is built
-    size = len(order)
-    return RelationReport(
-        f"Temperley-Lieb relations, matrix level ({size}x{size})",
-        tuple(entries),
-        tuple(witnesses),
-    )
+    return RelationReport(*map_report(maps, len(order)))
 
 
 def verify_tl_relations_diagrams(dimension: int) -> RelationReport:
-    """The relations of ``_tl_relations`` checked directly on diagrams via
-    composition, independently of any matrix; U_i U_{i+1} U_i and
-    U_i U_{i-1} U_i are checked for each i in turn."""
-    gens = {g.index: ScaledDiagram(g.diagram) for g in generators(dimension)}
-    braided = [(i, j) for i in sorted(gens) for j in (i + 1, i - 1)]
-    relations = _tl_relations(
-        gens, braided, lambda u, v: compose_scaled(v, u), lambda u: u.with_extra_loops(1)
-    )
-    return RelationReport(
-        "Temperley-Lieb relations, diagram level",
-        tuple((name, left == right) for name, left, right in relations),
-    )
+    """The relations of ``_relations.tl_relations`` checked directly on
+    the generator diagrams by stacking, independently of any matrix
+    (``_relations.diagram_report``); U_i U_{i+1} U_i and U_i U_{i-1} U_i
+    are checked for each i in turn.  A failed relation gets a witness
+    naming both of its sides as diagram lines."""
+    return RelationReport(*diagram_report(_dimension(dimension, least=2)))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlkit import braids
+from tlkit import braids, composition
 from tlkit.braids import (
     BraidWord,
     _image_columns,
@@ -332,13 +332,14 @@ def test_verify_artin_names_a_differing_element_term(monkeypatch):
 
 
 def test_verify_artin_reports_a_wrong_action(monkeypatch):
-    original = braids._action
+    # ``_packed_columns`` reads ``composition._action`` at call time.
+    original = composition._action
 
     def skewed(basis, index):
         targets, exponents = original(basis, index)
         return targets, (exponents[0] + 1,) + exponents[1:]
 
-    monkeypatch.setattr(braids, "_action", skewed)
+    monkeypatch.setattr(composition, "_action", skewed)
     assert not verify_artin(4).passed
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tlkit
-from tlkit import cli, representation
+from tlkit import _backend, _relations, cli, representation
 from tlkit.braids import BraidWord, verify_artin
 from tlkit.composition import compose
 from tlkit.diagrams import (
@@ -552,6 +552,7 @@ class TestStartup:
             ["enumerate", "--dim", "3", "--cache", "{tmp}/cold"],
             ["enumerate", "--dim", "3", "--cache", "{tmp}/warm"],
             ["compose", "--dim", "2", "--lhs", "TL 2 m=0 (1,2)(3,4)", "--rhs", "TL 2 m=1 (1,3)(2,4)"],
+            ["verify", "--dim", "4"],
         ],
     )
     def test_subcommand_loads_only_its_modules(self, args, tmp_path):
@@ -578,14 +579,16 @@ class TestStartup:
             # Every enumerate route and the composition table run on the
             # kernel module alone.
             assert loaded == {"tlkit", "tlkit.cli", "tlkit._backend"}
+        elif args[0] == "verify":
+            # The TL relations run on the kernel and relation modules alone.
+            assert loaded == {"tlkit", "tlkit.cli", "tlkit._backend", "tlkit._relations"}
         elif args[0] == "compose":
             # Two operands are composed without a basis.
             assert loaded >= {"tlkit.cli", "tlkit.diagrams", "tlkit.composition"}
             unused.add("enumeration")
         else:
             assert loaded >= {"tlkit.cli", "tlkit.enumeration"}
-        if args[0] != "verify":
-            unused.add("representation")
+        unused.add("representation")
         assert not loaded & {f"tlkit.{name}" for name in unused}
         assert "dataclasses" not in loaded
         assert result.stdout == run_cli(args)[1]
@@ -604,6 +607,16 @@ class TestStartup:
         loaded = set(result.stderr.split())
         assert "tlkit.braids" in loaded
         assert not loaded & {"tlkit.representation", "tlkit.matrices"}
+        if not matrix:
+            # The element form runs on partner tuples: no diagram module.
+            assert loaded == {
+                "tlkit",
+                "tlkit.cli",
+                "tlkit._backend",
+                "tlkit._values",
+                "tlkit.laurent",
+                "tlkit.braids",
+            }
         assert result.stdout == run_cli(args)[1]
 
     @pytest.mark.parametrize("flag", ["--version", "--help"])
@@ -826,22 +839,23 @@ class TestVerify:
         assert lines[-1] == "overall: PASS"
 
     def test_failure_exit_code(self, monkeypatch):
-        broken = RelationReport("forced", (("forced check", False),))
-        monkeypatch.setattr(representation, "verify_tl_relations", lambda m: broken)
+        broken = ("forced", (("forced check", False),), ())
+        monkeypatch.setattr(_relations, "map_report", lambda maps, size: broken)
         code, out = run_cli(["verify", "--dim", "2"])
         assert code == cli.EXIT_VERIFICATION
         assert "forced check: FAIL" in out
 
     def test_failure_prints_witness(self, monkeypatch):
-        def corrupted(basis, include_identity=False):
-            mats = generator_matrices(basis, include_identity)
-            u = mats[0]
-            # column 0 maps to row 1 without a loop; send it to itself
-            targets = (0,) + u.targets[1:]
-            mats[0] = GeneratorMatrix(1, False, u.basis_order, targets, u.exponents)
-            return mats
+        original = _relations.renumbered
 
-        monkeypatch.setattr(representation, "generator_matrices", corrupted)
+        def corrupted(maps, order, size):
+            out = original(maps, order, size)
+            targets, exponents = out[0]
+            # column 0 maps to row 1 without a loop; send it to itself
+            out[0] = ((0,) + targets[1:], exponents)
+            return out
+
+        monkeypatch.setattr(_relations, "renumbered", corrupted)
         code, out = run_cli(["verify", "--dim", "3"])
         assert code == cli.EXIT_VERIFICATION
         lines = out.splitlines()
@@ -849,6 +863,30 @@ class TestVerify:
         assert lines[at + 1] == (
             "  first differing column 0: expected d in row 0, got 1 in row 0"
         )
+
+    def test_diagram_failure_prints_both_sides(self, monkeypatch):
+        original = _backend.compose_pairings
+
+        def loopless(bottom, top, dimension):
+            return original(bottom, top, dimension)[0], 0
+
+        monkeypatch.setattr(_backend, "compose_pairings", loopless)
+        code, out = run_cli(["verify", "--dim", "3"])
+        assert code == cli.EXIT_VERIFICATION
+        lines = out.splitlines()
+        diagram = lines[lines.index("Temperley-Lieb relations, diagram level") :]
+        # U_k^2 loses its loop; the braided relations close none
+        assert diagram[1:] == [
+            "U_1^2 = d*U_1: FAIL",
+            "  expected TL 3 m=1 (1,2)(3,6)(4,5), got TL 3 m=0 (1,2)(3,6)(4,5)",
+            "U_2^2 = d*U_2: FAIL",
+            "  expected TL 3 m=1 (1,4)(2,3)(5,6), got TL 3 m=0 (1,4)(2,3)(5,6)",
+            "U_1*U_2*U_1 = U_1: PASS",
+            "U_2*U_1*U_2 = U_2: PASS",
+            "overall: FAIL",
+        ]
+        # The map check reads no composition and still passes.
+        assert "overall: PASS" in lines[: lines.index(diagram[0])]
 
 
 class TestBracket:

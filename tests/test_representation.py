@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlkit import _backend
+from tlkit import _backend, _relations
 from tlkit.braids import verify_artin
 from tlkit.composition import compose
 from tlkit.diagrams import ConnectabilityMatrix, connectability
@@ -127,6 +127,20 @@ def test_partition_matches_bottom_pattern_oracle(n, include_identity, shuffled):
                 index[product.diagram],
                 product.loop_exponent,
             )
+
+
+@pytest.mark.parametrize("include_identity", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ideal_blocks_on_the_kernel_walk_match_the_oracle(n, include_identity):
+    pairings = _backend.enumerate_pairings(n)
+    index = {p: i for i, p in enumerate(pairings)}
+    maps = [_backend.generator_map(pairings, index, k, n) for k in range(1, n)]
+    skip = -1 if include_identity else index[_backend.identity_pairing(n)]
+    blocks = _relations.ideal_blocks(maps, pairings, skip)
+    expected = bottom_pattern_partition(enumerate_diagrams(n), include_identity)
+    assert {frozenset(pairings[i] for i in block) for block in blocks} == {
+        frozenset(d.pairing for d in block) for block in expected
+    }
 
 
 def test_generator_matrices_make_no_compositions(monkeypatch):
@@ -426,6 +440,29 @@ class TestVerifyRelations:
     def test_diagram_level(self, n):
         report = verify_tl_relations_diagrams(n)
         assert report.passed, report.lines()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_kernel_route_prints_the_library_reports(self, n):
+        reports = [
+            verify_tl_relations(generator_matrices(enumerate_diagrams(n))),
+            verify_tl_relations_diagrams(n),
+        ]
+        lines = [line for report in reports for line in (*report.lines(), "")]
+        assert _relations.verify_tl(n) == (True, lines)
+
+    def test_diagram_witness_names_both_sides(self, monkeypatch):
+        original = _backend.compose_pairings
+
+        def extra_loop(bottom, top, dimension):
+            pairing, loops = original(bottom, top, dimension)
+            return pairing, loops + 1
+
+        monkeypatch.setattr(_backend, "compose_pairings", extra_loop)
+        report = verify_tl_relations_diagrams(2)
+        assert report.entries == (("U_1^2 = d*U_1", False),)
+        assert report.witnesses == (
+            ("U_1^2 = d*U_1", "expected TL 2 m=1 (1,2)(3,4), got TL 2 m=2 (1,2)(3,4)"),
+        )
 
     def test_dim2_single_relation(self):
         report = verify_tl_relations(generator_matrices(enumerate_diagrams(2)))

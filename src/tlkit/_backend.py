@@ -60,7 +60,8 @@ the diagram line format (``_pair_texts``, ``_line_prefix`` and
 ``diagram_line``, the one formatter of a whole line, which
 ``diagrams.serialize`` and the ``bracket`` element route both call).
 Every route of those two commands loads this module and ``tlkit.cli``
-alone; ``verify --relations tl`` adds ``tlkit._relations``.
+alone, besides ``tlkit._table``, the runner of ``compose``;
+``verify --relations tl`` adds ``tlkit._relations``.
 """
 
 from __future__ import annotations

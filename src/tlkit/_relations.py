@@ -23,16 +23,21 @@ The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
 alone: it lists the basis with ``_backend.enumerate_pairings``, builds
 the maps with ``_backend.generator_map``, and prints both reports with
-``report_lines``.  ``representation`` wraps the same kernels for its
-``GeneratorMatrix`` and ``RelationReport`` values.
+``report_lines``.  ``_run_verify``, the runner of ``tlkit verify``,
+imports ``braids`` and ``enumeration`` only for the Artin relations.
+``representation`` wraps the same kernels for its ``GeneratorMatrix`` and
+``RelationReport`` values.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import _backend
 from ._backend import Map, diagram_line, identity_pairing
+
+if TYPE_CHECKING:
+    from argparse import Namespace
 
 T = TypeVar("T")
 
@@ -257,3 +262,19 @@ def verify_tl(dimension: int) -> tuple[bool, list[str]]:
         lines += report_lines(*report)
         lines.append("")
     return all(ok for _, entries, _ in reports for _, ok in entries), lines
+
+
+def _run_verify(args: Namespace) -> tuple[bool, str]:
+    """``tlkit verify`` on arguments ``tlkit.cli.run`` has checked: the
+    reports of the selected relations, and whether all of them passed."""
+    ok, lines = True, []
+    if args.relations in ("tl", "all"):
+        ok, lines = verify_tl(args.dim)
+    if args.relations in ("artin", "all"):
+        from .braids import _verify_artin
+        from .enumeration import enumerate_diagrams
+
+        report = _verify_artin(enumerate_diagrams(args.dim, max_dimension=args.max_dim))
+        ok = report.passed and ok
+        lines += [*report.lines(), ""]
+    return ok, "\n".join(lines)

@@ -28,28 +28,9 @@ is the same product of left-multiplication matrices on the
 identity-included basis, each read from the map ``composition._action``
 keeps on the caller's basis.
 
-The matrix image is built, compared and printed as sparse columns: one
-dict per basis column, from row index to a nonzero entry.  U_i sends
-column c to row t_c with loop exponent m_c, so right multiplication by a
-letter a.1 + b.U_i replaces column c by a.col_c + b.d^{m_c}.col_{t_c},
-with d = -A^2 - A^-2; an entry that cancels to zero is dropped, so equal
-images have equal columns.
-
-While it is built, each entry is one int by Kronecker substitution: the
-image of a word of L letters is lifted by A^{3L}, which makes every
-exponent lie in 0..6L, and A is set to 2^W, so an entry
-sum c_e A^e is packed as sum c_e 2^{W(e + 3L)}.  Lifted by A^3, the
-letter sigma_i^{+-1} is A^{3+-1}.1 + A^{3-+1}.U_i and its loop term is
-A^{3-+1}.d = -(A^{5-+1} + A^{1-+1}), so the column update is shifts and
-int additions.  Every coefficient is at most 3^L in absolute value (a
-letter's terms have coefficients summing to at most 3 in absolute
-value), and W = 2L + 2 bits keep each one below 2^{W-1}, so a packed
-value has exactly one balanced base-2^W digit per exponent and packing
-is exact: two entries are equal exactly when their packed values are.
-``_verify_artin`` compares packed columns, ``_image_rows`` decodes each
-distinct value once to its text for the CLI, and ``_image_columns``
-decodes them to LaurentPoly; ``braid_image_matrix`` is the dense matrix
-view of those columns.  (Kronecker substitution: Harvey, arXiv:0712.4046.)
+The matrix image lives in ``tlkit._packed``, which ``braid_image_matrix``,
+``_verify_artin`` and ``tlkit bracket --matrix`` import when they run,
+so the element form compiles none of it.
 """
 
 from __future__ import annotations
@@ -58,11 +39,20 @@ import random
 from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence, TypeVar
 
-from ._backend import _apply_generator, _dimension, _integer, diagram_line, identity_pairing
+from ._backend import (
+    _apply_generator,
+    _dimension,
+    _integer,
+    _walk_dimension,
+    diagram_line,
+    identity_pairing,
+)
 from ._values import _integers, _require, _Value
 from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
+    from argparse import Namespace
+
     from .elements import TLElement
     from .enumeration import DiagramBasis
     from .matrices import PolyMatrix
@@ -155,108 +145,10 @@ def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
     return sorted(terms.items())
 
 
-def _width(length: int) -> int:
-    """The bits per coefficient of a packed image of a word of ``length``
-    letters: its coefficients are at most 3^length < 2^(2 length + 1) in
-    absolute value."""
-    return 2 * length + 2
-
-
-def _packed_columns(
-    word: BraidWord, basis: DiagramBasis, width: int, offset: int
-) -> list[dict[int, int]]:
-    """The bracket image over ``basis``, the identity-included basis of
-    the word's strand count, lifted by A^offset (``offset`` at least three
-    times the word length) and evaluated at A = 2^width: ``columns[i][j]``
-    is the nonzero packed entry in row j of column i."""
-    from .composition import _action
-
-    start = 1 << width * (offset - 3 * len(word.letters))
-    columns = [{i: start} for i in range(len(basis))]
-    for letter in word.letters:
-        targets, exponents = _action(basis, abs(letter))
-        # lifted by A^3, the letter is A^(3+s).1 + A^(3-s).U with s = +-1,
-        # and U closes at most one loop, worth A^(3-s).d = -(A^(5-s) + A^(1-s))
-        s = 1 if letter > 0 else -1
-        straight, crossed = width * (3 + s), width * (3 - s)
-        high, low = width * (5 - s), width * (1 - s)
-        updated = []
-        for own, target, m in zip(columns, targets, exponents):
-            column = {row: p << straight for row, p in own.items()}
-            for row, p in columns[target].items():
-                q = -((p << high) + (p << low)) if m else p << crossed
-                if row in column:
-                    q += column[row]
-                    if not q:
-                        del column[row]
-                        continue
-                column[row] = q
-            updated.append(column)
-        columns = updated
-    return columns
-
-
-def _unpack(value: int, width: int, offset: int) -> LaurentPoly:
-    """The polynomial sum c_e A^e whose packed value is
-    sum c_e 2^{width (e + offset)}, every |c_e| below 2^(width - 1)."""
-    mask, half = (1 << width) - 1, 1 << width - 1
-    # the zero digits below the lowest term are skipped at once
-    skip = ((value & -value).bit_length() - 1) // width if value else 0
-    value >>= skip * width
-    exponent = skip - offset
-    coeffs = []
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= mask + 1
-        if digit:
-            coeffs.append((exponent, digit))
-        value = (value - digit) >> width
-        exponent += 1
-    return LaurentPoly._trusted("A", tuple(coeffs))
-
-
-def _image_columns(word: BraidWord, basis: DiagramBasis) -> list[dict[int, LaurentPoly]]:
-    """The bracket image over ``basis``, the identity-included basis of
-    the word's strand count, as sparse columns: ``columns[i][j]`` is the
-    nonzero entry in row j of column i."""
-    length = len(word.letters)
-    width, offset = _width(length), 3 * length
-    polys: dict[int, LaurentPoly] = {}
-    columns: list[dict[int, LaurentPoly]] = []
-    for packed in _packed_columns(word, basis, width, offset):
-        column: dict[int, LaurentPoly] = {}
-        for row, p in packed.items():
-            poly = polys.get(p)
-            if poly is None:
-                poly = polys[p] = _unpack(p, width, offset)
-            column[row] = poly
-        columns.append(column)
-    return columns
-
-
-def _image_rows(word: BraidWord, basis: DiagramBasis) -> list[dict[int, str]]:
-    """The same image as rows of entry texts: ``rows[j][i]`` is the text
-    of the nonzero entry in row j of column i.  Each distinct entry is
-    decoded once."""
-    length = len(word.letters)
-    width, offset = _width(length), 3 * length
-    texts: dict[int, str] = {}
-    rows: list[dict[int, str]] = [{} for _ in basis]
-    columns = _packed_columns(word, basis, width, offset)
-    for i, column in enumerate(columns):
-        for row, p in column.items():
-            text = texts.get(p)
-            if text is None:
-                text = texts[p] = str(_unpack(p, width, offset))
-            rows[row][i] = text
-        column.clear()  # each packed column is freed once it is read
-    return rows
-
-
 def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     """The bracket image as a matrix over the identity-included canonical
     basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A))."""
+    from ._packed import _image_columns
     from .enumeration import enumerate_diagrams
     from .matrices import PolyMatrix
 
@@ -284,6 +176,7 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
 def _verify_artin(basis: DiagramBasis, max_len: int = 6, seed: int = 0) -> RelationReport:
     """``verify_artin`` over a basis the caller built, of dimension at
     least 2; the CLI builds it under its own ceiling."""
+    from ._packed import _matrix_difference
     from .representation import RelationReport
 
     max_len = _integer(max_len, "max_len")
@@ -357,22 +250,23 @@ def _element_difference(actual: TLElement, expected: TLElement) -> str | None:
     )
 
 
-def _matrix_difference(w1: BraidWord, w2: BraidWord, basis: DiagramBasis) -> str | None:
-    """None if the two words have equal matrix images over ``basis``; else
-    their first differing column and row.  Both are packed under the
-    longer word's width and offset, so the shorter word's columns come out
-    lifted by A^(3 * the difference of the lengths), and they are compared
-    as ints: nothing is decoded unless they differ."""
-    length = max(len(w1.letters), len(w2.letters))
-    width, offset = _width(length), 3 * length
-    actual = _packed_columns(w1, basis, width, offset)
-    expected = _packed_columns(w2, basis, width, offset)
-    if actual == expected:
-        return None
-    i = next(i for i, (a, e) in enumerate(zip(actual, expected)) if a != e)
-    row = _first_difference(actual[i], expected[i])
-    got, want = actual[i].get(row, 0), expected[i].get(row, 0)
-    return (
-        f"first differing column {i}, row {row}: expected "
-        f"{_unpack(want, width, offset)}, got {_unpack(got, width, offset)}"
-    )
+def _run_bracket(args: Namespace) -> tuple[bool, str]:
+    """``tlkit bracket`` on arguments ``tlkit.cli.run`` has checked: the
+    image as terms, or with ``--matrix`` as a CSV over the basis."""
+    word = BraidWord.from_text(args.strands, args.word)
+    header = f"# bracket image of {word.to_text() or '(empty word)'} on {args.strands} strands"
+    if args.matrix:
+        from ._csv import sparse_csv
+        from ._packed import _image_rows
+        from .enumeration import enumerate_diagrams
+
+        # The matrix is over the basis, which the walk lists.
+        _walk_dimension(args.strands, "strand count")
+        basis = enumerate_diagrams(args.strands, max_dimension=args.max_dim)
+        header += f", {len(basis)}x{len(basis)}, entries in A"
+        return True, sparse_csv(len(basis), [(header, _image_rows(word, basis))])
+    # The element form runs on partner tuples: no diagram module is loaded.
+    lines = [header + ", d = -A^2-A^-2"]
+    for pairing, coeff in _image_terms(word):
+        lines.append(f"{coeff}\t{diagram_line(args.strands, pairing, 0)}")
+    return True, "\n".join(lines) + "\n"

@@ -7,23 +7,31 @@ testable.  Exit codes: 0 success, 1 validation or I/O failure, 2 usage error
 
 The enumeration ceiling defaults to dimension 12 and can be overridden
 with the TLKIT_MAX_DIM environment variable.
+
+One table, ``_COMMANDS``, lists every subcommand and its options.
+``_parse`` reads an argv written in the exact forms from it without
+importing argparse; anything else (help, ``--version``, an abbreviated
+option, a bad or missing value) goes to the argparse parser that
+``build_parser`` makes from the same table, which prints the help and
+the usage errors.  Each subcommand but ``enumerate`` is run by a
+function in the module whose code it drives, imported when it is
+dispatched, so a job compiles no other subcommand's runner.
 """
 
 from __future__ import annotations
 
-import argparse
+import importlib
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import __version__, kernel_backend
 
 if TYPE_CHECKING:
+    import argparse
     from mmap import mmap
-
-    from .diagrams import ScaledDiagram
-    from .representation import GeneratorMatrix
 
 # Each runner imports what it uses when it runs, so a process loads only
 # the modules of its own subcommand.  A function-level import also reads
@@ -61,28 +69,6 @@ def _ceiling_from_env() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"TLKIT_MAX_DIM must be an integer, got {raw!r}") from exc
-
-
-def _read_diagram_arg(value: str, dimension: int) -> ScaledDiagram:
-    """FILE_OR_INLINE: a path to a one-line diagram file, or the line itself."""
-    from .diagrams import parse
-
-    text = value
-    candidate = Path(value)
-    try:
-        is_file = candidate.is_file()
-    except OSError:
-        # Text the file system refuses as a name (too long, say) is no
-        # file name; parse it inline.
-        is_file = False
-    if is_file:
-        text = candidate.read_text(encoding="utf-8").strip()
-    scaled = parse(text)
-    if scaled.dimension != dimension:
-        raise ValueError(
-            f"diagram has dimension {scaled.dimension}, expected {dimension}"
-        )
-    return scaled
 
 
 def _basis_lines(dimension: int, max_dimension: int) -> str:
@@ -248,201 +234,174 @@ def _write_replacing(path: Path, text: str) -> None:
         raise
 
 
-def _run_enumerate(args: argparse.Namespace) -> tuple[int, str]:
+#: Subcommand -> (help, the module that runs it as ``_run_<subcommand>``,
+#: the least value of its size option, its options).  The size option
+#: comes first and ``_OUTPUT`` last.  An option is (flag, dest, kind,
+#: default, required, help): ``kind`` is the callable that converts its
+#: value, a tuple of the values it takes, or ``bool`` for a switch that
+#: takes none.
+_OUTPUT = ("--output", "output", Path, None, False, None)
+_COMMANDS = {
+    "enumerate": (
+        "list the diagram basis for a dimension",
+        "cli",
+        1,
+        (
+            ("--dim", "dim", int, None, True, None),
+            ("--count-only", "count_only", bool, False, False, None),
+            _OUTPUT,
+            ("--cache", "cache", Path, None, False, "cache directory for basis files"),
+        ),
+    ),
+    "compose": (
+        "compose two diagrams or print the full table",
+        "_table",
+        1,
+        (
+            ("--dim", "dim", int, None, True, None),
+            ("--lhs", "lhs", str, None, False, "diagram line or file; ends up at the bottom"),
+            ("--rhs", "rhs", str, None, False, "diagram line or file; stacked on top"),
+            ("--table", "table", bool, False, False, "full composition table as CSV"),
+            _OUTPUT,
+        ),
+    ),
+    "repr": (
+        "generator matrices over the diagram basis",
+        "representation",
+        2,
+        (
+            ("--dim", "dim", int, None, True, None),
+            ("--gen", "gen", str, "all", False, "generator index or 'all'"),
+            ("--include-identity", "include_identity", bool, False, False, None),
+            ("--eval-d", "eval_d", int, None, False, "evaluate entries at an integer d"),
+            _OUTPUT,
+        ),
+    ),
+    "verify": (
+        "check the defining relations",
+        "_relations",
+        2,
+        (
+            ("--dim", "dim", int, None, True, None),
+            ("--relations", "relations", ("tl", "artin", "all"), "tl", False, None),
+            _OUTPUT,
+        ),
+    ),
+    "bracket": (
+        "bracket image of a braid word",
+        "braids",
+        1,
+        (
+            ("--strands", "strands", int, None, True, None),
+            ("--word", "word", str, "", False, "comma-separated signed indices"),
+            ("--matrix", "matrix", bool, False, False, None),
+            _OUTPUT,
+        ),
+    ),
+    "draw": (
+        "TikZ or SVG figures",
+        "drawing",
+        1,
+        (
+            ("--dim", "dim", int, None, True, None),
+            ("--basis", "basis", bool, False, False, "draw the whole basis"),
+            ("--diagram", "diagram", str, None, False, "diagram line or file"),
+            ("--format", "fmt", ("tikz", "svg"), "tikz", False, None),
+            _OUTPUT,
+        ),
+    ),
+}
+
+# What a size error calls each size option.
+_SIZE_NAMES = {"dim": "dimension", "strands": "strand count"}
+
+
+def _run_enumerate(args: argparse.Namespace) -> tuple[bool, str]:
     # Every route runs on the kernel module alone: no diagram is made.
-    from ._backend import _checked_dimension, _walk_dimension, count_pairings
+    from ._backend import _walk_dimension, count_pairings
 
     # Both limits are checked before a cache directory is made.
-    dimension = _walk_dimension(_checked_dimension(args.dim, args.max_dim, override=_OVERRIDE))
+    dimension = _walk_dimension(args.dim)
     if args.count_only:
-        return EXIT_OK, f"{count_pairings(dimension)}\n"
+        return True, f"{count_pairings(dimension)}\n"
     if args.cache is not None:
-        return EXIT_OK, _cached_basis_lines(dimension, args.max_dim, args.cache)
-    return EXIT_OK, _basis_lines(dimension, args.max_dim)
-
-
-def _run_compose(args: argparse.Namespace) -> tuple[int, str]:
-    from ._backend import _checked_dimension
-
-    _checked_dimension(args.dim, args.max_dim, override=_OVERRIDE)
-    if args.table:
-        # The table runs on the kernel module alone: positions and partner
-        # tuples, no diagram or basis object.
-        from ._backend import enumerate_pairings, generator_map, identity_pairing, table_rows
-
-        n = args.dim
-        pairings = enumerate_pairings(n)
-        index = {p: i for i, p in enumerate(pairings)}
-        maps = [generator_map(pairings, index, k, n) for k in range(1, n)]
-        size = len(pairings)
-        # labels[m][r] is "row:loops" for d^m . D_r; stacking N-strand
-        # diagrams closes at most N // 2 loops, one per two middle nodes
-        labels = [
-            [f"{r}:{m}" for r in range(1, size + 1)] for m in range(n // 2 + 1)
-        ]
-        # Each row ends in its own newline, so the table is joined once.
-        lines = [f"lhs/rhs,{','.join(str(j) for j in range(1, size + 1))}\n"]
-        for i, (rows, loops) in enumerate(table_rows(maps, index[identity_pairing(n)]), start=1):
-            cells = [labels[m][r] for r, m in zip(rows, loops)]
-            lines.append(f"{i},{','.join(cells)}\n")
-        return EXIT_OK, "".join(lines)
-    if args.lhs is None or args.rhs is None:
-        raise ValueError("compose needs --table or both --lhs and --rhs")
-    from .composition import compose_scaled
-    from .diagrams import serialize
-
-    lhs = _read_diagram_arg(args.lhs, args.dim)
-    rhs = _read_diagram_arg(args.rhs, args.dim)
-    return EXIT_OK, serialize(compose_scaled(lhs, rhs)) + "\n"
-
-
-def _sparse_csv(size: int, blocks: Iterable[tuple[str, Iterable[Mapping[int, str]]]]) -> str:
-    """Square CSV blocks of ``size`` columns, each after its header line:
-    a row has the text ``row[i]`` in column i, listed in ascending i, and
-    0 in every other cell.  The text is one join of the headers, the
-    listed texts, separators and shared zero runs, so no cell list and no
-    row string is made."""
-    runs: dict[int, str] = {}  # "0," * k, made once per run length k
-    ends: dict[int, str] = {}  # the k zeros that end a row
-    last = size - 1
-    out: list[str] = []
-    for header, rows in blocks:
-        out.append(header + "\n")
-        for row in rows:
-            at = 0
-            for i, text in row.items():
-                if i > at:
-                    k = i - at
-                    out.append(runs.get(k) or runs.setdefault(k, "0," * k))
-                out.append(text)
-                out.append("," if i < last else "\n")
-                at = i + 1
-            if at < size:
-                k = size - at
-                out.append(ends.get(k) or ends.setdefault(k, "0," * (k - 1) + "0\n"))
-    return "".join(out)
-
-
-def _run_repr(args: argparse.Namespace) -> tuple[int, str]:
-    from ._backend import _checked_dimension
-    from .enumeration import enumerate_diagrams
-    from .laurent import LaurentPoly
-    from .representation import generator_matrices, generator_matrix
-
-    _checked_dimension(args.dim, args.max_dim, least=2, override=_OVERRIDE)
-    basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
-    if args.gen == "all":
-        selected = generator_matrices(basis, args.include_identity)
-    else:
-        try:
-            k = int(args.gen)
-        except ValueError:
-            raise ValueError(
-                f"generator index must be an integer or 'all', got {args.gen!r}"
-            ) from None
-        selected = [generator_matrix(k, basis, args.include_identity)]
-    d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d
-
-    def block(gm: GeneratorMatrix) -> tuple[str, list[dict[int, str]]]:
-        header = (
-            f"# generator U_{gm.generator_index}, dimension {args.dim}, "
-            f"basis size {gm.size}, identity "
-            f"{'included' if gm.include_identity else 'excluded'}"
-        )
-        # column i holds d^m, or eval_d^m, in row targets[i]
-        texts = {m: str(d**m) for m in set(gm.exponents)}
-        rows: list[dict[int, str]] = [{} for _ in range(gm.size)]
-        for i, (j, m) in enumerate(zip(gm.targets, gm.exponents)):
-            rows[j][i] = texts[m]
-        return header, rows
-
-    return EXIT_OK, _sparse_csv(selected[0].size, map(block, selected))
-
-
-def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
-    from ._backend import _checked_dimension
-
-    _checked_dimension(args.dim, args.max_dim, least=2, override=_OVERRIDE)
-    ok, lines = True, []
-    if args.relations in ("tl", "all"):
-        # The TL relations run on partner tuples and positions alone.
-        from ._relations import verify_tl
-
-        ok, lines = verify_tl(args.dim)
-    if args.relations in ("artin", "all"):
-        from .braids import _verify_artin
-        from .enumeration import enumerate_diagrams
-
-        report = _verify_artin(enumerate_diagrams(args.dim, max_dimension=args.max_dim))
-        ok = report.passed and ok
-        lines += [*report.lines(), ""]
-    return (EXIT_OK if ok else EXIT_VERIFICATION), "\n".join(lines)
-
-
-def _run_bracket(args: argparse.Namespace) -> tuple[int, str]:
-    from ._backend import _checked_dimension, _walk_dimension, diagram_line
-    from .braids import BraidWord, _image_rows, _image_terms
-
-    _checked_dimension(args.strands, args.max_dim, "strand count", override=_OVERRIDE)
-
-    word = BraidWord.from_text(args.strands, args.word)
-    if args.matrix:
-        from .enumeration import enumerate_diagrams
-
-        # The matrix is over the basis, which the walk lists.
-        _walk_dimension(args.strands, "strand count")
-        basis = enumerate_diagrams(args.strands, max_dimension=args.max_dim)
-        header = (
-            f"# bracket image of {word.to_text() or '(empty word)'} on "
-            f"{args.strands} strands, {len(basis)}x{len(basis)}, entries in A"
-        )
-        return EXIT_OK, _sparse_csv(len(basis), [(header, _image_rows(word, basis))])
-    # The element form runs on partner tuples: no diagram module is loaded.
-    lines = [
-        f"# bracket image of {word.to_text() or '(empty word)'} on "
-        f"{args.strands} strands, d = -A^2-A^-2"
-    ]
-    for pairing, coeff in _image_terms(word):
-        lines.append(f"{coeff}\t{diagram_line(args.strands, pairing, 0)}")
-    return EXIT_OK, "\n".join(lines) + "\n"
-
-
-def _run_draw(args: argparse.Namespace) -> tuple[int, str]:
-    from ._backend import _checked_dimension
-    from .drawing import emit_figure
-    from .enumeration import enumerate_diagrams
-
-    _checked_dimension(args.dim, args.max_dim, override=_OVERRIDE)
-
-    if args.basis:
-        basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
-        return EXIT_OK, emit_figure(tuple(basis), args.fmt)
-    if args.diagram is None:
-        raise ValueError("draw needs --basis or --diagram")
-    scaled = _read_diagram_arg(args.diagram, args.dim)
-    return EXIT_OK, emit_figure(scaled, args.fmt)
-
-
-_RUNNERS = {
-    "enumerate": _run_enumerate,
-    "compose": _run_compose,
-    "repr": _run_repr,
-    "verify": _run_verify,
-    "bracket": _run_bracket,
-    "draw": _run_draw,
-}
+        return True, _cached_basis_lines(dimension, args.max_dim, args.cache)
+    return True, _basis_lines(dimension, args.max_dim)
 
 
 def run(args: argparse.Namespace) -> tuple[int, str]:
     """Dispatch parsed arguments, with ``max_dim`` set to the dimension
-    ceiling; returns (exit code, output text)."""
-    runner = _RUNNERS.get(args.subcommand)
-    if runner is None:
+    ceiling; returns (exit code, output text).
+
+    The size option is checked against the ceiling here; the runner is
+    imported only now, and returns whether its checks passed and its
+    text."""
+    command = _COMMANDS.get(args.subcommand)
+    if command is None:
         raise ValueError(f"unknown subcommand {args.subcommand!r}")
-    return runner(args)
+    from ._backend import _checked_dimension
+
+    _, module, least, options = command
+    size = options[0][1]
+    _checked_dimension(getattr(args, size), args.max_dim, _SIZE_NAMES[size], least, _OVERRIDE)
+    if module == "cli":
+        runner = _run_enumerate
+    else:
+        runner = getattr(importlib.import_module(f".{module}", __package__), f"_run_{args.subcommand}")
+    passed, text = runner(args)
+    return (EXIT_OK if passed else EXIT_VERIFICATION), text
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """``argv`` parsed as ``build_parser()`` parses it, if it is written
+    in the exact forms: the subcommand first, then whole option names,
+    each value as ``--opt value`` (a value not starting with "-") or as
+    ``--opt=value``, and bare switches.  Values are converted and checked
+    as argparse does.  None for anything else: help, ``--version``, an
+    abbreviation, a value starting with "-", a bad or missing value, an
+    unknown token.  argparse then parses ``argv`` and prints what it
+    prints."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {option[0]: option for option in command[3]}
+    values = {option[1]: option[3] for option in command[3]}
+    missing = {option[1] for option in command[3] if option[4]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        option = options.get(flag)
+        if option is None:
+            return None
+        _, dest, kind, _, _, _ = option
+        if kind is bool:
+            if equals:
+                return None
+            values[dest] = True
+            continue
+        if not equals:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                return None
+        values[dest] = value
+        missing.discard(dest)
+    if missing:
+        return None
+    return SimpleNamespace(subcommand=argv[0], **values)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``_COMMANDS``, for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tlkit",
         description="Temperley-Lieb planar diagrams: enumeration, composition, "
@@ -454,51 +413,28 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"tlkit {__version__} ({kernel_backend()} kernels)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("enumerate", help="list the diagram basis for a dimension")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--output", type=Path)
-    p.add_argument("--cache", type=Path, help="cache directory for basis files")
-
-    p = sub.add_parser("compose", help="compose two diagrams or print the full table")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--lhs", help="diagram line or file; ends up at the bottom")
-    p.add_argument("--rhs", help="diagram line or file; stacked on top")
-    p.add_argument("--table", action="store_true", help="full composition table as CSV")
-    p.add_argument("--output", type=Path)
-
-    p = sub.add_parser("repr", help="generator matrices over the diagram basis")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--gen", default="all", help="generator index or 'all'")
-    p.add_argument("--include-identity", action="store_true")
-    p.add_argument("--eval-d", type=int, help="evaluate entries at an integer d")
-    p.add_argument("--output", type=Path)
-
-    p = sub.add_parser("verify", help="check the defining relations")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--relations", choices=["tl", "artin", "all"], default="tl")
-    p.add_argument("--output", type=Path)
-
-    p = sub.add_parser("bracket", help="bracket image of a braid word")
-    p.add_argument("--strands", type=int, required=True)
-    p.add_argument("--word", default="", help="comma-separated signed indices")
-    p.add_argument("--matrix", action="store_true")
-    p.add_argument("--output", type=Path)
-
-    p = sub.add_parser("draw", help="TikZ or SVG figures")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--basis", action="store_true", help="draw the whole basis")
-    p.add_argument("--diagram", help="diagram line or file")
-    p.add_argument("--format", dest="fmt", choices=["tikz", "svg"], default="tikz")
-    p.add_argument("--output", type=Path)
-
+    for name, (text, _, _, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for flag, dest, kind, default, required, text in options:
+            if kind is bool:
+                p.add_argument(flag, dest=dest, action="store_true", help=text)
+                continue
+            choices = kind if isinstance(kind, tuple) else None
+            convert = None if choices or kind is str else kind
+            p.add_argument(
+                flag, dest=dest, type=convert, choices=choices, default=default, required=required, help=text
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _main(build_parser().parse_args(argv))
+        if argv is None:
+            argv = sys.argv[1:]
+        args = _parse(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
+        return _main(args)
     except KeyboardInterrupt:
         # Ctrl-C: the shell's exit status for SIGINT, and no traceback.
         print("error: interrupted", file=sys.stderr)

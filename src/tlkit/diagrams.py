@@ -383,3 +383,27 @@ def parse(line: str) -> ScaledDiagram:
     if not is_noncrossing(pairing, dimension):
         raise ValueError("pairing has crossing strands")
     return ScaledDiagram(PlanarDiagram._trusted(dimension, tuple(pairing)), loop_exponent)
+
+
+def _read_diagram_arg(value: str, dimension: int) -> ScaledDiagram:
+    """A diagram argument of ``tlkit compose`` or ``tlkit draw``
+    (FILE_OR_INLINE): a path to a one-line diagram file, or the line
+    itself, of the given dimension."""
+    from pathlib import Path
+
+    text = value
+    candidate = Path(value)
+    try:
+        is_file = candidate.is_file()
+    except OSError:
+        # Text the file system refuses as a name (too long, say) is no
+        # file name; parse it inline.
+        is_file = False
+    if is_file:
+        text = candidate.read_text(encoding="utf-8").strip()
+    scaled = parse(text)
+    if scaled.dimension != dimension:
+        raise ValueError(
+            f"diagram has dimension {scaled.dimension}, expected {dimension}"
+        )
+    return scaled

@@ -14,9 +14,12 @@ of each format lives in its ``_Format`` table, ``_TIKZ`` or ``_SVG``.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .diagrams import PlanarDiagram, ScaledDiagram
+from .diagrams import PlanarDiagram, ScaledDiagram, _read_diagram_arg
+
+if TYPE_CHECKING:
+    from argparse import Namespace
 
 
 def _as_scaled(item: PlanarDiagram | ScaledDiagram) -> ScaledDiagram:
@@ -127,3 +130,16 @@ def emit_figure(
     table = _FORMATS[fmt]
     figures = [_figure(table, s, i) for i, s in enumerate(scaled)]
     return table.page(figures, table.step * (max(s.dimension for s in scaled) + 1))
+
+
+def _run_draw(args: Namespace) -> tuple[bool, str]:
+    """``tlkit draw`` on arguments ``tlkit.cli.run`` has checked: the
+    basis, or one diagram argument, as a figure."""
+    if args.basis:
+        from .enumeration import enumerate_diagrams
+
+        basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
+        return True, emit_figure(tuple(basis), args.fmt)
+    if args.diagram is None:
+        raise ValueError("draw needs --basis or --diagram")
+    return True, emit_figure(_read_diagram_arg(args.diagram, args.dim), args.fmt)

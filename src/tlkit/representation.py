@@ -66,6 +66,8 @@ from .diagrams import PlanarDiagram, ScaledDiagram
 from .enumeration import DiagramBasis, identity_diagram
 
 if TYPE_CHECKING:
+    from argparse import Namespace
+
     from .matrices import PolyMatrix
 
 # ``laurent`` and ``matrices`` are imported where they are used, so that
@@ -393,3 +395,39 @@ def verify_tl_relations_diagrams(dimension: int) -> RelationReport:
     are checked for each i in turn.  A failed relation gets a witness
     naming both of its sides as diagram lines."""
     return RelationReport(*diagram_report(_dimension(dimension, least=2)))
+
+
+def _run_repr(args: Namespace) -> tuple[bool, str]:
+    """``tlkit repr`` on arguments ``tlkit.cli.run`` has checked: the
+    selected generator matrices as CSV blocks."""
+    from ._csv import sparse_csv
+    from .enumeration import enumerate_diagrams
+    from .laurent import LaurentPoly
+
+    basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
+    if args.gen == "all":
+        selected = generator_matrices(basis, args.include_identity)
+    else:
+        try:
+            k = int(args.gen)
+        except ValueError:
+            raise ValueError(
+                f"generator index must be an integer or 'all', got {args.gen!r}"
+            ) from None
+        selected = [generator_matrix(k, basis, args.include_identity)]
+    d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d
+
+    def block(gm: GeneratorMatrix) -> tuple[str, list[dict[int, str]]]:
+        header = (
+            f"# generator U_{gm.generator_index}, dimension {args.dim}, "
+            f"basis size {gm.size}, identity "
+            f"{'included' if gm.include_identity else 'excluded'}"
+        )
+        # column i holds d^m, or eval_d^m, in row targets[i]
+        texts = {m: str(d**m) for m in set(gm.exponents)}
+        rows: list[dict[int, str]] = [{} for _ in range(gm.size)]
+        for i, (j, m) in enumerate(zip(gm.targets, gm.exponents)):
+            rows[j][i] = texts[m]
+        return header, rows
+
+    return True, sparse_csv(selected[0].size, map(block, selected))

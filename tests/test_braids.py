@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlkit import braids, composition
-from tlkit.braids import (
-    BraidWord,
+from tlkit import _packed, braids, composition
+from tlkit._packed import (
     _image_columns,
     _image_rows,
     _matrix_difference,
     _packed_columns,
     _unpack,
-    _verify_artin,
     _width,
+)
+from tlkit.braids import (
+    BraidWord,
+    _verify_artin,
     braid_image,
     braid_image_matrix,
     kauffman_loop_value,
@@ -292,7 +294,7 @@ def test_matrix_images_compare_across_lengths(n):
 
 
 def test_verify_artin_names_a_perturbed_packed_entry(monkeypatch):
-    original = braids._packed_columns
+    original = _packed._packed_columns
 
     def perturbed(word, basis, width, offset):
         columns = original(word, basis, width, offset)
@@ -301,7 +303,7 @@ def test_verify_artin_names_a_perturbed_packed_entry(monkeypatch):
             columns[0][0] += 1 << width * offset
         return columns
 
-    monkeypatch.setattr(braids, "_packed_columns", perturbed)
+    monkeypatch.setattr(_packed, "_packed_columns", perturbed)
     report = verify_artin(4)
     failed = [name for name, ok in report.entries if not ok]
     assert failed == ["sigma_2*sigma_2^-1 = 1"]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import tlkit
 from tlkit import _backend, _relations, cli, representation
+from tlkit._csv import sparse_csv
 from tlkit.braids import BraidWord, verify_artin
 from tlkit.composition import compose
 from tlkit.diagrams import (
@@ -119,6 +120,38 @@ class TestGolden:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1 == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "args,code,stream,golden",
+        [
+            (["--help"], 0, "out", "help_tlkit.txt"),
+            *(
+                ([name, "--help"], 0, "out", f"help_{name}.txt")
+                for name in ("enumerate", "compose", "repr", "verify", "bracket", "draw")
+            ),
+            (["--version"], 0, "out", "version.txt"),
+            (["enumerate"], 2, "err", "usage_enumerate_no_dim.txt"),
+            (["enumerate", "--dim", "x"], 2, "err", "usage_enumerate_dim_x.txt"),
+            (["verify", "--dim", "3", "--relations", "foo"], 2, "err", "usage_verify_relations_foo.txt"),
+            (["bogus"], 2, "err", "usage_bogus.txt"),
+            # argparse takes "-1", which looks like a negative number, as
+            # the value; the plain parser leaves every "-" value to it
+            (["bracket", "--strands", "3", "--word", "-1"], 0, "out", "bracket_3_dash_word.txt"),
+            # an abbreviation of --dim and of --count-only
+            (["enumerate", "--di", "3", "--count"], 0, "out", "enumerate_abbreviated.txt"),
+        ],
+    )
+    def test_front_end_matches_golden(self, args, code, stream, golden, monkeypatch, capsys):
+        # Help and usage lines are wrapped to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            exit_code = cli.main(args)
+        except SystemExit as exc:
+            exit_code = exc.code
+        out, err = capsys.readouterr()
+        assert exit_code == code
+        expected = (GOLDEN / golden).read_text(encoding="utf-8")
+        assert (out, err) == ((expected, "") if stream == "out" else ("", expected))
 
 
 class TestEnumerate:
@@ -292,7 +325,7 @@ class TestEnumerate:
         def interrupted(args):
             raise KeyboardInterrupt
 
-        monkeypatch.setitem(cli._RUNNERS, "enumerate", interrupted)
+        monkeypatch.setattr(cli, "_run_enumerate", interrupted)
         assert cli.main(["enumerate", "--dim", "3"]) == cli.EXIT_INTERRUPTED == 130
         assert capsys.readouterr() == ("", "error: interrupted\n")
 
@@ -532,6 +565,26 @@ class TestStartup:
         )
         assert result.stdout == "False python\n"
 
+    #: Standard modules that a valid invocation leaves unloaded: the
+    #: dataclasses machinery, and the argparse parser with the gettext and
+    #: locale modules its messages pull in.
+    FRONT_END = {"dataclasses", "argparse", "gettext", "locale"}
+
+    #: Runs ``main`` on the probe's arguments and prints to stderr the
+    #: tlkit modules loaded, and the ``FRONT_END`` modules loaded that were
+    #: not already imported at interpreter start (a host's ``site`` may
+    #: import them).
+    LOADED = (
+        "import sys\n"
+        f"preloaded = {sorted(FRONT_END)!r}\n"
+        "preloaded = {m for m in preloaded if m in sys.modules}\n"
+        "from tlkit.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"loaded = [m for m in sys.modules if m.startswith('tlkit') or m in {sorted(FRONT_END)!r}]\n"
+        "print(*(m for m in loaded if m not in preloaded), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
     @staticmethod
     def fresh_python(probe, *args):
         """Run ``probe`` in a new interpreter that imports this tlkit."""
@@ -559,56 +612,40 @@ class TestStartup:
         args = [arg.format(tmp=tmp_path) for arg in args]
         if args[-1].endswith("warm"):
             run_cli(args)  # fills the cache, so the probe reads a hit
-        # ``dataclasses`` counts as loaded only if it was not already
-        # imported at interpreter start (a host's ``site`` may import it).
-        probe = (
-            "import sys\n"
-            "preloaded = 'dataclasses' in sys.modules\n"
-            "from tlkit.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "loaded = [m for m in sys.modules if m.startswith('tlkit')]\n"
-            "if 'dataclasses' in sys.modules and not preloaded:\n"
-            "    loaded.append('dataclasses')\n"
-            "print(*loaded, file=sys.stderr)\n"
-            "sys.exit(code)\n"
-        )
-        result = self.fresh_python(probe, *args)
+        result = self.fresh_python(self.LOADED, *args)
         loaded = set(result.stderr.split())
-        unused = {"braids", "laurent", "matrices", "drawing"}
-        if args[0] == "enumerate" or "--table" in args:
-            # Every enumerate route and the composition table run on the
-            # kernel module alone.
+        unused = {"braids", "laurent", "matrices", "drawing", "_packed", "_csv"}
+        if args[0] == "enumerate":
+            # Every enumerate route runs on the kernel module alone.
             assert loaded == {"tlkit", "tlkit.cli", "tlkit._backend"}
+        elif "--table" in args:
+            # So does the composition table, besides its runner's module.
+            assert loaded == {"tlkit", "tlkit.cli", "tlkit._backend", "tlkit._table"}
         elif args[0] == "verify":
             # The TL relations run on the kernel and relation modules alone.
             assert loaded == {"tlkit", "tlkit.cli", "tlkit._backend", "tlkit._relations"}
-        elif args[0] == "compose":
-            # Two operands are composed without a basis.
-            assert loaded >= {"tlkit.cli", "tlkit.diagrams", "tlkit.composition"}
-            unused.add("enumeration")
         else:
-            assert loaded >= {"tlkit.cli", "tlkit.enumeration"}
+            # Two operands are composed without a basis.
+            assert loaded >= {"tlkit.cli", "tlkit._table", "tlkit.diagrams", "tlkit.composition"}
+            unused.add("enumeration")
         unused.add("representation")
         assert not loaded & {f"tlkit.{name}" for name in unused}
-        assert "dataclasses" not in loaded
+        assert not loaded & self.FRONT_END
         assert result.stdout == run_cli(args)[1]
 
     @pytest.mark.parametrize("matrix", [[], ["--matrix"]], ids=["element", "matrix"])
     def test_bracket_loads_neither_representation_nor_matrices(self, matrix):
         args = ["bracket", "--strands", "4", "--word=1,-2,3,-1", *matrix]
-        probe = (
-            "import sys\n"
-            "from tlkit.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(*(m for m in sys.modules if m.startswith('tlkit')), file=sys.stderr)\n"
-            "sys.exit(code)\n"
-        )
-        result = self.fresh_python(probe, *args)
+        result = self.fresh_python(self.LOADED, *args)
         loaded = set(result.stderr.split())
         assert "tlkit.braids" in loaded
         assert not loaded & {"tlkit.representation", "tlkit.matrices"}
-        if not matrix:
-            # The element form runs on partner tuples: no diagram module.
+        assert not loaded & self.FRONT_END
+        if matrix:
+            assert loaded >= {"tlkit._packed", "tlkit._csv", "tlkit.enumeration"}
+        else:
+            # The element form runs on partner tuples: no diagram module,
+            # and none of the packed matrix image.
             assert loaded == {
                 "tlkit",
                 "tlkit.cli",
@@ -702,7 +739,7 @@ def sparse_blocks(draw):
 @given(sparse_blocks())
 def test_sparse_csv_equals_the_dense_rows(case):
     size, blocks = case
-    assert cli._sparse_csv(size, blocks) == _dense_csv(size, blocks)
+    assert sparse_csv(size, blocks) == _dense_csv(size, blocks)
 
 
 def test_readme_library_example_runs():
@@ -1234,3 +1271,121 @@ def test_non_diagram_arguments_raise_value_error(call, message):
     element = TLElement.from_diagram(d)
     with pytest.raises(ValueError, match=re.escape(message)):
         call(d, element, LaurentPoly.monomial("d", 1))
+
+
+@st.composite
+def argv_lists(draw):
+    """Command lines near the exact forms: exact, ``=`` and abbreviated
+    options, repeated options, values of every sort, stray tokens, and
+    required options left out."""
+    name = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    options = cli._COMMANDS.get(name, cli._COMMANDS["enumerate"])[3]
+    argv = [name] if draw(st.integers(0, 19)) else []
+    if draw(st.integers(0, 3)):
+        argv += [options[0][0], draw(st.sampled_from(["2", "3", "4"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        flag, _, kind, _, _, _ = draw(st.sampled_from(options))
+        form = draw(st.sampled_from(["exact"] * 6 + ["equals"] * 3 + ["abbreviated", "stray"]))
+        # mostly a value of the option's kind, else any of VALUES
+        if not draw(st.integers(0, 3)):
+            fitting = TestParse.VALUES
+        elif isinstance(kind, tuple):
+            fitting = list(kind)
+        else:
+            fitting = {int: ["2", "5", "0"], Path: ["out.tl"]}.get(kind, ["1,-2", "all", ""])
+        value = draw(st.sampled_from(fitting))
+        if form == "stray":
+            argv.append(draw(st.sampled_from(TestParse.STRAYS)))
+            continue
+        if form == "abbreviated":
+            flag = flag[: draw(st.integers(3, len(flag) - 1))]
+        if form == "equals":
+            argv.append(f"{flag}={value}")
+            continue
+        argv.append(flag)
+        # a switch mostly goes alone, and an option mostly has a value
+        usual = draw(st.integers(0, 7)) > 0
+        if (kind is not bool) == usual:
+            argv.append(value)
+    return argv
+
+
+class TestParse:
+    """``cli._parse`` reads what argparse reads, or leaves it to argparse."""
+
+    PARSER = cli.build_parser()
+
+    #: Values and stray tokens that argparse takes, converts or refuses.
+    VALUES = [
+        "3", "0", "12", "-1", "-2", "", "x", " 4", "tl", "artin", "all", "svg",
+        "tikz", "1,-2", "-1,2", "--dim", "a=b", "TL 2 m=0 (1,2)(3,4)", "out.tl",
+    ]
+    STRAYS = ["extra", "-x", "--bogus", "--", "-", "--help", "-h", "--version", "=3", "--dim="]
+
+    @classmethod
+    def expected(cls, argv):
+        """argparse's fields for ``argv``, or None where it exits."""
+        sink = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                return vars(cls.PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+    @settings(max_examples=300, deadline=None)
+    @given(argv_lists())
+    def test_agrees_with_argparse(self, argv):
+        parsed = cli._parse(argv)
+        expected = self.expected(argv)
+        if expected is None:
+            assert parsed is None
+        elif parsed is not None:
+            assert vars(parsed) == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate", "--dim", "10", "--output", "basis.tl"],
+            ["enumerate", "--dim", "11", "--cache", "cache"],
+            ["enumerate", "--dim=12", "--count-only"],
+            ["compose", "--dim", "6", "--table"],
+            ["compose", "--dim", "12", "--lhs", "lhs.txt", "--rhs", "rhs.txt"],
+            ["repr", "--dim", "7", "--gen", "2", "--include-identity", "--eval-d=-3"],
+            ["verify", "--dim", "6", "--relations", "tl"],
+            ["bracket", "--strands", "6", "--word=-1,2,-3", "--matrix"],
+            ["bracket", "--strands", "3", "--word", "1,-2", "--word="],
+            ["draw", "--dim", "4", "--diagram", "TL 4 m=2 (1,7)(2,3)(4,8)(5,6)", "--format", "svg"],
+        ],
+    )
+    def test_takes_the_exact_forms(self, argv):
+        parsed = cli._parse(argv)
+        assert parsed is not None
+        assert vars(parsed) == self.expected(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--help"],
+            ["--version"],
+            ["enumerate", "--help"],
+            ["bogus", "--dim", "3"],
+            ["enumerate"],
+            ["enumerate", "--dim"],
+            ["enumerate", "--dim", "x"],
+            ["enumerate", "--dim="],
+            ["enumerate", "--dim", "-3"],
+            ["enumerate", "--di", "3", "--count"],
+            ["enumerate", "--dim", "3", "--count-only=1"],
+            ["enumerate", "--dim", "3", "extra"],
+            ["enumerate", "--dim", "3", "--"],
+            ["compose", "--dim", "3", "--table", "--dim"],
+            ["verify", "--dim", "3", "--relations", "foo"],
+            ["verify", "--dim", "3", "--relations=TL"],
+            ["draw", "--dim", "3", "--format", "pdf"],
+            ["bracket", "--strands", "3", "--word", "-1"],
+            ["bracket", "--word=1", "--matrix"],
+        ],
+    )
+    def test_leaves_the_rest_to_argparse(self, argv):
+        assert cli._parse(argv) is None

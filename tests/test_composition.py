@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from tlkit import _backend
-from tlkit.braids import BraidWord, _image_columns
+from tlkit._packed import _image_columns
+from tlkit.braids import BraidWord
 from tlkit.composition import _action, compose, compose_scaled
 from tlkit.diagrams import ScaledDiagram, parse
 from tlkit.enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram

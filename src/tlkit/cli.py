@@ -23,7 +23,6 @@ from __future__ import annotations
 import importlib
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -31,7 +30,7 @@ from . import __version__, kernel_backend
 
 if TYPE_CHECKING:
     import argparse
-    from mmap import mmap
+    from pathlib import Path
 
 # Each runner imports what it uses when it runs, so a process loads only
 # the modules of its own subcommand.  A function-level import also reads
@@ -49,11 +48,6 @@ _CACHE_VERSION = "v1"
 # Output, cache files and digests take the text this many characters at a
 # time, so no encoded copy of the whole text is made.
 _SLICE = 1 << 16
-
-# The characters besides "\n" that ``str.splitlines`` or ``str.strip``
-# treat as a line break or a blank.  A cache text free of them is counted
-# by its "\n"s.
-_LINE_CHARS = "\t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 # Where a size error says the ceiling is raised.
 _OVERRIDE = "TLKIT_MAX_DIM"
@@ -84,97 +78,40 @@ def _basis_lines(dimension: int, max_dimension: int) -> str:
 
 
 def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> str:
-    """Basis file cache keyed by dimension and format version; hits are
-    validated by the Catalan count and a content hash."""
-    import mmap
+    """Basis file cache keyed by dimension and format version.
 
-    from ._backend import catalan
+    A file is served, unchanged, when its bytes are the ones this cache
+    writes: their SHA-256 is the recorded one, and they are Catalan(N)
+    lines in UTF-8, each starting with the line prefix of an unscaled
+    diagram and ending in "\n".  Any other file is rebuilt."""
+    import hashlib
+
+    from ._backend import _line_prefix, catalan
 
     cache_dir.mkdir(parents=True, exist_ok=True)
     stem = cache_dir / f"basis_{_CACHE_VERSION}_dim{dimension}"
     data_path = stem.with_suffix(".tl")
     hash_path = stem.with_suffix(".sha256")
     if data_path.is_file() and hash_path.is_file():
-        try:
-            recorded = hash_path.read_text(encoding="utf-8").strip()
-        except UnicodeDecodeError:
-            # This cache writes only UTF-8: the file is damaged, a miss.
-            pass
-        else:
-            with open(data_path, "rb") as fh:
-                try:
-                    # The file's pages are read in place, not copied.
-                    data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                except (ValueError, OSError):
-                    data = fh.read()  # an empty file cannot be mapped
-            text = _cache_hit(data, recorded, catalan(dimension))
-            del data  # unmapped before a miss replaces the file
-            if text is not None:
-                return text
+        data = data_path.read_bytes()
+        lines = catalan(dimension)
+        start = f"{_line_prefix(dimension, 0)}(".encode()
+        if (
+            data.count(b"\n") == lines
+            and data.endswith(b"\n")
+            and data.startswith(start)
+            # so every "\n" but the last starts a line
+            and data.count(b"\n" + start) == lines - 1
+            and hashlib.sha256(data).hexdigest().encode() == hash_path.read_bytes().strip()
+        ):
+            try:
+                return str(data, "utf-8")
+            except UnicodeDecodeError:
+                pass  # this cache writes only UTF-8: the file is damaged
     text = _basis_lines(dimension, max_dimension)
     _write_replacing(data_path, text)
     _write_replacing(hash_path, _sha256(text) + "\n")
     return text
-
-
-def _cache_hit(data: bytes | mmap, recorded: str, count: int) -> str | None:
-    """The text of a cache file whose bytes are ``data``, if its SHA-256
-    is ``recorded`` and it has ``count`` lines that are not blank; else
-    None.
-
-    The decision is that of a text read: "\r\n" and "\r" become "\n"
-    before the digest, and lines are counted by ``_nonblank_lines``.  The
-    bytes are decoded once.
-    """
-    import hashlib
-    import threading
-
-    # hashlib lets go of the GIL, so the bytes are hashed beside the
-    # decode and the count.
-    digest: list[str] = []
-    hasher = threading.Thread(target=lambda: digest.append(hashlib.sha256(data).hexdigest()))
-    hasher.start()
-    try:
-        text = str(data, "utf-8")
-    except UnicodeDecodeError:
-        # This cache writes only UTF-8: the file is damaged, a miss.
-        text = None
-    else:
-        crlf = "\r" in text
-        if crlf:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = _nonblank_lines(text)
-    hasher.join()
-    if text is None or lines != count:
-        return None
-    # The bytes are the text's UTF-8 unless a "\r" was replaced.
-    if (_sha256(text) if crlf else digest[0]) != recorded:
-        return None
-    return text
-
-
-def _nonblank_lines(text: str) -> int:
-    """The lines of ``text``, as ``str.splitlines`` breaks them, that
-    ``str.strip`` does not empty.
-
-    An ASCII text that ends in "\n" and holds none of ``_LINE_CHARS``, no
-    empty line and no line that starts with a space has one such line per
-    "\n".  That is the only kind of text the cache writes, and it is
-    counted with one pass per check instead of a string per line.
-    """
-    import re
-
-    plain = (
-        text.isascii()
-        and text.endswith("\n")
-        and not text.startswith(("\n", " "))
-        and not any(char in text for char in _LINE_CHARS)
-        # one pass for an empty line or one that starts with a space
-        and re.search("\n[\n ]", text) is None
-    )
-    if plain:
-        return text.count("\n")
-    return sum(1 for line in text.splitlines() if line.strip())
 
 
 def _slices(text: str) -> Iterator[str]:
@@ -201,23 +138,24 @@ def _write_replacing(path: Path, text: str) -> None:
     old file or none, never a partial one; the file gets the permissions
     a plain write would create it with.  Any other existing file (a FIFO,
     a device) is written in place, since a rename would replace it
-    instead of feeding it.
+    instead of feeding it.  No newline is translated, so the bytes
+    written are the text's UTF-8 on every platform.
     """
     import stat
 
-    path = Path(os.path.realpath(path))
+    path = os.path.realpath(path)
     try:
         in_place = not stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
         in_place = False
     if in_place:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for piece in _slices(text):
                 fh.write(piece)
         return
     attempt = 0
     while True:
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{attempt}.tmp")
+        tmp = f"{path}.{os.getpid()}.{attempt}.tmp"
         try:
             # Mode 0o666 under the process umask, as a plain write.
             fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
@@ -225,7 +163,7 @@ def _write_replacing(path: Path, text: str) -> None:
         except FileExistsError:
             attempt += 1
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             for piece in _slices(text):
                 fh.write(piece)
         os.replace(tmp, path)
@@ -234,13 +172,21 @@ def _write_replacing(path: Path, text: str) -> None:
         raise
 
 
+def _path(value: str) -> Path:
+    """The converter of the options that take a path: ``pathlib`` is
+    loaded only by a command line that has one."""
+    from pathlib import Path
+
+    return Path(value)
+
+
 #: Subcommand -> (help, the module that runs it as ``_run_<subcommand>``,
 #: the least value of its size option, its options).  The size option
 #: comes first and ``_OUTPUT`` last.  An option is (flag, dest, kind,
 #: default, required, help): ``kind`` is the callable that converts its
 #: value, a tuple of the values it takes, or ``bool`` for a switch that
 #: takes none.
-_OUTPUT = ("--output", "output", Path, None, False, None)
+_OUTPUT = ("--output", "output", _path, None, False, None)
 _COMMANDS = {
     "enumerate": (
         "list the diagram basis for a dimension",
@@ -250,7 +196,7 @@ _COMMANDS = {
             ("--dim", "dim", int, None, True, None),
             ("--count-only", "count_only", bool, False, False, None),
             _OUTPUT,
-            ("--cache", "cache", Path, None, False, "cache directory for basis files"),
+            ("--cache", "cache", _path, None, False, "cache directory for basis files"),
         ),
     ),
     "compose": (

@@ -7,9 +7,11 @@ import re
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -381,61 +383,64 @@ def _merge_first_two(separator):
     return edit
 
 
-#: (file text, the text its digest is of, the text a hit serves; None when
-#: the entry must be rebuilt).  A hit reads the file as text does: "\r\n"
-#: and "\r" become "\n" before the digest, and a line that is empty or
-#: whitespace only is not counted.
+#: (file text, the text its digest is of; None for the file's own text).
+#: Only the bytes this cache writes are served: "intact" is a hit, and
+#: every other entry is rebuilt.
 _DIM4 = "".join(_dim4_lines())
 CACHE_ENTRIES = {
-    "intact": (_DIM4, _DIM4, _DIM4),
-    "crlf": (_DIM4.replace("\n", "\r\n"), _DIM4, _DIM4),
-    "lone-cr": (_DIM4.replace("\n", "\r"), _DIM4, _DIM4),
-    "trailing-blank": (_DIM4 + "\n\n", None, _DIM4 + "\n\n"),
-    "trailing-whitespace": (_DIM4 + "   \n\t\n \x0c \n", None, _DIM4 + "   \n\t\n \x0c \n"),
-    "leading-space": (" " + _DIM4, None, " " + _DIM4),
-    "leading-empty": ("\n" + _DIM4, None, "\n" + _DIM4),
-    "leading-blank": ("  \n" + _DIM4, None, "  \n" + _DIM4),
-    "no-final-newline": (_DIM4[:-1], None, _DIM4[:-1]),
-    "non-ascii": (_edited(_set(-1, "TL 4 ünïcode\n")), None, _edited(_set(-1, "TL 4 ünïcode\n"))),
-    "vt-separator": (_edited(_merge_first_two("\x0b")), None, _edited(_merge_first_two("\x0b"))),
-    "fs-separator": (_edited(_merge_first_two("\x1c")), None, _edited(_merge_first_two("\x1c"))),
-    "nel-separator": (_edited(_merge_first_two("\x85")), None, _edited(_merge_first_two("\x85"))),
-    "missing-line": (_edited(_set(-1, "")), None, None),
-    "extra-line": (_DIM4 + "TL 4 m=0 (1,2)\n", None, None),
-    "blank-for-a-line": (_edited(_set(-1, "   \n")), None, None),
-    "tab-for-a-line": (_edited(_set(-1, "\t\n")), None, None),
-    "us-for-a-line": (_edited(_set(-1, "\x1f \n")), None, None),
-    "separator-splits-a-line": (_edited(_set(-1, "TL 4\x1em=0\n")), None, None),
-    "stale-digest": (_DIM4, _DIM4 + "\n", None),
-    "empty": ("", None, None),
+    "intact": (_DIM4, None),
+    "crlf": (_DIM4.replace("\n", "\r\n"), _DIM4),
+    "lone-cr": (_DIM4.replace("\n", "\r"), _DIM4),
+    "trailing-blank": (_DIM4 + "\n\n", None),
+    "trailing-whitespace": (_DIM4 + "   \n\t\n \x0c \n", None),
+    "leading-space": (" " + _DIM4, None),
+    "leading-empty": ("\n" + _DIM4, None),
+    "leading-blank": ("  \n" + _DIM4, None),
+    "no-final-newline": (_DIM4[:-1], None),
+    "text-after-the-last-line": (_DIM4 + "x", None),
+    "non-ascii": (_edited(_set(-1, "TL 4 ünïcode\n")), None),
+    "vt-separator": (_edited(_merge_first_two("\x0b")), None),
+    "fs-separator": (_edited(_merge_first_two("\x1c")), None),
+    "nel-separator": (_edited(_merge_first_two("\x85")), None),
+    "missing-line": (_edited(_set(-1, "")), None),
+    "extra-line": (_DIM4 + "TL 4 m=0 (1,2)\n", None),
+    "blank-for-a-line": (_edited(_set(-1, "   \n")), None),
+    "tab-for-a-line": (_edited(_set(-1, "\t\n")), None),
+    "us-for-a-line": (_edited(_set(-1, "\x1f \n")), None),
+    "separator-splits-a-line": (_edited(_set(-1, "TL 4\x1em=0\n")), None),
+    "stale-digest": (_DIM4, _DIM4 + "\n"),
+    "empty": ("", None),
 }
 
 
 @pytest.mark.parametrize("name", CACHE_ENTRIES)
-def test_cache_hit_decisions(name, tmp_path):
-    """Which cache files are served and which are rebuilt.  A digest of
-    None is the digest of the file's own text."""
-    data, hashed, served = CACHE_ENTRIES[name]
+def test_cache_hit_decisions(name, tmp_path, monkeypatch):
+    """Which cache files are served and which are rebuilt."""
+    data, hashed = CACHE_ENTRIES[name]
     cache = tmp_path / "cache"
     args = ["enumerate", "--dim", "4", "--cache", str(cache)]
     run_cli(args)
     intact = {p.name: p.read_bytes() for p in cache.iterdir()}
     digest = hashlib.sha256((data if hashed is None else hashed).encode("utf-8"))
-    entry = {
-        "basis_v1_dim4.tl": data.encode("utf-8"),
-        "basis_v1_dim4.sha256": (digest.hexdigest() + "\n").encode("utf-8"),
-    }
-    for file, raw in entry.items():
-        (cache / file).write_bytes(raw)
-    if served is None:
-        assert run_cli(args) == (0, _DIM4)
-        assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
-    else:
-        assert run_cli(args) == (0, served)
-        assert {p.name: p.read_bytes() for p in cache.iterdir()} == entry
+    (cache / "basis_v1_dim4.tl").write_bytes(data.encode("utf-8"))
+    (cache / "basis_v1_dim4.sha256").write_text(digest.hexdigest() + "\n", encoding="utf-8")
+    built = []
+    basis_lines = cli._basis_lines
+    monkeypatch.setattr(cli, "_basis_lines", lambda *args: built.append(args) or basis_lines(*args))
+    assert run_cli(args) == (0, _DIM4)
+    assert len(built) == (name != "intact")
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
 
 
-@pytest.mark.parametrize("raw", [b"\xff\xfe garbage\n", _DIM4.encode("utf-8") + b"\xc3\n"])
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"\xff\xfe garbage\n",
+        _DIM4.encode("utf-8") + b"\xc3\n",
+        # every line has the shape of a basis line, so only the decode refuses it
+        _DIM4.encode("utf-8")[:-1] + b"\xc3\n",
+    ],
+)
 def test_cache_file_not_utf8_is_rebuilt(raw, tmp_path):
     cache = tmp_path / "cache"
     args = ["enumerate", "--dim", "4", "--cache", str(cache)]
@@ -445,47 +450,6 @@ def test_cache_file_not_utf8_is_rebuilt(raw, tmp_path):
     (cache / "basis_v1_dim4.sha256").write_text(hashlib.sha256(raw).hexdigest() + "\n")
     assert run_cli(args) == (0, _DIM4)
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
-
-
-def _text_read(raw):
-    """A cache file's bytes read as text, as the reference decision does:
-    "\r\n" and "\r" become "\n"; None when the bytes are not UTF-8."""
-    try:
-        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-    except UnicodeDecodeError:
-        return None
-
-
-#: Line content, every byte that breaks or blanks a line to a text reader,
-#: and bytes that are not UTF-8 on their own.
-_PIECES = [
-    b"TL 4 m=0 (1,2)", b"x", b" ", b"\n", b"\r", b"\r\n", b"\t", b"\x0b",
-    b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f", "\u00e9".encode(),
-    "\x85".encode(), "\u2028".encode(), b"\xff", b"\xc3",
-]
-
-
-@st.composite
-def cache_files(draw):
-    """A few lines, some blank, with up to two of ``_PIECES`` spliced in
-    anywhere: files near the ones this cache writes."""
-    lines = draw(st.lists(st.sampled_from([b"TL 4\n", b"x\n", b"\n", b" \n"]), max_size=6))
-    raw = bytearray(b"".join(lines))
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(raw)))
-        raw[at:at] = draw(st.sampled_from(_PIECES))
-    return bytes(raw)
-
-
-@settings(max_examples=400)
-@given(cache_files(), st.booleans(), st.integers(-1, 1))
-def test_cache_hit_decides_as_a_text_read(raw, digest_of_bytes, offset):
-    text = _text_read(raw)
-    lines = 0 if text is None else sum(1 for line in text.splitlines() if line.strip())
-    hashed = raw if digest_of_bytes or text is None else text.encode("utf-8")
-    recorded = hashlib.sha256(hashed).hexdigest()
-    hit = text is not None and text.encode("utf-8") == hashed and offset == 0
-    assert cli._cache_hit(raw, recorded, lines + offset) == (text if hit else None)
 
 
 class TestBasisTextSlices:
@@ -528,9 +492,9 @@ class TestBasisTextSlices:
     @pytest.mark.parametrize("route", ["build", "stdout", "output", "miss", "hit"])
     def test_allocation_peak(self, route, tmp_path):
         # One copy of the text, one more while it is joined, and the walk's
-        # pieces; a hit holds only its decoded text (the file is mapped).
-        # Keeping a str per line (about 3.1 here) or an encoded copy (about
-        # 4.1 on a miss, 2.8 on a hit) fails.
+        # pieces; a hit holds the file's bytes and their decoded text (2.0).
+        # Keeping a str per line (about 3.1 here), an encoded copy on a miss
+        # (about 4.1) or one more copy on a hit (3.0) fails.
         length = len(cli._basis_lines(10, 12))
         fresh = iter(range(2))
 
@@ -586,12 +550,17 @@ class TestStartup:
     )
 
     @staticmethod
-    def fresh_python(probe, *args):
-        """Run ``probe`` in a new interpreter that imports this tlkit."""
+    def fresh_python(probe, *args, options=()):
+        """Run ``probe`` in a new interpreter, started with ``options``,
+        that imports this tlkit."""
         src = str(Path(tlkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         return subprocess.run(
-            [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True, check=True
+            [sys.executable, *options, "-c", probe, *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
         )
 
     @pytest.mark.parametrize(
@@ -654,6 +623,36 @@ class TestStartup:
                 "tlkit.laurent",
                 "tlkit.braids",
             }
+        assert result.stdout == run_cli(args)[1]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["enumerate", "--dim", "4"],
+            ["enumerate", "--dim", "12", "--count-only"],
+            ["compose", "--dim", "4", "--table"],
+            ["verify", "--dim", "4", "--relations", "tl"],
+            ["bracket", "--strands", "4", "--word=1,-2,3,-1"],
+            ["enumerate", "--dim", "4", "--output", "{tmp}/basis.tl"],
+            ["enumerate", "--dim", "4", "--cache", "{tmp}/warm"],
+        ],
+    )
+    def test_only_path_options_load_pathlib(self, args, tmp_path):
+        # Run under -S, since a host's ``site`` may import pathlib at start.
+        # A warm cache hit reads the file's bytes on the main thread.
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        if "--cache" in args:
+            run_cli(args)
+        probe = (
+            "import sys\n"
+            "from tlkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(*(m for m in ('pathlib', 'mmap', 'threading') if m in sys.modules), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        result = self.fresh_python(probe, *args, options=["-S"])
+        path_option = "--output" in args or "--cache" in args
+        assert result.stderr.split() == (["pathlib"] if path_option else [])
         assert result.stdout == run_cli(args)[1]
 
     @pytest.mark.parametrize("flag", ["--version", "--help"])
@@ -1292,7 +1291,7 @@ def argv_lists(draw):
         elif isinstance(kind, tuple):
             fitting = list(kind)
         else:
-            fitting = {int: ["2", "5", "0"], Path: ["out.tl"]}.get(kind, ["1,-2", "all", ""])
+            fitting = {int: ["2", "5", "0"], cli._path: ["out.tl"]}.get(kind, ["1,-2", "all", ""])
         value = draw(st.sampled_from(fitting))
         if form == "stray":
             argv.append(draw(st.sampled_from(TestParse.STRAYS)))
@@ -1389,3 +1388,77 @@ class TestParse:
     )
     def test_leaves_the_rest_to_argparse(self, argv):
         assert cli._parse(argv) is None
+
+
+#: Values of each option kind for the CLI sweep: sizes that are negative,
+#: zero, huge or not integers; empty and malformed words and diagram
+#: lines; paths that are missing, directories given as files and files
+#: given as directories.  ``{tmp}`` holds ``file``, a one-line diagram
+#: file, ``binary``, a file that is not UTF-8, and ``dir``.
+SWEEP_VALUES = {
+    int: ["-1", "0", "1", "2", "3", "4", "7", "-7", "99999999999999999999", "2.5", "x", ""],
+    str: [
+        "", ",", "1", "-1", "0", "9", "x", "all", "1,-2,1", "1,,2", "1,x", "--dim",
+        "TL 2 m=0 (1,2)(3,4)", "TL 2 m=1 (1,4)(2,3)", "TL 2 m=0 (1,3)(2,4)",
+        "TL 2 m=-1 (1,2)(3,4)", "TL 2 m=0 (1,2)", "TL 3", "TL 2 m=0 (1,2)(1,2)",
+        "{tmp}/file", "{tmp}/binary", "{tmp}/dir", "{tmp}/missing",
+    ],
+    cli._path: [
+        "{tmp}/out.tl", "{tmp}/file", "{tmp}/dir", "{tmp}/missing/out.tl",
+        "{tmp}/file/out.tl", "",
+    ],
+}
+
+#: TLKIT_MAX_DIM values: every ceiling is 7 or below, so each run is small.
+SWEEP_CEILINGS = ["7", "5", "3", "1", "0", "-2", "x", ""]
+
+
+@st.composite
+def cli_lines(draw):
+    """A command line from the grammar of ``cli._COMMANDS``, with values
+    from ``SWEEP_VALUES``, and a TLKIT_MAX_DIM value."""
+    name = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    options = cli._COMMANDS.get(name, cli._COMMANDS["enumerate"])[3]
+    argv = [name]
+    # The size option mostly comes first, so most lines get past the usage check.
+    chosen = [options[0]] if draw(st.integers(0, 4)) else []
+    for flag, _, kind, _, _, _ in chosen + draw(st.lists(st.sampled_from(options), max_size=3)):
+        if kind is bool:
+            argv.append(flag)
+            continue
+        values = list(kind) + ["", "TL"] if isinstance(kind, tuple) else SWEEP_VALUES[kind]
+        value = draw(st.sampled_from(values))
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--help", "extra", "-1"])))
+    return argv, draw(st.sampled_from(SWEEP_CEILINGS))
+
+
+@settings(max_examples=150)
+@given(cli_lines())
+def test_cli_sweep(case):
+    """No command line ends in a traceback or an unknown exit code, and a
+    failure writes nothing to stdout."""
+    argv, ceiling = case
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "file").write_text("TL 2 m=0 (1,2)(3,4)\n", encoding="utf-8")
+        Path(tmp, "binary").write_bytes(b"\xff\xfe\n")
+        Path(tmp, "dir").mkdir()
+        argv = [arg.format(tmp=tmp) for arg in argv]
+        # A relative path lands in the scratch directory.
+        os.chdir(tmp)
+        try:
+            with mock.patch.dict(os.environ, TLKIT_MAX_DIM=ceiling):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:  # help, --version and usage errors
+                        code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    if code in {1, 2}:
+        assert out.getvalue() == ""

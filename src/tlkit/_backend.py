@@ -30,7 +30,9 @@ always set.  Three walks recurse on it:
   of the diagram line format, so the text of a leaf is the pair texts of
   its placements in order.  The walk threads that text down the first
   N // 2 levels; the text of each way to finish from a deeper node is
-  built once per search state and shared;
+  built once per search state and shared.  Every line is two shared
+  pieces, a head and a finish, and the whole text is one join of them,
+  so it is the only string of its size the walk makes;
 * ``count_pairings`` counts the leaves below a node once per search
   state.
 
@@ -200,9 +202,12 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
     the order the search places it, then a newline.  The walk carries the
     text of the pairs placed so far down the first N // 2 levels.  Below
     that, the text of every way to finish is memoized by the search state,
-    as in ``count_pairings``.  The lines below a node of level N // 2 are
-    one join of its finishes, so no string per line and no partner tuple
-    is built.
+    as in ``count_pairings``.  A line below a node of level N // 2 is the
+    node's text and one finish, both shared: the walk lists those two
+    pieces per line and joins the list once.  So no string per line, no
+    partner tuple and no second copy of the text is built; at its peak
+    the walk holds the text, the list (two pointers per line) and the
+    finishes.
     """
     n = _walk_dimension(dimension)
     chunks: list[str] = []
@@ -221,10 +226,12 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
 
     def walk(matched: int, text: str, placed: int) -> None:
         if placed == n // 2:
-            # ``text`` leads every line below this node, so the node's
-            # lines are text + text.join(finishes), joined in C.
-            chunks.append(text)
-            chunks.append(text.join(finishes(matched)))
+            # ``text`` leads every line below this node: the node's lines
+            # are the pieces text, tail, text, tail, ..., all shared.
+            tails = finishes(matched)
+            block = [text] * (2 * len(tails))
+            block[1::2] = tails
+            chunks.extend(block)
             return
         f, partners = _partners(matched, n)
         row = texts[f - 1]

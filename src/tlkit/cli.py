@@ -81,11 +81,16 @@ def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> 
     """Basis file cache keyed by dimension and format version.
 
     A file is served, unchanged, when its bytes are the ones this cache
-    writes: their SHA-256 is the recorded one, and they are Catalan(N)
-    lines in UTF-8, each starting with the line prefix of an unscaled
-    diagram and ending in "\n".  Any other file is rebuilt."""
-    import hashlib
+    writes: they are Catalan(N) lines in UTF-8, each starting with the
+    line prefix of an unscaled diagram and ending in "\n", and their
+    SHA-256 is the recorded one.  Any other file is rebuilt.
 
+    The text is held once wherever it can be.  A hit decodes the bytes
+    first and drops them, then checks the lines and hashes the text: the
+    UTF-8 of a decoded text is the file's bytes, so the digest is the
+    file's.  A miss builds the text before ``hashlib`` and its OpenSSL
+    library are loaded (``_sha256`` loads them), so neither is mapped
+    while the walk holds its pieces and the text at once."""
     from ._backend import _line_prefix, catalan
 
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -93,21 +98,23 @@ def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> 
     data_path = stem.with_suffix(".tl")
     hash_path = stem.with_suffix(".sha256")
     if data_path.is_file() and hash_path.is_file():
-        data = data_path.read_bytes()
+        try:
+            text = str(data_path.read_bytes(), "utf-8")
+        except UnicodeDecodeError:
+            text = None  # this cache writes only UTF-8: the file is damaged
         lines = catalan(dimension)
-        start = f"{_line_prefix(dimension, 0)}(".encode()
+        start = f"{_line_prefix(dimension, 0)}("
         if (
-            data.count(b"\n") == lines
-            and data.endswith(b"\n")
-            and data.startswith(start)
+            text is not None
+            and text.count("\n") == lines
+            and text.endswith("\n")
+            and text.startswith(start)
             # so every "\n" but the last starts a line
-            and data.count(b"\n" + start) == lines - 1
-            and hashlib.sha256(data).hexdigest().encode() == hash_path.read_bytes().strip()
+            and text.count("\n" + start) == lines - 1
+            and _sha256(text).encode() == hash_path.read_bytes().strip()
         ):
-            try:
-                return str(data, "utf-8")
-            except UnicodeDecodeError:
-                pass  # this cache writes only UTF-8: the file is damaged
+            return text
+        text = None  # a refused file's text is not held during the rebuild
     text = _basis_lines(dimension, max_dimension)
     _write_replacing(data_path, text)
     _write_replacing(hash_path, _sha256(text) + "\n")
@@ -298,6 +305,12 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     return (EXIT_OK if passed else EXIT_VERIFICATION), text
 
 
+def _is_word(value: str) -> bool:
+    """Whether ``value`` is comma-separated signed integers in ASCII
+    digits, as a braid word is written."""
+    return all(piece.isascii() and piece.removeprefix("-").isdecimal() for piece in value.split(","))
+
+
 def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
     """``argv`` parsed as ``build_parser()`` parses it, if it is written
     in the exact forms: the subcommand first, then whole option names,
@@ -306,7 +319,13 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
     as argparse does.  None for anything else: help, ``--version``, an
     abbreviation, a value starting with "-", a bad or missing value, an
     unknown token.  argparse then parses ``argv`` and prints what it
-    prints."""
+    prints.
+
+    One form is read here that argparse refuses: ``--word -1,2``, a
+    braid word that starts with an inverse letter.  argparse takes only
+    a lone negative number (``--word -1``) as a value, and reads any
+    other token starting with "-" as an option; this reads the pair as
+    ``--word=-1,2``."""
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
@@ -327,7 +346,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
             continue
         if not equals:
             value = next(tokens, None)
-            if value is None or value.startswith("-"):
+            if value is None or value.startswith("-") and not (dest == "word" and _is_word(value)):
                 return None
         if isinstance(kind, tuple):
             if value not in kind:

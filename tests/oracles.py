@@ -33,6 +33,7 @@ map, product of a sequence) is defined here.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -493,9 +494,11 @@ def matrix_product(matrices: Iterable[PolyMatrix]) -> PolyMatrix:
     return result
 
 
+@functools.cache
 def _dense_letter_matrix(strands: int, letter: int) -> PolyMatrix:
     """a.I + b.U_|letter| over the identity-included basis, U with its
-    entries taken at d = -A^2 - A^-2."""
+    entries taken at d = -A^2 - A^-2.  A ``PolyMatrix`` is immutable, so
+    each (strands, letter) is built once and shared."""
     basis = enumerate_diagrams(strands)
     gm = generator_matrix(abs(letter), basis, include_identity=True)
     loop = kauffman_loop_value()
@@ -578,6 +581,15 @@ def dense_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
     )
 
 
+@functools.cache
+def _bottom_steps(d: PlanarDiagram) -> tuple[frozenset, tuple[frozenset, ...]]:
+    """The bottom pairs of ``d`` and of d.U_k for every generator U_k,
+    each built once per diagram: the closure below reads them for several
+    orders of a basis, with and without the identity."""
+    gens = generators(d.dimension) if d.dimension >= 2 else []
+    return d.bottom_pairs(), tuple(compose(d, g.diagram).diagram.bottom_pairs() for g in gens)
+
+
 def bottom_pattern_partition(
     basis: DiagramBasis, include_identity: bool = False
 ) -> tuple[tuple[PlanarDiagram, ...], ...]:
@@ -585,11 +597,9 @@ def bottom_pattern_partition(
     pairing pattern start in one group, and the groups of D and U_k.D are
     merged for every generator.  Blocks are sorted inside and by their
     smallest member, as ``ideal_partition`` sorts them."""
-    n = basis.dimension
-    ident = identity_diagram(n)
+    ident = identity_diagram(basis.dimension)
     members = [d for d in basis if include_identity or d != ident]
-    gens = generators(n) if n >= 2 else []
-    parent = {d.bottom_pairs(): d.bottom_pairs() for d in members}
+    parent = {own: own for own, _ in map(_bottom_steps, members)}
 
     def find(k):
         while parent[k] != k:
@@ -597,13 +607,13 @@ def bottom_pattern_partition(
         return k
 
     for d in members:
-        for g in gens:
-            image = compose(d, g.diagram).diagram
-            ra, rb = find(d.bottom_pairs()), find(image.bottom_pairs())
+        own, images = _bottom_steps(d)
+        for image in images:
+            ra, rb = find(own), find(image)
             if ra != rb:
                 parent[rb] = ra
     grouped: dict[frozenset, list[PlanarDiagram]] = {}
     for d in members:
-        grouped.setdefault(find(d.bottom_pairs()), []).append(d)
+        grouped.setdefault(find(_bottom_steps(d)[0]), []).append(d)
     blocks = [tuple(sorted(block)) for block in grouped.values()]
     return tuple(sorted(blocks, key=lambda b: b[0].pairing))

@@ -43,14 +43,16 @@ union-find and matrix-power readings of the same stack live in the test
 suite as independent oracles.
 
 A generator acts by its local rule, the link-state action of
-arXiv:1204.4505 (``_apply_generator``).  ``generator_map`` applies U_k
-to a whole basis as a map of positions with loop exponents, the one
-builder of generator maps (``composition._action`` calls it once per
-basis and k and keeps the result on the basis).  The composition table
-is built from those maps by associativity, on positions alone: every
-basis pairing E other than the identity is U_k stacked on a parent E'
-one step closer to the identity, with no loop closed
-(``spanning_tree``).  Then D.E = (D.E').U_k, so if D.E' = d^m.D_r, the
+arXiv:1204.4505 (``_apply_generator``).  ``PairingBasis`` holds a basis
+of partner tuples and their positions; its ``map(k)``, the one builder
+of generator maps over a whole basis, applies U_k to every pairing as a
+map of positions with loop exponents, built on first use and kept.
+Every route that maps a whole basis reads a record: ``pairing_basis``
+makes one from the walk, and a ``DiagramBasis`` holds its own.  The
+composition table is built from those maps by associativity, on
+positions alone: every basis pairing E other than the identity is U_k
+stacked on a parent E' one step closer to the identity, with no loop
+closed (``spanning_tree``).  Then D.E = (D.E').U_k, so if D.E' = d^m.D_r, the
 cell D.E is d^(m + e_k[r]).D_(t_k[r]), one step of the map of U_k
 (``table_rows``).
 
@@ -72,7 +74,7 @@ import functools
 import math
 import operator
 import sys
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 #: Hard ceiling on the dimension accepted by enumerate_diagrams and the CLI
 #: unless the caller raises it explicitly (C_12 = 208012 diagrams is still
@@ -361,17 +363,40 @@ def _apply_generator(
     return tuple(out), 0
 
 
-def generator_map(
-    pairings: Iterable[tuple[int, ...]],
-    index: Mapping[tuple[int, ...], int],
-    k: int,
-    dimension: int,
-) -> Map:
-    """U_k on every pairing of a basis, in order: (targets, exponents) with
-    U_k . P_i = d^exponents[i] . P_targets[i], where ``index`` gives the
-    position of each basis pairing."""
-    images = (_apply_generator(p, k, dimension) for p in pairings)
-    return tuple(zip(*[(index[p], m) for p, m in images]))
+class PairingBasis:
+    """The Catalan(N) pairings of ``dimension`` in a given order, with the
+    position of each (``index``) and of the identity (``root``)."""
+
+    __slots__ = ("dimension", "pairings", "index", "root", "_maps")
+
+    def __init__(self, dimension: int, pairings: Sequence[tuple[int, ...]]) -> None:
+        self.dimension, self.pairings = dimension, pairings
+        self.index = {p: i for i, p in enumerate(pairings)}
+        if len(self.index) != len(pairings):
+            raise ValueError("basis contains duplicates")
+        self.root = self.index[identity_pairing(dimension)]
+        self._maps: dict[int, Map] = {}
+
+    def map(self, k: int) -> Map:
+        """U_k on every pairing, in order: (targets, exponents) with
+        U_k . P_i = d^exponents[i] . P_targets[i].  Built on first use and
+        kept; two threads that both build it store equal maps."""
+        found = self._maps.get(k)
+        if found is None:
+            images = (_apply_generator(p, k, self.dimension) for p in self.pairings)
+            index = self.index
+            found = self._maps[k] = tuple(zip(*[(index[p], m) for p, m in images]))
+        return found
+
+    def maps(self) -> list[Map]:
+        """The maps of U_1 .. U_{N-1}."""
+        return [self.map(k) for k in range(1, self.dimension)]
+
+
+def pairing_basis(dimension: int) -> PairingBasis:
+    """The walk's basis as a new record, not cached: a caller that drops
+    it frees its index and maps."""
+    return PairingBasis(dimension, enumerate_pairings(dimension))
 
 
 def spanning_tree(maps: Sequence[Map], root: int) -> list[tuple[int, int, int]]:

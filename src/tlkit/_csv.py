@@ -1,13 +1,17 @@
 """Sparse square matrices as CSV text, the form in which ``tlkit repr``
-and ``tlkit bracket --matrix`` print them.
-
-Each of those runners imports this module when it writes, so no other
-route compiles it.
+and ``tlkit bracket --matrix`` print them, and the runner of ``repr``:
+the maps of a ``_backend.PairingBasis`` in the order ``_relations``
+gives, with no diagram made.  Only those two routes compile this
+module; ``_relations``, which every ``verify`` job compiles, does not
+hold the runner.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from argparse import Namespace
 
 
 def sparse_csv(size: int, blocks: Iterable[tuple[str, Iterable[Mapping[int, str]]]]) -> str:
@@ -35,3 +39,42 @@ def sparse_csv(size: int, blocks: Iterable[tuple[str, Iterable[Mapping[int, str]
                 k = size - at
                 out.append(ends.get(k) or ends.setdefault(k, "0," * (k - 1) + "0\n"))
     return "".join(out)
+
+
+def _run_repr(args: Namespace) -> tuple[bool, str]:
+    """``tlkit repr`` on arguments ``tlkit.cli.run`` has checked: the
+    selected generator maps, in the representation order, as CSV blocks;
+    the text of ``generator_matrices`` or ``generator_matrix`` over
+    ``enumerate_diagrams(N)``."""
+    from ._backend import pairing_basis
+    from ._relations import renumbered, representation_order
+    from .laurent import LaurentPoly
+
+    n = args.dim
+    basis = pairing_basis(n)
+    indices = range(1, n)
+    if args.gen != "all":
+        try:
+            k = int(args.gen)
+        except ValueError:
+            raise ValueError(f"generator index must be an integer or 'all', got {args.gen!r}") from None
+        if k not in indices:
+            raise ValueError(f"generator index {k} out of range 1..{n - 1}")
+        indices = (k,)
+    order = representation_order(basis, args.include_identity)
+    maps = renumbered([basis.map(k) for k in indices], order, len(basis.pairings))
+    del basis  # the blocks read positions only
+    size = len(order)
+    d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d
+    identity = "included" if args.include_identity else "excluded"
+
+    def block(k: int, targets: tuple[int, ...], exponents: tuple[int, ...]):
+        header = f"# generator U_{k}, dimension {n}, basis size {size}, identity {identity}"
+        # column i holds d^m, or eval_d^m, in row targets[i]
+        texts = {m: str(d**m) for m in set(exponents)}
+        rows: list[dict[int, str]] = [{} for _ in range(size)]
+        for i, (j, m) in enumerate(zip(targets, exponents)):
+            rows[j][i] = texts[m]
+        return header, rows
+
+    return True, sparse_csv(size, (block(k, *m) for k, m in zip(indices, maps)))

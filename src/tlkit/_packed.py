@@ -23,10 +23,12 @@ distinct value once to its text for the CLI, and ``_image_columns``
 decodes them to LaurentPoly; ``braid_image_matrix`` is the dense matrix
 view of those columns.  (Kronecker substitution: Harvey, arXiv:0712.4046.)
 
-``tlkit.braids`` imports this module only where a matrix image is made
-or compared (``braid_image_matrix``, ``_verify_artin``) and ``tlkit
-bracket --matrix`` where it prints one, so the element form of ``tlkit
-bracket`` compiles none of it.
+Every function here takes the basis as a ``_backend.PairingBasis`` and
+reads the map of each letter's generator from it, so no diagram module
+is loaded.  ``tlkit.braids`` imports this module only where a matrix
+image is made or compared (``braid_image_matrix``, ``_verify_artin``)
+and ``tlkit bracket --matrix`` where it prints one, so the element form
+of ``tlkit bracket`` compiles none of it.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .braids import _first_difference
 from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
+    from ._backend import PairingBasis
     from .braids import BraidWord
-    from .enumeration import DiagramBasis
 
 
 def _width(length: int) -> int:
@@ -49,18 +51,16 @@ def _width(length: int) -> int:
 
 
 def _packed_columns(
-    word: BraidWord, basis: DiagramBasis, width: int, offset: int
+    word: BraidWord, basis: PairingBasis, width: int, offset: int
 ) -> list[dict[int, int]]:
     """The bracket image over ``basis``, the identity-included basis of
     the word's strand count, lifted by A^offset (``offset`` at least three
     times the word length) and evaluated at A = 2^width: ``columns[i][j]``
     is the nonzero packed entry in row j of column i."""
-    from .composition import _action
-
     start = 1 << width * (offset - 3 * len(word.letters))
-    columns = [{i: start} for i in range(len(basis))]
+    columns = [{i: start} for i in range(len(basis.pairings))]
     for letter in word.letters:
-        targets, exponents = _action(basis, abs(letter))
+        targets, exponents = basis.map(abs(letter))
         # lifted by A^3, the letter is A^(3+s).1 + A^(3-s).U with s = +-1,
         # and U closes at most one loop, worth A^(3-s).d = -(A^(5-s) + A^(1-s))
         s = 1 if letter > 0 else -1
@@ -102,7 +102,7 @@ def _unpack(value: int, width: int, offset: int) -> LaurentPoly:
     return LaurentPoly._trusted("A", tuple(coeffs))
 
 
-def _image_columns(word: BraidWord, basis: DiagramBasis) -> list[dict[int, LaurentPoly]]:
+def _image_columns(word: BraidWord, basis: PairingBasis) -> list[dict[int, LaurentPoly]]:
     """The bracket image over ``basis``, the identity-included basis of
     the word's strand count, as sparse columns: ``columns[i][j]`` is the
     nonzero entry in row j of column i."""
@@ -121,14 +121,14 @@ def _image_columns(word: BraidWord, basis: DiagramBasis) -> list[dict[int, Laure
     return columns
 
 
-def _image_rows(word: BraidWord, basis: DiagramBasis) -> list[dict[int, str]]:
+def _image_rows(word: BraidWord, basis: PairingBasis) -> list[dict[int, str]]:
     """The same image as rows of entry texts: ``rows[j][i]`` is the text
     of the nonzero entry in row j of column i.  Each distinct entry is
     decoded once."""
     length = len(word.letters)
     width, offset = _width(length), 3 * length
     texts: dict[int, str] = {}
-    rows: list[dict[int, str]] = [{} for _ in basis]
+    rows: list[dict[int, str]] = [{} for _ in basis.pairings]
     columns = _packed_columns(word, basis, width, offset)
     for i, column in enumerate(columns):
         for row, p in column.items():
@@ -140,7 +140,7 @@ def _image_rows(word: BraidWord, basis: DiagramBasis) -> list[dict[int, str]]:
     return rows
 
 
-def _matrix_difference(w1: BraidWord, w2: BraidWord, basis: DiagramBasis) -> str | None:
+def _matrix_difference(w1: BraidWord, w2: BraidWord, basis: PairingBasis) -> str | None:
     """None if the two words have equal matrix images over ``basis``; else
     their first differing column and row.  Both are packed under the
     longer word's width and offset, so the shorter word's columns come out

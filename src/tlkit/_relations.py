@@ -15,18 +15,18 @@ their own values:
   ``_backend.compose_pairings`` with the loop counts carried.  A failed
   relation names both of its sides as diagram lines.
 
-``ideal_blocks`` groups basis positions into the components of the
-generator action, and ``renumbered`` moves maps into the order those
-blocks give (the representation order of ``tlkit.representation``).
+``ideal_blocks`` groups the positions of a ``_backend.PairingBasis``
+into the components of the generator action, ``representation_order``
+lists them in the order those blocks give (the one of ``verify``,
+``repr`` and the generator matrices), and ``renumbered`` moves maps
+into it.
 
 The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
-alone: it lists the basis with ``_backend.enumerate_pairings``, builds
-the maps with ``_backend.generator_map``, and prints both reports with
-``report_lines``.  ``_run_verify``, the runner of ``tlkit verify``,
-imports ``braids`` and ``enumeration`` only for the Artin relations.
-``representation`` wraps the same kernels for its ``GeneratorMatrix`` and
-``RelationReport`` values.
+alone, on a record from ``_backend.pairing_basis``.  ``_run_verify``,
+the runner of ``tlkit verify``, imports ``braids`` only for the Artin
+relations.  ``representation`` wraps the same kernels for its
+``GeneratorMatrix`` and ``RelationReport`` values.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import _backend
-from ._backend import Map, diagram_line, identity_pairing
+from ._backend import Map, PairingBasis, diagram_line, identity_pairing
 
 if TYPE_CHECKING:
     from argparse import Namespace
@@ -61,12 +61,14 @@ def generator_pairing(dimension: int, k: int) -> tuple[int, ...]:
     return tuple(pairing)
 
 
-def ideal_blocks(maps: Iterable[Map], keys: Sequence, skip: int) -> list[list[int]]:
-    """The positions 0..len(keys)-1 grouped into the components of the
-    action of ``maps``: i and targets[i] share a block for every map.
-    Each block is sorted by ``keys[i]`` and the blocks by their first
-    member's key.  Position ``skip`` and its edges are left out (-1 skips
-    none)."""
+def ideal_blocks(basis: PairingBasis, include_identity: bool) -> list[list[int]]:
+    """The positions of ``basis`` grouped into the components of the
+    generator action, i and targets[i] sharing a block for every map;
+    canonically sorted within each block and by first members.  The
+    identity and its edges are left out unless it is included."""
+    # The maps first, so the union-find's list is not held while they build.
+    keys, maps = basis.pairings, basis.maps()
+    skip = -1 if include_identity else basis.root
     parent = list(range(len(keys)))
 
     def find(i: int) -> int:
@@ -87,6 +89,14 @@ def ideal_blocks(maps: Iterable[Map], keys: Sequence, skip: int) -> list[list[in
             grouped.setdefault(find(i), []).append(i)
     blocks = [sorted(block, key=keys.__getitem__) for block in grouped.values()]
     return sorted(blocks, key=lambda block: keys[block[0]])
+
+
+def representation_order(basis: PairingBasis, include_identity: bool) -> Sequence[int]:
+    """The positions of ``basis`` in the representation order: basis
+    order with the identity included, else the ideal blocks in canonical order."""
+    if include_identity:
+        return range(len(basis.pairings))
+    return [i for block in ideal_blocks(basis, False) for i in block]
 
 
 def renumbered(maps: Iterable[Map], order: Sequence[int], size: int) -> list[Map]:
@@ -247,16 +257,12 @@ def verify_tl(dimension: int) -> tuple[bool, list[str]]:
     is that of ``representation.verify_tl_relations`` on
     ``generator_matrices`` and of ``verify_tl_relations_diagrams``.
     """
-    n = dimension
-    pairings = _backend.enumerate_pairings(n)
-    index = {p: i for i, p in enumerate(pairings)}
-    maps = [_backend.generator_map(pairings, index, k, n) for k in range(1, n)]
-    skip = index[identity_pairing(n)]
-    del index
-    order = [i for block in ideal_blocks(maps, pairings, skip) for i in block]
-    maps = renumbered(maps, order, len(pairings))
-    del pairings  # the checks read positions only
-    reports = [map_report(dict(enumerate(maps, start=1)), len(order)), diagram_report(n)]
+    basis = _backend.pairing_basis(dimension)
+    order = representation_order(basis, False)
+    maps, size = basis.maps(), len(basis.pairings)
+    del basis  # the checks read positions only
+    maps = renumbered(maps, order, size)
+    reports = [map_report(dict(enumerate(maps, start=1)), len(order)), diagram_report(dimension)]
     lines: list[str] = []
     for report in reports:
         lines += report_lines(*report)
@@ -272,9 +278,8 @@ def _run_verify(args: Namespace) -> tuple[bool, str]:
         ok, lines = verify_tl(args.dim)
     if args.relations in ("artin", "all"):
         from .braids import _verify_artin
-        from .enumeration import enumerate_diagrams
 
-        report = _verify_artin(enumerate_diagrams(args.dim, max_dimension=args.max_dim))
-        ok = report.passed and ok
-        lines += [*report.lines(), ""]
+        title, entries, witnesses = _verify_artin(_backend.pairing_basis(args.dim))
+        ok = all(passed for _, passed in entries) and ok
+        lines += [*report_lines(title, entries, witnesses), ""]
     return ok, "\n".join(lines)

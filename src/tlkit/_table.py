@@ -1,10 +1,10 @@
 """The runner of ``tlkit compose``.
 
 ``--table`` prints the composition table of TL_N as CSV on the kernel
-module alone: positions and partner tuples from ``tlkit._backend``, no
-diagram or basis object.  Two diagram arguments (``--lhs``, ``--rhs``)
-are composed through ``composition.compose_scaled``, which loads the
-diagram modules but builds no basis.
+module alone: the positions and generator maps of a
+``_backend.PairingBasis``, no diagram object.  Two diagram arguments
+(``--lhs``, ``--rhs``) are composed through ``composition.compose_scaled``,
+which loads the diagram modules but builds no basis.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ if TYPE_CHECKING:
 def _run_compose(args: Namespace) -> tuple[bool, str]:
     """``tlkit compose`` on arguments ``tlkit.cli.run`` has checked."""
     if args.table:
-        from ._backend import enumerate_pairings, generator_map, identity_pairing, table_rows
+        from ._backend import pairing_basis, table_rows
 
         n = args.dim
-        pairings = enumerate_pairings(n)
-        index = {p: i for i, p in enumerate(pairings)}
-        maps = [generator_map(pairings, index, k, n) for k in range(1, n)]
-        size = len(pairings)
+        basis = pairing_basis(n)
+        maps, root, size = basis.maps(), basis.root, len(basis.pairings)
+        del basis  # the table reads positions only
         # labels[m][r] is "row:loops" for d^m . D_r; stacking N-strand
         # diagrams closes at most N // 2 loops, one per two middle nodes
         labels = [
@@ -32,7 +31,7 @@ def _run_compose(args: Namespace) -> tuple[bool, str]:
         ]
         # Each row ends in its own newline, so the table is joined once.
         lines = [f"lhs/rhs,{','.join(str(j) for j in range(1, size + 1))}\n"]
-        for i, (rows, loops) in enumerate(table_rows(maps, index[identity_pairing(n)]), start=1):
+        for i, (rows, loops) in enumerate(table_rows(maps, root), start=1):
             cells = [labels[m][r] for r, m in zip(rows, loops)]
             lines.append(f"{i},{','.join(cells)}\n")
         return True, "".join(lines)

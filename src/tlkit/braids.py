@@ -21,16 +21,16 @@ rule (``_backend._apply_generator``), on partner tuples: ``_image_terms``
 is the sorted list of (pairing, coefficient) terms, which ``braid_image``
 wraps in a ``TLElement`` and ``tlkit bracket`` prints through
 ``_backend.diagram_line``.  So the element route loads ``_backend``,
-``_values``, ``laurent`` and this module alone; ``composition``,
-``diagrams``, ``elements`` and ``enumeration`` are imported where they
-are used, as are ``matrices`` and ``representation``.  The matrix image
-is the same product of left-multiplication matrices on the
-identity-included basis, each read from the map ``composition._action``
-keeps on the caller's basis.
+``_values``, ``laurent`` and this module alone; ``diagrams``,
+``elements`` and ``enumeration`` are imported where they are used, as
+are ``matrices`` and ``representation``.  The matrix image is the same
+product of left-multiplication matrices on the identity-included basis,
+each read from the map of a ``_backend.PairingBasis``.
 
 The matrix image lives in ``tlkit._packed``, which ``braid_image_matrix``,
 ``_verify_artin`` and ``tlkit bracket --matrix`` import when they run,
-so the element form compiles none of it.
+so the element form compiles none of it.  ``_verify_artin`` compares
+term lists and packed columns, so neither runner loads a diagram module.
 """
 
 from __future__ import annotations
@@ -40,12 +40,14 @@ from itertools import chain
 from typing import TYPE_CHECKING, Mapping, Sequence, TypeVar
 
 from ._backend import (
+    PairingBasis,
     _apply_generator,
     _dimension,
     _integer,
     _walk_dimension,
     diagram_line,
     identity_pairing,
+    pairing_basis,
 )
 from ._values import _integers, _require, _Value
 from .laurent import LaurentPoly
@@ -53,8 +55,8 @@ from .laurent import LaurentPoly
 if TYPE_CHECKING:
     from argparse import Namespace
 
+    from ._relations import Report
     from .elements import TLElement
-    from .enumeration import DiagramBasis
     from .matrices import PolyMatrix
     from .representation import RelationReport
 
@@ -153,7 +155,7 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     from .matrices import PolyMatrix
 
     word = _require(word, BraidWord, "braid_image_matrix needs a BraidWord")
-    basis = enumerate_diagrams(word.strands)
+    basis = enumerate_diagrams(word.strands)._record
     return PolyMatrix.from_columns("A", _image_columns(word, basis))
 
 
@@ -168,16 +170,16 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
     max_len with w . w^-1 = 1.
     """
     from .enumeration import enumerate_diagrams
+    from .representation import RelationReport
 
     strands = _dimension(strands, "strand count", least=2)
-    return _verify_artin(enumerate_diagrams(strands), max_len, seed)
+    return RelationReport(*_verify_artin(enumerate_diagrams(strands)._record, max_len, seed))
 
 
-def _verify_artin(basis: DiagramBasis, max_len: int = 6, seed: int = 0) -> RelationReport:
-    """``verify_artin`` over a basis the caller built, of dimension at
-    least 2; the CLI builds it under its own ceiling."""
+def _verify_artin(basis: PairingBasis, max_len: int = 6, seed: int = 0) -> Report:
+    """``verify_artin`` as (title, entries, witnesses), over a basis record
+    of dimension at least 2 that the caller built under its ceiling."""
     from ._packed import _matrix_difference
-    from .representation import RelationReport
 
     max_len = _integer(max_len, "max_len")
     try:
@@ -194,7 +196,7 @@ def _verify_artin(basis: DiagramBasis, max_len: int = 6, seed: int = 0) -> Relat
         return BraidWord(n, letters)
 
     def check(name: str, w1: BraidWord, w2: BraidWord, matrix: bool = True) -> None:
-        witness = _element_difference(braid_image(w1), braid_image(w2))
+        witness = _terms_difference(n, _image_terms(w1), _image_terms(w2))
         if witness is None and matrix:
             witness = _matrix_difference(w1, w2, basis)
         entries.append((name, witness is None))
@@ -225,11 +227,8 @@ def _verify_artin(basis: DiagramBasis, max_len: int = 6, seed: int = 0) -> Relat
             identity,
             matrix=False,
         )
-    return RelationReport(
-        f"Artin relations in the bracket image, {n} strands",
-        tuple(entries),
-        tuple(witnesses),
-    )
+    title = f"Artin relations in the bracket image, {n} strands"
+    return title, tuple(entries), tuple(witnesses)
 
 
 def _first_difference(left: Mapping[K, object], right: Mapping[K, object]) -> K:
@@ -237,16 +236,17 @@ def _first_difference(left: Mapping[K, object], right: Mapping[K, object]) -> K:
     return min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
 
 
-def _element_difference(actual: TLElement, expected: TLElement) -> str | None:
-    """None if the two images are equal; else their first differing term."""
+def _terms_difference(dimension: int, actual: list, expected: list) -> str | None:
+    """None if two images, as ``_image_terms`` lists, are equal; else
+    their first differing term."""
     if actual == expected:
         return None
-    left, right = dict(actual.terms), dict(expected.terms)
-    diagram = _first_difference(left, right)
+    left, right = dict(actual), dict(expected)
+    pairing = _first_difference(left, right)
     zero = LaurentPoly.zero("A")
     return (
-        f"first differing term {diagram_line(diagram.dimension, diagram.pairing, 0)}: "
-        f"expected {right.get(diagram, zero)}, got {left.get(diagram, zero)}"
+        f"first differing term {diagram_line(dimension, pairing, 0)}: "
+        f"expected {right.get(pairing, zero)}, got {left.get(pairing, zero)}"
     )
 
 
@@ -258,13 +258,12 @@ def _run_bracket(args: Namespace) -> tuple[bool, str]:
     if args.matrix:
         from ._csv import sparse_csv
         from ._packed import _image_rows
-        from .enumeration import enumerate_diagrams
 
         # The matrix is over the basis, which the walk lists.
-        _walk_dimension(args.strands, "strand count")
-        basis = enumerate_diagrams(args.strands, max_dimension=args.max_dim)
-        header += f", {len(basis)}x{len(basis)}, entries in A"
-        return True, sparse_csv(len(basis), [(header, _image_rows(word, basis))])
+        basis = pairing_basis(_walk_dimension(args.strands, "strand count"))
+        size = len(basis.pairings)
+        header += f", {size}x{size}, entries in A"
+        return True, sparse_csv(size, [(header, _image_rows(word, basis))])
     # The element form runs on partner tuples: no diagram module is loaded.
     lines = [header + ", d = -A^2-A^-2"]
     for pairing, coeff in _image_terms(word):

@@ -220,7 +220,7 @@ _COMMANDS = {
     ),
     "repr": (
         "generator matrices over the diagram basis",
-        "representation",
+        "_csv",
         2,
         (
             ("--dim", "dim", int, None, True, None),
@@ -305,21 +305,27 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     return (EXIT_OK if passed else EXIT_VERIFICATION), text
 
 
-def _is_word(value: str) -> bool:
-    """Whether ``value`` is comma-separated signed integers in ASCII
-    digits, as a braid word is written."""
-    return all(piece.isascii() and piece.removeprefix("-").isdecimal() for piece in value.split(","))
+def _is_dash_value(dest: str, value: str) -> bool:
+    """Whether ``value``, which starts with "-", is read as the value of
+    option ``dest``: a lone negative number, as argparse reads one ("-"
+    and decimal digits, or "-", digits, "." and digits; ``isdecimal``
+    matches its ``\\d``), or a braid word in ASCII digits."""
+    whole, dot, fraction = value[1:].partition(".")
+    if (whole + fraction).isdecimal() and (not dot or fraction != ""):
+        return True
+    words = value.split(",")
+    return dest == "word" and all(p.isascii() and p.removeprefix("-").isdecimal() for p in words)
 
 
 def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
     """``argv`` parsed as ``build_parser()`` parses it, if it is written
     in the exact forms: the subcommand first, then whole option names,
-    each value as ``--opt value`` (a value not starting with "-") or as
-    ``--opt=value``, and bare switches.  Values are converted and checked
-    as argparse does.  None for anything else: help, ``--version``, an
-    abbreviation, a value starting with "-", a bad or missing value, an
-    unknown token.  argparse then parses ``argv`` and prints what it
-    prints.
+    each value as ``--opt value`` (a value not starting with "-", or a
+    lone negative number) or as ``--opt=value``, and bare switches.
+    Values are converted and checked as argparse does.  None for anything
+    else: help, ``--version``, an abbreviation, another value starting
+    with "-", a bad or missing value, an unknown token.  argparse then
+    parses ``argv`` and prints what it prints.
 
     One form is read here that argparse refuses: ``--word -1,2``, a
     braid word that starts with an inverse letter.  argparse takes only
@@ -346,7 +352,7 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
             continue
         if not equals:
             value = next(tokens, None)
-            if value is None or value.startswith("-") and not (dest == "word" and _is_word(value)):
+            if value is None or value.startswith("-") and not _is_dash_value(dest, value):
                 return None
         if isinstance(kind, tuple):
             if value not in kind:

@@ -17,24 +17,16 @@ against a union-find over the stack and against boolean matrix-power
 reachability.
 
 A generator acts on a basis by its local rule, the link-state action
-of arXiv:1204.4505; the rule, the map builder and the composition table
+of arXiv:1204.4505, not by a composition: the rule, the generator maps
+over a whole basis (``_backend.PairingBasis``) and the composition table
 are kernels on partner tuples and positions in ``tlkit._backend``.
-``_action`` keeps the map of U_k on a ``DiagramBasis``, built once by
-``_backend.generator_map``: the generator matrices, the ideal blocks and
-the bracket images read it there.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from . import _backend
-from ._backend import Map
 from ._values import _require
 from .diagrams import PlanarDiagram, ScaledDiagram
-
-if TYPE_CHECKING:
-    from .enumeration import DiagramBasis
 
 
 def compose(d1: PlanarDiagram, d2: PlanarDiagram) -> ScaledDiagram:
@@ -58,13 +50,3 @@ def compose_scaled(s1: ScaledDiagram, s2: ScaledDiagram) -> ScaledDiagram:
     product = compose(s1.diagram, s2.diagram)
     return product.with_extra_loops(s1.loop_exponent + s2.loop_exponent)
 
-
-def _action(basis: DiagramBasis, k: int) -> Map:
-    """U_k on every basis position, in basis order: U_k . D_i =
-    d^exponents[i] . D_targets[i].  Built on first use and kept on the
-    basis; two threads that both build it store equal maps."""
-    actions = basis._actions
-    if k not in actions:
-        pairings = (d.pairing for d in basis)
-        actions[k] = _backend.generator_map(pairings, basis._index, k, basis.dimension)
-    return actions[k]

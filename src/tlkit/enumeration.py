@@ -11,9 +11,9 @@ checks it against a brute-force oracle and against breadth-first and
 depth-first enumerators over partial diagrams.
 
 All values are immutable; ``enumerate_diagrams`` is cached and safe to
-share across threads.  A ``DiagramBasis`` also keeps the generator maps
-that ``composition._action`` builds with ``_backend.generator_map`` on
-first use; the fill is idempotent.
+share across threads.  A ``DiagramBasis`` holds a ``_backend.PairingBasis``
+of its pairings in its own order, with their index and the generator
+maps, built on first use (the fill is idempotent).
 """
 
 from __future__ import annotations
@@ -29,16 +29,14 @@ from .diagrams import PlanarDiagram
 class DiagramBasis(_Value):
     """The full basis for one dimension: Catalan(N) distinct diagrams,
     canonical order unless a caller chose another, plus an index for O(1)
-    position lookup.  The index is keyed by the partner tuple, which alone
-    identifies a diagram of the basis's dimension.  ``_actions`` holds
-    the map of U_k by k, kept by ``composition._action``."""
+    position lookup.  ``_record`` holds the index, keyed by the partner
+    tuple, which alone identifies a diagram, and each generator's map."""
 
     _fields = ("dimension", "diagrams")
-    __slots__ = (*_fields, "_index", "_actions")
+    __slots__ = (*_fields, "_record")
     dimension: int
     diagrams: tuple[PlanarDiagram, ...]
-    _index: dict[tuple[int, ...], int]
-    _actions: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
+    _record: _backend.PairingBasis
 
     def __init__(self, dimension: int, diagrams: tuple[PlanarDiagram, ...]) -> None:
         dimension = _dimension(dimension)
@@ -49,13 +47,18 @@ class DiagramBasis(_Value):
                 f"basis must hold Catalan({dimension}) diagrams, "
                 f"got {len(diagrams)}"
             )
-        index = {d.pairing: i for i, d in enumerate(diagrams)}
-        if len(index) != len(diagrams):
-            raise ValueError("basis contains duplicates")
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "diagrams", diagrams)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_actions", {})
+        record = _backend.PairingBasis(dimension, [d.pairing for d in diagrams])
+        for name, value in zip(self.__slots__, (dimension, diagrams, record)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, record: _backend.PairingBasis) -> DiagramBasis:
+        """The basis of a record the library built, without validation."""
+        basis, n, trusted = object.__new__(cls), record.dimension, PlanarDiagram._trusted
+        diagrams = tuple([trusted(n, p) for p in record.pairings])
+        for name, value in zip(cls.__slots__, (n, diagrams, record)):
+            object.__setattr__(basis, name, value)
+        return basis
 
     def __len__(self) -> int:
         return len(self.diagrams)
@@ -67,13 +70,13 @@ class DiagramBasis(_Value):
         return self.diagrams[i]
 
     def __contains__(self, d: object) -> bool:
-        return isinstance(d, PlanarDiagram) and d.pairing in self._index
+        return isinstance(d, PlanarDiagram) and d.pairing in self._record.index
 
     def index_of(self, d: PlanarDiagram) -> int:
         """Position of ``d``; ValueError for a non-diagram and KeyError
         when the basis does not hold it."""
         d = _require(d, PlanarDiagram, "index_of needs a PlanarDiagram")
-        return self._index[d.pairing]
+        return self._record.index[d.pairing]
 
 
 def identity_diagram(dimension: int) -> PlanarDiagram:
@@ -84,10 +87,7 @@ def identity_diagram(dimension: int) -> PlanarDiagram:
 
 @functools.cache
 def _basis(dimension: int) -> DiagramBasis:
-    pairings = _backend.enumerate_pairings(dimension)
-    trusted = PlanarDiagram._trusted
-    diagrams = tuple([trusted(dimension, p) for p in pairings])
-    return DiagramBasis(dimension, diagrams)
+    return DiagramBasis._trusted(_backend.pairing_basis(dimension))
 
 
 def enumerate_diagrams(

@@ -24,25 +24,19 @@ built on first use.  Products of generators are compositions of maps,
 (U.V) sends column i to row tU[tV[i]] with exponent eV[i] + eU[tV[i]],
 so the relation check compares tuples and multiplies no matrices.
 
-The relation checks, the ideal blocks, the renumbering into the
-representation order and the generator's partner tuple are kernels on
-partner tuples and positions in ``tlkit._relations``, which ``tlkit
-verify --relations tl`` runs without this module.  The functions here
-check their arguments and wrap the kernels' results in the library's
-values: ``verify_tl_relations`` runs ``map_report`` on the maps of its
-``GeneratorMatrix`` values, ``verify_tl_relations_diagrams`` runs
-``diagram_report``, ``RelationReport.lines`` prints through
-``report_lines``, ``_ideal_blocks`` calls ``ideal_blocks``,
-``_generator_maps`` calls ``renumbered`` and ``generator_diagram`` wraps
-``generator_pairing``.
+The relation checks, the ideal blocks, the representation order and the
+renumbering into it are kernels in ``tlkit._relations``, which ``tlkit
+verify --relations tl`` and ``tlkit repr`` (run by ``tlkit._csv``) run
+without this module; the functions here check their arguments and wrap
+the kernels' results in the library's values.
 
 The action is each generator's local rule, the link-state action of
 arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
 top nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise
-into the diagram pairing (a, b) and (D(a), D(b)).  ``composition._action``
-keeps the map of each generator on the basis, built by
-``_backend.generator_map``; the ideal blocks, the order (``_order``) and
-every generator matrix read it, as does the bracket matrix image.
+into the diagram pairing (a, b) and (D(a), D(b)).  Each generator's map
+is built once, by the ``_backend.PairingBasis`` the ``DiagramBasis``
+holds; the ideal blocks, the order and every generator matrix read it
+there, as does the bracket matrix image.
 """
 
 from __future__ import annotations
@@ -59,15 +53,14 @@ from ._relations import (
     map_report,
     renumbered,
     report_lines,
+    representation_order,
 )
 from ._values import _integers, _pairs, _require, _sequence, _Value
-from .composition import _action, compose
+from .composition import compose
 from .diagrams import PlanarDiagram, ScaledDiagram
 from .enumeration import DiagramBasis, identity_diagram
 
 if TYPE_CHECKING:
-    from argparse import Namespace
-
     from .matrices import PolyMatrix
 
 # ``laurent`` and ``matrices`` are imported where they are used, so that
@@ -145,15 +138,6 @@ class IdealPartition(_Value):
         raise KeyError(diagram)
 
 
-def _ideal_blocks(basis: DiagramBasis, include_identity: bool) -> list[list[int]]:
-    """Basis positions grouped into the components of the generator
-    action, each block and the list of blocks in canonical order.  The
-    identity and its edges are left out unless it is included."""
-    skip = -1 if include_identity else basis.index_of(identity_diagram(basis.dimension))
-    maps = [_action(basis, k) for k in range(1, basis.dimension)]
-    return ideal_blocks(maps, [d.pairing for d in basis], skip)
-
-
 def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> IdealPartition:
     """The components of the generator action on the basis: D and U_k.D
     share a block for every diagram D and generator U_k.
@@ -164,18 +148,10 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
     """
     basis = _require(basis, DiagramBasis, "ideal_partition needs a DiagramBasis")
     _require(include_identity, bool, "include_identity must be a bool")
-    blocks = _ideal_blocks(basis, include_identity)
+    blocks = ideal_blocks(basis._record, include_identity)
     return IdealPartition(
         basis.dimension, tuple(tuple(basis[i] for i in block) for block in blocks)
     )
-
-
-def _order(basis: DiagramBasis, include_identity: bool) -> Sequence[int]:
-    """Basis positions in the representation order (see module
-    docstring)."""
-    if _require(include_identity, bool, "include_identity must be a bool"):
-        return range(len(basis))
-    return [i for block in _ideal_blocks(basis, False) for i in block]
 
 
 def representation_basis(
@@ -184,7 +160,8 @@ def representation_basis(
     """The documented basis order for generator matrices (see module
     docstring)."""
     basis = _require(basis, DiagramBasis, "representation_basis needs a DiagramBasis")
-    return tuple(basis[i] for i in _order(basis, include_identity))
+    _require(include_identity, bool, "include_identity must be a bool")
+    return tuple(basis[i] for i in representation_order(basis._record, include_identity))
 
 
 class GeneratorMatrix(_Value):
@@ -294,9 +271,11 @@ def _generator_maps(
 ) -> list[GeneratorMatrix]:
     """The maps of U_k for k in ``indices``, renumbered into the
     representation order."""
-    order = _order(basis, include_identity)
+    _require(include_identity, bool, "include_identity must be a bool")
+    record = basis._record
+    order = representation_order(record, include_identity)
     basis_order = tuple(basis[i] for i in order)
-    maps = renumbered([_action(basis, k) for k in indices], order, len(basis))
+    maps = renumbered([record.map(k) for k in indices], order, len(basis))
     return [
         GeneratorMatrix._trusted(k, include_identity, basis_order, targets, exponents)
         for k, (targets, exponents) in zip(indices, maps)
@@ -361,14 +340,10 @@ class RelationReport(_Value):
 
 def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
     """Check the relations of ``_relations.tl_relations`` on the generator
-    maps (``_relations.map_report``), U_i U_{i+1} U_i before
-    U_i U_{i-1} U_i.
-
-    Both sides of each relation are composed as maps and compared as
-    tuples, which is exact: every column holds one monomial with
-    coefficient 1.  A failed relation gets a witness naming the first
-    basis column (0-based) where the sides differ.
-    """
+    maps with ``_relations.map_report``: U_i U_{i+1} U_i before
+    U_i U_{i-1} U_i, both sides composed as maps and compared, and a
+    failed relation named by the first basis column (0-based) where its
+    sides differ."""
     message = "verify_tl_relations needs a sequence of GeneratorMatrix"
     matrices = [
         _require(m, GeneratorMatrix, message) for m in _require(matrices, Iterable, message)
@@ -396,38 +371,3 @@ def verify_tl_relations_diagrams(dimension: int) -> RelationReport:
     naming both of its sides as diagram lines."""
     return RelationReport(*diagram_report(_dimension(dimension, least=2)))
 
-
-def _run_repr(args: Namespace) -> tuple[bool, str]:
-    """``tlkit repr`` on arguments ``tlkit.cli.run`` has checked: the
-    selected generator matrices as CSV blocks."""
-    from ._csv import sparse_csv
-    from .enumeration import enumerate_diagrams
-    from .laurent import LaurentPoly
-
-    basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
-    if args.gen == "all":
-        selected = generator_matrices(basis, args.include_identity)
-    else:
-        try:
-            k = int(args.gen)
-        except ValueError:
-            raise ValueError(
-                f"generator index must be an integer or 'all', got {args.gen!r}"
-            ) from None
-        selected = [generator_matrix(k, basis, args.include_identity)]
-    d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d
-
-    def block(gm: GeneratorMatrix) -> tuple[str, list[dict[int, str]]]:
-        header = (
-            f"# generator U_{gm.generator_index}, dimension {args.dim}, "
-            f"basis size {gm.size}, identity "
-            f"{'included' if gm.include_identity else 'excluded'}"
-        )
-        # column i holds d^m, or eval_d^m, in row targets[i]
-        texts = {m: str(d**m) for m in set(gm.exponents)}
-        rows: list[dict[int, str]] = [{} for _ in range(gm.size)]
-        for i, (j, m) in enumerate(zip(gm.targets, gm.exponents)):
-            rows[j][i] = texts[m]
-        return header, rows
-
-    return True, sparse_csv(selected[0].size, map(block, selected))

@@ -42,7 +42,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from tlkit.braids import BraidWord, kauffman_loop_value
-from tlkit.composition import _action, compose
+from tlkit._backend import PairingBasis
+from tlkit.composition import compose
 from tlkit.diagrams import PlanarDiagram, node_position
 from tlkit.elements import TLElement, multiply
 from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
@@ -522,17 +523,17 @@ def dense_braid_image_matrix(word: BraidWord) -> PolyMatrix:
 
 
 def reference_image_columns(
-    word: BraidWord, basis: DiagramBasis
+    word: BraidWord, basis: PairingBasis
 ) -> list[dict[int, LaurentPoly]]:
     """The bracket image over the identity-included ``basis`` as sparse
     columns of ``LaurentPoly`` entries, one letter at a time: column c
     becomes a.col_c + b.d^{m_c}.col_{t_c}, and an entry that cancels is
     dropped."""
     one = LaurentPoly.one("A")
-    columns = [{i: one} for i in range(len(basis))]
+    columns = [{i: one} for i in range(len(basis.pairings))]
     loop = kauffman_loop_value()
     for letter in word.letters:
-        targets, exponents = _action(basis, abs(letter))
+        targets, exponents = basis.map(abs(letter))
         shift = 1 if letter > 0 else -1
         with_loop = LaurentPoly.monomial("A", -shift) * loop
         updated = []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlkit import _packed, braids, composition
+from tlkit import _backend, _packed, braids
 from tlkit._packed import (
     _image_columns,
     _image_rows,
@@ -28,6 +28,12 @@ from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
 
 from oracles import dense_braid_image_matrix, element_matrix, reference_image_columns
+
+
+def record(n):
+    """The basis record ``enumerate_diagrams(n)`` holds, which the packed
+    image reads its maps from."""
+    return enumerate_diagrams(n)._record
 
 
 def identity_element(n):
@@ -194,13 +200,13 @@ def test_matrix_image_matches_dense_product(word):
     assert braid_image_matrix(word) == dense_braid_image_matrix(word)
     # verify_artin compares columns, so equal images need equal columns:
     # an entry that cancels to zero must not be stored.
-    for column in _image_columns(word, enumerate_diagrams(word.strands)):
+    for column in _image_columns(word, record(word.strands)):
         assert not any(p.is_zero() for p in column.values())
 
 
 @given(braid_words(max_strands=7, max_len=10))
 def test_packed_columns_match_the_reference(word):
-    basis = enumerate_diagrams(word.strands)
+    basis = record(word.strands)
     reference = reference_image_columns(word, basis)
     assert _image_columns(word, basis) == reference
     rows = _image_rows(word, basis)
@@ -215,7 +221,7 @@ def test_packing_at_the_edge_of_its_width():
     # exhaustive search), packed at the narrowest width that holds it
     # below 2^(width - 1), at one bit less, and at the library's width.
     word = BraidWord(3, (1, 1, -2, 1, -2, 1, -2, 1))
-    basis = enumerate_diagrams(3)
+    basis = record(3)
     reference = reference_image_columns(word, basis)
     top = max(abs(c) for column in reference for p in column.values() for _, c in p.coeffs)
     assert top == 9
@@ -241,7 +247,7 @@ def test_packing_at_the_edge_of_its_width():
 
 def assert_same_images(w1, w2):
     assert braid_image(w1) == braid_image(w2)
-    basis = enumerate_diagrams(w1.strands)
+    basis = record(w1.strands)
     assert _image_columns(w1, basis) == _image_columns(w2, basis)
 
 
@@ -281,10 +287,10 @@ def test_verify_artin_passes(n):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_matrix_images_compare_across_lengths(n):
-    basis = enumerate_diagrams(n)
+    basis = record(n)
     identity = BraidWord.identity(n)
-    report = _verify_artin(basis)
-    assert report.passed and report.witnesses == ()
+    _, entries, witnesses = _verify_artin(basis)
+    assert all(ok for _, ok in entries) and witnesses == ()
     for j in range(1, n):
         assert _matrix_difference(BraidWord(n, (j, -j)), identity, basis) is None
         assert _matrix_difference(identity, BraidWord(n, (-j, j)), basis) is None
@@ -316,16 +322,16 @@ def test_verify_artin_names_a_perturbed_packed_entry(monkeypatch):
 
 
 def test_verify_artin_names_a_differing_element_term(monkeypatch):
-    original = braids.braid_image
+    original = braids._image_terms
 
     def skewed(word):
-        image = original(word)
+        terms = original(word)
         if word.letters == (1, -1):
-            diagram, coeff = image.terms[0]
-            return TLElement(word.strands, "A", ((diagram, coeff + 1),) + image.terms[1:])
-        return image
+            (pairing, coeff), *rest = terms
+            return [(pairing, coeff + 1), *rest]
+        return terms
 
-    monkeypatch.setattr(braids, "braid_image", skewed)
+    monkeypatch.setattr(braids, "_image_terms", skewed)
     report = verify_artin(3)
     assert [name for name, ok in report.entries if not ok] == ["sigma_1*sigma_1^-1 = 1"]
     assert dict(report.witnesses)["sigma_1*sigma_1^-1 = 1"] == (
@@ -334,14 +340,14 @@ def test_verify_artin_names_a_differing_element_term(monkeypatch):
 
 
 def test_verify_artin_reports_a_wrong_action(monkeypatch):
-    # ``_packed_columns`` reads ``composition._action`` at call time.
-    original = composition._action
+    # ``_packed_columns`` reads each map through ``PairingBasis.map``.
+    original = _backend.PairingBasis.map
 
-    def skewed(basis, index):
-        targets, exponents = original(basis, index)
+    def skewed(basis, k):
+        targets, exponents = original(basis, k)
         return targets, (exponents[0] + 1,) + exponents[1:]
 
-    monkeypatch.setattr(composition, "_action", skewed)
+    monkeypatch.setattr(_backend.PairingBasis, "map", skewed)
     assert not verify_artin(4).passed
 
 

@@ -581,6 +581,10 @@ class TestStartup:
             ["enumerate", "--dim", "3", "--cache", "{tmp}/warm"],
             ["compose", "--dim", "2", "--lhs", "TL 2 m=0 (1,2)(3,4)", "--rhs", "TL 2 m=1 (1,3)(2,4)"],
             ["verify", "--dim", "4"],
+            ["repr", "--dim", "4"],
+            ["repr", "--dim", "3", "--eval-d", "-3"],
+            ["verify", "--dim", "4", "--relations", "artin"],
+            ["verify", "--dim", "4", "--relations", "all"],
         ],
     )
     def test_subcommand_loads_only_its_modules(self, args, tmp_path):
@@ -589,22 +593,34 @@ class TestStartup:
             run_cli(args)  # fills the cache, so the probe reads a hit
         result = self.fresh_python(self.LOADED, *args)
         loaded = set(result.stderr.split())
-        unused = {"braids", "laurent", "matrices", "drawing", "_packed", "_csv"}
+        kernel = {"tlkit", "tlkit.cli", "tlkit._backend"}
         if args[0] == "enumerate":
             # Every enumerate route runs on the kernel module alone.
-            assert loaded == {"tlkit", "tlkit.cli", "tlkit._backend"}
+            assert loaded == kernel
         elif "--table" in args:
             # So does the composition table, besides its runner's module.
-            assert loaded == {"tlkit", "tlkit.cli", "tlkit._backend", "tlkit._table"}
+            assert loaded == kernel | {"tlkit._table"}
+        elif args[0] == "repr":
+            # The generator maps are read off a basis record and printed
+            # with Laurent entries: no diagram module.
+            assert loaded == kernel | {"tlkit._csv", "tlkit._relations", "tlkit._values", "tlkit.laurent"}
+        elif args[0] == "verify" and args[-1] in ("artin", "all"):
+            # So are the Artin relations, compared as terms and packed columns.
+            assert loaded == kernel | {
+                "tlkit._packed",
+                "tlkit._relations",
+                "tlkit._values",
+                "tlkit.braids",
+                "tlkit.laurent",
+            }
         elif args[0] == "verify":
             # The TL relations run on the kernel and relation modules alone.
-            assert loaded == {"tlkit", "tlkit.cli", "tlkit._backend", "tlkit._relations"}
+            assert loaded == kernel | {"tlkit._relations"}
         else:
             # Two operands are composed without a basis.
             assert loaded >= {"tlkit.cli", "tlkit._table", "tlkit.diagrams", "tlkit.composition"}
-            unused.add("enumeration")
-        unused.add("representation")
-        assert not loaded & {f"tlkit.{name}" for name in unused}
+            unused = {"braids", "laurent", "matrices", "drawing", "_packed", "_csv", "enumeration"}
+            assert not loaded & {f"tlkit.{name}" for name in unused | {"representation"}}
         assert not loaded & self.FRONT_END
         assert result.stdout == run_cli(args)[1]
 
@@ -617,7 +633,18 @@ class TestStartup:
         assert not loaded & {"tlkit.representation", "tlkit.matrices"}
         assert not loaded & self.FRONT_END
         if matrix:
-            assert loaded >= {"tlkit._packed", "tlkit._csv", "tlkit.enumeration"}
+            # The matrix form reads its maps off a basis record from the
+            # walk: no diagram, enumeration or composition module.
+            assert loaded == {
+                "tlkit",
+                "tlkit.cli",
+                "tlkit._backend",
+                "tlkit._csv",
+                "tlkit._packed",
+                "tlkit._values",
+                "tlkit.laurent",
+                "tlkit.braids",
+            }
         else:
             # The element form runs on partner tuples: no diagram module,
             # and none of the packed matrix image.
@@ -1324,6 +1351,7 @@ class TestParse:
     VALUES = [
         "3", "0", "12", "-1", "-2", "", "x", " 4", "tl", "artin", "all", "svg",
         "tikz", "1,-2", "-1,2", "--dim", "a=b", "TL 2 m=0 (1,2)(3,4)", "out.tl",
+        "-3", "-.5", "-\u0663",
     ]
     STRAYS = ["extra", "-x", "--bogus", "--", "-", "--help", "-h", "--version", "=3", "--dim="]
 
@@ -1379,6 +1407,12 @@ class TestParse:
             ["bracket", "--strands", "6", "--word=-1,2,-3", "--matrix"],
             ["bracket", "--strands", "3", "--word", "1,-2", "--word="],
             ["draw", "--dim", "4", "--diagram", "TL 4 m=2 (1,7)(2,3)(4,8)(5,6)", "--format", "svg"],
+            # argparse reads a lone negative number as an option's value.
+            ["repr", "--dim", "3", "--eval-d", "-3"],
+            ["repr", "--dim", "3", "--eval-d", "-\u0663"],
+            ["enumerate", "--dim", "-3"],
+            ["bracket", "--strands", "3", "--word", "-1.5"],
+            ["bracket", "--strands", "3", "--word", "-.5", "--matrix"],
         ],
     )
     def test_takes_the_exact_forms(self, argv):
@@ -1398,7 +1432,7 @@ class TestParse:
             ["enumerate", "--dim"],
             ["enumerate", "--dim", "x"],
             ["enumerate", "--dim="],
-            ["enumerate", "--dim", "-3"],
+            ["enumerate", "--dim", "-3."],
             ["enumerate", "--di", "3", "--count"],
             ["enumerate", "--dim", "3", "--count-only=1"],
             ["enumerate", "--dim", "3", "extra"],
@@ -1410,8 +1444,8 @@ class TestParse:
             ["bracket", "--strands", "3", "--word", "-1,x"],
             ["bracket", "--word=1", "--matrix"],
             ["bracket", "--strands", "3", "--word", "-1,"],
-            ["bracket", "--strands", "3", "--word", "-1.5"],
-            ["bracket", "--strands", "3", "--word", "-\u0661"],
+            ["repr", "--dim", "3", "--eval-d", "-.5"],
+            ["bracket", "--strands", "3", "--word", "-\u0661,2"],
             ["repr", "--dim", "3", "--gen", "-1,2"],
         ],
     )

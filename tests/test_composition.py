@@ -6,10 +6,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from tlkit import _backend
+from tlkit import _backend, cli
 from tlkit._packed import _image_columns
 from tlkit.braids import BraidWord
-from tlkit.composition import _action, compose, compose_scaled
+from tlkit.composition import compose, compose_scaled
 from tlkit.diagrams import ScaledDiagram, parse
 from tlkit.enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
 from tlkit.representation import generator_diagram, generator_matrices, ideal_partition
@@ -104,7 +104,7 @@ def test_associativity_randomized(n):
 
 
 def _maps(basis):
-    return [_action(basis, k) for k in range(1, basis.dimension)]
+    return basis._record.maps()
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -131,18 +131,19 @@ def test_spanning_tree_refuses_maps_that_miss_a_diagram():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_generator_map_over_the_kernel_walk_equals_action(n):
-    # compose --table builds its maps from the walk's tuples alone; they
-    # are the maps _action keeps on the basis.
-    pairings = _backend.enumerate_pairings(n)
-    index = {p: i for i, p in enumerate(pairings)}
+    # compose --table, verify and repr build their maps on a record of the
+    # walk's tuples alone; they are the maps of the record a DiagramBasis
+    # holds, whether the library or a caller built the basis.
+    record = _backend.pairing_basis(n)
+    caller_built = DiagramBasis(n, tuple(enumerate_diagrams(n)))._record
     for k in range(1, n):
-        assert _backend.generator_map(pairings, index, k, n) == _action(enumerate_diagrams(n), k)
-    assert index[_backend.identity_pairing(n)] == enumerate_diagrams(n).index_of(identity_diagram(n))
+        assert record.map(k) == caller_built.map(k) == enumerate_diagrams(n)._record.map(k)
+    assert record.root == enumerate_diagrams(n).index_of(identity_diagram(n))
 
 
 def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     # The ideal blocks, both generator-matrix orders and the bracket matrix
-    # image read the maps _action keeps on the basis; so does the table
+    # image read the maps of the record the basis holds; so does the table
     # when it is given them.
     n = 5
     calls = 0
@@ -159,26 +160,38 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     ideal_partition(basis)
     generator_matrices(basis, include_identity=False)
     generator_matrices(basis, include_identity=True)
-    _image_columns(BraidWord(n, (1, -2, 3, -4)), basis)
+    _image_columns(BraidWord(n, (1, -2, 3, -4)), basis._record)
     assert calls == (n - 1) * catalan(n)
+    # Each CLI route that maps a whole basis builds every map it reads once,
+    # on a record of its own.
+    for argv in (
+        ["compose", "--dim", "5", "--table"],
+        ["verify", "--dim", "5"],
+        ["repr", "--dim", "5"],
+        ["repr", "--dim", "5", "--include-identity"],
+        ["bracket", "--strands", "5", "--word=1,-2,3,-4", "--matrix"],
+    ):
+        calls = 0
+        args = cli._parse(argv)
+        args.max_dim = _backend.DEFAULT_MAX_DIMENSION
+        assert cli.run(args)[0] == cli.EXIT_OK
+        assert calls == (n - 1) * catalan(n), argv
 
 
 def test_threads_sharing_a_basis_read_the_same_maps():
     n = 6
-    expected = [_action(enumerate_diagrams(n), k) for k in range(1, n)]
+    expected = _maps(enumerate_diagrams(n))
     basis = DiagramBasis(n, tuple(enumerate_diagrams(n)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as pool:
-            futures = [
-                pool.submit(lambda: [_action(basis, k) for k in range(1, n)]) for _ in range(8)
-            ]
+            futures = [pool.submit(_maps, basis) for _ in range(8)]
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     assert all(result == expected for result in results)
-    assert [_action(basis, k) for k in range(1, n)] == expected
+    assert _maps(basis) == expected
 
 
 def test_loop_exponent_additivity():

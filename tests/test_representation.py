@@ -133,10 +133,7 @@ def test_partition_matches_bottom_pattern_oracle(n, include_identity, shuffled):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ideal_blocks_on_the_kernel_walk_match_the_oracle(n, include_identity):
     pairings = _backend.enumerate_pairings(n)
-    index = {p: i for i, p in enumerate(pairings)}
-    maps = [_backend.generator_map(pairings, index, k, n) for k in range(1, n)]
-    skip = -1 if include_identity else index[_backend.identity_pairing(n)]
-    blocks = _relations.ideal_blocks(maps, pairings, skip)
+    blocks = _relations.ideal_blocks(_backend.PairingBasis(n, pairings), include_identity)
     expected = bottom_pattern_partition(enumerate_diagrams(n), include_identity)
     assert {frozenset(pairings[i] for i in block) for block in blocks} == {
         frozenset(d.pairing for d in block) for block in expected

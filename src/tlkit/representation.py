@@ -12,8 +12,8 @@ diagrams for dimension 4).
 Basis order for matrices: with the identity excluded, the ideal blocks
 are sorted by their canonically smallest member and each block is sorted
 canonically inside ("ideal-refined order"); generator matrices are then
-block diagonal.  With the identity included, the plain canonical order of
-the full basis is used.
+block diagonal.  With the identity included, the basis's own order is
+used, canonical for ``enumerate_diagrams``.
 
 Storage: U_k . D_i = d^m . D_j for every basis diagram, so every column
 of the matrix of U_k holds a single monomial with coefficient 1.  A

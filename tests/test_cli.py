@@ -163,6 +163,7 @@ class TestEnumerate:
     def test_count_only(self):
         code, out = run_cli(["enumerate", "--dim", "4", "--count-only"])
         assert (code, out) == (0, "14\n")
+        assert run_cli(["enumerate", "--dim", "12", "--count-only"]) == (0, "208012\n")
 
     def test_dim_one(self):
         code, out = run_cli(["enumerate", "--dim", "1"])
@@ -187,6 +188,8 @@ class TestEnumerate:
         monkeypatch.setenv("TLKIT_MAX_DIM", "5")
         code, out = run_cli(["enumerate", "--dim", "5", "--count-only"])
         assert (code, out) == (0, "42\n")
+        monkeypatch.setenv("TLKIT_MAX_DIM", "14")
+        assert run_cli(["enumerate", "--dim", "14", "--count-only"]) == (0, "2674440\n")
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -668,6 +671,9 @@ class TestStartup:
             ["bracket", "--strands", "4", "--word=1,-2,3,-1"],
             ["enumerate", "--dim", "4", "--output", "{tmp}/basis.tl"],
             ["enumerate", "--dim", "4", "--cache", "{tmp}/warm"],
+            ["bracket", "--strands", "4", "--word=1,-2,3,-1", "--matrix"],
+            ["repr", "--dim", "4"],
+            ["verify", "--dim", "4", "--relations", "all"],
         ],
     )
     def test_only_path_options_load_pathlib(self, args, tmp_path):
@@ -697,11 +703,14 @@ class TestStartup:
             "    main(sys.argv[1:])\n"
             "except SystemExit:\n"
             "    pass\n"
-            "print(*(m for m in sys.modules if m.startswith('tlkit')), file=sys.stderr)\n"
+            "print(*(m for m in sys.modules if m.startswith('tlkit') or m == 'argparse'), file=sys.stderr)\n"
         )
         loaded = set(self.fresh_python(probe, flag).stderr.split())
         assert "tlkit.cli" in loaded
         assert not loaded & {"tlkit.enumeration", "tlkit.diagrams"}
+        if flag == "--help":
+            # Help is printed by the argparse parser.
+            assert "argparse" in loaded
 
     def test_lazy_exports(self):
         probe = (

@@ -7,10 +7,11 @@ basis, verification of the defining relations, and the bracket image of
 braid words with d = -A^2 - A^-2.
 
 All arithmetic is exact (integer Laurent polynomials); all values are
-immutable and safe to share across threads.  The two hot kernels
-(basis enumeration and pairing composition) are plain Python in
-``tlkit._backend``; the package has no dependencies outside the standard
-library.
+immutable and safe to share across threads.  The kernels on plain
+partner tuples (basis enumeration, pairing composition, the generator
+rule and the basis maps built from it, the composition table and the
+diagram line walk) are plain Python in ``tlkit._backend``; the package
+has no dependencies outside the standard library.
 
 The names in ``__all__`` are loaded lazily (PEP 562): ``import tlkit``
 imports none of the submodules, and the first use of a name such as

@@ -1,4 +1,6 @@
-"""The two hot kernels: basis search and pairing composition.
+"""The kernels on plain partner tuples: the basis search, pairing
+composition, the generator rule and the ``PairingBasis`` maps built from
+it, the composition table and the diagram line walk.
 
 Everything here works on plain partner tuples (1-based, ``pairing[i-1]``
 is the partner of node i).  ``compose_pairings`` trusts its input:

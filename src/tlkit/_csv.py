@@ -1,9 +1,10 @@
 """Sparse square matrices as CSV text, the form in which ``tlkit repr``
 and ``tlkit bracket --matrix`` print them, and the runner of ``repr``:
 the maps of a ``_backend.PairingBasis`` in the order ``_relations``
-gives, with no diagram made.  Only those two routes compile this
-module; ``_relations``, which every ``verify`` job compiles, does not
-hold the runner.
+gives, with no diagram made.  Both commands pass their matrices as
+sparse columns; ``sparse_csv`` is the one place where they become rows.
+Only those two routes compile this module; ``_relations``, which every
+``verify`` job compiles, does not hold the runner.
 """
 
 from __future__ import annotations
@@ -15,17 +16,23 @@ if TYPE_CHECKING:
 
 
 def sparse_csv(size: int, blocks: Iterable[tuple[str, Iterable[Mapping[int, str]]]]) -> str:
-    """Square CSV blocks of ``size`` columns, each after its header line:
-    a row has the text ``row[i]`` in column i, listed in ascending i, and
-    0 in every other cell.  The text is one join of the headers, the
-    listed texts, separators and shared zero runs, so no cell list and no
-    row string is made."""
+    """Square CSV blocks of ``size`` rows and columns, each after its
+    header line, from sparse columns: ``columns[i][j]`` is the text in row
+    j of column i, in any order of j, and every unlisted cell is 0.  The
+    columns are read once, in order, into rows, so each row lists its
+    cells in ascending column order.  The text is one join of the headers,
+    the listed texts, separators and shared zero runs, so no cell list and
+    no row string is made."""
     runs: dict[int, str] = {}  # "0," * k, made once per run length k
     ends: dict[int, str] = {}  # the k zeros that end a row
     last = size - 1
     out: list[str] = []
-    for header, rows in blocks:
+    for header, columns in blocks:
         out.append(header + "\n")
+        rows: list[dict[int, str]] = [{} for _ in range(size)]
+        for i, column in enumerate(columns):
+            for j, text in column.items():
+                rows[j][i] = text
         for row in rows:
             at = 0
             for i, text in row.items():
@@ -47,20 +54,18 @@ def _run_repr(args: Namespace) -> tuple[bool, str]:
     the text of ``generator_matrices`` or ``generator_matrix`` over
     ``enumerate_diagrams(N)``."""
     from ._backend import pairing_basis
-    from ._relations import renumbered, representation_order
+    from ._relations import checked_generator, renumbered, representation_order
     from .laurent import LaurentPoly
 
     n = args.dim
-    basis = pairing_basis(n)
     indices = range(1, n)
     if args.gen != "all":
         try:
             k = int(args.gen)
         except ValueError:
             raise ValueError(f"generator index must be an integer or 'all', got {args.gen!r}") from None
-        if k not in indices:
-            raise ValueError(f"generator index {k} out of range 1..{n - 1}")
-        indices = (k,)
+        indices = (checked_generator(n, k),)
+    basis = pairing_basis(n)
     order = representation_order(basis, args.include_identity)
     maps = renumbered([basis.map(k) for k in indices], order, len(basis.pairings))
     del basis  # the blocks read positions only
@@ -72,9 +77,6 @@ def _run_repr(args: Namespace) -> tuple[bool, str]:
         header = f"# generator U_{k}, dimension {n}, basis size {size}, identity {identity}"
         # column i holds d^m, or eval_d^m, in row targets[i]
         texts = {m: str(d**m) for m in set(exponents)}
-        rows: list[dict[int, str]] = [{} for _ in range(size)]
-        for i, (j, m) in enumerate(zip(targets, exponents)):
-            rows[j][i] = texts[m]
-        return header, rows
+        return header, ({j: texts[m]} for j, m in zip(targets, exponents))
 
     return True, sparse_csv(size, (block(k, *m) for k, m in zip(indices, maps)))

@@ -18,10 +18,12 @@ letter's terms have coefficients summing to at most 3 in absolute
 value), and W = 2L + 2 bits keep each one below 2^{W-1}, so a packed
 value has exactly one balanced base-2^W digit per exponent and packing
 is exact: two entries are equal exactly when their packed values are.
-``_verify_artin`` compares packed columns, ``_image_rows`` decodes each
-distinct value once to its text for the CLI, and ``_image_columns``
-decodes them to LaurentPoly; ``braid_image_matrix`` is the dense matrix
-view of those columns.  (Kronecker substitution: Harvey, arXiv:0712.4046.)
+``_verify_artin`` compares packed columns and decodes only a witness.
+``_image_columns`` is the one reader of a whole image: it decodes each
+distinct value once and converts it once, keeping the LaurentPoly for
+``braid_image_matrix`` (the dense matrix view of the columns) or making
+its text for ``tlkit bracket --matrix``, which ``_csv.sparse_csv``
+prints.  (Kronecker substitution: Harvey, arXiv:0712.4046.)
 
 Every function here takes the basis as a ``_backend.PairingBasis`` and
 reads the map of each letter's generator from it, so no diagram module
@@ -33,7 +35,7 @@ of ``tlkit bracket`` compiles none of it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 from .braids import _first_difference
 from .laurent import LaurentPoly
@@ -41,6 +43,8 @@ from .laurent import LaurentPoly
 if TYPE_CHECKING:
     from ._backend import PairingBasis
     from .braids import BraidWord
+
+T = TypeVar("T")
 
 
 def _width(length: int) -> int:
@@ -102,42 +106,27 @@ def _unpack(value: int, width: int, offset: int) -> LaurentPoly:
     return LaurentPoly._trusted("A", tuple(coeffs))
 
 
-def _image_columns(word: BraidWord, basis: PairingBasis) -> list[dict[int, LaurentPoly]]:
+def _image_columns(
+    word: BraidWord, basis: PairingBasis, entry: Callable[[LaurentPoly], T]
+) -> Iterator[dict[int, T]]:
     """The bracket image over ``basis``, the identity-included basis of
-    the word's strand count, as sparse columns: ``columns[i][j]`` is the
-    nonzero entry in row j of column i."""
+    the word's strand count, as sparse columns made one at a time:
+    ``column[j]`` is ``entry`` of the nonzero entry in row j.  Each
+    distinct entry is decoded and converted once."""
     length = len(word.letters)
     width, offset = _width(length), 3 * length
-    polys: dict[int, LaurentPoly] = {}
-    columns: list[dict[int, LaurentPoly]] = []
+    entries: dict[int, T] = {}
     for packed in _packed_columns(word, basis, width, offset):
-        column: dict[int, LaurentPoly] = {}
+        # made at its final size: a dict grown entry by entry per column
+        # raised the peak RSS of 9-strand ``bracket --matrix`` by about 1 MB
+        column = dict.fromkeys(packed)
         for row, p in packed.items():
-            poly = polys.get(p)
-            if poly is None:
-                poly = polys[p] = _unpack(p, width, offset)
-            column[row] = poly
-        columns.append(column)
-    return columns
-
-
-def _image_rows(word: BraidWord, basis: PairingBasis) -> list[dict[int, str]]:
-    """The same image as rows of entry texts: ``rows[j][i]`` is the text
-    of the nonzero entry in row j of column i.  Each distinct entry is
-    decoded once."""
-    length = len(word.letters)
-    width, offset = _width(length), 3 * length
-    texts: dict[int, str] = {}
-    rows: list[dict[int, str]] = [{} for _ in basis.pairings]
-    columns = _packed_columns(word, basis, width, offset)
-    for i, column in enumerate(columns):
-        for row, p in column.items():
-            text = texts.get(p)
-            if text is None:
-                text = texts[p] = str(_unpack(p, width, offset))
-            rows[row][i] = text
-        column.clear()  # each packed column is freed once it is read
-    return rows
+            value = entries.get(p)
+            if value is None:
+                value = entries[p] = entry(_unpack(p, width, offset))
+            column[row] = value
+        packed.clear()  # each packed column is freed once it is read
+        yield column
 
 
 def _matrix_difference(w1: BraidWord, w2: BraidWord, basis: PairingBasis) -> str | None:

@@ -19,7 +19,7 @@ their own values:
 into the components of the generator action, ``representation_order``
 lists them in the order those blocks give (the one of ``verify``,
 ``repr`` and the generator matrices), and ``renumbered`` moves maps
-into it.
+into it.  ``checked_generator`` is the one rule for a generator index.
 
 The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import _backend
-from ._backend import Map, PairingBasis, diagram_line, identity_pairing
+from ._backend import Map, PairingBasis, _integer, diagram_line, identity_pairing
 
 if TYPE_CHECKING:
     from argparse import Namespace
@@ -47,6 +47,14 @@ Report = tuple[str, tuple[tuple[str, bool], ...], tuple[tuple[str, str], ...]]
 
 #: d^m times a diagram, as (partner tuple, m).
 Scaled = tuple[tuple[int, ...], int]
+
+
+def checked_generator(dimension: int, k: int) -> int:
+    """``k`` as an int, if U_k is a generator of dimension N: 1 <= k <= N-1."""
+    k = _integer(k, "generator index")
+    if not 1 <= k <= dimension - 1:
+        raise ValueError(f"generator index {k} out of range 1..{dimension - 1}")
+    return k
 
 
 def generator_pairing(dimension: int, k: int) -> tuple[int, ...]:

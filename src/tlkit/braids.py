@@ -156,7 +156,7 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
 
     word = _require(word, BraidWord, "braid_image_matrix needs a BraidWord")
     basis = enumerate_diagrams(word.strands)._record
-    return PolyMatrix.from_columns("A", _image_columns(word, basis))
+    return PolyMatrix.from_columns("A", list(_image_columns(word, basis, lambda poly: poly)))
 
 
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:
@@ -257,13 +257,13 @@ def _run_bracket(args: Namespace) -> tuple[bool, str]:
     header = f"# bracket image of {word.to_text() or '(empty word)'} on {args.strands} strands"
     if args.matrix:
         from ._csv import sparse_csv
-        from ._packed import _image_rows
+        from ._packed import _image_columns
 
         # The matrix is over the basis, which the walk lists.
         basis = pairing_basis(_walk_dimension(args.strands, "strand count"))
         size = len(basis.pairings)
         header += f", {size}x{size}, entries in A"
-        return True, sparse_csv(size, [(header, _image_rows(word, basis))])
+        return True, sparse_csv(size, [(header, _image_columns(word, basis, str))])
     # The element form runs on partner tuples: no diagram module is loaded.
     lines = [header + ", d = -A^2-A^-2"]
     for pairing, coeff in _image_terms(word):

@@ -41,7 +41,7 @@ from collections.abc import Iterable, Mapping
 from itertools import chain
 from typing import Sequence
 
-from ._backend import _dimension, _integer, diagram_line
+from ._backend import _dimension, _integer, diagram_line, identity_pairing
 from ._values import _integers, _pairs, _require, _Value
 
 
@@ -162,8 +162,7 @@ class PlanarDiagram(_Value):
         return sum(1 for a, b in self.pairs() if a <= n < b)
 
     def is_identity(self) -> bool:
-        n = self.dimension
-        return all(self.pairing[i - 1] == i + n for i in range(1, n + 1))
+        return self.pairing == identity_pairing(self.dimension)
 
     def connection_matrix(self) -> tuple[tuple[int, ...], ...]:
         """The symmetric 0/1 matrix P with P[i][j] = 1 iff i and j are

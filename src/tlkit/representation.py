@@ -45,8 +45,9 @@ import functools
 from collections.abc import Iterable
 from typing import TYPE_CHECKING, Sequence
 
-from ._backend import Map, _dimension, _integer
+from ._backend import Map, _dimension, _integer, identity_pairing
 from ._relations import (
+    checked_generator,
     diagram_report,
     generator_pairing,
     ideal_blocks,
@@ -58,7 +59,7 @@ from ._relations import (
 from ._values import _integers, _pairs, _require, _sequence, _Value
 from .composition import compose
 from .diagrams import PlanarDiagram, ScaledDiagram
-from .enumeration import DiagramBasis, identity_diagram
+from .enumeration import DiagramBasis
 
 if TYPE_CHECKING:
     from .matrices import PolyMatrix
@@ -84,10 +85,7 @@ class Generator(_Value):
 
 def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
     n = _dimension(dimension)
-    k = _integer(k, "generator index")
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"generator index {k} out of range 1..{n - 1}")
-    return PlanarDiagram._trusted(n, generator_pairing(n, k))
+    return PlanarDiagram._trusted(n, generator_pairing(n, checked_generator(n, k)))
 
 
 def generators(dimension: int) -> list[Generator]:
@@ -206,9 +204,8 @@ class GeneratorMatrix(_Value):
         n = first.dimension
         message = f"basis order must hold diagrams of dimension {n}"
         _sequence(basis_order, PlanarDiagram, "dimension", n, message)
-        if not 1 <= generator_index <= n - 1:
-            raise ValueError(f"generator index {generator_index} out of range 1..{n - 1}")
-        identity = identity_diagram(n).pairing
+        checked_generator(n, generator_index)
+        identity = identity_pairing(n)
         if any(d.pairing == identity for d in basis_order) != include_identity:
             held = "lacks" if include_identity else "holds"
             raise ValueError(
@@ -289,7 +286,7 @@ def generator_matrix(
     U_k . D_i = d^m . D_j."""
     k = _integer(k, "generator index")
     basis = _require(basis, DiagramBasis, "generator_matrix needs a DiagramBasis")
-    generator_diagram(basis.dimension, k)  # rejects an index out of range
+    checked_generator(basis.dimension, k)
     return _generator_maps(basis, (k,), include_identity)[0]
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tlkit import _backend, _packed, braids
 from tlkit._packed import (
     _image_columns,
-    _image_rows,
     _matrix_difference,
     _packed_columns,
     _unpack,
@@ -200,7 +199,7 @@ def test_matrix_image_matches_dense_product(word):
     assert braid_image_matrix(word) == dense_braid_image_matrix(word)
     # verify_artin compares columns, so equal images need equal columns:
     # an entry that cancels to zero must not be stored.
-    for column in _image_columns(word, record(word.strands)):
+    for column in _image_columns(word, record(word.strands), lambda p: p):
         assert not any(p.is_zero() for p in column.values())
 
 
@@ -208,12 +207,9 @@ def test_matrix_image_matches_dense_product(word):
 def test_packed_columns_match_the_reference(word):
     basis = record(word.strands)
     reference = reference_image_columns(word, basis)
-    assert _image_columns(word, basis) == reference
-    rows = _image_rows(word, basis)
-    assert sum(map(len, rows)) == sum(map(len, reference))
-    for i, column in enumerate(reference):
-        for j, p in column.items():
-            assert rows[j][i] == str(p)
+    assert list(_image_columns(word, basis, lambda p: p)) == reference
+    texts = [{j: str(p) for j, p in column.items()} for column in reference]
+    assert list(_image_columns(word, basis, str)) == texts
 
 
 def test_packing_at_the_edge_of_its_width():
@@ -248,7 +244,8 @@ def test_packing_at_the_edge_of_its_width():
 def assert_same_images(w1, w2):
     assert braid_image(w1) == braid_image(w2)
     basis = record(w1.strands)
-    assert _image_columns(w1, basis) == _image_columns(w2, basis)
+    columns = list(_image_columns(w1, basis, lambda p: p))
+    assert columns == list(_image_columns(w2, basis, lambda p: p))
 
 
 def spliced(word, at, letters):

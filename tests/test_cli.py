@@ -760,10 +760,11 @@ def test_a_reader_that_leaves_early_gets_no_traceback(args, first):
 
 def _dense_csv(size, blocks):
     lines = []
-    for header, rows in blocks:
+    for header, columns in blocks:
         lines.append(header)
-        for row in rows:
-            lines.append(",".join(row.get(i, "0") for i in range(size)))
+        columns = [*columns, *[{}] * (size - len(columns))]
+        for j in range(size):
+            lines.append(",".join(column.get(j, "0") for column in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -771,9 +772,9 @@ def _dense_csv(size, blocks):
 def sparse_blocks(draw):
     size = draw(st.integers(1, 12))
     texts = st.sampled_from(["d", "1", "-A^2+A^-2", "7"])
-    # the writer takes each row's columns in ascending order
-    row = st.dictionaries(st.integers(0, size - 1), texts).map(lambda r: dict(sorted(r.items())))
-    blocks = st.lists(st.tuples(st.just("# block"), st.lists(row, max_size=size)), min_size=1, max_size=3)
+    # a column lists its rows in any order; unlisted columns are zero
+    column = st.dictionaries(st.integers(0, size - 1), texts)
+    blocks = st.lists(st.tuples(st.just("# block"), st.lists(column, max_size=size)), min_size=1, max_size=3)
     return size, draw(blocks)
 
 

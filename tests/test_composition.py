@@ -160,7 +160,7 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     ideal_partition(basis)
     generator_matrices(basis, include_identity=False)
     generator_matrices(basis, include_identity=True)
-    _image_columns(BraidWord(n, (1, -2, 3, -4)), basis._record)
+    list(_image_columns(BraidWord(n, (1, -2, 3, -4)), basis._record, str))
     assert calls == (n - 1) * catalan(n)
     # Each CLI route that maps a whole basis builds every map it reads once,
     # on a record of its own.

@@ -67,7 +67,10 @@ the diagram line format (``_pair_texts``, ``_line_prefix`` and
 ``diagrams.serialize`` and the ``bracket`` element route both call).
 Every route of those two commands loads this module and ``tlkit.cli``
 alone, besides ``tlkit._table``, the runner of ``compose``;
-``verify --relations tl`` adds ``tlkit._relations``.
+``verify --relations tl`` adds ``tlkit._relations``.  Since every route
+loads it, it also holds ``_first_difference``, the one scan by which
+every relation witness finds where the two sides of a failed relation
+differ.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ import functools
 import math
 import operator
 import sys
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 #: Hard ceiling on the dimension accepted by enumerate_diagrams and the CLI
 #: unless the caller raises it explicitly (C_12 = 208012 diagrams is still
@@ -86,6 +89,8 @@ DEFAULT_MAX_DIMENSION = 12
 #: A generator's action on a basis: U_k . D_i = d^exponents[i] . D_targets[i]
 #: for (targets, exponents).
 Map = tuple[tuple[int, ...], tuple[int, ...]]
+
+K = TypeVar("K")
 
 
 def _integer(value: int, name: str) -> int:
@@ -443,3 +448,9 @@ def table_rows(maps: Sequence[Map], root: int) -> Iterator[tuple[list[int], list
             rows[position] = targets[r]
             loops[position] = loops[parent] + exponents[r]
         yield rows, loops
+
+
+def _first_difference(left: Mapping[K, object], right: Mapping[K, object]) -> K | None:
+    """The least key where two sparse mappings differ, a key missing from
+    one of them included, or None if they are equal."""
+    return min((k for k in left.keys() | right.keys() if left.get(k) != right.get(k)), default=None)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
-from .braids import _first_difference
+from ._backend import _first_difference
 from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
@@ -141,7 +141,7 @@ def _matrix_difference(w1: BraidWord, w2: BraidWord, basis: PairingBasis) -> str
     expected = _packed_columns(w2, basis, width, offset)
     if actual == expected:
         return None
-    i = next(i for i, (a, e) in enumerate(zip(actual, expected)) if a != e)
+    i = _first_difference(dict(enumerate(actual)), dict(enumerate(expected)))
     row = _first_difference(actual[i], expected[i])
     got, want = actual[i].get(row, 0), expected[i].get(row, 0)
     return (

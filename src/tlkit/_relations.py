@@ -15,6 +15,12 @@ their own values:
   ``_backend.compose_pairings`` with the loop counts carried.  A failed
   relation names both of its sides as diagram lines.
 
+``_checked`` is the one loop that turns relations into a report, for
+these two checks and for ``braids._verify_artin``: each check passes a
+``difference(left, right)`` that is None when the sides agree and the
+witness text when they do not, and every witness finds where the sides
+differ with ``_backend._first_difference``.
+
 ``ideal_blocks`` groups the positions of a ``_backend.PairingBasis``
 into the components of the generator action, ``representation_order``
 lists them in the order those blocks give (the one of ``verify``,
@@ -25,12 +31,14 @@ The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
 alone, on a record from ``_backend.pairing_basis``.  ``_run_verify``,
 the runner of ``tlkit verify``, imports ``braids`` only for the Artin
-relations.  ``representation`` wraps the same kernels for its
+relations, and prints every report and the overall result in one
+place.  ``representation`` wraps the same kernels for its
 ``GeneratorMatrix`` and ``RelationReport`` values.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import _backend
@@ -107,6 +115,15 @@ def representation_order(basis: PairingBasis, include_identity: bool) -> Sequenc
     return [i for block in ideal_blocks(basis, False) for i in block]
 
 
+def _gather(indices: Sequence[int]) -> Callable[[Sequence[T]], tuple[T, ...]]:
+    """A function that picks the items at ``indices`` out of a sequence,
+    as a tuple: ``operator.itemgetter``, but for fewer than two indices,
+    where itemgetter returns the item itself or takes none."""
+    if len(indices) < 2:
+        return lambda items: tuple(items[i] for i in indices)
+    return operator.itemgetter(*indices)
+
+
 def renumbered(maps: Iterable[Map], order: Sequence[int], size: int) -> list[Map]:
     """Maps on ``size`` positions, restricted to the positions in
     ``order`` and renumbered by their place in it: column i of a result
@@ -115,10 +132,8 @@ def renumbered(maps: Iterable[Map], order: Sequence[int], size: int) -> list[Map
     position = [0] * size
     for new, old in enumerate(order):
         position[old] = new
-    return [
-        (tuple(position[targets[i]] for i in order), tuple(exponents[i] for i in order))
-        for targets, exponents in maps
-    ]
+    pick = _gather(order)
+    return [(_gather(pick(targets))(position), pick(exponents)) for targets, exponents in maps]
 
 
 def tl_relations(
@@ -154,45 +169,44 @@ def tl_relations(
 
 
 def compose_maps(u: Map, v: Map) -> Map:
-    """The map of the product U.V (V acts first)."""
+    """The map of the product U.V (V acts first), gathered by
+    ``operator.itemgetter`` in C rather than a Python loop per column."""
     tu, eu = u
     tv, ev = v
-    return (
-        tuple(tu[j] for j in tv),
-        tuple(m + eu[j] for j, m in zip(tv, ev)),
-    )
+    pick = _gather(tv)
+    return pick(tu), tuple(map(operator.add, ev, pick(eu)))
 
 
-def map_witness(actual: Map, expected: Map) -> str:
-    """The first column where two maps differ, with both of its entries."""
+def map_witness(actual: Map, expected: Map) -> str | None:
+    """None if two maps are equal; else the first column where they
+    differ, with both of its entries."""
+    if actual == expected:
+        return None
     from .laurent import LaurentPoly
 
-    (ta, ea), (te, ee) = actual, expected
-    i = next(c for c in range(len(ta)) if ta[c] != te[c] or ea[c] != ee[c])
+    left, right = (dict(enumerate(zip(*m))) for m in (actual, expected))
+    i = _backend._first_difference(left, right)
 
     def entry(row: int, m: int) -> str:
         return f"{LaurentPoly.monomial('d', m)} in row {row}"
 
-    return (
-        f"first differing column {i}: expected {entry(te[i], ee[i])}, "
-        f"got {entry(ta[i], ea[i])}"
-    )
+    return f"first differing column {i}: expected {entry(*right[i])}, got {entry(*left[i])}"
 
 
 def _checked(
-    relations: Iterable[tuple[str, T, T]], witness: Callable[[T, T], str]
+    relations: Iterable[tuple[str, T, T]], difference: Callable[[T, T], str | None]
 ) -> tuple[tuple[tuple[str, bool], ...], tuple[tuple[str, str], ...]]:
-    """The entries and witnesses of a report: each relation passes when
-    its sides are equal, and a failed one is named by
-    ``witness(left, right)``."""
+    """The entries and witnesses of a report, the one loop that makes
+    them: a relation passes when ``difference(left, right)`` is None, and
+    a failed one is named by the text it returns."""
     entries: list[tuple[str, bool]] = []
     witnesses: list[tuple[str, str]] = []
     for name, left, right in relations:
-        ok = left == right
-        entries.append((name, ok))
-        if not ok:
-            witnesses.append((name, witness(left, right)))
+        witness = difference(left, right)
         del left, right  # free these sides before the next relation is built
+        entries.append((name, witness is None))
+        if witness is not None:
+            witnesses.append((name, witness))
     return tuple(entries), tuple(witnesses)
 
 
@@ -228,11 +242,13 @@ def diagram_report(dimension: int) -> Report:
         pairing, loops = _backend.compose_pairings(v[0], u[0], n)
         return pairing, loops + u[1] + v[1]
 
-    def witness(actual: Scaled, expected: Scaled) -> str:
+    def difference(actual: Scaled, expected: Scaled) -> str | None:
+        if actual == expected:
+            return None
         return f"expected {diagram_line(n, *expected)}, got {diagram_line(n, *actual)}"
 
     relations = tl_relations(gens, braided, mul, lambda u: (u[0], u[1] + 1))
-    return "Temperley-Lieb relations, diagram level", *_checked(relations, witness)
+    return "Temperley-Lieb relations, diagram level", *_checked(relations, difference)
 
 
 def report_lines(
@@ -254,15 +270,14 @@ def report_lines(
     return out
 
 
-def verify_tl(dimension: int) -> tuple[bool, list[str]]:
-    """The text of ``tlkit verify --relations tl`` for a checked dimension
-    of at least 2, and whether every relation passed: the map report over
-    the identity-free basis in the representation order, then the diagram
-    report, each followed by an empty line.
+def verify_tl(dimension: int) -> list[Report]:
+    """The reports of ``tlkit verify --relations tl`` for a checked
+    dimension of at least 2: the map report over the identity-free basis
+    in the representation order, then the diagram report.
 
     The basis is the kernel walk's partner tuples, and each ideal block
-    is sorted by partner tuple, which is the canonical order, so the text
-    is that of ``representation.verify_tl_relations`` on
+    is sorted by partner tuple, which is the canonical order, so the
+    reports are those of ``representation.verify_tl_relations`` on
     ``generator_matrices`` and of ``verify_tl_relations_diagrams``.
     """
     basis = _backend.pairing_basis(dimension)
@@ -270,24 +285,17 @@ def verify_tl(dimension: int) -> tuple[bool, list[str]]:
     maps, size = basis.maps(), len(basis.pairings)
     del basis  # the checks read positions only
     maps = renumbered(maps, order, size)
-    reports = [map_report(dict(enumerate(maps, start=1)), len(order)), diagram_report(dimension)]
-    lines: list[str] = []
-    for report in reports:
-        lines += report_lines(*report)
-        lines.append("")
-    return all(ok for _, entries, _ in reports for _, ok in entries), lines
+    return [map_report(dict(enumerate(maps, start=1)), len(order)), diagram_report(dimension)]
 
 
 def _run_verify(args: Namespace) -> tuple[bool, str]:
     """``tlkit verify`` on arguments ``tlkit.cli.run`` has checked: the
-    reports of the selected relations, and whether all of them passed."""
-    ok, lines = True, []
-    if args.relations in ("tl", "all"):
-        ok, lines = verify_tl(args.dim)
+    reports of the selected relations, each followed by an empty line,
+    and whether all of them passed."""
+    reports = verify_tl(args.dim) if args.relations in ("tl", "all") else []
     if args.relations in ("artin", "all"):
         from .braids import _verify_artin
 
-        title, entries, witnesses = _verify_artin(_backend.pairing_basis(args.dim))
-        ok = all(passed for _, passed in entries) and ok
-        lines += [*report_lines(title, entries, witnesses), ""]
-    return ok, "\n".join(lines)
+        reports.append(_verify_artin(_backend.pairing_basis(args.dim)))
+    lines = [line for report in reports for line in (*report_lines(*report), "")]
+    return all(ok for _, entries, _ in reports for _, ok in entries), "\n".join(lines)

@@ -29,20 +29,23 @@ each read from the map of a ``_backend.PairingBasis``.
 
 The matrix image lives in ``tlkit._packed``, which ``braid_image_matrix``,
 ``_verify_artin`` and ``tlkit bracket --matrix`` import when they run,
-so the element form compiles none of it.  ``_verify_artin`` compares
-term lists and packed columns, so neither runner loads a diagram module.
+so the element form compiles none of it.  ``_verify_artin`` lists the
+Artin relations as generators, as ``_relations.tl_relations`` lists the
+TL ones, and passes them through ``_relations._checked``, comparing term
+lists and packed columns, so neither runner loads a diagram module.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ._backend import (
     PairingBasis,
     _apply_generator,
     _dimension,
+    _first_difference,
     _integer,
     _walk_dimension,
     diagram_line,
@@ -59,8 +62,6 @@ if TYPE_CHECKING:
     from .elements import TLElement
     from .matrices import PolyMatrix
     from .representation import RelationReport
-
-K = TypeVar("K")
 
 
 def kauffman_loop_value() -> LaurentPoly:
@@ -180,6 +181,7 @@ def _verify_artin(basis: PairingBasis, max_len: int = 6, seed: int = 0) -> Repor
     """``verify_artin`` as (title, entries, witnesses), over a basis record
     of dimension at least 2 that the caller built under its ceiling."""
     from ._packed import _matrix_difference
+    from ._relations import _checked
 
     max_len = _integer(max_len, "max_len")
     try:
@@ -189,63 +191,57 @@ def _verify_artin(basis: PairingBasis, max_len: int = 6, seed: int = 0) -> Repor
             f"seed must be an integer, float, str, bytes or None, got {seed!r}"
         ) from None
     n = basis.dimension
-    entries: list[tuple[str, bool]] = []
-    witnesses: list[tuple[str, str]] = []
+    both = _checked(
+        _artin_relations(n),
+        lambda w1, w2: _terms_difference(w1, w2) or _matrix_difference(w1, w2, basis),
+    )
+    element = _checked(_seeded_inverses(n, max_len, rng), _terms_difference)
+    title = f"Artin relations in the bracket image, {n} strands"
+    return title, both[0] + element[0], both[1] + element[1]
+
+
+def _artin_relations(n: int) -> Iterator[tuple[str, BraidWord, BraidWord]]:
+    """The braided relations, the far commutations and the inverses on
+    ``n`` strands, one at a time as (name, left, right)."""
 
     def word(*letters: int) -> BraidWord:
         return BraidWord(n, letters)
 
-    def check(name: str, w1: BraidWord, w2: BraidWord, matrix: bool = True) -> None:
-        witness = _terms_difference(n, _image_terms(w1), _image_terms(w2))
-        if witness is None and matrix:
-            witness = _matrix_difference(w1, w2, basis)
-        entries.append((name, witness is None))
-        if witness is not None:
-            witnesses.append((name, witness))
-
     for j in range(1, n - 1):
-        check(
+        yield (
             f"sigma_{j}*sigma_{j + 1}*sigma_{j} = sigma_{j + 1}*sigma_{j}*sigma_{j + 1}",
             word(j, j + 1, j),
             word(j + 1, j, j + 1),
         )
     for j in range(1, n):
         for k in range(j + 2, n):
-            check(f"sigma_{j}*sigma_{k} = sigma_{k}*sigma_{j}", word(j, k), word(k, j))
-    identity = BraidWord.identity(n)
+            yield f"sigma_{j}*sigma_{k} = sigma_{k}*sigma_{j}", word(j, k), word(k, j)
     for j in range(1, n):
-        check(f"sigma_{j}*sigma_{j}^-1 = 1", word(j, -j), identity)
+        yield f"sigma_{j}*sigma_{j}^-1 = 1", word(j, -j), word()
+
+
+def _seeded_inverses(
+    n: int, max_len: int, rng: random.Random
+) -> Iterator[tuple[str, BraidWord, BraidWord]]:
+    """w*w^-1 = 1 for a word w of each length 2..max_len on ``n`` strands,
+    its letters drawn from ``rng``, one at a time as (name, left, right)."""
+    letters = [s * i for i in range(1, n) for s in (1, -1)]
     for length in range(2, max_len + 1):
-        letters = tuple(
-            rng.choice([s * i for i in range(1, n) for s in (1, -1)])
-            for _ in range(length)
-        )
-        w = BraidWord(n, letters)
-        check(
-            f"random word length {length}: w*w^-1 = 1",
-            w * w.inverse(),
-            identity,
-            matrix=False,
-        )
-    title = f"Artin relations in the bracket image, {n} strands"
-    return title, tuple(entries), tuple(witnesses)
+        w = BraidWord(n, tuple(rng.choice(letters) for _ in range(length)))
+        yield f"random word length {length}: w*w^-1 = 1", w * w.inverse(), BraidWord.identity(n)
 
 
-def _first_difference(left: Mapping[K, object], right: Mapping[K, object]) -> K:
-    """The least key where two unequal sparse mappings differ."""
-    return min(k for k in left.keys() | right.keys() if left.get(k) != right.get(k))
-
-
-def _terms_difference(dimension: int, actual: list, expected: list) -> str | None:
-    """None if two images, as ``_image_terms`` lists, are equal; else
-    their first differing term."""
+def _terms_difference(w1: BraidWord, w2: BraidWord) -> str | None:
+    """None if two words have equal element images (``_image_terms``);
+    else their first differing term."""
+    actual, expected = _image_terms(w1), _image_terms(w2)
     if actual == expected:
         return None
     left, right = dict(actual), dict(expected)
     pairing = _first_difference(left, right)
     zero = LaurentPoly.zero("A")
     return (
-        f"first differing term {diagram_line(dimension, pairing, 0)}: "
+        f"first differing term {diagram_line(w1.strands, pairing, 0)}: "
         f"expected {right.get(pairing, zero)}, got {left.get(pairing, zero)}"
     )
 

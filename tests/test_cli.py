@@ -114,6 +114,8 @@ class TestGolden:
                 ["bracket", "--strands", "6", "--word=1,-2,3,-4,5,-3,2,-1", "--matrix"],
                 "bracket_6_matrix.csv",
             ),
+            # one-column maps: the identity-free basis of dimension 2
+            (["verify", "--dim", "2"], "verify_dim2.txt"),
         ],
     )
     def test_matches_golden_and_byte_stable(self, args, golden):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -445,7 +446,8 @@ class TestVerifyRelations:
             verify_tl_relations_diagrams(n),
         ]
         lines = [line for report in reports for line in (*report.lines(), "")]
-        assert _relations.verify_tl(n) == (True, lines)
+        args = SimpleNamespace(dim=n, relations="tl")
+        assert _relations._run_verify(args) == (True, "\n".join(lines))
 
     def test_diagram_witness_names_both_sides(self, monkeypatch):
         original = _backend.compose_pairings
@@ -527,6 +529,11 @@ class TestVerifyRelations:
         at = lines.index("U_1^2 = d*U_1: FAIL")
         assert lines[at + 1] == "  " + witnesses["U_1^2 = d*U_1"]
         assert lines[-1] == "overall: FAIL"
+
+    def test_equal_maps_have_no_witness(self):
+        for gm in generator_matrices(enumerate_diagrams(4)):
+            m = gm.targets, gm.exponents
+            assert _relations.map_witness(m, m) is None
 
     def test_passing_report_has_no_witnesses(self):
         report = verify_tl_relations(generator_matrices(enumerate_diagrams(4)))

@@ -17,6 +17,8 @@ if TYPE_CHECKING:
 
 def _run_compose(args: Namespace) -> tuple[bool, str]:
     """``tlkit compose`` on arguments ``tlkit.cli.run`` has checked."""
+    if args.table and (args.lhs is not None or args.rhs is not None):
+        raise ValueError("compose takes --table or --lhs and --rhs, not both")
     if args.table:
         from ._backend import pairing_basis, table_rows
 

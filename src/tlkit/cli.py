@@ -20,6 +20,7 @@ dispatched, so a job compiles no other subcommand's runner.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import os
 import sys
@@ -399,10 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.
+
+    With ``argv`` None, ``main`` is the process's program (the ``tlkit``
+    script, ``python -m tlkit.cli``) and reads ``sys.argv[1:]``.  Then,
+    on every way out, with the output written, it freezes the garbage
+    collector's heap: the interpreter's finalization runs one full
+    collection that ``gc.disable()`` does not stop, and it would free the
+    whole start-up heap object by object only for the process to exit.
+    atexit handlers and the flushes of the standard streams still run.
+    A call with an explicit ``argv`` leaves the collector as it was."""
     try:
-        if argv is None:
-            argv = sys.argv[1:]
-        args = _parse(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         if args is None:
             args = build_parser().parse_args(argv)
         return _main(args)
@@ -410,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         # Ctrl-C: the shell's exit status for SIGINT, and no traceback.
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 def _main(args: argparse.Namespace) -> int:

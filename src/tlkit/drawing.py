@@ -135,6 +135,8 @@ def emit_figure(
 def _run_draw(args: Namespace) -> tuple[bool, str]:
     """``tlkit draw`` on arguments ``tlkit.cli.run`` has checked: the
     basis, or one diagram argument, as a figure."""
+    if args.basis and args.diagram is not None:
+        raise ValueError("draw takes --basis or --diagram, not both")
     if args.basis:
         from .enumeration import enumerate_diagrams
 

@@ -561,7 +561,7 @@ class TestStartup:
     )
 
     @staticmethod
-    def fresh_python(probe, *args, options=()):
+    def fresh_python(probe, *args, options=(), check=True):
         """Run ``probe`` in a new interpreter, started with ``options``,
         that imports this tlkit."""
         src = str(Path(tlkit.__file__).resolve().parents[1])
@@ -571,8 +571,44 @@ class TestStartup:
             env=env,
             capture_output=True,
             text=True,
-            check=True,
+            check=check,
         )
+
+    #: Runs ``main`` as ``{entry}`` on the probe's arguments.  An atexit
+    #: hook, which runs before finalization, prints last to stderr whether
+    #: ``main`` froze more of the collector's heap (CPython 3.12 starts
+    #: with a few hundred objects frozen).
+    ENTRY = (
+        "import atexit, gc, sys\n"
+        "from tlkit.cli import main\n"
+        "frozen = gc.get_freeze_count()\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > frozen, file=sys.stderr))\n"
+        "sys.exit({entry})\n"
+    )
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (["enumerate", "--dim", "3"], cli.EXIT_OK),
+            (["enumerate", "--dim", "0"], cli.EXIT_VALIDATION),
+            (["enumerate"], cli.EXIT_USAGE),
+            (["--help"], cli.EXIT_OK),
+        ],
+        ids=["ok", "validation", "usage", "help"],
+    )
+    def test_only_the_program_entry_freezes_the_heap(self, args, code):
+        program, call = (
+            self.fresh_python(self.ENTRY.format(entry=entry), *args, check=False)
+            for entry in ("main()", "main(sys.argv[1:])")
+        )
+        assert program.returncode == call.returncode == code
+        assert program.stdout == call.stdout
+        assert program.stderr == call.stderr.removesuffix("False\n") + "True\n"
+        # An in-process call leaves the collector as it found it.
+        before = gc.get_freeze_count(), gc.isenabled()
+        with contextlib.suppress(SystemExit):
+            assert run_cli(args)[0] == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
     @pytest.mark.parametrize(
         "args",
@@ -874,8 +910,14 @@ class TestCompose:
             == cli.EXIT_VALIDATION
         )
 
-    def test_requires_operands_or_table(self):
-        assert cli.main(["compose", "--dim", "2"]) == cli.EXIT_VALIDATION
+    def test_requires_operands_or_table(self, capsys):
+        for options, message in [
+            ([], "compose needs --table or both --lhs and --rhs"),
+            (["--table", "--lhs", "X", "--rhs", "Y"], "compose takes --table or --lhs and --rhs, not both"),
+            (["--table", "--rhs", "Y"], "compose takes --table or --lhs and --rhs, not both"),
+        ]:
+            assert cli.main(["compose", "--dim", "3", *options]) == cli.EXIT_VALIDATION
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestRepr:
@@ -1022,8 +1064,13 @@ class TestDraw:
         assert code == 0
         assert out.count(" -- ") == 2
 
-    def test_needs_target(self):
-        assert cli.main(["draw", "--dim", "2"]) == cli.EXIT_VALIDATION
+    def test_needs_target(self, capsys):
+        for options, message in [
+            ([], "draw needs --basis or --diagram"),
+            (["--basis", "--diagram", "garbage"], "draw takes --basis or --diagram, not both"),
+        ]:
+            assert cli.main(["draw", "--dim", "3", *options]) == cli.EXIT_VALIDATION
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # Each subcommand with its size option and the least size it takes.

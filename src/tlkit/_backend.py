@@ -169,8 +169,9 @@ def _line_prefix(dimension: int, loop_exponent: int) -> str:
     return f"TL {dimension} m={loop_exponent} "
 
 
-def diagram_line(dimension: int, pairing: Sequence[int], loop_exponent: int) -> str:
+def diagram_line(pairing: Sequence[int], loop_exponent: int) -> str:
     """The diagram line of d^loop_exponent times the diagram ``pairing``."""
+    dimension = len(pairing) // 2
     pairs = "".join(map(operator.getitem, _pair_texts(dimension), pairing))
     return _line_prefix(dimension, loop_exponent) + pairs
 
@@ -204,14 +205,17 @@ def enumerate_pairings(dimension: int) -> list[tuple[int, ...]]:
     return out
 
 
-def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -> str:
-    """The leaves of the search as text, one line per leaf in the same order.
+def pairing_lines(dimension: int) -> str:
+    """The leaves of the search as diagram lines of loop exponent 0, one
+    line per leaf in the same order.
 
-    A line is ``prefix``, then ``texts[f-1][j]`` for each pair (f, j) in
-    the order the search places it, then a newline.  The walk carries the
-    text of the pairs placed so far down the first N // 2 levels.  Below
-    that, the text of every way to finish is memoized by the search state,
-    as in ``count_pairings``.  A line below a node of level N // 2 is the
+    A line is ``_line_prefix(N, 0)``, then the text ``(f,j)`` of each
+    pair (f, j) in the order the search places it, then a newline.  The
+    depth is checked before ``_pair_texts(N)``, which grows with the
+    square of N, is built.  The walk carries the text of the pairs placed
+    so far down the first N // 2 levels.  Below that, the text of every
+    way to finish is memoized by the search state, as in
+    ``count_pairings``.  A line below a node of level N // 2 is the
     node's text and one finish, both shared: the walk lists those two
     pieces per line and joins the list once.  So no string per line, no
     partner tuple and no second copy of the text is built; at its peak
@@ -219,6 +223,7 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
     finishes.
     """
     n = _walk_dimension(dimension)
+    texts = _pair_texts(n)
     chunks: list[str] = []
 
     @functools.cache
@@ -247,7 +252,7 @@ def pairing_lines(dimension: int, prefix: str, texts: Sequence[Sequence[str]]) -
         for j in partners:
             walk(matched | 1 << f | 1 << j, text + row[j], placed + 1)
 
-    walk(1, prefix, 0)
+    walk(1, _line_prefix(n, 0), 0)
     # The two walks refer to themselves, so they and what they hold live
     # until a garbage collection: free the memo and the pieces now.
     finishes.cache_clear()
@@ -371,12 +376,14 @@ def _apply_generator(
 
 
 class PairingBasis:
-    """The Catalan(N) pairings of ``dimension`` in a given order, with the
-    position of each (``index``) and of the identity (``root``)."""
+    """The Catalan(N) pairings of one dimension N in a given order, with
+    the position of each (``index``) and of the identity (``root``).  N is
+    read off the first pairing, which has 2N entries."""
 
     __slots__ = ("dimension", "pairings", "index", "root", "_maps")
 
-    def __init__(self, dimension: int, pairings: Sequence[tuple[int, ...]]) -> None:
+    def __init__(self, pairings: Sequence[tuple[int, ...]]) -> None:
+        dimension = len(pairings[0]) // 2
         self.dimension, self.pairings = dimension, pairings
         self.index = {p: i for i, p in enumerate(pairings)}
         if len(self.index) != len(pairings):
@@ -403,7 +410,7 @@ class PairingBasis:
 def pairing_basis(dimension: int) -> PairingBasis:
     """The walk's basis as a new record, not cached: a caller that drops
     it frees its index and maps."""
-    return PairingBasis(dimension, enumerate_pairings(dimension))
+    return PairingBasis(enumerate_pairings(dimension))
 
 
 def spanning_tree(maps: Sequence[Map], root: int) -> list[tuple[int, int, int]]:

@@ -245,7 +245,7 @@ def diagram_report(dimension: int) -> Report:
     def difference(actual: Scaled, expected: Scaled) -> str | None:
         if actual == expected:
             return None
-        return f"expected {diagram_line(n, *expected)}, got {diagram_line(n, *actual)}"
+        return f"expected {diagram_line(*expected)}, got {diagram_line(*actual)}"
 
     relations = tl_relations(gens, braided, mul, lambda u: (u[0], u[1] + 1))
     return "Temperley-Lieb relations, diagram level", *_checked(relations, difference)

@@ -241,7 +241,7 @@ def _terms_difference(w1: BraidWord, w2: BraidWord) -> str | None:
     pairing = _first_difference(left, right)
     zero = LaurentPoly.zero("A")
     return (
-        f"first differing term {diagram_line(w1.strands, pairing, 0)}: "
+        f"first differing term {diagram_line(pairing, 0)}: "
         f"expected {right.get(pairing, zero)}, got {left.get(pairing, zero)}"
     )
 
@@ -263,5 +263,5 @@ def _run_bracket(args: Namespace) -> tuple[bool, str]:
     # The element form runs on partner tuples: no diagram module is loaded.
     lines = [header + ", d = -A^2-A^-2"]
     for pairing, coeff in _image_terms(word):
-        lines.append(f"{coeff}\t{diagram_line(args.strands, pairing, 0)}")
+        lines.append(f"{coeff}\t{diagram_line(pairing, 0)}")
     return True, "\n".join(lines) + "\n"

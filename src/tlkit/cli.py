@@ -8,7 +8,10 @@ testable.  Exit codes: 0 success, 1 validation or I/O failure, 2 usage error
 The enumeration ceiling defaults to dimension 12 and can be overridden
 with the TLKIT_MAX_DIM environment variable.
 
-One table, ``_COMMANDS``, lists every subcommand and its options.
+One table, ``_COMMANDS``, lists every subcommand and its options, each
+a row (flag, kind, default, help).  The attribute that holds an
+option's value is named from its flag by argparse's rule (``_dest``),
+and the size option, listed first, is the one required option.
 ``_parse`` reads an argv written in the exact forms from it without
 importing argparse; anything else (help, ``--version``, an abbreviated
 option, a bad or missing value) goes to the argparse parser that
@@ -69,22 +72,20 @@ def _ceiling_from_env() -> int:
 def _basis_lines(dimension: int, max_dimension: int) -> str:
     """The basis as diagram lines, built by the search walk itself: no
     diagram, basis or partner tuple is made."""
-    from ._backend import _checked_dimension, _line_prefix, _pair_texts, _walk_dimension
-    from ._backend import pairing_lines
+    from ._backend import _checked_dimension, pairing_lines
 
-    # A walk too deep to run is refused before the pair texts, which grow
-    # with the square of the dimension, are built.
-    dimension = _walk_dimension(_checked_dimension(dimension, max_dimension))
-    return pairing_lines(dimension, _line_prefix(dimension, 0), _pair_texts(dimension))
+    return pairing_lines(_checked_dimension(dimension, max_dimension))
 
 
 def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> str:
     """Basis file cache keyed by dimension and format version.
 
-    A file is served, unchanged, when its bytes are the ones this cache
-    writes: they are Catalan(N) lines in UTF-8, each starting with the
-    line prefix of an unscaled diagram and ending in "\n", and their
-    SHA-256 is the recorded one.  Any other file is rebuilt.
+    A file is served, unchanged, when it passes the checks: Catalan(N)
+    lines in UTF-8, each starting with the line prefix of an unscaled
+    diagram and ending in "\n", whose SHA-256 is the recorded one.  Any
+    other file is rebuilt.  The digest detects damage, not a rewrite of
+    both files: reordered, repeated or malformed lines under a
+    recomputed digest are served as they are.
 
     The text is held once wherever it can be.  A hit decodes the bytes
     first and drops them, then checks the lines and hashes the text: the
@@ -190,21 +191,21 @@ def _path(value: str) -> Path:
 
 #: Subcommand -> (help, the module that runs it as ``_run_<subcommand>``,
 #: the least value of its size option, its options).  The size option
-#: comes first and ``_OUTPUT`` last.  An option is (flag, dest, kind,
-#: default, required, help): ``kind`` is the callable that converts its
-#: value, a tuple of the values it takes, or ``bool`` for a switch that
-#: takes none.
-_OUTPUT = ("--output", "output", _path, None, False, None)
+#: comes first, and is the one required option; ``_OUTPUT`` comes last.
+#: An option is (flag, kind, default, help): ``kind`` is the callable that
+#: converts its value, a tuple of the values it takes, or ``bool`` for a
+#: switch that takes none.  Its value is read as ``_dest(flag)``.
+_OUTPUT = ("--output", _path, None, None)
 _COMMANDS = {
     "enumerate": (
         "list the diagram basis for a dimension",
         "cli",
         1,
         (
-            ("--dim", "dim", int, None, True, None),
-            ("--count-only", "count_only", bool, False, False, None),
+            ("--dim", int, None, None),
+            ("--count-only", bool, False, None),
             _OUTPUT,
-            ("--cache", "cache", _path, None, False, "cache directory for basis files"),
+            ("--cache", _path, None, "cache directory for basis files"),
         ),
     ),
     "compose": (
@@ -212,10 +213,10 @@ _COMMANDS = {
         "_table",
         1,
         (
-            ("--dim", "dim", int, None, True, None),
-            ("--lhs", "lhs", str, None, False, "diagram line or file; ends up at the bottom"),
-            ("--rhs", "rhs", str, None, False, "diagram line or file; stacked on top"),
-            ("--table", "table", bool, False, False, "full composition table as CSV"),
+            ("--dim", int, None, None),
+            ("--lhs", str, None, "diagram line or file; ends up at the bottom"),
+            ("--rhs", str, None, "diagram line or file; stacked on top"),
+            ("--table", bool, False, "full composition table as CSV"),
             _OUTPUT,
         ),
     ),
@@ -224,10 +225,10 @@ _COMMANDS = {
         "_csv",
         2,
         (
-            ("--dim", "dim", int, None, True, None),
-            ("--gen", "gen", str, "all", False, "generator index or 'all'"),
-            ("--include-identity", "include_identity", bool, False, False, None),
-            ("--eval-d", "eval_d", int, None, False, "evaluate entries at an integer d"),
+            ("--dim", int, None, None),
+            ("--gen", str, "all", "generator index or 'all'"),
+            ("--include-identity", bool, False, None),
+            ("--eval-d", int, None, "evaluate entries at an integer d"),
             _OUTPUT,
         ),
     ),
@@ -236,8 +237,8 @@ _COMMANDS = {
         "_relations",
         2,
         (
-            ("--dim", "dim", int, None, True, None),
-            ("--relations", "relations", ("tl", "artin", "all"), "tl", False, None),
+            ("--dim", int, None, None),
+            ("--relations", ("tl", "artin", "all"), "tl", None),
             _OUTPUT,
         ),
     ),
@@ -246,9 +247,9 @@ _COMMANDS = {
         "braids",
         1,
         (
-            ("--strands", "strands", int, None, True, None),
-            ("--word", "word", str, "", False, "comma-separated signed indices"),
-            ("--matrix", "matrix", bool, False, False, None),
+            ("--strands", int, None, None),
+            ("--word", str, "", "comma-separated signed indices"),
+            ("--matrix", bool, False, None),
             _OUTPUT,
         ),
     ),
@@ -257,10 +258,10 @@ _COMMANDS = {
         "drawing",
         1,
         (
-            ("--dim", "dim", int, None, True, None),
-            ("--basis", "basis", bool, False, False, "draw the whole basis"),
-            ("--diagram", "diagram", str, None, False, "diagram line or file"),
-            ("--format", "fmt", ("tikz", "svg"), "tikz", False, None),
+            ("--dim", int, None, None),
+            ("--basis", bool, False, "draw the whole basis"),
+            ("--diagram", str, None, "diagram line or file"),
+            ("--format", ("tikz", "svg"), "tikz", None),
             _OUTPUT,
         ),
     ),
@@ -270,10 +271,18 @@ _COMMANDS = {
 _SIZE_NAMES = {"dim": "dimension", "strands": "strand count"}
 
 
+def _dest(flag: str) -> str:
+    """The attribute that holds the value of option ``flag``, named by
+    argparse's rule: the dashes stripped, inner ones turned into "_"."""
+    return flag.lstrip("-").replace("-", "_")
+
+
 def _run_enumerate(args: argparse.Namespace) -> tuple[bool, str]:
     # Every route runs on the kernel module alone: no diagram is made.
     from ._backend import _walk_dimension, count_pairings
 
+    if args.count_only and args.cache is not None:
+        raise ValueError("enumerate takes --count-only or --cache, not both")
     # Both limits are checked before a cache directory is made.
     dimension = _walk_dimension(args.dim)
     if args.count_only:
@@ -296,7 +305,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
     from ._backend import _checked_dimension
 
     _, module, least, options = command
-    size = options[0][1]
+    size = _dest(options[0][0])
     _checked_dimension(getattr(args, size), args.max_dim, _SIZE_NAMES[size], least, _OVERRIDE)
     if module == "cli":
         runner = _run_enumerate
@@ -336,16 +345,16 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None
-    options = {option[0]: option for option in command[3]}
-    values = {option[1]: option[3] for option in command[3]}
-    missing = {option[1] for option in command[3] if option[4]}
+    options = {flag: kind for flag, kind, _, _ in command[3]}
+    values = {_dest(flag): default for flag, _, default, _ in command[3]}
+    missing = {_dest(command[3][0][0])}
     tokens = iter(argv[1:])
     for token in tokens:
         flag, equals, value = token.partition("=")
-        option = options.get(flag)
-        if option is None:
+        kind = options.get(flag)
+        if kind is None:
             return None
-        _, dest, kind, _, _, _ = option
+        dest = _dest(flag)
         if kind is bool:
             if equals:
                 return None
@@ -387,14 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (text, _, _, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        for flag, dest, kind, default, required, text in options:
+        for flag, kind, default, text in options:
             if kind is bool:
-                p.add_argument(flag, dest=dest, action="store_true", help=text)
+                p.add_argument(flag, action="store_true", help=text)
                 continue
             choices = kind if isinstance(kind, tuple) else None
             convert = None if choices or kind is str else kind
             p.add_argument(
-                flag, dest=dest, type=convert, choices=choices, default=default, required=required, help=text
+                flag, type=convert, choices=choices, default=default, required=flag == options[0][0], help=text
             )
     return parser
 

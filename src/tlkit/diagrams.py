@@ -347,7 +347,7 @@ def _line_patterns() -> tuple[re.Pattern[str], re.Pattern[str]]:
 def serialize(scaled: ScaledDiagram) -> str:
     """One-line text form; parse() inverts it exactly."""
     diagram = _require(scaled, ScaledDiagram, "serialize needs a ScaledDiagram").diagram
-    return diagram_line(diagram.dimension, diagram.pairing, scaled.loop_exponent)
+    return diagram_line(diagram.pairing, scaled.loop_exponent)
 
 
 def parse(line: str) -> ScaledDiagram:

@@ -141,7 +141,7 @@ def _run_draw(args: Namespace) -> tuple[bool, str]:
         from .enumeration import enumerate_diagrams
 
         basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
-        return True, emit_figure(tuple(basis), args.fmt)
+        return True, emit_figure(tuple(basis), args.format)
     if args.diagram is None:
         raise ValueError("draw needs --basis or --diagram")
-    return True, emit_figure(_read_diagram_arg(args.diagram, args.dim), args.fmt)
+    return True, emit_figure(_read_diagram_arg(args.diagram, args.dim), args.format)

@@ -47,7 +47,7 @@ class DiagramBasis(_Value):
                 f"basis must hold Catalan({dimension}) diagrams, "
                 f"got {len(diagrams)}"
             )
-        record = _backend.PairingBasis(dimension, [d.pairing for d in diagrams])
+        record = _backend.PairingBasis([d.pairing for d in diagrams])
         for name, value in zip(self.__slots__, (dimension, diagrams, record)):
             object.__setattr__(self, name, value)
 
@@ -99,8 +99,3 @@ def enumerate_diagrams(
     (``_backend.DEFAULT_MAX_DIMENSION`` unless overridden).
     """
     return _basis(_checked_dimension(dimension, max_dimension))
-
-
-def count_diagrams(dimension: int, *, max_dimension: int | None = None) -> int:
-    """Leaf count of the enumeration search (not the closed formula)."""
-    return _backend.count_pairings(_checked_dimension(dimension, max_dimension))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
+from ._backend import _integer
 from ._values import _require, _sequence, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
@@ -40,9 +41,16 @@ class PolyMatrix(_Value):
     def size(self) -> int:
         return len(self.rows)
 
+    def _position(self, value: int, name: str) -> int:
+        """``value`` as a 0-based row or column number, 0..size-1."""
+        value = _integer(value, name)
+        if not 0 <= value < self.size:
+            raise ValueError(f"{name} {value} out of range 0..{self.size - 1}")
+        return value
+
     def entry(self, row: int, col: int) -> LaurentPoly:
         """0-based access."""
-        return self.rows[row][col]
+        return self.rows[self._position(row, "row")][self._position(col, "column")]
 
     @classmethod
     def from_rows(
@@ -96,5 +104,6 @@ class PolyMatrix(_Value):
             raise ValueError("matrix size mismatch")
 
     def column(self, j: int) -> tuple[LaurentPoly, ...]:
+        j = self._position(j, "column")
         return tuple(row[j] for row in self.rows)
 

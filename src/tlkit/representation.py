@@ -18,11 +18,15 @@ used, canonical for ``enumerate_diagrams``.
 Storage: U_k . D_i = d^m . D_j for every basis diagram, so every column
 of the matrix of U_k holds a single monomial with coefficient 1.  A
 ``GeneratorMatrix`` therefore stores the action as a map, two tuples
-indexed by column: ``targets[i] = j`` and ``exponents[i] = m``.  Entry
-(j, i) of the matrix is d^m; ``matrix`` is the dense ``PolyMatrix`` view,
-built on first use.  Products of generators are compositions of maps,
-(U.V) sends column i to row tU[tV[i]] with exponent eV[i] + eU[tV[i]],
-so the relation check compares tuples and multiplies no matrices.
+indexed by column: ``targets[i] = j`` and ``exponents[i] = m``, with the
+generator index and the basis order:
+``GeneratorMatrix(generator_index, basis_order, targets, exponents)``.
+Whether the identity is in the order, ``include_identity``, is read off
+the order.  Entry (j, i) of the matrix is d^m; ``matrix`` is the dense
+``PolyMatrix`` view, built on first use.  Products of generators are
+compositions of maps, (U.V) sends column i to row tU[tV[i]] with exponent
+eV[i] + eU[tV[i]], so the relation check compares tuples and multiplies
+no matrices.
 
 The relation checks, the ideal blocks, the representation order and the
 renumbering into it are kernels in ``tlkit._relations``, which ``tlkit
@@ -130,6 +134,9 @@ class IdealPartition(_Value):
         return tuple(len(b) for b in self.blocks)
 
     def block_of(self, diagram: PlanarDiagram) -> int:
+        """Position of the block that holds ``diagram``; ValueError for a
+        non-diagram and KeyError when no block holds it."""
+        _require(diagram, PlanarDiagram, "block_of needs a PlanarDiagram")
         for i, block in enumerate(self.blocks):
             if diagram in block:
                 return i
@@ -167,22 +174,16 @@ class GeneratorMatrix(_Value):
     as a column-monomial map: column i holds d^exponents[i] in row
     targets[i] and zeros elsewhere.
 
-    The basis order holds diagrams of one dimension N, the generator
-    index lies in 1..N-1, and ``include_identity`` says whether the
-    identity is in the order.  ``_trusted`` skips these checks and is only
-    for maps the library computed itself (``_generator_maps``)."""
+    The basis order holds diagrams of one dimension N and the generator
+    index lies in 1..N-1; ``include_identity`` is read off the order.
+    ``_trusted`` skips these checks and is only for maps the library
+    computed itself (``_generator_maps``)."""
 
-    _fields = (
-        "generator_index",
-        "include_identity",
-        "basis_order",
-        "targets",
-        "exponents",
-    )
-    # ``matrix`` is cached in the instance ``__dict__``.
+    _fields = ("generator_index", "basis_order", "targets", "exponents")
+    # ``include_identity`` and ``matrix`` are cached in the instance
+    # ``__dict__``.
     __slots__ = (*_fields, "__dict__")
     generator_index: int
-    include_identity: bool
     basis_order: tuple[PlanarDiagram, ...]
     targets: tuple[int, ...]
     exponents: tuple[int, ...]
@@ -190,13 +191,11 @@ class GeneratorMatrix(_Value):
     def __init__(
         self,
         generator_index: int,
-        include_identity: bool,
         basis_order: Sequence[PlanarDiagram],
         targets: Sequence[int],
         exponents: Sequence[int],
     ) -> None:
         generator_index = _integer(generator_index, "generator index")
-        _require(include_identity, bool, "include_identity must be a bool")
         basis_order = tuple(_require(basis_order, Iterable, "basis order must be a sequence"))
         if not basis_order:
             raise ValueError("basis order must hold at least one diagram")
@@ -205,12 +204,6 @@ class GeneratorMatrix(_Value):
         message = f"basis order must hold diagrams of dimension {n}"
         _sequence(basis_order, PlanarDiagram, "dimension", n, message)
         checked_generator(n, generator_index)
-        identity = identity_pairing(n)
-        if any(d.pairing == identity for d in basis_order) != include_identity:
-            held = "lacks" if include_identity else "holds"
-            raise ValueError(
-                f"include_identity is {include_identity} but the basis order {held} the identity"
-            )
         message = "targets and exponents must be sequences of integers"
         targets = _integers(targets, message)
         exponents = _integers(exponents, message)
@@ -224,20 +217,19 @@ class GeneratorMatrix(_Value):
             raise ValueError(f"every target must lie in 0..{size - 1}")
         if min(exponents) < 0:
             raise ValueError("loop exponents must be non-negative")
-        self._set(generator_index, include_identity, basis_order, targets, exponents)
+        self._set(generator_index, basis_order, targets, exponents)
 
     @classmethod
     def _trusted(
         cls,
         generator_index: int,
-        include_identity: bool,
         basis_order: tuple[PlanarDiagram, ...],
         targets: tuple[int, ...],
         exponents: tuple[int, ...],
     ) -> GeneratorMatrix:
         """Build without validation, from a map the library computed."""
         gm = object.__new__(cls)
-        gm._set(generator_index, include_identity, basis_order, targets, exponents)
+        gm._set(generator_index, basis_order, targets, exponents)
         return gm
 
     def _set(self, *values: object) -> None:
@@ -247,6 +239,12 @@ class GeneratorMatrix(_Value):
     @property
     def size(self) -> int:
         return len(self.basis_order)
+
+    @functools.cached_property
+    def include_identity(self) -> bool:
+        """Whether the identity diagram is in the basis order."""
+        identity = identity_pairing(self.basis_order[0].dimension)
+        return any(d.pairing == identity for d in self.basis_order)
 
     @functools.cached_property
     def matrix(self) -> PolyMatrix:
@@ -274,7 +272,7 @@ def _generator_maps(
     basis_order = tuple(basis[i] for i in order)
     maps = renumbered([record.map(k) for k in indices], order, len(basis))
     return [
-        GeneratorMatrix._trusted(k, include_identity, basis_order, targets, exponents)
+        GeneratorMatrix._trusted(k, basis_order, targets, exponents)
         for k, (targets, exponents) in zip(indices, maps)
     ]
 

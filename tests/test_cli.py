@@ -11,6 +11,7 @@ import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -182,6 +183,13 @@ class TestEnumerate:
 
     def test_rejects_bad_dimension(self, capsys):
         assert cli.main(["enumerate", "--dim", "0"]) == cli.EXIT_VALIDATION
+
+    def test_count_only_and_cache_exclude_each_other(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        argv = ["enumerate", "--dim", "4", "--count-only", "--cache", str(cache)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: enumerate takes --count-only or --cache, not both\n")
+        assert not cache.exists()
 
     def test_ceiling_and_env_override(self, monkeypatch):
         assert cli.main(["enumerate", "--dim", "13", "--count-only"]) == cli.EXIT_VALIDATION
@@ -1138,7 +1146,7 @@ def rebuilt_u1(**changes):
 def with_repeated_u1():
     """A second, different U_1 followed by the dimension-4 generator maps."""
     mats = generator_matrices(enumerate_diagrams(4))
-    broken = GeneratorMatrix(1, False, mats[0].basis_order, (0,) * 13, mats[0].exponents)
+    broken = GeneratorMatrix(1, mats[0].basis_order, (0,) * 13, mats[0].exponents)
     return [broken] + mats
 
 
@@ -1223,33 +1231,25 @@ def with_repeated_u1():
             "restrict_connectability needs a map of nodes to partners",
         ),
         (
-            lambda d: GeneratorMatrix("x", None, (), (), ()),
+            lambda d: GeneratorMatrix("x", (), (), ()),
             "generator index must be an integer, got 'x'",
         ),
         (
-            lambda d: GeneratorMatrix(1, None, (), (), ()),
+            lambda d: representation.generator_matrix(1, enumerate_diagrams(3), None),
             "include_identity must be a bool, got None",
         ),
         (lambda d: rebuilt_u1(generator_index=-1), "generator index -1 out of range 1..3"),
         (lambda d: rebuilt_u1(generator_index=4), "generator index 4 out of range 1..3"),
         (
-            lambda d: rebuilt_u1(include_identity=True),
-            "include_identity is True but the basis order lacks the identity",
-        ),
-        (
-            lambda d: GeneratorMatrix(1, False, (d, identity_diagram(2)), (0, 1), (0, 0)),
-            "include_identity is False but the basis order holds the identity",
-        ),
-        (
-            lambda d: GeneratorMatrix(1, False, ("x", "y"), (0, 1), (0, 0)),
+            lambda d: GeneratorMatrix(1, ("x", "y"), (0, 1), (0, 0)),
             "basis order must hold PlanarDiagrams, got 'x'",
         ),
         (
-            lambda d: GeneratorMatrix(1, True, (d, identity_diagram(3)), (0, 1), (0, 0)),
+            lambda d: GeneratorMatrix(1, (d, identity_diagram(3)), (0, 1), (0, 0)),
             "basis order must hold diagrams of dimension 2, got PlanarDiagram(dimension=3",
         ),
         (
-            lambda d: GeneratorMatrix(1, False, (), (), ()),
+            lambda d: GeneratorMatrix(1, (), (), ()),
             "basis order must hold at least one diagram",
         ),
         (
@@ -1290,6 +1290,43 @@ def with_repeated_u1():
             lambda d: RelationReport("t", (("a", True),), (("a", "x"), ("b", "y"))),
             "witness 'a' names no failed entry",
         ),
+        (lambda d: DiagramBasis(2, (d, d)), "basis contains duplicates"),
+        (lambda d: PlanarDiagram(1, (3, 1)), "partner 3 of node 1 out of range 1..2"),
+        (
+            lambda d: restrict_connectability({}, 2, connectability(2)),
+            "all nodes below 2 must be matched",
+        ),
+        (
+            lambda d: TLElement(2, "d", ((d, LaurentPoly.zero("d")),)),
+            "zero terms must not be stored",
+        ),
+        (
+            lambda d: TLElement(
+                2, "d", ((d, LaurentPoly.one("d")), (generator_diagram(2, 1), LaurentPoly.one("d")))
+            ),
+            "terms must be sorted by diagram and duplicate-free",
+        ),
+        (
+            lambda d: TLElement.from_diagram(d) + TLElement.from_diagram(d, None, "A"),
+            "coefficient variable mismatch",
+        ),
+        (
+            lambda d: TLElement.from_diagram(d).scaled(LaurentPoly.one("A")),
+            "coefficient variable mismatch",
+        ),
+        (lambda d: LaurentPoly.one("d") ** -1, "negative powers of a polynomial are not defined"),
+        (
+            lambda d: PolyMatrix.identity(1, "d") * PolyMatrix.identity(1, "A"),
+            "matrix variable mismatch",
+        ),
+        (
+            lambda d: PolyMatrix.identity(1, "d") * PolyMatrix.identity(2, "d"),
+            "matrix size mismatch",
+        ),
+        (lambda d: PolyMatrix.identity(2, "d").entry(-1, -1), "row -1 out of range 0..1"),
+        (lambda d: PolyMatrix.identity(2, "d").entry(0, 2), "column 2 out of range 0..1"),
+        (lambda d: PolyMatrix.identity(2, "d").column("a"), "column must be an integer, got 'a'"),
+        (lambda d: cli.run(SimpleNamespace(subcommand="bogus")), "unknown subcommand 'bogus'"),
     ],
     ids=[
         "term", "terms", "from-terms", "basis", "parse", "matrix",
@@ -1307,13 +1344,17 @@ def with_repeated_u1():
         "value-zero", "value-past-end", "zeroed-zero", "restrict-zero",
         "restrict-text-node", "generator-matrix-index", "generator-matrix-identity",
         "generator-matrix-negative-index", "generator-matrix-index-past-end",
-        "generator-matrix-missing-identity", "generator-matrix-stray-identity",
         "generator-matrix-non-diagrams", "generator-matrix-mixed-dimensions",
         "generator-matrix-empty-basis",
         "partition-identity-flag", "basis-identity-flag",
         "ceiling-text", "braid-text", "from-diagram", "from-diagram-coefficient",
         "scaled-factor", "monomial-exponent", "columns-non-sequence",
         "relations-repeated-index", "report-stray-witness",
+        "basis-duplicates", "partner-out-of-range", "restrict-unmatched-below",
+        "element-zero-term", "element-unsorted-terms", "element-sum-variables",
+        "element-scaled-variable", "negative-power", "matrix-product-variables",
+        "matrix-product-sizes", "entry-negative", "entry-past-end", "column-text",
+        "run-unknown-subcommand",
     ],
 )
 def test_malformed_values_raise_value_error(call, message):
@@ -1336,6 +1377,10 @@ def test_malformed_values_raise_value_error(call, message):
             "index_of needs a PlanarDiagram, got 5",
         ),
         (
+            lambda d, e, loop: representation.ideal_partition(enumerate_diagrams(2)).block_of(5),
+            "block_of needs a PlanarDiagram, got 5",
+        ),
+        (
             lambda d, e, loop: canonical_compare(d, 5),
             "canonical_compare needs PlanarDiagrams, got 5",
         ),
@@ -1352,7 +1397,7 @@ def test_malformed_values_raise_value_error(call, message):
     ],
     ids=[
         "compose-right", "compose-left", "multiply-right", "multiply-left",
-        "multiply-loop", "serialize", "serialize-unscaled", "index-of",
+        "multiply-loop", "serialize", "serialize-unscaled", "index-of", "block-of",
         "compare-right", "compare-left", "element-minus", "element-plus",
         "matrix-product",
     ],
@@ -1375,7 +1420,7 @@ def argv_lists(draw):
     if draw(st.integers(0, 3)):
         argv += [options[0][0], draw(st.sampled_from(["2", "3", "4"]))]
     for _ in range(draw(st.integers(0, 4))):
-        flag, _, kind, _, _, _ = draw(st.sampled_from(options))
+        flag, kind, _, _ = draw(st.sampled_from(options))
         form = draw(st.sampled_from(["exact"] * 6 + ["equals"] * 3 + ["abbreviated", "stray"]))
         # mostly a value of the option's kind, else any of VALUES
         if not draw(st.integers(0, 3)):
@@ -1549,7 +1594,7 @@ def cli_lines(draw):
     argv = [name]
     # The size option mostly comes first, so most lines get past the usage check.
     chosen = [options[0]] if draw(st.integers(0, 4)) else []
-    for flag, _, kind, _, _, _ in chosen + draw(st.lists(st.sampled_from(options), max_size=3)):
+    for flag, kind, _, _ in chosen + draw(st.lists(st.sampled_from(options), max_size=3)):
         if kind is bool:
             argv.append(flag)
             continue

@@ -1,11 +1,14 @@
-"""The ValueError contract, swept over every exported name.
+"""The ValueError contract, swept over every exported name and every
+public method of the exported classes.
 
-Each callable in ``tlkit.__all__`` is called with every mix of a few wrong
-values in its required positional parameters, read with
-``inspect.signature``, so a new export is covered with no new code.  Each
-call must return a value or raise ``ValueError``; any other exception the
-sweep allows is listed in ``ALLOWED`` with its reason.  One test per name
-loops over that name's mixes.
+Each callable in ``tlkit.__all__``, and each public (non-underscore)
+method of one sample instance of each exported class in ``SAMPLES``, is
+called with every mix of a few wrong values in its required positional
+parameters, read with ``inspect.signature``, so a new export or method is
+covered with no new code.  Each call must return a value or raise
+``ValueError``; any other exception the sweep allows is listed in
+``ALLOWED`` with its reason.  One test per name or method loops over its
+mixes.
 """
 
 from __future__ import annotations
@@ -20,9 +23,35 @@ import tlkit
 #: The values tried in every required positional parameter.
 VALUES = (None, 5, -1, 1.5, "a", (), [5], object())
 
-#: Exceptions other than ValueError that a name may raise, with the reason.
-#: No name needs one today.
+#: Exceptions other than ValueError that a name or a method ("Class.name")
+#: may raise, with the reason.  None needs one today.
 ALLOWED: dict[str, tuple[type[BaseException], str]] = {}
+
+_DIAGRAM = tlkit.identity_diagram(2)
+
+#: One instance of each exported class.
+SAMPLES = {
+    "BraidWord": tlkit.BraidWord(3, (1, -2)),
+    "ConnectabilityMatrix": tlkit.connectability(2),
+    "DiagramBasis": tlkit.enumerate_diagrams(2),
+    "Generator": tlkit.generators(2)[0],
+    "GeneratorMatrix": tlkit.generator_matrix(1, tlkit.enumerate_diagrams(3)),
+    "IdealPartition": tlkit.ideal_partition(tlkit.enumerate_diagrams(3)),
+    "LaurentPoly": tlkit.LaurentPoly.monomial("d", 1),
+    "PlanarDiagram": _DIAGRAM,
+    "PolyMatrix": tlkit.generator_matrix(1, tlkit.enumerate_diagrams(2), True).matrix,
+    "RelationReport": tlkit.verify_tl_relations_diagrams(2),
+    "ScaledDiagram": tlkit.ScaledDiagram(_DIAGRAM, 1),
+    "TLElement": tlkit.TLElement.from_diagram(_DIAGRAM),
+}
+
+#: "Class.method" -> the bound public method of its sample.
+METHODS = {
+    f"{name}.{attr}": getattr(sample, attr)
+    for name, sample in SAMPLES.items()
+    for attr in dir(sample)
+    if not attr.startswith("_") and callable(getattr(sample, attr))
+}
 
 _POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
 
@@ -38,12 +67,25 @@ def required_arity(fn) -> int:
 
 def test_every_export_is_callable():
     assert all(callable(getattr(tlkit, name)) for name in tlkit.__all__)
-    assert set(ALLOWED) <= set(tlkit.__all__)
+    assert set(ALLOWED) <= {*tlkit.__all__, *METHODS}
+    classes = {name for name in tlkit.__all__ if isinstance(getattr(tlkit, name), type)}
+    assert set(SAMPLES) == classes
+    assert all(type(sample) is getattr(tlkit, name) for name, sample in SAMPLES.items())
 
 
 @pytest.mark.parametrize("name", tlkit.__all__)
 def test_returns_or_raises_value_error(name):
-    fn = getattr(tlkit, name)
+    sweep(name, getattr(tlkit, name))
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_methods_return_or_raise_value_error(name):
+    sweep(name, METHODS[name])
+
+
+def sweep(name, fn):
+    """Call ``fn`` with every mix of ``VALUES`` in its required positional
+    parameters."""
     allowed, _reason = ALLOWED.get(name, (ValueError, ""))
     for args in itertools.product(VALUES, repeat=required_arity(fn)):
         try:

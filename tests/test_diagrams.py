@@ -205,7 +205,7 @@ class TestSerialization:
     def test_loop_exponent_line(self):
         scaled = parse("TL 4 m=2 (1,2)(3,7)(4,8)(5,6)")
         assert scaled.loop_exponent == 2
-        assert serialize(scaled) == "TL 4 m=2 (1,2)(3,7)(4,8)(5,6)"
+        assert serialize(scaled) == str(scaled) == "TL 4 m=2 (1,2)(3,7)(4,8)(5,6)"
 
     def test_round_trip_whole_basis(self):
         for d in enumerate_diagrams(4):

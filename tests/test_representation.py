@@ -69,6 +69,10 @@ class TestIdealPartition:
     def test_dim4_split(self):
         part = ideal_partition(enumerate_diagrams(4))
         assert part.block_sizes() == (8, 5)
+        for i, block in enumerate(part.blocks):
+            assert all(part.block_of(d) == i for d in block)
+        with pytest.raises(KeyError):
+            part.block_of(identity_diagram(4))
 
     def test_dim2_single_cup_block(self):
         part = ideal_partition(enumerate_diagrams(2))
@@ -134,7 +138,7 @@ def test_partition_matches_bottom_pattern_oracle(n, include_identity, shuffled):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ideal_blocks_on_the_kernel_walk_match_the_oracle(n, include_identity):
     pairings = _backend.enumerate_pairings(n)
-    blocks = _relations.ideal_blocks(_backend.PairingBasis(n, pairings), include_identity)
+    blocks = _relations.ideal_blocks(_backend.PairingBasis(pairings), include_identity)
     expected = bottom_pattern_partition(enumerate_diagrams(n), include_identity)
     assert {frozenset(pairings[i] for i in block) for block in blocks} == {
         frozenset(d.pairing for d in block) for block in expected
@@ -234,6 +238,13 @@ class TestGeneratorMatrix:
         basis = enumerate_diagrams(4)
         assert generator_matrix(1, basis).matrix.size == 13
         assert generator_matrix(1, basis, include_identity=True).matrix.size == 14
+
+    @pytest.mark.parametrize("include_identity", [False, True])
+    def test_identity_flag_is_read_off_the_basis_order(self, include_identity):
+        gm = generator_matrix(1, enumerate_diagrams(3), include_identity)
+        assert gm.include_identity is include_identity
+        rebuilt = GeneratorMatrix(1, list(gm.basis_order), gm.targets, gm.exponents)
+        assert rebuilt == gm and rebuilt.include_identity is include_identity
 
     def test_anchored_unit_entry(self):
         # The second basis diagram maps to the first without a loop, so
@@ -340,7 +351,6 @@ class TestGeneratorMatrixValidation:
     def rebuilt(self, gm, targets=None, exponents=None, basis_order=None):
         return GeneratorMatrix(
             gm.generator_index,
-            gm.include_identity,
             gm.basis_order if basis_order is None else basis_order,
             gm.targets if targets is None else targets,
             gm.exponents if exponents is None else exponents,
@@ -483,7 +493,6 @@ class TestVerifyRelations:
         last = u.size - 1
         reordered = GeneratorMatrix(
             u.generator_index,
-            u.include_identity,
             u.basis_order[::-1],
             tuple(last - u.targets[i] for i in reversed(range(u.size))),
             u.exponents[::-1],
@@ -493,7 +502,6 @@ class TestVerifyRelations:
         # an equal order held in a separate tuple is the same basis
         copied = GeneratorMatrix(
             u.generator_index,
-            u.include_identity,
             tuple(list(u.basis_order)),
             u.targets,
             u.exponents,
@@ -517,7 +525,7 @@ class TestVerifyRelations:
             i for i in range(5, u.size) if u.targets[i] != i and u.exponents[i] == 0
         )
         targets = u.targets[:c] + (c,) + u.targets[c + 1 :]
-        broken = GeneratorMatrix(1, False, u.basis_order, targets, u.exponents)
+        broken = GeneratorMatrix(1, u.basis_order, targets, u.exponents)
         report = verify_tl_relations([broken] + mats[1:])
         assert not report.passed
         witnesses = dict(report.witnesses)
@@ -566,7 +574,6 @@ def generator_sets(draw):
         exponents[c] = draw(st.integers(0, 2))
         mats[k] = GeneratorMatrix(
             gm.generator_index,
-            gm.include_identity,
             gm.basis_order,
             tuple(targets),
             tuple(exponents),

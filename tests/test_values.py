@@ -79,19 +79,17 @@ CASES = {
     GeneratorMatrix: (
         dict(
             generator_index=1,
-            include_identity=False,
             basis_order=(CUP,),
             targets=(0,),
             exponents=(1,),
         ),
         dict(
             generator_index=1,
-            include_identity=False,
             basis_order=(CUP,),
             targets=(0,),
             exponents=(2,),
         ),
-        "GeneratorMatrix(generator_index=1, include_identity=False, "
+        "GeneratorMatrix(generator_index=1, "
         f"basis_order=({CUP_REPR},), targets=(0,), exponents=(1,))",
     ),
     RelationReport: (
@@ -182,8 +180,8 @@ def test_copies_keep_their_derived_state():
     basis = DiagramBasis(2, (CUP, IDENTITY))
     for again in (copy.copy(basis), pickle.loads(pickle.dumps(basis))):
         assert again.index_of(IDENTITY) == 1 and CUP in again
-    gm = GeneratorMatrix(1, False, (CUP,), (0,), (1,))
+    gm = GeneratorMatrix(1, (CUP,), (0,), (1,))
     dense = gm.matrix
-    assert gm == GeneratorMatrix(1, False, (CUP,), (0,), (1,))
+    assert gm == GeneratorMatrix(1, (CUP,), (0,), (1,))
     assert copy.copy(gm).matrix == dense
     assert pickle.loads(pickle.dumps(gm)).matrix == dense

@@ -61,7 +61,8 @@ cell D.E is d^(m + e_k[r]).D_(t_k[r]), one step of the map of U_k
 The module imports nothing from the package, so it also holds what
 ``tlkit enumerate`` and ``tlkit compose --table`` need besides the
 walks: the size rule (``_integer``, ``_dimension``,
-``_checked_dimension`` and ``DEFAULT_MAX_DIMENSION``), ``catalan``, and
+``_checked_dimension`` and ``DEFAULT_MAX_DIMENSION``), the range rule
+(``_in_range``), ``catalan``, and
 the diagram line format (``_pair_texts``, ``_line_prefix`` and
 ``diagram_line``, the one formatter of a whole line, which
 ``diagrams.serialize`` and the ``bracket`` element route both call).
@@ -130,6 +131,15 @@ def _checked_dimension(
             f"(override with {override})"
         )
     return dimension
+
+
+def _in_range(value: int, name: str, low: int, high: int) -> int:
+    """``value`` as an int in ``low``..``high``: the one range rule for
+    node numbers, matrix rows and columns, and generator indices."""
+    value = _integer(value, name)
+    if not low <= value <= high:
+        raise ValueError(f"{name} {value} out of range {low}..{high}")
+    return value
 
 
 def _walk_dimension(dimension: int, name: str = "dimension") -> int:
@@ -307,10 +317,10 @@ def _partners(matched: int, n: int) -> tuple[int, Sequence[int] | None]:
     return f, (*range(f + 1, n + 1, 2), *range(start, size + 1, 2))
 
 
-def compose_pairings(
-    bottom: tuple[int, ...], top: tuple[int, ...], dimension: int
-) -> tuple[tuple[int, ...], int]:
-    """Stack ``top`` onto ``bottom`` and resolve the product.
+def compose_pairings(bottom: tuple[int, ...], top: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Stack ``top`` onto ``bottom``, two partner tuples of one dimension
+    N (read off ``bottom``, which has 2N entries), and resolve the
+    product.
 
     The bottom factor's top row (its nodes N+1..2N) is glued to the top
     factor's bottom row (its nodes 1..N); middle node m is both.  From
@@ -320,7 +330,7 @@ def compose_pairings(
     the boundary partner tuple of the loop-free product and the number of
     closed loops, i.e. the exponent of the loop parameter.
     """
-    n = dimension
+    n = len(bottom) // 2
     pairing = [0] * (2 * n)
     visited = [False] * (n + 1)
     for start in range(1, 2 * n + 1):

@@ -67,7 +67,7 @@ def _run_repr(args: Namespace) -> tuple[bool, str]:
         indices = (checked_generator(n, k),)
     basis = pairing_basis(n)
     order = representation_order(basis, args.include_identity)
-    maps = renumbered([basis.map(k) for k in indices], order, len(basis.pairings))
+    maps = renumbered([basis.map(k) for k in indices], order)
     del basis  # the blocks read positions only
     size = len(order)
     d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d

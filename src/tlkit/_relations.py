@@ -42,7 +42,7 @@ import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import _backend
-from ._backend import Map, PairingBasis, _integer, diagram_line, identity_pairing
+from ._backend import Map, PairingBasis, _in_range, diagram_line, identity_pairing
 
 if TYPE_CHECKING:
     from argparse import Namespace
@@ -59,10 +59,7 @@ Scaled = tuple[tuple[int, ...], int]
 
 def checked_generator(dimension: int, k: int) -> int:
     """``k`` as an int, if U_k is a generator of dimension N: 1 <= k <= N-1."""
-    k = _integer(k, "generator index")
-    if not 1 <= k <= dimension - 1:
-        raise ValueError(f"generator index {k} out of range 1..{dimension - 1}")
-    return k
+    return _in_range(k, "generator index", 1, dimension - 1)
 
 
 def generator_pairing(dimension: int, k: int) -> tuple[int, ...]:
@@ -124,12 +121,14 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence[T]], tuple[T, ...]]:
     return operator.itemgetter(*indices)
 
 
-def renumbered(maps: Iterable[Map], order: Sequence[int], size: int) -> list[Map]:
-    """Maps on ``size`` positions, restricted to the positions in
+def renumbered(maps: Sequence[Map], order: Sequence[int]) -> list[Map]:
+    """Maps on one set of positions, restricted to the positions in
     ``order`` and renumbered by their place in it: column i of a result
     is column order[i] of its map.  Every target of a listed position
     must be listed."""
-    position = [0] * size
+    if not maps:
+        return []
+    position = [0] * len(maps[0][0])
     for new, old in enumerate(order):
         position[old] = new
     pick = _gather(order)
@@ -210,9 +209,10 @@ def _checked(
     return tuple(entries), tuple(witnesses)
 
 
-def map_report(maps: Mapping[int, Map], size: int) -> Report:
+def map_report(maps: Mapping[int, Map]) -> Report:
     """The relations of ``tl_relations`` on the generator maps (index ->
-    map on ``size`` columns), U_i U_{i+1} U_i before U_i U_{i-1} U_i.
+    map, at least one, all on the same columns), U_i U_{i+1} U_i before
+    U_i U_{i-1} U_i.
 
     Both sides of each relation are composed as maps and compared as
     tuples, which is exact: every column holds one monomial with
@@ -223,6 +223,7 @@ def map_report(maps: Mapping[int, Map], size: int) -> Report:
     relations = tl_relations(
         maps, braided, compose_maps, lambda u: (u[0], tuple(m + 1 for m in u[1]))
     )
+    size = len(next(iter(maps.values()))[0])
     title = f"Temperley-Lieb relations, matrix level ({size}x{size})"
     return title, *_checked(relations, map_witness)
 
@@ -239,7 +240,7 @@ def diagram_report(dimension: int) -> Report:
 
     def mul(u: Scaled, v: Scaled) -> Scaled:
         # U.V stacks U on top of V; the loops of both factors carry over.
-        pairing, loops = _backend.compose_pairings(v[0], u[0], n)
+        pairing, loops = _backend.compose_pairings(v[0], u[0])
         return pairing, loops + u[1] + v[1]
 
     def difference(actual: Scaled, expected: Scaled) -> str | None:
@@ -282,10 +283,10 @@ def verify_tl(dimension: int) -> list[Report]:
     """
     basis = _backend.pairing_basis(dimension)
     order = representation_order(basis, False)
-    maps, size = basis.maps(), len(basis.pairings)
+    maps = basis.maps()
     del basis  # the checks read positions only
-    maps = renumbered(maps, order, size)
-    return [map_report(dict(enumerate(maps, start=1)), len(order)), diagram_report(dimension)]
+    maps = renumbered(maps, order)
+    return [map_report(dict(enumerate(maps, start=1))), diagram_report(dimension)]
 
 
 def _run_verify(args: Namespace) -> tuple[bool, str]:

@@ -6,7 +6,8 @@ testable.  Exit codes: 0 success, 1 validation or I/O failure, 2 usage error
 (argparse), 3 relation-verification failure, 130 interrupted (Ctrl-C).
 
 The enumeration ceiling defaults to dimension 12 and can be overridden
-with the TLKIT_MAX_DIM environment variable.
+with the TLKIT_MAX_DIM environment variable, which ``run`` alone reads,
+when it checks the size option; no later path checks the ceiling again.
 
 One table, ``_COMMANDS``, lists every subcommand and its options, each
 a row (flag, kind, default, help).  The attribute that holds an
@@ -69,15 +70,15 @@ def _ceiling_from_env() -> int:
         raise ValueError(f"TLKIT_MAX_DIM must be an integer, got {raw!r}") from exc
 
 
-def _basis_lines(dimension: int, max_dimension: int) -> str:
+def _basis_lines(dimension: int) -> str:
     """The basis as diagram lines, built by the search walk itself: no
     diagram, basis or partner tuple is made."""
-    from ._backend import _checked_dimension, pairing_lines
+    from ._backend import pairing_lines
 
-    return pairing_lines(_checked_dimension(dimension, max_dimension))
+    return pairing_lines(dimension)
 
 
-def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> str:
+def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
     """Basis file cache keyed by dimension and format version.
 
     A file is served, unchanged, when it passes the checks: Catalan(N)
@@ -92,10 +93,11 @@ def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> 
     UTF-8 of a decoded text is the file's bytes, so the digest is the
     file's.  A miss builds the text before ``hashlib`` and its OpenSSL
     library are loaded (``_sha256`` loads them), so neither is mapped
-    while the walk holds its pieces and the text at once."""
+    while the walk holds its pieces and the text at once.  The directory
+    is made when a file is first written, after the walk has passed its
+    depth check, so a refused walk leaves none."""
     from ._backend import _line_prefix, catalan
 
-    cache_dir.mkdir(parents=True, exist_ok=True)
     stem = cache_dir / f"basis_{_CACHE_VERSION}_dim{dimension}"
     data_path = stem.with_suffix(".tl")
     hash_path = stem.with_suffix(".sha256")
@@ -117,7 +119,8 @@ def _cached_basis_lines(dimension: int, max_dimension: int, cache_dir: Path) -> 
         ):
             return text
         text = None  # a refused file's text is not held during the rebuild
-    text = _basis_lines(dimension, max_dimension)
+    text = _basis_lines(dimension)
+    cache_dir.mkdir(parents=True, exist_ok=True)
     _write_replacing(data_path, text)
     _write_replacing(hash_path, _sha256(text) + "\n")
     return text
@@ -279,26 +282,23 @@ def _dest(flag: str) -> str:
 
 def _run_enumerate(args: argparse.Namespace) -> tuple[bool, str]:
     # Every route runs on the kernel module alone: no diagram is made.
-    from ._backend import _walk_dimension, count_pairings
+    from ._backend import count_pairings
 
     if args.count_only and args.cache is not None:
         raise ValueError("enumerate takes --count-only or --cache, not both")
-    # Both limits are checked before a cache directory is made.
-    dimension = _walk_dimension(args.dim)
     if args.count_only:
-        return True, f"{count_pairings(dimension)}\n"
+        return True, f"{count_pairings(args.dim)}\n"
     if args.cache is not None:
-        return True, _cached_basis_lines(dimension, args.max_dim, args.cache)
-    return True, _basis_lines(dimension, args.max_dim)
+        return True, _cached_basis_lines(args.dim, args.cache)
+    return True, _basis_lines(args.dim)
 
 
 def run(args: argparse.Namespace) -> tuple[int, str]:
-    """Dispatch parsed arguments, with ``max_dim`` set to the dimension
-    ceiling; returns (exit code, output text).
+    """Dispatch parsed arguments; returns (exit code, output text).
 
-    The size option is checked against the ceiling here; the runner is
-    imported only now, and returns whether its checks passed and its
-    text."""
+    The size option is checked here against the ceiling, which ``run``
+    alone reads from TLKIT_MAX_DIM; the runner is imported only now, and
+    returns whether its checks passed and its text."""
     command = _COMMANDS.get(args.subcommand)
     if command is None:
         raise ValueError(f"unknown subcommand {args.subcommand!r}")
@@ -306,7 +306,7 @@ def run(args: argparse.Namespace) -> tuple[int, str]:
 
     _, module, least, options = command
     size = _dest(options[0][0])
-    _checked_dimension(getattr(args, size), args.max_dim, _SIZE_NAMES[size], least, _OVERRIDE)
+    _checked_dimension(getattr(args, size), _ceiling_from_env(), _SIZE_NAMES[size], least, _OVERRIDE)
     if module == "cli":
         runner = _run_enumerate
     else:
@@ -435,7 +435,6 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(args: argparse.Namespace) -> int:
     try:
-        args.max_dim = _ceiling_from_env()
         if args.output is not None and not args.output.parent.is_dir():
             raise ValueError(f"output directory {args.output.parent} does not exist")
         code, text = run(args)

@@ -38,7 +38,7 @@ def compose(d1: PlanarDiagram, d2: PlanarDiagram) -> ScaledDiagram:
         raise ValueError(
             f"cannot compose dimensions {d1.dimension} and {d2.dimension}"
         )
-    pairing, loops = _backend.compose_pairings(d1.pairing, d2.pairing, d1.dimension)
+    pairing, loops = _backend.compose_pairings(d1.pairing, d2.pairing)
     return ScaledDiagram(PlanarDiagram._trusted(d1.dimension, pairing), loops)
 
 

@@ -41,7 +41,7 @@ from collections.abc import Iterable, Mapping
 from itertools import chain
 from typing import Sequence
 
-from ._backend import _dimension, _integer, diagram_line, identity_pairing
+from ._backend import _dimension, _in_range, _integer, diagram_line, identity_pairing
 from ._values import _integers, _pairs, _require, _Value
 
 
@@ -53,10 +53,7 @@ def node_position(node: int, dimension: int) -> int:
 
 def _node(value: int, dimension: int) -> int:
     """``value`` as a node number of a diagram of ``dimension``, 1..2N."""
-    value = _integer(value, "node")
-    if not 1 <= value <= 2 * dimension:
-        raise ValueError(f"node {value} out of range 1..{2 * dimension}")
-    return value
+    return _in_range(value, "node", 1, 2 * dimension)
 
 
 def _check_involution(pairing: tuple[int, ...], dimension: int) -> None:

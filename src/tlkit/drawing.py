@@ -138,10 +138,9 @@ def _run_draw(args: Namespace) -> tuple[bool, str]:
     if args.basis and args.diagram is not None:
         raise ValueError("draw takes --basis or --diagram, not both")
     if args.basis:
-        from .enumeration import enumerate_diagrams
+        from .enumeration import _basis
 
-        basis = enumerate_diagrams(args.dim, max_dimension=args.max_dim)
-        return True, emit_figure(tuple(basis), args.format)
+        return True, emit_figure(tuple(_basis(args.dim)), args.format)
     if args.diagram is None:
         raise ValueError("draw needs --basis or --diagram")
     return True, emit_figure(_read_diagram_arg(args.diagram, args.dim), args.format)

@@ -87,6 +87,14 @@ class TLElement(_Value):
         return cls.from_terms(diagram.dimension, coeff.variable, [(diagram, coeff)])
 
     def coefficient(self, diagram: PlanarDiagram) -> LaurentPoly:
+        """The coefficient of ``diagram``, zero when the element does not
+        hold it; ValueError for a non-diagram or one of another dimension."""
+        _require(diagram, PlanarDiagram, "coefficient needs a PlanarDiagram")
+        if diagram.dimension != self.dimension:
+            raise ValueError(
+                f"cannot read a diagram of dimension {diagram.dimension} "
+                f"from an element of dimension {self.dimension}"
+            )
         for d, c in self.terms:
             if d == diagram:
                 return c

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from ._backend import _integer
+from ._backend import _in_range
 from ._values import _require, _sequence, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
@@ -43,10 +43,7 @@ class PolyMatrix(_Value):
 
     def _position(self, value: int, name: str) -> int:
         """``value`` as a 0-based row or column number, 0..size-1."""
-        value = _integer(value, name)
-        if not 0 <= value < self.size:
-            raise ValueError(f"{name} {value} out of range 0..{self.size - 1}")
-        return value
+        return _in_range(value, name, 0, self.size - 1)
 
     def entry(self, row: int, col: int) -> LaurentPoly:
         """0-based access."""

@@ -270,7 +270,7 @@ def _generator_maps(
     record = basis._record
     order = representation_order(record, include_identity)
     basis_order = tuple(basis[i] for i in order)
-    maps = renumbered([record.map(k) for k in indices], order, len(basis))
+    maps = renumbered([record.map(k) for k in indices], order)
     return [
         GeneratorMatrix._trusted(k, basis_order, targets, exponents)
         for k, (targets, exponents) in zip(indices, maps)
@@ -282,9 +282,8 @@ def generator_matrix(
 ) -> GeneratorMatrix:
     """The map of U_k: column i goes to row j with exponent m, where
     U_k . D_i = d^m . D_j."""
-    k = _integer(k, "generator index")
     basis = _require(basis, DiagramBasis, "generator_matrix needs a DiagramBasis")
-    checked_generator(basis.dimension, k)
+    k = checked_generator(basis.dimension, k)
     return _generator_maps(basis, (k,), include_identity)[0]
 
 
@@ -355,7 +354,7 @@ def verify_tl_relations(matrices: Sequence[GeneratorMatrix]) -> RelationReport:
         if m.generator_index in maps:
             raise ValueError(f"generator index {m.generator_index} is repeated")
         maps[m.generator_index] = (m.targets, m.exponents)
-    return RelationReport(*map_report(maps, len(order)))
+    return RelationReport(*map_report(maps))
 
 
 def verify_tl_relations_diagrams(dimension: int) -> RelationReport:

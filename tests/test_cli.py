@@ -219,12 +219,8 @@ class TestEnumerate:
         monkeypatch.setattr(_backend, "enumerate_pairings", refuse)
         monkeypatch.setattr(PlanarDiagram, "_trusted", refuse)
         monkeypatch.setattr(PlanarDiagram, "__init__", refuse)
-        text = cli._basis_lines(4, 12)
+        text = cli._basis_lines(4)
         assert text == (GOLDEN / "enumerate_dim4.txt").read_text(encoding="utf-8")
-
-    def test_basis_text_keeps_the_ceiling(self):
-        with pytest.raises(ValueError, match="ceiling"):
-            cli._basis_lines(5, 4)
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "basis.tl"
@@ -473,7 +469,7 @@ class TestBasisTextSlices:
     characters: no route keeps a list of lines or an encoded copy."""
 
     def test_every_route_spans_several_slices(self, tmp_path, monkeypatch):
-        text = cli._basis_lines(10, 12)
+        text = cli._basis_lines(10)
         assert len(text) > 4 * cli._SLICE
         assert run_cli(["enumerate", "--dim", "10"]) == (0, text)
         target = tmp_path / "basis.tl"
@@ -513,7 +509,7 @@ class TestBasisTextSlices:
         # copy of the text while it is joined (about 2.17), a str per line
         # (about 3.1), an encoded copy on a miss (about 4.1) or one more
         # copy on a hit (3.0) fails.
-        length = len(cli._basis_lines(10, 12))
+        length = len(cli._basis_lines(10))
         fresh = iter(range(2))
 
         def main(*options):
@@ -522,11 +518,11 @@ class TestBasisTextSlices:
                     assert cli.main(["enumerate", "--dim", "10", *options]) == 0
 
         calls = {
-            "build": lambda: cli._basis_lines(10, 12),
+            "build": lambda: cli._basis_lines(10),
             "stdout": main,
             "output": lambda: main("--output", str(tmp_path / "basis.tl")),
-            "miss": lambda: cli._cached_basis_lines(10, 12, tmp_path / f"miss{next(fresh)}"),
-            "hit": lambda: cli._cached_basis_lines(10, 12, tmp_path / "warm"),
+            "miss": lambda: cli._cached_basis_lines(10, tmp_path / f"miss{next(fresh)}"),
+            "hit": lambda: cli._cached_basis_lines(10, tmp_path / "warm"),
         }
         bound = 2.1 if route == "hit" else 1.6
         assert self.peak_per_character(calls[route], length) < bound
@@ -971,7 +967,7 @@ class TestVerify:
 
     def test_failure_exit_code(self, monkeypatch):
         broken = ("forced", (("forced check", False),), ())
-        monkeypatch.setattr(_relations, "map_report", lambda maps, size: broken)
+        monkeypatch.setattr(_relations, "map_report", lambda maps: broken)
         code, out = run_cli(["verify", "--dim", "2"])
         assert code == cli.EXIT_VERIFICATION
         assert "forced check: FAIL" in out
@@ -979,8 +975,8 @@ class TestVerify:
     def test_failure_prints_witness(self, monkeypatch):
         original = _relations.renumbered
 
-        def corrupted(maps, order, size):
-            out = original(maps, order, size)
+        def corrupted(maps, order):
+            out = original(maps, order)
             targets, exponents = out[0]
             # column 0 maps to row 1 without a loop; send it to itself
             out[0] = ((0,) + targets[1:], exponents)
@@ -998,8 +994,8 @@ class TestVerify:
     def test_diagram_failure_prints_both_sides(self, monkeypatch):
         original = _backend.compose_pairings
 
-        def loopless(bottom, top, dimension):
-            return original(bottom, top, dimension)[0], 0
+        def loopless(bottom, top):
+            return original(bottom, top)[0], 0
 
         monkeypatch.setattr(_backend, "compose_pairings", loopless)
         code, out = run_cli(["verify", "--dim", "3"])
@@ -1093,7 +1089,7 @@ SIZED = [
 
 
 @pytest.mark.parametrize("args,option,name,least", SIZED, ids=[s[0][0] for s in SIZED])
-def test_sizes_outside_the_rule_exit_one(args, option, name, least, monkeypatch, capsys):
+def test_sizes_outside_the_rule_exit_one(args, option, name, least, tmp_path, monkeypatch, capsys):
     assert cli.main([*args, option, str(least - 1)]) == cli.EXIT_VALIDATION
     assert capsys.readouterr() == ("", f"error: {name} must be at least {least}\n")
     monkeypatch.setenv("TLKIT_MAX_DIM", "3")
@@ -1102,6 +1098,13 @@ def test_sizes_outside_the_rule_exit_one(args, option, name, least, monkeypatch,
         "",
         f"error: {name} 4 exceeds the resource ceiling 3 (override with TLKIT_MAX_DIM)\n",
     )
+    monkeypatch.setenv("TLKIT_MAX_DIM", "x")
+    assert cli.main([*args, option, "2"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: TLKIT_MAX_DIM must be an integer, got 'x'\n")
+    # ``run`` reads the ceiling, after ``main`` has checked the output directory.
+    missing = tmp_path / "missing"
+    assert cli.main([*args, option, "2", "--output", str(missing / "out")]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: output directory {missing} does not exist\n")
 
 
 @pytest.mark.parametrize(
@@ -1130,9 +1133,7 @@ def test_walks_too_deep_to_run_exit_one(args, name, tmp_path, monkeypatch, capsy
 
 def run_parsed(argv):
     """``cli.run`` on parsed arguments, so its ValueError reaches the test."""
-    args = cli.build_parser().parse_args(argv)
-    args.max_dim = 12
-    return cli.run(args)
+    return cli.run(cli.build_parser().parse_args(argv))
 
 
 def rebuilt_u1(**changes):
@@ -1327,6 +1328,14 @@ def with_repeated_u1():
         (lambda d: PolyMatrix.identity(2, "d").entry(0, 2), "column 2 out of range 0..1"),
         (lambda d: PolyMatrix.identity(2, "d").column("a"), "column must be an integer, got 'a'"),
         (lambda d: cli.run(SimpleNamespace(subcommand="bogus")), "unknown subcommand 'bogus'"),
+        (
+            lambda d: TLElement.from_diagram(d).coefficient(5),
+            "coefficient needs a PlanarDiagram, got 5",
+        ),
+        (
+            lambda d: TLElement.from_diagram(d).coefficient(identity_diagram(3)),
+            "cannot read a diagram of dimension 3 from an element of dimension 2",
+        ),
     ],
     ids=[
         "term", "terms", "from-terms", "basis", "parse", "matrix",
@@ -1354,7 +1363,7 @@ def with_repeated_u1():
         "element-zero-term", "element-unsorted-terms", "element-sum-variables",
         "element-scaled-variable", "negative-power", "matrix-product-variables",
         "matrix-product-sizes", "entry-negative", "entry-past-end", "column-text",
-        "run-unknown-subcommand",
+        "run-unknown-subcommand", "coefficient-non-diagram", "coefficient-dimension",
     ],
 )
 def test_malformed_values_raise_value_error(call, message):

@@ -172,9 +172,7 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
         ["bracket", "--strands", "5", "--word=1,-2,3,-4", "--matrix"],
     ):
         calls = 0
-        args = cli._parse(argv)
-        args.max_dim = _backend.DEFAULT_MAX_DIMENSION
-        assert cli.run(args)[0] == cli.EXIT_OK
+        assert cli.run(cli._parse(argv))[0] == cli.EXIT_OK
         assert calls == (n - 1) * catalan(n), argv
 
 
@@ -259,7 +257,7 @@ def test_strand_walk_matches_unionfind(n):
     for a, b in pairs:
         g = StackGraph.from_diagrams(a, b)
         expected = (boundary_pairing_unionfind(g), loop_count_unionfind(g))
-        assert _backend.compose_pairings(a.pairing, b.pairing, n) == expected
+        assert _backend.compose_pairings(a.pairing, b.pairing) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 7))

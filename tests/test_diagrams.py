@@ -216,7 +216,7 @@ class TestSerialization:
     def test_bulk_lines_match_serialize(self, n):
         # The basis text comes from the search walk, not from diagrams;
         # line k must still serialize the k-th basis diagram.
-        text = _basis_lines(n, n)
+        text = _basis_lines(n)
         assert text.endswith("\n")
         lines = text.splitlines(keepends=True)
         basis = enumerate_diagrams(n)

@@ -238,6 +238,9 @@ class TestGeneratorMatrix:
         basis = enumerate_diagrams(4)
         assert generator_matrix(1, basis).matrix.size == 13
         assert generator_matrix(1, basis, include_identity=True).matrix.size == 14
+        # dimension 1 has no generator, so no map to renumber
+        basis = enumerate_diagrams(1)
+        assert generator_matrices(basis) == generator_matrices(basis, True) == []
 
     @pytest.mark.parametrize("include_identity", [False, True])
     def test_identity_flag_is_read_off_the_basis_order(self, include_identity):
@@ -462,8 +465,8 @@ class TestVerifyRelations:
     def test_diagram_witness_names_both_sides(self, monkeypatch):
         original = _backend.compose_pairings
 
-        def extra_loop(bottom, top, dimension):
-            pairing, loops = original(bottom, top, dimension)
+        def extra_loop(bottom, top):
+            pairing, loops = original(bottom, top)
             return pairing, loops + 1
 
         monkeypatch.setattr(_backend, "compose_pairings", extra_loop)

@@ -50,6 +50,24 @@ EXIT_INTERRUPTED = 130
 
 _CACHE_VERSION = "v1"
 
+#: Dimension -> the hex SHA-256 of ``_basis_lines(dimension)``, the only
+#: file ``--cache`` serves, for every dimension up to the default ceiling.
+#: A test recomputes each digest from the walk.
+_BASIS_SHA256 = {
+    1: "57d9d6624817907f09f6a943c46dd85c49e761eb9573e37d501b45e74a43f736",
+    2: "adfc268c20d9c3a93b77081452acb97fdd4838f0a606191122146a37e91c5021",
+    3: "1c915614a3032417a2b90820a1f4a707b2c655b77722310428f7f8d65e61e957",
+    4: "1d390e918d787897610afbaa2cbd952512129125d9f567f07d2b4f754f29d97a",
+    5: "634257a7eb0e7589bb8b474e9233337eb89dda26676f53d9f2f3dc15b0459096",
+    6: "de99d63ae404327d7c3a0be252d45cc2a73e52859bacad817092362ca6900344",
+    7: "fc53341112408fc601e4d5c8fc1fc70fb354cbdca9efbe8e1aa8ee74e13ba797",
+    8: "6129b94fb499ab2e64c3f999884aeeb4a87cfc18a484bd65d15f1640b2f26750",
+    9: "b924b684a262dde814b0d4f118e38903bb38bda70d86aeb002410863334834cc",
+    10: "5bcb8e8cae11f2fa4de3be6204c814758f341f25d761cd11190af809d5e7be67",
+    11: "661f052f95e2b5e5b7e7163aba1c962dafe151da2e5be7251a284360efd630d2",
+    12: "4be1d377c560413910742a7691d60b2a420a2161e320e7e35df96cd50a9ccab8",
+}
+
 # Output, cache files and digests take the text this many characters at a
 # time, so no encoded copy of the whole text is made.
 _SLICE = 1 << 16
@@ -81,42 +99,35 @@ def _basis_lines(dimension: int) -> str:
 def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
     """Basis file cache keyed by dimension and format version.
 
-    A file is served, unchanged, when it passes the checks: Catalan(N)
-    lines in UTF-8, each starting with the line prefix of an unscaled
-    diagram and ending in "\n", whose SHA-256 is the recorded one.  Any
-    other file is rebuilt.  The digest detects damage, not a rewrite of
-    both files: reordered, repeated or malformed lines under a
-    recomputed digest are served as they are.
+    A file is served, unchanged, only when it is the basis: its SHA-256
+    and the one recorded beside it are both ``_BASIS_SHA256[dimension]``.
+    Any other file, and any file of a dimension the table does not hold,
+    is rebuilt.
 
-    The text is held once wherever it can be.  A hit decodes the bytes
-    first and drops them, then checks the lines and hashes the text: the
-    UTF-8 of a decoded text is the file's bytes, so the digest is the
-    file's.  A miss builds the text before ``hashlib`` and its OpenSSL
-    library are loaded (``_sha256`` loads them), so neither is mapped
-    while the walk holds its pieces and the text at once.  The directory
-    is made when a file is first written, after the walk has passed its
-    depth check, so a refused walk leaves none."""
-    from ._backend import _line_prefix, catalan
-
+    The recorded digest is read first, so a file it refuses is not read.
+    The text is held once wherever it can be.  ``hashlib`` and its
+    OpenSSL library are loaded by ``_sha256`` only after a hit has
+    decoded the bytes and dropped them, or a miss has built the text, so
+    neither is mapped while a hit holds the bytes and the text at once or
+    while the walk holds its pieces and the text.  The UTF-8 of a decoded
+    text is the file's bytes, so the digest of the text is the file's.
+    The directory is made when a file is first written, after the walk
+    has passed its depth check, so a refused walk leaves none."""
     stem = cache_dir / f"basis_{_CACHE_VERSION}_dim{dimension}"
     data_path = stem.with_suffix(".tl")
     hash_path = stem.with_suffix(".sha256")
-    if data_path.is_file() and hash_path.is_file():
+    known = _BASIS_SHA256.get(dimension)
+    if (
+        known is not None
+        and hash_path.is_file()
+        and hash_path.read_bytes().strip() == known.encode()
+        and data_path.is_file()
+    ):
         try:
             text = str(data_path.read_bytes(), "utf-8")
         except UnicodeDecodeError:
             text = None  # this cache writes only UTF-8: the file is damaged
-        lines = catalan(dimension)
-        start = f"{_line_prefix(dimension, 0)}("
-        if (
-            text is not None
-            and text.count("\n") == lines
-            and text.endswith("\n")
-            and text.startswith(start)
-            # so every "\n" but the last starts a line
-            and text.count("\n" + start) == lines - 1
-            and _sha256(text).encode() == hash_path.read_bytes().strip()
-        ):
+        if text is not None and _sha256(text) == known:
             return text
         text = None  # a refused file's text is not held during the rebuild
     text = _basis_lines(dimension)

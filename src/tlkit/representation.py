@@ -148,8 +148,11 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
     share a block for every diagram D and generator U_k.
 
     The identity reaches every ideal (U_k.1 = U_k), so including it
-    collapses the partition to a single block; excluded (the default),
-    dimension 4 splits 8 + 5.
+    collapses the partition to a single block.  Excluded (the default),
+    the blocks of dimensions 2, 3 and 4 have sizes 1, 2 + 2 and 8 + 5;
+    for every dimension from 5 to 11 there is one block of Catalan(N) - 1
+    diagrams, so ``representation_basis`` is then the canonical order
+    without the identity.
     """
     basis = _require(basis, DiagramBasis, "ideal_partition needs a DiagramBasis")
     _require(include_identity, bool, "include_identity must be a bool")

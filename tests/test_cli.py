@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -387,6 +388,10 @@ def _set(index, value):
     return edit
 
 
+def _swap_first_two(lines):
+    lines[0:2] = lines[1::-1]
+
+
 def _merge_first_two(separator):
     # The two lines stay two lines to a text reader.
     def edit(lines):
@@ -396,8 +401,9 @@ def _merge_first_two(separator):
 
 
 #: (file text, the text its digest is of; None for the file's own text).
-#: Only the bytes this cache writes are served: "intact" is a hit, and
-#: every other entry is rebuilt.
+#: Only the basis is served: "intact" is a hit, and every other entry is
+#: rebuilt, the last three although each keeps the line count and every
+#: line's prefix under a digest of its own text.
 _DIM4 = "".join(_dim4_lines())
 CACHE_ENTRIES = {
     "intact": (_DIM4, None),
@@ -422,6 +428,9 @@ CACHE_ENTRIES = {
     "separator-splits-a-line": (_edited(_set(-1, "TL 4\x1em=0\n")), None),
     "stale-digest": (_DIM4, _DIM4 + "\n"),
     "empty": ("", None),
+    "swapped-lines": (_edited(_swap_first_two), None),
+    "identity-for-a-line": (_edited(_set(2, str(identity_diagram(4)) + "\n")), None),
+    "garbage-after-the-prefix": (_edited(_set(-1, "TL 4 m=0 (9,9)garbage\n")), None),
 }
 
 
@@ -441,6 +450,30 @@ def test_cache_hit_decisions(name, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_basis_lines", lambda *args: built.append(args) or basis_lines(*args))
     assert run_cli(args) == (0, _DIM4)
     assert len(built) == (name != "intact")
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
+
+
+def test_known_digests_are_the_walks():
+    from tlkit._backend import DEFAULT_MAX_DIMENSION
+
+    assert cli._BASIS_SHA256 == {
+        n: hashlib.sha256(cli._basis_lines(n).encode("utf-8")).hexdigest()
+        for n in range(1, DEFAULT_MAX_DIMENSION + 1)
+    }
+
+
+def test_cache_of_a_dimension_without_a_known_digest_is_rebuilt(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    args = ["enumerate", "--dim", "4", "--cache", str(cache)]
+    run_cli(args)
+    intact = {p.name: p.read_bytes() for p in cache.iterdir()}
+    known = {n: digest for n, digest in cli._BASIS_SHA256.items() if n != 4}
+    monkeypatch.setattr(cli, "_BASIS_SHA256", known)
+    built = []
+    basis_lines = cli._basis_lines
+    monkeypatch.setattr(cli, "_basis_lines", lambda *args: built.append(args) or basis_lines(*args))
+    assert run_cli(args) == (0, _DIM4)
+    assert built == [(4,)]
     assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
 
 
@@ -1418,19 +1451,26 @@ def test_non_diagram_arguments_raise_value_error(call, message):
         call(d, element, LaurentPoly.monomial("d", 1))
 
 
+@functools.cache
+def _sampled(*values):
+    """``st.sampled_from(values)``, made once per tuple of values: hypothesis
+    validates a new strategy on every draw."""
+    return st.sampled_from(values)
+
+
 @st.composite
 def argv_lists(draw):
     """Command lines near the exact forms: exact, ``=`` and abbreviated
     options, repeated options, values of every sort, stray tokens, and
     required options left out."""
-    name = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    name = draw(_sampled(*cli._COMMANDS, "bogus"))
     options = cli._COMMANDS.get(name, cli._COMMANDS["enumerate"])[3]
     argv = [name] if draw(st.integers(0, 19)) else []
     if draw(st.integers(0, 3)):
-        argv += [options[0][0], draw(st.sampled_from(["2", "3", "4"]))]
+        argv += [options[0][0], draw(_sampled("2", "3", "4"))]
     for _ in range(draw(st.integers(0, 4))):
-        flag, kind, _, _ = draw(st.sampled_from(options))
-        form = draw(st.sampled_from(["exact"] * 6 + ["equals"] * 3 + ["abbreviated", "stray"]))
+        flag, kind, _, _ = draw(_sampled(*options))
+        form = draw(_sampled(*["exact"] * 6, *["equals"] * 3, "abbreviated", "stray"))
         # mostly a value of the option's kind, else any of VALUES
         if not draw(st.integers(0, 3)):
             fitting = TestParse.VALUES
@@ -1438,9 +1478,9 @@ def argv_lists(draw):
             fitting = list(kind)
         else:
             fitting = {int: ["2", "5", "0"], cli._path: ["out.tl"]}.get(kind, ["1,-2", "-1,2", "all", ""])
-        value = draw(st.sampled_from(fitting))
+        value = draw(_sampled(*fitting))
         if form == "stray":
-            argv.append(draw(st.sampled_from(TestParse.STRAYS)))
+            argv.append(draw(_sampled(*TestParse.STRAYS)))
             continue
         if form == "abbreviated":
             flag = flag[: draw(st.integers(3, len(flag) - 1))]
@@ -1598,21 +1638,21 @@ SWEEP_CEILINGS = ["7", "5", "3", "1", "0", "-2", "x", ""]
 def cli_lines(draw):
     """A command line from the grammar of ``cli._COMMANDS``, with values
     from ``SWEEP_VALUES``, and a TLKIT_MAX_DIM value."""
-    name = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    name = draw(_sampled(*cli._COMMANDS, "bogus"))
     options = cli._COMMANDS.get(name, cli._COMMANDS["enumerate"])[3]
     argv = [name]
     # The size option mostly comes first, so most lines get past the usage check.
     chosen = [options[0]] if draw(st.integers(0, 4)) else []
-    for flag, kind, _, _ in chosen + draw(st.lists(st.sampled_from(options), max_size=3)):
+    for flag, kind, _, _ in chosen + draw(st.lists(_sampled(*options), max_size=3)):
         if kind is bool:
             argv.append(flag)
             continue
         values = list(kind) + ["", "TL"] if isinstance(kind, tuple) else SWEEP_VALUES[kind]
-        value = draw(st.sampled_from(values))
+        value = draw(_sampled(*values))
         argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
     if draw(st.integers(0, 9)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--help", "extra", "-1"])))
-    return argv, draw(st.sampled_from(SWEEP_CEILINGS))
+        argv.insert(draw(st.integers(0, len(argv))), draw(_sampled("--help", "extra", "-1")))
+    return argv, draw(_sampled(*SWEEP_CEILINGS))
 
 
 @settings(max_examples=150)

@@ -112,11 +112,12 @@ def test_spanning_tree_reaches_every_diagram_by_loop_free_steps(n):
     basis = enumerate_diagrams(n)
     root = basis.index_of(identity_diagram(n))
     steps = _backend.spanning_tree(_maps(basis), root)
+    generators = {k: generator_diagram(n, k) for k in range(1, n)}
     reached = {root}
     for position, parent, k in steps:
         assert parent in reached and position not in reached
         reached.add(position)
-        step = compose(basis[parent], generator_diagram(n, k))
+        step = compose(basis[parent], generators[k])
         assert step == ScaledDiagram(basis[position], 0)
     assert len(reached) == len(basis)
 

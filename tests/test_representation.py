@@ -83,6 +83,17 @@ class TestIdealPartition:
         part = ideal_partition(enumerate_diagrams(4), include_identity=True)
         assert part.block_sizes() == (14,)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_block_sizes(self, n):
+        # From dimension 5 on every diagram but the identity lies in one
+        # block, so the representation order is the canonical one without it.
+        basis = enumerate_diagrams(n)
+        expected = {2: (1,), 3: (2, 2), 4: (8, 5)}.get(n, (catalan(n) - 1,))
+        assert ideal_partition(basis).block_sizes() == expected
+        if n >= 5:
+            without = tuple(d for d in basis if d != identity_diagram(n))
+            assert representation_basis(basis) == without
+
     @pytest.mark.parametrize("n", range(2, 6))
     def test_blocks_closed_under_left_multiplication(self, n):
         basis = enumerate_diagrams(n)

@@ -52,7 +52,8 @@ _CACHE_VERSION = "v1"
 
 #: Dimension -> the hex SHA-256 of ``_basis_lines(dimension)``, the only
 #: file ``--cache`` serves, for every dimension up to the default ceiling.
-#: A test recomputes each digest from the walk.
+#: ``--cache`` caches these dimensions only.  A test recomputes each digest
+#: from the walk.
 _BASIS_SHA256 = {
     1: "57d9d6624817907f09f6a943c46dd85c49e761eb9573e37d501b45e74a43f736",
     2: "adfc268c20d9c3a93b77081452acb97fdd4838f0a606191122146a37e91c5021",
@@ -99,10 +100,12 @@ def _basis_lines(dimension: int) -> str:
 def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
     """Basis file cache keyed by dimension and format version.
 
-    A file is served, unchanged, only when it is the basis: its SHA-256
-    and the one recorded beside it are both ``_BASIS_SHA256[dimension]``.
-    Any other file, and any file of a dimension the table does not hold,
-    is rebuilt.
+    ``dimension`` is one that ``_BASIS_SHA256`` holds: ``enumerate``
+    caches no other, and for one outside the table it prints the walk's
+    text and neither reads, makes nor writes ``cache_dir``.  A file is
+    served, unchanged, only when it is the basis: its SHA-256 and the one
+    recorded beside it are both ``_BASIS_SHA256[dimension]``.  Any other
+    file is rebuilt.
 
     The recorded digest is read first, so a file it refuses is not read.
     The text is held once wherever it can be.  ``hashlib`` and its
@@ -116,10 +119,9 @@ def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
     stem = cache_dir / f"basis_{_CACHE_VERSION}_dim{dimension}"
     data_path = stem.with_suffix(".tl")
     hash_path = stem.with_suffix(".sha256")
-    known = _BASIS_SHA256.get(dimension)
+    known = _BASIS_SHA256[dimension]
     if (
-        known is not None
-        and hash_path.is_file()
+        hash_path.is_file()
         and hash_path.read_bytes().strip() == known.encode()
         and data_path.is_file()
     ):
@@ -299,7 +301,7 @@ def _run_enumerate(args: argparse.Namespace) -> tuple[bool, str]:
         raise ValueError("enumerate takes --count-only or --cache, not both")
     if args.count_only:
         return True, f"{count_pairings(args.dim)}\n"
-    if args.cache is not None:
+    if args.cache is not None and args.dim in _BASIS_SHA256:
         return True, _cached_basis_lines(args.dim, args.cache)
     return True, _basis_lines(args.dim)
 

@@ -106,11 +106,18 @@ def brute_force_basis(dimension: int) -> list[tuple[int, ...]]:
     )
 
 
+@functools.cache
+def _brute_force_basis_once(dimension: int) -> tuple[tuple[int, ...], ...]:
+    # A walk asks for the completions of each of its partial diagrams, all
+    # filtered from the same basis: it is built once per dimension.
+    return tuple(brute_force_basis(dimension))
+
+
 def completions(partial: Mapping[int, int], dimension: int) -> list[tuple[int, ...]]:
     """All noncrossing perfect matchings containing the given edges."""
     return [
         p
-        for p in brute_force_basis(dimension)
+        for p in _brute_force_basis_once(dimension)
         if all(p[a - 1] == b for a, b in partial.items())
     ]
 

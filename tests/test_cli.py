@@ -462,11 +462,11 @@ def test_known_digests_are_the_walks():
     }
 
 
-def test_cache_of_a_dimension_without_a_known_digest_is_rebuilt(tmp_path, monkeypatch):
+def test_cache_of_a_dimension_without_a_known_digest_is_not_cached(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = ["enumerate", "--dim", "4", "--cache", str(cache)]
     run_cli(args)
-    intact = {p.name: p.read_bytes() for p in cache.iterdir()}
+    intact = {p.name: (p.read_bytes(), p.stat().st_ino) for p in cache.iterdir()}
     known = {n: digest for n, digest in cli._BASIS_SHA256.items() if n != 4}
     monkeypatch.setattr(cli, "_BASIS_SHA256", known)
     built = []
@@ -474,7 +474,11 @@ def test_cache_of_a_dimension_without_a_known_digest_is_rebuilt(tmp_path, monkey
     monkeypatch.setattr(cli, "_basis_lines", lambda *args: built.append(args) or basis_lines(*args))
     assert run_cli(args) == (0, _DIM4)
     assert built == [(4,)]
-    assert {p.name: p.read_bytes() for p in cache.iterdir()} == intact
+    # a rewrite would rename a new file, with a new inode, over each
+    assert {p.name: (p.read_bytes(), p.stat().st_ino) for p in cache.iterdir()} == intact
+    missing = tmp_path / "missing"
+    assert run_cli(["enumerate", "--dim", "4", "--cache", str(missing)]) == (0, _DIM4)
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize(

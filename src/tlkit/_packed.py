@@ -21,7 +21,7 @@ is exact: two entries are equal exactly when their packed values are.
 ``_verify_artin`` compares packed columns and decodes only a witness.
 ``_image_columns`` is the one reader of a whole image: it decodes each
 distinct value once and converts it once, keeping the LaurentPoly for
-``braid_image_matrix`` (the dense matrix view of the columns) or making
+``braid_image_matrix`` (a ``PolyMatrix`` of the same columns) or making
 its text for ``tlkit bracket --matrix``, which ``_csv.sparse_csv``
 prints.  (Kronecker substitution: Harvey, arXiv:0712.4046.)
 

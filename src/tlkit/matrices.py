@@ -1,45 +1,64 @@
-"""Small square matrices over LaurentPoly.
+"""Square matrices over LaurentPoly, stored as sparse columns.
 
-``PolyMatrix`` is the dense view of results: ``GeneratorMatrix.matrix``
-and the bracket image returned by ``braid_image_matrix``.  The library
-computes, compares and prints generator actions and bracket images as
-column-monomial maps and sparse columns (see ``representation`` and
-``braids``); ``from_columns`` is the one place a dense matrix is built
-from them.  ``__mul__`` is kept for the dense oracles the tests check the
-library against, and for the benchmark tracer."""
+``PolyMatrix`` holds the shape its producers compute: column i maps each
+row j of a nonzero entry to that entry, and zero entries are not stored.
+``GeneratorMatrix.matrix`` and ``braid_image_matrix`` build one from
+their column-monomial maps and sparse columns, and ``__mul__`` multiplies
+sparse columns.  ``size``, ``entry`` and products read the columns only;
+``rows`` and ``column`` are dense views built on each read, and equality,
+hashing, ``repr`` and pickling go through ``rows``, so they cost
+Catalan(N)^2 cells."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from types import MappingProxyType
 
 from ._backend import _in_range
 from ._values import _require, _sequence, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
 
-class PolyMatrix(_Value):
-    """Row-major square matrix with LaurentPoly entries in one variable."""
+def _checked(variable: str, groups: Iterable[Iterable[LaurentPoly]]) -> list[tuple]:
+    """``groups`` (dense rows, or the entries of each column) as tuples of
+    LaurentPoly in ``variable``; ValueError otherwise."""
+    if variable not in _VARIABLES:
+        raise ValueError(f"unsupported variable {variable!r}")
+    message = f"rows must be sequences of LaurentPoly in {variable}"
+    groups = _require(groups, Iterable, message)
+    return [_sequence(group, LaurentPoly, "variable", variable, message) for group in groups]
 
-    __slots__ = _fields = ("variable", "rows")
+
+class PolyMatrix(_Value):
+    """Square matrix with LaurentPoly entries in one variable, compared,
+    hashed and printed as its dense ``rows``."""
+
+    _fields = ("variable", "rows")
+    __slots__ = ("variable", "_columns")
     variable: str
-    rows: tuple[tuple[LaurentPoly, ...], ...]
 
     def __init__(self, variable: str, rows: Sequence[Sequence[LaurentPoly]]) -> None:
-        if variable not in _VARIABLES:
-            raise ValueError(f"unsupported variable {variable!r}")
-        message = f"rows must be sequences of LaurentPoly in {variable}"
-        rows = tuple(
-            _sequence(row, LaurentPoly, "variable", variable, message)
-            for row in _require(rows, Iterable, message)
-        )
+        rows = _checked(variable, rows)
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
+        self._hold(variable, (dict(enumerate(column)) for column in zip(*rows)))
+
+    def _hold(self, variable: str, columns: Iterable[Mapping[int, LaurentPoly]]) -> PolyMatrix:
+        """Store checked ``columns`` as read-only copies without their
+        zero entries; returns ``self``."""
+        columns = tuple(MappingProxyType({j: e for j, e in c.items() if e.coeffs}) for c in columns)
         object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_columns", columns)
+        return self
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self._columns)
+
+    @property
+    def rows(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The dense rows, built on each read."""
+        return tuple(zip(*map(self.column, range(self.size))))
 
     def _position(self, value: int, name: str) -> int:
         """``value`` as a 0-based row or column number, 0..size-1."""
@@ -47,12 +66,16 @@ class PolyMatrix(_Value):
 
     def entry(self, row: int, col: int) -> LaurentPoly:
         """0-based access."""
-        return self.rows[self._position(row, "row")][self._position(col, "column")]
+        row = self._position(row, "row")
+        zero = LaurentPoly.zero(self.variable)
+        return self._columns[self._position(col, "column")].get(row, zero)
+
+    def column(self, j: int) -> tuple[LaurentPoly, ...]:
+        column, zero = self._columns[self._position(j, "column")], LaurentPoly.zero(self.variable)
+        return tuple(column.get(i, zero) for i in range(self.size))
 
     @classmethod
-    def from_rows(
-        cls, variable: str, rows: Sequence[Sequence[LaurentPoly]]
-    ) -> PolyMatrix:
+    def from_rows(cls, variable: str, rows: Sequence[Sequence[LaurentPoly]]) -> PolyMatrix:
         return cls(variable, rows)
 
     @classmethod
@@ -62,17 +85,14 @@ class PolyMatrix(_Value):
         """The square matrix with ``columns[i][j]`` in row j of column i
         and zero in every unlisted cell; ValueError unless each column maps
         integers 0 <= j < size to entries."""
-        zero = LaurentPoly.zero(variable)
         size = len(_require(columns, Sequence, "columns must be a sequence of maps"))
-        grid = [[zero] * size for _ in columns]
         for i, column in enumerate(columns):
-            message = f"column {i} must map rows to entries"
-            for j, entry in _require(column, Mapping, message).items():
-                # one range test per cell, which also rejects a non-integer
+            for j in _require(column, Mapping, f"column {i} must map rows to entries"):
+                # one range test per key, which also rejects a non-integer
                 if not (isinstance(j, int) and 0 <= j < size):
                     raise ValueError(f"column {i} has row {j!r} outside 0..{size - 1}")
-                grid[j][i] = entry
-        return cls.from_rows(variable, grid)
+        _checked(variable, [column.values() for column in columns])
+        return object.__new__(cls)._hold(variable, columns)
 
     @classmethod
     def identity(cls, size: int, variable: str) -> PolyMatrix:
@@ -81,26 +101,16 @@ class PolyMatrix(_Value):
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         self._check(other)
-        columns = []
-        for j in range(other.size):
-            column: dict[int, LaurentPoly] = {}
-            for k, b in enumerate(other.column(j)):
-                if b.is_zero():
-                    continue
-                for i, row in enumerate(self.rows):
-                    a = row[k]
-                    if not a.is_zero():
-                        column[i] = column[i] + a * b if i in column else a * b
-            columns.append(column)
-        return PolyMatrix.from_columns(self.variable, columns)
+        columns: list[dict[int, LaurentPoly]] = [{} for _ in other._columns]
+        for column, other_column in zip(columns, other._columns):
+            # the sum of b times column k of self over the entries b (row k)
+            for k, b in other_column.items():
+                for i, a in self._columns[k].items():
+                    column[i] = column[i] + a * b if i in column else a * b
+        return object.__new__(PolyMatrix)._hold(self.variable, columns)
 
     def _check(self, other: PolyMatrix) -> None:
         if self.variable != _require(other, PolyMatrix, "expected a PolyMatrix").variable:
             raise ValueError("matrix variable mismatch")
         if self.size != other.size:
             raise ValueError("matrix size mismatch")
-
-    def column(self, j: int) -> tuple[LaurentPoly, ...]:
-        j = self._position(j, "column")
-        return tuple(row[j] for row in self.rows)
-

@@ -22,8 +22,8 @@ indexed by column: ``targets[i] = j`` and ``exponents[i] = m``, with the
 generator index and the basis order:
 ``GeneratorMatrix(generator_index, basis_order, targets, exponents)``.
 Whether the identity is in the order, ``include_identity``, is read off
-the order.  Entry (j, i) of the matrix is d^m; ``matrix`` is the dense
-``PolyMatrix`` view, built on first use.  Products of generators are
+the order.  Entry (j, i) of the matrix is d^m; ``matrix`` is the ``PolyMatrix``
+of these sparse columns, built on first use.  Products of generators are
 compositions of maps, (U.V) sends column i to row tU[tV[i]] with exponent
 eV[i] + eU[tV[i]], so the relation check compares tuples and multiplies
 no matrices.
@@ -206,7 +206,8 @@ class GeneratorMatrix(_Value):
         n = first.dimension
         message = f"basis order must hold diagrams of dimension {n}"
         _sequence(basis_order, PlanarDiagram, "dimension", n, message)
-        checked_generator(n, generator_index)
+        if not 1 <= generator_index <= n - 1:
+            raise ValueError(f"generator index {generator_index} out of range 1..{n - 1}")
         message = "targets and exponents must be sequences of integers"
         targets = _integers(targets, message)
         exponents = _integers(exponents, message)
@@ -251,16 +252,16 @@ class GeneratorMatrix(_Value):
 
     @functools.cached_property
     def matrix(self) -> PolyMatrix:
-        """The dense matrix over LaurentPoly(d)."""
+        """The matrix over LaurentPoly(d), stored as sparse columns: column
+        i holds d^exponents[i] in row targets[i], one shared monomial per
+        distinct exponent.  Its ``rows`` and ``column``, equality, hashing,
+        ``repr`` and pickling build dense Catalan(N)-sized rows."""
         from .laurent import LaurentPoly
         from .matrices import PolyMatrix
 
+        monomials = {m: LaurentPoly.monomial("d", m) for m in set(self.exponents)}
         return PolyMatrix.from_columns(
-            "d",
-            [
-                {j: LaurentPoly.monomial("d", m)}
-                for j, m in zip(self.targets, self.exponents)
-            ],
+            "d", [{j: monomials[m]} for j, m in zip(self.targets, self.exponents)]
         )
 
 

@@ -29,6 +29,10 @@ bracket image as a product of ``a.I + b.U`` letter matrices, and the TL
 relations checked by matrix products over ``gm.matrix``.  The matrix
 arithmetic they need beyond ``PolyMatrix.__mul__`` (sum, scaling, entry
 map, product of a sequence) is defined here.
+
+``dense_product`` is the textbook triple loop over ``rows``, zero cells
+included, against which the sparse-column ``PolyMatrix.__mul__`` is
+checked.
 """
 
 from __future__ import annotations
@@ -491,6 +495,21 @@ def map_entries(
     """Apply f to every entry; pass ``variable`` when f changes it."""
     mapped = tuple(tuple(f(entry) for entry in row) for row in m.rows)
     return PolyMatrix(variable or m.variable, mapped)
+
+
+def dense_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """a * b cell by cell: entry (i, j) is the sum over k of
+    a[i][k] * b[k][j], read from the dense rows of both."""
+    a._check(b)
+    left, right, zero = a.rows, b.rows, LaurentPoly.zero(a.variable)
+    cells = range(a.size)
+    return PolyMatrix(
+        a.variable,
+        tuple(
+            tuple(sum((left[i][k] * right[k][j] for k in cells), zero) for j in cells)
+            for i in cells
+        ),
+    )
 
 
 def matrix_product(matrices: Iterable[PolyMatrix]) -> PolyMatrix:

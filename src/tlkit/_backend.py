@@ -1,14 +1,16 @@
 """The kernels on plain partner tuples: the basis search, pairing
 composition, the generator rule and the ``PairingBasis`` maps built from
-it, the composition table and the diagram line walk.
+it, the composition table, and the diagram line format's walk, writer
+and reader.
 
 Everything here works on plain partner tuples (1-based, ``pairing[i-1]``
 is the partner of node i).  ``compose_pairings`` trusts its input:
-callers pass the pairings of validated ``PlanarDiagram`` values.  The
-callers trust the output in turn: basis pairings and composition
-products become diagrams through ``PlanarDiagram._trusted``, without a
-second involution and planarity check, so a kernel change must keep
-every emitted tuple a noncrossing perfect matching (the test suite
+callers pass the pairings of validated ``PlanarDiagram`` values or of
+``read_line``, which checks what it reads.  The callers trust the
+output in turn: basis pairings and composition products become
+diagrams through ``PlanarDiagram._trusted``, without a second
+involution and planarity check, so a kernel change must keep every
+emitted tuple a noncrossing perfect matching (the test suite
 re-validates them).
 
 The basis search is a depth-first walk that joins the lowest unmatched
@@ -23,7 +25,7 @@ lexicographic order of the partner array.
 
 The rule reads nothing but which nodes are matched, so the search state
 is one int, ``matched``, with bit i set for each matched node i and bit 0
-always set.  Three walks recurse on it:
+always set.  Two walks recurse on it:
 
 * ``enumerate_pairings`` emits each leaf as a partner tuple; it is the
   only walk that keeps a partner array;
@@ -34,11 +36,11 @@ always set.  Three walks recurse on it:
   N // 2 levels; the text of each way to finish from a deeper node is
   built once per search state and shared.  Every line is two shared
   pieces, a head and a finish, and the whole text is one join of them,
-  so it is the only string of its size the walk makes;
-* ``count_pairings`` counts the leaves below a node once per search
-  state.
+  so it is the only string of its size the walk makes.
 
-Dimension 12 has 208,012 leaves but only 4,096 states.
+Dimension 12 has 208,012 leaves but only 4,096 states.  The number of
+leaves is Catalan's, so ``count_pairings`` reads it off ``catalan``
+after the walks' depth check, and walks nothing.
 
 Composition walks the strands of the stacked picture directly; the
 union-find and matrix-power readings of the same stack live in the test
@@ -55,23 +57,25 @@ composition table is built from those maps by associativity, on
 positions alone: every basis pairing E other than the identity is U_k
 stacked on a parent E' one step closer to the identity, with no loop
 closed (``spanning_tree``).  Then D.E = (D.E').U_k, so if D.E' = d^m.D_r, the
-cell D.E is d^(m + e_k[r]).D_(t_k[r]), one step of the map of U_k
-(``table_rows``).
+cell D.E is d^(m + e_k[r]).D_(t_k[r]), one step of the map of U_k.
+``table_rows`` codes the cell d^m.D_r as the int m * size + r, so that
+step is one lookup in a table per generator.
 
 The module imports nothing from the package, so it also holds what
-``tlkit enumerate`` and ``tlkit compose --table`` need besides the
-walks: the size rule (``_integer``, ``_dimension``,
+``tlkit enumerate``, ``tlkit compose`` and ``tlkit draw`` need besides
+the walks: the size rule (``_integer``, ``_dimension``,
 ``_checked_dimension`` and ``DEFAULT_MAX_DIMENSION``), the range rule
-(``_in_range``), ``catalan``, and
-the diagram line format (``_pair_texts``, ``_line_prefix`` and
-``diagram_line``, the one formatter of a whole line, which
-``diagrams.serialize`` and the ``bracket`` element route both call).
-Every route of those two commands loads this module and ``tlkit.cli``
-alone, besides ``tlkit._table``, the runner of ``compose``;
-``verify --relations tl`` adds ``tlkit._relations``.  Since every route
-loads it, it also holds ``_first_difference``, the one scan by which
-every relation witness finds where the two sides of a failed relation
-differ.
+(``_in_range``), ``catalan``, and the diagram line format:
+``_pair_texts``, ``_line_prefix`` and ``diagram_line``, the one writer
+of a whole line, which ``diagrams.serialize`` and the ``bracket``
+element route both call, and ``read_line``, the one reader, which
+``diagrams.parse`` wraps and ``read_diagram_arg`` calls on a
+command-line argument.  Every route of those three commands loads this
+module and ``tlkit.cli`` alone, besides its runner's module,
+``tlkit._table`` or ``tlkit.drawing``; ``verify --relations tl`` adds
+``tlkit._relations``.  Since every route loads it, it also holds
+``_first_difference``, the one scan by which every relation witness
+finds where the two sides of a failed relation differ.
 """
 
 from __future__ import annotations
@@ -79,8 +83,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 import sys
-from typing import Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    import re
 
 #: Hard ceiling on the dimension accepted by enumerate_diagrams and the CLI
 #: unless the caller raises it explicitly (C_12 = 208012 diagrams is still
@@ -143,12 +151,13 @@ def _in_range(value: int, name: str, low: int, high: int) -> int:
 
 
 def _walk_dimension(dimension: int, name: str = "dimension") -> int:
-    """``_dimension`` for the three walks, which recurse once per placed
-    pair.  A level of a memoized walk takes two of the interpreter's
-    nested calls (the cache wrapper and the function), and half the limit
-    is left to the callers, so a dimension above a quarter of the
-    recursion limit is refused before the walk starts.  No such walk
-    could finish anyway: dimension N has about 2^N search states."""
+    """``_dimension`` for the two walks, which recurse once per placed
+    pair, and for ``count_pairings``, which answers for them.  A level of
+    a memoized walk takes two of the interpreter's nested calls (the
+    cache wrapper and the function), and half the limit is left to the
+    callers, so a dimension above a quarter of the recursion limit is
+    refused before the walk starts.  No such walk could finish anyway:
+    dimension N has about 2^N search states."""
     dimension = _dimension(dimension, name)
     deepest = sys.getrecursionlimit() // 4
     if dimension > deepest:
@@ -184,6 +193,87 @@ def diagram_line(pairing: Sequence[int], loop_exponent: int) -> str:
     dimension = len(pairing) // 2
     pairs = "".join(map(operator.getitem, _pair_texts(dimension), pairing))
     return _line_prefix(dimension, loop_exponent) + pairs
+
+
+@functools.cache
+def _line_patterns() -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """The patterns of a whole diagram line and of one pair, compiled by
+    the first ``read_line`` of a process, not by every import."""
+    import re
+
+    return (
+        re.compile(r"^TL\s+(\d+)\s+m=(\d+)\s*((?:\(\d+,\d+\))+)$"),
+        re.compile(r"\((\d+),(\d+)\)"),
+    )
+
+
+def read_line(line: str) -> tuple[tuple[int, ...], int]:
+    """The partner tuple and loop exponent of a diagram line, the inverse
+    of ``diagram_line``; ValueError for malformed text, a non-involution
+    or a crossing pairing."""
+    if not isinstance(line, str):
+        raise ValueError(f"diagram line must be text, got {line!r}")
+    line_re, pair_re = _line_patterns()
+    match = line_re.match(line.strip())
+    if not match:
+        raise ValueError(f"malformed diagram line: {line!r}")
+    dimension = _dimension(int(match.group(1)))
+    loop_exponent = int(match.group(2))
+    # The pair count is bounded by the text and the declared dimension is
+    # not, so compare them before allocating by the dimension.
+    pairs = pair_re.findall(match.group(3))
+    if len(pairs) != dimension:
+        raise ValueError(f"dimension {dimension} needs {dimension} pairs, got {len(pairs)}")
+    pairing = [0] * (2 * dimension)
+    for a_text, b_text in pairs:
+        a, b = int(a_text), int(b_text)
+        if not (1 <= a <= 2 * dimension and 1 <= b <= 2 * dimension):
+            raise ValueError(f"pair ({a},{b}) out of range for dimension {dimension}")
+        if a == b:
+            raise ValueError(f"node {a} is paired with itself")
+        if pairing[a - 1] or pairing[b - 1]:
+            raise ValueError(f"node {a} or {b} listed twice")
+        pairing[a - 1] = b
+        pairing[b - 1] = a
+    # N distinct pairs on 2N nodes cover every node, so the pairing is an
+    # involution here and only planarity is left to check.
+    if not _noncrossing(pairing, dimension):
+        raise ValueError("pairing has crossing strands")
+    return tuple(pairing), loop_exponent
+
+
+def read_diagram_arg(value: str, dimension: int) -> tuple[tuple[int, ...], int]:
+    """``read_line`` of a diagram argument of ``tlkit compose`` or
+    ``tlkit draw`` (FILE_OR_INLINE), of the given dimension: the line of
+    a one-line diagram file if ``value`` names one, else ``value``
+    itself.  Text that cannot name a file (too long, say) is read
+    inline."""
+    if os.path.isfile(value):
+        with open(value, encoding="utf-8") as fh:
+            value = fh.read().strip()
+    pairing, loop_exponent = read_line(value)
+    if len(pairing) != 2 * dimension:
+        raise ValueError(f"diagram has dimension {len(pairing) // 2}, expected {dimension}")
+    return pairing, loop_exponent
+
+
+def _noncrossing(pairing: Sequence[int], dimension: int) -> bool:
+    """Whether a fixed-point-free involution on the 2N boundary nodes is
+    drawable without crossings.
+
+    Walking the box boundary visits the bottom row left to right, then
+    the top row right to left, so planarity is the noncrossing condition
+    for chords of a circle.  One pass with a stack: a chord closes when
+    its other end is on top of the stack, and the pairing is noncrossing
+    exactly when every chord closes.
+    """
+    stack: list[int] = []
+    for node in (*range(1, dimension + 1), *range(2 * dimension, dimension, -1)):
+        if stack and stack[-1] == pairing[node - 1]:
+            stack.pop()
+        else:
+            stack.append(node)
+    return not stack
 
 
 def enumerate_pairings(dimension: int) -> list[tuple[int, ...]]:
@@ -224,13 +314,12 @@ def pairing_lines(dimension: int) -> str:
     depth is checked before ``_pair_texts(N)``, which grows with the
     square of N, is built.  The walk carries the text of the pairs placed
     so far down the first N // 2 levels.  Below that, the text of every
-    way to finish is memoized by the search state, as in
-    ``count_pairings``.  A line below a node of level N // 2 is the
-    node's text and one finish, both shared: the walk lists those two
-    pieces per line and joins the list once.  So no string per line, no
-    partner tuple and no second copy of the text is built; at its peak
-    the walk holds the text, the list (two pointers per line) and the
-    finishes.
+    way to finish is memoized by the search state.  A line below a node
+    of level N // 2 is the node's text and one finish, both shared: the
+    walk lists those two pieces per line and joins the list once.  So no
+    string per line, no partner tuple and no second copy of the text is
+    built; at its peak the walk holds the text, the list (two pointers
+    per line) and the finishes.
     """
     n = _walk_dimension(dimension)
     texts = _pair_texts(n)
@@ -272,25 +361,10 @@ def pairing_lines(dimension: int) -> str:
 
 
 def count_pairings(dimension: int) -> int:
-    """Number of leaves of the same search, without materializing them;
-    the count below a node is memoized by the search state."""
-    n = _walk_dimension(dimension)
-
-    @functools.cache
-    def count(matched: int) -> int:
-        f, partners = _partners(matched, n)
-        if partners is None:
-            return 1
-        total = 0
-        for j in partners:
-            total += count(matched | 1 << f | 1 << j)
-        return total
-
-    total = count(1)
-    # ``count`` refers to itself, so its memo would live until a garbage
-    # collection: free it now.
-    count.cache_clear()
-    return total
+    """Number of leaves of the same search, Catalan(N), under the walks'
+    depth check, so a dimension no walk could reach is refused as by the
+    walks; the check also bounds the digits of the count."""
+    return catalan(_walk_dimension(dimension))
 
 
 def _partners(matched: int, n: int) -> tuple[int, Sequence[int] | None]:
@@ -450,21 +524,27 @@ def spanning_tree(maps: Sequence[Map], root: int) -> list[tuple[int, int, int]]:
     return steps
 
 
-def table_rows(maps: Sequence[Map], root: int) -> Iterator[tuple[list[int], list[int]]]:
+def table_rows(maps: Sequence[Map], root: int) -> Iterator[list[int]]:
     """Row i of the composition table for every position i, in order, from
-    the maps of U_1..U_{N-1} and the identity's position ``root``:
-    ``rows[j]`` and ``loops[j]`` give D_i . D_j = d^loops[j] . D_rows[j]."""
-    steps = [(position, parent, *maps[k - 1]) for position, parent, k in spanning_tree(maps, root)]
-    size = len(steps) + 1
+    the maps of U_1..U_{N-1} and the identity's position ``root``: cell j
+    of the row is the code m * size + r of D_i . D_j = d^m . D_r.
+
+    Stacking N-strand diagrams closes at most N // 2 loops, one per two
+    middle nodes, so each U_k acts on the codes with m <= N // 2 through
+    one table, ``step[m * size + r] = (m + e_k[r]) * size + t_k[r]``."""
+    size = len(maps[0][0]) if maps else 1
+    half = (len(maps) + 1) // 2
+    steps = [
+        [(m + e) * size + t for m in range(half + 1) for t, e in zip(*map_k)]
+        for map_k in maps
+    ]
+    tree = [(position, parent, steps[k - 1]) for position, parent, k in spanning_tree(maps, root)]
     for i in range(size):
-        rows = [0] * size
-        loops = [0] * size
-        rows[root] = i
-        for position, parent, targets, exponents in steps:
-            r = rows[parent]
-            rows[position] = targets[r]
-            loops[position] = loops[parent] + exponents[r]
-        yield rows, loops
+        codes = [0] * size
+        codes[root] = i
+        for position, parent, step in tree:
+            codes[position] = step[codes[parent]]
+        yield codes
 
 
 def _first_difference(left: Mapping[K, object], right: Mapping[K, object]) -> K | None:

@@ -1,10 +1,12 @@
 """The runner of ``tlkit compose``.
 
-``--table`` prints the composition table of TL_N as CSV on the kernel
-module alone: the positions and generator maps of a
-``_backend.PairingBasis``, no diagram object.  Two diagram arguments
-(``--lhs``, ``--rhs``) are composed through ``composition.compose_scaled``,
-which loads the diagram modules but builds no basis.
+Every route runs on the kernel module alone, on partner tuples and
+positions, with no diagram object.  ``--table`` prints the composition
+table of TL_N as CSV from the positions and generator maps of a
+``_backend.PairingBasis``.  Two diagram arguments (``--lhs``, ``--rhs``)
+are read by ``_backend.read_diagram_arg``, composed by
+``_backend.compose_pairings`` and printed by ``_backend.diagram_line``,
+with no basis built.
 """
 
 from __future__ import annotations
@@ -26,22 +28,19 @@ def _run_compose(args: Namespace) -> tuple[bool, str]:
         basis = pairing_basis(n)
         maps, root, size = basis.maps(), basis.root, len(basis.pairings)
         del basis  # the table reads positions only
-        # labels[m][r] is "row:loops" for d^m . D_r; stacking N-strand
-        # diagrams closes at most N // 2 loops, one per two middle nodes
-        labels = [
-            [f"{r}:{m}" for r in range(1, size + 1)] for m in range(n // 2 + 1)
-        ]
+        # labels[m * size + r] is "row:loops" for d^m . D_r, the cell that
+        # table_rows codes as that index
+        labels = [f"{r}:{m}" for m in range(n // 2 + 1) for r in range(1, size + 1)]
         # Each row ends in its own newline, so the table is joined once.
         lines = [f"lhs/rhs,{','.join(str(j) for j in range(1, size + 1))}\n"]
-        for i, (rows, loops) in enumerate(table_rows(maps, root), start=1):
-            cells = [labels[m][r] for r, m in zip(rows, loops)]
-            lines.append(f"{i},{','.join(cells)}\n")
+        for i, codes in enumerate(table_rows(maps, root), start=1):
+            lines.append(f"{i},{','.join(map(labels.__getitem__, codes))}\n")
         return True, "".join(lines)
     if args.lhs is None or args.rhs is None:
         raise ValueError("compose needs --table or both --lhs and --rhs")
-    from .composition import compose_scaled
-    from .diagrams import _read_diagram_arg, serialize
+    from ._backend import compose_pairings, diagram_line, read_diagram_arg
 
-    lhs = _read_diagram_arg(args.lhs, args.dim)
-    rhs = _read_diagram_arg(args.rhs, args.dim)
-    return True, serialize(compose_scaled(lhs, rhs)) + "\n"
+    lhs, lhs_loops = read_diagram_arg(args.lhs, args.dim)
+    rhs, rhs_loops = read_diagram_arg(args.rhs, args.dim)
+    pairing, loops = compose_pairings(lhs, rhs)
+    return True, diagram_line(pairing, lhs_loops + rhs_loops + loops) + "\n"

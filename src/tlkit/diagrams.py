@@ -23,8 +23,9 @@ enumeration cache):
     TL <N> m=<m> (<a1>,<b1>)(<a2>,<b2>)...
 
 with pairs sorted by smaller endpoint and the smaller endpoint written
-first, e.g. ``TL 4 m=2 (1,2)(3,8)(4,7)(5,6)``.  ``serialize`` writes it
-through ``_backend.diagram_line``, which the CLI also calls on partner
+first, e.g. ``TL 4 m=2 (1,2)(3,7)(4,8)(5,6)``.  ``serialize`` writes it
+through ``_backend.diagram_line`` and ``parse`` reads it through
+``_backend.read_line``; the CLI calls both directly, on partner
 tuples.
 
 The value base ``_Value`` and the type checks the classes here use
@@ -36,12 +37,11 @@ load this one.
 from __future__ import annotations
 
 import functools
-import re
 from collections.abc import Iterable, Mapping
 from itertools import chain
 from typing import Sequence
 
-from ._backend import _dimension, _in_range, _integer, diagram_line, identity_pairing
+from ._backend import _dimension, _in_range, _integer, _noncrossing, diagram_line, identity_pairing, read_line
 from ._values import _integers, _pairs, _require, _Value
 
 
@@ -72,27 +72,13 @@ def _check_involution(pairing: tuple[int, ...], dimension: int) -> None:
 
 def is_noncrossing(pairing: Sequence[int], dimension: int) -> bool:
     """Whether a fixed-point-free involution on the 2N boundary nodes is
-    drawable without crossings.
-
-    One pass around the circle with a stack: a chord closes when its other
-    end is on top of the stack, and the pairing is noncrossing exactly when
-    every chord closes.  Non-involutions are rejected with ValueError.
+    drawable without crossings (the stack pass ``_backend._noncrossing``).
+    Non-involutions are rejected with ValueError.
     """
     dimension = _dimension(dimension)
     pairing = _integers(pairing, "partners must be integers, given as a sequence")
     _check_involution(pairing, dimension)
-    size = 2 * dimension
-    node_at = [0] * (size + 1)
-    for i in range(1, size + 1):
-        node_at[node_position(i, dimension)] = i
-    stack: list[int] = []
-    for p in range(1, size + 1):
-        node = node_at[p]
-        if stack and stack[-1] == pairing[node - 1]:
-            stack.pop()
-        else:
-            stack.append(node)
-    return not stack
+    return _noncrossing(pairing, dimension)
 
 
 @functools.total_ordering
@@ -331,16 +317,6 @@ def restrict_connectability(
     return gamma.zeroed(i, sorted(blocked))
 
 
-@functools.cache
-def _line_patterns() -> tuple[re.Pattern[str], re.Pattern[str]]:
-    """The patterns of a whole diagram line and of one pair, compiled by
-    the first ``parse`` of a process, not by every import."""
-    return (
-        re.compile(r"^TL\s+(\d+)\s+m=(\d+)\s*((?:\(\d+,\d+\))+)$"),
-        re.compile(r"\((\d+),(\d+)\)"),
-    )
-
-
 def serialize(scaled: ScaledDiagram) -> str:
     """One-line text form; parse() inverts it exactly."""
     diagram = _require(scaled, ScaledDiagram, "serialize needs a ScaledDiagram").diagram
@@ -349,57 +325,6 @@ def serialize(scaled: ScaledDiagram) -> str:
 
 def parse(line: str) -> ScaledDiagram:
     """Parse a diagram line, rejecting malformed text, non-involutions and
-    crossing pairings."""
-    line_re, pair_re = _line_patterns()
-    match = line_re.match(_require(line, str, "diagram line must be text").strip())
-    if not match:
-        raise ValueError(f"malformed diagram line: {line!r}")
-    dimension = _dimension(int(match.group(1)))
-    loop_exponent = int(match.group(2))
-    # The pair count is bounded by the text and the declared dimension is
-    # not, so compare them before allocating by the dimension.
-    pairs = pair_re.findall(match.group(3))
-    if len(pairs) != dimension:
-        raise ValueError(
-            f"dimension {dimension} needs {dimension} pairs, got {len(pairs)}"
-        )
-    pairing = [0] * (2 * dimension)
-    for a_text, b_text in pairs:
-        a, b = int(a_text), int(b_text)
-        if not (1 <= a <= 2 * dimension and 1 <= b <= 2 * dimension):
-            raise ValueError(f"pair ({a},{b}) out of range for dimension {dimension}")
-        if a == b:
-            raise ValueError(f"node {a} is paired with itself")
-        if pairing[a - 1] or pairing[b - 1]:
-            raise ValueError(f"node {a} or {b} listed twice")
-        pairing[a - 1] = b
-        pairing[b - 1] = a
-    # N distinct pairs on 2N nodes cover every node, so the pairing is an
-    # involution here and only planarity is left to check.
-    if not is_noncrossing(pairing, dimension):
-        raise ValueError("pairing has crossing strands")
-    return ScaledDiagram(PlanarDiagram._trusted(dimension, tuple(pairing)), loop_exponent)
-
-
-def _read_diagram_arg(value: str, dimension: int) -> ScaledDiagram:
-    """A diagram argument of ``tlkit compose`` or ``tlkit draw``
-    (FILE_OR_INLINE): a path to a one-line diagram file, or the line
-    itself, of the given dimension."""
-    from pathlib import Path
-
-    text = value
-    candidate = Path(value)
-    try:
-        is_file = candidate.is_file()
-    except OSError:
-        # Text the file system refuses as a name (too long, say) is no
-        # file name; parse it inline.
-        is_file = False
-    if is_file:
-        text = candidate.read_text(encoding="utf-8").strip()
-    scaled = parse(text)
-    if scaled.dimension != dimension:
-        raise ValueError(
-            f"diagram has dimension {scaled.dimension}, expected {dimension}"
-        )
-    return scaled
+    crossing pairings (``_backend.read_line``)."""
+    pairing, loop_exponent = read_line(line)
+    return ScaledDiagram(PlanarDiagram._trusted(len(pairing) // 2, pairing), loop_exponent)

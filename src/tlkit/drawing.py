@@ -6,31 +6,27 @@ and a nonzero loop exponent is drawn as a circle annotated with d^m.
 Pixel fidelity is a non-goal; the emitted text is meant to be asserted
 on and pasted into documents.
 
-``_figure`` sorts each pair of nodes once into one of four strand kinds:
-a bottom cup, a top cap, a vertical strand (bottom node i to top node i)
-or a slanted through strand, a curve like the cups and caps.  The text
-of each format lives in its ``_Format`` table, ``_TIKZ`` or ``_SVG``.
+Figures are drawn from (partner tuple, loop exponent) pairs, so
+``tlkit draw`` runs on the kernel module alone; ``emit_figure`` reads
+those pairs off its diagram arguments, and only it loads the diagram
+module.  ``_figure`` sorts each pair of nodes once into one of four
+strand kinds: a bottom cup, a top cap, a vertical strand (bottom node i
+to top node i) or a slanted through strand, a curve like the cups and
+caps.  The text of each format lives in its ``_Format`` table, ``_TIKZ``
+or ``_SVG``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-from .diagrams import PlanarDiagram, ScaledDiagram, _read_diagram_arg
-
 if TYPE_CHECKING:
     from argparse import Namespace
 
+    from .diagrams import PlanarDiagram, ScaledDiagram
 
-def _as_scaled(item: PlanarDiagram | ScaledDiagram) -> ScaledDiagram:
-    if isinstance(item, PlanarDiagram):
-        return ScaledDiagram(item, 0)
-    if isinstance(item, ScaledDiagram):
-        return item
-    # Not through _values._require: this message names the item
-    # mid-sentence, which _require could say only by formatting it on
-    # every call.
-    raise ValueError(f"cannot draw {item!r}: not a PlanarDiagram or ScaledDiagram")
+#: A diagram to draw: its partner tuple and loop exponent.
+Figure = tuple[tuple[int, ...], int]
 
 
 class _Format(NamedTuple):
@@ -89,12 +85,13 @@ _SVG = _Format(
 _FORMATS = {"tikz": _TIKZ, "svg": _SVG}
 
 
-def _figure(fmt: _Format, scaled: ScaledDiagram, index: int) -> str:
-    n = scaled.dimension
+def _figure(fmt: _Format, figure: Figure, index: int) -> str:
+    pairing, loop_exponent = figure
+    n = len(pairing) // 2
     x = [fmt.coord(fmt.step * k) for k in range(n + 1)]
     width = fmt.step * (n + 1)
     lines = [fmt.box(width, index)]
-    for a, b in scaled.diagram.pairs():
+    for a, b in [(a, b) for a, b in enumerate(pairing, start=1) if a < b]:
         if b <= n:
             lines.append(fmt.cup(x[a], x[b]))
         elif a > n:
@@ -103,10 +100,17 @@ def _figure(fmt: _Format, scaled: ScaledDiagram, index: int) -> str:
             lines.append(fmt.vertical(x[a], x[b - n]))
         else:
             lines.append(fmt.slanted(x[a], x[b - n]))
-    if scaled.loop_exponent > 0:
-        lines.append(fmt.loop(width, scaled.loop_exponent))
+    if loop_exponent > 0:
+        lines.append(fmt.loop(width, loop_exponent))
     lines.append(fmt.end)
     return "\n".join(lines)
+
+
+def _page(fmt: str, figures: Sequence[Figure]) -> str:
+    """The figures of ``figures`` in format ``fmt``, one page."""
+    table = _FORMATS[fmt]
+    texts = [_figure(table, figure, i) for i, figure in enumerate(figures)]
+    return table.page(texts, table.step * (max(len(p) for p, _ in figures) // 2 + 1))
 
 
 def emit_figure(
@@ -114,6 +118,8 @@ def emit_figure(
     fmt: str,
 ) -> str:
     """Render one diagram or a sequence of diagrams as TikZ or SVG text."""
+    from .diagrams import PlanarDiagram, ScaledDiagram
+
     if not isinstance(fmt, str) or fmt not in _FORMATS:
         raise ValueError(
             f"unsupported format {fmt!r}, expected one of {tuple(_FORMATS)}"
@@ -124,12 +130,20 @@ def emit_figure(
         items = iter(target)
     except TypeError:
         raise ValueError(f"cannot draw {target!r}: not a diagram or sequence") from None
-    scaled = [_as_scaled(item) for item in items]
-    if not scaled:
+    figures = []
+    for item in items:
+        if isinstance(item, ScaledDiagram):
+            figures.append((item.diagram.pairing, item.loop_exponent))
+        elif isinstance(item, PlanarDiagram):
+            figures.append((item.pairing, 0))
+        else:
+            # Not through _values._require: this message names the item
+            # mid-sentence, which _require could say only by formatting it
+            # on every call.
+            raise ValueError(f"cannot draw {item!r}: not a PlanarDiagram or ScaledDiagram")
+    if not figures:
         raise ValueError("nothing to draw")
-    table = _FORMATS[fmt]
-    figures = [_figure(table, s, i) for i, s in enumerate(scaled)]
-    return table.page(figures, table.step * (max(s.dimension for s in scaled) + 1))
+    return _page(fmt, figures)
 
 
 def _run_draw(args: Namespace) -> tuple[bool, str]:
@@ -137,10 +151,10 @@ def _run_draw(args: Namespace) -> tuple[bool, str]:
     basis, or one diagram argument, as a figure."""
     if args.basis and args.diagram is not None:
         raise ValueError("draw takes --basis or --diagram, not both")
-    if args.basis:
-        from .enumeration import _basis
+    from ._backend import enumerate_pairings, read_diagram_arg
 
-        return True, emit_figure(tuple(_basis(args.dim)), args.format)
+    if args.basis:
+        return True, _page(args.format, [(p, 0) for p in enumerate_pairings(args.dim)])
     if args.diagram is None:
         raise ValueError("draw needs --basis or --diagram")
-    return True, emit_figure(_read_diagram_arg(args.diagram, args.dim), args.format)
+    return True, _page(args.format, [read_diagram_arg(args.diagram, args.dim)])

@@ -4,9 +4,9 @@
 row j of a nonzero entry to that entry, and zero entries are not stored.
 ``GeneratorMatrix.matrix`` and ``braid_image_matrix`` build one from
 their column-monomial maps and sparse columns, and ``__mul__`` multiplies
-sparse columns.  ``size``, ``entry`` and products read the columns only;
-``rows`` and ``column`` are dense views built on each read, and equality,
-hashing, ``repr`` and pickling go through ``rows``, so they cost
+sparse columns.  ``size``, ``entry``, products, equality and hashing read
+the columns only; ``rows`` and ``column`` are dense views built on each
+read, and ``repr`` and pickling go through ``rows``, so they cost
 Catalan(N)^2 cells."""
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ def _checked(variable: str, groups: Iterable[Iterable[LaurentPoly]]) -> list[tup
 
 
 class PolyMatrix(_Value):
-    """Square matrix with LaurentPoly entries in one variable, compared,
-    hashed and printed as its dense ``rows``."""
+    """Square matrix with LaurentPoly entries in one variable, printed and
+    pickled as its dense ``rows`` and compared and hashed as its sparse
+    columns, which hold no zero entry, so equal matrices have equal
+    columns."""
 
     _fields = ("variable", "rows")
     __slots__ = ("variable", "_columns")
@@ -50,6 +52,15 @@ class PolyMatrix(_Value):
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "_columns", columns)
         return self
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # read-only views of dicts compare by content
+        return (self.variable, self._columns) == (other.variable, other._columns)
+
+    def __hash__(self) -> int:
+        return hash((self.variable, *(frozenset(column.items()) for column in self._columns)))
 
     @property
     def size(self) -> int:

@@ -667,6 +667,8 @@ class TestStartup:
             ["repr", "--dim", "3", "--eval-d", "-3"],
             ["verify", "--dim", "4", "--relations", "artin"],
             ["verify", "--dim", "4", "--relations", "all"],
+            ["draw", "--dim", "3", "--basis"],
+            ["draw", "--dim", "2", "--diagram", "TL 2 m=1 (1,3)(2,4)", "--format", "svg"],
         ],
     )
     def test_subcommand_loads_only_its_modules(self, args, tmp_path):
@@ -679,9 +681,13 @@ class TestStartup:
         if args[0] == "enumerate":
             # Every enumerate route runs on the kernel module alone.
             assert loaded == kernel
-        elif "--table" in args:
-            # So does the composition table, besides its runner's module.
+        elif args[0] == "compose":
+            # So does every compose route, the table and two operands
+            # alike, besides its runner's module.
             assert loaded == kernel | {"tlkit._table"}
+        elif args[0] == "draw":
+            # Figures are drawn from partner tuples: no diagram module.
+            assert loaded == kernel | {"tlkit.drawing"}
         elif args[0] == "repr":
             # The generator maps are read off a basis record and printed
             # with Laurent entries: no diagram module.
@@ -695,14 +701,9 @@ class TestStartup:
                 "tlkit.braids",
                 "tlkit.laurent",
             }
-        elif args[0] == "verify":
+        else:
             # The TL relations run on the kernel and relation modules alone.
             assert loaded == kernel | {"tlkit._relations"}
-        else:
-            # Two operands are composed without a basis.
-            assert loaded >= {"tlkit.cli", "tlkit._table", "tlkit.diagrams", "tlkit.composition"}
-            unused = {"braids", "laurent", "matrices", "drawing", "_packed", "_csv", "enumeration"}
-            assert not loaded & {f"tlkit.{name}" for name in unused | {"representation"}}
         assert not loaded & self.FRONT_END
         assert result.stdout == run_cli(args)[1]
 
@@ -753,6 +754,8 @@ class TestStartup:
             ["bracket", "--strands", "4", "--word=1,-2,3,-1", "--matrix"],
             ["repr", "--dim", "4"],
             ["verify", "--dim", "4", "--relations", "all"],
+            ["compose", "--dim", "2", "--lhs", "TL 2 m=0 (1,2)(3,4)", "--rhs", "TL 2 m=1 (1,3)(2,4)"],
+            ["draw", "--dim", "2", "--diagram", "TL 2 m=1 (1,3)(2,4)"],
         ],
     )
     def test_only_path_options_load_pathlib(self, args, tmp_path):

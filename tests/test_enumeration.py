@@ -82,7 +82,8 @@ def test_rejects_non_integer_dimension(dimension):
         enumerate_diagrams(dimension)
 
 
-# The three walks, each called with a dimension alone.
+# The two walks and the count, which keeps their depth check, each called
+# with a dimension alone.
 KERNELS = {
     "enumerate_pairings": _backend.enumerate_pairings,
     "count_pairings": _backend.count_pairings,

@@ -96,3 +96,23 @@ def test_generator_matrix_squared_stays_sparse():
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20
+
+
+def test_equality_and_hashing_read_only_the_columns(monkeypatch):
+    # Equality and hashing compare the sparse columns: at dimension 9 the
+    # dense rows they used to build took 54 s for two comparisons and a
+    # hash.  ``rows`` is patched to fail, so any read of it shows.
+    basis = enumerate_diagrams(6)
+    u1, u2 = (generator_matrix(k, basis).matrix for k in (1, 2))
+    same = PolyMatrix.from_columns("d", [dict(column) for column in u1._columns])
+    identities = [PolyMatrix.identity(size, var) for size, var in ((3, "d"), (3, "A"), (2, "d"))]
+
+    def unread(self):
+        raise AssertionError("the dense rows were read")
+
+    monkeypatch.setattr(PolyMatrix, "rows", property(unread))
+    assert u1 == same and hash(u1) == hash(same)
+    assert u1 != u2 and len({u1, same, u2}) == 2
+    # a different variable or size is a different matrix
+    assert len(set(identities)) == 3
+    assert identities[0] != identities[1] and identities[0] != identities[2]

@@ -151,9 +151,9 @@ def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
 def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     """The bracket image as a matrix over the identity-included canonical
     basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A)), stored as
-    the sparse columns ``_image_columns`` makes.  Its ``rows`` and
-    ``column``, equality, hashing, ``repr`` and pickling build dense
-    Catalan(N)-sized rows."""
+    the sparse columns ``_image_columns`` makes.  Equality and hashing
+    read those columns; its ``rows`` and ``column``, ``repr`` and
+    pickling build dense Catalan(N)-sized rows."""
     from ._packed import _image_columns
     from .enumeration import enumerate_diagrams
     from .matrices import PolyMatrix

@@ -108,11 +108,12 @@ def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
     file is rebuilt.
 
     The recorded digest is read first, so a file it refuses is not read.
-    The text is held once wherever it can be.  ``hashlib`` and its
-    OpenSSL library are loaded by ``_sha256`` only after a hit has
-    decoded the bytes and dropped them, or a miss has built the text, so
-    neither is mapped while a hit holds the bytes and the text at once or
-    while the walk holds its pieces and the text.  The UTF-8 of a decoded
+    The text is held once wherever it can be.  A miss records the known
+    digest, which is the walk's (a test holds the table to the walks),
+    so it hashes nothing and peaks where the walk does.  Only a hit loads
+    ``hashlib`` and its OpenSSL library, through ``_sha256``, after it
+    has decoded the bytes and dropped them, so neither is mapped while
+    it holds the bytes and the text at once.  The UTF-8 of a decoded
     text is the file's bytes, so the digest of the text is the file's.
     The directory is made when a file is first written, after the walk
     has passed its depth check, so a refused walk leaves none."""
@@ -135,7 +136,7 @@ def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
     text = _basis_lines(dimension)
     cache_dir.mkdir(parents=True, exist_ok=True)
     _write_replacing(data_path, text)
-    _write_replacing(hash_path, _sha256(text) + "\n")
+    _write_replacing(hash_path, known + "\n")
     return text
 
 

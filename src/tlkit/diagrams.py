@@ -105,8 +105,9 @@ class PlanarDiagram(_Value):
             chain((dimension,), pairing),
             "dimension and partners must be integers, given as a sequence",
         )
-        dimension, pairing = values[0], values[1:]
-        if not is_noncrossing(pairing, dimension):
+        dimension, pairing = _dimension(values[0]), values[1:]
+        _check_involution(pairing, dimension)
+        if not _noncrossing(pairing, dimension):
             raise ValueError("pairing has crossing strands")
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "pairing", pairing)

@@ -254,8 +254,9 @@ class GeneratorMatrix(_Value):
     def matrix(self) -> PolyMatrix:
         """The matrix over LaurentPoly(d), stored as sparse columns: column
         i holds d^exponents[i] in row targets[i], one shared monomial per
-        distinct exponent.  Its ``rows`` and ``column``, equality, hashing,
-        ``repr`` and pickling build dense Catalan(N)-sized rows."""
+        distinct exponent.  Equality and hashing read the sparse columns;
+        its ``rows`` and ``column``, ``repr`` and pickling build dense
+        Catalan(N)-sized rows."""
         from .laurent import LaurentPoly
         from .matrices import PolyMatrix
 

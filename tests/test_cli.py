@@ -776,6 +776,22 @@ class TestStartup:
         assert result.stderr.split() == (["pathlib"] if path_option else [])
         assert result.stdout == run_cli(args)[1]
 
+    def test_only_a_cache_hit_loads_hashlib(self, tmp_path):
+        # A miss records the digest it already knows; only a hit hashes a
+        # file.  Run under -S, since a host's ``site`` may import hashlib.
+        probe = (
+            "import sys\n"
+            "from tlkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(*(m for m in ('hashlib', '_hashlib') if m in sys.modules), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        args = ["enumerate", "--dim", "4", "--cache", str(tmp_path)]
+        cold, warm = (self.fresh_python(probe, *args, options=["-S"]) for _ in range(2))
+        assert cold.stderr.split() == []
+        assert warm.stderr.split() == ["hashlib", "_hashlib"]
+        assert cold.stdout == warm.stdout == run_cli(args[:3])[1]
+
     @pytest.mark.parametrize("flag", ["--version", "--help"])
     def test_version_and_help_load_no_diagram_module(self, flag):
         probe = (

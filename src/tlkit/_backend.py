@@ -125,19 +125,18 @@ def _checked_dimension(
     max_dimension: int | None,
     name: str = "dimension",
     least: int = 1,
-    override: str = "max_dimension",
+    override: str | None = "max_dimension",
 ) -> int:
     """``_dimension`` under the ceiling ``max_dimension``, by default
-    DEFAULT_MAX_DIMENSION; ``override`` names where a caller raises it."""
+    DEFAULT_MAX_DIMENSION; ``override`` names where a caller raises it,
+    None where it cannot."""
     dimension = _dimension(dimension, name, least)
     ceiling = _integer(
         DEFAULT_MAX_DIMENSION if max_dimension is None else max_dimension, "max_dimension"
     )
     if dimension > ceiling:
-        raise ValueError(
-            f"{name} {dimension} exceeds the resource ceiling {ceiling} "
-            f"(override with {override})"
-        )
+        hint = f" (override with {override})" if override else ""
+        raise ValueError(f"{name} {dimension} exceeds the resource ceiling {ceiling}{hint}")
     return dimension
 
 

@@ -53,8 +53,7 @@ def _run_repr(args: Namespace) -> tuple[bool, str]:
     selected generator maps, in the representation order, as CSV blocks;
     the text of ``generator_matrices`` or ``generator_matrix`` over
     ``enumerate_diagrams(N)``."""
-    from ._backend import pairing_basis
-    from ._relations import checked_generator, renumbered, representation_order
+    from ._relations import checked_generator, ordered_maps
     from .laurent import LaurentPoly
 
     n = args.dim
@@ -65,10 +64,7 @@ def _run_repr(args: Namespace) -> tuple[bool, str]:
         except ValueError:
             raise ValueError(f"generator index must be an integer or 'all', got {args.gen!r}") from None
         indices = (checked_generator(n, k),)
-    basis = pairing_basis(n)
-    order = representation_order(basis, args.include_identity)
-    maps = renumbered([basis.map(k) for k in indices], order)
-    del basis  # the blocks read positions only
+    order, maps = ordered_maps(n, indices, args.include_identity)
     size = len(order)
     d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d
     identity = "included" if args.include_identity else "excluded"

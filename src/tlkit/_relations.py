@@ -24,8 +24,9 @@ differ with ``_backend._first_difference``.
 ``ideal_blocks`` groups the positions of a ``_backend.PairingBasis``
 into the components of the generator action, ``representation_order``
 lists them in the order those blocks give (the one of ``verify``,
-``repr`` and the generator matrices), and ``renumbered`` moves maps
-into it.  ``checked_generator`` is the one rule for a generator index.
+``repr`` and the generator matrices), ``renumbered`` moves maps into
+it, and ``ordered_maps`` does both for ``verify`` and ``repr``, on the
+walk's basis.  ``checked_generator`` is the one rule for a generator index.
 
 The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
@@ -110,6 +111,19 @@ def representation_order(basis: PairingBasis, include_identity: bool) -> Sequenc
     if include_identity:
         return range(len(basis.pairings))
     return [i for block in ideal_blocks(basis, False) for i in block]
+
+
+def ordered_maps(n: int, indices: Iterable[int], identity: bool) -> tuple[Sequence[int], list[Map]]:
+    """The representation order of the walk's basis of dimension ``n``,
+    with the identity if ``identity``, and the maps of U_k for k in
+    ``indices`` renumbered into it: the basis of ``tlkit repr`` and
+    ``tlkit verify``.  The basis record is dropped before the
+    renumbering, which reads positions only."""
+    basis = _backend.pairing_basis(n)
+    order = representation_order(basis, identity)
+    maps = [basis.map(k) for k in indices]
+    del basis
+    return order, renumbered(maps, order)
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence[T]], tuple[T, ...]]:
@@ -281,11 +295,7 @@ def verify_tl(dimension: int) -> list[Report]:
     reports are those of ``representation.verify_tl_relations`` on
     ``generator_matrices`` and of ``verify_tl_relations_diagrams``.
     """
-    basis = _backend.pairing_basis(dimension)
-    order = representation_order(basis, False)
-    maps = basis.maps()
-    del basis  # the checks read positions only
-    maps = renumbered(maps, order)
+    _, maps = ordered_maps(dimension, range(1, dimension), False)
     return [map_report(dict(enumerate(maps, start=1))), diagram_report(dimension)]
 
 

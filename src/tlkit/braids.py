@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from ._backend import (
     PairingBasis,
     _apply_generator,
+    _checked_dimension,
     _dimension,
     _first_difference,
     _integer,
@@ -151,16 +152,24 @@ def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
 def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     """The bracket image as a matrix over the identity-included canonical
     basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A)), stored as
-    the sparse columns ``_image_columns`` makes.  Equality and hashing
-    read those columns; its ``rows`` and ``column``, ``repr`` and
-    pickling build dense Catalan(N)-sized rows."""
+    the sparse columns ``_image_columns`` makes.  Equality, hashing,
+    ``repr``, ``copy`` and pickling read those columns; only its ``rows``
+    and ``column`` build dense Catalan(N)-sized rows.  A word on more
+    strands than ``_backend.DEFAULT_MAX_DIMENSION`` is refused."""
     from ._packed import _image_columns
-    from .enumeration import enumerate_diagrams
     from .matrices import PolyMatrix
 
     word = _require(word, BraidWord, "braid_image_matrix needs a BraidWord")
-    basis = enumerate_diagrams(word.strands)._record
-    return PolyMatrix.from_columns("A", list(_image_columns(word, basis, lambda poly: poly)))
+    basis = _strand_basis(word.strands)
+    return PolyMatrix("A", list(_image_columns(word, basis, lambda poly: poly)))
+
+
+def _strand_basis(strands: int, least: int = 1) -> PairingBasis:
+    """The cached basis record of ``strands``, a strand count of at least
+    ``least`` and at most ``_backend.DEFAULT_MAX_DIMENSION``, checked once."""
+    from .enumeration import _basis
+
+    return _basis(_checked_dimension(strands, None, "strand count", least, None))._record
 
 
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:
@@ -171,13 +180,12 @@ def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationRepor
     far commutation sigma_j sigma_k = sigma_k sigma_j (|j-k| >= 2), in
     TLElement form and in matrix form, plus invertibility
     sigma_i sigma_i^-1 = 1 and seeded random words w of length up to
-    max_len with w . w^-1 = 1.
+    max_len with w . w^-1 = 1.  ``strands`` is at least 2 and at most
+    ``_backend.DEFAULT_MAX_DIMENSION``.
     """
-    from .enumeration import enumerate_diagrams
     from .representation import RelationReport
 
-    strands = _dimension(strands, "strand count", least=2)
-    return RelationReport(*_verify_artin(enumerate_diagrams(strands)._record, max_len, seed))
+    return RelationReport(*_verify_artin(_strand_basis(strands, 2), max_len, seed))
 
 
 def _verify_artin(basis: PairingBasis, max_len: int = 6, seed: int = 0) -> Report:

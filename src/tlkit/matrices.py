@@ -2,65 +2,80 @@
 
 ``PolyMatrix`` holds the shape its producers compute: column i maps each
 row j of a nonzero entry to that entry, and zero entries are not stored.
-``GeneratorMatrix.matrix`` and ``braid_image_matrix`` build one from
-their column-monomial maps and sparse columns, and ``__mul__`` multiplies
-sparse columns.  ``size``, ``entry``, products, equality and hashing read
-the columns only; ``rows`` and ``column`` are dense views built on each
-read, and ``repr`` and pickling go through ``rows``, so they cost
-Catalan(N)^2 cells."""
+``PolyMatrix(variable, columns)`` takes that shape, each column a map
+from row to entry or the (row, entry) pairs its ``repr`` prints, so
+``repr``, ``copy`` and pickling go through the columns too, and
+``from_rows`` builds one from dense rows.  ``GeneratorMatrix.matrix`` and
+``braid_image_matrix`` build theirs from their column-monomial maps and
+sparse columns, and ``__mul__`` multiplies sparse columns.  Only ``rows``
+and ``column`` are dense, views built on each read, so they cost
+Catalan(N) cells per column."""
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from types import MappingProxyType
 
 from ._backend import _in_range
 from ._values import _require, _sequence, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
 
-def _checked(variable: str, groups: Iterable[Iterable[LaurentPoly]]) -> list[tuple]:
-    """``groups`` (dense rows, or the entries of each column) as tuples of
-    LaurentPoly in ``variable``; ValueError otherwise."""
-    if variable not in _VARIABLES:
-        raise ValueError(f"unsupported variable {variable!r}")
-    message = f"rows must be sequences of LaurentPoly in {variable}"
-    groups = _require(groups, Iterable, message)
-    return [_sequence(group, LaurentPoly, "variable", variable, message) for group in groups]
-
-
 class PolyMatrix(_Value):
-    """Square matrix with LaurentPoly entries in one variable, printed and
-    pickled as its dense ``rows`` and compared and hashed as its sparse
-    columns, which hold no zero entry, so equal matrices have equal
+    """Square matrix with LaurentPoly entries in one variable, held as
+    sparse columns with no zero entry: ``columns[i]`` lists the (row,
+    entry) pairs of column i in row order, so equal matrices have equal
     columns."""
 
-    _fields = ("variable", "rows")
+    _fields = ("variable", "columns")
     __slots__ = ("variable", "_columns")
     variable: str
 
-    def __init__(self, variable: str, rows: Sequence[Sequence[LaurentPoly]]) -> None:
-        rows = _checked(variable, rows)
-        if any(len(row) != len(rows) for row in rows):
-            raise ValueError("matrix must be square")
-        self._hold(variable, (dict(enumerate(column)) for column in zip(*rows)))
+    def __init__(self, variable: str, columns: Sequence[Mapping | Sequence[tuple]]) -> None:
+        """The matrix with ``columns[i][j]`` in row j of column i and zero
+        in every unlisted cell; ValueError unless each column maps, or
+        pairs, distinct integers 0 <= j < size with entries."""
+        if variable not in _VARIABLES:
+            raise ValueError(f"unsupported variable {variable!r}")
+        size = len(_require(columns, Sequence, "columns must be a sequence of columns"))
+        message = f"entries must be LaurentPoly in {variable}"
+        held = []
+        for i, column in enumerate(columns):
+            try:
+                entries = dict(column)
+                if len(entries) != len(column):
+                    raise ValueError  # a row listed twice
+            except (TypeError, ValueError):
+                text = "must be a map or distinct (row, entry) pairs"
+                raise ValueError(f"column {i} {text}, got {column!r}") from None
+            for j in entries:
+                # one range test per key, which also rejects a non-integer
+                if not (isinstance(j, int) and 0 <= j < size):
+                    raise ValueError(f"column {i} has row {j!r} outside 0..{size - 1}")
+            _sequence(entries.values(), LaurentPoly, "variable", variable, message)
+            held.append({j: e for j, e in entries.items() if e.coeffs})
+        self._hold(variable, held)
 
-    def _hold(self, variable: str, columns: Iterable[Mapping[int, LaurentPoly]]) -> PolyMatrix:
-        """Store checked ``columns`` as read-only copies without their
-        zero entries; returns ``self``."""
-        columns = tuple(MappingProxyType({j: e for j, e in c.items() if e.coeffs}) for c in columns)
+    def _hold(self, variable: str, columns: Iterable[dict[int, LaurentPoly]]) -> PolyMatrix:
+        """Store ``columns``, checked maps with no zero entry; returns
+        ``self``."""
         object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_columns", tuple(columns))
         return self
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # read-only views of dicts compare by content
+        # the stored dicts compare by content, in any row order
         return (self.variable, self._columns) == (other.variable, other._columns)
 
-    def __hash__(self) -> int:
-        return hash((self.variable, *(frozenset(column.items()) for column in self._columns)))
+    # a class that defines __eq__ loses the inherited hash of its fields
+    __hash__ = _Value.__hash__
+
+    @property
+    def columns(self) -> tuple[tuple[tuple[int, LaurentPoly], ...], ...]:
+        """Each column's (row, entry) pairs in row order, built on each
+        read."""
+        return tuple(tuple(sorted(column.items())) for column in self._columns)
 
     @property
     def size(self) -> int:
@@ -87,28 +102,17 @@ class PolyMatrix(_Value):
 
     @classmethod
     def from_rows(cls, variable: str, rows: Sequence[Sequence[LaurentPoly]]) -> PolyMatrix:
-        return cls(variable, rows)
-
-    @classmethod
-    def from_columns(
-        cls, variable: str, columns: Sequence[Mapping[int, LaurentPoly]]
-    ) -> PolyMatrix:
-        """The square matrix with ``columns[i][j]`` in row j of column i
-        and zero in every unlisted cell; ValueError unless each column maps
-        integers 0 <= j < size to entries."""
-        size = len(_require(columns, Sequence, "columns must be a sequence of maps"))
-        for i, column in enumerate(columns):
-            for j in _require(column, Mapping, f"column {i} must map rows to entries"):
-                # one range test per key, which also rejects a non-integer
-                if not (isinstance(j, int) and 0 <= j < size):
-                    raise ValueError(f"column {i} has row {j!r} outside 0..{size - 1}")
-        _checked(variable, [column.values() for column in columns])
-        return object.__new__(cls)._hold(variable, columns)
+        """The square matrix with ``rows[j][i]`` in row j of column i."""
+        message = "rows must be sequences of entries"
+        rows = [tuple(_require(row, Iterable, message)) for row in _require(rows, Iterable, message)]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix must be square")
+        return cls(variable, [dict(enumerate(column)) for column in zip(*rows)])
 
     @classmethod
     def identity(cls, size: int, variable: str) -> PolyMatrix:
         one = LaurentPoly.one(variable)
-        return cls.from_columns(variable, [{i: one} for i in range(size)])
+        return cls(variable, [{i: one} for i in range(size)])
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         self._check(other)
@@ -118,7 +122,8 @@ class PolyMatrix(_Value):
             for k, b in other_column.items():
                 for i, a in self._columns[k].items():
                     column[i] = column[i] + a * b if i in column else a * b
-        return object.__new__(PolyMatrix)._hold(self.variable, columns)
+        nonzero = ({i: e for i, e in column.items() if e.coeffs} for column in columns)
+        return object.__new__(PolyMatrix)._hold(self.variable, nonzero)
 
     def _check(self, other: PolyMatrix) -> None:
         if self.variable != _require(other, PolyMatrix, "expected a PolyMatrix").variable:

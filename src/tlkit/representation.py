@@ -74,7 +74,8 @@ if TYPE_CHECKING:
 
 class Generator(_Value):
     """U_k: a cup joining bottom nodes k, k+1, the matching top cap, and
-    straight strands elsewhere."""
+    straight strands elsewhere.  ``diagram`` must be that diagram,
+    ``generator_diagram(N, index)`` for its dimension N."""
 
     __slots__ = _fields = ("index", "diagram")
     index: int
@@ -82,7 +83,9 @@ class Generator(_Value):
 
     def __init__(self, index: int, diagram: PlanarDiagram) -> None:
         index = _integer(index, "generator index")
-        _require(diagram, PlanarDiagram, "a generator needs a PlanarDiagram")
+        n = _require(diagram, PlanarDiagram, "a generator needs a PlanarDiagram").dimension
+        if diagram.pairing != generator_pairing(n, checked_generator(n, index)):
+            raise ValueError(f"expected the diagram of U_{index}, got {diagram!r}")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "diagram", diagram)
 
@@ -206,8 +209,7 @@ class GeneratorMatrix(_Value):
         n = first.dimension
         message = f"basis order must hold diagrams of dimension {n}"
         _sequence(basis_order, PlanarDiagram, "dimension", n, message)
-        if not 1 <= generator_index <= n - 1:
-            raise ValueError(f"generator index {generator_index} out of range 1..{n - 1}")
+        checked_generator(n, generator_index)
         message = "targets and exponents must be sequences of integers"
         targets = _integers(targets, message)
         exponents = _integers(exponents, message)
@@ -254,16 +256,14 @@ class GeneratorMatrix(_Value):
     def matrix(self) -> PolyMatrix:
         """The matrix over LaurentPoly(d), stored as sparse columns: column
         i holds d^exponents[i] in row targets[i], one shared monomial per
-        distinct exponent.  Equality and hashing read the sparse columns;
-        its ``rows`` and ``column``, ``repr`` and pickling build dense
-        Catalan(N)-sized rows."""
+        distinct exponent.  Equality, hashing, ``repr``, ``copy`` and
+        pickling read the sparse columns; only its ``rows`` and ``column``
+        build dense Catalan(N)-sized rows."""
         from .laurent import LaurentPoly
         from .matrices import PolyMatrix
 
         monomials = {m: LaurentPoly.monomial("d", m) for m in set(self.exponents)}
-        return PolyMatrix.from_columns(
-            "d", [{j: monomials[m]} for j, m in zip(self.targets, self.exponents)]
-        )
+        return PolyMatrix("d", [{j: monomials[m]} for j, m in zip(self.targets, self.exponents)])
 
 
 def _generator_maps(

@@ -475,7 +475,7 @@ def element_matrix(element: TLElement) -> PolyMatrix:
 
 def matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     a._check(b)
-    return PolyMatrix(
+    return PolyMatrix.from_rows(
         a.variable,
         tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)),
     )
@@ -484,7 +484,7 @@ def matrix_sum(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 def matrix_scaled(m: PolyMatrix, factor: LaurentPoly) -> PolyMatrix:
     if factor.variable != m.variable:
         raise ValueError("scale factor must share the matrix variable")
-    return PolyMatrix(
+    return PolyMatrix.from_rows(
         m.variable, tuple(tuple(entry * factor for entry in row) for row in m.rows)
     )
 
@@ -494,7 +494,7 @@ def map_entries(
 ) -> PolyMatrix:
     """Apply f to every entry; pass ``variable`` when f changes it."""
     mapped = tuple(tuple(f(entry) for entry in row) for row in m.rows)
-    return PolyMatrix(variable or m.variable, mapped)
+    return PolyMatrix.from_rows(variable or m.variable, mapped)
 
 
 def dense_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -503,7 +503,7 @@ def dense_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     a._check(b)
     left, right, zero = a.rows, b.rows, LaurentPoly.zero(a.variable)
     cells = range(a.size)
-    return PolyMatrix(
+    return PolyMatrix.from_rows(
         a.variable,
         tuple(
             tuple(sum((left[i][k] * right[k][j] for k in cells), zero) for j in cells)

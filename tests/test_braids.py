@@ -101,6 +101,19 @@ def test_from_text_raises_only_value_error(strands, text):
     assert all(1 <= abs(x) < strands for x in word.letters)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: braid_image_matrix(BraidWord(13, ())), lambda: verify_artin(13)],
+    ids=["braid_image_matrix", "verify_artin"],
+)
+def test_strand_ceiling_names_the_strand_count(call):
+    # Neither function takes ``max_dimension``, so the message offers no
+    # override a caller could not follow.
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == "strand count 13 exceeds the resource ceiling 12"
+
+
 def test_kauffman_loop_value():
     assert str(kauffman_loop_value()) == "-A^2-A^-2"
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import tlkit
 from tlkit import _backend, _relations, cli, representation
 from tlkit._csv import sparse_csv
-from tlkit.braids import BraidWord, verify_artin
+from tlkit.braids import BraidWord, braid_image_matrix, verify_artin
 from tlkit.composition import compose
 from tlkit.diagrams import (
     ConnectabilityMatrix,
@@ -1220,21 +1220,34 @@ def with_repeated_u1():
         (lambda d: TLElement("a", "d", ()), "dimension must be an integer, got 'a'"),
         (lambda d: TLElement.zero(-3, "d"), "dimension must be at least 1"),
         (
-            lambda d: PolyMatrix.from_columns("A", [{-1: LaurentPoly.one("A")}]),
+            lambda d: PolyMatrix("A", [{-1: LaurentPoly.one("A")}]),
             "column 0 has row -1 outside 0..0",
         ),
         (
-            lambda d: PolyMatrix.from_columns("A", [{5: LaurentPoly.one("A")}]),
+            lambda d: PolyMatrix("A", [{5: LaurentPoly.one("A")}]),
             "column 0 has row 5 outside 0..0",
         ),
         (
-            lambda d: PolyMatrix.from_columns("A", [{"a": LaurentPoly.one("A")}]),
+            lambda d: PolyMatrix("A", [{"a": LaurentPoly.one("A")}]),
             "column 0 has row 'a' outside 0..0",
         ),
         (
-            lambda d: PolyMatrix.from_columns("A", [[5]]),
-            "column 0 must map rows to entries, got [5]",
+            lambda d: PolyMatrix("A", [[5]]),
+            "column 0 must be a map or distinct (row, entry) pairs, got [5]",
         ),
+        (
+            lambda d: PolyMatrix("A", [(), ((2, LaurentPoly.one("A")),)]),
+            "column 1 has row 2 outside 0..1",
+        ),
+        (
+            lambda d: PolyMatrix("A", [((0, LaurentPoly.one("A")), (0, LaurentPoly.one("A")))]),
+            "column 0 must be a map or distinct (row, entry) pairs, got ((0, LaurentPoly(",
+        ),
+        (
+            lambda d: PolyMatrix("A", [((0, LaurentPoly.one("d")),)]),
+            "entries must be LaurentPoly in A, got LaurentPoly(variable='d'",
+        ),
+        (lambda d: PolyMatrix.from_rows("d", 5), "rows must be sequences of entries, got 5"),
         (
             lambda d: ScaledDiagram(d, 1).with_extra_loops("a"),
             "loop count must be an integer, got 'a'",
@@ -1254,6 +1267,15 @@ def with_repeated_u1():
             "generator index must be an integer or 'all', got 'abc'",
         ),
         (lambda d: Generator("a", 5), "generator index must be an integer, got 'a'"),
+        (lambda d: Generator(7, identity_diagram(3)), "generator index 7 out of range 1..2"),
+        (
+            lambda d: Generator(1, identity_diagram(3)),
+            "expected the diagram of U_1, got PlanarDiagram(dimension=3, pairing=(4, 5, 6, 1, 2, 3))",
+        ),
+        (
+            lambda d: Generator(2, generator_diagram(3, 1)),
+            "expected the diagram of U_2, got PlanarDiagram(dimension=3, pairing=(2, 1, 6, 5, 4, 3))",
+        ),
         (lambda d: ConnectabilityMatrix(1, 5), "entries must be 2 rows of 2 integers"),
         (lambda d: IdealPartition(2, 5), "blocks must be a sequence of sequences of diagrams"),
         (lambda d: RelationReport("t", 5), "entries must be (text, bool) pairs"),
@@ -1268,6 +1290,11 @@ def with_repeated_u1():
         (lambda d: representation.generators(1), "dimension must be at least 2"),
         (lambda d: BraidWord(0, ()), "strand count must be at least 1"),
         (lambda d: verify_artin(1), "strand count must be at least 2"),
+        (lambda d: verify_artin(13), "strand count 13 exceeds the resource ceiling 12"),
+        (
+            lambda d: braid_image_matrix(BraidWord(13, ())),
+            "strand count 13 exceeds the resource ceiling 12",
+        ),
         (
             lambda d: enumerate_diagrams(5, max_dimension=4),
             "dimension 5 exceeds the resource ceiling 4 (override with max_dimension)",
@@ -1336,8 +1363,8 @@ def with_repeated_u1():
         ),
         (lambda d: LaurentPoly.monomial("d", [5]), "exponent must be an integer, got [5]"),
         (
-            lambda d: PolyMatrix.from_columns("A", 5),
-            "columns must be a sequence of maps, got 5",
+            lambda d: PolyMatrix("A", 5),
+            "columns must be a sequence of columns, got 5",
         ),
         (
             lambda d: representation.verify_tl_relations(with_repeated_u1()),
@@ -1397,14 +1424,16 @@ def with_repeated_u1():
         "term", "terms", "from-terms", "basis", "parse", "matrix",
         "element-variable", "element-dimension", "zero-dimension",
         "columns-negative-row", "columns-row-past-end",
-        "columns-text-row", "columns-non-mapping", "extra-loops-text",
+        "columns-text-row", "columns-non-mapping", "pairs-row-past-end",
+        "pairs-repeated-row", "columns-entry-variable", "rows-non-sequence", "extra-loops-text",
         "draw-non-sequence", "draw-non-diagram",
         "connectability-dimension", "noncrossing-partners",
-        "repr-gen", "generator", "connectability-matrix", "ideal-partition",
+        "repr-gen", "generator", "generator-index-past-end", "generator-not-u1",
+        "generator-not-u2", "connectability-matrix", "ideal-partition",
         "relation-report", "enumerate-size", "identity-size", "parse-size",
         "connectability-size", "noncrossing-size", "diagram-size", "basis-size",
         "generator-diagram-size", "generators-size", "braid-word-size",
-        "verify-artin-size", "ceiling",
+        "verify-artin-size", "verify-artin-ceiling", "bracket-matrix-ceiling", "ceiling",
         "partner-zero", "partner-past-end", "partner-text", "partners-zero",
         "value-zero", "value-past-end", "zeroed-zero", "restrict-zero",
         "restrict-text-node", "generator-matrix-index", "generator-matrix-identity",

@@ -29,12 +29,12 @@ def test_normalization_drops_zeros():
 )
 def test_poly_matrix_rejects_bad_rows(rows):
     with pytest.raises(ValueError):
-        PolyMatrix("d", rows)
+        PolyMatrix.from_rows("d", rows)
 
 
 def test_poly_matrix_stores_rows_as_tuples():
     one, zero = LaurentPoly.one("d"), LaurentPoly.zero("d")
-    m = PolyMatrix("d", [[one, zero], [zero, one]])
+    m = PolyMatrix.from_rows("d", [[one, zero], [zero, one]])
     assert m.rows == ((one, zero), (zero, one))
     assert m == PolyMatrix.identity(2, "d")
     assert hash(m) == hash(PolyMatrix.identity(2, "d"))

@@ -344,9 +344,12 @@ class TestGeneratorMatrix:
 
     def test_dense_matrices_are_built_from_columns(self):
         a, z = LaurentPoly.monomial("A", 2), LaurentPoly.zero("A")
-        m = PolyMatrix.from_columns("A", [{1: a}, {}, {0: a, 2: -a}])
+        m = PolyMatrix("A", [{1: a}, {}, {2: -a, 0: a}])
         assert m.rows == ((z, z, a), (a, z, z), (z, z, -a))
-        assert PolyMatrix.from_columns("A", []).size == 0
+        # each column's pairs in row order, as the constructor takes them
+        assert m.columns == (((1, a),), (), ((0, a), (2, -a)))
+        assert PolyMatrix("A", m.columns) == m
+        assert PolyMatrix("A", []).size == 0
 
     def test_generator_matrices_match_single_builds(self):
         basis = enumerate_diagrams(5)

@@ -62,13 +62,13 @@ CASES = {
         "LaurentPoly(variable='d', coeffs=((-1, 2), (3, -1)))",
     ),
     PolyMatrix: (
-        dict(variable="d", rows=((ONE,),)),
-        dict(variable="d", rows=((LaurentPoly("d", ()),),)),
-        f"PolyMatrix(variable='d', rows=(({ONE_REPR},),))",
+        dict(variable="d", columns=(((0, ONE),),)),
+        dict(variable="d", columns=((),)),
+        f"PolyMatrix(variable='d', columns=(((0, {ONE_REPR}),),))",
     ),
     Generator: (
         dict(index=1, diagram=CUP),
-        dict(index=2, diagram=CUP),
+        dict(index=2, diagram=PlanarDiagram(3, (4, 3, 2, 1, 6, 5))),
         f"Generator(index=1, diagram={CUP_REPR})",
     ),
     IdealPartition: (

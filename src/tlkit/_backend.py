@@ -52,12 +52,15 @@ of partner tuples and their positions; its ``map(k)``, the one builder
 of generator maps over a whole basis, applies U_k to every pairing as a
 map of positions with loop exponents, built on first use and kept.
 Every route that maps a whole basis reads a record: ``pairing_basis``
-makes one from the walk, and a ``DiagramBasis`` holds its own.  The
-composition table is built from those maps by associativity, on
-positions alone: every basis pairing E other than the identity is U_k
-stacked on a parent E' one step closer to the identity, with no loop
-closed (``spanning_tree``).  Then D.E = (D.E').U_k, so if D.E' = d^m.D_r, the
-cell D.E is d^(m + e_k[r]).D_(t_k[r]), one step of the map of U_k.
+makes one from the walk, and a ``DiagramBasis`` holds its own.  A route
+builds only the maps it reads: the ideal blocks need none, since
+``_relations.ideal_blocks`` reads them off the bottom link states of
+the partner tuples.  The composition table is built from the maps by
+associativity, on positions alone: every basis pairing E other than
+the identity is U_k stacked on a parent E' one step closer to the
+identity, with no loop closed (``spanning_tree``).  Then
+D.E = (D.E').U_k, so if D.E' = d^m.D_r, the cell D.E is
+d^(m + e_k[r]).D_(t_k[r]), one step of the map of U_k.
 ``table_rows`` codes the cell d^m.D_r as the int m * size + r, so that
 step is one lookup in a table per generator.
 
@@ -460,18 +463,16 @@ def _apply_generator(
 
 class PairingBasis:
     """The Catalan(N) pairings of one dimension N in a given order, with
-    the position of each (``index``) and of the identity (``root``).  N is
-    read off the first pairing, which has 2N entries."""
+    the position of each (``index``).  N is read off the first pairing,
+    which has 2N entries."""
 
-    __slots__ = ("dimension", "pairings", "index", "root", "_maps")
+    __slots__ = ("dimension", "pairings", "index", "_maps")
 
     def __init__(self, pairings: Sequence[tuple[int, ...]]) -> None:
-        dimension = len(pairings[0]) // 2
-        self.dimension, self.pairings = dimension, pairings
+        self.dimension, self.pairings = len(pairings[0]) // 2, pairings
         self.index = {p: i for i, p in enumerate(pairings)}
         if len(self.index) != len(pairings):
             raise ValueError("basis contains duplicates")
-        self.root = self.index[identity_pairing(dimension)]
         self._maps: dict[int, Map] = {}
 
     def map(self, k: int) -> Map:
@@ -484,10 +485,6 @@ class PairingBasis:
             index = self.index
             found = self._maps[k] = tuple(zip(*[(index[p], m) for p, m in images]))
         return found
-
-    def maps(self) -> list[Map]:
-        """The maps of U_1 .. U_{N-1}."""
-        return [self.map(k) for k in range(1, self.dimension)]
 
 
 def pairing_basis(dimension: int) -> PairingBasis:

@@ -21,12 +21,14 @@ these two checks and for ``braids._verify_artin``: each check passes a
 witness text when they do not, and every witness finds where the sides
 differ with ``_backend._first_difference``.
 
-``ideal_blocks`` groups the positions of a ``_backend.PairingBasis``
-into the components of the generator action, ``representation_order``
+``ideal_blocks`` groups the positions of a basis's partner tuples
+into the components of the generator action, read off their bottom
+link states with no generator map built; ``representation_order``
 lists them in the order those blocks give (the one of ``verify``,
 ``repr`` and the generator matrices), ``renumbered`` moves maps into
 it, and ``ordered_maps`` does both for ``verify`` and ``repr``, on the
-walk's basis.  ``checked_generator`` is the one rule for a generator index.
+walk's basis, building only the maps it returns.  ``checked_generator``
+is the one rule for a generator index.
 
 The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
@@ -40,10 +42,11 @@ place.  ``representation`` wraps the same kernels for its
 from __future__ import annotations
 
 import operator
+from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import _backend
-from ._backend import Map, PairingBasis, _in_range, diagram_line, identity_pairing
+from ._backend import Map, _in_range, diagram_line, identity_pairing
 
 if TYPE_CHECKING:
     from argparse import Namespace
@@ -75,15 +78,41 @@ def generator_pairing(dimension: int, k: int) -> tuple[int, ...]:
     return tuple(pairing)
 
 
-def ideal_blocks(basis: PairingBasis, include_identity: bool) -> list[list[int]]:
-    """The positions of ``basis`` grouped into the components of the
-    generator action, i and targets[i] sharing a block for every map;
-    canonically sorted within each block and by first members.  The
-    identity and its edges are left out unless it is included."""
-    # The maps first, so the union-find's list is not held while they build.
-    keys, maps = basis.pairings, basis.maps()
-    skip = -1 if include_identity else basis.root
-    parent = list(range(len(keys)))
+def ideal_blocks(pairings: Sequence[tuple[int, ...]], include_identity: bool) -> list[list[int]]:
+    """The positions of the basis ``pairings`` grouped into the
+    components of the generator action, D and U_k.D sharing a block for
+    every D and k; canonically sorted within each block and by first
+    members.  The identity and its edges are left out unless it is
+    included.
+
+    The blocks are read off the bottom link states, each bottom node's
+    partner with 0 for a defect, and no generator map is built.  A
+    union-find over the distinct bottom states joins each state B to B
+    with its r-th and (r+1)-th defects paired, for every r; a position
+    lies in the block of its bottom state.  These are the components of
+    the action, because U_k changes only a diagram's top state (T, B):
+
+    * each edge (T, B) -> U_k.(T, B) keeps B, or pairs two adjacent
+      defects of B when U_k joins the r-th and (r+1)-th top defects;
+    * every such pairing happens: some top state with B's t defects has
+      its r-th and (r+1)-th defects side by side, and U_k on them pairs
+      them;
+    * the positions with one bottom state B and t < N defects are
+      connected by edges that keep B: any top state with t defects is
+      reached from any other by moves that join no two defects (a defect
+      next to an arc end hops to the arc's other end, and two adjacent
+      arcs rewire).
+
+    The identity is the one position whose bottom state has no arc.  A
+    bottom state is a ``bytes``: a basis that fits in memory has N < 128,
+    so every partner fits in a byte.
+    """
+    n = len(pairings[0]) // 2
+    # a partner on the bottom row is kept and one on the top row becomes 0
+    bottom_partner = bytes(q * (q <= n) for q in range(256))
+    ids: dict[bytes, int] = {}
+    state = [ids.setdefault(bytes(p[:n]).translate(bottom_partner), len(ids)) for p in pairings]
+    parent = list(range(len(ids)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -91,37 +120,38 @@ def ideal_blocks(basis: PairingBasis, include_identity: bool) -> list[list[int]]
             i = parent[i]
         return i
 
-    for targets, _ in maps:
-        for i, j in enumerate(targets):
-            if i != skip:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    skip = -1 if include_identity else ids[bytes(n)]
+    for bottom, i in ids.items():
+        # each two adjacent defects paired; a left-out identity joins nothing
+        for a, b in pairwise(a for a, q in enumerate(bottom) if not q and i != skip):
+            paired = bytes((*bottom[:a], b + 1, *bottom[a + 1 : b], a + 1, *bottom[b + 1 :]))
+            parent[find(ids[paired])] = find(i)
+    # Positions in canonical order, so each block is sorted and the blocks
+    # come in the order of their first members.
     grouped: dict[int, list[int]] = {}
-    for i in range(len(keys)):
-        if i != skip:
-            grouped.setdefault(find(i), []).append(i)
-    blocks = [sorted(block, key=keys.__getitem__) for block in grouped.values()]
-    return sorted(blocks, key=lambda block: keys[block[0]])
+    for i in sorted(range(len(pairings)), key=pairings.__getitem__):
+        grouped.setdefault(find(state[i]), []).append(i)
+    return [block for block in grouped.values() if state[block[0]] != skip]
 
 
-def representation_order(basis: PairingBasis, include_identity: bool) -> Sequence[int]:
-    """The positions of ``basis`` in the representation order: basis
-    order with the identity included, else the ideal blocks in canonical order."""
+def representation_order(pairings: Sequence[tuple[int, ...]], include_identity: bool) -> Sequence[int]:
+    """The positions of the basis ``pairings`` in the representation
+    order: basis order with the identity included, else the ideal blocks
+    in canonical order."""
     if include_identity:
-        return range(len(basis.pairings))
-    return [i for block in ideal_blocks(basis, False) for i in block]
+        return range(len(pairings))
+    return [i for block in ideal_blocks(pairings, False) for i in block]
 
 
 def ordered_maps(n: int, indices: Iterable[int], identity: bool) -> tuple[Sequence[int], list[Map]]:
     """The representation order of the walk's basis of dimension ``n``,
     with the identity if ``identity``, and the maps of U_k for k in
     ``indices`` renumbered into it: the basis of ``tlkit repr`` and
-    ``tlkit verify``.  The basis record is dropped before the
-    renumbering, which reads positions only."""
+    ``tlkit verify``.  The maps are built before the order, so the
+    order's state is not held while they build, and the basis record is
+    dropped before the renumbering, which reads positions only."""
     basis = _backend.pairing_basis(n)
-    order = representation_order(basis, identity)
-    maps = [basis.map(k) for k in indices]
+    maps, order = [basis.map(k) for k in indices], representation_order(basis.pairings, identity)
     del basis
     return order, renumbered(maps, order)
 

@@ -22,11 +22,12 @@ def _run_compose(args: Namespace) -> tuple[bool, str]:
     if args.table and (args.lhs is not None or args.rhs is not None):
         raise ValueError("compose takes --table or --lhs and --rhs, not both")
     if args.table:
-        from ._backend import pairing_basis, table_rows
+        from ._backend import identity_pairing, pairing_basis, table_rows
 
         n = args.dim
         basis = pairing_basis(n)
-        maps, root, size = basis.maps(), basis.root, len(basis.pairings)
+        maps = [basis.map(k) for k in range(1, n)]
+        root, size = basis.index[identity_pairing(n)], len(basis.pairings)
         del basis  # the table reads positions only
         # labels[m * size + r] is "row:loops" for d^m . D_r, the cell that
         # table_rows codes as that index

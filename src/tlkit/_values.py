@@ -4,8 +4,11 @@
 ``repr`` and pickling.  ``_require``, ``_integers``, ``_pairs`` and
 ``_sequence`` check the arguments of every public entry point: a value
 of the wrong kind is a ValueError, never an AttributeError or TypeError
-from deeper down.  Each helper builds its message only on failure.  The
-size rule (``_integer``, ``_dimension``) is in ``_backend``.
+from deeper down.  Each helper builds its message only on failure.
+``_index`` reads one integer the way ``_integers`` reads each, through
+``operator.index``, for ``_pairs`` and for the checks that word their
+own message.  The size rule (``_integer``, ``_dimension``) is in
+``_backend``.
 
 The module imports nothing from the package, so the modules of the
 bracket element route (``laurent`` and ``braids``) build their values
@@ -35,21 +38,32 @@ def _integers(values: Iterable[int], message: str) -> tuple[int, ...]:
         raise ValueError(message) from None
 
 
+def _index(value: object, default: object = None) -> object:
+    """The int ``value`` stands for, read through ``operator.index`` as
+    ``_integers`` reads it, or ``default`` if it stands for none."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return default
+
+
 def _pairs(pairs: Iterable[tuple], first: type, second: type, message: str) -> tuple:
     """``pairs`` as a tuple of (a, b) pairs, each a a ``first`` and each b
     a ``second``; ValueError ``message`` otherwise, naming the first pair
-    that is not."""
+    that is not.  Pairs of ``int`` are read through ``_index``, so a bool
+    or a NumPy integer is stored as the int it stands for."""
     try:
         pairs = tuple((a, b) for a, b in pairs)
     except (TypeError, ValueError):
         raise ValueError(message) from None
-    for a, b in pairs:
-        if not (isinstance(a, first) and isinstance(b, second)):
+    read = tuple((_index(a, a), _index(b, b)) for a, b in pairs) if first is second is int else pairs
+    for (a, b), (x, y) in zip(pairs, read):
+        if not (isinstance(x, first) and isinstance(y, second)):
             raise ValueError(
                 f"{message}: ({a!r}, {b!r}) is not a "
                 f"({first.__name__}, {second.__name__}) pair"
             )
-    return pairs
+    return read
 
 
 def _sequence(

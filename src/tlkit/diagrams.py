@@ -304,17 +304,12 @@ def restrict_connectability(
     if any(k < i and k not in partial for k in range(1, i)):
         raise ValueError(f"all nodes below {i} must be matched")
 
-    blocked: set[int] = set()
-    blocked.update(partial.keys())
+    blocked = set(partial)
     partners = [partial[k] for k in partial if k < i]
-    top_landings = [p for p in partners if p > n]
-    if top_landings:
-        y_max = max(top_landings)
-        blocked.update(range(n + 1, y_max + 1))
-    enclosing = [p for p in partners if i <= p <= n]
-    if enclosing:
-        y_min = min(enclosing)
-        blocked.update(range(y_min, 2 * n + 1))
+    # the top nodes up to the highest landing, and every node from the
+    # tightest enclosing bottom edge on; an empty range when there is none
+    blocked.update(range(n + 1, max((p for p in partners if p > n), default=n) + 1))
+    blocked.update(range(min((p for p in partners if i <= p <= n), default=2 * n + 1), 2 * n + 1))
     return gamma.zeroed(i, sorted(blocked))
 
 

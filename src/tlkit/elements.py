@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ._backend import _dimension
-from ._values import _pairs, _require, _Value
+from ._values import _index, _pairs, _require, _Value
 from .composition import compose
 from .diagrams import PlanarDiagram
 from .laurent import _VARIABLES, LaurentPoly
@@ -125,7 +125,7 @@ class TLElement(_Value):
         return self + (-_require(other, TLElement, "expected a TLElement"))
 
     def scaled(self, factor: LaurentPoly | int) -> TLElement:
-        if isinstance(factor, int):
+        if _index(factor) is not None:
             factor = LaurentPoly.constant(self.variable, factor)
         factor = _require(factor, LaurentPoly, "factor must be a LaurentPoly or an integer")
         if factor.variable != self.variable:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from ._backend import _in_range
-from ._values import _require, _sequence, _Value
+from ._values import _index, _require, _sequence, _Value
 from .laurent import _VARIABLES, LaurentPoly
 
 
@@ -48,11 +48,12 @@ class PolyMatrix(_Value):
                 text = "must be a map or distinct (row, entry) pairs"
                 raise ValueError(f"column {i} {text}, got {column!r}") from None
             for j in entries:
-                # one range test per key, which also rejects a non-integer
-                if not (isinstance(j, int) and 0 <= j < size):
+                # one range test per key, on the int it stands for, which
+                # also rejects a non-integer
+                if not 0 <= _index(j, -1) < size:
                     raise ValueError(f"column {i} has row {j!r} outside 0..{size - 1}")
             _sequence(entries.values(), LaurentPoly, "variable", variable, message)
-            held.append({j: e for j, e in entries.items() if e.coeffs})
+            held.append({_index(j): e for j, e in entries.items() if e.coeffs})
         self._hold(variable, held)
 
     def _hold(self, variable: str, columns: Iterable[dict[int, LaurentPoly]]) -> PolyMatrix:

@@ -38,9 +38,11 @@ The action is each generator's local rule, the link-state action of
 arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
 top nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise
 into the diagram pairing (a, b) and (D(a), D(b)).  Each generator's map
-is built once, by the ``_backend.PairingBasis`` the ``DiagramBasis``
-holds; the ideal blocks, the order and every generator matrix read it
-there, as does the bracket matrix image.
+is built once, on first use, by the ``_backend.PairingBasis`` the
+``DiagramBasis`` holds; every generator matrix reads it there, as does
+the bracket matrix image.  The ideal blocks and the order read no map:
+``_relations.ideal_blocks`` finds them from the record's partner tuples
+alone, by their bottom link states.
 """
 
 from __future__ import annotations
@@ -153,13 +155,18 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
     The identity reaches every ideal (U_k.1 = U_k), so including it
     collapses the partition to a single block.  Excluded (the default),
     the blocks of dimensions 2, 3 and 4 have sizes 1, 2 + 2 and 8 + 5;
-    for every dimension from 5 to 11 there is one block of Catalan(N) - 1
+    for every dimension N >= 5 there is one block of Catalan(N) - 1
     diagrams, so ``representation_basis`` is then the canonical order
-    without the identity.
+    without the identity.  In the bottom link states that
+    ``_relations.ideal_blocks`` joins: a state with two or more arcs
+    links to a state with one arc fewer, by opening an outermost arc;
+    and single arcs (i,i+1) and (j,j+1) with |i - j| >= 2 link through
+    the state (i,i+1)(j,j+1), a graph on 1..N-1 that is connected from
+    N = 5 on.
     """
     basis = _require(basis, DiagramBasis, "ideal_partition needs a DiagramBasis")
     _require(include_identity, bool, "include_identity must be a bool")
-    blocks = ideal_blocks(basis._record, include_identity)
+    blocks = ideal_blocks(basis._record.pairings, include_identity)
     return IdealPartition(
         basis.dimension, tuple(tuple(basis[i] for i in block) for block in blocks)
     )
@@ -172,7 +179,7 @@ def representation_basis(
     docstring)."""
     basis = _require(basis, DiagramBasis, "representation_basis needs a DiagramBasis")
     _require(include_identity, bool, "include_identity must be a bool")
-    return tuple(basis[i] for i in representation_order(basis._record, include_identity))
+    return tuple(basis[i] for i in representation_order(basis._record.pairings, include_identity))
 
 
 class GeneratorMatrix(_Value):
@@ -273,7 +280,7 @@ def _generator_maps(
     representation order."""
     _require(include_identity, bool, "include_identity must be a bool")
     record = basis._record
-    order = representation_order(record, include_identity)
+    order = representation_order(record.pairings, include_identity)
     basis_order = tuple(basis[i] for i in order)
     maps = renumbered([record.map(k) for k in indices], order)
     return [

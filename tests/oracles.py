@@ -22,6 +22,9 @@ of ``tlkit.braids`` are checked against it.
 ``bottom_pattern_partition`` is the ideal partition computed the way the
 library first did it: group diagrams by bottom pairing pattern and merge
 groups along the generator action until they are closed.
+``position_blocks`` is the union-find over every basis position along
+the generator maps, which the library ran before it read the blocks off
+the bottom link states.
 
 ``dense_braid_image_matrix`` and ``dense_tl_relations`` are the dense
 ``PolyMatrix`` routes the library replaced by column-monomial maps: the
@@ -46,7 +49,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from tlkit.braids import BraidWord, kauffman_loop_value
-from tlkit._backend import PairingBasis
+from tlkit._backend import PairingBasis, identity_pairing
 from tlkit.composition import compose
 from tlkit.diagrams import PlanarDiagram, node_position
 from tlkit.elements import TLElement, multiply
@@ -644,3 +647,31 @@ def bottom_pattern_partition(
         grouped.setdefault(find(_bottom_steps(d)[0]), []).append(d)
     blocks = [tuple(sorted(block)) for block in grouped.values()]
     return tuple(sorted(blocks, key=lambda b: b[0].pairing))
+
+
+def position_blocks(basis: PairingBasis, include_identity: bool) -> list[list[int]]:
+    """The positions of ``basis`` grouped into the components of the
+    generator action by a union-find over every position: i and
+    targets[i] share a block for every map of U_1..U_{N-1}.  Sorted
+    canonically within each block and by first members; the identity and
+    its edges are left out unless it is included."""
+    keys = basis.pairings
+    skip = -1 if include_identity else basis.index[identity_pairing(basis.dimension)]
+    parent = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for k in range(1, basis.dimension):
+        for i, j in enumerate(basis.map(k)[0]):
+            if i != skip:
+                parent[find(j)] = find(i)
+    grouped: dict[int, list[int]] = {}
+    for i in range(len(keys)):
+        if i != skip:
+            grouped.setdefault(find(i), []).append(i)
+    blocks = [sorted(block, key=keys.__getitem__) for block in grouped.values()]
+    return sorted(blocks, key=lambda block: keys[block[0]])

@@ -31,7 +31,7 @@ from tlkit.representation import (
     verify_tl_relations_diagrams,
 )
 
-from oracles import bottom_pattern_partition, dense_tl_relations, matrix_product
+from oracles import bottom_pattern_partition, dense_tl_relations, matrix_product, position_blocks
 
 D = LaurentPoly.monomial("d", 1)
 ONE = LaurentPoly.one("d")
@@ -149,11 +149,63 @@ def test_partition_matches_bottom_pattern_oracle(n, include_identity, shuffled):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ideal_blocks_on_the_kernel_walk_match_the_oracle(n, include_identity):
     pairings = _backend.enumerate_pairings(n)
-    blocks = _relations.ideal_blocks(_backend.PairingBasis(pairings), include_identity)
+    blocks = _relations.ideal_blocks(pairings, include_identity)
     expected = bottom_pattern_partition(enumerate_diagrams(n), include_identity)
     assert {frozenset(pairings[i] for i in block) for block in blocks} == {
         frozenset(d.pairing for d in block) for block in expected
     }
+
+
+@pytest.mark.parametrize("include_identity", [False, True])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_ideal_blocks_equal_the_position_union_find(n, include_identity):
+    # The bottom-state union-find against the union-find over every
+    # position along the generator maps, in the walk's order and shuffled.
+    walk = _backend.enumerate_pairings(n)
+    for pairings in (walk, random.Random(n).sample(walk, len(walk))):
+        expected = position_blocks(_backend.PairingBasis(pairings), include_identity)
+        assert _relations.ideal_blocks(pairings, include_identity) == expected
+        order = _relations.representation_order(pairings, include_identity)
+        assert list(order) == (
+            list(range(len(pairings))) if include_identity else [i for b in expected for i in b]
+        )
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kernel_block_sizes(n):
+    # Without the identity: (1,), (2, 2) and (8, 5) for N = 2, 3, 4, then
+    # one block of Catalan(N) - 1 diagrams for every N >= 5.  With it, one
+    # block holds the whole basis.
+    pairings = _backend.enumerate_pairings(n)
+    expected = {1: (), 2: (1,), 3: (2, 2), 4: (8, 5)}.get(n, (catalan(n) - 1,))
+    assert tuple(map(len, _relations.ideal_blocks(pairings, False))) == expected
+    assert _relations.ideal_blocks(pairings, True) == [list(range(catalan(n)))]
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_the_order_builds_no_generator_map(n, monkeypatch):
+    # The ideal blocks are read off the bottom link states, so only the
+    # maps a call returns are built: none for the partition and the order,
+    # one, over every diagram, for a single generator matrix.
+    calls = 0
+    rule = _backend._apply_generator
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rule(*args)
+
+    monkeypatch.setattr(_backend, "_apply_generator", counted)
+    fresh = functools.partial(DiagramBasis, n, tuple(enumerate_diagrams(n)))
+    ideal_partition(fresh(), include_identity=False)
+    ideal_partition(fresh(), include_identity=True)
+    representation_basis(fresh(), include_identity=False)
+    representation_basis(fresh(), include_identity=True)
+    assert calls == 0
+    for include_identity in (False, True):
+        generator_matrix(n - 1, fresh(), include_identity)
+        assert calls == catalan(n)
+        calls = 0
 
 
 def test_generator_matrices_make_no_compositions(monkeypatch):

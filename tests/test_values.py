@@ -3,7 +3,9 @@
 For one instance of each type: the exact ``repr``, equality and hash
 against an equal copy, inequality against a changed one, refusal to set
 or delete a field, keyword construction, ``copy.copy`` and a ``pickle``
-round trip.
+round trip.  Integers at the trust boundary are read through
+``operator.index``: a bool or a NumPy integer builds the value of the int
+it stands for.
 """
 
 from __future__ import annotations
@@ -11,10 +13,17 @@ from __future__ import annotations
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from tlkit.braids import BraidWord
-from tlkit.diagrams import ConnectabilityMatrix, PlanarDiagram, ScaledDiagram
+from tlkit.diagrams import (
+    ConnectabilityMatrix,
+    PlanarDiagram,
+    ScaledDiagram,
+    connectability,
+    restrict_connectability,
+)
 from tlkit.elements import TLElement
 from tlkit.enumeration import DiagramBasis
 from tlkit.laurent import LaurentPoly
@@ -185,3 +194,40 @@ def test_copies_keep_their_derived_state():
     assert gm == GeneratorMatrix(1, (CUP,), (0,), (1,))
     assert copy.copy(gm).matrix == dense
     assert pickle.loads(pickle.dumps(gm)).matrix == dense
+
+
+@pytest.mark.parametrize(
+    "build,expected",
+    [
+        (lambda: PolyMatrix("d", [{True: ONE}, {}]), lambda: PolyMatrix("d", [{1: ONE}, {}])),
+        (
+            lambda: PolyMatrix("d", [((np.int64(1), ONE),), ()]),
+            lambda: PolyMatrix("d", [((1, ONE),), ()]),
+        ),
+        (lambda: LaurentPoly.constant("d", True), lambda: LaurentPoly.constant("d", 1)),
+        (lambda: LaurentPoly("d", ((np.int64(0), 1),)), lambda: LaurentPoly("d", ((0, 1),))),
+        (
+            lambda: LaurentPoly.from_dict("A", {np.int64(-2): np.int64(3), 1: True}),
+            lambda: LaurentPoly.from_dict("A", {-2: 3, 1: 1}),
+        ),
+        (
+            lambda: restrict_connectability(
+                {np.int64(1): np.int64(4), np.int64(4): np.int64(1)}, 2, connectability(3)
+            ),
+            lambda: restrict_connectability({1: 4, 4: 1}, 2, connectability(3)),
+        ),
+        (
+            lambda: TLElement(2, "d", ((CUP, ONE),)).scaled(np.int64(2)),
+            lambda: TLElement(2, "d", ((CUP, ONE),)).scaled(2),
+        ),
+    ],
+    ids=[
+        "polymatrix-bool-row", "polymatrix-numpy-row", "laurent-constant-bool",
+        "laurent-numpy-exponent", "laurent-from-dict-numpy", "restrict-numpy-nodes",
+        "scaled-numpy",
+    ],
+)
+def test_integers_are_read_as_the_int_they_stand_for(build, expected):
+    value, twin = build(), expected()
+    assert repr(value) == repr(twin)
+    assert value == twin and hash(value) == hash(twin)

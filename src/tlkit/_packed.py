@@ -18,7 +18,6 @@ letter's terms have coefficients summing to at most 3 in absolute
 value), and W = 2L + 2 bits keep each one below 2^{W-1}, so a packed
 value has exactly one balanced base-2^W digit per exponent and packing
 is exact: two entries are equal exactly when their packed values are.
-``_verify_artin`` compares packed columns and decodes only a witness.
 ``_image_columns`` is the one reader of a whole image: it decodes each
 distinct value once and converts it once, keeping the LaurentPoly for
 ``braid_image_matrix`` (a ``PolyMatrix`` of the same columns) or making
@@ -28,16 +27,16 @@ prints.  (Kronecker substitution: Harvey, arXiv:0712.4046.)
 Every function here takes the basis as a ``_backend.PairingBasis`` and
 reads the map of each letter's generator from it, so no diagram module
 is loaded.  ``tlkit.braids`` imports this module only where a matrix
-image is made or compared (``braid_image_matrix``, ``_verify_artin``)
-and ``tlkit bracket --matrix`` where it prints one, so the element form
-of ``tlkit bracket`` compiles none of it.
+image is made (``braid_image_matrix``) and ``tlkit bracket --matrix``
+where it prints one, so the element form of ``tlkit bracket`` and the
+Artin check of ``tlkit verify``, which decides each relation on the
+element images, compile none of it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
-from ._backend import _first_difference
 from .laurent import LaurentPoly
 
 if TYPE_CHECKING:
@@ -127,24 +126,3 @@ def _image_columns(
             column[row] = value
         packed.clear()  # each packed column is freed once it is read
         yield column
-
-
-def _matrix_difference(w1: BraidWord, w2: BraidWord, basis: PairingBasis) -> str | None:
-    """None if the two words have equal matrix images over ``basis``; else
-    their first differing column and row.  Both are packed under the
-    longer word's width and offset, so the shorter word's columns come out
-    lifted by A^(3 * the difference of the lengths), and they are compared
-    as ints: nothing is decoded unless they differ."""
-    length = max(len(w1.letters), len(w2.letters))
-    width, offset = _width(length), 3 * length
-    actual = _packed_columns(w1, basis, width, offset)
-    expected = _packed_columns(w2, basis, width, offset)
-    if actual == expected:
-        return None
-    i = _first_difference(dict(enumerate(actual)), dict(enumerate(expected)))
-    row = _first_difference(actual[i], expected[i])
-    got, want = actual[i].get(row, 0), expected[i].get(row, 0)
-    return (
-        f"first differing column {i}, row {row}: expected "
-        f"{_unpack(want, width, offset)}, got {_unpack(got, width, offset)}"
-    )

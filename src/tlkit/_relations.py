@@ -16,7 +16,8 @@ their own values:
   relation names both of its sides as diagram lines.
 
 ``_checked`` is the one loop that turns relations into a report, for
-these two checks and for ``braids._verify_artin``: each check passes a
+these two checks and for ``braids._verify_artin``, which compares the
+element images of braid words: each check passes a
 ``difference(left, right)`` that is None when the sides agree and the
 witness text when they do not, and every witness finds where the sides
 differ with ``_backend._first_difference``.
@@ -34,8 +35,9 @@ The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
 alone, on a record from ``_backend.pairing_basis``.  ``_run_verify``,
 the runner of ``tlkit verify``, imports ``braids`` only for the Artin
-relations, and prints every report and the overall result in one
-place.  ``representation`` wraps the same kernels for its
+relations, which walk no basis, so ``--relations all`` walks the basis
+once, for the TL relations; it prints every report and the overall
+result in one place.  ``representation`` wraps the same kernels for its
 ``GeneratorMatrix`` and ``RelationReport`` values.
 """
 
@@ -337,6 +339,6 @@ def _run_verify(args: Namespace) -> tuple[bool, str]:
     if args.relations in ("artin", "all"):
         from .braids import _verify_artin
 
-        reports.append(_verify_artin(_backend.pairing_basis(args.dim)))
+        reports.append(_verify_artin(args.dim))
     lines = [line for report in reports for line in (*report_lines(*report), "")]
     return all(ok for _, entries, _ in reports for _, ok in entries), "\n".join(lines)

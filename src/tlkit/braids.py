@@ -27,12 +27,17 @@ are ``matrices`` and ``representation``.  The matrix image is the same
 product of left-multiplication matrices on the identity-included basis,
 each read from the map of a ``_backend.PairingBasis``.
 
-The matrix image lives in ``tlkit._packed``, which ``braid_image_matrix``,
-``_verify_artin`` and ``tlkit bracket --matrix`` import when they run,
-so the element form compiles none of it.  ``_verify_artin`` lists the
-Artin relations as generators, as ``_relations.tl_relations`` lists the
-TL ones, and passes them through ``_relations._checked``, comparing term
-lists and packed columns, so neither runner loads a diagram module.
+The matrix image lives in ``tlkit._packed``, which ``braid_image_matrix``
+and ``tlkit bracket --matrix`` import when they run, so the element form
+compiles none of it.  ``_verify_artin`` lists the Artin relations as
+generators, as ``_relations.tl_relations`` lists the TL ones, and passes
+them through ``_relations._checked``, comparing element images alone.
+That decides the matrix images too: the matrix of a word w is left
+multiplication by its element image, column j is w.D_j = (w.1).D_j, and
+the identity's column is w.1 itself, so two words have equal matrices
+exactly when they have equal element images (``tests/test_braids.py``
+holds the two equal).  So the check builds no basis and loads no
+diagram module.
 """
 
 from __future__ import annotations
@@ -136,14 +141,16 @@ def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
     coefficient), sorted by partner tuple: the canonical diagram order."""
     n = word.strands
     terms = {identity_pairing(n): LaurentPoly.one("A")}
+    # b.d for either sign, the factor of a term whose U closes a loop
+    d = kauffman_loop_value()
+    with_loop = {shift: d.shifted(-shift) for shift in (1, -1)}
     for letter in reversed(word.letters):
         # the letter is a.1 + b.U with a = A^shift and b = A^-shift
         shift = 1 if letter > 0 else -1
-        with_loop = LaurentPoly.monomial("A", -shift) * kauffman_loop_value()
         updated = {pairing: c.shifted(shift) for pairing, c in terms.items()}
         for pairing, c in terms.items():
             image, loops = _apply_generator(pairing, abs(letter), n)
-            q = c * with_loop if loops else c.shifted(-shift)
+            q = c * with_loop[shift] if loops else c.shifted(-shift)
             updated[image] = updated[image] + q if image in updated else q
         terms = {p: c for p, c in updated.items() if not c.is_zero()}
     return sorted(terms.items())
@@ -164,34 +171,34 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     return PolyMatrix("A", list(_image_columns(word, basis, lambda poly: poly)))
 
 
-def _strand_basis(strands: int, least: int = 1) -> PairingBasis:
-    """The cached basis record of ``strands``, a strand count of at least
-    ``least`` and at most ``_backend.DEFAULT_MAX_DIMENSION``, checked once."""
+def _strand_basis(strands: int) -> PairingBasis:
+    """The cached basis record of ``strands``, a strand count of at most
+    ``_backend.DEFAULT_MAX_DIMENSION``, checked once."""
     from .enumeration import _basis
 
-    return _basis(_checked_dimension(strands, None, "strand count", least, None))._record
+    return _basis(_checked_dimension(strands, None, "strand count", 1, None))._record
 
 
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:
-    """Check the braid relations in both images.
+    """Check the braid relations in the bracket image.
 
     For every applicable pair: the braided relation
     sigma_j sigma_{j+1} sigma_j = sigma_{j+1} sigma_j sigma_{j+1} and the
-    far commutation sigma_j sigma_k = sigma_k sigma_j (|j-k| >= 2), in
-    TLElement form and in matrix form, plus invertibility
-    sigma_i sigma_i^-1 = 1 and seeded random words w of length up to
-    max_len with w . w^-1 = 1.  ``strands`` is at least 2 and at most
-    ``_backend.DEFAULT_MAX_DIMENSION``.
+    far commutation sigma_j sigma_k = sigma_k sigma_j (|j-k| >= 2), plus
+    invertibility sigma_i sigma_i^-1 = 1 and seeded random words w of
+    length up to max_len with w . w^-1 = 1, each decided on the element
+    images, which decide the matrix images too (see the module notes).
+    ``strands`` is at least 2 and at most ``_backend.DEFAULT_MAX_DIMENSION``.
     """
     from .representation import RelationReport
 
-    return RelationReport(*_verify_artin(_strand_basis(strands, 2), max_len, seed))
+    n = _checked_dimension(strands, None, "strand count", 2, None)
+    return RelationReport(*_verify_artin(n, max_len, seed))
 
 
-def _verify_artin(basis: PairingBasis, max_len: int = 6, seed: int = 0) -> Report:
-    """``verify_artin`` as (title, entries, witnesses), over a basis record
-    of dimension at least 2 that the caller built under its ceiling."""
-    from ._packed import _matrix_difference
+def _verify_artin(n: int, max_len: int = 6, seed: int = 0) -> Report:
+    """``verify_artin`` as (title, entries, witnesses), on a strand count
+    of at least 2 that the caller checked under its ceiling."""
     from ._relations import _checked
 
     max_len = _integer(max_len, "max_len")
@@ -201,14 +208,9 @@ def _verify_artin(basis: PairingBasis, max_len: int = 6, seed: int = 0) -> Repor
         raise ValueError(
             f"seed must be an integer, float, str, bytes or None, got {seed!r}"
         ) from None
-    n = basis.dimension
-    both = _checked(
-        _artin_relations(n),
-        lambda w1, w2: _terms_difference(w1, w2) or _matrix_difference(w1, w2, basis),
-    )
-    element = _checked(_seeded_inverses(n, max_len, rng), _terms_difference)
+    relations = chain(_artin_relations(n), _seeded_inverses(n, max_len, rng))
     title = f"Artin relations in the bracket image, {n} strands"
-    return title, both[0] + element[0], both[1] + element[1]
+    return title, *_checked(relations, _terms_difference)
 
 
 def _artin_relations(n: int) -> Iterator[tuple[str, BraidWord, BraidWord]]:

@@ -45,12 +45,6 @@ from ._backend import _dimension, _in_range, _integer, _noncrossing, diagram_lin
 from ._values import _integers, _pairs, _require, _Value
 
 
-def node_position(node: int, dimension: int) -> int:
-    """Circular position of a node: bottom row left to right, then top row
-    right to left."""
-    return node if node <= dimension else 3 * dimension + 1 - node
-
-
 def _node(value: int, dimension: int) -> int:
     """``value`` as a node number of a diagram of ``dimension``, 1..2N."""
     return _in_range(value, "node", 1, 2 * dimension)

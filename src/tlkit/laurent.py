@@ -26,6 +26,13 @@ from ._values import _pairs, _require, _Value
 _VARIABLES = ("d", "A")
 
 
+def _known(variable: str) -> str:
+    """``variable`` if a polynomial may be written in it."""
+    if variable not in _VARIABLES:
+        raise ValueError(f"unsupported variable {variable!r}")
+    return variable
+
+
 class LaurentPoly(_Value):
     """A Laurent polynomial c_k * v^k + ... with integer coefficients.
 
@@ -44,10 +51,13 @@ class LaurentPoly(_Value):
     coeffs: tuple[tuple[int, int], ...]
 
     def __init__(self, variable: str, coeffs: tuple[tuple[int, int], ...]) -> None:
-        if variable not in _VARIABLES:
-            raise ValueError(f"unsupported variable {variable!r}")
         message = "coefficients must be (exponent, coefficient) pairs of integers"
-        coeffs = _pairs(coeffs, int, int, message)
+        self._store(_known(variable), _pairs(coeffs, int, int, message))
+
+    def _store(self, variable: str, coeffs: tuple[tuple[int, int], ...]) -> None:
+        """Set the fields to ``coeffs``, int pairs ``_pairs`` has read,
+        once they are sorted by distinct exponent with no zero
+        coefficient."""
         exps = [e for e, _ in coeffs]
         if exps != sorted(exps) or len(set(exps)) != len(exps):
             raise ValueError("coefficients must be sorted by distinct exponent")
@@ -74,7 +84,10 @@ class LaurentPoly(_Value):
     def from_dict(cls, variable: str, mapping: Mapping[int, int]) -> LaurentPoly:
         message = "coefficients must map integer exponents to integers"
         items = _pairs(_require(mapping, Mapping, message).items(), int, int, message)
-        return cls(variable, tuple(sorted(item for item in items if item[1])))
+        # the pairs are read once, here: the constructor would read them again
+        poly = object.__new__(cls)
+        poly._store(_known(variable), tuple(sorted(item for item in items if item[1])))
+        return poly
 
     @classmethod
     def zero(cls, variable: str) -> LaurentPoly:

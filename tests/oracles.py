@@ -51,7 +51,7 @@ import numpy as np
 from tlkit.braids import BraidWord, kauffman_loop_value
 from tlkit._backend import PairingBasis, identity_pairing
 from tlkit.composition import compose
-from tlkit.diagrams import PlanarDiagram, node_position
+from tlkit.diagrams import PlanarDiagram
 from tlkit.elements import TLElement, multiply
 from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
@@ -62,6 +62,12 @@ from tlkit.representation import (
     generator_matrix,
     generators,
 )
+
+
+def node_position(node: int, dimension: int) -> int:
+    """Circular position of a node: bottom row left to right, then top row
+    right to left."""
+    return node if node <= dimension else 3 * dimension + 1 - node
 
 
 def all_involutions(dimension: int) -> Iterator[tuple[int, ...]]:

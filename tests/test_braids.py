@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlkit import _backend, _packed, braids
-from tlkit._packed import (
-    _image_columns,
-    _matrix_difference,
-    _packed_columns,
-    _unpack,
-    _width,
-)
+from tlkit import _backend, braids
+from tlkit._packed import _image_columns, _packed_columns, _unpack, _width
 from tlkit.braids import (
     BraidWord,
+    _image_terms,
     _verify_artin,
     braid_image,
     braid_image_matrix,
@@ -210,8 +205,8 @@ def braid_words(draw, min_strands=2, max_strands=5, max_len=6):
 @given(braid_words())
 def test_matrix_image_matches_dense_product(word):
     assert braid_image_matrix(word) == dense_braid_image_matrix(word)
-    # verify_artin compares columns, so equal images need equal columns:
-    # an entry that cancels to zero must not be stored.
+    # Matrices are compared by their columns, so equal images need equal
+    # columns: an entry that cancels to zero must not be stored.
     for column in _image_columns(word, record(word.strands), lambda p: p):
         assert not any(p.is_zero() for p in column.values())
 
@@ -297,38 +292,65 @@ def test_verify_artin_passes(n):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_matrix_images_compare_across_lengths(n):
+    # Matrix images of words of different lengths are packed at different
+    # widths; the columns they decode to are compared as polynomials.
     basis = record(n)
     identity = BraidWord.identity(n)
-    _, entries, witnesses = _verify_artin(basis)
+    _, entries, witnesses = _verify_artin(n)
     assert all(ok for _, ok in entries) and witnesses == ()
+
+    def columns(word):
+        return list(_image_columns(word, basis, lambda p: p))
+
     for j in range(1, n):
-        assert _matrix_difference(BraidWord(n, (j, -j)), identity, basis) is None
-        assert _matrix_difference(identity, BraidWord(n, (-j, j)), basis) is None
+        assert columns(BraidWord(n, (j, -j))) == columns(identity)
+        assert columns(identity) == columns(BraidWord(n, (-j, j)))
     w = BraidWord(n, (1, -2, 1, 1, -(n - 1)))
-    assert _matrix_difference(w * w.inverse(), identity, basis) is None
-    assert _matrix_difference(BraidWord(n, (1,)), identity, basis) is not None
+    assert columns(w * w.inverse()) == columns(identity)
+    assert columns(BraidWord(n, (1,))) != columns(identity)
 
 
-def test_verify_artin_names_a_perturbed_packed_entry(monkeypatch):
-    original = _packed._packed_columns
+@st.composite
+def word_pairs(draw):
+    """Two words on at most 6 strands: one with a braided relation, a far
+    commutation or a letter and its inverse spliced into it on either
+    side, one with a letter's sign flipped, or two unrelated words."""
+    word = draw(braid_words(max_strands=6, max_len=5))
+    n, letters = word.strands, word.letters
+    kind = draw(st.sampled_from(["related", "flipped", "unrelated"]))
+    if kind == "unrelated":
+        return word, draw(braid_words(min_strands=n, max_strands=n, max_len=5))
+    if kind == "flipped" and letters:
+        at = draw(st.integers(0, len(letters) - 1))
+        return word, BraidWord(n, letters[:at] + (-letters[at],) + letters[at + 1 :])
+    at = draw(st.integers(0, len(letters)))
+    j = draw(st.integers(1, n - 1))
+    s = draw(st.sampled_from([1, -1]))
+    if j + 1 < n and draw(st.booleans()):
+        a, b = s * j, s * (j + 1)
+        sides = (a, b, a), (b, a, b)
+    elif j + 2 < n:
+        k = draw(st.integers(j + 2, n - 1))
+        sides = (s * j, k), (k, s * j)
+    else:
+        sides = (s * j, -s * j), ()
+    return spliced(word, at, sides[0]), spliced(word, at, sides[1])
 
-    def perturbed(word, basis, width, offset):
-        columns = original(word, basis, width, offset)
-        if word.letters == (2, -2):
-            # one more A^0 in row 0 of column 0
-            columns[0][0] += 1 << width * offset
-        return columns
 
-    monkeypatch.setattr(_packed, "_packed_columns", perturbed)
-    report = verify_artin(4)
-    failed = [name for name, ok in report.entries if not ok]
-    assert failed == ["sigma_2*sigma_2^-1 = 1"]
-    assert dict(report.witnesses) == {
-        "sigma_2*sigma_2^-1 = 1": "first differing column 0, row 0: expected 1, got 2"
-    }
-    lines = report.lines()
-    at = lines.index("sigma_2*sigma_2^-1 = 1: FAIL")
-    assert lines[at + 1] == "  first differing column 0, row 0: expected 1, got 2"
+@given(word_pairs())
+def test_element_images_decide_matrix_images(pair):
+    # The matrix image of w is left multiplication by its element image:
+    # the identity's column is w.1, the element image itself, and every
+    # column is w.D_j = (w.1).D_j.  So the Artin check compares element
+    # images alone; this holds the two verdicts equal.
+    w1, w2 = pair
+    basis = record(w1.strands)
+    root = basis.index[_backend.identity_pairing(w1.strands)]
+    images = [_image_terms(w) for w in pair]
+    columns = [list(_image_columns(w, basis, lambda p: p)) for w in pair]
+    assert (images[0] == images[1]) == (columns[0] == columns[1])
+    for image, image_columns in zip(images, columns):
+        assert image_columns[root] == {basis.index[p]: c for p, c in image}
 
 
 def test_verify_artin_names_a_differing_element_term(monkeypatch):
@@ -350,14 +372,15 @@ def test_verify_artin_names_a_differing_element_term(monkeypatch):
 
 
 def test_verify_artin_reports_a_wrong_action(monkeypatch):
-    # ``_packed_columns`` reads each map through ``PairingBasis.map``.
-    original = _backend.PairingBasis.map
+    # ``_image_terms`` applies each letter through ``_apply_generator``;
+    # a U_1 that closes one loop too many breaks sigma_1 sigma_1^-1 = 1.
+    original = braids._apply_generator
 
-    def skewed(basis, k):
-        targets, exponents = original(basis, k)
-        return targets, (exponents[0] + 1,) + exponents[1:]
+    def skewed(pairing, k, n):
+        image, loops = original(pairing, k, n)
+        return image, loops + (k == 1)
 
-    monkeypatch.setattr(_backend.PairingBasis, "map", skewed)
+    monkeypatch.setattr(braids, "_apply_generator", skewed)
     assert not verify_artin(4).passed
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tlkit import laurent
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
 
@@ -69,6 +70,31 @@ def test_constructor_stores_int_pairs_as_tuples():
     p = LaurentPoly("d", [[0, 1], [2, 3]])
     assert p.coeffs == ((0, 1), (2, 3))
     assert hash(p) == hash(d({0: 1, 2: 3}))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LaurentPoly("d", ((0, 1), (2, 3))),
+        lambda: LaurentPoly.from_dict("A", {2: -1, -2: -1}),
+        lambda: LaurentPoly.monomial("A", 3),
+        lambda: LaurentPoly.constant("d", 2),
+        lambda: LaurentPoly.one("A"),
+        lambda: LaurentPoly.zero("d"),
+    ],
+    ids=["constructor", "from_dict", "monomial", "constant", "one", "zero"],
+)
+def test_each_build_reads_its_pairs_once(make, monkeypatch):
+    calls = []
+    original = laurent._pairs
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(laurent, "_pairs", counted)
+    make()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,13 @@ from tlkit.diagrams import (
     PlanarDiagram,
     ScaledDiagram,
     is_noncrossing,
-    node_position,
     parse,
     serialize,
 )
 from tlkit.enumeration import identity_diagram
 from tlkit.representation import generator_diagram
+
+from oracles import node_position
 
 
 @st.composite

@@ -21,11 +21,13 @@ rule (``_backend._apply_generator``), on partner tuples: ``_image_terms``
 is the sorted list of (pairing, coefficient) terms, which ``braid_image``
 wraps in a ``TLElement`` and ``tlkit bracket`` prints through
 ``_backend.diagram_line``.  So the element route loads ``_backend``,
-``_values``, ``laurent`` and this module alone; ``diagrams``,
-``elements`` and ``enumeration`` are imported where they are used, as
-are ``matrices`` and ``representation``.  The matrix image is the same
-product of left-multiplication matrices on the identity-included basis,
-each read from the map of a ``_backend.PairingBasis``.
+``_values``, ``laurent`` and this module alone; ``diagrams`` and
+``elements`` are imported where they are used, as are ``matrices`` and
+``representation``, and ``enumeration`` is not imported at all.  The
+matrix image is the same product of left-multiplication matrices on the
+identity-included basis, each read from the map of the walk's record,
+``_backend.pairing_basis``, which ``braid_image_matrix`` and ``tlkit
+bracket --matrix`` both read: neither builds a ``DiagramBasis``.
 
 The matrix image lives in ``tlkit._packed``, which ``braid_image_matrix``
 and ``tlkit bracket --matrix`` import when they run, so the element form
@@ -47,7 +49,6 @@ from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ._backend import (
-    PairingBasis,
     _apply_generator,
     _checked_dimension,
     _dimension,
@@ -167,16 +168,8 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     from .matrices import PolyMatrix
 
     word = _require(word, BraidWord, "braid_image_matrix needs a BraidWord")
-    basis = _strand_basis(word.strands)
-    return PolyMatrix("A", list(_image_columns(word, basis, lambda poly: poly)))
-
-
-def _strand_basis(strands: int) -> PairingBasis:
-    """The cached basis record of ``strands``, a strand count of at most
-    ``_backend.DEFAULT_MAX_DIMENSION``, checked once."""
-    from .enumeration import _basis
-
-    return _basis(_checked_dimension(strands, None, "strand count", 1, None))._record
+    basis = pairing_basis(_checked_dimension(word.strands, None, "strand count", 1, None))
+    return PolyMatrix._trusted("A", _image_columns(word, basis, lambda poly: poly))
 
 
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:

@@ -176,8 +176,7 @@ def _write_replacing(path: Path, text: str) -> None:
         in_place = False
     if in_place:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for piece in _slices(text):
-                fh.write(piece)
+            fh.writelines(_slices(text))
         return
     attempt = 0
     while True:
@@ -190,8 +189,7 @@ def _write_replacing(path: Path, text: str) -> None:
             attempt += 1
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for piece in _slices(text):
-                fh.write(piece)
+            fh.writelines(_slices(text))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -459,13 +457,17 @@ def _main(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     if args.output is None:
         try:
-            for piece in _slices(text):
-                sys.stdout.write(piece)
+            if sys.stdout is None:  # started with fd 1 closed (``>&-``)
+                raise OSError("standard output is closed")
+            sys.stdout.writelines(_slices(text))
             sys.stdout.flush()
-        except BrokenPipeError:
-            # The reader has gone (``| head``).  What is still buffered goes
-            # to the null device, so the flush at exit cannot raise again.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError as exc:
+            # A reader that has gone (``| head``) needs no message.  What is
+            # still buffered goes to the null device, so the flush at exit
+            # cannot raise again.
+            if not isinstance(exc, BrokenPipeError):
+                print(f"error: {exc}", file=sys.stderr)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
             return EXIT_VALIDATION
     return code
 

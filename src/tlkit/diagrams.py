@@ -127,7 +127,9 @@ class PlanarDiagram(_Value):
         )
 
     def bottom_pairs(self) -> frozenset[tuple[int, int]]:
-        """Bottom-to-bottom pairs; the key used for ideal grouping."""
+        """Bottom-to-bottom pairs.  The library groups no diagrams by them;
+        ``tests/oracles.py:bottom_pattern_partition``, the first ideal
+        grouping, does."""
         n = self.dimension
         return frozenset((a, b) for a, b in self.pairs() if b <= n)
 

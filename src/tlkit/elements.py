@@ -15,7 +15,7 @@ from ._backend import _dimension
 from ._values import _index, _pairs, _require, _Value
 from .composition import compose
 from .diagrams import PlanarDiagram
-from .laurent import _VARIABLES, LaurentPoly
+from .laurent import LaurentPoly, _known
 
 
 _TERMS = "terms must be (diagram, coefficient) pairs"
@@ -37,8 +37,7 @@ class TLElement(_Value):
         terms: Iterable[tuple[PlanarDiagram, LaurentPoly]],
     ) -> None:
         dimension = _dimension(dimension)
-        if variable not in _VARIABLES:
-            raise ValueError(f"unsupported variable {variable!r}")
+        _known(variable)
         terms = _pairs(terms, PlanarDiagram, LaurentPoly, _TERMS)
         for diagram, coeff in terms:
             if diagram.dimension != dimension:

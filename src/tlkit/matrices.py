@@ -7,9 +7,10 @@ from row to entry or the (row, entry) pairs its ``repr`` prints, so
 ``repr``, ``copy`` and pickling go through the columns too, and
 ``from_rows`` builds one from dense rows.  ``GeneratorMatrix.matrix`` and
 ``braid_image_matrix`` build theirs from their column-monomial maps and
-sparse columns, and ``__mul__`` multiplies sparse columns.  Only ``rows``
-and ``column`` are dense, views built on each read, so they cost
-Catalan(N) cells per column."""
+sparse columns, and ``__mul__`` multiplies sparse columns; all three hold
+the columns they made through ``_trusted``, which checks nothing again.
+Only ``rows`` and ``column`` are dense, views built on each read, so they
+cost Catalan(N) cells per column."""
 
 from __future__ import annotations
 
@@ -17,14 +18,15 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from ._backend import _in_range
 from ._values import _index, _require, _sequence, _Value
-from .laurent import _VARIABLES, LaurentPoly
+from .laurent import LaurentPoly, _known
 
 
 class PolyMatrix(_Value):
     """Square matrix with LaurentPoly entries in one variable, held as
     sparse columns with no zero entry: ``columns[i]`` lists the (row,
     entry) pairs of column i in row order, so equal matrices have equal
-    columns."""
+    columns.  ``_trusted`` skips the constructor's checks and is only for
+    columns the library made itself."""
 
     _fields = ("variable", "columns")
     __slots__ = ("variable", "_columns")
@@ -34,8 +36,7 @@ class PolyMatrix(_Value):
         """The matrix with ``columns[i][j]`` in row j of column i and zero
         in every unlisted cell; ValueError unless each column maps, or
         pairs, distinct integers 0 <= j < size with entries."""
-        if variable not in _VARIABLES:
-            raise ValueError(f"unsupported variable {variable!r}")
+        _known(variable)
         size = len(_require(columns, Sequence, "columns must be a sequence of columns"))
         message = f"entries must be LaurentPoly in {variable}"
         held = []
@@ -54,14 +55,17 @@ class PolyMatrix(_Value):
                     raise ValueError(f"column {i} has row {j!r} outside 0..{size - 1}")
             _sequence(entries.values(), LaurentPoly, "variable", variable, message)
             held.append({_index(j): e for j, e in entries.items() if e.coeffs})
-        self._hold(variable, held)
-
-    def _hold(self, variable: str, columns: Iterable[dict[int, LaurentPoly]]) -> PolyMatrix:
-        """Store ``columns``, checked maps with no zero entry; returns
-        ``self``."""
         object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "_columns", tuple(columns))
-        return self
+        object.__setattr__(self, "_columns", tuple(held))
+
+    @classmethod
+    def _trusted(cls, variable: str, columns: Iterable[dict[int, LaurentPoly]]) -> PolyMatrix:
+        """Build without validation, from columns the library made: maps
+        from a row in range to a nonzero entry in ``variable``."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "variable", variable)
+        object.__setattr__(matrix, "_columns", tuple(columns))
+        return matrix
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -124,7 +128,7 @@ class PolyMatrix(_Value):
                 for i, a in self._columns[k].items():
                     column[i] = column[i] + a * b if i in column else a * b
         nonzero = ({i: e for i, e in column.items() if e.coeffs} for column in columns)
-        return object.__new__(PolyMatrix)._hold(self.variable, nonzero)
+        return PolyMatrix._trusted(self.variable, nonzero)
 
     def _check(self, other: PolyMatrix) -> None:
         if self.variable != _require(other, PolyMatrix, "expected a PolyMatrix").variable:

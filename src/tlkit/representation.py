@@ -39,8 +39,9 @@ arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
 top nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise
 into the diagram pairing (a, b) and (D(a), D(b)).  Each generator's map
 is built once, on first use, by the ``_backend.PairingBasis`` the
-``DiagramBasis`` holds; every generator matrix reads it there, as does
-the bracket matrix image.  The ideal blocks and the order read no map:
+``DiagramBasis`` holds, and every generator matrix reads it there; the
+bracket matrix image reads its maps from a record of its own
+(``braids.braid_image_matrix``).  The ideal blocks and the order read no map:
 ``_relations.ideal_blocks`` finds them from the record's partner tuples
 alone, by their bottom link states.
 """
@@ -269,8 +270,8 @@ class GeneratorMatrix(_Value):
         from .laurent import LaurentPoly
         from .matrices import PolyMatrix
 
-        monomials = {m: LaurentPoly.monomial("d", m) for m in set(self.exponents)}
-        return PolyMatrix("d", [{j: monomials[m]} for j, m in zip(self.targets, self.exponents)])
+        d = {m: LaurentPoly.monomial("d", m) for m in set(self.exponents)}  # d[m] is d^m
+        return PolyMatrix._trusted("d", ({j: d[m]} for j, m in zip(self.targets, self.exponents)))
 
 
 def _generator_maps(

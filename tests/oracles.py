@@ -36,6 +36,11 @@ map, product of a sequence) is defined here.
 ``dense_product`` is the textbook triple loop over ``rows``, zero cells
 included, against which the sparse-column ``PolyMatrix.__mul__`` is
 checked.
+
+``closure_bracket`` is the Kauffman bracket of a braid closure, read off
+the element image with a union-find over each term's closure.  Its known
+values and the Markov moves pin the bracket convention, which the Artin
+relations alone do not: they also hold under the mirrored substitution.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from tlkit.braids import BraidWord, kauffman_loop_value
+from tlkit.braids import BraidWord, braid_image, kauffman_loop_value
 from tlkit._backend import PairingBasis, identity_pairing
 from tlkit.composition import compose
 from tlkit.diagrams import PlanarDiagram
@@ -681,3 +686,28 @@ def position_blocks(basis: PairingBasis, include_identity: bool) -> list[list[in
             grouped.setdefault(find(i), []).append(i)
     blocks = [sorted(block, key=keys.__getitem__) for block in grouped.values()]
     return sorted(blocks, key=lambda block: keys[block[0]])
+
+
+def closure_bracket(word: BraidWord) -> LaurentPoly:
+    """The Kauffman bracket of the closure of ``word``, with the unknot
+    worth 1: the sum of c.d^(loops - 1) over the terms (E, c) of
+    ``braid_image(word)``, where the closure of E joins top node N+i to
+    bottom node i and loops counts its cycles (Kauffman, "State models
+    and the Jones polynomial", Topology 26, 1987)."""
+    n = word.strands
+    d = kauffman_loop_value()
+    total = LaurentPoly.zero("A")
+    for diagram, c in braid_image(word).terms:
+        parent = list(range(2 * n + 1))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in (*diagram.pairs(), *((n + i, i) for i in range(1, n + 1))):
+            parent[find(a)] = find(b)
+        loops = len({find(x) for x in range(1, 2 * n + 1)})
+        total = total + c * d ** (loops - 1)
+    return total

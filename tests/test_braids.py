@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlkit import _backend, braids
+from tlkit import _backend, braids, enumeration
 from tlkit._packed import _image_columns, _packed_columns, _unpack, _width
 from tlkit.braids import (
     BraidWord,
@@ -21,7 +21,12 @@ from tlkit.enumeration import catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
 
-from oracles import dense_braid_image_matrix, element_matrix, reference_image_columns
+from oracles import (
+    closure_bracket,
+    dense_braid_image_matrix,
+    element_matrix,
+    reference_image_columns,
+)
 
 
 def record(n):
@@ -211,6 +216,24 @@ def test_matrix_image_matches_dense_product(word):
         assert not any(p.is_zero() for p in column.values())
 
 
+def test_matrix_image_builds_no_diagram_basis(monkeypatch):
+    # ``braid_image_matrix`` reads the walk's record, as ``bracket
+    # --matrix`` does, not the record of a cached ``DiagramBasis``.
+    rng = random.Random(42)
+    words = [BraidWord(1, ())]
+    for n in range(2, 6):
+        letters = [s * i for i in range(1, n) for s in (1, -1)]
+        for _ in range(4):
+            words.append(BraidWord(n, tuple(rng.choice(letters) for _ in range(rng.randint(0, 6)))))
+    expected = [dense_braid_image_matrix(w) for w in words]
+
+    def refuse(dimension):
+        raise AssertionError(f"a DiagramBasis of dimension {dimension} was built")
+
+    monkeypatch.setattr(enumeration, "_basis", refuse)
+    assert [braid_image_matrix(w) for w in words] == expected
+
+
 @given(braid_words(max_strands=7, max_len=10))
 def test_packed_columns_match_the_reference(word):
     basis = record(word.strands)
@@ -247,6 +270,38 @@ def test_packing_at_the_edge_of_its_width():
     coeffs = ((-12, -extreme), (-11, extreme), (0, 1), (5, -1), (12, extreme))
     packed = sum(c << width * (e + 12) for e, c in coeffs)
     assert _unpack(packed, width, 12) == LaurentPoly("A", coeffs)
+
+
+@pytest.mark.parametrize(
+    "strands,letters,expected",
+    [
+        (2, (1, 1, 1), {5: -1, -3: -1, -7: 1}),
+        (3, (1, -2, 1, -2), {8: 1, 4: -1, 0: 1, -4: -1, -8: 1}),
+        (3, (), {4: 1, 0: 2, -4: 1}),
+    ],
+    ids=["trefoil", "figure-eight", "three-component-unlink"],
+)
+def test_closure_bracket_known_values(strands, letters, expected):
+    # Kauffman's values, which the mirrored substitution
+    # sigma -> A^-1 + A.U would turn into their A -> A^-1 images.
+    assert closure_bracket(BraidWord(strands, letters)) == LaurentPoly.from_dict("A", expected)
+
+
+@given(braid_words(), st.sampled_from([1, -1]))
+def test_stabilization_scales_the_closure_bracket(word, sign):
+    # Markov II: w sigma_N^{+-1} on N+1 strands closes to the same link
+    # with one more curl, worth -A^{+-3}.
+    n = word.strands
+    stabilized = BraidWord(n + 1, word.letters + (sign * n,))
+    curl = -LaurentPoly.monomial("A", 3 * sign)
+    assert closure_bracket(stabilized) == curl * closure_bracket(word)
+
+
+@given(braid_words())
+def test_conjugation_keeps_the_closure_bracket(word):
+    # Markov I: moving the first letter to the end conjugates the braid.
+    rotated = BraidWord(word.strands, word.letters[1:] + word.letters[:1])
+    assert closure_bracket(rotated) == closure_bracket(word)
 
 
 def assert_same_images(w1, w2):

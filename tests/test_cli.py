@@ -53,6 +53,13 @@ from tlkit.representation import (
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def child_env():
+    """This environment, with the tlkit under test first on the path of a
+    child interpreter."""
+    src = str(Path(tlkit.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def run_cli(args, env=None, monkeypatch=None):
     if env:
         for key, value in env.items():
@@ -580,8 +587,7 @@ class TestStartup:
         assert capsys.readouterr().out == "tlkit 0.1.0 (python kernels)\n"
 
     def test_import_leaves_numpy_unloaded(self):
-        src = str(Path(tlkit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = child_env()
         probe = "import sys, tlkit; print('numpy' in sys.modules, tlkit.kernel_backend())"
         result = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -612,8 +618,7 @@ class TestStartup:
     def fresh_python(probe, *args, options=(), check=True):
         """Run ``probe`` in a new interpreter, started with ``options``,
         that imports this tlkit."""
-        src = str(Path(tlkit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env = child_env()
         return subprocess.run(
             [sys.executable, *options, "-c", probe, *args],
             env=env,
@@ -846,11 +851,9 @@ class TestStartup:
 def test_a_reader_that_leaves_early_gets_no_traceback(args, first):
     # ``tlkit ... | head -1``: the output is far larger than a pipe holds,
     # so the writer is still writing when the reader closes its end.
-    src = str(Path(tlkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "tlkit.cli", *args],
-        env=env,
+        env=child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
@@ -860,6 +863,35 @@ def test_a_reader_that_leaves_early_gets_no_traceback(args, first):
     proc.stderr.close()
     assert line.startswith(first)
     assert (proc.wait(), err) == (cli.EXIT_VALIDATION, b"")
+
+
+@pytest.mark.parametrize(
+    "stdout",
+    [
+        pytest.param(
+            (os.POSIX_SPAWN_OPEN, 1, "/dev/full", os.O_WRONLY, 0),
+            marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+            id="full",
+        ),
+        pytest.param((os.POSIX_SPAWN_CLOSE, 1), id="closed"),
+    ],
+)
+def test_a_failed_stdout_write_gets_one_error_line(stdout):
+    # ``tlkit ... > /dev/full`` and ``tlkit ... >&-``: exit 1 with one
+    # line, as a failed ``--output`` write, and no traceback.
+    read, write = os.pipe()
+    try:
+        argv = [sys.executable, "-m", "tlkit.cli", "enumerate", "--dim", "3"]
+        actions = [stdout, (os.POSIX_SPAWN_DUP2, write, 2)]
+        pid = os.posix_spawn(sys.executable, argv, child_env(), file_actions=actions)
+    finally:
+        os.close(write)
+    with open(read, "rb") as pipe:
+        err = pipe.read().decode()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == cli.EXIT_VALIDATION
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def _dense_csv(size, blocks):

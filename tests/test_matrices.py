@@ -7,7 +7,8 @@ products often cancel, and check the sparse constructor, the three
 readers and the sparse product against dense rows and the triple-loop
 ``oracles.dense_product``, and that the constructor, ``from_rows`` and
 ``repr`` each give the matrix back.  Equality, hashing, ``copy`` and
-pickling are checked with ``rows`` patched to fail.
+pickling are checked with ``rows`` patched to fail, and the library's
+own matrices with the validating constructor patched to fail.
 """
 
 import copy
@@ -19,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import dense_product
+from tlkit.braids import BraidWord, braid_image_matrix
 from tlkit.enumeration import enumerate_diagrams
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
@@ -153,3 +155,21 @@ def test_copies_and_pickles_read_only_the_columns(unread_rows, clone):
     assert type(again) is PolyMatrix and again == u and hash(again) == hash(u)
     assert again.columns == u.columns and again.size == 4861
     assert peak < 8 << 20
+
+
+def test_library_matrices_skip_the_constructor(monkeypatch):
+    # A matrix the library made is held through ``_trusted``, not checked
+    # again; the validating constructor still takes every one of them.
+    bases = [enumerate_diagrams(n) for n in (3, 5)]
+    gms = [generator_matrix(2, basis, include) for basis in bases for include in (False, True)]
+    words = [BraidWord(1, ()), BraidWord(3, (1, -2, 1)), BraidWord(5, (1, -2, 3, -4, 2))]
+
+    def refuse(self, *args):
+        raise AssertionError("PolyMatrix.__init__ was called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PolyMatrix, "__init__", refuse)
+        made = [gm.matrix for gm in gms] + [braid_image_matrix(w) for w in words]
+        made.append(made[1] * made[1])
+    for m in made:
+        assert m == PolyMatrix(m.variable, m.columns) == pickle.loads(pickle.dumps(m))

@@ -1,14 +1,15 @@
 """The base of the library's value types and the type and shape rule.
 
 ``_Value`` gives the immutable value classes their equality, hash,
-``repr`` and pickling.  ``_require``, ``_integers``, ``_pairs`` and
-``_sequence`` check the arguments of every public entry point: a value
-of the wrong kind is a ValueError, never an AttributeError or TypeError
-from deeper down.  Each helper builds its message only on failure.
-``_index`` reads one integer the way ``_integers`` reads each, through
-``operator.index``, for ``_pairs`` and for the checks that word their
-own message.  The size rule (``_integer``, ``_dimension``) is in
-``_backend``.
+``repr`` and pickling, and the one held route, ``_trusted``, which
+builds a value from parts the library made itself and checks nothing.
+``_require``, ``_integers``, ``_pairs`` and ``_sequence`` check the
+arguments of every public entry point: a value of the wrong kind is a
+ValueError, never an AttributeError or TypeError from deeper down.
+Each helper builds its message only on failure.  ``_index`` reads one
+integer the way ``_integers`` reads each, through ``operator.index``,
+for ``_pairs`` and for the checks that word their own message.  The
+size rule (``_integer``, ``_dimension``) is in ``_backend``.
 
 The module imports nothing from the package, so the modules of the
 bracket element route (``laurent`` and ``braids``) build their values
@@ -89,9 +90,12 @@ class _Value:
 
     A subclass names its compared fields in ``_fields``, declares them (and
     any private state) in ``__slots__``, and stores them in its own
-    ``__init__`` through ``object.__setattr__``.  Two values are equal
-    when they have the same class and equal fields, and hash as the tuple
-    of their fields; ``repr`` reads ``Name(field=value, ...)``.  Setting or
+    ``__init__``, after its checks, through ``object.__setattr__`` or
+    ``_set``.  ``_trusted`` skips ``__init__`` and is only for parts the
+    library made itself; ``PlanarDiagram`` and ``LaurentPoly``, the two
+    hot routes, keep their own ``_trusted``.  Two values are equal when
+    they have the same class and equal fields, and hash as the tuple of
+    their fields; ``repr`` reads ``Name(field=value, ...)``.  Setting or
     deleting an attribute raises AttributeError.  ``copy`` and ``pickle``
     rebuild a value by calling its class on the field values.
     """
@@ -103,6 +107,21 @@ class _Value:
         super().__init_subclass__(**kwargs)
         # A C-level getter of the field tuple keeps __eq__ and __hash__ fast.
         cls._key = operator.attrgetter(*cls._fields)
+
+    @classmethod
+    def _trusted(cls, *values: object):
+        """The value holding ``values`` in its leading ``__slots__``,
+        built without validation from parts the library made itself."""
+        value = object.__new__(cls)
+        value._set(*values)
+        return value
+
+    def _set(self, *values: object) -> None:
+        """Write ``values`` into the leading ``__slots__``, in order: the
+        slots, not ``_fields``, since a value may store a field under a
+        private name (``PolyMatrix._columns``)."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -19,15 +19,16 @@ of a word is the ordered product of its letter images.  The element image
 applies them to the identity, last letter first, each U_i by its local
 rule (``_backend._apply_generator``), on partner tuples: ``_image_terms``
 is the sorted list of (pairing, coefficient) terms, which ``braid_image``
-wraps in a ``TLElement`` and ``tlkit bracket`` prints through
-``_backend.diagram_line``.  So the element route loads ``_backend``,
-``_values``, ``laurent`` and this module alone; ``diagrams`` and
-``elements`` are imported where they are used, as are ``matrices`` and
-``representation``, and ``enumeration`` is not imported at all.  The
-matrix image is the same product of left-multiplication matrices on the
-identity-included basis, each read from the map of the walk's record,
-``_backend.pairing_basis``, which ``braid_image_matrix`` and ``tlkit
-bracket --matrix`` both read: neither builds a ``DiagramBasis``.
+holds in a ``TLElement`` through ``_trusted``, with no second check, and
+``tlkit bracket`` prints through ``_backend.diagram_line``.  So the
+element route loads ``_backend``, ``_values``, ``laurent`` and this
+module alone; ``diagrams`` and ``elements`` are imported where they are
+used, as are ``matrices`` and ``representation``, and ``enumeration`` is
+not imported at all.  The matrix image is the same product of
+left-multiplication matrices on the identity-included basis, each read
+from the map of the walk's record, ``_backend.pairing_basis``, which
+``braid_image_matrix`` and ``tlkit bracket --matrix`` both read: neither
+builds a ``DiagramBasis``.
 
 The matrix image lives in ``tlkit._packed``, which ``braid_image_matrix``
 and ``tlkit bracket --matrix`` import when they run, so the element form
@@ -134,7 +135,7 @@ def braid_image(word: BraidWord) -> TLElement:
 
     n = _require(word, BraidWord, "braid_image needs a BraidWord").strands
     trusted = PlanarDiagram._trusted
-    return TLElement(n, "A", tuple((trusted(n, p), c) for p, c in _image_terms(word)))
+    return TLElement._trusted(n, "A", tuple((trusted(n, p), c) for p, c in _image_terms(word)))
 
 
 def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
@@ -169,7 +170,7 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
 
     word = _require(word, BraidWord, "braid_image_matrix needs a BraidWord")
     basis = pairing_basis(_checked_dimension(word.strands, None, "strand count", 1, None))
-    return PolyMatrix._trusted("A", _image_columns(word, basis, lambda poly: poly))
+    return PolyMatrix._trusted("A", tuple(_image_columns(word, basis, lambda poly: poly)))
 
 
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:

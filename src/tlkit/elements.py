@@ -23,7 +23,8 @@ _TERMS = "terms must be (diagram, coefficient) pairs"
 
 class TLElement(_Value):
     """Sum of coeff * diagram terms, zero coefficients dropped, terms kept
-    in canonical diagram order."""
+    in canonical diagram order.  Negation and ``braid_image``, whose terms
+    already hold that form, build theirs through ``_Value._trusted``."""
 
     __slots__ = _fields = ("dimension", "variable", "terms")
     dimension: int
@@ -116,7 +117,7 @@ class TLElement(_Value):
         )
 
     def __neg__(self) -> TLElement:
-        return TLElement(
+        return TLElement._trusted(
             self.dimension, self.variable, tuple((d, -c) for d, c in self.terms)
         )
 

@@ -47,18 +47,7 @@ class DiagramBasis(_Value):
                 f"basis must hold Catalan({dimension}) diagrams, "
                 f"got {len(diagrams)}"
             )
-        record = _backend.PairingBasis([d.pairing for d in diagrams])
-        for name, value in zip(self.__slots__, (dimension, diagrams, record)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _trusted(cls, record: _backend.PairingBasis) -> DiagramBasis:
-        """The basis of a record the library built, without validation."""
-        basis, n, trusted = object.__new__(cls), record.dimension, PlanarDiagram._trusted
-        diagrams = tuple([trusted(n, p) for p in record.pairings])
-        for name, value in zip(cls.__slots__, (n, diagrams, record)):
-            object.__setattr__(basis, name, value)
-        return basis
+        self._set(dimension, diagrams, _backend.PairingBasis([d.pairing for d in diagrams]))
 
     def __len__(self) -> int:
         return len(self.diagrams)
@@ -87,7 +76,10 @@ def identity_diagram(dimension: int) -> PlanarDiagram:
 
 @functools.cache
 def _basis(dimension: int) -> DiagramBasis:
-    return DiagramBasis._trusted(_backend.pairing_basis(dimension))
+    """The basis of the walk's record, held through ``_Value._trusted``."""
+    record, trusted = _backend.pairing_basis(dimension), PlanarDiagram._trusted
+    diagrams = tuple([trusted(dimension, p) for p in record.pairings])
+    return DiagramBasis._trusted(dimension, diagrams, record)
 
 
 def enumerate_diagrams(

@@ -66,6 +66,7 @@ class LaurentPoly(_Value):
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "coeffs", coeffs)
 
+    # A hot route, kept off ``_Value._trusted``: every arithmetic result takes it.
     @classmethod
     def _trusted(cls, variable: str, coeffs: tuple[tuple[int, int], ...]) -> LaurentPoly:
         """Build without validation; ``coeffs`` must already be in the

@@ -7,8 +7,9 @@ from row to entry or the (row, entry) pairs its ``repr`` prints, so
 ``repr``, ``copy`` and pickling go through the columns too, and
 ``from_rows`` builds one from dense rows.  ``GeneratorMatrix.matrix`` and
 ``braid_image_matrix`` build theirs from their column-monomial maps and
-sparse columns, and ``__mul__`` multiplies sparse columns; all three hold
-the columns they made through ``_trusted``, which checks nothing again.
+sparse columns, and ``__mul__`` multiplies sparse columns; all three, and
+``identity``, hold the tuple of columns they made through
+``_Value._trusted``, which checks nothing again.
 Only ``rows`` and ``column`` are dense, views built on each read, so they
 cost Catalan(N) cells per column."""
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from ._backend import _in_range
+from ._backend import _dimension, _in_range
 from ._values import _index, _require, _sequence, _Value
 from .laurent import LaurentPoly, _known
 
@@ -25,8 +26,9 @@ class PolyMatrix(_Value):
     """Square matrix with LaurentPoly entries in one variable, held as
     sparse columns with no zero entry: ``columns[i]`` lists the (row,
     entry) pairs of column i in row order, so equal matrices have equal
-    columns.  ``_trusted`` skips the constructor's checks and is only for
-    columns the library made itself."""
+    columns.  ``_trusted(variable, columns)`` skips the constructor's
+    checks and is only for a tuple of columns the library made itself:
+    maps from a row in range to a nonzero entry in ``variable``."""
 
     _fields = ("variable", "columns")
     __slots__ = ("variable", "_columns")
@@ -57,15 +59,6 @@ class PolyMatrix(_Value):
             held.append({_index(j): e for j, e in entries.items() if e.coeffs})
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "_columns", tuple(held))
-
-    @classmethod
-    def _trusted(cls, variable: str, columns: Iterable[dict[int, LaurentPoly]]) -> PolyMatrix:
-        """Build without validation, from columns the library made: maps
-        from a row in range to a nonzero entry in ``variable``."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "variable", variable)
-        object.__setattr__(matrix, "_columns", tuple(columns))
-        return matrix
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -116,8 +109,11 @@ class PolyMatrix(_Value):
 
     @classmethod
     def identity(cls, size: int, variable: str) -> PolyMatrix:
+        """The ``size`` x ``size`` identity; ValueError unless ``size`` is
+        an integer of at least 0."""
+        size = _dimension(size, "size", 0)
         one = LaurentPoly.one(variable)
-        return cls(variable, [{i: one} for i in range(size)])
+        return cls._trusted(variable, tuple({i: one} for i in range(size)))
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         self._check(other)
@@ -127,7 +123,7 @@ class PolyMatrix(_Value):
             for k, b in other_column.items():
                 for i, a in self._columns[k].items():
                     column[i] = column[i] + a * b if i in column else a * b
-        nonzero = ({i: e for i, e in column.items() if e.coeffs} for column in columns)
+        nonzero = tuple({i: e for i, e in column.items() if e.coeffs} for column in columns)
         return PolyMatrix._trusted(self.variable, nonzero)
 
     def _check(self, other: PolyMatrix) -> None:

@@ -115,7 +115,8 @@ def left_multiply(generator: Generator, diagram: PlanarDiagram) -> ScaledDiagram
 
 class IdealPartition(_Value):
     """Disjoint blocks of basis diagrams, each closed under left
-    multiplication by every generator."""
+    multiplication by every generator.  ``ideal_partition`` holds the
+    blocks it made through ``_Value._trusted``, with no second check."""
 
     __slots__ = _fields = ("dimension", "blocks")
     dimension: int
@@ -168,7 +169,7 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
     basis = _require(basis, DiagramBasis, "ideal_partition needs a DiagramBasis")
     _require(include_identity, bool, "include_identity must be a bool")
     blocks = ideal_blocks(basis._record.pairings, include_identity)
-    return IdealPartition(
+    return IdealPartition._trusted(
         basis.dimension, tuple(tuple(basis[i] for i in block) for block in blocks)
     )
 
@@ -190,8 +191,8 @@ class GeneratorMatrix(_Value):
 
     The basis order holds diagrams of one dimension N and the generator
     index lies in 1..N-1; ``include_identity`` is read off the order.
-    ``_trusted`` skips these checks and is only for maps the library
-    computed itself (``_generator_maps``)."""
+    The held route ``_Value._trusted`` skips these checks and is only for
+    maps the library computed itself (``_generator_maps``)."""
 
     _fields = ("generator_index", "basis_order", "targets", "exponents")
     # ``include_identity`` and ``matrix`` are cached in the instance
@@ -233,23 +234,6 @@ class GeneratorMatrix(_Value):
             raise ValueError("loop exponents must be non-negative")
         self._set(generator_index, basis_order, targets, exponents)
 
-    @classmethod
-    def _trusted(
-        cls,
-        generator_index: int,
-        basis_order: tuple[PlanarDiagram, ...],
-        targets: tuple[int, ...],
-        exponents: tuple[int, ...],
-    ) -> GeneratorMatrix:
-        """Build without validation, from a map the library computed."""
-        gm = object.__new__(cls)
-        gm._set(generator_index, basis_order, targets, exponents)
-        return gm
-
-    def _set(self, *values: object) -> None:
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-
     @property
     def size(self) -> int:
         return len(self.basis_order)
@@ -271,7 +255,7 @@ class GeneratorMatrix(_Value):
         from .matrices import PolyMatrix
 
         d = {m: LaurentPoly.monomial("d", m) for m in set(self.exponents)}  # d[m] is d^m
-        return PolyMatrix._trusted("d", ({j: d[m]} for j, m in zip(self.targets, self.exponents)))
+        return PolyMatrix._trusted("d", tuple({j: d[m]} for j, m in zip(self.targets, self.exponents)))
 
 
 def _generator_maps(

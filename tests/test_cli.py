@@ -1460,6 +1460,9 @@ def with_repeated_u1():
         (lambda d: PolyMatrix.identity(2, "d").entry(-1, -1), "row -1 out of range 0..1"),
         (lambda d: PolyMatrix.identity(2, "d").entry(0, 2), "column 2 out of range 0..1"),
         (lambda d: PolyMatrix.identity(2, "d").column("a"), "column must be an integer, got 'a'"),
+        (lambda d: PolyMatrix.identity("x", "d"), "size must be an integer, got 'x'"),
+        (lambda d: PolyMatrix.identity(2.5, "d"), "size must be an integer, got 2.5"),
+        (lambda d: PolyMatrix.identity(-1, "d"), "size must be at least 0"),
         (lambda d: cli.run(SimpleNamespace(subcommand="bogus")), "unknown subcommand 'bogus'"),
         (
             lambda d: TLElement.from_diagram(d).coefficient(5),
@@ -1498,6 +1501,7 @@ def with_repeated_u1():
         "element-zero-term", "element-unsorted-terms", "element-sum-variables",
         "element-scaled-variable", "negative-power", "matrix-product-variables",
         "matrix-product-sizes", "entry-negative", "entry-past-end", "column-text",
+        "matrix-identity-text", "matrix-identity-float", "matrix-identity-negative",
         "run-unknown-subcommand", "coefficient-non-diagram", "coefficient-dimension",
     ],
 )

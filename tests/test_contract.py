@@ -3,12 +3,16 @@ public method of the exported classes.
 
 Each callable in ``tlkit.__all__``, and each public (non-underscore)
 method of one sample instance of each exported class in ``SAMPLES``, is
-called with every mix of a few wrong values in its required positional
-parameters, read with ``inspect.signature``, so a new export or method is
-covered with no new code.  Each call must return a value or raise
-``ValueError``; any other exception the sweep allows is listed in
-``ALLOWED`` with its reason.  One test per name or method loops over its
-mixes.
+called in two passes over its required positional parameters, read with
+``inspect.signature``, so a new export or method is covered with no new
+code.  The first pass fills them with every mix of a few wrong values.
+The second puts one wrong value in one position and fills the others
+with every mix of valid arguments from ``POOL``, so a wrong value is
+also tried after its valid neighbours have been read: a check the first
+pass reaches only after another argument has failed shows there.  Each
+call must return a value or raise ``ValueError``; any other exception
+the sweep allows is listed in ``ALLOWED`` with its reason.  One test per
+name or method and pass loops over its mixes.
 """
 
 from __future__ import annotations
@@ -28,6 +32,24 @@ VALUES = (None, 5, -1, 1.5, "a", (), [5], object())
 ALLOWED: dict[str, tuple[type[BaseException], str]] = {}
 
 _DIAGRAM = tlkit.identity_diagram(2)
+
+#: Valid arguments, one of each kind the library takes, that fill the
+#: other positions while one position holds a wrong value.
+POOL = (
+    2,
+    "d",
+    "A",
+    _DIAGRAM,
+    tlkit.enumerate_diagrams(2),
+    tlkit.LaurentPoly.monomial("d", 1),
+    tlkit.BraidWord(2, (1,)),
+    tlkit.TLElement.from_diagram(_DIAGRAM),
+    tlkit.generators(2)[0],
+    tlkit.ScaledDiagram(_DIAGRAM, 1),
+    {1: 2},
+    [(_DIAGRAM, tlkit.LaurentPoly.one("d"))],
+    tlkit.connectability(2),
+)
 
 #: One instance of each exported class.
 SAMPLES = {
@@ -73,21 +95,40 @@ def test_every_export_is_callable():
     assert all(type(sample) is getattr(tlkit, name) for name, sample in SAMPLES.items())
 
 
+def every_mix(arity):
+    """Every mix of ``VALUES`` in ``arity`` positions."""
+    return itertools.product(VALUES, repeat=arity)
+
+
+def one_wrong(arity):
+    """Each of ``VALUES`` in each of ``arity`` positions, the others filled
+    with every mix of ``POOL``."""
+    for i in range(arity):
+        for wrong in VALUES:
+            for rest in itertools.product(POOL, repeat=arity - 1):
+                yield (*rest[:i], wrong, *rest[i:])
+
+
 @pytest.mark.parametrize("name", tlkit.__all__)
 def test_returns_or_raises_value_error(name):
-    sweep(name, getattr(tlkit, name))
+    sweep(name, getattr(tlkit, name), every_mix)
 
 
 @pytest.mark.parametrize("name", METHODS)
 def test_methods_return_or_raise_value_error(name):
-    sweep(name, METHODS[name])
+    sweep(name, METHODS[name], every_mix)
 
 
-def sweep(name, fn):
-    """Call ``fn`` with every mix of ``VALUES`` in its required positional
+@pytest.mark.parametrize("name", [*tlkit.__all__, *METHODS])
+def test_one_wrong_argument_returns_or_raises_value_error(name):
+    sweep(name, METHODS.get(name) or getattr(tlkit, name), one_wrong)
+
+
+def sweep(name, fn, mixes):
+    """Call ``fn`` with each of ``mixes(arity)`` in its required positional
     parameters."""
     allowed, _reason = ALLOWED.get(name, (ValueError, ""))
-    for args in itertools.product(VALUES, repeat=required_arity(fn)):
+    for args in mixes(required_arity(fn)):
         try:
             fn(*args)
         except (ValueError, allowed):

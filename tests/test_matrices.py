@@ -7,12 +7,16 @@ products often cancel, and check the sparse constructor, the three
 readers and the sparse product against dense rows and the triple-loop
 ``oracles.dense_product``, and that the constructor, ``from_rows`` and
 ``repr`` each give the matrix back.  Equality, hashing, ``copy`` and
-pickling are checked with ``rows`` patched to fail, and the library's
-own matrices with the validating constructor patched to fail.
+pickling are checked with ``rows`` patched to fail.  The values the
+library makes through the held route ``_Value._trusted`` (matrices,
+element images, ideal partitions, bases and generator maps) are built
+with their class's validating constructor patched to fail, then checked
+against it.
 """
 
 import copy
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -20,11 +24,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import dense_product
-from tlkit.braids import BraidWord, braid_image_matrix
-from tlkit.enumeration import enumerate_diagrams
+from tlkit import enumeration
+from tlkit._values import _Value
+from tlkit.braids import BraidWord, braid_image, braid_image_matrix
+from tlkit.diagrams import PlanarDiagram
+from tlkit.elements import TLElement
+from tlkit.enumeration import DiagramBasis, enumerate_diagrams
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
-from tlkit.representation import generator_matrix
+from tlkit.representation import (
+    GeneratorMatrix,
+    IdealPartition,
+    generator_matrices,
+    generator_matrix,
+    ideal_partition,
+)
 
 
 def entries(variable):
@@ -135,6 +149,13 @@ def test_equality_and_hashing_read_only_the_columns(unread_rows):
     assert identities[0] != identities[1] and identities[0] != identities[2]
 
 
+def test_identity_reads_its_size():
+    # Size 0 is the empty matrix, and a bool stands for its int.
+    one = LaurentPoly.one("d")
+    assert PolyMatrix.identity(0, "d") == PolyMatrix("d", [])
+    assert PolyMatrix.identity(True, "d") == PolyMatrix("d", [{0: one}])
+
+
 @pytest.mark.parametrize(
     "clone",
     [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
@@ -158,18 +179,57 @@ def test_copies_and_pickles_read_only_the_columns(unread_rows, clone):
 
 
 def test_library_matrices_skip_the_constructor(monkeypatch):
-    # A matrix the library made is held through ``_trusted``, not checked
+    # A value the library made is held through ``_trusted``, not checked
     # again; the validating constructor still takes every one of them.
     bases = [enumerate_diagrams(n) for n in (3, 5)]
     gms = [generator_matrix(2, basis, include) for basis in bases for include in (False, True)]
     words = [BraidWord(1, ()), BraidWord(3, (1, -2, 1)), BraidWord(5, (1, -2, 3, -4, 2))]
+    rng = random.Random(43)
+    seeded = [
+        BraidWord(n, [rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(length)])
+        for n in range(2, 6)
+        for length in (0, 3, 7)
+    ]
 
-    def refuse(self, *args):
-        raise AssertionError("PolyMatrix.__init__ was called")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(PolyMatrix, "__init__", refuse)
+    def matrices():
         made = [gm.matrix for gm in gms] + [braid_image_matrix(w) for w in words]
         made.append(made[1] * made[1])
-    for m in made:
-        assert m == PolyMatrix(m.variable, m.columns) == pickle.loads(pickle.dumps(m))
+        return made + [PolyMatrix.identity(n, "d") for n in (0, 1, 4)]
+
+    def elements():
+        images = [braid_image(w) for w in words + seeded]
+        return images + [-e for e in images]
+
+    def maps():
+        pairs = [(basis, include) for basis in bases for include in (False, True)]
+        single = [generator_matrix(k, b, include) for b, include in pairs for k in (1, 2)]
+        return single + [m for b, include in pairs for m in generator_matrices(b, include)]
+
+    builds = {
+        PolyMatrix: matrices,
+        TLElement: elements,
+        IdealPartition: lambda: [
+            ideal_partition(enumerate_diagrams(n), include)
+            for n in range(2, 7)
+            for include in (False, True)
+        ],
+        DiagramBasis: lambda: [enumeration._basis.__wrapped__(n) for n in range(1, 7)],
+        GeneratorMatrix: maps,
+    }
+    for cls, build in builds.items():
+
+        def refuse(self, *args, name=cls.__name__):
+            raise AssertionError(f"{name}.__init__ was called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "__init__", refuse)
+            made = build()
+        assert made and all(type(value) is cls for value in made)
+        for value in made:
+            fields = [getattr(value, name) for name in cls._fields]
+            assert value == cls(*fields) == pickle.loads(pickle.dumps(value))
+    # One held route: ``_Value`` builds every library-made value but the
+    # two hot ones, which keep their own.
+    library = [c for c in _Value.__subclasses__() if c.__module__.startswith("tlkit.")]
+    assert {c for c in library if "_trusted" in vars(c)} == {PlanarDiagram, LaurentPoly}
+    assert not [c for c in library if "_set" in vars(c)]

@@ -1,6 +1,6 @@
 """The kernels on plain partner tuples: the basis search, pairing
-composition, the generator rule and the ``PairingBasis`` maps built from
-it, the composition table, and the diagram line format's walk, writer
+composition, the generator rule and the maps ``PairingBasis.map`` builds
+from it, the composition table, and the diagram line format's walk, writer
 and reader.
 
 Everything here works on plain partner tuples (1-based, ``pairing[i-1]``
@@ -50,10 +50,11 @@ A generator acts by its local rule, the link-state action of
 arXiv:1204.4505 (``_apply_generator``).  ``PairingBasis`` holds a basis
 of partner tuples and their positions; its ``map(k)``, the one builder
 of generator maps over a whole basis, applies U_k to every pairing as a
-map of positions with loop exponents, built on first use and kept.
-Every route that maps a whole basis reads a record: ``pairing_basis``
-makes one from the walk, and a ``DiagramBasis`` holds its own.  A route
-builds only the maps it reads: the ideal blocks need none, since
+map of positions with loop exponents, and returns it: the record keeps
+no map, so it does not change once it is built.  Every route that maps
+a whole basis reads a record: ``pairing_basis`` makes one from the walk,
+and a ``DiagramBasis`` holds its own.  A route builds each map it reads
+once, and only those: the ideal blocks need none, since
 ``_relations.ideal_blocks`` reads them off the bottom link states of
 the partner tuples.  The composition table is built from the maps by
 associativity, on positions alone: every basis pairing E other than
@@ -200,12 +201,13 @@ def diagram_line(pairing: Sequence[int], loop_exponent: int) -> str:
 @functools.cache
 def _line_patterns() -> tuple[re.Pattern[str], re.Pattern[str]]:
     """The patterns of a whole diagram line and of one pair, compiled by
-    the first ``read_line`` of a process, not by every import."""
+    the first ``read_line`` of a process, not by every import.  Both match
+    ASCII digits and spaces only."""
     import re
 
     return (
-        re.compile(r"^TL\s+(\d+)\s+m=(\d+)\s*((?:\(\d+,\d+\))+)$"),
-        re.compile(r"\((\d+),(\d+)\)"),
+        re.compile(r"^TL\s+(\d+)\s+m=(\d+)\s*((?:\(\d+,\d+\))+)$", re.ASCII),
+        re.compile(r"\((\d+),(\d+)\)", re.ASCII),
     )
 
 
@@ -466,25 +468,21 @@ class PairingBasis:
     the position of each (``index``).  N is read off the first pairing,
     which has 2N entries."""
 
-    __slots__ = ("dimension", "pairings", "index", "_maps")
+    __slots__ = ("dimension", "pairings", "index")
 
     def __init__(self, pairings: Sequence[tuple[int, ...]]) -> None:
         self.dimension, self.pairings = len(pairings[0]) // 2, pairings
         self.index = {p: i for i, p in enumerate(pairings)}
         if len(self.index) != len(pairings):
             raise ValueError("basis contains duplicates")
-        self._maps: dict[int, Map] = {}
 
     def map(self, k: int) -> Map:
         """U_k on every pairing, in order: (targets, exponents) with
-        U_k . P_i = d^exponents[i] . P_targets[i].  Built on first use and
-        kept; two threads that both build it store equal maps."""
-        found = self._maps.get(k)
-        if found is None:
-            images = (_apply_generator(p, k, self.dimension) for p in self.pairings)
-            index = self.index
-            found = self._maps[k] = tuple(zip(*[(index[p], m) for p, m in images]))
-        return found
+        U_k . P_i = d^exponents[i] . P_targets[i].  Built on each call and
+        not kept: a caller that reads a map twice holds it."""
+        images = (_apply_generator(p, k, self.dimension) for p in self.pairings)
+        index = self.index
+        return tuple(zip(*[(index[p], m) for p, m in images]))
 
 
 def pairing_basis(dimension: int) -> PairingBasis:

@@ -25,12 +25,12 @@ its text for ``tlkit bracket --matrix``, which ``_csv.sparse_csv``
 prints.  (Kronecker substitution: Harvey, arXiv:0712.4046.)
 
 Every function here takes the basis as a ``_backend.PairingBasis`` and
-reads the map of each letter's generator from it, so no diagram module
-is loaded.  ``tlkit.braids`` imports this module only where a matrix
-image is made (``braid_image_matrix``) and ``tlkit bracket --matrix``
-where it prints one, so the element form of ``tlkit bracket`` and the
-Artin check of ``tlkit verify``, which decides each relation on the
-element images, compile none of it.
+builds the map of each distinct letter's generator on it once per word,
+so no diagram module is loaded.  ``tlkit.braids`` imports this module
+only where a matrix image is made (``braid_image_matrix``) and ``tlkit
+bracket --matrix`` where it prints one, so the element form of ``tlkit
+bracket`` and the Artin check of ``tlkit verify``, which decides each
+relation on the element images, compile none of it.
 """
 
 from __future__ import annotations
@@ -62,8 +62,10 @@ def _packed_columns(
     is the nonzero packed entry in row j of column i."""
     start = 1 << width * (offset - 3 * len(word.letters))
     columns = [{i: start} for i in range(len(basis.pairings))]
+    # a word may repeat a generator: its map is built once and read here
+    maps = {k: basis.map(k) for k in {abs(letter) for letter in word.letters}}
     for letter in word.letters:
-        targets, exponents = basis.map(abs(letter))
+        targets, exponents = maps[abs(letter)]
         # lifted by A^3, the letter is A^(3+s).1 + A^(3-s).U with s = +-1,
         # and U closes at most one loop, worth A^(3-s).d = -(A^(5-s) + A^(1-s))
         s = 1 if letter > 0 else -1

@@ -26,7 +26,7 @@ module alone; ``diagrams`` and ``elements`` are imported where they are
 used, as are ``matrices`` and ``representation``, and ``enumeration`` is
 not imported at all.  The matrix image is the same product of
 left-multiplication matrices on the identity-included basis, each read
-from the map of the walk's record, ``_backend.pairing_basis``, which
+from a map built on the walk's record, ``_backend.pairing_basis``, which
 ``braid_image_matrix`` and ``tlkit bracket --matrix`` both read: neither
 builds a ``DiagramBasis``.
 
@@ -105,13 +105,10 @@ class BraidWord(_Value):
     def from_text(cls, strands: int, text: str) -> BraidWord:
         if not _require(text, str, "braid word must be text").strip():
             return cls.identity(strands)
-        try:
-            letters = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise ValueError(
-                f"braid word {text!r} must be comma-separated signed integers"
-            ) from None
-        return cls(strands, letters)
+        tokens = text.split(",")
+        if not all(map(_is_letter, tokens)):
+            raise ValueError(f"braid word {text!r} must be comma-separated signed integers")
+        return cls(strands, tuple(map(int, tokens)))
 
     def to_text(self) -> str:
         return ",".join(str(letter) for letter in self.letters)
@@ -125,6 +122,15 @@ class BraidWord(_Value):
 
     def inverse(self) -> BraidWord:
         return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
+
+
+def _is_letter(token: str) -> bool:
+    """Whether ``token`` reads as ASCII ``[+-]?[0-9]+`` between spaces:
+    ``int`` alone also reads underscores and the digits of every script."""
+    digits = token.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    return digits.isascii() and digits.isdigit()
 
 
 def braid_image(word: BraidWord) -> TLElement:

@@ -161,20 +161,21 @@ def _write_replacing(path: Path, text: str) -> None:
 
     A regular file or a missing path is written through a temporary file
     in the same directory, renamed over it, so a killed run leaves the
-    old file or none, never a partial one; the file gets the permissions
-    a plain write would create it with.  Any other existing file (a FIFO,
-    a device) is written in place, since a rename would replace it
-    instead of feeding it.  No newline is translated, so the bytes
-    written are the text's UTF-8 on every platform.
+    old file or none, never a partial one; the file keeps the permission
+    bits of the file it replaces, and a new file gets those a plain write
+    would create it with.  Any other existing file (a FIFO, a device) is
+    written in place, since a rename would replace it instead of feeding
+    it.  No newline is translated, so the bytes written are the text's
+    UTF-8 on every platform.
     """
     import stat
 
     path = os.path.realpath(path)
     try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
-        in_place = False
-    if in_place:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_slices(text))
         return
@@ -190,6 +191,8 @@ def _write_replacing(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_slices(text))
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

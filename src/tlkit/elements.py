@@ -79,11 +79,18 @@ class TLElement(_Value):
 
     @classmethod
     def from_diagram(
-        cls, diagram: PlanarDiagram, coeff: LaurentPoly | None = None, variable: str = "d"
+        cls, diagram: PlanarDiagram, coeff: LaurentPoly | None = None, variable: str | None = None
     ) -> TLElement:
+        """``coeff`` times ``diagram``, by default 1 in ``variable``, which
+        is ``d`` unless given and must be the coefficient's if both are."""
         diagram = _require(diagram, PlanarDiagram, "from_diagram needs a PlanarDiagram")
-        coeff = LaurentPoly.one(variable) if coeff is None else coeff
+        if coeff is None:
+            coeff = LaurentPoly.one("d" if variable is None else variable)
         coeff = _require(coeff, LaurentPoly, "the coefficient must be a LaurentPoly")
+        if variable is not None and variable != coeff.variable:
+            raise ValueError(
+                f"the coefficient is in {coeff.variable!r}, not in variable {variable!r}"
+            )
         return cls.from_terms(diagram.dimension, coeff.variable, [(diagram, coeff)])
 
     def coefficient(self, diagram: PlanarDiagram) -> LaurentPoly:

@@ -37,13 +37,13 @@ the kernels' results in the library's values.
 The action is each generator's local rule, the link-state action of
 arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
 top nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise
-into the diagram pairing (a, b) and (D(a), D(b)).  Each generator's map
-is built once, on first use, by the ``_backend.PairingBasis`` the
-``DiagramBasis`` holds, and every generator matrix reads it there; the
-bracket matrix image reads its maps from a record of its own
-(``braids.braid_image_matrix``).  The ideal blocks and the order read no map:
-``_relations.ideal_blocks`` finds them from the record's partner tuples
-alone, by their bottom link states.
+into the diagram pairing (a, b) and (D(a), D(b)).  Each call builds the
+map of each generator it returns once, by the ``_backend.PairingBasis``
+the ``DiagramBasis`` holds, which keeps none; the bracket matrix image
+builds its maps on a record of its own (``braids.braid_image_matrix``).
+The ideal blocks and the order read no map: ``_relations.ideal_blocks``
+finds them from the record's partner tuples alone, by their bottom link
+states.
 """
 
 from __future__ import annotations

@@ -572,8 +572,9 @@ def reference_image_columns(
     one = LaurentPoly.one("A")
     columns = [{i: one} for i in range(len(basis.pairings))]
     loop = kauffman_loop_value()
+    maps = {k: basis.map(k) for k in {abs(letter) for letter in word.letters}}
     for letter in word.letters:
-        targets, exponents = basis.map(abs(letter))
+        targets, exponents = maps[abs(letter)]
         shift = 1 if letter > 0 else -1
         with_loop = LaurentPoly.monomial("A", -shift) * loop
         updated = []

@@ -53,6 +53,7 @@ class TestBraidWord:
         assert w.letters == (1, -2, 3, -2)
         assert w.to_text() == "1,-2,3,-2"
         assert BraidWord.from_text(4, "").letters == ()
+        assert BraidWord.from_text(4, " +1 , -2 ").letters == (1, -2)
 
     def test_inverse_reverses_and_negates(self):
         w = BraidWord(4, (1, -2, 3))
@@ -86,7 +87,18 @@ class TestBraidWord:
         with pytest.raises(ValueError, match="must be integers"):
             BraidWord(strands, letters)
 
-    @pytest.mark.parametrize("text", ["1,,2", "1,x", "1.5", ","])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,,2",
+            "1,x",
+            "1.5",
+            ",",
+            # ``int`` reads both, as 11 and as 1,-2
+            pytest.param("1_1", id="underscore"),
+            pytest.param("\u0661,-\u0662", id="arabic-indic-digits"),
+        ],
+    )
     def test_from_text_quotes_a_bad_word(self, text):
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             BraidWord.from_text(3, text)

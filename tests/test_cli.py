@@ -313,6 +313,39 @@ class TestEnumerate:
             os.umask(umask)
         assert target.stat().st_mode & 0o777 == 0o644
 
+    @pytest.mark.parametrize(
+        "mode, through_link", [(0o600, False), (0o640, True)], ids=["0600", "0640-symlink"]
+    )
+    def test_output_keeps_the_permissions_of_the_file_it_replaces(
+        self, tmp_path, mode, through_link
+    ):
+        target = tmp_path / "basis.tl"
+        target.write_text("old\n", encoding="utf-8")
+        target.chmod(mode)
+        named = target
+        if through_link:
+            named = tmp_path / "link.tl"
+            named.symlink_to(target)
+        umask = os.umask(0o022)
+        try:
+            assert cli.main(["enumerate", "--dim", "3", "--output", str(named)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert target.read_text(encoding="utf-8") == run_cli(["enumerate", "--dim", "3"])[1]
+
+    def test_rebuilt_cache_file_keeps_its_permissions(self, tmp_path):
+        cache = tmp_path / "cache"
+        args = ["enumerate", "--dim", "3", "--cache", str(cache)]
+        assert run_cli(args)[0] == 0
+        data = cache / "basis_v1_dim3.tl"
+        data.write_text("damaged\n", encoding="utf-8")
+        data.chmod(0o600)
+        code, out = run_cli(args)
+        assert code == 0 and data.read_text(encoding="utf-8") == out
+        assert out == run_cli(["enumerate", "--dim", "3"])[1]
+        assert stat.S_IMODE(data.stat().st_mode) == 0o600
+
     def test_output_through_a_symlink_replaces_its_target(self, tmp_path):
         target = tmp_path / "basis.tl"
         target.write_text("old\n", encoding="utf-8")
@@ -1161,6 +1194,29 @@ class TestBracket:
         )
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["bracket", "--strands", "12", "--word=1_1"],
+            "braid word '1_1' must be comma-separated signed integers",
+        ),
+        (
+            ["bracket", "--strands", "3", "--word=\u0661,-\u0662"],
+            "braid word '\u0661,-\u0662' must be comma-separated signed integers",
+        ),
+        (
+            ["compose", "--dim", "2", "--lhs", "TL \u0662 m=0 (1,2)(3,4)", "--rhs", "TL 2 m=0 (1,3)(2,4)"],
+            "malformed diagram line: 'TL \u0662 m=0 (1,2)(3,4)'",
+        ),
+    ],
+    ids=["bracket-underscore", "bracket-arabic-indic-digits", "compose-arabic-indic-digits"],
+)
+def test_text_formats_read_ascii_digits_only(argv, message, capsys):
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestDraw:
     def test_basis_svg(self):
         code, out = run_cli(["draw", "--dim", "4", "--basis", "--format", "svg"])
@@ -1408,6 +1464,10 @@ def with_repeated_u1():
             "the coefficient must be a LaurentPoly, got 5",
         ),
         (
+            lambda d: TLElement.from_diagram(d, LaurentPoly.one("A"), variable="d"),
+            "the coefficient is in 'A', not in variable 'd'",
+        ),
+        (
             lambda d: TLElement.from_diagram(d).scaled(None),
             "factor must be a LaurentPoly or an integer, got None",
         ),
@@ -1495,6 +1555,7 @@ def with_repeated_u1():
         "generator-matrix-empty-basis",
         "partition-identity-flag", "basis-identity-flag",
         "ceiling-text", "braid-text", "from-diagram", "from-diagram-coefficient",
+        "from-diagram-variable",
         "scaled-factor", "monomial-exponent", "columns-non-sequence",
         "relations-repeated-index", "report-stray-witness",
         "basis-duplicates", "partner-out-of-range", "restrict-unmatched-below",

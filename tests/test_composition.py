@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -144,9 +145,10 @@ def test_generator_map_over_the_kernel_walk_equals_action(n):
 
 
 def test_each_generator_map_is_built_once_per_basis(monkeypatch):
-    # The ideal blocks, both generator-matrix orders and the bracket matrix
-    # image read the maps of the record the basis holds; so does the table
-    # when it is given them.
+    # A basis record keeps no map, so each library call builds every map it
+    # reads once: the table reads the maps it is given, the ideal blocks
+    # read none, and the bracket matrix image builds one map per distinct
+    # letter of its word, however often the letter repeats.
     n = 5
     calls = 0
     rule = _backend._apply_generator
@@ -156,14 +158,23 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
         calls += 1
         return rule(*args)
 
+    def built(call, *args, **kwargs):
+        nonlocal calls
+        calls = 0
+        call(*args, **kwargs)
+        return calls
+
     monkeypatch.setattr(_backend, "_apply_generator", counted)
     basis = DiagramBasis(n, tuple(enumerate_diagrams(n)))
-    list(_backend.table_rows(_maps(basis), basis.index_of(identity_diagram(n))))
-    ideal_partition(basis)
-    generator_matrices(basis, include_identity=False)
-    generator_matrices(basis, include_identity=True)
-    list(_image_columns(BraidWord(n, (1, -2, 3, -4)), basis._record, str))
-    assert calls == (n - 1) * catalan(n)
+    every_map = (n - 1) * catalan(n)
+    maps = _maps(basis)
+    assert calls == every_map
+    assert built(lambda: list(_backend.table_rows(maps, basis.index_of(identity_diagram(n))))) == 0
+    assert built(ideal_partition, basis) == 0
+    assert built(generator_matrices, basis, include_identity=False) == every_map
+    assert built(generator_matrices, basis, include_identity=True) == every_map
+    repeated = BraidWord(n, (1, -2, 1, 3, -1, -2, 1))
+    assert built(lambda: list(_image_columns(repeated, basis._record, str))) == 3 * catalan(n)
     # Each CLI route that maps a whole basis builds every map it reads once,
     # on a record of its own.
     for argv in (
@@ -176,6 +187,25 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
         calls = 0
         assert cli.run(cli._parse(argv))[0] == cli.EXIT_OK
         assert calls == (n - 1) * catalan(n), argv
+
+
+def test_a_basis_keeps_no_map_after_a_call_returns():
+    # The basis is the test's own, so no other test has filled it, and it
+    # stays alive across the measured call; a record that kept the maps of
+    # dimension 8 would hold about 161 kB here.
+    basis = DiagramBasis(8, tuple(enumerate_diagrams(8)))
+    tracemalloc.start()
+    try:
+        # the same call on another basis fills the interpreter's free lists
+        # with traced blocks, which the measured call then reuses
+        generator_matrices(enumerate_diagrams(8))
+        before = tracemalloc.get_traced_memory()[0]
+        generator_matrices(basis)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 10_000
+    assert len(basis) == catalan(8)
 
 
 def test_threads_sharing_a_basis_read_the_same_maps():

@@ -236,6 +236,10 @@ class TestSerialization:
             "TL 2 m=0 (1,9)(2,3)",  # out of range
             "TL 2 (1,2)(3,4)",  # missing loop exponent
             "nonsense",
+            # the format's digits and spaces are ASCII
+            pytest.param("TL \u0662 m=0 (1,2)(3,4)", id="arabic-indic-dimension"),
+            pytest.param("TL 2 m=0 (\u0661,2)(3,4)", id="arabic-indic-node"),
+            pytest.param("TL\u20032 m=0 (1,2)(3,4)", id="em-space"),
         ],
     )
     def test_parse_rejects(self, line):

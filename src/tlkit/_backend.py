@@ -69,7 +69,8 @@ The module imports nothing from the package, so it also holds what
 ``tlkit enumerate``, ``tlkit compose`` and ``tlkit draw`` need besides
 the walks: the size rule (``_integer``, ``_dimension``,
 ``_checked_dimension`` and ``DEFAULT_MAX_DIMENSION``), the range rule
-(``_in_range``), ``catalan``, and the diagram line format:
+(``_in_range``), the integer rule of tlkit's text (``_is_integer_text``,
+on the ASCII ``_SPACES``), ``catalan``, and the diagram line format:
 ``_pair_texts``, ``_line_prefix`` and ``diagram_line``, the one writer
 of a whole line, which ``diagrams.serialize`` and the ``bracket``
 element route both call, and ``read_line``, the one reader, which
@@ -113,6 +114,22 @@ def _integer(value: int, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+#: The spaces of tlkit's text formats, those that ``\s`` matches under
+#: ``re.ASCII``: braid words, diagram lines and diagram files strip these
+#: alone, so no other Unicode space reads as one.
+_SPACES = " \t\n\r\f\v"
+
+
+def _is_integer_text(text: str) -> bool:
+    """Whether ``text`` reads as ASCII ``[+-]?[0-9]+`` between spaces: the
+    one integer rule of tlkit's own text, a braid word's letters and
+    ``repr --gen``.  ``int`` alone also reads underscores, the digits of
+    every script and every Unicode space."""
+    digits = text.strip(_SPACES)
+    unsigned = digits[1:] if digits[:1] in ("+", "-") else digits
+    return unsigned.isascii() and unsigned.isdigit()
 
 
 def _dimension(value: int, name: str = "dimension", least: int = 1) -> int:
@@ -218,7 +235,7 @@ def read_line(line: str) -> tuple[tuple[int, ...], int]:
     if not isinstance(line, str):
         raise ValueError(f"diagram line must be text, got {line!r}")
     line_re, pair_re = _line_patterns()
-    match = line_re.match(line.strip())
+    match = line_re.match(line.strip(_SPACES))
     if not match:
         raise ValueError(f"malformed diagram line: {line!r}")
     dimension = _dimension(int(match.group(1)))
@@ -254,7 +271,7 @@ def read_diagram_arg(value: str, dimension: int) -> tuple[tuple[int, ...], int]:
     inline."""
     if os.path.isfile(value):
         with open(value, encoding="utf-8") as fh:
-            value = fh.read().strip()
+            value = fh.read().strip(_SPACES)
     pairing, loop_exponent = read_line(value)
     if len(pairing) != 2 * dimension:
         raise ValueError(f"diagram has dimension {len(pairing) // 2}, expected {dimension}")

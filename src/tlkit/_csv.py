@@ -53,17 +53,15 @@ def _run_repr(args: Namespace) -> tuple[bool, str]:
     selected generator maps, in the representation order, as CSV blocks;
     the text of ``generator_matrices`` or ``generator_matrix`` over
     ``enumerate_diagrams(N)``."""
+    from ._backend import _is_integer_text
     from ._relations import checked_generator, ordered_maps
     from .laurent import LaurentPoly
 
     n = args.dim
-    indices = range(1, n)
-    if args.gen != "all":
-        try:
-            k = int(args.gen)
-        except ValueError:
-            raise ValueError(f"generator index must be an integer or 'all', got {args.gen!r}") from None
-        indices = (checked_generator(n, k),)
+    # An index is read by a braid letter's rule: ASCII digits and spaces.
+    if not (args.gen == "all" or _is_integer_text(args.gen)):
+        raise ValueError(f"generator index must be an integer or 'all', got {args.gen!r}")
+    indices = range(1, n) if args.gen == "all" else (checked_generator(n, int(args.gen)),)
     order, maps = ordered_maps(n, indices, args.include_identity)
     size = len(order)
     d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d

@@ -2,7 +2,8 @@
 
 A braid word is a sequence of signed Artin generator letters; the text
 form is comma-separated signed indices, e.g. ``1,-2,3,-2`` for
-sigma_1 sigma_2^-1 sigma_3 sigma_2^-1.
+sigma_1 sigma_2^-1 sigma_3 sigma_2^-1, each read by the integer rule of
+tlkit's text, ``_backend._is_integer_text``.
 
 The skein substitution sends
 
@@ -50,11 +51,13 @@ from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ._backend import (
+    _SPACES,
     _apply_generator,
     _checked_dimension,
     _dimension,
     _first_difference,
     _integer,
+    _is_integer_text,
     _walk_dimension,
     diagram_line,
     identity_pairing,
@@ -103,10 +106,10 @@ class BraidWord(_Value):
 
     @classmethod
     def from_text(cls, strands: int, text: str) -> BraidWord:
-        if not _require(text, str, "braid word must be text").strip():
+        if not _require(text, str, "braid word must be text").strip(_SPACES):
             return cls.identity(strands)
         tokens = text.split(",")
-        if not all(map(_is_letter, tokens)):
+        if not all(map(_is_integer_text, tokens)):
             raise ValueError(f"braid word {text!r} must be comma-separated signed integers")
         return cls(strands, tuple(map(int, tokens)))
 
@@ -122,15 +125,6 @@ class BraidWord(_Value):
 
     def inverse(self) -> BraidWord:
         return BraidWord(self.strands, tuple(-x for x in reversed(self.letters)))
-
-
-def _is_letter(token: str) -> bool:
-    """Whether ``token`` reads as ASCII ``[+-]?[0-9]+`` between spaces:
-    ``int`` alone also reads underscores and the digits of every script."""
-    digits = token.strip()
-    if digits[:1] in ("+", "-"):
-        digits = digits[1:]
-    return digits.isascii() and digits.isdigit()
 
 
 def braid_image(word: BraidWord) -> TLElement:

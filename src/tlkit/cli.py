@@ -162,23 +162,26 @@ def _write_replacing(path: Path, text: str) -> None:
     A regular file or a missing path is written through a temporary file
     in the same directory, renamed over it, so a killed run leaves the
     old file or none, never a partial one; the file keeps the permission
-    bits of the file it replaces, and a new file gets those a plain write
-    would create it with.  Any other existing file (a FIFO, a device) is
-    written in place, since a rename would replace it instead of feeding
-    it.  No newline is translated, so the bytes written are the text's
-    UTF-8 on every platform.
+    bits of the file it replaces, and its owner and group where the
+    process may set them (the group alone, else neither), and a new file
+    gets what a plain write would create it with.  Any other existing
+    file (a FIFO, a device, a pipe such as ``/dev/stdout``) is written in
+    place, through the name given, since a rename would replace it
+    instead of feeding it: ``/proc`` links to a pipe resolve to no path.
+    No newline is translated, so the bytes written are the text's UTF-8
+    on every platform.
     """
     import stat
 
-    path = os.path.realpath(path)
     try:
-        mode = os.stat(path).st_mode
+        old = os.stat(path)
     except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+        old = None
+    if old is not None and not stat.S_ISREG(old.st_mode):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_slices(text))
         return
+    path = os.path.realpath(path)
     attempt = 0
     while True:
         tmp = f"{path}.{os.getpid()}.{attempt}.tmp"
@@ -191,8 +194,17 @@ def _write_replacing(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_slices(text))
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
+        if old is not None:
+            # The owner and group, else the group alone, else neither
+            # (Windows has no chown); then the mode, which a chown may
+            # strip of its set-id bits.
+            for uid in (old.st_uid, -1) if hasattr(os, "chown") else ():
+                try:
+                    os.chown(tmp, uid, old.st_gid)
+                    break
+                except PermissionError:
+                    pass
+            os.chmod(tmp, stat.S_IMODE(old.st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -334,12 +346,16 @@ def _is_dash_value(dest: str, value: str) -> bool:
     """Whether ``value``, which starts with "-", is read as the value of
     option ``dest``: a lone negative number, as argparse reads one ("-"
     and decimal digits, or "-", digits, "." and digits; ``isdecimal``
-    matches its ``\\d``), or a braid word in ASCII digits."""
+    matches its ``\\d``), or a braid word whose letters all pass
+    ``BraidWord.from_text``'s rule, ``_backend._is_integer_text``."""
     whole, dot, fraction = value[1:].partition(".")
     if (whole + fraction).isdecimal() and (not dot or fraction != ""):
         return True
-    words = value.split(",")
-    return dest == "word" and all(p.isascii() and p.removeprefix("-").isdecimal() for p in words)
+    if dest != "word":
+        return False
+    from ._backend import _is_integer_text
+
+    return all(map(_is_integer_text, value.split(",")))
 
 
 def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -352,11 +368,11 @@ def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
     with "-", a bad or missing value, an unknown token.  argparse then
     parses ``argv`` and prints what it prints.
 
-    One form is read here that argparse refuses: ``--word -1,2``, a
-    braid word that starts with an inverse letter.  argparse takes only
-    a lone negative number (``--word -1``) as a value, and reads any
-    other token starting with "-" as an option; this reads the pair as
-    ``--word=-1,2``."""
+    One form is read here as ``--word=X``: ``--word X`` for a braid word
+    X that starts with "-" (``-1,2``, ``-1,+2``, ``-1, 2``).  argparse
+    reads it so only for a lone negative number (``--word -1``) or a
+    token holding a space, and reads any other token starting with "-"
+    as an option."""
     command = _COMMANDS.get(argv[0]) if argv else None
     if command is None:
         return None

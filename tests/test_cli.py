@@ -383,6 +383,39 @@ class TestEnumerate:
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["basis.fifo"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_output_to_dev_stdout_feeds_a_pipe(self):
+        # The link /dev/stdout names the pipe itself, which has no path.
+        result = subprocess.run(
+            [sys.executable, "-m", "tlkit.cli", "enumerate", "--dim", "4", "--output", "/dev/stdout"],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == (GOLDEN / "enumerate_dim4.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0, reason="needs root")
+    def test_output_keeps_the_owner_and_group_of_the_file_it_replaces(self, tmp_path):
+        target = tmp_path / "basis.tl"
+        target.write_text("old\n", encoding="utf-8")
+        os.chown(target, 65534, 65534)
+        target.chmod(0o640)
+        assert cli.main(["enumerate", "--dim", "2", "--output", str(target)]) == 0
+        kept = target.stat()
+        assert (kept.st_uid, kept.st_gid, stat.S_IMODE(kept.st_mode)) == (65534, 65534, 0o640)
+        assert target.read_text(encoding="utf-8") == run_cli(["enumerate", "--dim", "2"])[1]
+
+    def test_output_keeps_a_group_the_process_is_in(self, tmp_path):
+        groups = set(os.getgroups()) - {os.getegid()} if hasattr(os, "getgroups") else set()
+        if not groups or os.geteuid() == 0:
+            pytest.skip("needs a user other than root with a second group")
+        target = tmp_path / "basis.tl"
+        target.write_text("old\n", encoding="utf-8")
+        os.chown(target, -1, min(groups))
+        assert cli.main(["enumerate", "--dim", "2", "--output", str(target)]) == 0
+        assert (target.stat().st_uid, target.stat().st_gid) == (os.geteuid(), min(groups))
+
     def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
         def interrupted(args):
             raise KeyboardInterrupt
@@ -750,6 +783,14 @@ class TestStartup:
             assert loaded == kernel | {"tlkit._relations"}
         assert not loaded & self.FRONT_END
         assert result.stdout == run_cli(args)[1]
+
+    @pytest.mark.parametrize("word", ["-1, 2", "-1,+2"], ids=["space", "plus"])
+    def test_a_word_that_starts_with_a_dash_loads_no_front_end(self, word):
+        # "--word X" reads as "--word=X" without argparse.
+        args = ["bracket", "--strands", "3", "--word", word]
+        result = self.fresh_python(self.LOADED, *args)
+        assert not set(result.stderr.split()) & self.FRONT_END
+        assert result.stdout == run_cli(["bracket", "--strands", "3", f"--word={word}"])[1]
 
     @pytest.mark.parametrize("matrix", [[], ["--matrix"]], ids=["element", "matrix"])
     def test_bracket_loads_neither_representation_nor_matrices(self, matrix):
@@ -1209,10 +1250,63 @@ class TestBracket:
             ["compose", "--dim", "2", "--lhs", "TL \u0662 m=0 (1,2)(3,4)", "--rhs", "TL 2 m=0 (1,3)(2,4)"],
             "malformed diagram line: 'TL \u0662 m=0 (1,2)(3,4)'",
         ),
+        # --gen takes what a braid letter takes.
+        (
+            ["repr", "--dim", "3", "--gen", "1_0"],
+            "generator index must be an integer or 'all', got '1_0'",
+        ),
+        (
+            ["repr", "--dim", "3", "--gen", "\u0661"],
+            "generator index must be an integer or 'all', got '\u0661'",
+        ),
     ],
-    ids=["bracket-underscore", "bracket-arabic-indic-digits", "compose-arabic-indic-digits"],
+    ids=[
+        "bracket-underscore",
+        "bracket-arabic-indic-digits",
+        "compose-arabic-indic-digits",
+        "repr-gen-underscore",
+        "repr-gen-arabic-indic-digits",
+    ],
 )
 def test_text_formats_read_ascii_digits_only(argv, message, capsys):
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("gen", [" 1", "+1"])
+def test_generator_index_reads_as_a_letter(gen):
+    assert run_cli(["repr", "--dim", "3", "--gen", gen]) == run_cli(["repr", "--dim", "3", "--gen", "1"])
+
+
+@pytest.mark.parametrize("space", ["\u2003", "\x85"], ids=["em-space", "next-line"])
+@pytest.mark.parametrize(
+    "where, text",
+    [
+        ("word", "{s}1,-2{s}"),
+        ("word", "1,{s}2"),
+        ("word", "{s}"),
+        ("inline", "{s}TL 2 m=0 (1,2)(3,4){s}"),
+        ("inline", "TL 2{s}m=0 (1,2)(3,4)"),
+        ("file", "{s}TL 2 m=0 (1,2)(3,4){s}"),
+        ("file", "TL 2 m=0{s}(1,2)(3,4)"),
+    ],
+    ids=["word-around", "word-inside", "word-alone", "line-around", "line-inside", "file-around", "file-inside"],
+)
+def test_text_formats_read_ascii_spaces_only(where, text, space, tmp_path, capsys):
+    """Both text formats strip and split on the spaces of ``re.ASCII``'s
+    ``\\s`` alone; any other Unicode space is refused, with the message
+    of any other malformed text."""
+    text = text.format(s=space)
+    if where == "word":
+        argv = ["bracket", "--strands", "3", f"--word={text}"]
+        message = f"braid word {text!r} must be comma-separated signed integers"
+    else:
+        operand = text
+        if where == "file":
+            (tmp_path / "lhs.txt").write_text(text + "\n", encoding="utf-8")
+            operand = str(tmp_path / "lhs.txt")
+        argv = ["compose", "--dim", "2", "--lhs", operand, "--rhs", "TL 2 m=0 (1,3)(2,4)"]
+        message = f"malformed diagram line: {text!r}"
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -1671,7 +1765,7 @@ class TestParse:
     VALUES = [
         "3", "0", "12", "-1", "-2", "", "x", " 4", "tl", "artin", "all", "svg",
         "tikz", "1,-2", "-1,2", "--dim", "a=b", "TL 2 m=0 (1,2)(3,4)", "out.tl",
-        "-3", "-.5", "-\u0663",
+        "-3", "-.5", "-\u0663", "-1,+2", "-1, 2",
     ]
     STRAYS = ["extra", "-x", "--bogus", "--", "-", "--help", "-h", "--version", "=3", "--dim="]
 
@@ -1686,17 +1780,28 @@ class TestParse:
             return None
 
     @staticmethod
-    def words_joined(argv):
-        """``argv`` with each ``--word`` followed by a word that starts with
-        "-" (``-1,2``) written as one ``--word=-1,2`` token: the form in
-        which argparse reads what ``_parse`` reads from the pair."""
+    def reads_as_word(text):
+        """Whether ``BraidWord.from_text`` reads ``text`` as letters; one
+        out of range for its strands is still read."""
+        try:
+            BraidWord.from_text(2, text)
+        except ValueError as error:
+            return not str(error).startswith("braid word")
+        return True
+
+    @classmethod
+    def words_joined(cls, argv):
+        """``argv`` with each ``--word`` followed by a braid word that starts
+        with "-" and that ``BraidWord.from_text`` reads (``-1,2``,
+        ``-1,+2``, ``-1, 2``) written as one ``--word=...`` token: the form
+        in which argparse reads what ``_parse`` reads from the pair."""
         out = []
         tokens = iter(argv)
         for token in tokens:
             out.append(token)
             if token == "--word":
                 value = next(tokens, None)
-                if value is not None and re.fullmatch(r"-[0-9]+(,-?[0-9]+)*", value):
+                if value is not None and value.startswith("-") and cls.reads_as_word(value):
                     out[-1] = f"--word={value}"
                 elif value is not None:
                     out.append(value)
@@ -1705,7 +1810,7 @@ class TestParse:
     @settings(max_examples=300, deadline=None)
     @given(argv_lists())
     def test_agrees_with_argparse(self, argv):
-        # Where argparse exits, _parse returns None, but for the pair
+        # Where argparse exits, _parse returns None, but for a pair such as
         # "--word -1,2", which _parse reads as argparse reads "--word=-1,2".
         parsed = cli._parse(argv)
         expected = self.expected(self.words_joined(argv))
@@ -1772,7 +1877,7 @@ class TestParse:
     def test_leaves_the_rest_to_argparse(self, argv):
         assert cli._parse(argv) is None
 
-    @pytest.mark.parametrize("word", ["-1", "-1,2", "-1,-2,3", "-0,1"])
+    @pytest.mark.parametrize("word", ["-1", "-1,2", "-1,-2,3", "-0,1", "-1,+2", "-1, 2", "-1\t,2"])
     def test_takes_a_word_that_starts_with_a_dash(self, word):
         parsed = cli._parse(["bracket", "--strands", "3", "--word", word, "--matrix"])
         assert vars(parsed) == self.expected(["bracket", "--strands", "3", f"--word={word}", "--matrix"])

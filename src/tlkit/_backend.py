@@ -56,7 +56,10 @@ a whole basis reads a record: ``pairing_basis`` makes one from the walk,
 and a ``DiagramBasis`` holds its own.  A route builds each map it reads
 once, and only those: the ideal blocks need none, since
 ``_relations.ideal_blocks`` reads them off the bottom link states of
-the partner tuples.  The composition table is built from the maps by
+the partner tuples, and the bracket matrix image
+(``braids._image_columns``) needs none either.  ``link_states`` splits
+a basis into the top or the bottom link states of its positions, on
+request, for those two.  The composition table is built from the maps by
 associativity, on positions alone: every basis pairing E other than
 the identity is U_k stacked on a parent E' one step closer to the
 identity, with no loop closed (``spanning_tree``).  Then
@@ -124,9 +127,10 @@ _SPACES = " \t\n\r\f\v"
 
 def _is_integer_text(text: str) -> bool:
     """Whether ``text`` reads as ASCII ``[+-]?[0-9]+`` between spaces: the
-    one integer rule of tlkit's own text, a braid word's letters and
-    ``repr --gen``.  ``int`` alone also reads underscores, the digits of
-    every script and every Unicode space."""
+    one integer rule of tlkit's own text: a braid word's letters,
+    ``repr --gen``, the integer options and TLKIT_MAX_DIM.  ``int`` alone
+    also reads underscores, the digits of every script and every Unicode
+    space."""
     digits = text.strip(_SPACES)
     unsigned = digits[1:] if digits[:1] in ("+", "-") else digits
     return unsigned.isascii() and unsigned.isdigit()
@@ -500,6 +504,27 @@ class PairingBasis:
         images = (_apply_generator(p, k, self.dimension) for p in self.pairings)
         index = self.index
         return tuple(zip(*[(index[p], m) for p, m in images]))
+
+
+def link_states(pairings: Sequence[tuple[int, ...]], top: bool) -> tuple[dict[bytes, int], list[int]]:
+    """The link states of one row of the basis ``pairings``, the top row
+    or the bottom one: each distinct state with its id, numbered in order
+    of first appearance, and the id of each position's state.
+
+    A row's link state lists the partner of each of its N nodes, counted
+    1..N along the row, where that partner is on the same row, and 0 for
+    a defect, a node whose strand crosses to the other row.  A diagram is
+    its top state and its bottom state.  A state is a ``bytes``: a basis
+    that fits in memory has N < 128, so every partner fits in a byte.
+    The ids are made on request, and ``PairingBasis`` keeps none."""
+    n = len(pairings[0]) // 2
+    start = n if top else 0
+    # one translate per position: a partner on the other row becomes 0
+    partner = bytes(q - start if start < q <= start + n else 0 for q in range(256))
+    ids: dict[bytes, int] = {}
+    row = slice(start, start + n)
+    state = [ids.setdefault(bytes(p[row]).translate(partner), len(ids)) for p in pairings]
+    return ids, state
 
 
 def pairing_basis(dimension: int) -> PairingBasis:

@@ -105,15 +105,11 @@ def ideal_blocks(pairings: Sequence[tuple[int, ...]], include_identity: bool) ->
       next to an arc end hops to the arc's other end, and two adjacent
       arcs rewire).
 
-    The identity is the one position whose bottom state has no arc.  A
-    bottom state is a ``bytes``: a basis that fits in memory has N < 128,
-    so every partner fits in a byte.
+    The identity is the one position whose bottom state has no arc.  The
+    bottom states are ``_backend.link_states`` of the bottom row.
     """
     n = len(pairings[0]) // 2
-    # a partner on the bottom row is kept and one on the top row becomes 0
-    bottom_partner = bytes(q * (q <= n) for q in range(256))
-    ids: dict[bytes, int] = {}
-    state = [ids.setdefault(bytes(p[:n]).translate(bottom_partner), len(ids)) for p in pairings]
+    ids, state = _backend.link_states(pairings, top=False)
     parent = list(range(len(ids)))
 
     def find(i: int) -> int:

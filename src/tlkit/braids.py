@@ -25,30 +25,31 @@ holds in a ``TLElement`` through ``_trusted``, with no second check, and
 element route loads ``_backend``, ``_values``, ``laurent`` and this
 module alone; ``diagrams`` and ``elements`` are imported where they are
 used, as are ``matrices`` and ``representation``, and ``enumeration`` is
-not imported at all.  The matrix image is the same product of
-left-multiplication matrices on the identity-included basis, each read
-from a map built on the walk's record, ``_backend.pairing_basis``, which
-``braid_image_matrix`` and ``tlkit bracket --matrix`` both read: neither
-builds a ``DiagramBasis``.
+not imported at all.
 
-The matrix image lives in ``tlkit._packed``, which ``braid_image_matrix``
-and ``tlkit bracket --matrix`` import when they run, so the element form
-compiles none of it.  ``_verify_artin`` lists the Artin relations as
-generators, as ``_relations.tl_relations`` lists the TL ones, and passes
-them through ``_relations._checked``, comparing element images alone.
-That decides the matrix images too: the matrix of a word w is left
-multiplication by its element image, column j is w.D_j = (w.1).D_j, and
-the identity's column is w.1 itself, so two words have equal matrices
-exactly when they have equal element images (``tests/test_braids.py``
-holds the two equal).  So the check builds no basis and loads no
-diagram module.
+``_image_terms`` is the only code that applies braid letters.  The
+matrix image is left multiplication by the element image over the
+identity-included basis: column j is w.D_j = (w.1).D_j, and the
+identity's column is w.1 itself.  ``_image_columns`` composes the
+element image onto one representative diagram per top link state and
+reads every other column off it by relabelling its bottom state (see
+its notes), on the walk's record, ``_backend.pairing_basis``, which
+``braid_image_matrix`` and ``tlkit bracket --matrix`` both read: neither
+builds a ``DiagramBasis`` or a generator map.  ``_verify_artin`` lists
+the Artin relations as generators, as ``_relations.tl_relations`` lists
+the TL ones, and passes them through ``_relations._checked``, comparing
+element images alone.  That decides the matrix images too: two words
+have equal matrices exactly when they have equal element images
+(``tests/test_braids.py`` holds the two equal).  So the check builds no
+basis and loads no diagram module.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._backend import (
     _SPACES,
@@ -59,8 +60,10 @@ from ._backend import (
     _integer,
     _is_integer_text,
     _walk_dimension,
+    compose_pairings,
     diagram_line,
     identity_pairing,
+    link_states,
     pairing_basis,
 )
 from ._values import _integers, _require, _Value
@@ -69,6 +72,7 @@ from .laurent import LaurentPoly
 if TYPE_CHECKING:
     from argparse import Namespace
 
+    from ._backend import PairingBasis
     from ._relations import Report
     from .elements import TLElement
     from .matrices import PolyMatrix
@@ -158,6 +162,75 @@ def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
     return sorted(terms.items())
 
 
+def _image_columns(
+    word: BraidWord, basis: PairingBasis, entry: Callable[[LaurentPoly], object]
+) -> Iterator[dict[int, object]]:
+    """The bracket image over ``basis``, the identity-included basis of
+    the word's strand count, as sparse columns made one at a time in
+    basis order: ``column[j]`` is ``entry`` of the nonzero entry in row
+    j.  Each distinct entry is converted once.
+
+    Column j is w.D_j = (w.1).D_j, the sum of c_E.d^m.P over the terms
+    (E, c_E) of ``_image_terms`` with E.D_j = d^m.P, and stacking E moves
+    only D_j's top link state T (``_backend.link_states``).  So one
+    column per T is composed, on one fixed bottom state per defect count;
+    its rows (T', R) hold that bottom state with some defect ranks
+    paired.  Column (T, B) has the same entries in rows (T', B'), B'
+    being B paired at the same ranks (``_paired_alike``)."""
+    pairings, index = basis.pairings, basis.index
+    tops, top = link_states(pairings, top=True)
+    bottoms, bottom = link_states(pairings, top=False)
+    states = list(bottoms)
+    at: list[dict[int, int]] = [{} for _ in states]  # at[B][T] is the position of (T, B)
+    for i, (t, b) in enumerate(zip(top, bottom)):
+        at[b][t] = i
+    fixed = {state.count(0): state for state in states}  # one bottom state per defect count
+    loops = [kauffman_loop_value() ** m for m in range(basis.dimension // 2 + 1)]
+    # the coefficients of c_E.d^m, for each term and loop count m
+    scaled = [(e, [(c * d_m).coeffs for d_m in loops]) for e, c in _image_terms(word)]
+    convert = functools.cache(entry)
+    # for each top state: row bottom state -> [(row top state, entry)]
+    composed: list[dict[int, list[tuple[int, object]]]] = []
+    for state, t in tops.items():
+        below = pairings[at[bottoms[fixed[state.count(0)]]][t]]
+        sums: dict[int, dict[int, int]] = {}  # row -> exponent -> coefficient
+        for e, coeffs in scaled:
+            product, m = compose_pairings(below, e)
+            acc = sums.setdefault(index[product], {})
+            for exponent, c in coeffs[m]:
+                acc[exponent] = acc.get(exponent, 0) + c
+        rows: dict[int, list[tuple[int, object]]] = {}
+        for row, acc in sums.items():
+            poly = LaurentPoly._collected("A", acc)
+            if poly.coeffs:
+                rows.setdefault(bottom[row], []).append((top[row], convert(poly)))
+        composed.append(rows)
+    relabelled: dict[tuple[int, int], dict[int, int]] = {}
+    for t, b in zip(top, bottom):
+        column: dict[int, object] = {}
+        for r, cells in composed[t].items():
+            targets = relabelled.get((b, r))
+            if targets is None:
+                state = states[b]
+                paired = _paired_alike(state, fixed[state.count(0)], states[r])
+                targets = relabelled[b, r] = at[bottoms[paired]]
+            column.update((targets[row_top], value) for row_top, value in cells)
+        yield column
+
+
+def _paired_alike(state: bytes, representative: bytes, paired: bytes) -> bytes:
+    """The link state ``state`` with its r-th and s-th defects paired
+    wherever ``paired`` pairs the r-th and s-th defects of
+    ``representative``, a state with as many defects."""
+    defects = ([a for a, q in enumerate(s) if not q] for s in (representative, state))
+    moved = dict(zip(*defects))  # a defect of the representative -> that of like rank
+    out = bytearray(state)
+    for a, b in moved.items():
+        if paired[a]:
+            out[b] = moved[paired[a] - 1] + 1
+    return bytes(out)
+
+
 def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     """The bracket image as a matrix over the identity-included canonical
     basis (Catalan(N) x Catalan(N), entries in LaurentPoly(A)), stored as
@@ -165,7 +238,6 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     ``repr``, ``copy`` and pickling read those columns; only its ``rows``
     and ``column`` build dense Catalan(N)-sized rows.  A word on more
     strands than ``_backend.DEFAULT_MAX_DIMENSION`` is refused."""
-    from ._packed import _image_columns
     from .matrices import PolyMatrix
 
     word = _require(word, BraidWord, "braid_image_matrix needs a BraidWord")
@@ -260,7 +332,6 @@ def _run_bracket(args: Namespace) -> tuple[bool, str]:
     header = f"# bracket image of {word.to_text() or '(empty word)'} on {args.strands} strands"
     if args.matrix:
         from ._csv import sparse_csv
-        from ._packed import _image_columns
 
         # The matrix is over the basis, which the walk lists.
         basis = pairing_basis(_walk_dimension(args.strands, "strand count"))

@@ -77,6 +77,23 @@ _SLICE = 1 << 16
 _OVERRIDE = "TLKIT_MAX_DIM"
 
 
+def _integer_option(value: str) -> int:
+    """The converter of the integer options, ``--dim``, ``--strands`` and
+    ``--eval-d``, for argparse and ``_parse`` alike: ``value`` read by the
+    one integer rule of tlkit's text, ``_backend._is_integer_text``, by
+    which ``_ceiling_from_env`` reads TLKIT_MAX_DIM too.  ``int`` alone
+    also reads underscores and the digits of every script."""
+    from ._backend import _is_integer_text
+
+    if not _is_integer_text(value):
+        raise ValueError(f"invalid integer {value!r}")
+    return int(value)
+
+
+# argparse names the converter in a usage error: "invalid int value: 'x'".
+_integer_option.__name__ = "int"
+
+
 def _ceiling_from_env() -> int:
     from ._backend import DEFAULT_MAX_DIMENSION
 
@@ -84,9 +101,9 @@ def _ceiling_from_env() -> int:
     if raw is None:
         return DEFAULT_MAX_DIMENSION
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TLKIT_MAX_DIM must be an integer, got {raw!r}") from exc
+        return _integer_option(raw)
+    except ValueError:
+        raise ValueError(f"TLKIT_MAX_DIM must be an integer, got {raw!r}") from None
 
 
 def _basis_lines(dimension: int) -> str:
@@ -232,7 +249,7 @@ _COMMANDS = {
         "cli",
         1,
         (
-            ("--dim", int, None, None),
+            ("--dim", _integer_option, None, None),
             ("--count-only", bool, False, None),
             _OUTPUT,
             ("--cache", _path, None, "cache directory for basis files"),
@@ -243,7 +260,7 @@ _COMMANDS = {
         "_table",
         1,
         (
-            ("--dim", int, None, None),
+            ("--dim", _integer_option, None, None),
             ("--lhs", str, None, "diagram line or file; ends up at the bottom"),
             ("--rhs", str, None, "diagram line or file; stacked on top"),
             ("--table", bool, False, "full composition table as CSV"),
@@ -255,10 +272,10 @@ _COMMANDS = {
         "_csv",
         2,
         (
-            ("--dim", int, None, None),
+            ("--dim", _integer_option, None, None),
             ("--gen", str, "all", "generator index or 'all'"),
             ("--include-identity", bool, False, None),
-            ("--eval-d", int, None, "evaluate entries at an integer d"),
+            ("--eval-d", _integer_option, None, "evaluate entries at an integer d"),
             _OUTPUT,
         ),
     ),
@@ -267,7 +284,7 @@ _COMMANDS = {
         "_relations",
         2,
         (
-            ("--dim", int, None, None),
+            ("--dim", _integer_option, None, None),
             ("--relations", ("tl", "artin", "all"), "tl", None),
             _OUTPUT,
         ),
@@ -277,7 +294,7 @@ _COMMANDS = {
         "braids",
         1,
         (
-            ("--strands", int, None, None),
+            ("--strands", _integer_option, None, None),
             ("--word", str, "", "comma-separated signed indices"),
             ("--matrix", bool, False, None),
             _OUTPUT,
@@ -288,7 +305,7 @@ _COMMANDS = {
         "drawing",
         1,
         (
-            ("--dim", int, None, None),
+            ("--dim", _integer_option, None, None),
             ("--basis", bool, False, "draw the whole basis"),
             ("--diagram", str, None, "diagram line or file"),
             ("--format", ("tikz", "svg"), "tikz", None),

@@ -16,8 +16,9 @@ column by column through element products, to cross-check the element
 and matrix routes of the braid image against each other.
 
 ``reference_image_columns`` is the bracket matrix image built the way the
-library first built it, over ``LaurentPoly`` entries: the packed columns
-of ``tlkit.braids`` are checked against it.
+library first built it, one letter at a time over every column with
+``LaurentPoly`` entries: ``tlkit.braids._image_columns``, which composes
+the element image instead, is checked against it.
 
 ``bottom_pattern_partition`` is the ideal partition computed the way the
 library first did it: group diagrams by bottom pairing pattern and merge

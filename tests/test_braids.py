@@ -2,13 +2,13 @@ import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlkit import _backend, braids, enumeration
-from tlkit._packed import _image_columns, _packed_columns, _unpack, _width
 from tlkit.braids import (
     BraidWord,
+    _image_columns,
     _image_terms,
     _verify_artin,
     braid_image,
@@ -30,8 +30,8 @@ from oracles import (
 
 
 def record(n):
-    """The basis record ``enumerate_diagrams(n)`` holds, which the packed
-    image reads its maps from."""
+    """The basis record ``enumerate_diagrams(n)`` holds, over which the
+    matrix image is built."""
     return enumerate_diagrams(n)._record
 
 
@@ -213,10 +213,10 @@ def test_matrix_route_matches_element_route(n):
 
 
 @st.composite
-def braid_words(draw, min_strands=2, max_strands=5, max_len=6):
+def braid_words(draw, min_strands=2, max_strands=5, max_len=6, min_len=0):
     n = draw(st.integers(min_strands, max_strands))
     letters = st.sampled_from([s * i for i in range(1, n) for s in (1, -1)])
-    return BraidWord(n, tuple(draw(st.lists(letters, max_size=max_len))))
+    return BraidWord(n, tuple(draw(st.lists(letters, min_size=min_len, max_size=max_len))))
 
 
 @given(braid_words())
@@ -246,8 +246,7 @@ def test_matrix_image_builds_no_diagram_basis(monkeypatch):
     assert [braid_image_matrix(w) for w in words] == expected
 
 
-@given(braid_words(max_strands=7, max_len=10))
-def test_packed_columns_match_the_reference(word):
+def assert_columns_match_the_reference(word):
     basis = record(word.strands)
     reference = reference_image_columns(word, basis)
     assert list(_image_columns(word, basis, lambda p: p)) == reference
@@ -255,33 +254,18 @@ def test_packed_columns_match_the_reference(word):
     assert list(_image_columns(word, basis, str)) == texts
 
 
-def test_packing_at_the_edge_of_its_width():
-    # The largest coefficient of any 8-letter word on 3 strands (an
-    # exhaustive search), packed at the narrowest width that holds it
-    # below 2^(width - 1), at one bit less, and at the library's width.
-    word = BraidWord(3, (1, 1, -2, 1, -2, 1, -2, 1))
-    basis = record(3)
-    reference = reference_image_columns(word, basis)
-    top = max(abs(c) for column in reference for p in column.values() for _, c in p.coeffs)
-    assert top == 9
-    offset = 3 * len(word.letters)
+@given(braid_words(max_strands=7, max_len=10))
+def test_image_columns_match_the_reference(word):
+    assert_columns_match_the_reference(word)
 
-    def decoded(width):
-        columns = _packed_columns(word, basis, width, offset)
-        return [{j: _unpack(p, width, offset) for j, p in c.items()} for c in columns]
 
-    edge = top.bit_length() + 1
-    assert top < 2 ** (edge - 1) and decoded(edge) == reference
-    assert decoded(edge - 1) != reference
-    assert decoded(_width(len(word.letters))) == reference
-    # The bound the width rests on: a coefficient is at most 3^L.
-    assert all(3**length < 2 ** (_width(length) - 1) for length in range(200))
-    # Digits at the extremes of the balanced range decode exactly.
-    width = _width(4)
-    extreme = 2 ** (width - 1) - 1
-    coeffs = ((-12, -extreme), (-11, extreme), (0, 1), (5, -1), (12, extreme))
-    packed = sum(c << width * (e + 12) for e, c in coeffs)
-    assert _unpack(packed, width, 12) == LaurentPoly("A", coeffs)
+# The reference applies one letter at a time to every column, about 0.25 s
+# for an 80-letter word on 5 strands, so this property draws fewer words.
+@settings(max_examples=20)
+@given(braid_words(max_strands=5, min_len=40, max_len=80))
+def test_image_columns_of_long_words_match_the_reference(word):
+    # Long words carry wide coefficients in every entry.
+    assert_columns_match_the_reference(word)
 
 
 @pytest.mark.parametrize(
@@ -359,8 +343,9 @@ def test_verify_artin_passes(n):
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_matrix_images_compare_across_lengths(n):
-    # Matrix images of words of different lengths are packed at different
-    # widths; the columns they decode to are compared as polynomials.
+    # Matrix images of words of different lengths, whose entries span
+    # different exponent ranges, compare equal exactly when their columns
+    # hold equal polynomials.
     basis = record(n)
     identity = BraidWord.identity(n)
     _, entries, witnesses = _verify_artin(n)

@@ -126,6 +126,14 @@ class TestGolden:
             ),
             # one-column maps: the identity-free basis of dimension 2
             (["verify", "--dim", "2"], "verify_dim2.txt"),
+            # the wide coefficients of a long word: letter i is i mod 3 + 1,
+            # negated for odd i, for i = 0..399
+            (
+                ["bracket", "--strands", "4", "--matrix", "--word=" + ",".join(
+                    str((-1) ** i * (i % 3 + 1)) for i in range(400)
+                )],
+                "bracket_4_w400_matrix.csv",
+            ),
         ],
     )
     def test_matches_golden_and_byte_stable(self, args, golden):
@@ -800,30 +808,18 @@ class TestStartup:
         assert "tlkit.braids" in loaded
         assert not loaded & {"tlkit.representation", "tlkit.matrices"}
         assert not loaded & self.FRONT_END
-        if matrix:
-            # The matrix form reads its maps off a basis record from the
-            # walk: no diagram, enumeration or composition module.
-            assert loaded == {
-                "tlkit",
-                "tlkit.cli",
-                "tlkit._backend",
-                "tlkit._csv",
-                "tlkit._packed",
-                "tlkit._values",
-                "tlkit.laurent",
-                "tlkit.braids",
-            }
-        else:
-            # The element form runs on partner tuples: no diagram module,
-            # and none of the packed matrix image.
-            assert loaded == {
-                "tlkit",
-                "tlkit.cli",
-                "tlkit._backend",
-                "tlkit._values",
-                "tlkit.laurent",
-                "tlkit.braids",
-            }
+        # Both forms run on partner tuples: no diagram, enumeration or
+        # composition module.  The matrix form composes the element image
+        # on a basis record from the walk, and adds only the CSV writer.
+        element = {
+            "tlkit",
+            "tlkit.cli",
+            "tlkit._backend",
+            "tlkit._values",
+            "tlkit.laurent",
+            "tlkit.braids",
+        }
+        assert loaded == (element | {"tlkit._csv"} if matrix else element)
         assert result.stdout == run_cli(args)[1]
 
     @pytest.mark.parametrize(
@@ -1271,6 +1267,31 @@ class TestBracket:
 def test_text_formats_read_ascii_digits_only(argv, message, capsys):
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "size, eval_d, ceiling",
+    [("1_0", "2_0", "1_3"), ("\u0661\u0660", "\u0662", "\u0661\u0663")],
+    ids=["underscore", "arabic-indic-digits"],
+)
+def test_integer_options_and_the_ceiling_read_ascii_digits_only(size, eval_d, ceiling, monkeypatch, capsys):
+    # The integer options take what a braid letter takes: anything else is
+    # argparse's usage error, as for any other value it cannot convert.
+    for argv, value in (
+        (["enumerate", "--dim", size, "--count-only"], size),
+        (["bracket", f"--strands={size}"], size),
+        (["repr", "--dim", "3", "--gen", "1", "--eval-d", eval_d], eval_d),
+        (["repr", "--dim", "3", f"--eval-d=-{eval_d}"], "-" + eval_d),
+    ):
+        with pytest.raises(SystemExit) as exit:
+            cli.main(argv)
+        assert exit.value.code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(f": invalid int value: {value!r}\n")
+    # TLKIT_MAX_DIM is read by the same rule, and refused with one line.
+    monkeypatch.setenv("TLKIT_MAX_DIM", ceiling)
+    assert cli.main(["enumerate", "--dim", "13", "--count-only"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", f"error: TLKIT_MAX_DIM must be an integer, got {ceiling!r}\n")
 
 
 @pytest.mark.parametrize("gen", [" 1", "+1"])
@@ -1738,7 +1759,9 @@ def argv_lists(draw):
         elif isinstance(kind, tuple):
             fitting = list(kind)
         else:
-            fitting = {int: ["2", "5", "0"], cli._path: ["out.tl"]}.get(kind, ["1,-2", "-1,2", "all", ""])
+            fitting = {cli._integer_option: ["2", "5", "0"], cli._path: ["out.tl"]}.get(
+                kind, ["1,-2", "-1,2", "all", ""]
+            )
         value = draw(_sampled(*fitting))
         if form == "stray":
             argv.append(draw(_sampled(*TestParse.STRAYS)))
@@ -1765,7 +1788,7 @@ class TestParse:
     VALUES = [
         "3", "0", "12", "-1", "-2", "", "x", " 4", "tl", "artin", "all", "svg",
         "tikz", "1,-2", "-1,2", "--dim", "a=b", "TL 2 m=0 (1,2)(3,4)", "out.tl",
-        "-3", "-.5", "-\u0663", "-1,+2", "-1, 2",
+        "-3", "-.5", "-\u0663", "-1,+2", "-1, 2", "1_0", "\u0661\u0660", "\u0662",
     ]
     STRAYS = ["extra", "-x", "--bogus", "--", "-", "--help", "-h", "--version", "=3", "--dim="]
 
@@ -1834,7 +1857,8 @@ class TestParse:
             ["draw", "--dim", "4", "--diagram", "TL 4 m=2 (1,7)(2,3)(4,8)(5,6)", "--format", "svg"],
             # argparse reads a lone negative number as an option's value.
             ["repr", "--dim", "3", "--eval-d", "-3"],
-            ["repr", "--dim", "3", "--eval-d", "-\u0663"],
+            # An integer option reads spaces and a sign as a braid letter does.
+            ["repr", "--dim", "3", "--eval-d", " +2"],
             ["enumerate", "--dim", "-3"],
             ["bracket", "--strands", "3", "--word", "-1.5"],
             ["bracket", "--strands", "3", "--word", "-.5", "--matrix"],
@@ -1872,6 +1896,13 @@ class TestParse:
             ["repr", "--dim", "3", "--eval-d", "-.5"],
             ["bracket", "--strands", "3", "--word", "-\u0661,2"],
             ["repr", "--dim", "3", "--gen", "-1,2"],
+            # An integer option takes what a braid letter takes.
+            ["enumerate", "--dim", "1_0", "--count-only"],
+            ["enumerate", "--dim", "\u0661\u0660", "--count-only"],
+            ["enumerate", "--dim=1_0"],
+            ["bracket", "--strands", "\u0663"],
+            ["repr", "--dim", "3", "--gen", "1", "--eval-d", "\u0662"],
+            ["repr", "--dim", "3", "--eval-d", "-\u0663"],
         ],
     )
     def test_leaves_the_rest_to_argparse(self, argv):
@@ -1889,7 +1920,7 @@ class TestParse:
 #: given as directories.  ``{tmp}`` holds ``file``, a one-line diagram
 #: file, ``binary``, a file that is not UTF-8, and ``dir``.
 SWEEP_VALUES = {
-    int: ["-1", "0", "1", "2", "3", "4", "7", "-7", "99999999999999999999", "2.5", "x", ""],
+    cli._integer_option: ["-1", "0", "1", "2", "3", "4", "7", "-7", "99999999999999999999", "2.5", "x", ""],
     str: [
         "", ",", "1", "-1", "0", "9", "x", "all", "1,-2,1", "1,,2", "1,x", "--dim",
         "TL 2 m=0 (1,2)(3,4)", "TL 2 m=1 (1,4)(2,3)", "TL 2 m=0 (1,3)(2,4)",

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from tlkit import _backend, cli
-from tlkit._packed import _image_columns
-from tlkit.braids import BraidWord
+from tlkit.braids import BraidWord, _image_columns, _image_terms
 from tlkit.composition import compose, compose_scaled
 from tlkit.diagrams import ScaledDiagram, parse
 from tlkit.enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
@@ -147,8 +146,8 @@ def test_generator_map_over_the_kernel_walk_equals_action(n):
 def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     # A basis record keeps no map, so each library call builds every map it
     # reads once: the table reads the maps it is given, the ideal blocks
-    # read none, and the bracket matrix image builds one map per distinct
-    # letter of its word, however often the letter repeats.
+    # read none, and the bracket matrix image builds none: it applies the
+    # letters once, in its element image, and composes the rest.
     n = 5
     calls = 0
     rule = _backend._apply_generator
@@ -174,7 +173,8 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     assert built(generator_matrices, basis, include_identity=False) == every_map
     assert built(generator_matrices, basis, include_identity=True) == every_map
     repeated = BraidWord(n, (1, -2, 1, 3, -1, -2, 1))
-    assert built(lambda: list(_image_columns(repeated, basis._record, str))) == 3 * catalan(n)
+    element = built(_image_terms, repeated)
+    assert built(lambda: list(_image_columns(repeated, basis._record, str))) == element
     # Each CLI route that maps a whole basis builds every map it reads once,
     # on a record of its own.
     for argv in (
@@ -182,11 +182,13 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
         ["verify", "--dim", "5"],
         ["repr", "--dim", "5"],
         ["repr", "--dim", "5", "--include-identity"],
-        ["bracket", "--strands", "5", "--word=1,-2,3,-4", "--matrix"],
     ):
         calls = 0
         assert cli.run(cli._parse(argv))[0] == cli.EXIT_OK
         assert calls == (n - 1) * catalan(n), argv
+    element = built(_image_terms, BraidWord(n, (1, -2, 3, -4)))
+    argv = ["bracket", "--strands", "5", "--word=1,-2,3,-4", "--matrix"]
+    assert built(cli.run, cli._parse(argv)) == element
 
 
 def test_a_basis_keeps_no_map_after_a_call_returns():

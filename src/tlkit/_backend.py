@@ -1,7 +1,7 @@
 """The kernels on plain partner tuples: the basis search, pairing
-composition, the generator rule and the maps ``PairingBasis.map`` builds
-from it, the composition table, and the diagram line format's walk, writer
-and reader.
+composition, the generator rule and the maps ``PairingBasis.maps`` builds
+from it, the link-state grid of a basis, the composition table, and the
+diagram line format's walk, writer and reader.
 
 Everything here works on plain partner tuples (1-based, ``pairing[i-1]``
 is the partner of node i).  ``compose_pairings`` trusts its input:
@@ -47,22 +47,30 @@ union-find and matrix-power readings of the same stack live in the test
 suite as independent oracles.
 
 A generator acts by its local rule, the link-state action of
-arXiv:1204.4505 (``_apply_generator``).  ``PairingBasis`` holds a basis
-of partner tuples and their positions; its ``map(k)``, the one builder
-of generator maps over a whole basis, applies U_k to every pairing as a
-map of positions with loop exponents, and returns it: the record keeps
-no map, so it does not change once it is built.  Every route that maps
-a whole basis reads a record: ``pairing_basis`` makes one from the walk,
-and a ``DiagramBasis`` holds its own.  A route builds each map it reads
-once, and only those: the ideal blocks need none, since
-``_relations.ideal_blocks`` reads them off the bottom link states of
-the partner tuples, and the bracket matrix image
-(``braids._image_columns``) needs none either.  ``link_states`` splits
-a basis into the top or the bottom link states of its positions, on
-request, for those two.  The composition table is built from the maps by
-associativity, on positions alone: every basis pairing E other than
-the identity is U_k stacked on a parent E' one step closer to the
-identity, with no loop closed (``spanning_tree``).  Then
+arXiv:1204.4505 (``_apply_generator``).  ``link_states`` splits a basis
+into the top or the bottom link states of its positions, on request.  A
+product X.D moves only D's top state, so a left action over a whole
+basis is computed once per top state and read off for every other
+position by relabelling its bottom state: ``link_grid`` holds that
+grid, its representatives and its relabelling, and is the one such
+route.  It serves the two left actions over a basis:
+
+* ``PairingBasis`` holds a basis of partner tuples and their positions;
+  its ``maps(indices)``, the one builder of generator maps over a whole
+  basis, applies each U_k once per top state and returns the maps of
+  positions with loop exponents: the record keeps no map, so it does
+  not change once it is built.  Every route that maps a whole basis
+  reads a record: ``pairing_basis`` makes one from the walk, and a
+  ``DiagramBasis`` holds its own.  A route builds each map it reads
+  once, and only those, in one ``maps`` call.
+* The bracket matrix image (``braids._image_columns``) composes the
+  element image onto each top state's representative and builds no map.
+
+The ideal blocks need no map either: ``_relations.ideal_blocks`` reads
+them off the bottom link states.  The composition table is built from
+the maps by associativity, on positions alone: every basis pairing E
+other than the identity is U_k stacked on a parent E' one step closer to
+the identity, with no loop closed (``spanning_tree``).  Then
 D.E = (D.E').U_k, so if D.E' = d^m.D_r, the cell D.E is
 d^(m + e_k[r]).D_(t_k[r]), one step of the map of U_k.
 ``table_rows`` codes the cell d^m.D_r as the int m * size + r, so that
@@ -93,7 +101,7 @@ import math
 import operator
 import os
 import sys
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 if TYPE_CHECKING:
     import re
@@ -106,6 +114,10 @@ DEFAULT_MAX_DIMENSION = 12
 #: A generator's action on a basis: U_k . D_i = d^exponents[i] . D_targets[i]
 #: for (targets, exponents).
 Map = tuple[tuple[int, ...], tuple[int, ...]]
+
+#: A complete basis as a grid of link states, (top, bottom, first,
+#: relabelled): see ``link_grid``.
+Grid = tuple[list[int], list[int], list[int], list[Callable[[int], dict[int, int]]]]
 
 K = TypeVar("K")
 
@@ -497,13 +509,24 @@ class PairingBasis:
         if len(self.index) != len(pairings):
             raise ValueError("basis contains duplicates")
 
-    def map(self, k: int) -> Map:
-        """U_k on every pairing, in order: (targets, exponents) with
-        U_k . P_i = d^exponents[i] . P_targets[i].  Built on each call and
-        not kept: a caller that reads a map twice holds it."""
-        images = (_apply_generator(p, k, self.dimension) for p in self.pairings)
-        index = self.index
-        return tuple(zip(*[(index[p], m) for p, m in images]))
+    def maps(self, indices: Iterable[int]) -> list[Map]:
+        """U_k on every pairing, in order, for each k in ``indices``:
+        (targets, exponents) with U_k . P_i = d^exponents[i] . P_targets[i].
+        The grid of the basis (``link_grid``) is made once per call, U_k
+        is applied once per top link state, to the pairing the grid picks
+        for it, and every other position is read off that image by the
+        grid's relabelling.  Built on each call and not kept: a caller
+        that reads a map twice holds it."""
+        index, n = self.index, self.dimension
+        top, bottom, first, relabelled = link_grid(self.pairings)
+        out = []
+        for k in indices:
+            images = []  # for each top state T: U_k.first[T] as (its top, its bottom, loops)
+            for pairing, m in (_apply_generator(p, k, n) for p in first):
+                images.append((top[index[pairing]], bottom[index[pairing]], m))
+            targets = tuple(relabelled[b](images[t][1])[images[t][0]] for t, b in zip(top, bottom))
+            out.append((targets, tuple(images[t][2] for t in top)))
+        return out
 
 
 def link_states(pairings: Sequence[tuple[int, ...]], top: bool) -> tuple[dict[bytes, int], list[int]]:
@@ -527,9 +550,47 @@ def link_states(pairings: Sequence[tuple[int, ...]], top: bool) -> tuple[dict[by
     return ids, state
 
 
+def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
+    """The complete basis ``pairings`` as a grid of link states, for a
+    left action over the whole basis: (top, bottom, first, relabelled).
+
+    ``top[i]`` and ``bottom[i]`` are the state ids of position i
+    (``link_states``).  Stacking X on a diagram (T, B) moves only T, and
+    pairs B's r-th and s-th defects where it joins T's (arXiv:1204.4505).
+    So X is applied once per top state T, to ``first[T]``, the pairing of
+    T over B_1, the first bottom state with as many defects.  If that
+    gives d^m.(T', R), then X.(T, B) = d^m.(T', B'), where B' is B with
+    its r-th and s-th defects paired wherever R pairs those of B_1, and
+    ``relabelled[B](R)[T']`` is the position of (T', B'), memoized per
+    (B, R).  Made on request, and ``PairingBasis`` keeps none."""
+    tops, top = link_states(pairings, top=True)
+    bottoms, bottom = link_states(pairings, top=False)
+    states = list(bottoms)
+    at: list[dict[int, int]] = [{} for _ in states]  # at[B][T] is the position of (T, B)
+    for i, (t, b) in enumerate(zip(top, bottom)):
+        at[b][t] = i
+    defects = [[a for a, q in enumerate(state) if not q] for state in states]
+    ones = {len(own): b for b, own in reversed(list(enumerate(defects)))}  # defect count -> B_1
+    first = [pairings[at[ones[state.count(0)]][t]] for state, t in tops.items()]
+
+    def relabel(b: int, r: int) -> dict[int, int]:
+        # a defect of B_1 -> B's defect of like rank
+        moved = dict(zip(defects[ones[len(defects[b])]], defects[b]))
+        state, paired = bytearray(states[b]), states[r]
+        for a, c in moved.items():
+            if paired[a]:
+                state[c] = moved[paired[a] - 1] + 1
+        return at[bottoms[bytes(state)]]
+
+    # memoized per B on the int R alone: a key tuple per (B, R) would be
+    # left in the interpreter's free lists when the grid is dropped
+    relabelled = [functools.cache(functools.partial(relabel, b)) for b in range(len(states))]
+    return top, bottom, first, relabelled
+
+
 def pairing_basis(dimension: int) -> PairingBasis:
     """The walk's basis as a new record, not cached: a caller that drops
-    it frees its index and maps."""
+    it frees its index."""
     return PairingBasis(enumerate_pairings(dimension))
 
 

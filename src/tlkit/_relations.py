@@ -28,8 +28,9 @@ link states with no generator map built; ``representation_order``
 lists them in the order those blocks give (the one of ``verify``,
 ``repr`` and the generator matrices), ``renumbered`` moves maps into
 it, and ``ordered_maps`` does both for ``verify`` and ``repr``, on the
-walk's basis, building only the maps it returns.  ``checked_generator``
-is the one rule for a generator index.
+walk's basis, building only the maps it returns, in one
+``PairingBasis.maps`` call.  ``checked_generator`` is the one rule for a
+generator index.
 
 The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
@@ -145,11 +146,13 @@ def ordered_maps(n: int, indices: Iterable[int], identity: bool) -> tuple[Sequen
     """The representation order of the walk's basis of dimension ``n``,
     with the identity if ``identity``, and the maps of U_k for k in
     ``indices`` renumbered into it: the basis of ``tlkit repr`` and
-    ``tlkit verify``.  The maps are built before the order, so the
-    order's state is not held while they build, and the basis record is
-    dropped before the renumbering, which reads positions only."""
+    ``tlkit verify``.  The maps are built in one ``maps`` call before
+    the order, so the order's state is not held while they build.  The
+    function builds its own basis record and drops it before the
+    renumbering, which reads positions only: a record passed in by a
+    caller would still be held there."""
     basis = _backend.pairing_basis(n)
-    maps, order = [basis.map(k) for k in indices], representation_order(basis.pairings, identity)
+    maps, order = basis.maps(indices), representation_order(basis.pairings, identity)
     del basis
     return order, renumbered(maps, order)
 

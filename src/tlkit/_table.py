@@ -26,7 +26,7 @@ def _run_compose(args: Namespace) -> tuple[bool, str]:
 
         n = args.dim
         basis = pairing_basis(n)
-        maps = [basis.map(k) for k in range(1, n)]
+        maps = basis.maps(range(1, n))
         root, size = basis.index[identity_pairing(n)], len(basis.pairings)
         del basis  # the table reads positions only
         # labels[m * size + r] is "row:loops" for d^m . D_r, the cell that

@@ -32,10 +32,12 @@ matrix image is left multiplication by the element image over the
 identity-included basis: column j is w.D_j = (w.1).D_j, and the
 identity's column is w.1 itself.  ``_image_columns`` composes the
 element image onto one representative diagram per top link state and
-reads every other column off it by relabelling its bottom state (see
-its notes), on the walk's record, ``_backend.pairing_basis``, which
-``braid_image_matrix`` and ``tlkit bracket --matrix`` both read: neither
-builds a ``DiagramBasis`` or a generator map.  ``_verify_artin`` lists
+reads every other column off it by relabelling its bottom state, both
+through ``_backend.link_grid``, the grid that ``PairingBasis.maps``
+reads too (see its notes).  It runs on the walk's record,
+``_backend.pairing_basis``, which ``braid_image_matrix`` and ``tlkit
+bracket --matrix`` both read: neither builds a ``DiagramBasis`` or a
+generator map.  ``_verify_artin`` lists
 the Artin relations as generators, as ``_relations.tl_relations`` lists
 the TL ones, and passes them through ``_relations._checked``, comparing
 element images alone.  That decides the matrix images too: two words
@@ -63,7 +65,7 @@ from ._backend import (
     compose_pairings,
     diagram_line,
     identity_pairing,
-    link_states,
+    link_grid,
     pairing_basis,
 )
 from ._values import _integers, _require, _Value
@@ -172,27 +174,18 @@ def _image_columns(
 
     Column j is w.D_j = (w.1).D_j, the sum of c_E.d^m.P over the terms
     (E, c_E) of ``_image_terms`` with E.D_j = d^m.P, and stacking E moves
-    only D_j's top link state T (``_backend.link_states``).  So one
-    column per T is composed, on one fixed bottom state per defect count;
-    its rows (T', R) hold that bottom state with some defect ranks
-    paired.  Column (T, B) has the same entries in rows (T', B'), B'
-    being B paired at the same ranks (``_paired_alike``)."""
-    pairings, index = basis.pairings, basis.index
-    tops, top = link_states(pairings, top=True)
-    bottoms, bottom = link_states(pairings, top=False)
-    states = list(bottoms)
-    at: list[dict[int, int]] = [{} for _ in states]  # at[B][T] is the position of (T, B)
-    for i, (t, b) in enumerate(zip(top, bottom)):
-        at[b][t] = i
-    fixed = {state.count(0): state for state in states}  # one bottom state per defect count
+    only D_j's top link state.  So one column per top state is composed,
+    on the pairing ``_backend.link_grid`` picks for it, and every other
+    column is read off it by the grid's relabelling of the row bottoms."""
+    index = basis.index
+    top, bottom, first, relabelled = link_grid(basis.pairings)
     loops = [kauffman_loop_value() ** m for m in range(basis.dimension // 2 + 1)]
     # the coefficients of c_E.d^m, for each term and loop count m
     scaled = [(e, [(c * d_m).coeffs for d_m in loops]) for e, c in _image_terms(word)]
     convert = functools.cache(entry)
     # for each top state: row bottom state -> [(row top state, entry)]
     composed: list[dict[int, list[tuple[int, object]]]] = []
-    for state, t in tops.items():
-        below = pairings[at[bottoms[fixed[state.count(0)]]][t]]
+    for below in first:
         sums: dict[int, dict[int, int]] = {}  # row -> exponent -> coefficient
         for e, coeffs in scaled:
             product, m = compose_pairings(below, e)
@@ -205,30 +198,12 @@ def _image_columns(
             if poly.coeffs:
                 rows.setdefault(bottom[row], []).append((top[row], convert(poly)))
         composed.append(rows)
-    relabelled: dict[tuple[int, int], dict[int, int]] = {}
     for t, b in zip(top, bottom):
         column: dict[int, object] = {}
         for r, cells in composed[t].items():
-            targets = relabelled.get((b, r))
-            if targets is None:
-                state = states[b]
-                paired = _paired_alike(state, fixed[state.count(0)], states[r])
-                targets = relabelled[b, r] = at[bottoms[paired]]
+            targets = relabelled[b](r)
             column.update((targets[row_top], value) for row_top, value in cells)
         yield column
-
-
-def _paired_alike(state: bytes, representative: bytes, paired: bytes) -> bytes:
-    """The link state ``state`` with its r-th and s-th defects paired
-    wherever ``paired`` pairs the r-th and s-th defects of
-    ``representative``, a state with as many defects."""
-    defects = ([a for a, q in enumerate(s) if not q] for s in (representative, state))
-    moved = dict(zip(*defects))  # a defect of the representative -> that of like rank
-    out = bytearray(state)
-    for a, b in moved.items():
-        if paired[a]:
-            out[b] = moved[paired[a] - 1] + 1
-    return bytes(out)
 
 
 def braid_image_matrix(word: BraidWord) -> PolyMatrix:

@@ -13,7 +13,9 @@ depth-first enumerators over partial diagrams.
 All values are immutable; ``enumerate_diagrams`` is cached and safe to
 share across threads.  A ``DiagramBasis`` holds a ``_backend.PairingBasis``
 of its pairings in its own order, with their index; the record keeps no
-generator map, so reading the maps leaves a cached basis as it was.
+generator map (its ``maps`` builds and returns them, and the link-state
+grid they are read through is made per call), so reading the maps
+leaves a cached basis as it was.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ class DiagramBasis(_Value):
     """The full basis for one dimension: Catalan(N) distinct diagrams,
     canonical order unless a caller chose another, plus an index for O(1)
     position lookup.  ``_record`` holds the index, keyed by the partner
-    tuple, which alone identifies a diagram, and builds each generator's
-    map on request."""
+    tuple, which alone identifies a diagram, and builds the generators'
+    maps on request (``maps``)."""
 
     _fields = ("dimension", "diagrams")
     __slots__ = (*_fields, "_record")

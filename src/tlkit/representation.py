@@ -38,12 +38,14 @@ The action is each generator's local rule, the link-state action of
 arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
 top nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise
 into the diagram pairing (a, b) and (D(a), D(b)).  Each call builds the
-map of each generator it returns once, by the ``_backend.PairingBasis``
-the ``DiagramBasis`` holds, which keeps none; the bracket matrix image
-builds its maps on a record of its own (``braids.braid_image_matrix``).
-The ideal blocks and the order read no map: ``_relations.ideal_blocks``
-finds them from the record's partner tuples alone, by their bottom link
-states.
+maps of the generators it returns in one ``maps`` call on the
+``_backend.PairingBasis`` the ``DiagramBasis`` holds, which keeps none:
+the rule is applied once per top link state, and every other column is
+read off by relabelling (``_backend.link_grid``).  The bracket matrix
+image reads the same grid and builds no map
+(``braids.braid_image_matrix``).  The ideal blocks and the order read no
+map: ``_relations.ideal_blocks`` finds them from the record's partner
+tuples alone, by their bottom link states.
 """
 
 from __future__ import annotations
@@ -267,7 +269,7 @@ def _generator_maps(
     record = basis._record
     order = representation_order(record.pairings, include_identity)
     basis_order = tuple(basis[i] for i in order)
-    maps = renumbered([record.map(k) for k in indices], order)
+    maps = renumbered(record.maps(indices), order)
     return [
         GeneratorMatrix._trusted(k, basis_order, targets, exponents)
         for k, (targets, exponents) in zip(indices, maps)

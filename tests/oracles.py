@@ -15,17 +15,21 @@ kernel search or the strand-walk composition under test:
 column by column through element products, to cross-check the element
 and matrix routes of the braid image against each other.
 
-``reference_image_columns`` is the bracket matrix image built the way the
-library first built it, one letter at a time over every column with
-``LaurentPoly`` entries: ``tlkit.braids._image_columns``, which composes
-the element image instead, is checked against it.
+``reference_map`` is the map of one generator over a basis built the way
+the library first built it, by the generator rule applied to every
+pairing: ``PairingBasis.maps``, which applies it once per top link state
+and relabels the rest, is checked against it.  ``reference_image_columns``
+is the bracket matrix image built the way the library first built it,
+one letter at a time over every column with ``LaurentPoly`` entries, on
+``reference_map``: ``tlkit.braids._image_columns``, which composes the
+element image instead, is checked against it.
 
 ``bottom_pattern_partition`` is the ideal partition computed the way the
 library first did it: group diagrams by bottom pairing pattern and merge
 groups along the generator action until they are closed.
 ``position_blocks`` is the union-find over every basis position along
-the generator maps, which the library ran before it read the blocks off
-the bottom link states.
+the generator maps of ``reference_map``, which the library ran before it
+read the blocks off the bottom link states.
 
 ``dense_braid_image_matrix`` and ``dense_tl_relations`` are the dense
 ``PolyMatrix`` routes the library replaced by column-monomial maps: the
@@ -55,7 +59,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from tlkit.braids import BraidWord, braid_image, kauffman_loop_value
-from tlkit._backend import PairingBasis, identity_pairing
+from tlkit._backend import Map, PairingBasis, _apply_generator, identity_pairing
 from tlkit.composition import compose
 from tlkit.diagrams import PlanarDiagram
 from tlkit.elements import TLElement, multiply
@@ -563,6 +567,14 @@ def dense_braid_image_matrix(word: BraidWord) -> PolyMatrix:
     return acc
 
 
+def reference_map(basis: PairingBasis, k: int) -> Map:
+    """U_k on every pairing of ``basis``, in order, by the generator rule
+    applied to each: (targets, exponents) with
+    U_k . P_i = d^exponents[i] . P_targets[i]."""
+    images = (_apply_generator(p, k, basis.dimension) for p in basis.pairings)
+    return tuple(zip(*[(basis.index[p], m) for p, m in images]))
+
+
 def reference_image_columns(
     word: BraidWord, basis: PairingBasis
 ) -> list[dict[int, LaurentPoly]]:
@@ -573,7 +585,7 @@ def reference_image_columns(
     one = LaurentPoly.one("A")
     columns = [{i: one} for i in range(len(basis.pairings))]
     loop = kauffman_loop_value()
-    maps = {k: basis.map(k) for k in {abs(letter) for letter in word.letters}}
+    maps = {k: reference_map(basis, k) for k in {abs(letter) for letter in word.letters}}
     for letter in word.letters:
         targets, exponents = maps[abs(letter)]
         shift = 1 if letter > 0 else -1
@@ -679,7 +691,7 @@ def position_blocks(basis: PairingBasis, include_identity: bool) -> list[list[in
         return i
 
     for k in range(1, basis.dimension):
-        for i, j in enumerate(basis.map(k)[0]):
+        for i, j in enumerate(reference_map(basis, k)[0]):
             if i != skip:
                 parent[find(j)] = find(i)
     grouped: dict[int, list[int]] = {}

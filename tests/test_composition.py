@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ from oracles import (
     connectivity_matrixpower,
     loop_count_unionfind,
     reachability_power,
+    reference_map,
 )
 
 
@@ -104,8 +106,7 @@ def test_associativity_randomized(n):
 
 
 def _maps(basis):
-    record = basis._record
-    return [record.map(k) for k in range(1, basis.dimension)]
+    return basis._record.maps(range(1, basis.dimension))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -138,15 +139,27 @@ def test_generator_map_over_the_kernel_walk_equals_action(n):
     # holds, whether the library or a caller built the basis.
     record = _backend.pairing_basis(n)
     caller_built = DiagramBasis(n, tuple(enumerate_diagrams(n)))._record
-    for k in range(1, n):
-        assert record.map(k) == caller_built.map(k) == enumerate_diagrams(n)._record.map(k)
+    ks = range(1, n)
+    assert record.maps(ks) == caller_built.maps(ks) == enumerate_diagrams(n)._record.maps(ks)
     assert list(record.pairings) == [d.pairing for d in enumerate_diagrams(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_maps_equal_the_rule_on_every_pairing(n):
+    # ``maps`` applies each U_k once per top link state and relabels the
+    # bottom state of every other position; the reference applies it to
+    # every pairing.  The maps come in the order of the indices given.
+    record = _backend.pairing_basis(n)
+    expected = [reference_map(record, k) for k in range(1, n)]
+    assert record.maps(range(1, n)) == expected
+    assert record.maps(reversed(range(1, n))) == expected[::-1]
 
 
 def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     # A basis record keeps no map, so each library call builds every map it
-    # reads once: the table reads the maps it is given, the ideal blocks
-    # read none, and the bracket matrix image builds none: it applies the
+    # reads once, and ``maps`` applies each generator once per top link
+    # state: the table reads the maps it is given, the ideal blocks read
+    # none, and the bracket matrix image builds none: it applies the
     # letters once, in its element image, and composes the rest.
     n = 5
     calls = 0
@@ -165,7 +178,7 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
 
     monkeypatch.setattr(_backend, "_apply_generator", counted)
     basis = DiagramBasis(n, tuple(enumerate_diagrams(n)))
-    every_map = (n - 1) * catalan(n)
+    every_map = (n - 1) * math.comb(n, n // 2)
     maps = _maps(basis)
     assert calls == every_map
     assert built(lambda: list(_backend.table_rows(maps, basis.index_of(identity_diagram(n))))) == 0
@@ -185,7 +198,7 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     ):
         calls = 0
         assert cli.run(cli._parse(argv))[0] == cli.EXIT_OK
-        assert calls == (n - 1) * catalan(n), argv
+        assert calls == every_map, argv
     element = built(_image_terms, BraidWord(n, (1, -2, 3, -4)))
     argv = ["bracket", "--strands", "5", "--word=1,-2,3,-4", "--matrix"]
     assert built(cli.run, cli._parse(argv)) == element

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from tlkit import _backend
+from tlkit.braids import BraidWord, _image_columns
 from tlkit.diagrams import PlanarDiagram, connectability, restrict_connectability
 from tlkit.enumeration import (
     DiagramBasis,
@@ -205,6 +206,27 @@ def test_walks_hold_nothing_after_they_return(walk, bound):
         tracemalloc.stop()
         gc.enable()
     assert held < bound
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        lambda: _backend.pairing_basis(8).maps(range(1, 8)),
+        lambda: list(_image_columns(BraidWord(8, (1, -2, 3, -7)), _backend.pairing_basis(8), str)),
+    ],
+    ids=["maps", "image_columns"],
+)
+def test_left_actions_leave_no_cycle(action):
+    # The link grid memoizes its relabelling in a closure; one that referred
+    # to itself would hold the grid until a garbage collection, switched
+    # off here, as the walks once held their memos.
+    gc.collect()
+    gc.disable()
+    try:
+        action()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_identity_diagram():

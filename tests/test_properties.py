@@ -20,10 +20,10 @@ from tlkit.diagrams import (
     parse,
     serialize,
 )
-from tlkit.enumeration import identity_diagram
+from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
 from tlkit.representation import generator_diagram
 
-from oracles import node_position
+from oracles import node_position, reference_map
 
 
 @st.composite
@@ -103,6 +103,15 @@ def test_generator_rule_matches_composition(diagram):
         product = compose(diagram, generator_diagram(n, k))
         assert (pairing, loops) == (product.diagram.pairing, product.loop_exponent)
         assert PlanarDiagram(n, pairing).pairing == pairing
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(enumerate_diagrams(n).diagrams)))
+def test_maps_equal_the_rule_in_any_basis_order(diagrams):
+    # Link-state ids are numbered by first appearance, so a caller's order
+    # of the basis numbers the grid's states and picks its representatives.
+    n = diagrams[0].dimension
+    record = DiagramBasis(n, tuple(diagrams))._record
+    assert record.maps(range(1, n)) == [reference_map(record, k) for k in range(1, n)]
 
 
 @given(diagrams, st.integers(0, 10**6))

@@ -1,5 +1,5 @@
 """The kernels on plain partner tuples: the basis search, pairing
-composition, the generator rule and the maps ``PairingBasis.maps`` builds
+composition, the generator rule and the maps ``generator_maps`` builds
 from it, the link-state grid of a basis, the composition table, and the
 diagram line format's walk, writer and reader.
 
@@ -52,17 +52,17 @@ into the top or the bottom link states of its positions, on request.  A
 product X.D moves only D's top state, so a left action over a whole
 basis is computed once per top state and read off for every other
 position by relabelling its bottom state: ``link_grid`` holds that
-grid, its representatives and its relabelling, and is the one such
-route.  It serves the two left actions over a basis:
+grid, its representatives and its relabelling, and locates any basis
+pairing by its two states, so it is the one position index of such a
+route.  A basis is the list of its partner tuples, in order, and the
+grid serves the two left actions over one:
 
-* ``PairingBasis`` holds a basis of partner tuples and their positions;
-  its ``maps(indices)``, the one builder of generator maps over a whole
-  basis, applies each U_k once per top state and returns the maps of
-  positions with loop exponents: the record keeps no map, so it does
-  not change once it is built.  Every route that maps a whole basis
-  reads a record: ``pairing_basis`` makes one from the walk, and a
-  ``DiagramBasis`` holds its own.  A route builds each map it reads
-  once, and only those, in one ``maps`` call.
+* ``generator_maps(pairings, indices)``, the one builder of generator
+  maps over a whole basis, applies each U_k once per top state and
+  returns the maps of positions with loop exponents.  Every route that
+  maps a whole basis passes a list: the walk's, or the pairings of a
+  ``DiagramBasis`` in its own order.  A route builds each map it reads
+  once, and only those, in one call, and nothing keeps them.
 * The bracket matrix image (``braids._image_columns``) composes the
   element image onto each top state's representative and builds no map.
 
@@ -116,8 +116,9 @@ DEFAULT_MAX_DIMENSION = 12
 Map = tuple[tuple[int, ...], tuple[int, ...]]
 
 #: A complete basis as a grid of link states, (top, bottom, first,
-#: relabelled): see ``link_grid``.
-Grid = tuple[list[int], list[int], list[int], list[Callable[[int], dict[int, int]]]]
+#: relabelled, locate): see ``link_grid``.
+Grid = tuple[list[int], list[int], list[tuple[int, ...]], list[Callable[[int], dict[int, int]]],
+             Callable[[tuple[int, ...]], tuple[int, int]]]
 
 K = TypeVar("K")
 
@@ -496,37 +497,12 @@ def _apply_generator(
     return tuple(out), 0
 
 
-class PairingBasis:
-    """The Catalan(N) pairings of one dimension N in a given order, with
-    the position of each (``index``).  N is read off the first pairing,
-    which has 2N entries."""
-
-    __slots__ = ("dimension", "pairings", "index")
-
-    def __init__(self, pairings: Sequence[tuple[int, ...]]) -> None:
-        self.dimension, self.pairings = len(pairings[0]) // 2, pairings
-        self.index = {p: i for i, p in enumerate(pairings)}
-        if len(self.index) != len(pairings):
-            raise ValueError("basis contains duplicates")
-
-    def maps(self, indices: Iterable[int]) -> list[Map]:
-        """U_k on every pairing, in order, for each k in ``indices``:
-        (targets, exponents) with U_k . P_i = d^exponents[i] . P_targets[i].
-        The grid of the basis (``link_grid``) is made once per call, U_k
-        is applied once per top link state, to the pairing the grid picks
-        for it, and every other position is read off that image by the
-        grid's relabelling.  Built on each call and not kept: a caller
-        that reads a map twice holds it."""
-        index, n = self.index, self.dimension
-        top, bottom, first, relabelled = link_grid(self.pairings)
-        out = []
-        for k in indices:
-            images = []  # for each top state T: U_k.first[T] as (its top, its bottom, loops)
-            for pairing, m in (_apply_generator(p, k, n) for p in first):
-                images.append((top[index[pairing]], bottom[index[pairing]], m))
-            targets = tuple(relabelled[b](images[t][1])[images[t][0]] for t, b in zip(top, bottom))
-            out.append((targets, tuple(images[t][2] for t in top)))
-        return out
+def _row(n: int, top: bool) -> tuple[slice, bytes]:
+    """The top or bottom row of a partner tuple of dimension ``n``: the
+    slice of its nodes and the table that translates their partners into
+    the row's link state, a partner on the other row into 0."""
+    start = n if top else 0
+    return slice(start, start + n), bytes(q - start if start < q <= start + n else 0 for q in range(256))
 
 
 def link_states(pairings: Sequence[tuple[int, ...]], top: bool) -> tuple[dict[bytes, int], list[int]]:
@@ -539,30 +515,29 @@ def link_states(pairings: Sequence[tuple[int, ...]], top: bool) -> tuple[dict[by
     a defect, a node whose strand crosses to the other row.  A diagram is
     its top state and its bottom state.  A state is a ``bytes``: a basis
     that fits in memory has N < 128, so every partner fits in a byte.
-    The ids are made on request, and ``PairingBasis`` keeps none."""
-    n = len(pairings[0]) // 2
-    start = n if top else 0
-    # one translate per position: a partner on the other row becomes 0
-    partner = bytes(q - start if start < q <= start + n else 0 for q in range(256))
+    The ids are made on request, and nothing keeps them."""
+    row, partner = _row(len(pairings[0]) // 2, top)
     ids: dict[bytes, int] = {}
-    row = slice(start, start + n)
     state = [ids.setdefault(bytes(p[row]).translate(partner), len(ids)) for p in pairings]
     return ids, state
 
 
 def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
     """The complete basis ``pairings`` as a grid of link states, for a
-    left action over the whole basis: (top, bottom, first, relabelled).
+    left action over the whole basis: (top, bottom, first, relabelled,
+    locate).
 
     ``top[i]`` and ``bottom[i]`` are the state ids of position i
-    (``link_states``).  Stacking X on a diagram (T, B) moves only T, and
-    pairs B's r-th and s-th defects where it joins T's (arXiv:1204.4505).
-    So X is applied once per top state T, to ``first[T]``, the pairing of
-    T over B_1, the first bottom state with as many defects.  If that
-    gives d^m.(T', R), then X.(T, B) = d^m.(T', B'), where B' is B with
-    its r-th and s-th defects paired wherever R pairs those of B_1, and
+    (``link_states``), and ``locate(pairing)`` is the (top, bottom) id
+    pair of any pairing of the basis, read off its rows the same way.
+    Stacking X on a diagram (T, B) moves only T, and pairs B's r-th and
+    s-th defects where it joins T's (arXiv:1204.4505).  So X is applied
+    once per top state T, to ``first[T]``, the pairing of T over B_1, the
+    first bottom state with as many defects.  If that gives d^m.(T', R),
+    then X.(T, B) = d^m.(T', B'), where B' is B with its r-th and s-th
+    defects paired wherever R pairs those of B_1, and
     ``relabelled[B](R)[T']`` is the position of (T', B'), memoized per
-    (B, R).  Made on request, and ``PairingBasis`` keeps none."""
+    (B, R).  Made on request, and nothing keeps it."""
     tops, top = link_states(pairings, top=True)
     bottoms, bottom = link_states(pairings, top=False)
     states = list(bottoms)
@@ -572,6 +547,11 @@ def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
     defects = [[a for a, q in enumerate(state) if not q] for state in states]
     ones = {len(own): b for b, own in reversed(list(enumerate(defects)))}  # defect count -> B_1
     first = [pairings[at[ones[state.count(0)]][t]] for state, t in tops.items()]
+    n = len(pairings[0]) // 2
+    (above, up), (below, down) = _row(n, True), _row(n, False)
+
+    def locate(pairing: tuple[int, ...]) -> tuple[int, int]:
+        return tops[bytes(pairing[above]).translate(up)], bottoms[bytes(pairing[below]).translate(down)]
 
     def relabel(b: int, r: int) -> dict[int, int]:
         # a defect of B_1 -> B's defect of like rank
@@ -585,13 +565,27 @@ def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
     # memoized per B on the int R alone: a key tuple per (B, R) would be
     # left in the interpreter's free lists when the grid is dropped
     relabelled = [functools.cache(functools.partial(relabel, b)) for b in range(len(states))]
-    return top, bottom, first, relabelled
+    return top, bottom, first, relabelled, locate
 
 
-def pairing_basis(dimension: int) -> PairingBasis:
-    """The walk's basis as a new record, not cached: a caller that drops
-    it frees its index."""
-    return PairingBasis(enumerate_pairings(dimension))
+def generator_maps(pairings: Sequence[tuple[int, ...]], indices: Iterable[int]) -> list[Map]:
+    """U_k on every pairing of the complete basis ``pairings``, in order,
+    for each k in ``indices``: (targets, exponents) with
+    U_k . P_i = d^exponents[i] . P_targets[i].  The grid of the basis
+    (``link_grid``) is made once per call, U_k is applied once per top
+    link state, to the pairing the grid picks for it, and every other
+    position is read off that image by the grid's relabelling.  Built on
+    each call and not kept: a caller that reads a map twice holds it."""
+    n = len(pairings[0]) // 2
+    top, bottom, first, relabelled, locate = link_grid(pairings)
+    out = []
+    for k in indices:
+        images = []  # for each top state T: U_k.first[T] as (its top, its bottom, loops)
+        for pairing, m in (_apply_generator(p, k, n) for p in first):
+            images.append((*locate(pairing), m))
+        targets = tuple(relabelled[b](images[t][1])[images[t][0]] for t, b in zip(top, bottom))
+        out.append((targets, tuple(images[t][2] for t in top)))
+    return out
 
 
 def spanning_tree(maps: Sequence[Map], root: int) -> list[tuple[int, int, int]]:

@@ -1,7 +1,7 @@
 """Sparse square matrices as CSV text, the form in which ``tlkit repr``
 and ``tlkit bracket --matrix`` print them, and the runner of ``repr``:
-the maps of a ``_backend.PairingBasis`` in the order ``_relations``
-gives, with no diagram made.  Both commands pass their matrices as
+the generator maps of the walk's partner tuples in the order
+``_relations.ordered_maps`` gives, with no diagram made.  Both commands pass their matrices as
 sparse columns; ``sparse_csv`` is the one place where they become rows.
 Only those two routes compile this module; ``_relations``, which every
 ``verify`` job compiles, does not hold the runner.

@@ -29,12 +29,12 @@ lists them in the order those blocks give (the one of ``verify``,
 ``repr`` and the generator matrices), ``renumbered`` moves maps into
 it, and ``ordered_maps`` does both for ``verify`` and ``repr``, on the
 walk's basis, building only the maps it returns, in one
-``PairingBasis.maps`` call.  ``checked_generator`` is the one rule for a
-generator index.
+``_backend.generator_maps`` call.  ``checked_generator`` is the one rule
+for a generator index.
 
 The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
-alone, on a record from ``_backend.pairing_basis``.  ``_run_verify``,
+alone, on the partner tuples of ``_backend.enumerate_pairings``.  ``_run_verify``,
 the runner of ``tlkit verify``, imports ``braids`` only for the Artin
 relations, which walk no basis, so ``--relations all`` walks the basis
 once, for the TL relations; it prints every report and the overall
@@ -146,14 +146,14 @@ def ordered_maps(n: int, indices: Iterable[int], identity: bool) -> tuple[Sequen
     """The representation order of the walk's basis of dimension ``n``,
     with the identity if ``identity``, and the maps of U_k for k in
     ``indices`` renumbered into it: the basis of ``tlkit repr`` and
-    ``tlkit verify``.  The maps are built in one ``maps`` call before
-    the order, so the order's state is not held while they build.  The
-    function builds its own basis record and drops it before the
-    renumbering, which reads positions only: a record passed in by a
+    ``tlkit verify``.  The maps are built in one ``generator_maps`` call
+    before the order, so the order's state is not held while they build.
+    The function walks its own basis and drops it before the
+    renumbering, which reads positions only: a basis passed in by a
     caller would still be held there."""
-    basis = _backend.pairing_basis(n)
-    maps, order = basis.maps(indices), representation_order(basis.pairings, identity)
-    del basis
+    pairings = _backend.enumerate_pairings(n)
+    maps, order = _backend.generator_maps(pairings, indices), representation_order(pairings, identity)
+    del pairings
     return order, renumbered(maps, order)
 
 

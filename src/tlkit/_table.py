@@ -2,8 +2,9 @@
 
 Every route runs on the kernel module alone, on partner tuples and
 positions, with no diagram object.  ``--table`` prints the composition
-table of TL_N as CSV from the positions and generator maps of a
-``_backend.PairingBasis``.  Two diagram arguments (``--lhs``, ``--rhs``)
+table of TL_N as CSV from the generator maps of the walk's partner
+tuples (``_backend.generator_maps``) and the identity's position in
+them.  Two diagram arguments (``--lhs``, ``--rhs``)
 are read by ``_backend.read_diagram_arg``, composed by
 ``_backend.compose_pairings`` and printed by ``_backend.diagram_line``,
 with no basis built.
@@ -22,13 +23,13 @@ def _run_compose(args: Namespace) -> tuple[bool, str]:
     if args.table and (args.lhs is not None or args.rhs is not None):
         raise ValueError("compose takes --table or --lhs and --rhs, not both")
     if args.table:
-        from ._backend import identity_pairing, pairing_basis, table_rows
+        from ._backend import enumerate_pairings, generator_maps, identity_pairing, table_rows
 
         n = args.dim
-        basis = pairing_basis(n)
-        maps = basis.maps(range(1, n))
-        root, size = basis.index[identity_pairing(n)], len(basis.pairings)
-        del basis  # the table reads positions only
+        pairings = enumerate_pairings(n)
+        maps = generator_maps(pairings, range(1, n))
+        root, size = pairings.index(identity_pairing(n)), len(pairings)
+        del pairings  # the table reads positions only
         # labels[m * size + r] is "row:loops" for d^m . D_r, the cell that
         # table_rows codes as that index
         labels = [f"{r}:{m}" for m in range(n // 2 + 1) for r in range(1, size + 1)]

@@ -33,17 +33,17 @@ identity-included basis: column j is w.D_j = (w.1).D_j, and the
 identity's column is w.1 itself.  ``_image_columns`` composes the
 element image onto one representative diagram per top link state and
 reads every other column off it by relabelling its bottom state, both
-through ``_backend.link_grid``, the grid that ``PairingBasis.maps``
-reads too (see its notes).  It runs on the walk's record,
-``_backend.pairing_basis``, which ``braid_image_matrix`` and ``tlkit
-bracket --matrix`` both read: neither builds a ``DiagramBasis`` or a
-generator map.  ``_verify_artin`` lists
-the Artin relations as generators, as ``_relations.tl_relations`` lists
-the TL ones, and passes them through ``_relations._checked``, comparing
-element images alone.  That decides the matrix images too: two words
-have equal matrices exactly when they have equal element images
-(``tests/test_braids.py`` holds the two equal).  So the check builds no
-basis and loads no diagram module.
+through ``_backend.link_grid``, the grid that ``_backend.generator_maps``
+reads too (see its notes), which also locates each composed term's row.
+It runs on the walk's partner tuples, ``_backend.enumerate_pairings``,
+which ``braid_image_matrix`` and ``tlkit bracket --matrix`` both read:
+neither builds a ``DiagramBasis``, a generator map or a pairing index.
+``_verify_artin`` lists the Artin relations as generators, as
+``_relations.tl_relations`` lists the TL ones, and passes them through
+``_relations._checked``, comparing element images alone.  That decides
+the matrix images too: two words have equal matrices exactly when they
+have equal element images (``tests/test_braids.py`` holds the two
+equal).  So the check builds no basis and loads no diagram module.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ from ._backend import (
     _walk_dimension,
     compose_pairings,
     diagram_line,
+    enumerate_pairings,
     identity_pairing,
     link_grid,
-    pairing_basis,
 )
 from ._values import _integers, _require, _Value
 from .laurent import LaurentPoly
@@ -74,7 +74,6 @@ from .laurent import LaurentPoly
 if TYPE_CHECKING:
     from argparse import Namespace
 
-    from ._backend import PairingBasis
     from ._relations import Report
     from .elements import TLElement
     from .matrices import PolyMatrix
@@ -165,9 +164,9 @@ def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
 
 
 def _image_columns(
-    word: BraidWord, basis: PairingBasis, entry: Callable[[LaurentPoly], object]
+    word: BraidWord, pairings: Sequence[tuple[int, ...]], entry: Callable[[LaurentPoly], object]
 ) -> Iterator[dict[int, object]]:
-    """The bracket image over ``basis``, the identity-included basis of
+    """The bracket image over ``pairings``, the identity-included basis of
     the word's strand count, as sparse columns made one at a time in
     basis order: ``column[j]`` is ``entry`` of the nonzero entry in row
     j.  Each distinct entry is converted once.
@@ -177,26 +176,25 @@ def _image_columns(
     only D_j's top link state.  So one column per top state is composed,
     on the pairing ``_backend.link_grid`` picks for it, and every other
     column is read off it by the grid's relabelling of the row bottoms."""
-    index = basis.index
-    top, bottom, first, relabelled = link_grid(basis.pairings)
-    loops = [kauffman_loop_value() ** m for m in range(basis.dimension // 2 + 1)]
+    top, bottom, first, relabelled, locate = link_grid(pairings)
+    loops = [kauffman_loop_value() ** m for m in range(word.strands // 2 + 1)]
     # the coefficients of c_E.d^m, for each term and loop count m
     scaled = [(e, [(c * d_m).coeffs for d_m in loops]) for e, c in _image_terms(word)]
     convert = functools.cache(entry)
     # for each top state: row bottom state -> [(row top state, entry)]
     composed: list[dict[int, list[tuple[int, object]]]] = []
     for below in first:
-        sums: dict[int, dict[int, int]] = {}  # row -> exponent -> coefficient
+        sums: dict[tuple[int, int], dict[int, int]] = {}  # row's (top, bottom) -> exponent -> coefficient
         for e, coeffs in scaled:
             product, m = compose_pairings(below, e)
-            acc = sums.setdefault(index[product], {})
+            acc = sums.setdefault(locate(product), {})
             for exponent, c in coeffs[m]:
                 acc[exponent] = acc.get(exponent, 0) + c
         rows: dict[int, list[tuple[int, object]]] = {}
-        for row, acc in sums.items():
+        for (row_top, row_bottom), acc in sums.items():
             poly = LaurentPoly._collected("A", acc)
             if poly.coeffs:
-                rows.setdefault(bottom[row], []).append((top[row], convert(poly)))
+                rows.setdefault(row_bottom, []).append((row_top, convert(poly)))
         composed.append(rows)
     for t, b in zip(top, bottom):
         column: dict[int, object] = {}
@@ -216,8 +214,8 @@ def braid_image_matrix(word: BraidWord) -> PolyMatrix:
     from .matrices import PolyMatrix
 
     word = _require(word, BraidWord, "braid_image_matrix needs a BraidWord")
-    basis = pairing_basis(_checked_dimension(word.strands, None, "strand count", 1, None))
-    return PolyMatrix._trusted("A", tuple(_image_columns(word, basis, lambda poly: poly)))
+    pairings = enumerate_pairings(_checked_dimension(word.strands, None, "strand count", 1, None))
+    return PolyMatrix._trusted("A", tuple(_image_columns(word, pairings, lambda poly: poly)))
 
 
 def verify_artin(strands: int, max_len: int = 6, seed: int = 0) -> RelationReport:
@@ -309,10 +307,10 @@ def _run_bracket(args: Namespace) -> tuple[bool, str]:
         from ._csv import sparse_csv
 
         # The matrix is over the basis, which the walk lists.
-        basis = pairing_basis(_walk_dimension(args.strands, "strand count"))
-        size = len(basis.pairings)
+        pairings = enumerate_pairings(_walk_dimension(args.strands, "strand count"))
+        size = len(pairings)
         header += f", {size}x{size}, entries in A"
-        return True, sparse_csv(size, [(header, _image_columns(word, basis, str))])
+        return True, sparse_csv(size, [(header, _image_columns(word, pairings, str))])
     # The element form runs on partner tuples: no diagram module is loaded.
     lines = [header + ", d = -A^2-A^-2"]
     for pairing, coeff in _image_terms(word):

@@ -491,6 +491,10 @@ def _main(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError:
+        # An output too large to hold whole, such as repr --dim 11's CSV.
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.output is None:
         try:
             if sys.stdout is None:  # started with fd 1 closed (``>&-``)

@@ -18,7 +18,7 @@ reachability.
 
 A generator acts on a basis by its local rule, the link-state action
 of arXiv:1204.4505, not by a composition: the rule, the generator maps
-over a whole basis (``_backend.PairingBasis.maps``, which applies the
+over a whole basis (``_backend.generator_maps``, which applies the
 rule once per top link state of the basis's ``_backend.link_grid``) and
 the composition table are kernels on partner tuples and positions in
 ``tlkit._backend``.

@@ -11,11 +11,11 @@ checks it against a brute-force oracle and against breadth-first and
 depth-first enumerators over partial diagrams.
 
 All values are immutable; ``enumerate_diagrams`` is cached and safe to
-share across threads.  A ``DiagramBasis`` holds a ``_backend.PairingBasis``
-of its pairings in its own order, with their index; the record keeps no
-generator map (its ``maps`` builds and returns them, and the link-state
-grid they are read through is made per call), so reading the maps
-leaves a cached basis as it was.
+share across threads.  A ``DiagramBasis`` holds its diagrams in its own
+order and the position of each, keyed by partner tuple, and nothing
+else: no generator map (``_backend.generator_maps`` builds and returns
+them, and the link-state grid they are read through is made per call),
+so reading the maps leaves a cached basis as it was.
 """
 
 from __future__ import annotations
@@ -31,15 +31,14 @@ from .diagrams import PlanarDiagram
 class DiagramBasis(_Value):
     """The full basis for one dimension: Catalan(N) distinct diagrams,
     canonical order unless a caller chose another, plus an index for O(1)
-    position lookup.  ``_record`` holds the index, keyed by the partner
-    tuple, which alone identifies a diagram, and builds the generators'
-    maps on request (``maps``)."""
+    position lookup.  ``_index`` is keyed by the partner tuple, which
+    alone identifies a diagram."""
 
     _fields = ("dimension", "diagrams")
-    __slots__ = (*_fields, "_record")
+    __slots__ = (*_fields, "_index")
     dimension: int
     diagrams: tuple[PlanarDiagram, ...]
-    _record: _backend.PairingBasis
+    _index: dict[tuple[int, ...], int]
 
     def __init__(self, dimension: int, diagrams: tuple[PlanarDiagram, ...]) -> None:
         dimension = _dimension(dimension)
@@ -50,7 +49,10 @@ class DiagramBasis(_Value):
                 f"basis must hold Catalan({dimension}) diagrams, "
                 f"got {len(diagrams)}"
             )
-        self._set(dimension, diagrams, _backend.PairingBasis([d.pairing for d in diagrams]))
+        index = {d.pairing: i for i, d in enumerate(diagrams)}
+        if len(index) != len(diagrams):
+            raise ValueError("basis contains duplicates")
+        self._set(dimension, diagrams, index)
 
     def __len__(self) -> int:
         return len(self.diagrams)
@@ -62,13 +64,13 @@ class DiagramBasis(_Value):
         return self.diagrams[i]
 
     def __contains__(self, d: object) -> bool:
-        return isinstance(d, PlanarDiagram) and d.pairing in self._record.index
+        return isinstance(d, PlanarDiagram) and d.pairing in self._index
 
     def index_of(self, d: PlanarDiagram) -> int:
         """Position of ``d``; ValueError for a non-diagram and KeyError
         when the basis does not hold it."""
         d = _require(d, PlanarDiagram, "index_of needs a PlanarDiagram")
-        return self._record.index[d.pairing]
+        return self._index[d.pairing]
 
 
 def identity_diagram(dimension: int) -> PlanarDiagram:
@@ -79,10 +81,10 @@ def identity_diagram(dimension: int) -> PlanarDiagram:
 
 @functools.cache
 def _basis(dimension: int) -> DiagramBasis:
-    """The basis of the walk's record, held through ``_Value._trusted``."""
-    record, trusted = _backend.pairing_basis(dimension), PlanarDiagram._trusted
-    diagrams = tuple([trusted(dimension, p) for p in record.pairings])
-    return DiagramBasis._trusted(dimension, diagrams, record)
+    """The basis of the walk's pairings, held through ``_Value._trusted``."""
+    pairings, trusted = _backend.enumerate_pairings(dimension), PlanarDiagram._trusted
+    diagrams = tuple([trusted(dimension, p) for p in pairings])
+    return DiagramBasis._trusted(dimension, diagrams, {p: i for i, p in enumerate(pairings)})
 
 
 def enumerate_diagrams(

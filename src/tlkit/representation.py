@@ -38,13 +38,13 @@ The action is each generator's local rule, the link-state action of
 arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
 top nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise
 into the diagram pairing (a, b) and (D(a), D(b)).  Each call builds the
-maps of the generators it returns in one ``maps`` call on the
-``_backend.PairingBasis`` the ``DiagramBasis`` holds, which keeps none:
-the rule is applied once per top link state, and every other column is
-read off by relabelling (``_backend.link_grid``).  The bracket matrix
-image reads the same grid and builds no map
+maps of the generators it returns in one ``_backend.generator_maps``
+call on the partner tuples of the ``DiagramBasis``, in its order, and
+nothing keeps them: the rule is applied once per top link state, and
+every other column is read off by relabelling (``_backend.link_grid``).
+The bracket matrix image reads the same grid and builds no map
 (``braids.braid_image_matrix``).  The ideal blocks and the order read no
-map: ``_relations.ideal_blocks`` finds them from the record's partner
+map: ``_relations.ideal_blocks`` finds them from the basis's partner
 tuples alone, by their bottom link states.
 """
 
@@ -54,7 +54,7 @@ import functools
 from collections.abc import Iterable
 from typing import TYPE_CHECKING, Sequence
 
-from ._backend import Map, _dimension, _integer, identity_pairing
+from ._backend import Map, _dimension, _integer, generator_maps, identity_pairing
 from ._relations import (
     checked_generator,
     diagram_report,
@@ -170,7 +170,7 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
     """
     basis = _require(basis, DiagramBasis, "ideal_partition needs a DiagramBasis")
     _require(include_identity, bool, "include_identity must be a bool")
-    blocks = ideal_blocks(basis._record.pairings, include_identity)
+    blocks = ideal_blocks([d.pairing for d in basis], include_identity)
     return IdealPartition._trusted(
         basis.dimension, tuple(tuple(basis[i] for i in block) for block in blocks)
     )
@@ -183,7 +183,7 @@ def representation_basis(
     docstring)."""
     basis = _require(basis, DiagramBasis, "representation_basis needs a DiagramBasis")
     _require(include_identity, bool, "include_identity must be a bool")
-    return tuple(basis[i] for i in representation_order(basis._record.pairings, include_identity))
+    return tuple(basis[i] for i in representation_order([d.pairing for d in basis], include_identity))
 
 
 class GeneratorMatrix(_Value):
@@ -266,10 +266,10 @@ def _generator_maps(
     """The maps of U_k for k in ``indices``, renumbered into the
     representation order."""
     _require(include_identity, bool, "include_identity must be a bool")
-    record = basis._record
-    order = representation_order(record.pairings, include_identity)
+    pairings = [d.pairing for d in basis]
+    order = representation_order(pairings, include_identity)
     basis_order = tuple(basis[i] for i in order)
-    maps = renumbered(record.maps(indices), order)
+    maps = renumbered(generator_maps(pairings, indices), order)
     return [
         GeneratorMatrix._trusted(k, basis_order, targets, exponents)
         for k, (targets, exponents) in zip(indices, maps)

@@ -17,8 +17,8 @@ and matrix routes of the braid image against each other.
 
 ``reference_map`` is the map of one generator over a basis built the way
 the library first built it, by the generator rule applied to every
-pairing: ``PairingBasis.maps``, which applies it once per top link state
-and relabels the rest, is checked against it.  ``reference_image_columns``
+pairing: ``_backend.generator_maps``, which applies it once per top
+link state and relabels the rest, is checked against it.  ``reference_image_columns``
 is the bracket matrix image built the way the library first built it,
 one letter at a time over every column with ``LaurentPoly`` entries, on
 ``reference_map``: ``tlkit.braids._image_columns``, which composes the
@@ -59,7 +59,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from tlkit.braids import BraidWord, braid_image, kauffman_loop_value
-from tlkit._backend import Map, PairingBasis, _apply_generator, identity_pairing
+from tlkit._backend import Map, _apply_generator, identity_pairing
 from tlkit.composition import compose
 from tlkit.diagrams import PlanarDiagram
 from tlkit.elements import TLElement, multiply
@@ -567,25 +567,26 @@ def dense_braid_image_matrix(word: BraidWord) -> PolyMatrix:
     return acc
 
 
-def reference_map(basis: PairingBasis, k: int) -> Map:
-    """U_k on every pairing of ``basis``, in order, by the generator rule
-    applied to each: (targets, exponents) with
+def reference_map(pairings: Sequence[tuple[int, ...]], k: int) -> Map:
+    """U_k on every pairing of the basis ``pairings``, in order, by the
+    generator rule applied to each: (targets, exponents) with
     U_k . P_i = d^exponents[i] . P_targets[i]."""
-    images = (_apply_generator(p, k, basis.dimension) for p in basis.pairings)
-    return tuple(zip(*[(basis.index[p], m) for p, m in images]))
+    index = {p: i for i, p in enumerate(pairings)}
+    images = (_apply_generator(p, k, len(p) // 2) for p in pairings)
+    return tuple(zip(*[(index[p], m) for p, m in images]))
 
 
 def reference_image_columns(
-    word: BraidWord, basis: PairingBasis
+    word: BraidWord, pairings: Sequence[tuple[int, ...]]
 ) -> list[dict[int, LaurentPoly]]:
-    """The bracket image over the identity-included ``basis`` as sparse
-    columns of ``LaurentPoly`` entries, one letter at a time: column c
-    becomes a.col_c + b.d^{m_c}.col_{t_c}, and an entry that cancels is
-    dropped."""
+    """The bracket image over the identity-included basis ``pairings`` as
+    sparse columns of ``LaurentPoly`` entries, one letter at a time:
+    column c becomes a.col_c + b.d^{m_c}.col_{t_c}, and an entry that
+    cancels is dropped."""
     one = LaurentPoly.one("A")
-    columns = [{i: one} for i in range(len(basis.pairings))]
+    columns = [{i: one} for i in range(len(pairings))]
     loop = kauffman_loop_value()
-    maps = {k: reference_map(basis, k) for k in {abs(letter) for letter in word.letters}}
+    maps = {k: reference_map(pairings, k) for k in {abs(letter) for letter in word.letters}}
     for letter in word.letters:
         targets, exponents = maps[abs(letter)]
         shift = 1 if letter > 0 else -1
@@ -674,15 +675,15 @@ def bottom_pattern_partition(
     return tuple(sorted(blocks, key=lambda b: b[0].pairing))
 
 
-def position_blocks(basis: PairingBasis, include_identity: bool) -> list[list[int]]:
-    """The positions of ``basis`` grouped into the components of the
-    generator action by a union-find over every position: i and
+def position_blocks(pairings: Sequence[tuple[int, ...]], include_identity: bool) -> list[list[int]]:
+    """The positions of the basis ``pairings`` grouped into the components
+    of the generator action by a union-find over every position: i and
     targets[i] share a block for every map of U_1..U_{N-1}.  Sorted
     canonically within each block and by first members; the identity and
     its edges are left out unless it is included."""
-    keys = basis.pairings
-    skip = -1 if include_identity else basis.index[identity_pairing(basis.dimension)]
-    parent = list(range(len(keys)))
+    n = len(pairings[0]) // 2
+    skip = -1 if include_identity else pairings.index(identity_pairing(n))
+    parent = list(range(len(pairings)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -690,16 +691,16 @@ def position_blocks(basis: PairingBasis, include_identity: bool) -> list[list[in
             i = parent[i]
         return i
 
-    for k in range(1, basis.dimension):
-        for i, j in enumerate(reference_map(basis, k)[0]):
+    for k in range(1, n):
+        for i, j in enumerate(reference_map(pairings, k)[0]):
             if i != skip:
                 parent[find(j)] = find(i)
     grouped: dict[int, list[int]] = {}
-    for i in range(len(keys)):
+    for i in range(len(pairings)):
         if i != skip:
             grouped.setdefault(find(i), []).append(i)
-    blocks = [sorted(block, key=keys.__getitem__) for block in grouped.values()]
-    return sorted(blocks, key=lambda block: keys[block[0]])
+    blocks = [sorted(block, key=pairings.__getitem__) for block in grouped.values()]
+    return sorted(blocks, key=lambda block: pairings[block[0]])
 
 
 def closure_bracket(word: BraidWord) -> LaurentPoly:

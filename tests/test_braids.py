@@ -29,10 +29,10 @@ from oracles import (
 )
 
 
-def record(n):
-    """The basis record ``enumerate_diagrams(n)`` holds, over which the
-    matrix image is built."""
-    return enumerate_diagrams(n)._record
+def walk(n):
+    """The walk's basis of ``n`` strands, over which the matrix image is
+    built."""
+    return _backend.enumerate_pairings(n)
 
 
 def identity_element(n):
@@ -224,13 +224,13 @@ def test_matrix_image_matches_dense_product(word):
     assert braid_image_matrix(word) == dense_braid_image_matrix(word)
     # Matrices are compared by their columns, so equal images need equal
     # columns: an entry that cancels to zero must not be stored.
-    for column in _image_columns(word, record(word.strands), lambda p: p):
+    for column in _image_columns(word, walk(word.strands), lambda p: p):
         assert not any(p.is_zero() for p in column.values())
 
 
 def test_matrix_image_builds_no_diagram_basis(monkeypatch):
-    # ``braid_image_matrix`` reads the walk's record, as ``bracket
-    # --matrix`` does, not the record of a cached ``DiagramBasis``.
+    # ``braid_image_matrix`` reads the walk's pairings, as ``bracket
+    # --matrix`` does, not the diagrams of a cached ``DiagramBasis``.
     rng = random.Random(42)
     words = [BraidWord(1, ())]
     for n in range(2, 6):
@@ -247,7 +247,7 @@ def test_matrix_image_builds_no_diagram_basis(monkeypatch):
 
 
 def assert_columns_match_the_reference(word):
-    basis = record(word.strands)
+    basis = walk(word.strands)
     reference = reference_image_columns(word, basis)
     assert list(_image_columns(word, basis, lambda p: p)) == reference
     texts = [{j: str(p) for j, p in column.items()} for column in reference]
@@ -302,7 +302,7 @@ def test_conjugation_keeps_the_closure_bracket(word):
 
 def assert_same_images(w1, w2):
     assert braid_image(w1) == braid_image(w2)
-    basis = record(w1.strands)
+    basis = walk(w1.strands)
     columns = list(_image_columns(w1, basis, lambda p: p))
     assert columns == list(_image_columns(w2, basis, lambda p: p))
 
@@ -346,7 +346,7 @@ def test_matrix_images_compare_across_lengths(n):
     # Matrix images of words of different lengths, whose entries span
     # different exponent ranges, compare equal exactly when their columns
     # hold equal polynomials.
-    basis = record(n)
+    basis = walk(n)
     identity = BraidWord.identity(n)
     _, entries, witnesses = _verify_artin(n)
     assert all(ok for _, ok in entries) and witnesses == ()
@@ -396,13 +396,14 @@ def test_element_images_decide_matrix_images(pair):
     # column is w.D_j = (w.1).D_j.  So the Artin check compares element
     # images alone; this holds the two verdicts equal.
     w1, w2 = pair
-    basis = record(w1.strands)
-    root = basis.index[_backend.identity_pairing(w1.strands)]
+    basis = walk(w1.strands)
+    index = {p: i for i, p in enumerate(basis)}
+    root = index[_backend.identity_pairing(w1.strands)]
     images = [_image_terms(w) for w in pair]
     columns = [list(_image_columns(w, basis, lambda p: p)) for w in pair]
     assert (images[0] == images[1]) == (columns[0] == columns[1])
     for image, image_columns in zip(images, columns):
-        assert image_columns[root] == {basis.index[p]: c for p, c in image}
+        assert image_columns[root] == {index[p]: c for p, c in image}
 
 
 def test_verify_artin_names_a_differing_element_term(monkeypatch):

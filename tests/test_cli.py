@@ -775,7 +775,7 @@ class TestStartup:
             # Figures are drawn from partner tuples: no diagram module.
             assert loaded == kernel | {"tlkit.drawing"}
         elif args[0] == "repr":
-            # The generator maps are read off a basis record and printed
+            # The generator maps are read off the walk's pairings and printed
             # with Laurent entries: no diagram module.
             assert loaded == kernel | {"tlkit._csv", "tlkit._relations", "tlkit._values", "tlkit.laurent"}
         elif args[0] == "verify" and args[-1] in ("artin", "all"):
@@ -810,7 +810,7 @@ class TestStartup:
         assert not loaded & self.FRONT_END
         # Both forms run on partner tuples: no diagram, enumeration or
         # composition module.  The matrix form composes the element image
-        # on a basis record from the walk, and adds only the CSV writer.
+        # on the walk's pairings, and adds only the CSV writer.
         element = {
             "tlkit",
             "tlkit.cli",
@@ -962,6 +962,17 @@ def test_a_failed_stdout_write_gets_one_error_line(stdout):
     assert os.waitstatus_to_exitcode(status) == cli.EXIT_VALIDATION
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_out_of_memory_gets_one_error_line(monkeypatch, capsys):
+    # repr --dim 11 holds a CSV of about 69 GB whole and fails to allocate
+    # it; the real command is never run here.
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run", exhausted)
+    assert cli.main(["repr", "--dim", "11"]) == cli.EXIT_VALIDATION == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def _dense_csv(size, blocks):

@@ -106,7 +106,7 @@ def test_associativity_randomized(n):
 
 
 def _maps(basis):
-    return basis._record.maps(range(1, basis.dimension))
+    return _backend.generator_maps([d.pairing for d in basis], range(1, basis.dimension))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -134,30 +134,42 @@ def test_spanning_tree_refuses_maps_that_miss_a_diagram():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_generator_map_over_the_kernel_walk_equals_action(n):
-    # compose --table, verify and repr build their maps on a record of the
-    # walk's tuples alone; they are the maps of the record a DiagramBasis
-    # holds, whether the library or a caller built the basis.
-    record = _backend.pairing_basis(n)
-    caller_built = DiagramBasis(n, tuple(enumerate_diagrams(n)))._record
-    ks = range(1, n)
-    assert record.maps(ks) == caller_built.maps(ks) == enumerate_diagrams(n)._record.maps(ks)
-    assert list(record.pairings) == [d.pairing for d in enumerate_diagrams(n)]
+    # compose --table, verify and repr build their maps on the walk's
+    # tuples alone; they are the maps of the generator matrices over the
+    # identity-included basis, whether the library or a caller built it.
+    pairings = _backend.enumerate_pairings(n)
+    caller_built = DiagramBasis(n, tuple(enumerate_diagrams(n)))
+    expected = _backend.generator_maps(pairings, range(1, n))
+    for basis in (caller_built, enumerate_diagrams(n)):
+        matrices = generator_matrices(basis, include_identity=True)
+        assert [(m.targets, m.exponents) for m in matrices] == expected
+    assert pairings == [d.pairing for d in enumerate_diagrams(n)]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_maps_equal_the_rule_on_every_pairing(n):
-    # ``maps`` applies each U_k once per top link state and relabels the
-    # bottom state of every other position; the reference applies it to
-    # every pairing.  The maps come in the order of the indices given.
-    record = _backend.pairing_basis(n)
-    expected = [reference_map(record, k) for k in range(1, n)]
-    assert record.maps(range(1, n)) == expected
-    assert record.maps(reversed(range(1, n))) == expected[::-1]
+    # ``generator_maps`` applies each U_k once per top link state and
+    # relabels the bottom state of every other position; the reference
+    # applies it to every pairing.  The maps come in the order of the
+    # indices given.
+    pairings = _backend.enumerate_pairings(n)
+    expected = [reference_map(pairings, k) for k in range(1, n)]
+    assert _backend.generator_maps(pairings, range(1, n)) == expected
+    assert _backend.generator_maps(pairings, reversed(range(1, n))) == expected[::-1]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_locate_reads_the_ids_of_every_position(n):
+    # ``locate`` reads a pairing's rows as ``link_states`` reads the
+    # basis, so it gives each position's own (top, bottom) ids.
+    pairings = _backend.enumerate_pairings(n)
+    top, bottom, _, _, locate = _backend.link_grid(pairings)
+    assert [locate(p) for p in pairings] == list(zip(top, bottom))
 
 
 def test_each_generator_map_is_built_once_per_basis(monkeypatch):
-    # A basis record keeps no map, so each library call builds every map it
-    # reads once, and ``maps`` applies each generator once per top link
+    # Nothing keeps a map, so each library call builds every map it reads
+    # once, and ``generator_maps`` applies each generator once per top link
     # state: the table reads the maps it is given, the ideal blocks read
     # none, and the bracket matrix image builds none: it applies the
     # letters once, in its element image, and composes the rest.
@@ -187,9 +199,10 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     assert built(generator_matrices, basis, include_identity=True) == every_map
     repeated = BraidWord(n, (1, -2, 1, 3, -1, -2, 1))
     element = built(_image_terms, repeated)
-    assert built(lambda: list(_image_columns(repeated, basis._record, str))) == element
+    pairings = [d.pairing for d in basis]
+    assert built(lambda: list(_image_columns(repeated, pairings, str))) == element
     # Each CLI route that maps a whole basis builds every map it reads once,
-    # on a record of its own.
+    # on a walk of its own.
     for argv in (
         ["compose", "--dim", "5", "--table"],
         ["verify", "--dim", "5"],
@@ -206,7 +219,7 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
 
 def test_a_basis_keeps_no_map_after_a_call_returns():
     # The basis is the test's own, so no other test has filled it, and it
-    # stays alive across the measured call; a record that kept the maps of
+    # stays alive across the measured call; a basis that kept the maps of
     # dimension 8 would hold about 161 kB here.
     basis = DiagramBasis(8, tuple(enumerate_diagrams(8)))
     tracemalloc.start()

@@ -211,8 +211,8 @@ def test_walks_hold_nothing_after_they_return(walk, bound):
 @pytest.mark.parametrize(
     "action",
     [
-        lambda: _backend.pairing_basis(8).maps(range(1, 8)),
-        lambda: list(_image_columns(BraidWord(8, (1, -2, 3, -7)), _backend.pairing_basis(8), str)),
+        lambda: _backend.generator_maps(_backend.enumerate_pairings(8), range(1, 8)),
+        lambda: list(_image_columns(BraidWord(8, (1, -2, 3, -7)), _backend.enumerate_pairings(8), str)),
     ],
     ids=["maps", "image_columns"],
 )

@@ -21,7 +21,7 @@ from tlkit.diagrams import (
     serialize,
 )
 from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
-from tlkit.representation import generator_diagram
+from tlkit.representation import generator_diagram, generator_matrices
 
 from oracles import node_position, reference_map
 
@@ -110,8 +110,22 @@ def test_maps_equal_the_rule_in_any_basis_order(diagrams):
     # Link-state ids are numbered by first appearance, so a caller's order
     # of the basis numbers the grid's states and picks its representatives.
     n = diagrams[0].dimension
-    record = DiagramBasis(n, tuple(diagrams))._record
-    assert record.maps(range(1, n)) == [reference_map(record, k) for k in range(1, n)]
+    matrices = generator_matrices(DiagramBasis(n, tuple(diagrams)), include_identity=True)
+    pairings = [d.pairing for d in diagrams]
+    assert [(m.targets, m.exponents) for m in matrices] == [reference_map(pairings, k) for k in range(1, n)]
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(enumerate_diagrams(n).diagrams)))
+def test_locate_finds_every_diagram_in_any_basis_order(diagrams):
+    # The ids of a caller's order are its own, numbered by first appearance;
+    # ``locate`` reads them off any basis diagram, one pair per position.
+    n = diagrams[0].dimension
+    basis = DiagramBasis(n, tuple(diagrams))
+    top, bottom, _, _, locate = _backend.link_grid([d.pairing for d in basis])
+    for d in diagrams:
+        i = basis.index_of(d)
+        assert locate(d.pairing) == (top[i], bottom[i])
+    assert len(set(zip(top, bottom))) == len(basis)
 
 
 @given(diagrams, st.integers(0, 10**6))

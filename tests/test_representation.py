@@ -164,7 +164,7 @@ def test_ideal_blocks_equal_the_position_union_find(n, include_identity):
     # position along the generator maps, in the walk's order and shuffled.
     walk = _backend.enumerate_pairings(n)
     for pairings in (walk, random.Random(n).sample(walk, len(walk))):
-        expected = position_blocks(_backend.PairingBasis(pairings), include_identity)
+        expected = position_blocks(pairings, include_identity)
         assert _relations.ideal_blocks(pairings, include_identity) == expected
         order = _relations.representation_order(pairings, include_identity)
         assert list(order) == (

@@ -60,9 +60,11 @@ grid serves the two left actions over one:
 * ``generator_maps(pairings, indices)``, the one builder of generator
   maps over a whole basis, applies each U_k once per top state and
   returns the maps of positions with loop exponents.  Every route that
-  maps a whole basis passes a list: the walk's, or the pairings of a
-  ``DiagramBasis`` in its own order.  A route builds each map it reads
-  once, and only those, in one call, and nothing keeps them.
+  maps a whole basis passes a list in the order it reads: the walk's,
+  or the pairings of a ``DiagramBasis``, put in the representation
+  order, or the walk as it comes for ``compose --table``.  A route
+  builds each map it reads once, and only those, in one call, and
+  nothing keeps them.
 * The bracket matrix image (``braids._image_columns``) composes the
   element image onto each top state's representative and builds no map.
 
@@ -115,8 +117,8 @@ DEFAULT_MAX_DIMENSION = 12
 #: for (targets, exponents).
 Map = tuple[tuple[int, ...], tuple[int, ...]]
 
-#: A complete basis as a grid of link states, (top, bottom, first,
-#: relabelled, locate): see ``link_grid``.
+#: A basis as a grid of link states, (top, bottom, first, relabelled,
+#: locate): see ``link_grid``.
 Grid = tuple[list[int], list[int], list[tuple[int, ...]], list[Callable[[int], dict[int, int]]],
              Callable[[tuple[int, ...]], tuple[int, int]]]
 
@@ -523,9 +525,13 @@ def link_states(pairings: Sequence[tuple[int, ...]], top: bool) -> tuple[dict[by
 
 
 def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
-    """The complete basis ``pairings`` as a grid of link states, for a
-    left action over the whole basis: (top, bottom, first, relabelled,
-    locate).
+    """The basis ``pairings`` as a grid of link states, for a left action
+    over the whole basis: (top, bottom, first, relabelled, locate).
+
+    The pairings may come in any order, and every top state of them must
+    meet every bottom state with as many defects: the whole basis, or
+    the whole basis but the identity, the one position whose two states
+    both have N defects.
 
     ``top[i]`` and ``bottom[i]`` are the state ids of position i
     (``link_states``), and ``locate(pairing)`` is the (top, bottom) id
@@ -569,13 +575,17 @@ def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
 
 
 def generator_maps(pairings: Sequence[tuple[int, ...]], indices: Iterable[int]) -> list[Map]:
-    """U_k on every pairing of the complete basis ``pairings``, in order,
-    for each k in ``indices``: (targets, exponents) with
-    U_k . P_i = d^exponents[i] . P_targets[i].  The grid of the basis
-    (``link_grid``) is made once per call, U_k is applied once per top
-    link state, to the pairing the grid picks for it, and every other
+    """U_k on every pairing of the basis ``pairings``, in order, for each
+    k in ``indices``: (targets, exponents) with
+    U_k . P_i = d^exponents[i] . P_targets[i].  The pairings are those
+    ``link_grid`` takes, in the order the caller reads: the whole basis,
+    or the whole basis but the identity, which no U_k yields.  The grid
+    of the basis is made once per call, U_k is applied once per top link
+    state, to the pairing the grid picks for it, and every other
     position is read off that image by the grid's relabelling.  Built on
     each call and not kept: a caller that reads a map twice holds it."""
+    if not pairings:  # the identity-free basis of dimension 1
+        return [((), ()) for _ in indices]
     n = len(pairings[0]) // 2
     top, bottom, first, relabelled, locate = link_grid(pairings)
     out = []

@@ -1,10 +1,11 @@
 """Sparse square matrices as CSV text, the form in which ``tlkit repr``
 and ``tlkit bracket --matrix`` print them, and the runner of ``repr``:
-the generator maps of the walk's partner tuples in the order
-``_relations.ordered_maps`` gives, with no diagram made.  Both commands pass their matrices as
-sparse columns; ``sparse_csv`` is the one place where they become rows.
-Only those two routes compile this module; ``_relations``, which every
-``verify`` job compiles, does not hold the runner.
+the generator maps that ``_relations.ordered_maps`` builds on the
+walk's partner tuples, put in the representation order first, with no
+diagram made.  Both commands pass their matrices as sparse columns;
+``sparse_csv`` is the one place where they become rows.  Only those
+two routes compile this module; ``_relations``, which every ``verify``
+job compiles, does not hold the runner.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ def _run_repr(args: Namespace) -> tuple[bool, str]:
     if not (args.gen == "all" or _is_integer_text(args.gen)):
         raise ValueError(f"generator index must be an integer or 'all', got {args.gen!r}")
     indices = range(1, n) if args.gen == "all" else (checked_generator(n, int(args.gen)),)
-    order, maps = ordered_maps(n, indices, args.include_identity)
-    size = len(order)
+    size, maps = ordered_maps(n, indices, args.include_identity)
     d = LaurentPoly.monomial("d", 1) if args.eval_d is None else args.eval_d
     identity = "included" if args.include_identity else "excluded"
 

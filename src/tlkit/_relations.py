@@ -26,11 +26,11 @@ differ with ``_backend._first_difference``.
 into the components of the generator action, read off their bottom
 link states with no generator map built; ``representation_order``
 lists them in the order those blocks give (the one of ``verify``,
-``repr`` and the generator matrices), ``renumbered`` moves maps into
-it, and ``ordered_maps`` does both for ``verify`` and ``repr``, on the
-walk's basis, building only the maps it returns, in one
-``_backend.generator_maps`` call.  ``checked_generator`` is the one rule
-for a generator index.
+``repr`` and the generator matrices).  ``ordered_maps`` puts the walk's
+basis in that order and builds the maps ``verify`` and ``repr`` read on
+it, in one ``_backend.generator_maps`` call, so no map is moved into
+another order.  ``checked_generator`` is the one rule for a generator
+index.
 
 The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
@@ -142,19 +142,16 @@ def representation_order(pairings: Sequence[tuple[int, ...]], include_identity: 
     return [i for block in ideal_blocks(pairings, False) for i in block]
 
 
-def ordered_maps(n: int, indices: Iterable[int], identity: bool) -> tuple[Sequence[int], list[Map]]:
-    """The representation order of the walk's basis of dimension ``n``,
-    with the identity if ``identity``, and the maps of U_k for k in
-    ``indices`` renumbered into it: the basis of ``tlkit repr`` and
-    ``tlkit verify``.  The maps are built in one ``generator_maps`` call
-    before the order, so the order's state is not held while they build.
-    The function walks its own basis and drops it before the
-    renumbering, which reads positions only: a basis passed in by a
-    caller would still be held there."""
+def ordered_maps(n: int, indices: Iterable[int], identity: bool) -> tuple[int, list[Map]]:
+    """The size of the walk's basis of dimension ``n``, with the identity
+    if ``identity``, and the maps of U_k for k in ``indices`` on that
+    basis in the representation order: the basis of ``tlkit repr`` and
+    ``tlkit verify``.  The walk is put in that order before the maps are
+    built, so they are built where they are read, and no order list is
+    held while they build."""
     pairings = _backend.enumerate_pairings(n)
-    maps, order = _backend.generator_maps(pairings, indices), representation_order(pairings, identity)
-    del pairings
-    return order, renumbered(maps, order)
+    pairings = [pairings[i] for i in representation_order(pairings, identity)]
+    return len(pairings), _backend.generator_maps(pairings, indices)
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence[T]], tuple[T, ...]]:
@@ -164,20 +161,6 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence[T]], tuple[T, ...]]:
     if len(indices) < 2:
         return lambda items: tuple(items[i] for i in indices)
     return operator.itemgetter(*indices)
-
-
-def renumbered(maps: Sequence[Map], order: Sequence[int]) -> list[Map]:
-    """Maps on one set of positions, restricted to the positions in
-    ``order`` and renumbered by their place in it: column i of a result
-    is column order[i] of its map.  Every target of a listed position
-    must be listed."""
-    if not maps:
-        return []
-    position = [0] * len(maps[0][0])
-    for new, old in enumerate(order):
-        position[old] = new
-    pick = _gather(order)
-    return [(_gather(pick(targets))(position), pick(exponents)) for targets, exponents in maps]
 
 
 def tl_relations(

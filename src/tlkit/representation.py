@@ -28,19 +28,20 @@ compositions of maps, (U.V) sends column i to row tU[tV[i]] with exponent
 eV[i] + eU[tV[i]], so the relation check compares tuples and multiplies
 no matrices.
 
-The relation checks, the ideal blocks, the representation order and the
-renumbering into it are kernels in ``tlkit._relations``, which ``tlkit
-verify --relations tl`` and ``tlkit repr`` (run by ``tlkit._csv``) run
-without this module; the functions here check their arguments and wrap
-the kernels' results in the library's values.
+The relation checks, the ideal blocks and the representation order are
+kernels in ``tlkit._relations``, which ``tlkit verify --relations tl``
+and ``tlkit repr`` (run by ``tlkit._csv``) run without this module; the
+functions here check their arguments and wrap the kernels' results in
+the library's values.
 
 The action is each generator's local rule, the link-state action of
 arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
 top nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise
 into the diagram pairing (a, b) and (D(a), D(b)).  Each call builds the
 maps of the generators it returns in one ``_backend.generator_maps``
-call on the partner tuples of the ``DiagramBasis``, in its order, and
-nothing keeps them: the rule is applied once per top link state, and
+call on the partner tuples of the ``DiagramBasis`` in the
+representation order, the order the maps are read in, and nothing
+keeps them: the rule is applied once per top link state, and
 every other column is read off by relabelling (``_backend.link_grid``).
 The bracket matrix image reads the same grid and builds no map
 (``braids.braid_image_matrix``).  The ideal blocks and the order read no
@@ -61,7 +62,6 @@ from ._relations import (
     generator_pairing,
     ideal_blocks,
     map_report,
-    renumbered,
     report_lines,
     representation_order,
 )
@@ -263,13 +263,10 @@ class GeneratorMatrix(_Value):
 def _generator_maps(
     basis: DiagramBasis, indices: Sequence[int], include_identity: bool
 ) -> list[GeneratorMatrix]:
-    """The maps of U_k for k in ``indices``, renumbered into the
+    """The maps of U_k for k in ``indices``, built on the basis in the
     representation order."""
-    _require(include_identity, bool, "include_identity must be a bool")
-    pairings = [d.pairing for d in basis]
-    order = representation_order(pairings, include_identity)
-    basis_order = tuple(basis[i] for i in order)
-    maps = renumbered(generator_maps(pairings, indices), order)
+    basis_order = representation_basis(basis, include_identity)
+    maps = generator_maps([d.pairing for d in basis_order], indices)
     return [
         GeneratorMatrix._trusted(k, basis_order, targets, exponents)
         for k, (targets, exponents) in zip(indices, maps)

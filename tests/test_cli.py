@@ -1160,16 +1160,17 @@ class TestVerify:
         assert "forced check: FAIL" in out
 
     def test_failure_prints_witness(self, monkeypatch):
-        original = _relations.renumbered
+        original = _backend.generator_maps
 
-        def corrupted(maps, order):
-            out = original(maps, order)
+        def corrupted(pairings, indices):
+            out = original(pairings, indices)
             targets, exponents = out[0]
             # column 0 maps to row 1 without a loop; send it to itself
             out[0] = ((0,) + targets[1:], exponents)
             return out
 
-        monkeypatch.setattr(_relations, "renumbered", corrupted)
+        # ``ordered_maps`` reads the maps it verifies from the backend
+        monkeypatch.setattr(_backend, "generator_maps", corrupted)
         code, out = run_cli(["verify", "--dim", "3"])
         assert code == cli.EXIT_VERIFICATION
         lines = out.splitlines()

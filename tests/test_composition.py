@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from tlkit import _backend, cli
+from tlkit import _backend, _relations, cli
 from tlkit.braids import BraidWord, _image_columns, _image_terms
 from tlkit.composition import compose, compose_scaled
 from tlkit.diagrams import ScaledDiagram, parse
@@ -151,11 +151,15 @@ def test_maps_equal_the_rule_on_every_pairing(n):
     # ``generator_maps`` applies each U_k once per top link state and
     # relabels the bottom state of every other position; the reference
     # applies it to every pairing.  The maps come in the order of the
-    # indices given.
-    pairings = _backend.enumerate_pairings(n)
-    expected = [reference_map(pairings, k) for k in range(1, n)]
-    assert _backend.generator_maps(pairings, range(1, n)) == expected
-    assert _backend.generator_maps(pairings, reversed(range(1, n))) == expected[::-1]
+    # indices given.  The identity-free walk in the ideal blocks' order,
+    # the basis of ``verify`` and ``repr``, lacks the identity's top and
+    # bottom states, and no U_k yields the identity.
+    walk = _backend.enumerate_pairings(n)
+    identity_free = [walk[i] for i in _relations.representation_order(walk, False)]
+    for pairings in (walk, identity_free):
+        expected = [reference_map(pairings, k) for k in range(1, n)]
+        assert _backend.generator_maps(pairings, range(1, n)) == expected
+        assert _backend.generator_maps(pairings, reversed(range(1, n))) == expected[::-1]
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -191,11 +195,13 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     monkeypatch.setattr(_backend, "_apply_generator", counted)
     basis = DiagramBasis(n, tuple(enumerate_diagrams(n)))
     every_map = (n - 1) * math.comb(n, n // 2)
+    # the identity-free basis lacks one top state, the identity's
+    identity_free = (n - 1) * (math.comb(n, n // 2) - 1)
     maps = _maps(basis)
     assert calls == every_map
     assert built(lambda: list(_backend.table_rows(maps, basis.index_of(identity_diagram(n))))) == 0
     assert built(ideal_partition, basis) == 0
-    assert built(generator_matrices, basis, include_identity=False) == every_map
+    assert built(generator_matrices, basis, include_identity=False) == identity_free
     assert built(generator_matrices, basis, include_identity=True) == every_map
     repeated = BraidWord(n, (1, -2, 1, 3, -1, -2, 1))
     element = built(_image_terms, repeated)
@@ -203,15 +209,15 @@ def test_each_generator_map_is_built_once_per_basis(monkeypatch):
     assert built(lambda: list(_image_columns(repeated, pairings, str))) == element
     # Each CLI route that maps a whole basis builds every map it reads once,
     # on a walk of its own.
-    for argv in (
-        ["compose", "--dim", "5", "--table"],
-        ["verify", "--dim", "5"],
-        ["repr", "--dim", "5"],
-        ["repr", "--dim", "5", "--include-identity"],
+    for argv, expected in (
+        (["compose", "--dim", "5", "--table"], every_map),
+        (["verify", "--dim", "5"], identity_free),
+        (["repr", "--dim", "5"], identity_free),
+        (["repr", "--dim", "5", "--include-identity"], every_map),
     ):
         calls = 0
         assert cli.run(cli._parse(argv))[0] == cli.EXIT_OK
-        assert calls == every_map, argv
+        assert calls == expected, argv
     element = built(_image_terms, BraidWord(n, (1, -2, 3, -4)))
     argv = ["bracket", "--strands", "5", "--word=1,-2,3,-4", "--matrix"]
     assert built(cli.run, cli._parse(argv)) == element

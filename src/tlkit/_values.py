@@ -1,8 +1,11 @@
 """The base of the library's value types and the type and shape rule.
 
 ``_Value`` gives the immutable value classes their equality, hash,
-``repr`` and pickling, and the one held route, ``_trusted``, which
-builds a value from parts the library made itself and checks nothing.
+``repr`` and pickling, and the two ways their fields are written, both
+built on the slot writers it looks up once per class: ``_set``, the
+last step of every constructor, and the one held route, ``_trusted``,
+which builds a value from parts the library made itself and checks
+nothing.  No class has a route of its own.
 ``_require``, ``_integers``, ``_pairs`` and ``_sequence`` check the
 arguments of every public entry point: a value of the wrong kind is a
 ValueError, never an AttributeError or TypeError from deeper down.
@@ -85,19 +88,53 @@ def _sequence(
     return values
 
 
+def _writers(cls: type, writers: tuple) -> tuple:
+    """``cls``'s ``_set`` and ``_trusted``, built on its slot ``writers``;
+    a two-field class, the hot case, calls its two writers directly."""
+    new = object.__new__
+    if len(writers) == 2:
+        first, second = writers
+
+        def _set(self, a: object, b: object) -> None:
+            first(self, a)
+            second(self, b)
+
+        def _trusted(a: object, b: object):
+            value = new(cls)
+            first(value, a)
+            second(value, b)
+            return value
+
+    else:
+
+        def _set(self, *values: object) -> None:
+            for write, item in zip(writers, values):
+                write(self, item)
+
+        def _trusted(*values: object):
+            value = new(cls)
+            _set(value, *values)
+            return value
+
+    return _set, staticmethod(_trusted)
+
+
 class _Value:
     """Base of the library's immutable value types.
 
     A subclass names its compared fields in ``_fields``, declares them (and
-    any private state) in ``__slots__``, and stores them in its own
-    ``__init__``, after its checks, through ``object.__setattr__`` or
-    ``_set``.  ``_trusted`` skips ``__init__`` and is only for parts the
-    library made itself; ``PlanarDiagram`` and ``LaurentPoly``, the two
-    hot routes, keep their own ``_trusted``.  Two values are equal when
-    they have the same class and equal fields, and hash as the tuple of
-    their fields; ``repr`` reads ``Name(field=value, ...)``.  Setting or
-    deleting an attribute raises AttributeError.  ``copy`` and ``pickle``
-    rebuild a value by calling its class on the field values.
+    any private state) in ``__slots__``, and ends its own ``__init__``,
+    after its checks, in one ``self._set(...)`` call.  ``_trusted(...)``
+    skips ``__init__`` and is only for parts the library made itself.
+    Both write the values into the leading ``__slots__``, in order,
+    through the slot writers (each slot's member descriptor ``__set__``)
+    that ``__init_subclass__`` looks up once per class: the slots, not
+    ``_fields``, since a value may store a field under a private name
+    (``PolyMatrix._columns``).  Two values are equal when they have the
+    same class and equal fields, and hash as the tuple of their fields;
+    ``repr`` reads ``Name(field=value, ...)``.  Setting or deleting an
+    attribute raises AttributeError.  ``copy`` and ``pickle`` rebuild a
+    value by calling its class on the field values.
     """
 
     __slots__ = ()
@@ -107,21 +144,8 @@ class _Value:
         super().__init_subclass__(**kwargs)
         # A C-level getter of the field tuple keeps __eq__ and __hash__ fast.
         cls._key = operator.attrgetter(*cls._fields)
-
-    @classmethod
-    def _trusted(cls, *values: object):
-        """The value holding ``values`` in its leading ``__slots__``,
-        built without validation from parts the library made itself."""
-        value = object.__new__(cls)
-        value._set(*values)
-        return value
-
-    def _set(self, *values: object) -> None:
-        """Write ``values`` into the leading ``__slots__``, in order: the
-        slots, not ``_fields``, since a value may store a field under a
-        private name (``PolyMatrix._columns``)."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        slots = [name for name in cls.__slots__ if name != "__dict__"]
+        cls._set, cls._trusted = _writers(cls, tuple(getattr(cls, name).__set__ for name in slots))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -102,8 +102,7 @@ class BraidWord(_Value):
         for letter in letters:
             if letter == 0 or not 1 <= abs(letter) <= strands - 1:
                 raise ValueError(f"letter {letter} out of range for {strands} strands")
-        object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", letters)
+        self._set(strands, letters)
 
     @classmethod
     def identity(cls, strands: int) -> BraidWord:

@@ -483,8 +483,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(args: argparse.Namespace) -> int:
     try:
-        if args.output is not None and not args.output.parent.is_dir():
-            raise ValueError(f"output directory {args.output.parent} does not exist")
+        if args.output is not None:
+            if args.output.is_dir():
+                raise ValueError(f"output {args.output} is a directory")
+            if not args.output.parent.is_dir():
+                raise ValueError(f"output directory {args.output.parent} does not exist")
         code, text = run(args)
         if args.output is not None:
             _write_replacing(args.output, text)

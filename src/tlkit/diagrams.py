@@ -87,9 +87,10 @@ class PlanarDiagram(_Value):
 
     The public constructor validates: it stores the partners as a tuple
     of ints and rejects non-integers, non-involutions and crossing
-    pairings.  ``_trusted`` skips that check and is only for
-    pairings the library made itself (kernel output, composition
-    products, ``parse`` after its own check).
+    pairings.  ``_trusted``, the held route ``_Value`` builds for every
+    value class, skips that check and is only for pairings the library
+    made itself (kernel output, composition products, ``parse`` after
+    its own check).
     """
 
     __slots__ = _fields = ("dimension", "pairing")
@@ -105,18 +106,7 @@ class PlanarDiagram(_Value):
         _check_involution(pairing, dimension)
         if not _noncrossing(pairing, dimension):
             raise ValueError("pairing has crossing strands")
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "pairing", pairing)
-
-    # A hot route, kept off ``_Value._trusted``, which took 0.95 us a diagram, not 0.45.
-    @classmethod
-    def _trusted(cls, dimension: int, pairing: tuple[int, ...]) -> PlanarDiagram:
-        """Build without validation; ``pairing`` must be a noncrossing
-        perfect matching tuple that the library computed itself."""
-        diagram = object.__new__(cls)
-        object.__setattr__(diagram, "dimension", dimension)
-        object.__setattr__(diagram, "pairing", pairing)
-        return diagram
+        self._set(dimension, pairing)
 
     def partner(self, node: int) -> int:
         return self.pairing[_node(node, self.dimension) - 1]
@@ -193,8 +183,7 @@ class ScaledDiagram(_Value):
         loop_exponent = _integer(loop_exponent, "loop exponent")
         if loop_exponent < 0:
             raise ValueError("loop exponent must be nonnegative")
-        object.__setattr__(self, "diagram", diagram)
-        object.__setattr__(self, "loop_exponent", loop_exponent)
+        self._set(diagram, loop_exponent)
 
     @property
     def dimension(self) -> int:
@@ -225,8 +214,7 @@ class ConnectabilityMatrix(_Value):
         )
         if len(entries) != size or any(len(row) != size for row in entries):
             raise ValueError(message)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "entries", entries)
+        self._set(dimension, entries)
 
     def value(self, i: int, j: int) -> int:
         n = self.dimension

@@ -5,6 +5,9 @@ LaurentPoly coefficients, all in the same variable.  Multiplication
 distributes over the terms, composes diagram pairs and converts every
 closed loop produced by the stacking into one factor of a caller-supplied
 loop polynomial (the symbol d itself, or its bracket value in A).
+The constructor stores its checked terms through ``_Value._set``; the
+library's own results are held through ``_Value._trusted``, the held
+route of every value class, with no second check.
 """
 
 from __future__ import annotations
@@ -50,9 +53,7 @@ class TLElement(_Value):
         keys = [d.pairing for d, _ in terms]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise ValueError("terms must be sorted by diagram and duplicate-free")
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "terms", terms)
+        self._set(dimension, variable, terms)
 
     @classmethod
     def from_terms(

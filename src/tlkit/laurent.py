@@ -42,8 +42,10 @@ class LaurentPoly(_Value):
 
     The public constructor validates: it stores the pairs as a tuple of
     int pairs and rejects non-integers, unsorted or repeated exponents and
-    zero coefficients.  ``_trusted`` skips that check and is only for
-    arithmetic results, whose terms come from validated operands.
+    zero coefficients, and so does ``from_dict``, through ``_store``:
+    two distinct keys may read as one exponent.  ``_trusted`` skips that
+    check and is only for arithmetic results, whose terms come from
+    validated operands.
     """
 
     __slots__ = _fields = ("variable", "coeffs")
@@ -63,18 +65,7 @@ class LaurentPoly(_Value):
             raise ValueError("coefficients must be sorted by distinct exponent")
         if any(c == 0 for _, c in coeffs):
             raise ValueError("zero coefficients must not be stored")
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    # A hot route, kept off ``_Value._trusted``: every arithmetic result takes it.
-    @classmethod
-    def _trusted(cls, variable: str, coeffs: tuple[tuple[int, int], ...]) -> LaurentPoly:
-        """Build without validation; ``coeffs`` must already be in the
-        stored form, computed by the library from validated values."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "variable", variable)
-        object.__setattr__(poly, "coeffs", coeffs)
-        return poly
+        self._set(variable, coeffs)
 
     @classmethod
     def _collected(cls, variable: str, acc: dict[int, int]) -> LaurentPoly:

@@ -9,7 +9,10 @@ from row to entry or the (row, entry) pairs its ``repr`` prints, so
 ``braid_image_matrix`` build theirs from their column-monomial maps and
 sparse columns, and ``__mul__`` multiplies sparse columns; all three, and
 ``identity``, hold the tuple of columns they made through
-``_Value._trusted``, which checks nothing again.
+``_Value._trusted``, which checks nothing again; the constructor stores
+the columns it checked through ``_Value._set``.  Both write the slots
+``variable`` and ``_columns`` through the writers ``_Value`` looks up
+once for the class.
 Only ``rows`` and ``column`` are dense, views built on each read, so they
 cost Catalan(N) cells per column."""
 
@@ -57,8 +60,7 @@ class PolyMatrix(_Value):
                     raise ValueError(f"column {i} has row {j!r} outside 0..{size - 1}")
             _sequence(entries.values(), LaurentPoly, "variable", variable, message)
             held.append({_index(j): e for j, e in entries.items() if e.coeffs})
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "_columns", tuple(held))
+        self._set(variable, tuple(held))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

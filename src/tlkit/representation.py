@@ -46,7 +46,10 @@ every other column is read off by relabelling (``_backend.link_grid``).
 The bracket matrix image reads the same grid and builds no map
 (``braids.braid_image_matrix``).  The ideal blocks and the order read no
 map: ``_relations.ideal_blocks`` finds them from the basis's partner
-tuples alone, by their bottom link states.
+tuples alone, by their bottom link states.  Generator diagrams, ideal
+partitions and generator maps the library made are held through
+``_Value._trusted``, the held route of every value class, with no
+second check.
 """
 
 from __future__ import annotations
@@ -91,8 +94,7 @@ class Generator(_Value):
         n = _require(diagram, PlanarDiagram, "a generator needs a PlanarDiagram").dimension
         if diagram.pairing != generator_pairing(n, checked_generator(n, index)):
             raise ValueError(f"expected the diagram of U_{index}, got {diagram!r}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "diagram", diagram)
+        self._set(index, diagram)
 
 
 def generator_diagram(dimension: int, k: int) -> PlanarDiagram:
@@ -136,8 +138,7 @@ class IdealPartition(_Value):
             _sequence(block, PlanarDiagram, "dimension", dimension, message)
             for block in _require(blocks, Iterable, message)
         )
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "blocks", blocks)
+        self._set(dimension, blocks)
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
@@ -316,9 +317,7 @@ class RelationReport(_Value):
         for name, _ in witnesses:
             if name not in failed:
                 raise ValueError(f"witness {name!r} names no failed entry")
-        object.__setattr__(self, "title", title)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "witnesses", witnesses)
+        self._set(title, entries, witnesses)
 
     @property
     def passed(self) -> bool:

@@ -273,11 +273,18 @@ class TestEnumerate:
     ):
         calls = []
         monkeypatch.setattr(cli, "run", lambda config: calls.append(config))
-        target = tmp_path / "missing" / "basis.tl"
-        code = cli.main(["enumerate", "--dim", "3", "--output", str(target)])
-        assert code == cli.EXIT_VALIDATION
+        monkeypatch.chdir(tmp_path)
+        # a missing parent, an existing directory, and "" which reads as "."
+        for target, message in [
+            (tmp_path / "missing" / "basis.tl", "does not exist"),
+            (tmp_path, f"output {tmp_path} is a directory"),
+            ("", "output . is a directory"),
+        ]:
+            code = cli.main(["enumerate", "--dim", "3", "--output", str(target)])
+            assert code == cli.EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
         assert calls == []
-        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unwritable_output_reported(self, tmp_path, capsys):
         code = cli.main(["enumerate", "--dim", "3", "--output", str(tmp_path)])

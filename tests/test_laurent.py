@@ -41,13 +41,25 @@ def test_poly_matrix_stores_rows_as_tuples():
     assert hash(m) == hash(PolyMatrix.identity(2, "d"))
 
 
+class _One:
+    """A dict key apart from 1 that reads as the integer 1."""
+
+    def __index__(self):
+        return 1
+
+
 def test_invalid_storage_rejected():
     with pytest.raises(ValueError):
         LaurentPoly("d", ((1, 0),))
     with pytest.raises(ValueError):
         LaurentPoly("d", ((2, 1), (1, 1)))
     with pytest.raises(ValueError):
+        LaurentPoly("d", ((1, 1), (1, 2)))
+    with pytest.raises(ValueError):
         LaurentPoly("x", ((0, 1),))
+    # two distinct keys that read as one exponent
+    with pytest.raises(ValueError, match="distinct exponent"):
+        d({_One(): 2, 1: 3})
 
 
 @pytest.mark.parametrize(

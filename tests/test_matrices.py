@@ -8,10 +8,12 @@ readers and the sparse product against dense rows and the triple-loop
 ``oracles.dense_product``, and that the constructor, ``from_rows`` and
 ``repr`` each give the matrix back.  Equality, hashing, ``copy`` and
 pickling are checked with ``rows`` patched to fail.  The values the
-library makes through the held route ``_Value._trusted`` (matrices,
-element images, ideal partitions, bases and generator maps) are built
-with their class's validating constructor patched to fail, then checked
-against it.
+library makes through the held route ``_Value._trusted`` (the walk's
+diagrams, a bracket image's coefficients, matrices, element images,
+ideal partitions, bases and generator maps) are built with their
+class's validating constructor patched to fail, then checked against
+it, and every library class is shown to take ``_trusted`` and ``_set``
+from ``_Value``.
 """
 
 import copy
@@ -206,6 +208,8 @@ def test_library_matrices_skip_the_constructor(monkeypatch):
         return single + [m for b, include in pairs for m in generator_matrices(b, include)]
 
     builds = {
+        PlanarDiagram: lambda: [d for n in range(1, 7) for d in enumeration._basis.__wrapped__(n)],
+        LaurentPoly: lambda: [c for w in words + seeded for _, c in braid_image(w).terms],
         PolyMatrix: matrices,
         TLElement: elements,
         IdealPartition: lambda: [
@@ -228,8 +232,9 @@ def test_library_matrices_skip_the_constructor(monkeypatch):
         for value in made:
             fields = [getattr(value, name) for name in cls._fields]
             assert value == cls(*fields) == pickle.loads(pickle.dumps(value))
-    # One held route: ``_Value`` builds every library-made value but the
-    # two hot ones, which keep their own.
+    # One held route, no exceptions: every library class's ``_trusted`` and
+    # ``_set`` are the ones ``_Value`` built on its slot writers.
     library = [c for c in _Value.__subclasses__() if c.__module__.startswith("tlkit.")]
-    assert {c for c in library if "_trusted" in vars(c)} == {PlanarDiagram, LaurentPoly}
-    assert not [c for c in library if "_set" in vars(c)]
+    assert set(builds) < set(library)
+    for cls in library:
+        assert cls._trusted.__module__ == cls._set.__module__ == _Value.__module__

@@ -144,8 +144,8 @@ class _Value:
         super().__init_subclass__(**kwargs)
         # A C-level getter of the field tuple keeps __eq__ and __hash__ fast.
         cls._key = operator.attrgetter(*cls._fields)
-        slots = [name for name in cls.__slots__ if name != "__dict__"]
-        cls._set, cls._trusted = _writers(cls, tuple(getattr(cls, name).__set__ for name in slots))
+        writers = tuple(getattr(cls, name).__set__ for name in cls.__slots__ if name != "__dict__")
+        cls._set, cls._trusted = _writers(cls, writers)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

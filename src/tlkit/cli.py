@@ -69,8 +69,9 @@ _BASIS_SHA256 = {
     12: "4be1d377c560413910742a7691d60b2a420a2161e320e7e35df96cd50a9ccab8",
 }
 
-# Output, cache files and digests take the text this many characters at a
-# time, so no encoded copy of the whole text is made.
+# Output and cache files are written this many characters of the text at
+# a time, and a cache hit reads, hashes and decodes its file this many
+# bytes at a time, so no route holds the whole text's bytes.
 _SLICE = 1 << 16
 
 # Where a size error says the ceiling is raised.
@@ -125,15 +126,18 @@ def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
     file is rebuilt.
 
     The recorded digest is read first, so a file it refuses is not read.
-    The text is held once wherever it can be.  A miss records the known
+    The text is held once on every route.  A miss records the known
     digest, which is the walk's (a test holds the table to the walks),
-    so it hashes nothing and peaks where the walk does.  Only a hit loads
-    ``hashlib`` and its OpenSSL library, through ``_sha256``, after it
-    has decoded the bytes and dropped them, so neither is mapped while
-    it holds the bytes and the text at once.  The UTF-8 of a decoded
-    text is the file's bytes, so the digest of the text is the file's.
-    The directory is made when a file is first written, after the walk
-    has passed its depth check, so a refused walk leaves none."""
+    so it hashes nothing, loads no ``hashlib`` and peaks where the walk
+    does.  A hit loads ``hashlib`` once the recorded digest matches, then
+    reads the file in one pass of ``_SLICE`` bytes: each slice is hashed
+    and decoded onto the text, which CPython extends in place, so neither
+    the file's bytes nor an encoded copy of the text is ever held whole.
+    A slice that ends inside a multi-byte character fails to decode, but
+    only the ASCII basis has the known digest, so such a file is rebuilt
+    either way.  The directory is made when a file is first written,
+    after the walk has passed its depth check, so a refused walk leaves
+    none."""
     stem = cache_dir / f"basis_{_CACHE_VERSION}_dim{dimension}"
     data_path = stem.with_suffix(".tl")
     hash_path = stem.with_suffix(".sha256")
@@ -143,13 +147,25 @@ def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
         and hash_path.read_bytes().strip() == known.encode()
         and data_path.is_file()
     ):
+        import hashlib
+
+        digest = hashlib.sha256()
+        text = ""
         try:
-            text = str(data_path.read_bytes(), "utf-8")
+            with open(data_path, "rb") as fh:
+                # A for loop: Python 3.11 appends in place only once its
+                # backward jumps have warmed the code, and the jump back of
+                # a ``while piece := ...`` condition warms nothing, so the
+                # first run in a process would copy the text per slice.
+                for piece in iter(lambda: fh.read(_SLICE), b""):
+                    digest.update(piece)
+                    text += str(piece, "utf-8")
         except UnicodeDecodeError:
-            text = None  # this cache writes only UTF-8: the file is damaged
-        if text is not None and _sha256(text) == known:
-            return text
-        text = None  # a refused file's text is not held during the rebuild
+            pass  # this cache writes only UTF-8: the file is damaged
+        else:
+            if digest.hexdigest() == known:
+                return text
+        text = ""  # a refused file's text is not held during the rebuild
     text = _basis_lines(dimension)
     cache_dir.mkdir(parents=True, exist_ok=True)
     _write_replacing(data_path, text)
@@ -160,16 +176,6 @@ def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
 def _slices(text: str) -> Iterator[str]:
     """``text`` in pieces of at most ``_SLICE`` characters."""
     return (text[i : i + _SLICE] for i in range(0, len(text), _SLICE))
-
-
-def _sha256(text: str) -> str:
-    """The hex SHA-256 of ``text`` in UTF-8, encoded a slice at a time."""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for piece in _slices(text):
-        digest.update(piece.encode("utf-8"))
-    return digest.hexdigest()
 
 
 def _write_replacing(path: Path, text: str) -> None:

@@ -18,23 +18,31 @@ that d, and the relation suite re-derives this mechanically.
 Products follow operator order (the right factor acts first): the image
 of a word is the ordered product of its letter images.  The element image
 applies them to the identity, last letter first, each U_i by its local
-rule (``_backend._apply_generator``), on partner tuples: ``_image_terms``
-is the sorted list of (pairing, coefficient) terms, which ``braid_image``
-holds in a ``TLElement`` through ``_trusted``, with no second check, and
+rule (``_backend._apply_generator``), on partner tuples.  A letter only
+shifts, negates and adds coefficients, and after L letters every exponent
+has the parity of L, so ``_image_rows`` carries each coefficient as a
+row of integers at stride 2, (lo, [c_0, c_1, ...]) for the sum of
+c_i.A^(lo + 2i), with no ``LaurentPoly`` arithmetic.  A letter of sign s
+shifts every row by s and adds it, shifted by -s, at U's image, after
+one d-step (negate, shift by 2 either way, add) when U closes a loop.
+``_image_terms`` is the sorted list of (pairing, coefficient) terms, one
+``LaurentPoly`` made per term, which ``braid_image`` holds in a
+``TLElement`` through ``_trusted``, with no second check, and
 ``tlkit bracket`` prints through ``_backend.diagram_line``.  So the
 element route loads ``_backend``, ``_values``, ``laurent`` and this
 module alone; ``diagrams`` and ``elements`` are imported where they are
 used, as are ``matrices`` and ``representation``, and ``enumeration`` is
 not imported at all.
 
-``_image_terms`` is the only code that applies braid letters.  The
+``_image_rows`` is the only code that applies braid letters.  The
 matrix image is left multiplication by the element image over the
 identity-included basis: column j is w.D_j = (w.1).D_j, and the
 identity's column is w.1 itself.  ``_image_columns`` composes the
-element image onto one representative diagram per top link state and
-reads every other column off it by relabelling its bottom state, both
-through ``_backend.link_grid``, the grid that ``_backend.generator_maps``
-reads too (see its notes), which also locates each composed term's row.
+element image, in the same rows, onto one representative diagram per
+top link state and reads every other column off it by relabelling its
+bottom state, both through ``_backend.link_grid``, the grid that
+``_backend.generator_maps`` reads too (see its notes), which also
+locates each composed term's row.
 It runs on the walk's partner tuples, ``_backend.enumerate_pairings``,
 which ``braid_image_matrix`` and ``tlkit bracket --matrix`` both read:
 neither builds a ``DiagramBasis``, a generator map or a pairing index.
@@ -49,6 +57,7 @@ equal).  So the check builds no basis and loads no diagram module.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -142,24 +151,66 @@ def braid_image(word: BraidWord) -> TLElement:
     return TLElement._trusted(n, "A", tuple((trusted(n, p), c) for p, c in _image_terms(word)))
 
 
-def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
+#: A coefficient row (lo, [c_0, c_1, ...]): the Laurent polynomial
+#: sum of c_i.A^(lo + 2i), with c_0 and the last c_i nonzero.
+Row = tuple[int, list[int]]
+
+
+def _row_times_d(lo: int, cs: list[int], m: int) -> Row:
+    """d^m times the row (lo, cs), one d-step per factor d = -A^2 - A^-2:
+    negate, shift by 2 either way and add, so c_j becomes -c_j - c_(j-2)
+    from lo - 2 up."""
+    for _ in range(m):
+        lo, cs = lo - 2, [-(a + b) for a, b in zip(cs + [0, 0], [0, 0] + cs)]
+    return lo, cs
+
+
+def _row_sum(rows: list[Row]) -> Row | None:
+    """The sum of nonzero rows whose exponents share one parity, trimmed
+    to its first and last nonzero coefficient, or None if it is zero.
+    No row is changed in place, so the sum of one row is that row."""
+    if len(rows) == 1:
+        return rows[0]
+    lo = min(low for low, _ in rows)
+    total = [0] * max((low - lo) // 2 + len(cs) for low, cs in rows)
+    for low, cs in rows:
+        k = (low - lo) // 2
+        total[k : k + len(cs)] = map(operator.add, total[k : k + len(cs)], cs)
+    while total and not total[-1]:
+        total.pop()
+    start = next((i for i, c in enumerate(total) if c), 0)
+    return (lo + 2 * start, total[start:]) if total else None
+
+
+def _row_poly(lo: int, cs: Sequence[int]) -> LaurentPoly:
+    """The row (lo, cs) as a ``LaurentPoly`` in A."""
+    return LaurentPoly._trusted("A", tuple((lo + 2 * i, c) for i, c in enumerate(cs) if c))
+
+
+def _image_rows(word: BraidWord) -> list[tuple[tuple[int, ...], Row]]:
     """The bracket image of a word as its nonzero terms (partner tuple,
-    coefficient), sorted by partner tuple: the canonical diagram order."""
+    coefficient row), sorted by partner tuple: the canonical diagram order.
+
+    Each letter moves every exponent by an odd amount, so after L letters
+    every exponent has the parity of L, and a coefficient is a row at
+    stride 2.  A letter of sign s shifts each row by s, and adds it,
+    shifted by -s and times d if U closes a loop, at U's image."""
     n = word.strands
-    terms = {identity_pairing(n): LaurentPoly.one("A")}
-    # b.d for either sign, the factor of a term whose U closes a loop
-    d = kauffman_loop_value()
-    with_loop = {shift: d.shifted(-shift) for shift in (1, -1)}
+    terms: dict[tuple[int, ...], Row] = {identity_pairing(n): (0, [1])}
     for letter in reversed(word.letters):
         # the letter is a.1 + b.U with a = A^shift and b = A^-shift
         shift = 1 if letter > 0 else -1
-        updated = {pairing: c.shifted(shift) for pairing, c in terms.items()}
-        for pairing, c in terms.items():
+        summands = {pairing: [(lo + shift, cs)] for pairing, (lo, cs) in terms.items()}
+        for pairing, (lo, cs) in terms.items():
             image, loops = _apply_generator(pairing, abs(letter), n)
-            q = c * with_loop[shift] if loops else c.shifted(-shift)
-            updated[image] = updated[image] + q if image in updated else q
-        terms = {p: c for p, c in updated.items() if not c.is_zero()}
+            summands.setdefault(image, []).append(_row_times_d(lo - shift, cs, loops))
+        terms = {p: row for p, rows in summands.items() if (row := _row_sum(rows))}
     return sorted(terms.items())
+
+
+def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
+    """``_image_rows`` with one ``LaurentPoly`` per coefficient."""
+    return [(pairing, _row_poly(*row)) for pairing, row in _image_rows(word)]
 
 
 def _image_columns(
@@ -168,38 +219,35 @@ def _image_columns(
     """The bracket image over ``pairings``, the identity-included basis of
     the word's strand count, as sparse columns made one at a time in
     basis order: ``column[j]`` is ``entry`` of the nonzero entry in row
-    j.  Each distinct entry is converted once.
+    j.  Each distinct entry is made and converted once, keyed by its row.
 
     Column j is w.D_j = (w.1).D_j, the sum of c_E.d^m.P over the terms
-    (E, c_E) of ``_image_terms`` with E.D_j = d^m.P, and stacking E moves
+    (E, c_E) of ``_image_rows`` with E.D_j = d^m.P, and stacking E moves
     only D_j's top link state.  So one column per top state is composed,
     on the pairing ``_backend.link_grid`` picks for it, and every other
-    column is read off it by the grid's relabelling of the row bottoms."""
+    column is read off it by the grid's relabelling of the row bottoms.
+    The coefficients stay rows: c_E.d^m is ``_row_times_d`` of c_E's
+    row, and an entry is the ``_row_sum`` of the rows that land on it."""
     top, bottom, first, relabelled, locate = link_grid(pairings)
-    loops = [kauffman_loop_value() ** m for m in range(word.strands // 2 + 1)]
-    # the coefficients of c_E.d^m, for each term and loop count m
-    scaled = [(e, [(c * d_m).coeffs for d_m in loops]) for e, c in _image_terms(word)]
-    convert = functools.cache(entry)
-    # for each top state: row bottom state -> [(row top state, entry)]
-    composed: list[dict[int, list[tuple[int, object]]]] = []
+    # the rows of c_E.d^m, for each term and loop count m
+    scaled = [(e, [_row_times_d(*c, m) for m in range(word.strands // 2 + 1)]) for e, c in _image_rows(word)]
+    convert = functools.cache(lambda lo, cs: entry(_row_poly(lo, cs)))
+    # for each top state: row bottom state -> {row top state: entry}
+    composed: list[dict[int, dict[int, object]]] = []
     for below in first:
-        sums: dict[tuple[int, int], dict[int, int]] = {}  # row's (top, bottom) -> exponent -> coefficient
-        for e, coeffs in scaled:
+        sums: dict[tuple[int, int], list[Row]] = {}  # row's (top, bottom) -> its summands
+        for e, powers in scaled:
             product, m = compose_pairings(below, e)
-            acc = sums.setdefault(locate(product), {})
-            for exponent, c in coeffs[m]:
-                acc[exponent] = acc.get(exponent, 0) + c
-        rows: dict[int, list[tuple[int, object]]] = {}
-        for (row_top, row_bottom), acc in sums.items():
-            poly = LaurentPoly._collected("A", acc)
-            if poly.coeffs:
-                rows.setdefault(row_bottom, []).append((row_top, convert(poly)))
+            sums.setdefault(locate(product), []).append(powers[m])
+        rows: dict[int, dict[int, object]] = {}
+        for (row_top, row_bottom), summands in sums.items():
+            if total := _row_sum(summands):
+                rows.setdefault(row_bottom, {})[row_top] = convert(total[0], tuple(total[1]))
         composed.append(rows)
     for t, b in zip(top, bottom):
         column: dict[int, object] = {}
         for r, cells in composed[t].items():
-            targets = relabelled[b](r)
-            column.update((targets[row_top], value) for row_top, value in cells)
+            column.update(zip(map(relabelled[b](r).__getitem__, cells), cells.values()))
         yield column
 
 

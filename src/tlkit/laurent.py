@@ -10,8 +10,9 @@ e.g. ``d^2-2*d+1``, ``A+A^-1``, with the constants ``1`` and ``0`` as the
 bare digits.
 
 The module imports only ``_backend`` and ``_values`` from the package,
-so the element form of ``tlkit bracket`` computes with it without
-loading the diagram types.
+so the element form of ``tlkit bracket``, which computes on integer
+coefficient rows, makes its output terms with it without loading the
+diagram types.
 """
 
 from __future__ import annotations

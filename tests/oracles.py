@@ -15,6 +15,11 @@ kernel search or the strand-walk composition under test:
 column by column through element products, to cross-check the element
 and matrix routes of the braid image against each other.
 
+``reference_image_terms`` is the bracket element image built the way the
+library first built it, one letter at a time in ``LaurentPoly``
+arithmetic: ``tlkit.braids._image_rows``, which carries each coefficient
+as a row of integers at stride 2, is checked against it.
+
 ``reference_map`` is the map of one generator over a basis built the way
 the library first built it, by the generator rule applied to every
 pairing: ``_backend.generator_maps``, which applies it once per top
@@ -574,6 +579,28 @@ def reference_map(pairings: Sequence[tuple[int, ...]], k: int) -> Map:
     index = {p: i for i, p in enumerate(pairings)}
     images = (_apply_generator(p, k, len(p) // 2) for p in pairings)
     return tuple(zip(*[(index[p], m) for p, m in images]))
+
+
+def reference_image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
+    """The bracket image of a word as its nonzero (partner tuple,
+    ``LaurentPoly``) terms, sorted, one letter at a time in ``LaurentPoly``
+    arithmetic: a letter of sign s takes each term c.P to A^s.c.P plus
+    A^-s.d^m.c.U(P), where U closes m loops on P."""
+    n = word.strands
+    terms = {identity_pairing(n): LaurentPoly.one("A")}
+    # b.d for either sign, the factor of a term whose U closes a loop
+    d = kauffman_loop_value()
+    with_loop = {shift: d.shifted(-shift) for shift in (1, -1)}
+    for letter in reversed(word.letters):
+        # the letter is a.1 + b.U with a = A^shift and b = A^-shift
+        shift = 1 if letter > 0 else -1
+        updated = {pairing: c.shifted(shift) for pairing, c in terms.items()}
+        for pairing, c in terms.items():
+            image, loops = _apply_generator(pairing, abs(letter), n)
+            q = c * with_loop[shift] if loops else c.shifted(-shift)
+            updated[image] = updated[image] + q if image in updated else q
+        terms = {p: c for p, c in updated.items() if not c.is_zero()}
+    return sorted(terms.items())
 
 
 def reference_image_columns(

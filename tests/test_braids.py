@@ -2,13 +2,14 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlkit import _backend, braids, enumeration
 from tlkit.braids import (
     BraidWord,
     _image_columns,
+    _image_rows,
     _image_terms,
     _verify_artin,
     braid_image,
@@ -26,6 +27,7 @@ from oracles import (
     dense_braid_image_matrix,
     element_matrix,
     reference_image_columns,
+    reference_image_terms,
 )
 
 
@@ -244,6 +246,35 @@ def test_matrix_image_builds_no_diagram_basis(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_basis", refuse)
     assert [braid_image_matrix(w) for w in words] == expected
+
+
+@st.composite
+def long_words(draw):
+    """A word of 0 to 60 letters, its length drawn evenly, on 2 to 6
+    strands; or half of one times its inverse, which cancels back to the
+    identity."""
+    length = draw(st.integers(0, 60))
+    word = draw(braid_words(max_strands=6, min_len=length, max_len=length))
+    if draw(st.booleans()):
+        half = BraidWord(word.strands, word.letters[: length // 2])
+        return half * half.inverse()
+    return word
+
+
+# The reference takes about 4 ms on a word of 30 letters, the mean here:
+# 50 words keep the property near 0.3 s.
+@settings(max_examples=50)
+@example(BraidWord(2, ()))
+@example(BraidWord(4, (1, -2, 3, -3, 2, -1)))
+@given(long_words())
+def test_image_rows_match_the_reference_loop(word):
+    expected = reference_image_terms(word)
+    assert _image_terms(word) == expected
+    # Each letter moves every exponent by an odd amount: the rows rest on it.
+    length = len(word.letters)
+    assert all((e - length) % 2 == 0 for _, c in expected for e, _ in c.coeffs)
+    # Every row is trimmed, so it starts and ends on a nonzero coefficient.
+    assert all(cs[0] and cs[-1] for _, (_, cs) in _image_rows(word))
 
 
 def assert_columns_match_the_reference(word):

@@ -731,20 +731,46 @@ class TestStartup:
     #: locale modules its messages pull in.
     FRONT_END = {"dataclasses", "argparse", "gettext", "locale"}
 
-    #: Runs ``main`` on the probe's arguments and prints to stderr the
-    #: tlkit modules loaded, and the ``FRONT_END`` modules loaded that were
-    #: not already imported at interpreter start (a host's ``site`` may
-    #: import them).
+    #: Standard modules that a route loads only where it needs them:
+    #: ``pathlib`` for a path option, the hash modules for a warm cache hit,
+    #: and ``mmap`` and ``threading`` for none.
+    STANDARD = ("pathlib", "mmap", "threading", "hashlib", "_hashlib")
+
+    #: Runs ``main`` on the probe's arguments and prints to stderr two
+    #: lines: the tlkit and ``FRONT_END`` modules loaded, and the
+    #: ``STANDARD`` ones.
     LOADED = (
         "import sys\n"
-        f"preloaded = {sorted(FRONT_END)!r}\n"
-        "preloaded = {m for m in preloaded if m in sys.modules}\n"
         "from tlkit.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        f"loaded = [m for m in sys.modules if m.startswith('tlkit') or m in {sorted(FRONT_END)!r}]\n"
-        "print(*(m for m in loaded if m not in preloaded), file=sys.stderr)\n"
+        f"print(*(m for m in sys.modules if m.startswith('tlkit') or m in {sorted(FRONT_END)!r}), file=sys.stderr)\n"
+        f"print(*(m for m in {STANDARD!r} if m in sys.modules), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
+
+    @pytest.fixture(scope="class")
+    def started(self, tmp_path_factory):
+        """Runs ``LOADED`` on a command line once for the whole class, under
+        -S, since a host's ``site`` may import the modules it reports: one
+        start serves every test that probes the same line.  ``{tmp}`` in an
+        argument is a directory the class shares, and a cache directory
+        named ``warm`` is filled first, so the probe reads a hit.  Returns
+        the formatted arguments, the probe's output, the set of tlkit and
+        ``FRONT_END`` modules it loaded and the list of ``STANDARD`` ones."""
+        shared = tmp_path_factory.mktemp("startup")
+
+        @functools.cache
+        def start(*args):
+            args = [arg.format(tmp=shared) for arg in args]
+            if args[-1].endswith("warm"):
+                run_cli(args)
+            result = self.fresh_python(self.LOADED, *args, options=["-S"])
+            loaded, standard = result.stderr.splitlines()[-2:]
+            return SimpleNamespace(
+                args=args, stdout=result.stdout, loaded=set(loaded.split()), standard=standard.split()
+            )
+
+        return start
 
     @staticmethod
     def fresh_python(probe, *args, options=(), check=True):
@@ -815,12 +841,9 @@ class TestStartup:
             ["draw", "--dim", "2", "--diagram", "TL 2 m=1 (1,3)(2,4)", "--format", "svg"],
         ],
     )
-    def test_subcommand_loads_only_its_modules(self, args, tmp_path):
-        args = [arg.format(tmp=tmp_path) for arg in args]
-        if args[-1].endswith("warm"):
-            run_cli(args)  # fills the cache, so the probe reads a hit
-        result = self.fresh_python(self.LOADED, *args)
-        loaded = set(result.stderr.split())
+    def test_subcommand_loads_only_its_modules(self, args, started):
+        result = started(*args)
+        loaded = result.loaded
         kernel = {"tlkit", "tlkit.cli", "tlkit._backend"}
         if args[0] == "enumerate":
             # Every enumerate route runs on the kernel module alone.
@@ -848,21 +871,20 @@ class TestStartup:
             # The TL relations run on the kernel and relation modules alone.
             assert loaded == kernel | {"tlkit._relations"}
         assert not loaded & self.FRONT_END
-        assert result.stdout == run_cli(args)[1]
+        assert result.stdout == run_cli(result.args)[1]
 
     @pytest.mark.parametrize("word", ["-1, 2", "-1,+2"], ids=["space", "plus"])
-    def test_a_word_that_starts_with_a_dash_loads_no_front_end(self, word):
+    def test_a_word_that_starts_with_a_dash_loads_no_front_end(self, word, started):
         # "--word X" reads as "--word=X" without argparse.
-        args = ["bracket", "--strands", "3", "--word", word]
-        result = self.fresh_python(self.LOADED, *args)
-        assert not set(result.stderr.split()) & self.FRONT_END
+        result = started("bracket", "--strands", "3", "--word", word)
+        assert not result.loaded & self.FRONT_END
         assert result.stdout == run_cli(["bracket", "--strands", "3", f"--word={word}"])[1]
 
     @pytest.mark.parametrize("matrix", [[], ["--matrix"]], ids=["element", "matrix"])
-    def test_bracket_loads_neither_representation_nor_matrices(self, matrix):
+    def test_bracket_loads_neither_representation_nor_matrices(self, matrix, started):
         args = ["bracket", "--strands", "4", "--word=1,-2,3,-1", *matrix]
-        result = self.fresh_python(self.LOADED, *args)
-        loaded = set(result.stderr.split())
+        result = started(*args)
+        loaded = result.loaded
         assert "tlkit.braids" in loaded
         assert not loaded & {"tlkit.representation", "tlkit.matrices"}
         assert not loaded & self.FRONT_END
@@ -897,39 +919,24 @@ class TestStartup:
             ["draw", "--dim", "2", "--diagram", "TL 2 m=1 (1,3)(2,4)"],
         ],
     )
-    def test_only_path_options_load_pathlib(self, args, tmp_path):
-        # Run under -S, since a host's ``site`` may import pathlib at start.
+    def test_only_path_options_load_pathlib(self, args, started):
         # A warm cache hit reads the file's bytes on the main thread.
-        args = [arg.format(tmp=tmp_path) for arg in args]
-        if "--cache" in args:
-            run_cli(args)
-        probe = (
-            "import sys\n"
-            "from tlkit.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(*(m for m in ('pathlib', 'mmap', 'threading') if m in sys.modules), file=sys.stderr)\n"
-            "sys.exit(code)\n"
-        )
-        result = self.fresh_python(probe, *args, options=["-S"])
+        result = started(*args)
         path_option = "--output" in args or "--cache" in args
-        assert result.stderr.split() == (["pathlib"] if path_option else [])
-        assert result.stdout == run_cli(args)[1]
-
-    def test_only_a_cache_hit_loads_hashlib(self, tmp_path):
-        # A miss records the digest it already knows; only a hit hashes a
-        # file.  Run under -S, since a host's ``site`` may import hashlib.
-        probe = (
-            "import sys\n"
-            "from tlkit.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "print(*(m for m in ('hashlib', '_hashlib') if m in sys.modules), file=sys.stderr)\n"
-            "sys.exit(code)\n"
+        assert [m for m in result.standard if m in ("pathlib", "mmap", "threading")] == (
+            ["pathlib"] if path_option else []
         )
-        args = ["enumerate", "--dim", "4", "--cache", str(tmp_path)]
-        cold, warm = (self.fresh_python(probe, *args, options=["-S"]) for _ in range(2))
-        assert cold.stderr.split() == []
-        assert warm.stderr.split() == ["hashlib", "_hashlib"]
-        assert cold.stdout == warm.stdout == run_cli(args[:3])[1]
+        assert result.stdout == run_cli(result.args)[1]
+
+    def test_only_a_cache_hit_loads_hashlib(self, tmp_path, started):
+        # A miss records the digest it already knows; only a hit hashes a
+        # file.  The warm probe is the warm row of the pathlib test.
+        cold = started("enumerate", "--dim", "4", "--cache", str(tmp_path))
+        warm = started("enumerate", "--dim", "4", "--cache", "{tmp}/warm")
+        hashes = ("hashlib", "_hashlib")
+        assert [m for m in cold.standard if m in hashes] == []
+        assert [m for m in warm.standard if m in hashes] == ["hashlib", "_hashlib"]
+        assert cold.stdout == warm.stdout == run_cli(["enumerate", "--dim", "4"])[1]
 
     @pytest.mark.parametrize("flag", ["--version", "--help"])
     def test_version_and_help_load_no_diagram_module(self, flag):

@@ -57,7 +57,6 @@ equal).  So the check builds no basis and loads no diagram module.
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -174,8 +173,8 @@ def _row_sum(rows: list[Row]) -> Row | None:
     lo = min(low for low, _ in rows)
     total = [0] * max((low - lo) // 2 + len(cs) for low, cs in rows)
     for low, cs in rows:
-        k = (low - lo) // 2
-        total[k : k + len(cs)] = map(operator.add, total[k : k + len(cs)], cs)
+        for i, c in enumerate(cs, (low - lo) // 2):
+            total[i] += c
     while total and not total[-1]:
         total.pop()
     start = next((i for i, c in enumerate(total) if c), 0)

@@ -69,9 +69,28 @@ _BASIS_SHA256 = {
     12: "4be1d377c560413910742a7691d60b2a420a2161e320e7e35df96cd50a9ccab8",
 }
 
+#: Dimension -> the hex 32-byte BLAKE2b of the same text: the digest a hit
+#: takes of the file, with the interpreter's own ``_blake2``, since
+#: ``hashlib`` maps OpenSSL's libcrypto for a SHA-256.  A test recomputes
+#: each from the walk.
+_BASIS_BLAKE2B = {
+    1: "f335b4f506c097da9eb092ba105816ef9a2f8ceb79bda5cb78f09a7ba1a308f8",
+    2: "3826ea95406f310297adb3e39fecee664ca25584fa44bdffeae1a4ebc85ca5ae",
+    3: "bcb8c862c35e969cdb987257ffcc78dc7b0e17d61b8a1628c6791c0b57d787e2",
+    4: "f5527ba628e1a36362f4db30d641d0d982e77ba76231018a62c55101fc1f2502",
+    5: "d3816d8917328a670c2e18957f5d10d25c786cea8c6c0cd93abf12240cae8755",
+    6: "773946d0df87357020553384db959663f00dd5a4b5b9279171b8360689543b4e",
+    7: "4602033f24de78809793be77a9c98484e971f78f680ebe80d91e898c40018e0f",
+    8: "fdf1b3689b63b90820748f14fc48119a3101ce358874c0888f8a8fda213612e2",
+    9: "61945c616507b2feb9f306c9bfea4346cb1094bfd1a2830923e15125fef042e5",
+    10: "e756811786046b78a7be4ee4d81768f34c5bc89813dd29e014905fe47a20e82b",
+    11: "d940bedf8466be088222a9ce5dc48c8efb31bb8df9690930fbb3a5c8b447e1bc",
+    12: "854fd09307e50e31aa2fbc5445386a7c349089f3fc5a3d8402ee690871b28bee",
+}
+
 # Output and cache files are written this many characters of the text at
-# a time, and a cache hit reads, hashes and decodes its file this many
-# bytes at a time, so no route holds the whole text's bytes.
+# a time, and a cache hit reads, hashes with BLAKE2b and decodes its file
+# this many bytes at a time, so no route holds the whole text's bytes.
 _SLICE = 1 << 16
 
 # Where a size error says the ceiling is raised.
@@ -121,23 +140,24 @@ def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
     ``dimension`` is one that ``_BASIS_SHA256`` holds: ``enumerate``
     caches no other, and for one outside the table it prints the walk's
     text and neither reads, makes nor writes ``cache_dir``.  A file is
-    served, unchanged, only when it is the basis: its SHA-256 and the one
-    recorded beside it are both ``_BASIS_SHA256[dimension]``.  Any other
-    file is rebuilt.
+    served, unchanged, only when it is the basis: the SHA-256 recorded
+    beside it is ``_BASIS_SHA256[dimension]`` and the file's own 32-byte
+    BLAKE2b is ``_BASIS_BLAKE2B[dimension]``.  Any other file is rebuilt.
 
     The recorded digest is read first, so a file it refuses is not read.
     The text is held once on every route.  A miss records the known
-    digest, which is the walk's (a test holds the table to the walks),
-    so it hashes nothing, loads no ``hashlib`` and peaks where the walk
-    does.  A hit loads ``hashlib`` once the recorded digest matches, then
-    reads the file in one pass of ``_SLICE`` bytes: each slice is hashed
-    and decoded onto the text, which CPython extends in place, so neither
-    the file's bytes nor an encoded copy of the text is ever held whole.
-    A slice that ends inside a multi-byte character fails to decode, but
-    only the ASCII basis has the known digest, so such a file is rebuilt
-    either way.  The directory is made when a file is first written,
-    after the walk has passed its depth check, so a refused walk leaves
-    none."""
+    SHA-256, which is the walk's (a test holds both tables to the walks),
+    so it hashes nothing and peaks where the walk does.  A hit loads the
+    interpreter's built-in ``_blake2``, which links no OpenSSL, once the
+    recorded digest matches; no route loads ``hashlib``, and on a build
+    without ``_blake2`` the lookup is a miss.  The hit reads the file in
+    one pass of ``_SLICE`` bytes: each slice is hashed and decoded onto
+    the text, which CPython extends in place, so neither the file's bytes
+    nor an encoded copy of the text is ever held whole.  A slice that
+    ends inside a multi-byte character fails to decode, but only the
+    ASCII basis has the known digest, so such a file is rebuilt either
+    way.  The directory is made when a file is first written, after the
+    walk has passed its depth check, so a refused walk leaves none."""
     stem = cache_dir / f"basis_{_CACHE_VERSION}_dim{dimension}"
     data_path = stem.with_suffix(".tl")
     hash_path = stem.with_suffix(".sha256")
@@ -147,11 +167,11 @@ def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
         and hash_path.read_bytes().strip() == known.encode()
         and data_path.is_file()
     ):
-        import hashlib
-
-        digest = hashlib.sha256()
         text = ""
         try:
+            from _blake2 import blake2b
+
+            digest = blake2b(digest_size=32)
             with open(data_path, "rb") as fh:
                 # A for loop: Python 3.11 appends in place only once its
                 # backward jumps have warmed the code, and the jump back of
@@ -160,10 +180,12 @@ def _cached_basis_lines(dimension: int, cache_dir: Path) -> str:
                 for piece in iter(lambda: fh.read(_SLICE), b""):
                     digest.update(piece)
                     text += str(piece, "utf-8")
+        except ImportError:
+            pass  # a build without the built-in BLAKE2b: served as a miss
         except UnicodeDecodeError:
             pass  # this cache writes only UTF-8: the file is damaged
         else:
-            if digest.hexdigest() == known:
+            if digest.hexdigest() == _BASIS_BLAKE2B[dimension]:
                 return text
         text = ""  # a refused file's text is not held during the rebuild
     text = _basis_lines(dimension)

@@ -551,10 +551,40 @@ def test_cache_hit_decisions(name, tmp_path, monkeypatch):
 def test_known_digests_are_the_walks():
     from tlkit._backend import DEFAULT_MAX_DIMENSION
 
-    assert cli._BASIS_SHA256 == {
-        n: hashlib.sha256(cli._basis_lines(n).encode("utf-8")).hexdigest()
-        for n in range(1, DEFAULT_MAX_DIMENSION + 1)
+    texts = {n: cli._basis_lines(n).encode("utf-8") for n in range(1, DEFAULT_MAX_DIMENSION + 1)}
+    assert cli._BASIS_SHA256 == {n: hashlib.sha256(text).hexdigest() for n, text in texts.items()}
+    assert cli._BASIS_BLAKE2B == {
+        n: hashlib.blake2b(text, digest_size=32).hexdigest() for n, text in texts.items()
     }
+
+
+def test_a_hit_hashes_with_the_class_hashlib_names():
+    # The hit imports BLAKE2b from the interpreter's own module, without
+    # hashlib and the OpenSSL library it maps: it is the same class.
+    import _blake2
+
+    assert _blake2.blake2b is hashlib.blake2b
+
+
+def test_cache_without_the_built_in_blake2b_is_a_miss(tmp_path, monkeypatch, capsys):
+    """On a build without ``_blake2`` a warm lookup serves the walk's text
+    and rewrites both files."""
+    cache = tmp_path / "cache"
+    args = ["enumerate", "--dim", "4", "--cache", str(cache)]
+    run_cli(args)
+    intact = {p.name: (p.read_bytes(), p.stat().st_ino) for p in cache.iterdir()}
+    monkeypatch.setitem(sys.modules, "_blake2", None)  # its import raises ImportError
+    built = []
+    basis_lines = cli._basis_lines
+    monkeypatch.setattr(cli, "_basis_lines", lambda *args: built.append(args) or basis_lines(*args))
+    assert run_cli(args) == (0, _DIM4)
+    assert built == [(4,)]
+    rewritten = {p.name: (p.read_bytes(), p.stat().st_ino) for p in cache.iterdir()}
+    assert rewritten.keys() == intact.keys()
+    for name, (data, inode) in intact.items():
+        # a rewrite renames a new file, with a new inode, over each
+        assert rewritten[name][0] == data and rewritten[name][1] != inode
+    assert capsys.readouterr().err == ""
 
 
 def test_cache_of_a_dimension_without_a_known_digest_is_not_cached(tmp_path, monkeypatch):
@@ -732,9 +762,10 @@ class TestStartup:
     FRONT_END = {"dataclasses", "argparse", "gettext", "locale"}
 
     #: Standard modules that a route loads only where it needs them:
-    #: ``pathlib`` for a path option, the hash modules for a warm cache hit,
-    #: and ``mmap`` and ``threading`` for none.
-    STANDARD = ("pathlib", "mmap", "threading", "hashlib", "_hashlib")
+    #: ``pathlib`` for a path option, the built-in ``_blake2`` for a warm
+    #: cache hit, and ``mmap``, ``threading`` and the OpenSSL-backed
+    #: ``hashlib`` and ``_hashlib`` for none.
+    STANDARD = ("pathlib", "mmap", "threading", "hashlib", "_hashlib", "_blake2")
 
     #: Runs ``main`` on the probe's arguments and prints to stderr two
     #: lines: the tlkit and ``FRONT_END`` modules loaded, and the
@@ -846,8 +877,10 @@ class TestStartup:
         loaded = result.loaded
         kernel = {"tlkit", "tlkit.cli", "tlkit._backend"}
         if args[0] == "enumerate":
-            # Every enumerate route runs on the kernel module alone.
+            # Every enumerate route runs on the kernel module alone, and
+            # none maps OpenSSL: a warm cache hit hashes with _blake2.
             assert loaded == kernel
+            assert not {"hashlib", "_hashlib"} & set(result.standard)
         elif args[0] == "compose":
             # So does every compose route, the table and two operands
             # alike, besides its runner's module.
@@ -928,14 +961,15 @@ class TestStartup:
         )
         assert result.stdout == run_cli(result.args)[1]
 
-    def test_only_a_cache_hit_loads_hashlib(self, tmp_path, started):
+    def test_only_a_cache_hit_loads_blake2(self, tmp_path, started):
         # A miss records the digest it already knows; only a hit hashes a
-        # file.  The warm probe is the warm row of the pathlib test.
+        # file, with the interpreter's built-in BLAKE2b, so neither maps
+        # OpenSSL.  The warm probe is the warm row of the pathlib test.
         cold = started("enumerate", "--dim", "4", "--cache", str(tmp_path))
         warm = started("enumerate", "--dim", "4", "--cache", "{tmp}/warm")
-        hashes = ("hashlib", "_hashlib")
+        hashes = ("hashlib", "_hashlib", "_blake2")
         assert [m for m in cold.standard if m in hashes] == []
-        assert [m for m in warm.standard if m in hashes] == ["hashlib", "_hashlib"]
+        assert [m for m in warm.standard if m in hashes] == ["_blake2"]
         assert cold.stdout == warm.stdout == run_cli(["enumerate", "--dim", "4"])[1]
 
     @pytest.mark.parametrize("flag", ["--version", "--help"])

@@ -8,7 +8,7 @@ braid words with d = -A^2 - A^-2.
 
 All arithmetic is exact (integer Laurent polynomials); all values are
 immutable and safe to share across threads.  The kernels on plain
-partner tuples (basis enumeration, pairing composition, the generator
+partner rows (basis enumeration, pairing composition, the generator
 rule and the basis maps built from it, the composition table and the
 diagram line walk) are plain Python in ``tlkit._backend``; the package
 has no dependencies outside the standard library.

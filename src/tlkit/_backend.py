@@ -1,17 +1,24 @@
-"""The kernels on plain partner tuples: the basis search, pairing
+"""The kernels on plain partner rows: the basis search, pairing
 composition, the generator rule and the maps ``generator_maps`` builds
 from it, the link-state grid of a basis, the composition table, and the
 diagram line format's walk, writer and reader.
 
-Everything here works on plain partner tuples (1-based, ``pairing[i-1]``
-is the partner of node i).  ``compose_pairings`` trusts its input:
-callers pass the pairings of validated ``PlanarDiagram`` values or of
-``read_line``, which checks what it reads.  The callers trust the
-output in turn: basis pairings and composition products become
-diagrams through ``PlanarDiagram._trusted``, without a second
-involution and planarity check, so a kernel change must keep every
-emitted tuple a noncrossing perfect matching (the test suite
-re-validates them).
+Everything here works on plain partner rows (1-based, ``pairing[i-1]``
+is the partner of node i) of one of two types.  The walk's rows are
+``bytes``, one byte per partner, the shape of the link states read off
+them, so the grid, the generator maps, the ideal blocks, the
+composition table and the bracket matrix columns run on ``bytes`` end
+to end.  ``read_line``, two-operand ``compose``, the element image and
+every diagram value keep tuples, so they run at any N.
+``compose_pairings`` and ``_apply_generator`` return a row of the type
+they are given, and ``bytes`` rows sort as their tuples do.
+``compose_pairings`` trusts its input: callers pass the pairings of
+validated ``PlanarDiagram`` values or of ``read_line``, which checks
+what it reads, or basis rows.  The callers trust the output in turn:
+basis rows and composition products become diagrams through
+``PlanarDiagram._trusted``, without a second involution and planarity
+check, so a kernel change must keep every emitted row a noncrossing
+perfect matching (the test suite re-validates them).
 
 The basis search is a depth-first walk that joins the lowest unmatched
 node, the frontier, to each of its legal partners in ascending order.
@@ -27,8 +34,9 @@ The rule reads nothing but which nodes are matched, so the search state
 is one int, ``matched``, with bit i set for each matched node i and bit 0
 always set.  Two walks recurse on it:
 
-* ``enumerate_pairings`` emits each leaf as a partner tuple; it is the
-  only walk that keeps a partner array;
+* ``enumerate_pairings`` emits each leaf as a ``bytes`` partner row;
+  it is the only walk that keeps a partner array, a ``bytearray``, and
+  it refuses N >= 128, whose partner 2N would not fit a byte;
 * ``pairing_lines`` emits each leaf as one line of text.  The search
   places pair (f, j) with f < j and f ascending, which is the pair order
   of the diagram line format, so the text of a leaf is the pair texts of
@@ -54,8 +62,9 @@ basis is computed once per top state and read off for every other
 position by relabelling its bottom state: ``link_grid`` holds that
 grid, its representatives and its relabelling, and locates any basis
 pairing by its two states, so it is the one position index of such a
-route.  A basis is the list of its partner tuples, in order, and the
-grid serves the two left actions over one:
+route.  A basis is the list of its partner rows, in order: the walk's
+``bytes``, or the tuples of a ``DiagramBasis``.  The grid serves the two
+left actions over one:
 
 * ``generator_maps(pairings, indices)``, the one builder of generator
   maps over a whole basis, applies each U_k once per top state and
@@ -119,10 +128,12 @@ Map = tuple[tuple[int, ...], tuple[int, ...]]
 
 #: A basis as a grid of link states, (top, bottom, first, relabelled,
 #: locate): see ``link_grid``.
-Grid = tuple[list[int], list[int], list[tuple[int, ...]], list[Callable[[int], dict[int, int]]],
-             Callable[[tuple[int, ...]], tuple[int, int]]]
+Grid = tuple[list[int], list[int], list[Sequence[int]], list[Callable[[int], dict[int, int]]],
+             Callable[[Sequence[int]], tuple[int, int]]]
 
 K = TypeVar("K")
+#: A partner row: a tuple, or the ``bytes`` of ``enumerate_pairings``.
+P = TypeVar("P", tuple[int, ...], bytes)
 
 
 def _integer(value: int, name: str) -> int:
@@ -316,20 +327,22 @@ def _noncrossing(pairing: Sequence[int], dimension: int) -> bool:
     return not stack
 
 
-def enumerate_pairings(dimension: int) -> list[tuple[int, ...]]:
-    """All noncrossing perfect matchings on 2N nodes as partner tuples,
-    in ascending lexicographic order."""
-    n = _walk_dimension(dimension)
+def enumerate_pairings(dimension: int) -> list[bytes]:
+    """All noncrossing perfect matchings on 2N nodes as partner rows, in
+    ascending lexicographic order.  A row is a ``bytes``, one byte per
+    partner, the shape of the link states read off it, and rows sort as
+    their tuples do; so N is at most 127, where 2N = 254 fits a byte."""
+    n = _in_range(_walk_dimension(dimension), "dimension", 1, 127)
     branches = functools.cache(lambda matched: _partners(matched, n))
     # Each node is written when the path reaches it, so at a leaf every
     # entry holds the current path's partner and no write is undone.
-    partner = [0] * (2 * n + 1)
-    out: list[tuple[int, ...]] = []
+    partner = bytearray(2 * n + 1)
+    out: list[bytes] = []
 
     def rec(matched: int) -> None:
         f, partners = branches(matched)
         if partners is None:
-            out.append(tuple(partner[1:]))
+            out.append(bytes(partner[1:]))
             return
         for j in partners:
             partner[f] = j
@@ -431,8 +444,8 @@ def _partners(matched: int, n: int) -> tuple[int, Sequence[int] | None]:
     return f, (*range(f + 1, n + 1, 2), *range(start, size + 1, 2))
 
 
-def compose_pairings(bottom: tuple[int, ...], top: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Stack ``top`` onto ``bottom``, two partner tuples of one dimension
+def compose_pairings(bottom: P, top: Sequence[int]) -> tuple[P, int]:
+    """Stack ``top`` onto ``bottom``, two partner rows of one dimension
     N (read off ``bottom``, which has 2N entries), and resolve the
     product.
 
@@ -441,8 +454,9 @@ def compose_pairings(bottom: tuple[int, ...], top: tuple[int, ...]) -> tuple[tup
     each boundary end not yet paired, the walk follows partners,
     switching factor at every middle node, until it reaches the boundary
     again.  Middle nodes no walk visited lie on closed loops.  Returns
-    the boundary partner tuple of the loop-free product and the number of
-    closed loops, i.e. the exponent of the loop parameter.
+    the boundary partner row of the loop-free product, of ``bottom``'s
+    type, and the number of closed loops, i.e. the exponent of the loop
+    parameter.
     """
     n = len(bottom) // 2
     pairing = [0] * (2 * n)
@@ -476,7 +490,7 @@ def compose_pairings(bottom: tuple[int, ...], top: tuple[int, ...]) -> tuple[tup
             m = top[m - 1]
             visited[m] = True
             m = bottom[m + n - 1] - n
-    return tuple(pairing), loops
+    return type(bottom)(pairing), loops
 
 
 def identity_pairing(dimension: int) -> tuple[int, ...]:
@@ -484,30 +498,28 @@ def identity_pairing(dimension: int) -> tuple[int, ...]:
     return (*range(dimension + 1, 2 * dimension + 1), *range(1, dimension + 1))
 
 
-def _apply_generator(
-    pairing: tuple[int, ...], k: int, dimension: int
-) -> tuple[tuple[int, ...], int]:
-    """U_k . D as (partner tuple, loops).  Stacking U_k on top of D
-    changes only D's top nodes a = N+k and b = N+k+1: into d.D if D pairs
-    them, otherwise into the pairing (a, b) and (D(a), D(b))."""
+def _apply_generator(pairing: P, k: int, dimension: int) -> tuple[P, int]:
+    """U_k . D as (partner row of D's type, loops).  Stacking U_k on top
+    of D changes only D's top nodes a = N+k and b = N+k+1: into d.D if D
+    pairs them, otherwise into the pairing (a, b) and (D(a), D(b))."""
     a, b = dimension + k, dimension + k + 1
     p, q = pairing[a - 1], pairing[b - 1]
     if p == b:
         return pairing, 1
     out = list(pairing)
     out[a - 1], out[b - 1], out[p - 1], out[q - 1] = b, a, q, p
-    return tuple(out), 0
+    return type(pairing)(out), 0
 
 
 def _row(n: int, top: bool) -> tuple[slice, bytes]:
-    """The top or bottom row of a partner tuple of dimension ``n``: the
+    """The top or bottom row of a partner row of dimension ``n``: the
     slice of its nodes and the table that translates their partners into
     the row's link state, a partner on the other row into 0."""
     start = n if top else 0
     return slice(start, start + n), bytes(q - start if start < q <= start + n else 0 for q in range(256))
 
 
-def link_states(pairings: Sequence[tuple[int, ...]], top: bool) -> tuple[dict[bytes, int], list[int]]:
+def link_states(pairings: Sequence[Sequence[int]], top: bool) -> tuple[dict[bytes, int], list[int]]:
     """The link states of one row of the basis ``pairings``, the top row
     or the bottom one: each distinct state with its id, numbered in order
     of first appearance, and the id of each position's state.
@@ -515,16 +527,18 @@ def link_states(pairings: Sequence[tuple[int, ...]], top: bool) -> tuple[dict[by
     A row's link state lists the partner of each of its N nodes, counted
     1..N along the row, where that partner is on the same row, and 0 for
     a defect, a node whose strand crosses to the other row.  A diagram is
-    its top state and its bottom state.  A state is a ``bytes``: a basis
-    that fits in memory has N < 128, so every partner fits in a byte.
-    The ids are made on request, and nothing keeps them."""
+    its top state and its bottom state.  A state is a ``bytes``, read
+    off a row of either type: the walk's ``bytes`` rows, whose N <= 127
+    puts every partner in a byte, or the tuples of a ``DiagramBasis``,
+    which fits in memory only for N < 128.  The ids are made on request,
+    and nothing keeps them."""
     row, partner = _row(len(pairings[0]) // 2, top)
     ids: dict[bytes, int] = {}
     state = [ids.setdefault(bytes(p[row]).translate(partner), len(ids)) for p in pairings]
     return ids, state
 
 
-def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
+def link_grid(pairings: Sequence[Sequence[int]]) -> Grid:
     """The basis ``pairings`` as a grid of link states, for a left action
     over the whole basis: (top, bottom, first, relabelled, locate).
 
@@ -535,7 +549,8 @@ def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
 
     ``top[i]`` and ``bottom[i]`` are the state ids of position i
     (``link_states``), and ``locate(pairing)`` is the (top, bottom) id
-    pair of any pairing of the basis, read off its rows the same way.
+    pair of any pairing of the basis, ``bytes`` or tuple, read off its
+    rows the same way.  ``first`` holds rows of the basis, so of its type.
     Stacking X on a diagram (T, B) moves only T, and pairs B's r-th and
     s-th defects where it joins T's (arXiv:1204.4505).  So X is applied
     once per top state T, to ``first[T]``, the pairing of T over B_1, the
@@ -556,7 +571,7 @@ def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
     n = len(pairings[0]) // 2
     (above, up), (below, down) = _row(n, True), _row(n, False)
 
-    def locate(pairing: tuple[int, ...]) -> tuple[int, int]:
+    def locate(pairing: Sequence[int]) -> tuple[int, int]:
         return tops[bytes(pairing[above]).translate(up)], bottoms[bytes(pairing[below]).translate(down)]
 
     def relabel(b: int, r: int) -> dict[int, int]:
@@ -574,12 +589,15 @@ def link_grid(pairings: Sequence[tuple[int, ...]]) -> Grid:
     return top, bottom, first, relabelled, locate
 
 
-def generator_maps(pairings: Sequence[tuple[int, ...]], indices: Iterable[int]) -> list[Map]:
+def generator_maps(pairings: Sequence[Sequence[int]], indices: Iterable[int]) -> list[Map]:
     """U_k on every pairing of the basis ``pairings``, in order, for each
     k in ``indices``: (targets, exponents) with
     U_k . P_i = d^exponents[i] . P_targets[i].  The pairings are those
     ``link_grid`` takes, in the order the caller reads: the whole basis,
-    or the whole basis but the identity, which no U_k yields.  The grid
+    or the whole basis but the identity, which no U_k yields.  They are
+    the walk's ``bytes`` rows for ``verify``, ``repr`` and
+    ``compose --table``, and the tuples of a ``DiagramBasis`` for the
+    generator matrices; each image keeps its row's type.  The grid
     of the basis is made once per call, U_k is applied once per top link
     state, to the pairing the grid picks for it, and every other
     position is read off that image by the grid's relabelling.  Built on

@@ -1,7 +1,7 @@
 """Sparse square matrices as CSV text, the form in which ``tlkit repr``
 and ``tlkit bracket --matrix`` print them, and the runner of ``repr``:
 the generator maps that ``_relations.ordered_maps`` builds on the
-walk's partner tuples, put in the representation order first, with no
+walk's ``bytes`` rows, put in the representation order first, with no
 diagram made.  Both commands pass their matrices as sparse columns;
 ``sparse_csv`` is the one place where they become rows.  Only those
 two routes compile this module; ``_relations``, which every ``verify``

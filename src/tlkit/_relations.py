@@ -1,4 +1,4 @@
-"""The Temperley-Lieb relation kernels, on partner tuples and positions.
+"""The Temperley-Lieb relation kernels, on partner rows and positions.
 
 The defining relations are listed once, in ``tl_relations``, over any
 generator values with a product and a scaling by d.  Two checks pass
@@ -22,7 +22,7 @@ element images of braid words: each check passes a
 witness text when they do not, and every witness finds where the sides
 differ with ``_backend._first_difference``.
 
-``ideal_blocks`` groups the positions of a basis's partner tuples
+``ideal_blocks`` groups the positions of a basis's partner rows
 into the components of the generator action, read off their bottom
 link states with no generator map built; ``representation_order``
 lists them in the order those blocks give (the one of ``verify``,
@@ -34,7 +34,7 @@ index.
 
 The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
-alone, on the partner tuples of ``_backend.enumerate_pairings``.  ``_run_verify``,
+alone, on the ``bytes`` rows of ``_backend.enumerate_pairings``.  ``_run_verify``,
 the runner of ``tlkit verify``, imports ``braids`` only for the Artin
 relations, which walk no basis, so ``--relations all`` walks the basis
 once, for the TL relations; it prints every report and the overall
@@ -81,12 +81,13 @@ def generator_pairing(dimension: int, k: int) -> tuple[int, ...]:
     return tuple(pairing)
 
 
-def ideal_blocks(pairings: Sequence[tuple[int, ...]], include_identity: bool) -> list[list[int]]:
+def ideal_blocks(pairings: Sequence[Sequence[int]], include_identity: bool) -> list[list[int]]:
     """The positions of the basis ``pairings`` grouped into the
     components of the generator action, D and U_k.D sharing a block for
     every D and k; canonically sorted within each block and by first
     members.  The identity and its edges are left out unless it is
-    included.
+    included.  The rows may be the walk's ``bytes`` or a basis's tuples:
+    both sort in the canonical order.
 
     The blocks are read off the bottom link states, each bottom node's
     partner with 0 for a defect, and no generator map is built.  A
@@ -133,7 +134,7 @@ def ideal_blocks(pairings: Sequence[tuple[int, ...]], include_identity: bool) ->
     return [block for block in grouped.values() if state[block[0]] != skip]
 
 
-def representation_order(pairings: Sequence[tuple[int, ...]], include_identity: bool) -> Sequence[int]:
+def representation_order(pairings: Sequence[Sequence[int]], include_identity: bool) -> Sequence[int]:
     """The positions of the basis ``pairings`` in the representation
     order: basis order with the identity included, else the ideal blocks
     in canonical order."""
@@ -146,9 +147,10 @@ def ordered_maps(n: int, indices: Iterable[int], identity: bool) -> tuple[int, l
     """The size of the walk's basis of dimension ``n``, with the identity
     if ``identity``, and the maps of U_k for k in ``indices`` on that
     basis in the representation order: the basis of ``tlkit repr`` and
-    ``tlkit verify``.  The walk is put in that order before the maps are
-    built, so they are built where they are read, and no order list is
-    held while they build."""
+    ``tlkit verify``.  The walk's ``bytes`` rows are put in that order
+    before the maps are built, so they are built where they are read, no
+    order list is held while they build, and no tuple is made: every
+    image ``_backend.generator_maps`` locates is a ``bytes`` row too."""
     pairings = _backend.enumerate_pairings(n)
     pairings = [pairings[i] for i in representation_order(pairings, identity)]
     return len(pairings), _backend.generator_maps(pairings, indices)
@@ -304,8 +306,8 @@ def verify_tl(dimension: int) -> list[Report]:
     dimension of at least 2: the map report over the identity-free basis
     in the representation order, then the diagram report.
 
-    The basis is the kernel walk's partner tuples, and each ideal block
-    is sorted by partner tuple, which is the canonical order, so the
+    The basis is the kernel walk's ``bytes`` rows, and each ideal block
+    is sorted by row, which is the canonical order, so the
     reports are those of ``representation.verify_tl_relations`` on
     ``generator_matrices`` and of ``verify_tl_relations_diagrams``.
     """

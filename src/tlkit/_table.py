@@ -1,13 +1,14 @@
 """The runner of ``tlkit compose``.
 
-Every route runs on the kernel module alone, on partner tuples and
+Every route runs on the kernel module alone, on partner rows and
 positions, with no diagram object.  ``--table`` prints the composition
-table of TL_N as CSV from the generator maps of the walk's partner
-tuples (``_backend.generator_maps``) and the identity's position in
-them.  Two diagram arguments (``--lhs``, ``--rhs``)
-are read by ``_backend.read_diagram_arg``, composed by
-``_backend.compose_pairings`` and printed by ``_backend.diagram_line``,
-with no basis built.
+table of TL_N as CSV from the generator maps of the walk's ``bytes``
+rows (``_backend.generator_maps``) and the identity's position in them,
+found as the ``bytes`` of its tuple.  Two diagram arguments (``--lhs``,
+``--rhs``) are read by ``_backend.read_diagram_arg`` as tuples,
+composed by ``_backend.compose_pairings`` and printed by
+``_backend.diagram_line``, with no basis built, so they run at any
+dimension the ceiling allows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _run_compose(args: Namespace) -> tuple[bool, str]:
         n = args.dim
         pairings = enumerate_pairings(n)
         maps = generator_maps(pairings, range(1, n))
-        root, size = pairings.index(identity_pairing(n)), len(pairings)
+        root, size = pairings.index(bytes(identity_pairing(n))), len(pairings)
         del pairings  # the table reads positions only
         # labels[m * size + r] is "row:loops" for d^m . D_r, the cell that
         # table_rows codes as that index

@@ -43,7 +43,7 @@ top link state and reads every other column off it by relabelling its
 bottom state, both through ``_backend.link_grid``, the grid that
 ``_backend.generator_maps`` reads too (see its notes), which also
 locates each composed term's row.
-It runs on the walk's partner tuples, ``_backend.enumerate_pairings``,
+It runs on the walk's ``bytes`` rows, ``_backend.enumerate_pairings``,
 which ``braid_image_matrix`` and ``tlkit bracket --matrix`` both read:
 neither builds a ``DiagramBasis``, a generator map or a pairing index.
 ``_verify_artin`` lists the Artin relations as generators, as
@@ -213,12 +213,15 @@ def _image_terms(word: BraidWord) -> list[tuple[tuple[int, ...], LaurentPoly]]:
 
 
 def _image_columns(
-    word: BraidWord, pairings: Sequence[tuple[int, ...]], entry: Callable[[LaurentPoly], object]
+    word: BraidWord, pairings: Sequence[Sequence[int]], entry: Callable[[LaurentPoly], object]
 ) -> Iterator[dict[int, object]]:
     """The bracket image over ``pairings``, the identity-included basis of
     the word's strand count, as sparse columns made one at a time in
     basis order: ``column[j]`` is ``entry`` of the nonzero entry in row
     j.  Each distinct entry is made and converted once, keyed by its row.
+    The basis rows are the walk's ``bytes``, and each composed product is
+    a row of that type (``compose_pairings`` keeps its bottom factor's),
+    while the element image's terms stay tuples.
 
     Column j is w.D_j = (w.1).D_j, the sum of c_E.d^m.P over the terms
     (E, c_E) of ``_image_rows`` with E.D_j = d^m.P, and stacking E moves

@@ -6,7 +6,7 @@ and a nonzero loop exponent is drawn as a circle annotated with d^m.
 Pixel fidelity is a non-goal; the emitted text is meant to be asserted
 on and pasted into documents.
 
-Figures are drawn from (partner tuple, loop exponent) pairs, so
+Figures are drawn from (partner row, loop exponent) pairs, so
 ``tlkit draw`` runs on the kernel module alone; ``emit_figure`` reads
 those pairs off its diagram arguments, and only it loads the diagram
 module.  ``_figure`` sorts each pair of nodes once into one of four
@@ -25,8 +25,9 @@ if TYPE_CHECKING:
 
     from .diagrams import PlanarDiagram, ScaledDiagram
 
-#: A diagram to draw: its partner tuple and loop exponent.
-Figure = tuple[tuple[int, ...], int]
+#: A diagram to draw: its partner row (a tuple, or a ``bytes`` row of the
+#: walk for ``--basis``) and loop exponent.
+Figure = tuple[Sequence[int], int]
 
 
 class _Format(NamedTuple):

@@ -17,7 +17,9 @@ else: no generator map (``_backend.generator_maps`` builds and returns
 them, and the link-state grid they are read through is made per call),
 so reading the maps leaves a cached basis as it was.  ``_basis`` holds
 the walk's diagrams, and the basis of them, through ``_Value._trusted``,
-the held route of every value class, with no second check.
+the held route of every value class, with no second check; it is the
+one place where the walk's ``bytes`` rows become the tuples of
+``PlanarDiagram.pairing``.
 """
 
 from __future__ import annotations
@@ -83,10 +85,12 @@ def identity_diagram(dimension: int) -> PlanarDiagram:
 
 @functools.cache
 def _basis(dimension: int) -> DiagramBasis:
-    """The basis of the walk's pairings, held through ``_Value._trusted``."""
-    pairings, trusted = _backend.enumerate_pairings(dimension), PlanarDiagram._trusted
-    diagrams = tuple([trusted(dimension, p) for p in pairings])
-    return DiagramBasis._trusted(dimension, diagrams, {p: i for i, p in enumerate(pairings)})
+    """The basis of the walk's rows, held through ``_Value._trusted``.
+    Each ``bytes`` row becomes the tuple ``PlanarDiagram.pairing`` and is
+    popped as it is converted, so the two lists are never held whole."""
+    rows, trusted = _backend.enumerate_pairings(dimension)[::-1], PlanarDiagram._trusted
+    diagrams = tuple([trusted(dimension, tuple(rows.pop())) for _ in range(len(rows))])
+    return DiagramBasis._trusted(dimension, diagrams, {d.pairing: i for i, d in enumerate(diagrams)})
 
 
 def enumerate_diagrams(

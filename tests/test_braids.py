@@ -139,6 +139,16 @@ def test_empty_word_maps_to_identity():
     )
 
 
+def test_element_image_keeps_tuples_above_the_byte_bound():
+    # The element image walks no basis, so it runs on tuple partners at a
+    # strand count whose basis rows, a partner to a byte, could not be
+    # walked.
+    image = braid_image(BraidWord(130, (1, -1)))
+    assert image == identity_element(130)
+    assert [type(d.pairing) for d, _ in image.terms] == [tuple]
+    assert {type(p) for p, _ in _image_terms(BraidWord(130, (1, 2, -1)))} == {tuple}
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_generator_times_inverse_cancels(n):
     for i in range(1, n):
@@ -428,7 +438,8 @@ def test_element_images_decide_matrix_images(pair):
     # images alone; this holds the two verdicts equal.
     w1, w2 = pair
     basis = walk(w1.strands)
-    index = {p: i for i, p in enumerate(basis)}
+    # the walk's rows are bytes and the element image's pairings tuples
+    index = {tuple(p): i for i, p in enumerate(basis)}
     root = index[_backend.identity_pairing(w1.strands)]
     images = [_image_terms(w) for w in pair]
     columns = [list(_image_columns(w, basis, lambda p: p)) for w in pair]

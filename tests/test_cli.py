@@ -38,7 +38,7 @@ from tlkit.diagrams import (
 )
 from tlkit.drawing import emit_figure
 from tlkit.elements import TLElement, multiply
-from tlkit.enumeration import DiagramBasis, enumerate_diagrams, identity_diagram
+from tlkit.enumeration import DiagramBasis, catalan, enumerate_diagrams, identity_diagram
 from tlkit.laurent import LaurentPoly
 from tlkit.matrices import PolyMatrix
 from tlkit.representation import (
@@ -1517,6 +1517,42 @@ def test_walks_too_deep_to_run_exit_one(args, name, tmp_path, monkeypatch, capsy
         f"error: {name} 1500 exceeds the search depth limit {deepest}\n",
     )
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--dim", "130"],
+        ["repr", "--dim", "130"],
+        ["compose", "--dim", "130", "--table"],
+        ["draw", "--dim", "130", "--basis"],
+        ["bracket", "--strands", "130", "--word=1", "--matrix"],
+    ],
+    ids=["verify", "repr", "compose-table", "draw-basis", "bracket-matrix"],
+)
+def test_basis_walks_wider_than_a_byte_exit_one(args, monkeypatch, capsys):
+    # Below the depth limit, the walk's rows hold each partner in a byte,
+    # so a basis above dimension 127 is refused with one line before the
+    # walk takes a step: a walk of dimension 130 has about 2^130 search
+    # states and would never end.
+    def refuse(matched, n):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(_backend, "_partners", refuse)
+    monkeypatch.setenv("TLKIT_MAX_DIM", "130")
+    assert cli.main(args) == cli.EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: dimension 130 out of range 1..127\n")
+
+
+def test_routes_with_no_basis_walk_run_above_the_byte_bound(monkeypatch):
+    # The count reads Catalan(N) off the depth rule alone, and two diagram
+    # arguments compose as tuples, at any dimension the ceiling allows.
+    monkeypatch.setenv("TLKIT_MAX_DIM", "200")
+    assert run_cli(["enumerate", "--dim", "200", "--count-only"]) == (0, f"{catalan(200)}\n")
+    lhs, rhs = str(generator_diagram(150, 7)), str(generator_diagram(150, 149))
+    product = compose(generator_diagram(150, 7), generator_diagram(150, 149))
+    assert product.loop_exponent == 0
+    assert run_cli(["compose", "--dim", "150", "--lhs", lhs, "--rhs", rhs]) == (0, f"{product}\n")
 
 
 def run_parsed(argv):

@@ -135,15 +135,16 @@ def test_spanning_tree_refuses_maps_that_miss_a_diagram():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_generator_map_over_the_kernel_walk_equals_action(n):
     # compose --table, verify and repr build their maps on the walk's
-    # tuples alone; they are the maps of the generator matrices over the
-    # identity-included basis, whether the library or a caller built it.
+    # bytes rows alone; they are the maps of the generator matrices over
+    # the identity-included basis, whether the library or a caller built
+    # it, whose pairings are the rows as tuples.
     pairings = _backend.enumerate_pairings(n)
     caller_built = DiagramBasis(n, tuple(enumerate_diagrams(n)))
     expected = _backend.generator_maps(pairings, range(1, n))
     for basis in (caller_built, enumerate_diagrams(n)):
         matrices = generator_matrices(basis, include_identity=True)
         assert [(m.targets, m.exponents) for m in matrices] == expected
-    assert pairings == [d.pairing for d in enumerate_diagrams(n)]
+    assert list(map(tuple, pairings)) == [d.pairing for d in enumerate_diagrams(n)]
 
 
 @pytest.mark.parametrize("n", range(1, 11))

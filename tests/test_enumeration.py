@@ -1,11 +1,12 @@
 import gc
+import random
 import sys
 import tracemalloc
 
 import pytest
 
-from tlkit import _backend
-from tlkit.braids import BraidWord, _image_columns
+from tlkit import _backend, _relations
+from tlkit.braids import BraidWord, _image_columns, _image_terms
 from tlkit.diagrams import PlanarDiagram, connectability, restrict_connectability
 from tlkit.enumeration import (
     DiagramBasis,
@@ -63,6 +64,48 @@ def test_matches_brute_force(n):
     assert [d.pairing for d in enumerate_diagrams(n)] == brute_force_basis(n)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_walk_rows_are_bytes_in_the_reference_order(n):
+    # The walk emits each row as ``bytes``, the shape of the link states
+    # read off it; as tuples its rows are the brute-force basis, in order.
+    rows = _backend.enumerate_pairings(n)
+    assert {type(row) for row in rows} == {bytes}
+    assert list(map(tuple, rows)) == brute_force_basis(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bytes_rows_sort_as_their_tuples(n):
+    # So the walk's order, the ideal blocks' canonical order and the order
+    # of the bracket image's columns do not depend on the row type.
+    rows = _backend.enumerate_pairings(n)
+    assert sorted(rows) == rows
+    shuffled = random.Random(n).sample(rows, len(rows))
+    tuples = list(map(tuple, shuffled))
+    assert list(map(tuple, sorted(shuffled))) == sorted(tuples)
+    for include_identity in (False, True):
+        blocks = _relations.ideal_blocks(shuffled, include_identity)
+        assert blocks == _relations.ideal_blocks(tuples, include_identity)
+    rng = random.Random(n)
+    word = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(4 * (n > 1))))
+    # the element image keeps tuples, sorted as ever
+    terms = [pairing for pairing, _ in _image_terms(word)]
+    assert {type(p) for p in terms} == {tuple} and terms == sorted(terms)
+    assert list(_image_columns(word, rows, str)) == list(_image_columns(word, list(map(tuple, rows)), str))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_basis_holds_tuple_pairings(n):
+    # The object layer converts the walk's rows in one place, so a
+    # diagram's pairing is the public tuple, a user-built diagram is found
+    # by its tuple, and the identity is the identity.
+    basis = enumerate_diagrams(n)
+    assert {type(d.pairing) for d in basis} == {tuple}
+    for i, d in enumerate(basis):
+        assert basis.index_of(PlanarDiagram(n, list(d.pairing))) == i
+    assert identity_diagram(n).is_identity()
+    assert basis[basis.index_of(identity_diagram(n))].is_identity()
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_worklist_and_recursive_routes_agree(n):
     expected = list(enumerate_diagrams(n))
@@ -110,9 +153,15 @@ def test_kernel_rejects_bad_dimension():
 @pytest.mark.parametrize("kernel", KERNELS.values(), ids=KERNELS.keys())
 def test_walks_refuse_a_depth_the_interpreter_cannot_reach(kernel, monkeypatch):
     deepest = sys.getrecursionlimit() // 4
+    refusal = f"dimension {deepest + 1} exceeds the search depth limit {deepest}"
+    if kernel is _backend.enumerate_pairings:
+        # Its rows hold each partner, up to 2N, in a byte: a bound below
+        # the depth limit, refused by name.
+        assert deepest > 127
+        deepest, refusal = 127, "dimension 128 out of range 1..127"
     with pytest.raises(ValueError) as exc:
         kernel(deepest + 1)
-    assert str(exc.value) == f"dimension {deepest + 1} exceeds the search depth limit {deepest}"
+    assert str(exc.value) == refusal
     # At the limit the walk runs: cut to the first branch of every search
     # state, it reaches its one leaf without a RecursionError.
     partners = _backend._partners

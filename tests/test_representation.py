@@ -152,7 +152,7 @@ def test_ideal_blocks_on_the_kernel_walk_match_the_oracle(n, include_identity):
     pairings = _backend.enumerate_pairings(n)
     blocks = _relations.ideal_blocks(pairings, include_identity)
     expected = bottom_pattern_partition(enumerate_diagrams(n), include_identity)
-    assert {frozenset(pairings[i] for i in block) for block in blocks} == {
+    assert {frozenset(tuple(pairings[i]) for i in block) for block in blocks} == {
         frozenset(d.pairing for d in block) for block in expected
     }
 
@@ -161,10 +161,11 @@ def test_ideal_blocks_on_the_kernel_walk_match_the_oracle(n, include_identity):
 @pytest.mark.parametrize("n", range(1, 10))
 def test_ideal_blocks_equal_the_position_union_find(n, include_identity):
     # The bottom-state union-find against the union-find over every
-    # position along the generator maps, in the walk's order and shuffled.
+    # position along the generator maps, in the walk's order and shuffled:
+    # the kernel on the walk's bytes rows, the oracle on their tuples.
     walk = _backend.enumerate_pairings(n)
     for pairings in (walk, random.Random(n).sample(walk, len(walk))):
-        expected = position_blocks(pairings, include_identity)
+        expected = position_blocks(list(map(tuple, pairings)), include_identity)
         assert _relations.ideal_blocks(pairings, include_identity) == expected
         order = _relations.representation_order(pairings, include_identity)
         assert list(order) == (

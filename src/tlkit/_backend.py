@@ -1,7 +1,8 @@
 """The kernels on plain partner rows: the basis search, pairing
 composition, the generator rule and the maps ``generator_maps`` builds
-from it, the link-state grid of a basis, the composition table, and the
-diagram line format's walk, writer and reader.
+from it, the link states of a basis with its ideal blocks and its
+link-state grid, the composition table, and the diagram line format's
+walk, writer and reader.
 
 Everything here works on plain partner rows (1-based, ``pairing[i-1]``
 is the partner of node i) of one of two types.  The walk's rows are
@@ -55,30 +56,36 @@ union-find and matrix-power readings of the same stack live in the test
 suite as independent oracles.
 
 A generator acts by its local rule, the link-state action of
-arXiv:1204.4505 (``_apply_generator``).  ``link_states`` splits a basis
-into the top or the bottom link states of its positions, on request.  A
-product X.D moves only D's top state, so a left action over a whole
-basis is computed once per top state and read off for every other
-position by relabelling its bottom state: ``link_grid`` holds that
-grid, its representatives and its relabelling, and locates any basis
-pairing by its two states, so it is the one position index of such a
-route.  A basis is the list of its partner rows, in order: the walk's
-``bytes``, or the tuples of a ``DiagramBasis``.  The grid serves the two
-left actions over one:
+arXiv:1204.4505 (``_apply_generator``).  This module is the one reader
+of a basis's link states: ``link_states`` splits a basis into the top
+or the bottom link states of its positions, on request, and every state
+a route builds out of another (two defects paired) is built here.  The
+ideal blocks need no map: ``ideal_blocks`` reads them off the bottom
+link states, and ``representation_order`` lists the positions in the
+order they give, the one of ``verify``, ``repr`` and the generator
+matrices.  A product X.D moves only D's top state, so a left action
+over a whole basis is computed once per top state and read off for
+every other position by relabelling its bottom state: ``link_grid``
+holds that grid, its representatives and its relabelling, and locates
+any basis pairing by its two states, so it is the one position index of
+such a route.  It numbers its positions in the representation order,
+which it reads off its own split of the bottom row, so a route splits
+each row of a basis once per call.  A basis is the list of its partner
+rows, in order: the walk's ``bytes``, or the tuples of a
+``DiagramBasis``.  The grid serves the two left actions over one:
 
-* ``generator_maps(pairings, indices)``, the one builder of generator
-  maps over a whole basis, applies each U_k once per top state and
-  returns the maps of positions with loop exponents.  Every route that
-  maps a whole basis passes a list in the order it reads: the walk's,
-  or the pairings of a ``DiagramBasis``, put in the representation
-  order, or the walk as it comes for ``compose --table``.  A route
-  builds each map it reads once, and only those, in one call, and
-  nothing keeps them.
+* ``generator_maps(pairings, indices, include_identity)``, the one
+  builder of generator maps over a whole basis, applies each U_k once
+  per top state and returns the rows in the representation order with
+  the maps of their positions, with loop exponents.  Every route that
+  maps a whole basis passes the whole basis as it holds it: the walk,
+  or the pairings of a ``DiagramBasis``, and ``compose --table`` the
+  walk with the identity, in its order.  A route builds each map it
+  reads once, and only those, in one call, and nothing keeps them.
 * The bracket matrix image (``braids._image_columns``) composes the
   element image onto each top state's representative and builds no map.
 
-The ideal blocks need no map either: ``_relations.ideal_blocks`` reads
-them off the bottom link states.  The composition table is built from
+The composition table is built from
 the maps by associativity, on positions alone: every basis pairing E
 other than the identity is U_k stacked on a parent E' one step closer to
 the identity, with no loop closed (``spanning_tree``).  Then
@@ -112,6 +119,7 @@ import math
 import operator
 import os
 import sys
+from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 if TYPE_CHECKING:
@@ -126,10 +134,14 @@ DEFAULT_MAX_DIMENSION = 12
 #: for (targets, exponents).
 Map = tuple[tuple[int, ...], tuple[int, ...]]
 
-#: A basis as a grid of link states, (top, bottom, first, relabelled,
+#: One row of a basis as link states: each distinct state with its id, and
+#: the id of each position's state (see ``link_states``).
+LinkStates = tuple[dict[bytes, int], list[int]]
+
+#: A basis as a grid of link states, (rows, top, bottom, first, relabelled,
 #: locate): see ``link_grid``.
-Grid = tuple[list[int], list[int], list[Sequence[int]], list[Callable[[int], dict[int, int]]],
-             Callable[[Sequence[int]], tuple[int, int]]]
+Grid = tuple[Sequence[Sequence[int]], list[int], list[int], list[Sequence[int]],
+             list[Callable[[int], dict[int, int]]], Callable[[Sequence[int]], tuple[int, int]]]
 
 K = TypeVar("K")
 #: A partner row: a tuple, or the ``bytes`` of ``enumerate_pairings``.
@@ -327,12 +339,13 @@ def _noncrossing(pairing: Sequence[int], dimension: int) -> bool:
     return not stack
 
 
-def enumerate_pairings(dimension: int) -> list[bytes]:
+def enumerate_pairings(dimension: int, name: str = "dimension") -> list[bytes]:
     """All noncrossing perfect matchings on 2N nodes as partner rows, in
     ascending lexicographic order.  A row is a ``bytes``, one byte per
     partner, the shape of the link states read off it, and rows sort as
-    their tuples do; so N is at most 127, where 2N = 254 fits a byte."""
-    n = _in_range(_walk_dimension(dimension), "dimension", 1, 127)
+    their tuples do; so N is at most 127, where 2N = 254 fits a byte.
+    ``name`` is the option a refusal names, as in ``_walk_dimension``."""
+    n = _in_range(_walk_dimension(dimension, name), name, 1, 127)
     branches = functools.cache(lambda matched: _partners(matched, n))
     # Each node is written when the path reaches it, so at a leaf every
     # entry holds the current path's partner and no write is undone.
@@ -519,7 +532,7 @@ def _row(n: int, top: bool) -> tuple[slice, bytes]:
     return slice(start, start + n), bytes(q - start if start < q <= start + n else 0 for q in range(256))
 
 
-def link_states(pairings: Sequence[Sequence[int]], top: bool) -> tuple[dict[bytes, int], list[int]]:
+def link_states(pairings: Sequence[Sequence[int]], top: bool) -> LinkStates:
     """The link states of one row of the basis ``pairings``, the top row
     or the bottom one: each distinct state with its id, numbered in order
     of first appearance, and the id of each position's state.
@@ -538,14 +551,87 @@ def link_states(pairings: Sequence[Sequence[int]], top: bool) -> tuple[dict[byte
     return ids, state
 
 
-def link_grid(pairings: Sequence[Sequence[int]]) -> Grid:
-    """The basis ``pairings`` as a grid of link states, for a left action
-    over the whole basis: (top, bottom, first, relabelled, locate).
+def ideal_blocks(
+    pairings: Sequence[Sequence[int]], include_identity: bool, bottoms: LinkStates | None = None
+) -> list[list[int]]:
+    """The positions of the basis ``pairings`` grouped into the
+    components of the generator action, D and U_k.D sharing a block for
+    every D and k; canonically sorted within each block and by first
+    members.  The identity and its edges are left out unless it is
+    included.  The rows may be the walk's ``bytes`` or a basis's tuples:
+    both sort in the canonical order.
 
-    The pairings may come in any order, and every top state of them must
-    meet every bottom state with as many defects: the whole basis, or
-    the whole basis but the identity, the one position whose two states
-    both have N defects.
+    The blocks are read off the bottom link states, each bottom node's
+    partner with 0 for a defect, and no generator map is built.  A
+    union-find over the distinct bottom states joins each state B to B
+    with its r-th and (r+1)-th defects paired, for every r; a position
+    lies in the block of its bottom state.  These are the components of
+    the action, because U_k changes only a diagram's top state (T, B):
+
+    * each edge (T, B) -> U_k.(T, B) keeps B, or pairs two adjacent
+      defects of B when U_k joins the r-th and (r+1)-th top defects;
+    * every such pairing happens: some top state with B's t defects has
+      its r-th and (r+1)-th defects side by side, and U_k on them pairs
+      them;
+    * the positions with one bottom state B and t < N defects are
+      connected by edges that keep B: any top state with t defects is
+      reached from any other by moves that join no two defects (a defect
+      next to an arc end hops to the arc's other end, and two adjacent
+      arcs rewire).
+
+    The identity is the one position whose bottom state has no arc.  The
+    bottom states are ``bottoms``, the ``link_states`` of the bottom row,
+    split here unless the caller has split that row already."""
+    ids, state = bottoms or link_states(pairings, top=False)
+    parent = list(range(len(ids)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    skip = -1 if include_identity else ids[bytes(len(pairings[0]) // 2)]
+    for bottom, i in ids.items():
+        # each two adjacent defects paired; a left-out identity joins nothing
+        for a, b in pairwise(a for a, q in enumerate(bottom) if not q and i != skip):
+            paired = bytes((*bottom[:a], b + 1, *bottom[a + 1 : b], a + 1, *bottom[b + 1 :]))
+            parent[find(ids[paired])] = find(i)
+    # Positions in canonical order, so each block is sorted and the blocks
+    # come in the order of their first members.
+    grouped: dict[int, list[int]] = {}
+    for i in sorted(range(len(pairings)), key=pairings.__getitem__):
+        grouped.setdefault(find(state[i]), []).append(i)
+    return [block for block in grouped.values() if state[block[0]] != skip]
+
+
+def representation_order(
+    pairings: Sequence[Sequence[int]], include_identity: bool, bottoms: LinkStates | None = None
+) -> Sequence[int]:
+    """The positions of the basis ``pairings`` in the representation
+    order: basis order with the identity included, else the ideal blocks
+    in canonical order, read off ``bottoms`` as ``ideal_blocks`` reads
+    them."""
+    if include_identity:
+        return range(len(pairings))
+    return [i for block in ideal_blocks(pairings, False, bottoms) for i in block]
+
+
+def link_grid(pairings: Sequence[Sequence[int]], include_identity: bool = True) -> Grid:
+    """The basis ``pairings`` as a grid of link states, for a left action
+    over the whole basis: (rows, top, bottom, first, relabelled, locate).
+
+    ``rows`` are the pairings in the representation order, which numbers
+    the grid's positions.  With ``include_identity`` they are the
+    pairings as they come, in any order, and every top state of them
+    must meet every bottom state with as many defects: the whole basis,
+    or the whole basis but the identity, the one position whose two
+    states both have N defects.  Without it the pairings are the whole
+    basis, and the rows leave the identity out and come in the ideal
+    blocks' order (``representation_order``), read off the grid's own
+    split of the bottom row.  The top row is split once the rows are in
+    that order, so each row of each pairing is split once and a
+    left-out identity leaves no top state.
 
     ``top[i]`` and ``bottom[i]`` are the state ids of position i
     (``link_states``), and ``locate(pairing)`` is the (top, bottom) id
@@ -559,8 +645,11 @@ def link_grid(pairings: Sequence[Sequence[int]]) -> Grid:
     defects paired wherever R pairs those of B_1, and
     ``relabelled[B](R)[T']`` is the position of (T', B'), memoized per
     (B, R).  Made on request, and nothing keeps it."""
-    tops, top = link_states(pairings, top=True)
     bottoms, bottom = link_states(pairings, top=False)
+    if not include_identity:
+        order = representation_order(pairings, False, (bottoms, bottom))
+        pairings, bottom = [pairings[i] for i in order], [bottom[i] for i in order]
+    tops, top = link_states(pairings, top=True)
     states = list(bottoms)
     at: list[dict[int, int]] = [{} for _ in states]  # at[B][T] is the position of (T, B)
     for i, (t, b) in enumerate(zip(top, bottom)):
@@ -586,26 +675,30 @@ def link_grid(pairings: Sequence[Sequence[int]]) -> Grid:
     # memoized per B on the int R alone: a key tuple per (B, R) would be
     # left in the interpreter's free lists when the grid is dropped
     relabelled = [functools.cache(functools.partial(relabel, b)) for b in range(len(states))]
-    return top, bottom, first, relabelled, locate
+    return pairings, top, bottom, first, relabelled, locate
 
 
-def generator_maps(pairings: Sequence[Sequence[int]], indices: Iterable[int]) -> list[Map]:
-    """U_k on every pairing of the basis ``pairings``, in order, for each
-    k in ``indices``: (targets, exponents) with
-    U_k . P_i = d^exponents[i] . P_targets[i].  The pairings are those
-    ``link_grid`` takes, in the order the caller reads: the whole basis,
-    or the whole basis but the identity, which no U_k yields.  They are
+def generator_maps(
+    pairings: Sequence[Sequence[int]], indices: Iterable[int], include_identity: bool = True
+) -> tuple[Sequence[Sequence[int]], list[Map]]:
+    """U_k on the basis ``pairings`` in the representation order, for
+    each k in ``indices``: the rows in that order (``link_grid``) and the
+    map of each U_k on them, (targets, exponents) with
+    U_k . R_i = d^exponents[i] . R_targets[i] for the rows R.  With the
+    identity included the rows are the pairings as they come, in the
+    order the caller reads, and the identity-free basis may come so too;
+    without it the pairings are the whole basis in any order.  They are
     the walk's ``bytes`` rows for ``verify``, ``repr`` and
     ``compose --table``, and the tuples of a ``DiagramBasis`` for the
-    generator matrices; each image keeps its row's type.  The grid
-    of the basis is made once per call, U_k is applied once per top link
+    generator matrices; each image keeps its row's type.  The grid of
+    the basis is made once per call, U_k is applied once per top link
     state, to the pairing the grid picks for it, and every other
     position is read off that image by the grid's relabelling.  Built on
     each call and not kept: a caller that reads a map twice holds it."""
-    if not pairings:  # the identity-free basis of dimension 1
-        return [((), ()) for _ in indices]
+    if len(pairings) <= (not include_identity):  # dimension 1 without the identity: no row
+        return [], [((), ()) for _ in indices]
+    pairings, top, bottom, first, relabelled, locate = link_grid(pairings, include_identity)
     n = len(pairings[0]) // 2
-    top, bottom, first, relabelled, locate = link_grid(pairings)
     out = []
     for k in indices:
         images = []  # for each top state T: U_k.first[T] as (its top, its bottom, loops)
@@ -613,7 +706,7 @@ def generator_maps(pairings: Sequence[Sequence[int]], indices: Iterable[int]) ->
             images.append((*locate(pairing), m))
         targets = tuple(relabelled[b](images[t][1])[images[t][0]] for t, b in zip(top, bottom))
         out.append((targets, tuple(images[t][2] for t in top)))
-    return out
+    return pairings, out
 
 
 def spanning_tree(maps: Sequence[Map], root: int) -> list[tuple[int, int, int]]:

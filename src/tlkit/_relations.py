@@ -22,15 +22,14 @@ element images of braid words: each check passes a
 witness text when they do not, and every witness finds where the sides
 differ with ``_backend._first_difference``.
 
-``ideal_blocks`` groups the positions of a basis's partner rows
-into the components of the generator action, read off their bottom
-link states with no generator map built; ``representation_order``
-lists them in the order those blocks give (the one of ``verify``,
-``repr`` and the generator matrices).  ``ordered_maps`` puts the walk's
-basis in that order and builds the maps ``verify`` and ``repr`` read on
-it, in one ``_backend.generator_maps`` call, so no map is moved into
-another order.  ``checked_generator`` is the one rule for a generator
-index.
+``ordered_maps`` builds the maps ``verify`` and ``repr`` read on the
+walk's basis in the representation order, in one
+``_backend.generator_maps`` call, which reads that order and the
+link-state grid off one split of each row and numbers the grid's
+positions in it, so no map is moved into another order.  This module
+reads no link state itself: the ideal blocks and the order are
+``_backend.ideal_blocks`` and ``_backend.representation_order``.
+``checked_generator`` is the one rule for a generator index.
 
 The module imports nothing from the package but ``_backend``, so
 ``verify_tl`` runs ``tlkit verify --relations tl`` on the kernel modules
@@ -45,7 +44,6 @@ result in one place.  ``representation`` wraps the same kernels for its
 from __future__ import annotations
 
 import operator
-from itertools import pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import _backend
@@ -81,79 +79,16 @@ def generator_pairing(dimension: int, k: int) -> tuple[int, ...]:
     return tuple(pairing)
 
 
-def ideal_blocks(pairings: Sequence[Sequence[int]], include_identity: bool) -> list[list[int]]:
-    """The positions of the basis ``pairings`` grouped into the
-    components of the generator action, D and U_k.D sharing a block for
-    every D and k; canonically sorted within each block and by first
-    members.  The identity and its edges are left out unless it is
-    included.  The rows may be the walk's ``bytes`` or a basis's tuples:
-    both sort in the canonical order.
-
-    The blocks are read off the bottom link states, each bottom node's
-    partner with 0 for a defect, and no generator map is built.  A
-    union-find over the distinct bottom states joins each state B to B
-    with its r-th and (r+1)-th defects paired, for every r; a position
-    lies in the block of its bottom state.  These are the components of
-    the action, because U_k changes only a diagram's top state (T, B):
-
-    * each edge (T, B) -> U_k.(T, B) keeps B, or pairs two adjacent
-      defects of B when U_k joins the r-th and (r+1)-th top defects;
-    * every such pairing happens: some top state with B's t defects has
-      its r-th and (r+1)-th defects side by side, and U_k on them pairs
-      them;
-    * the positions with one bottom state B and t < N defects are
-      connected by edges that keep B: any top state with t defects is
-      reached from any other by moves that join no two defects (a defect
-      next to an arc end hops to the arc's other end, and two adjacent
-      arcs rewire).
-
-    The identity is the one position whose bottom state has no arc.  The
-    bottom states are ``_backend.link_states`` of the bottom row.
-    """
-    n = len(pairings[0]) // 2
-    ids, state = _backend.link_states(pairings, top=False)
-    parent = list(range(len(ids)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    skip = -1 if include_identity else ids[bytes(n)]
-    for bottom, i in ids.items():
-        # each two adjacent defects paired; a left-out identity joins nothing
-        for a, b in pairwise(a for a, q in enumerate(bottom) if not q and i != skip):
-            paired = bytes((*bottom[:a], b + 1, *bottom[a + 1 : b], a + 1, *bottom[b + 1 :]))
-            parent[find(ids[paired])] = find(i)
-    # Positions in canonical order, so each block is sorted and the blocks
-    # come in the order of their first members.
-    grouped: dict[int, list[int]] = {}
-    for i in sorted(range(len(pairings)), key=pairings.__getitem__):
-        grouped.setdefault(find(state[i]), []).append(i)
-    return [block for block in grouped.values() if state[block[0]] != skip]
-
-
-def representation_order(pairings: Sequence[Sequence[int]], include_identity: bool) -> Sequence[int]:
-    """The positions of the basis ``pairings`` in the representation
-    order: basis order with the identity included, else the ideal blocks
-    in canonical order."""
-    if include_identity:
-        return range(len(pairings))
-    return [i for block in ideal_blocks(pairings, False) for i in block]
-
-
 def ordered_maps(n: int, indices: Iterable[int], identity: bool) -> tuple[int, list[Map]]:
     """The size of the walk's basis of dimension ``n``, with the identity
     if ``identity``, and the maps of U_k for k in ``indices`` on that
     basis in the representation order: the basis of ``tlkit repr`` and
-    ``tlkit verify``.  The walk's ``bytes`` rows are put in that order
-    before the maps are built, so they are built where they are read, no
-    order list is held while they build, and no tuple is made: every
-    image ``_backend.generator_maps`` locates is a ``bytes`` row too."""
-    pairings = _backend.enumerate_pairings(n)
-    pairings = [pairings[i] for i in representation_order(pairings, identity)]
-    return len(pairings), _backend.generator_maps(pairings, indices)
+    ``tlkit verify``.  ``_backend.generator_maps`` puts the walk's
+    ``bytes`` rows in that order before it builds the maps, so they are
+    built where they are read, no order list is held while they build,
+    and no tuple is made: every image it locates is a ``bytes`` row too."""
+    rows, maps = _backend.generator_maps(_backend.enumerate_pairings(n), indices, identity)
+    return len(rows), maps
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence[T]], tuple[T, ...]]:

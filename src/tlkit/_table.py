@@ -27,8 +27,7 @@ def _run_compose(args: Namespace) -> tuple[bool, str]:
         from ._backend import enumerate_pairings, generator_maps, identity_pairing, table_rows
 
         n = args.dim
-        pairings = enumerate_pairings(n)
-        maps = generator_maps(pairings, range(1, n))
+        pairings, maps = generator_maps(enumerate_pairings(n), range(1, n))
         root, size = pairings.index(bytes(identity_pairing(n))), len(pairings)
         del pairings  # the table reads positions only
         # labels[m * size + r] is "row:loops" for d^m . D_r, the cell that

@@ -69,7 +69,6 @@ from ._backend import (
     _first_difference,
     _integer,
     _is_integer_text,
-    _walk_dimension,
     compose_pairings,
     diagram_line,
     enumerate_pairings,
@@ -230,7 +229,7 @@ def _image_columns(
     column is read off it by the grid's relabelling of the row bottoms.
     The coefficients stay rows: c_E.d^m is ``_row_times_d`` of c_E's
     row, and an entry is the ``_row_sum`` of the rows that land on it."""
-    top, bottom, first, relabelled, locate = link_grid(pairings)
+    _, top, bottom, first, relabelled, locate = link_grid(pairings)
     # the rows of c_E.d^m, for each term and loop count m
     scaled = [(e, [_row_times_d(*c, m) for m in range(word.strands // 2 + 1)]) for e, c in _image_rows(word)]
     convert = functools.cache(lambda lo, cs: entry(_row_poly(lo, cs)))
@@ -356,7 +355,7 @@ def _run_bracket(args: Namespace) -> tuple[bool, str]:
         from ._csv import sparse_csv
 
         # The matrix is over the basis, which the walk lists.
-        pairings = enumerate_pairings(_walk_dimension(args.strands, "strand count"))
+        pairings = enumerate_pairings(args.strands, "strand count")
         size = len(pairings)
         header += f", {size}x{size}, entries in A"
         return True, sparse_csv(size, [(header, _image_columns(word, pairings, str))])

@@ -28,28 +28,31 @@ compositions of maps, (U.V) sends column i to row tU[tV[i]] with exponent
 eV[i] + eU[tV[i]], so the relation check compares tuples and multiplies
 no matrices.
 
-The relation checks, the ideal blocks and the representation order are
-kernels in ``tlkit._relations``, which ``tlkit verify --relations tl``
-and ``tlkit repr`` (run by ``tlkit._csv``) run without this module; the
-functions here check their arguments and wrap the kernels' results in
-the library's values.
+The relation checks are kernels in ``tlkit._relations``, and the ideal
+blocks and the representation order kernels in ``tlkit._backend``,
+which ``tlkit verify --relations tl`` and ``tlkit repr`` (run by
+``tlkit._csv``) run without this module; the functions here check their
+arguments and wrap the kernels' results in the library's values.  No
+function here reads a link state.
 
 The action is each generator's local rule, the link-state action of
 arXiv:1204.4505 (``_backend._apply_generator``): U_k.D changes only D's
 top nodes a = N+k and b = N+k+1, into d.D if D pairs them and otherwise
 into the diagram pairing (a, b) and (D(a), D(b)).  Each call builds the
 maps of the generators it returns in one ``_backend.generator_maps``
-call on the partner tuples of the ``DiagramBasis`` in the
-representation order, the order the maps are read in, and nothing
-keeps them: the rule is applied once per top link state, and
-every other column is read off by relabelling (``_backend.link_grid``).
-The bracket matrix image reads the same grid and builds no map
-(``braids.braid_image_matrix``).  The ideal blocks and the order read no
-map: ``_relations.ideal_blocks`` finds them from the basis's partner
-tuples alone, by their bottom link states.  Generator diagrams, ideal
-partitions and generator maps the library made are held through
-``_Value._trusted``, the held route of every value class, with no
-second check.
+call on the partner tuples of the ``DiagramBasis`` in its own order,
+and nothing keeps them: that call puts the tuples in the representation
+order, the order the maps are read in, off the same split of the bottom
+row as its grid (``_backend.link_grid``), applies the rule once per top
+link state and reads every other column off by relabelling.  It returns
+the tuples in that order, and the basis's own index finds the diagram
+of each.  The bracket matrix image reads the same grid and builds no
+map (``braids.braid_image_matrix``).  The ideal partition and
+``representation_basis`` read no map: ``_backend.ideal_blocks`` finds
+them from the basis's partner tuples alone, by their bottom link
+states.  Generator diagrams, ideal partitions and generator maps the
+library made are held through ``_Value._trusted``, the held route of
+every value class, with no second check.
 """
 
 from __future__ import annotations
@@ -59,15 +62,8 @@ from collections.abc import Iterable
 from typing import TYPE_CHECKING, Sequence
 
 from ._backend import Map, _dimension, _integer, generator_maps, identity_pairing
-from ._relations import (
-    checked_generator,
-    diagram_report,
-    generator_pairing,
-    ideal_blocks,
-    map_report,
-    report_lines,
-    representation_order,
-)
+from ._backend import ideal_blocks, representation_order
+from ._relations import checked_generator, diagram_report, generator_pairing, map_report, report_lines
 from ._values import _integers, _pairs, _require, _sequence, _Value
 from .composition import compose
 from .diagrams import PlanarDiagram, ScaledDiagram
@@ -163,7 +159,7 @@ def ideal_partition(basis: DiagramBasis, include_identity: bool = False) -> Idea
     for every dimension N >= 5 there is one block of Catalan(N) - 1
     diagrams, so ``representation_basis`` is then the canonical order
     without the identity.  In the bottom link states that
-    ``_relations.ideal_blocks`` joins: a state with two or more arcs
+    ``_backend.ideal_blocks`` joins: a state with two or more arcs
     links to a state with one arc fewer, by opening an outermost arc;
     and single arcs (i,i+1) and (j,j+1) with |i - j| >= 2 link through
     the state (i,i+1)(j,j+1), a graph on 1..N-1 that is connected from
@@ -265,9 +261,11 @@ def _generator_maps(
     basis: DiagramBasis, indices: Sequence[int], include_identity: bool
 ) -> list[GeneratorMatrix]:
     """The maps of U_k for k in ``indices``, built on the basis in the
-    representation order."""
-    basis_order = representation_basis(basis, include_identity)
-    maps = generator_maps([d.pairing for d in basis_order], indices)
+    representation order, which ``generator_maps`` returns as partner
+    tuples; ``DiagramBasis._index`` gives the position of each."""
+    _require(include_identity, bool, "include_identity must be a bool")
+    rows, maps = generator_maps([d.pairing for d in basis], indices, include_identity)
+    basis_order = tuple(basis[basis._index[row]] for row in rows)
     return [
         GeneratorMatrix._trusted(k, basis_order, targets, exponents)
         for k, (targets, exponents) in zip(indices, maps)

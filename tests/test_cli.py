@@ -1261,12 +1261,12 @@ class TestVerify:
     def test_failure_prints_witness(self, monkeypatch):
         original = _backend.generator_maps
 
-        def corrupted(pairings, indices):
-            out = original(pairings, indices)
+        def corrupted(pairings, indices, include_identity):
+            rows, out = original(pairings, indices, include_identity)
             targets, exponents = out[0]
             # column 0 maps to row 1 without a loop; send it to itself
             out[0] = ((0,) + targets[1:], exponents)
-            return out
+            return rows, out
 
         # ``ordered_maps`` reads the maps it verifies from the backend
         monkeypatch.setattr(_backend, "generator_maps", corrupted)
@@ -1520,28 +1520,29 @@ def test_walks_too_deep_to_run_exit_one(args, name, tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,name",
     [
-        ["verify", "--dim", "130"],
-        ["repr", "--dim", "130"],
-        ["compose", "--dim", "130", "--table"],
-        ["draw", "--dim", "130", "--basis"],
-        ["bracket", "--strands", "130", "--word=1", "--matrix"],
+        (["verify", "--dim", "130"], "dimension"),
+        (["repr", "--dim", "130"], "dimension"),
+        (["compose", "--dim", "130", "--table"], "dimension"),
+        (["draw", "--dim", "130", "--basis"], "dimension"),
+        (["bracket", "--strands", "130", "--word=1", "--matrix"], "strand count"),
     ],
     ids=["verify", "repr", "compose-table", "draw-basis", "bracket-matrix"],
 )
-def test_basis_walks_wider_than_a_byte_exit_one(args, monkeypatch, capsys):
+def test_basis_walks_wider_than_a_byte_exit_one(args, name, monkeypatch, capsys):
     # Below the depth limit, the walk's rows hold each partner in a byte,
     # so a basis above dimension 127 is refused with one line before the
     # walk takes a step: a walk of dimension 130 has about 2^130 search
-    # states and would never end.
+    # states and would never end.  The refusal names the option, as the
+    # depth limit's does.
     def refuse(matched, n):
         raise AssertionError("the walk started")
 
     monkeypatch.setattr(_backend, "_partners", refuse)
     monkeypatch.setenv("TLKIT_MAX_DIM", "130")
     assert cli.main(args) == cli.EXIT_VALIDATION
-    assert capsys.readouterr() == ("", "error: dimension 130 out of range 1..127\n")
+    assert capsys.readouterr() == ("", f"error: {name} 130 out of range 1..127\n")
 
 
 def test_routes_with_no_basis_walk_run_above_the_byte_bound(monkeypatch):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from tlkit import _backend, _relations
+from tlkit import _backend
 from tlkit.braids import BraidWord, _image_columns, _image_terms
 from tlkit.diagrams import PlanarDiagram, connectability, restrict_connectability
 from tlkit.enumeration import (
@@ -83,8 +83,8 @@ def test_bytes_rows_sort_as_their_tuples(n):
     tuples = list(map(tuple, shuffled))
     assert list(map(tuple, sorted(shuffled))) == sorted(tuples)
     for include_identity in (False, True):
-        blocks = _relations.ideal_blocks(shuffled, include_identity)
-        assert blocks == _relations.ideal_blocks(tuples, include_identity)
+        blocks = _backend.ideal_blocks(shuffled, include_identity)
+        assert blocks == _backend.ideal_blocks(tuples, include_identity)
     rng = random.Random(n)
     word = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(4 * (n > 1))))
     # the element image keeps tuples, sorted as ever

@@ -126,7 +126,7 @@ def test_locate_finds_every_diagram_in_any_basis_order(diagrams):
     # ``locate`` reads them off any basis diagram, one pair per position.
     n = diagrams[0].dimension
     basis = DiagramBasis(n, tuple(diagrams))
-    top, bottom, _, _, locate = _backend.link_grid([d.pairing for d in basis])
+    _, top, bottom, _, _, locate = _backend.link_grid([d.pairing for d in basis])
     for d in diagrams:
         i = basis.index_of(d)
         assert locate(d.pairing) == (top[i], bottom[i])

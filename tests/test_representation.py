@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import io
 import itertools
 import math
 import random
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tlkit import _backend, _relations
+from tlkit import _backend, _relations, cli
 from tlkit.braids import verify_artin
 from tlkit.composition import compose
 from tlkit.diagrams import ConnectabilityMatrix, connectability
@@ -150,7 +152,7 @@ def test_partition_matches_bottom_pattern_oracle(n, include_identity, shuffled):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_ideal_blocks_on_the_kernel_walk_match_the_oracle(n, include_identity):
     pairings = _backend.enumerate_pairings(n)
-    blocks = _relations.ideal_blocks(pairings, include_identity)
+    blocks = _backend.ideal_blocks(pairings, include_identity)
     expected = bottom_pattern_partition(enumerate_diagrams(n), include_identity)
     assert {frozenset(tuple(pairings[i]) for i in block) for block in blocks} == {
         frozenset(d.pairing for d in block) for block in expected
@@ -166,8 +168,8 @@ def test_ideal_blocks_equal_the_position_union_find(n, include_identity):
     walk = _backend.enumerate_pairings(n)
     for pairings in (walk, random.Random(n).sample(walk, len(walk))):
         expected = position_blocks(list(map(tuple, pairings)), include_identity)
-        assert _relations.ideal_blocks(pairings, include_identity) == expected
-        order = _relations.representation_order(pairings, include_identity)
+        assert _backend.ideal_blocks(pairings, include_identity) == expected
+        order = _backend.representation_order(pairings, include_identity)
         assert list(order) == (
             list(range(len(pairings))) if include_identity else [i for b in expected for i in b]
         )
@@ -180,8 +182,8 @@ def test_kernel_block_sizes(n):
     # block holds the whole basis.
     pairings = _backend.enumerate_pairings(n)
     expected = {1: (), 2: (1,), 3: (2, 2), 4: (8, 5)}.get(n, (catalan(n) - 1,))
-    assert tuple(map(len, _relations.ideal_blocks(pairings, False))) == expected
-    assert _relations.ideal_blocks(pairings, True) == [list(range(catalan(n)))]
+    assert tuple(map(len, _backend.ideal_blocks(pairings, False))) == expected
+    assert _backend.ideal_blocks(pairings, True) == [list(range(catalan(n)))]
 
 
 @pytest.mark.parametrize("n", [4, 7])
@@ -210,6 +212,43 @@ def test_the_order_builds_no_generator_map(n, monkeypatch):
         generator_matrix(n - 1, fresh(), include_identity)
         assert calls == math.comb(n, n // 2) - (not include_identity)
         calls = 0
+
+
+def _shuffled_basis(n):
+    return DiagramBasis(n, tuple(random.Random(n).sample(enumerate_diagrams(n).diagrams, catalan(n))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cli.main(["verify", "--dim", "4"]) == 0,
+        lambda: cli.main(["verify", "--dim", "6"]) == 0,
+        lambda: cli.main(["repr", "--dim", "4"]) == 0,
+        lambda: cli.main(["repr", "--dim", "4", "--include-identity"]) == 0,
+        lambda: cli.main(["repr", "--dim", "6"]) == 0,
+        lambda: cli.main(["repr", "--dim", "6", "--include-identity"]) == 0,
+        lambda: generator_matrices(enumerate_diagrams(4)),
+        lambda: generator_matrices(_shuffled_basis(4)),
+    ],
+    ids=["verify-4", "verify-6", "repr-4", "repr-4-identity", "repr-6", "repr-6-identity",
+         "matrices-4", "matrices-4-shuffled"],
+)
+def test_each_row_is_split_once_per_call(call, monkeypatch):
+    # A route that maps a whole basis reads its representation order and
+    # its link-state grid off one split of each row: dimension 4 without
+    # the identity has two ideal blocks, and the shuffled basis is put in
+    # their order too.
+    splits = []
+    split = _backend.link_states
+
+    def counted(pairings, top):
+        splits.append(top)
+        return split(pairings, top)
+
+    monkeypatch.setattr(_backend, "link_states", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert call()
+    assert sorted(splits) == [False, True]
 
 
 def test_generator_matrices_make_no_compositions(monkeypatch):
